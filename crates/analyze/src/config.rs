@@ -126,7 +126,7 @@ pub const UNWRAP_BUDGETS: &[(&str, u32)] = &[
     ("netsim", 7),
     ("pfs", 19),
     ("report", 4),
-    ("serve", 143),
+    ("serve", 141),
     ("sim", 18),
     ("sweep", 4),
     ("sync", 3),
@@ -165,6 +165,7 @@ pub struct LockDecl {
 /// | 50    | `sched.parker`               | one actor's park flag          |
 /// | 60    | `pfs.files` / `pfs.disk`     | filesystem name table          |
 /// | 70    | `netsim.routes`              | one route-table shard          |
+/// | 72    | `sim.ledger`                 | one machine's link occupancy + traffic counters |
 /// | 75    | `sync.barrier`               | epoch-barrier generation state |
 /// | 80    | `sync.channel`               | channel queue (leaf)           |
 ///
@@ -174,6 +175,14 @@ pub struct LockDecl {
 /// increasing. The barrier is held alone and released before `wait`
 /// returns, so its level only has to clear the locks a coordinator may
 /// still hold — none.
+///
+/// `sim.ledger` is a leaf of the simulation stack: a pricing call takes
+/// it with no other lock held and acquires no declared lock under it.
+/// It is placed *above* every lock a caller could come to hold while
+/// pricing (boards, ports, scheduler, pfs tables, route shards — a
+/// route-cache miss takes and releases a route shard just before the
+/// ledger), so nesting it inside any of them stays increasing, and
+/// below only the sync primitives' own leaves.
 ///
 /// The serve daemon's locks sit *below* the whole simulation stack:
 /// they bracket map pushes/pops, journal appends and counter flips on
@@ -266,6 +275,13 @@ pub const LOCK_HIERARCHY: &[LockDecl] = &[
         methods: &["read", "write"],
         level: 70,
         name: "netsim.routes",
+    },
+    LockDecl {
+        file_suffix: "crates/sim/src/link.rs",
+        receiver: "slots",
+        methods: &["lock"],
+        level: 72,
+        name: "sim.ledger",
     },
     LockDecl {
         file_suffix: "crates/sync/src/barrier.rs",

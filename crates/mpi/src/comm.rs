@@ -4,8 +4,9 @@
 //! A [`Comm`] is one rank's handle on a communication context. It
 //! bundles the world-shared mailboxes, the rank's clock, and a context
 //! id that isolates message matching between communicators (so
-//! `split`/`dup` behave like MPI communicators). Routes are looked up
-//! in the machine-wide shared table (`MachineNet::split_route`).
+//! `split`/`dup` behave like MPI communicators). Routes come from the
+//! rank's own cache of peer routes (`RankState`), which falls back to
+//! the machine-wide shared table (`MachineNet::split_route`) on a miss.
 //!
 //! Two send flavors exist:
 //!
@@ -64,7 +65,7 @@ fn wire_fault_delay(
     bytes: u64,
 ) {
     let plan = fs.plan();
-    let sr = net.split_route(wsrc, wdst);
+    let sr = st.routes_out.get(wdst, || net.split_route(wsrc, wdst));
     let links = net.links();
     let route_dead = sr
         .egress
@@ -132,6 +133,9 @@ impl CollBoard {
 /// State shared by every rank of a world (created by the runtime).
 pub struct WorldShared {
     pub(crate) mailboxes: Vec<Mailbox>,
+    /// The world communicator's rank map (the identity), built once
+    /// and shared by every rank's [`Comm::world`] handle.
+    world_ranks: Arc<Vec<usize>>,
     /// Shared engine config: one allocation per `World`, reference-
     /// counted into every rebuilt `WorldShared` instead of recloned
     /// (session checkout must not pay a config deep-clone per run).
@@ -162,6 +166,7 @@ impl WorldShared {
     fn with_sched(n: usize, engine: Arc<EngineCfg>, sched: Option<SimScheduler>) -> Self {
         Self {
             mailboxes: (0..n).map(|_| Mailbox::new()).collect(),
+            world_ranks: Arc::new((0..n).collect()),
             engine,
             // ctx 0 is the world communicator
             next_ctx: AtomicU32::new(1),
@@ -198,16 +203,10 @@ pub struct Comm {
 
 impl Comm {
     /// Build the world communicator handle for `rank` (runtime use).
-    pub(crate) fn world(shared: Arc<WorldShared>, rank: usize, n: usize) -> Self {
+    pub(crate) fn world(shared: Arc<WorldShared>, rank: usize) -> Self {
         let state = Rc::new(RefCell::new(RankState::new(&shared.engine)));
-        Self {
-            shared,
-            state,
-            ctx: 0,
-            rank,
-            ranks: Arc::new((0..n).collect()),
-            coll_seq: 0,
-        }
+        let ranks = Arc::clone(&shared.world_ranks);
+        Self { shared, state, ctx: 0, rank, ranks, coll_seq: 0 }
     }
 
     // ----- introspection ------------------------------------------------
@@ -309,13 +308,11 @@ impl Comm {
             return mb.recv(m);
         };
         loop {
-            if let Some(env) = mb.try_recv(m) {
-                return env;
-            }
-            if mb.is_poisoned() {
-                BeffError::PeerFailed.raise();
-            }
-            let ticket = mb.post(m);
+            // Raises PeerFailed if the world died.
+            let ticket = match mb.recv_or_post(m) {
+                Ok(env) => return env,
+                Err(ticket) => ticket,
+            };
             sched.yield_blocked(wr);
             // Woken: either our slot was filled, or the world died.
             if let Some(env) = mb.take_delivered(ticket) {
@@ -359,7 +356,7 @@ impl Comm {
                         }
                     }
                     let t0 = st.clock.now();
-                    let sr = net.split_route(wsrc, wdst);
+                    let sr = st.routes_out.get(wdst, || net.split_route(wsrc, wdst));
                     let eg = net.price_egress(&sr.egress, payload.len(), t0);
                     (eg.injected, eg.head, eg.finish)
                 };
@@ -433,7 +430,7 @@ impl Comm {
             let mut st = self.state.borrow_mut();
             let wsrc = self.ranks[env.src];
             let wdst = self.ranks[self.rank];
-            let sr = net.split_route(wsrc, wdst);
+            let sr = st.routes_in.get(wsrc, || net.split_route(wsrc, wdst));
             let done =
                 net.price_ingress(&sr.ingress, env.payload.len(), env.head, env.arrival);
             st.clock.advance_to(done);

@@ -9,7 +9,7 @@
 //! 3. whether benchmark payloads are materialized (`copy_data`).
 
 use beff_faults::FaultSession;
-use beff_netsim::MachineNet;
+use beff_netsim::{MachineNet, SplitRoute};
 use beff_sim::{Clock, RealClock, Secs, VClock, Workers};
 use std::sync::Arc;
 
@@ -102,25 +102,67 @@ impl RankClock {
     }
 }
 
-/// Mutable per-rank simulation state (the rank's clock).
+/// How many peers each side of a rank's [`RouteCache`] holds. The
+/// b_eff patterns give a rank two neighbours at a time; an exchange
+/// with more peers than this (a wide all-to-all) misses and pays what
+/// the shared table costs.
+pub const ROUTE_CACHE_SLOTS: usize = 16;
+
+/// A rank's handles on the routes to (or from) its current peers:
+/// direct-mapped by the peer's world rank, filled from the machine-wide
+/// table ([`MachineNet::split_route`]) on a miss. A hit costs one
+/// compare — no lock, no map walk, no reference-count traffic.
+pub(crate) struct RouteCache {
+    slots: [Option<(usize, Arc<SplitRoute>)>; ROUTE_CACHE_SLOTS],
+}
+
+impl RouteCache {
+    fn new() -> Self {
+        Self { slots: std::array::from_fn(|_| None) }
+    }
+
+    /// The route cached under `peer`, looked up with `fill` on a miss.
+    #[inline]
+    pub(crate) fn get(
+        &mut self,
+        peer: usize,
+        fill: impl FnOnce() -> Arc<SplitRoute>,
+    ) -> &SplitRoute {
+        let slot = &mut self.slots[peer % ROUTE_CACHE_SLOTS];
+        if !matches!(slot, Some((p, _)) if *p == peer) {
+            *slot = None;
+        }
+        &slot.get_or_insert_with(|| (peer, fill())).1
+    }
+}
+
+/// Mutable per-rank simulation state: the rank's clock and its route
+/// handles.
 ///
-/// Routes are *not* per-rank state: they live on the machine-wide
-/// [`MachineNet`] route table (`net.split_route`), shared by all ranks
-/// of all worlds on that machine.
+/// Routes are *owned* by the machine-wide [`MachineNet`] route table,
+/// shared by all ranks of all worlds on that machine; a rank only
+/// caches handles to the few it is using. All communicators of a rank
+/// share one `RankState` (one world rank), so the peer's world rank
+/// alone identifies a cached route.
 ///
 /// Lives in an `Rc<RefCell<..>>` shared by all communicators of the
 /// rank so that time keeps flowing across `Comm::split`.
 pub struct RankState {
     pub clock: RankClock,
+    /// Routes from this rank, keyed by world destination.
+    pub(crate) routes_out: RouteCache,
+    /// Routes to this rank, keyed by world source.
+    pub(crate) routes_in: RouteCache,
 }
 
 impl RankState {
     pub fn new(engine: &EngineCfg) -> Self {
-        match engine {
+        let clock = match engine {
             // beff-analyze: allow(taint): the Real engine is wall-clock by contract; sim worlds take the Virt arm below
-            EngineCfg::Real => Self { clock: RankClock::Real(RealClock::new()) },
-            EngineCfg::Sim { .. } => Self { clock: RankClock::Virt(VClock::new()) },
-        }
+            EngineCfg::Real => RankClock::Real(RealClock::new()),
+            EngineCfg::Sim { .. } => RankClock::Virt(VClock::new()),
+        };
+        Self { clock, routes_out: RouteCache::new(), routes_in: RouteCache::new() }
     }
 }
 

@@ -36,7 +36,7 @@ fn run_rank<R>(
     rank: usize,
     f: impl FnOnce(&mut Comm) -> R,
 ) -> Result<R, Box<dyn Any + Send>> {
-    let mut comm = Comm::world(Arc::clone(shared), rank, shared.mailboxes.len());
+    let mut comm = Comm::world(Arc::clone(shared), rank);
     let out = catch_unwind(AssertUnwindSafe(|| {
         if let Some(s) = &shared.sched {
             s.wait_turn(rank);

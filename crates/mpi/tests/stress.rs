@@ -223,6 +223,26 @@ fn two_queue_mailbox_matches_linear_scan_reference() {
     });
 }
 
+/// One sender interleaving a tag-7 stream per receiver (receiver `r`
+/// matches source `r`; message `i` of a stream carries length `i`).
+fn push_interleaved_streams(mb: &Mailbox, receivers: usize, msgs_per_receiver: u64) {
+    for i in 0..msgs_per_receiver {
+        for r in 0..receivers {
+            mb.push(Envelope {
+                ctx: 0,
+                src: r,
+                tag: 7,
+                head: 0.0,
+                arrival: 0.0,
+                payload: Payload::Len(i),
+            });
+        }
+        if i % 8 == 0 {
+            std::thread::yield_now();
+        }
+    }
+}
+
 /// A lost targeted wakeup strands a receiver forever: push sees no
 /// posted slot, queues silently, and the receiver sleeps on a message
 /// that already arrived. Hammer the racy window (post vs push) from
@@ -255,25 +275,107 @@ fn targeted_wakeups_never_lose_a_blocked_receiver() {
             // complete a posted receive may wake anyone.
             let mb = Arc::clone(&mb);
             scope.spawn(move || {
-                for i in 0..msgs_per_receiver {
-                    for r in 0..receivers {
-                        mb.push(Envelope {
-                            ctx: 0,
-                            src: r,
-                            tag: 7,
-                            head: 0.0,
-                            arrival: 0.0,
-                            payload: Payload::Len(i),
-                        });
-                    }
-                    if i % 8 == 0 {
-                        std::thread::yield_now();
-                    }
-                }
+                push_interleaved_streams(&mb, receivers, msgs_per_receiver);
             });
         });
         assert!(mb.is_empty(), "round {round}: every envelope consumed");
     }
+}
+
+/// The untimed twin of the hammer above, for the gated notify: a push
+/// skips the condvar notify when no receiver is counted as parked, so
+/// a receiver that posted and went to sleep inside `Mailbox::recv` must
+/// always have been counted. A lost wakeup would strand it forever;
+/// the done-channel timeout turns that into a failure (the stranded
+/// thread is detached, not joined).
+#[test]
+fn parked_recv_is_always_woken_by_a_matched_push() {
+    let rounds = if cfg!(debug_assertions) { 40 } else { 600 };
+    let receivers = 4usize;
+    let msgs_per_receiver = 25u64;
+    for round in 0..rounds {
+        let mb = Arc::new(Mailbox::new());
+        let (done_tx, done_rx) = std::sync::mpsc::channel();
+        for r in 0..receivers {
+            let mb = Arc::clone(&mb);
+            let done_tx = done_tx.clone();
+            std::thread::spawn(move || {
+                let m = Match { ctx: 0, src: Some(r), tag: Some(7) };
+                for i in 0..msgs_per_receiver {
+                    assert_eq!(mb.recv(m).payload.len(), i, "per-sender order for receiver {r}");
+                }
+                let _ = done_tx.send(r);
+            });
+        }
+        push_interleaved_streams(&mb, receivers, msgs_per_receiver);
+        for _ in 0..receivers {
+            done_rx.recv_timeout(std::time::Duration::from_secs(20)).unwrap_or_else(|_| {
+                panic!("round {round}: a receiver parked in recv was never woken")
+            });
+        }
+        assert!(mb.is_empty(), "round {round}: every envelope consumed");
+    }
+}
+
+/// Rank 0 ping-pongs with two peers that fall into the same slot of
+/// its route caches (`p` and `p + ROUTE_CACHE_SLOTS`), so every one of
+/// its sends and receives evicts the route the previous one cached.
+/// Every clock any rank reads must equal, bit for bit, the same
+/// exchange priced straight off the machine-wide route table.
+#[test]
+fn colliding_route_cache_peers_price_like_the_shared_table() {
+    let slots = beff_mpi::engine::ROUTE_CACHE_SLOTS;
+    let n = 2 * slots + 2;
+    let (a, b) = (1, 1 + slots);
+    let rounds = 5usize;
+    let len = |i: usize| 1000 * (i + 1);
+    let machine = || {
+        let params = NetParams { contention: 1.5, ..NetParams::default() };
+        MachineNet::new(Topology::Ring { procs: n }, params)
+    };
+
+    let got = World::sim(Arc::new(machine())).run(|c| {
+        let mut clocks = Vec::new();
+        let mut buf = vec![0u8; len(rounds)];
+        let me = c.rank();
+        for i in 0..rounds {
+            if me == 0 {
+                for p in [a, b] {
+                    c.payload_send(p, 1, &buf[..len(i)]);
+                    clocks.push(c.now().to_bits());
+                    c.recv(Some(p), Some(2), &mut buf);
+                    clocks.push(c.now().to_bits());
+                }
+            } else if me == a || me == b {
+                c.recv(Some(0), Some(1), &mut buf);
+                clocks.push(c.now().to_bits());
+                c.payload_send(0, 2, &buf[..len(i) / 2]);
+                clocks.push(c.now().to_bits());
+            }
+        }
+        clocks
+    });
+
+    let net = machine();
+    let (o_send, o_recv) = (net.params().o_send, net.params().o_recv);
+    let mut now = vec![0.0f64; n];
+    let mut want = vec![Vec::new(); n];
+    let mut message = |src: usize, dst: usize, bytes: usize| {
+        let sr = net.split_route(src, dst);
+        let eg = net.price_egress(&sr.egress, bytes as u64, now[src] + o_send);
+        now[src] = (now[src] + o_send).max(eg.injected);
+        want[src].push(now[src].to_bits());
+        let done = net.price_ingress(&sr.ingress, bytes as u64, eg.head, eg.finish);
+        now[dst] = now[dst].max(done) + o_recv;
+        want[dst].push(now[dst].to_bits());
+    };
+    for i in 0..rounds {
+        for p in [a, b] {
+            message(0, p, len(i));
+            message(p, 0, len(i) / 2);
+        }
+    }
+    assert_eq!(got, want);
 }
 
 #[test]

@@ -7,9 +7,9 @@
 //! * `o_send` / `o_recv` — per-message CPU overheads (applied to the
 //!   rank's virtual clock by the MPI engine),
 //! * per-link latency — head-of-message propagation,
-//! * per-link byte time — serial occupancy (1/bandwidth), reserved on
-//!   the link's [`Resource`](crate::resource::Resource) so that
-//!   concurrent messages crossing the same wire contend,
+//! * per-link byte time — serial occupancy (1/bandwidth), booked in
+//!   the machine's [`LinkLedger`] so that concurrent messages crossing
+//!   the same wire contend,
 //! * streaming/pipelining — a message occupies consecutive links in a
 //!   pipelined fashion, so an uncontended transfer costs
 //!   `sum(latencies) + bytes * max(byte_time)`, not the sum of
@@ -28,7 +28,7 @@
 //! machines show between single-stream and many-stream effective rates
 //! that ideal FIFO packing cannot express.
 
-use crate::link::Link;
+use crate::link::{Link, LinkLedger};
 use crate::routing::{RouteTable, SplitRoute};
 use crate::topology::{LinkKind, Topology};
 use crate::units::{byte_time, Secs};
@@ -174,23 +174,29 @@ pub struct MachineNet {
     params: NetParams,
     links: Vec<Link>,
     backplane: Option<Link>,
+    /// Occupancy and traffic counters of every link and the backplane:
+    /// one lock per pricing call (see [`LinkLedger`]).
+    ledger: Arc<LinkLedger>,
     routes: RouteTable,
 }
 
 impl MachineNet {
     pub fn new(topo: Topology, params: NetParams) -> Self {
-        let links = (0..topo.num_links())
+        let n = topo.num_links();
+        // The backplane books the slot after the last topology link.
+        let ledger = Arc::new(LinkLedger::new(n + params.backplane.is_some() as usize));
+        let links = (0..n)
             .map(|l| {
                 let kind = topo.link_kind(l);
                 let tier = params.tier_for(kind);
                 let factor = if kind.is_shared() { params.contention } else { 1.0 };
-                Link::with_contention(tier.latency, tier.byte_time(), factor)
+                Link::on_ledger(Arc::clone(&ledger), l, tier.latency, tier.byte_time(), factor)
             })
             .collect();
-        let backplane = params
-            .backplane
-            .map(|t| Link::with_contention(t.latency, t.byte_time(), params.contention));
-        Self { topo, params, links, backplane, routes: RouteTable::new() }
+        let backplane = params.backplane.map(|t| {
+            Link::on_ledger(Arc::clone(&ledger), n, t.latency, t.byte_time(), params.contention)
+        });
+        Self { topo, params, links, backplane, ledger, routes: RouteTable::new() }
     }
 
     pub fn procs(&self) -> usize {
@@ -247,11 +253,12 @@ impl MachineNet {
             let t = inject + bytes as f64 * byte_time(self.params.self_mbps);
             return Egress { injected: t, head: t, finish: t };
         }
+        let mut ledger = self.ledger.lock();
         let mut head = inject;
         let mut finish: Secs = inject;
         let mut injected: Secs = inject;
         for (i, &l) in path.iter().enumerate() {
-            let (start, fin) = self.links[l].traverse(head, bytes);
+            let (start, fin) = ledger.traverse(&self.links[l], head, bytes);
             head = start;
             if fin > finish {
                 finish = fin;
@@ -261,7 +268,7 @@ impl MachineNet {
             }
         }
         if let Some(bp) = &self.backplane {
-            let (_, fin) = bp.traverse(inject, bytes);
+            let (_, fin) = ledger.traverse(bp, inject, bytes);
             if fin > finish {
                 finish = fin;
             }
@@ -275,10 +282,11 @@ impl MachineNet {
     /// receiving rank's thread, so the destination's memory and port-in
     /// are scheduled by a single thread and pack tightly.
     pub fn price_ingress(&self, path: &[usize], bytes: u64, head: Secs, floor: Secs) -> Secs {
+        let mut ledger = self.ledger.lock();
         let mut h = head;
         let mut finish = floor;
         for &l in path {
-            let (start, fin) = self.links[l].traverse(h, bytes);
+            let (start, fin) = ledger.traverse(&self.links[l], h, bytes);
             h = start;
             if fin > finish {
                 finish = fin;
@@ -309,12 +317,7 @@ impl MachineNet {
 
     /// Clear all link occupancy (tests / between independent runs).
     pub fn reset(&self) {
-        for l in &self.links {
-            l.reset();
-        }
-        if let Some(bp) = &self.backplane {
-            bp.reset();
-        }
+        self.ledger.reset();
     }
 
     /// The conservative-execution lookahead for this machine: the

@@ -9,9 +9,13 @@
 //! (the old per-rank `RouteCache` cloned the topology and re-derived
 //! identical routes 512 times on the largest modeled system).
 //!
-//! Interior locking is sharded by pair so that 512 rank threads warming
-//! the table concurrently do not serialize on one lock; steady-state
-//! lookups take a shard read lock only.
+//! The table is the *miss* path: each rank keeps a small cache of the
+//! routes to and from its current peers (`beff-mpi`'s `RankState`), so
+//! steady-state sends and receives never come here. Interior locking is
+//! sharded by pair, so host threads that do share a machine (the rank
+//! threads of a parked-thread world, callers pricing through one
+//! `Arc<MachineNet>`) do not serialize on one lock; a lookup of a
+//! memoized pair takes a shard read lock only.
 
 use crate::topology::Topology;
 use beff_sync::{Rank, RwLock};

@@ -86,9 +86,10 @@ pub fn traffic_report(net: &MachineNet) -> TrafficReport {
         let k = topo.link_kind(i);
         let e = kinds.entry(kind_index(k)).or_insert(KindStats::default());
         e.links += 1;
-        e.bytes += link.bytes_carried();
+        let bytes = link.bytes_carried();
+        e.bytes += bytes;
         e.messages += link.messages_carried();
-        e.max_link_bytes = e.max_link_bytes.max(link.bytes_carried());
+        e.max_link_bytes = e.max_link_bytes.max(bytes);
     }
     let get = |k: LinkKind| kinds.get(&kind_index(k)).copied().unwrap_or_default();
     TrafficReport {

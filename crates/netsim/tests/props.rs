@@ -2,7 +2,8 @@
 
 use beff_check::{check, ensure, ensure_eq, Gen};
 use beff_netsim::{
-    Clock, MachineNet, NetParams, Placement, Resource, Rng64, Topology, VClock,
+    traffic_report, Clock, Degrade, MachineNet, NetParams, Placement, Resource, Rng64, Tier,
+    Topology, VClock,
 };
 
 fn gen_topology(g: &mut Gen) -> Topology {
@@ -128,6 +129,131 @@ fn fair_share_factor_one_matches_plain_fifo_bitwise() {
             ensure_eq!(pf.to_bits(), reference_nf.to_bits());
             ensure_eq!(ff.to_bits(), reference_nf.to_bits());
         }
+    });
+}
+
+/// The reference a link ledger slot is held against: one link's
+/// occupancy on a [`Resource`] of its own, its fault windows and its
+/// counters — the per-link design the ledger replaced.
+struct OracleLink {
+    latency: f64,
+    byte_time: f64,
+    res: Resource,
+    windows: Vec<Degrade>,
+    bytes: u64,
+    messages: u64,
+}
+
+impl OracleLink {
+    fn traverse(&mut self, head: f64, bytes: u64) -> (f64, f64) {
+        let at = head + self.latency;
+        let mut occ = bytes as f64 * self.byte_time;
+        if !self.windows.is_empty() {
+            let hit = self.windows.iter().filter(|w| w.from <= at && at < w.until);
+            occ *= hit.map(|w| w.slowdown).product::<f64>().max(1.0);
+        }
+        self.bytes += bytes;
+        self.messages += 1;
+        self.res.reserve_span(at, occ)
+    }
+}
+
+#[test]
+fn ledger_books_bit_identically_to_per_link_resources() {
+    check("ledger equals the per-link Resource oracle", |g| {
+        let topo = gen_topology(g);
+        let contention = if g.bool() { 1.0 } else { g.f64(1.0, 4.0) };
+        let params = NetParams {
+            contention,
+            backplane: g.bool().then(|| Tier::new(1e-6, 500.0)),
+            ..NetParams::default()
+        };
+        let net = MachineNet::new(topo.clone(), params.clone());
+        let n_links = topo.num_links();
+        let mut oracle: Vec<OracleLink> = net
+            .links()
+            .iter()
+            .enumerate()
+            .map(|(l, link)| OracleLink {
+                latency: link.latency,
+                byte_time: link.byte_time,
+                res: Resource::with_contention(if topo.link_kind(l).is_shared() {
+                    contention
+                } else {
+                    1.0
+                }),
+                windows: Vec::new(),
+                bytes: 0,
+                messages: 0,
+            })
+            .collect();
+        let mut backplane = params.backplane.map(|t| OracleLink {
+            latency: t.latency,
+            byte_time: t.byte_time(),
+            res: Resource::with_contention(contention),
+            windows: Vec::new(),
+            bytes: 0,
+            messages: 0,
+        });
+        // Degrade windows on a few links (overlapping ones multiply).
+        for _ in 0..g.usize(0..=3) {
+            let l = g.usize(0..=n_links - 1);
+            let from = g.f64(0.0, 50.0);
+            let w = Degrade { from, until: from + g.f64(0.0, 50.0), slowdown: g.f64(1.0, 8.0) };
+            oracle[l].windows.push(w);
+            net.links()[l].set_fault_windows(oracle[l].windows.clone());
+        }
+        let n = topo.procs();
+        for _ in 0..g.usize(1..=60) {
+            let bytes = g.u64(0..=4_000_000);
+            let head = g.f64(0.0, 100.0);
+            if g.bool() {
+                // one booking on one link
+                let l = g.usize(0..=n_links - 1);
+                let got = net.links()[l].traverse(head, bytes);
+                let want = oracle[l].traverse(head, bytes);
+                ensure_eq!((got.0.to_bits(), got.1.to_bits()), (want.0.to_bits(), want.1.to_bits()));
+            } else {
+                // one message over a whole route, both halves
+                let sr = net.split_route(g.usize(0..=999) % n, g.usize(0..=999) % n);
+                if sr.egress.is_empty() {
+                    continue; // self-message: books nothing
+                }
+                let eg = net.price_egress(&sr.egress, bytes, head);
+                let (mut h, mut finish, mut injected) = (head, head, head);
+                for (i, &l) in sr.egress.iter().enumerate() {
+                    let (start, fin) = oracle[l].traverse(h, bytes);
+                    h = start;
+                    finish = finish.max(fin);
+                    if i == 0 {
+                        injected = fin;
+                    }
+                }
+                if let Some(bp) = &mut backplane {
+                    finish = finish.max(bp.traverse(head, bytes).1);
+                }
+                ensure_eq!(eg.injected.to_bits(), injected.to_bits());
+                ensure_eq!(eg.head.to_bits(), h.to_bits());
+                ensure_eq!(eg.finish.to_bits(), finish.to_bits());
+                let done = net.price_ingress(&sr.ingress, bytes, eg.head, eg.finish);
+                for &l in sr.ingress.iter() {
+                    let (start, fin) = oracle[l].traverse(h, bytes);
+                    h = start;
+                    finish = finish.max(fin);
+                }
+                ensure_eq!(done.to_bits(), finish.to_bits());
+            }
+        }
+        for (l, (link, want)) in net.links().iter().zip(&oracle).enumerate() {
+            ensure_eq!(link.bytes_carried(), want.bytes, "bytes on link {l}");
+            ensure_eq!(link.messages_carried(), want.messages, "messages on link {l}");
+            ensure_eq!(link.horizon().to_bits(), want.res.horizon().to_bits());
+        }
+        let report = traffic_report(&net);
+        ensure_eq!(report.total_bytes(), oracle.iter().map(|o| o.bytes).sum::<u64>());
+        net.reset();
+        ensure_eq!(traffic_report(&net).total_bytes(), 0);
+        ensure!(net.links().iter().all(|l| l.horizon() == 0.0 && l.messages_carried() == 0));
     });
 }
 

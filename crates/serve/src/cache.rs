@@ -6,6 +6,14 @@
 //! in reports. Values are the finished result report bytes, shared out
 //! as `Arc<str>` so a hit copies nothing.
 //!
+//! A result that the durable journal also holds may be kept **cold**:
+//! the entry then records only where the journal has it
+//! ([`ResultCache::chill`]), and the first later query for it reads it
+//! back and [`warm`](ResultCache::warm)s it for good. Memory therefore
+//! holds what has been asked for at least twice; a result nobody asks
+//! for again costs its key, not its bytes. Without a journal every
+//! entry is warm, as before.
+//!
 //! Because every simulation below the server is deterministic, a cache
 //! hit is **exact**: recomputing any cached spec must reproduce the
 //! stored bytes bit for bit. [`ResultCache::insert`] enforces that
@@ -13,6 +21,7 @@
 //! concurrently must agree), and the `loadgen` correctness audit
 //! re-proves it end-to-end for every spec in a run.
 
+use crate::journal::Extent;
 use beff_sync::{order::Rank, Mutex};
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -31,9 +40,18 @@ pub struct CacheStats {
     pub entries: usize,
 }
 
+/// What the cache holds for a key.
+#[derive(Debug, Clone)]
+pub enum Cached {
+    /// The result bytes, in memory.
+    Warm(Arc<str>),
+    /// The result is in the journal at this extent, not in memory.
+    Cold(Extent),
+}
+
 /// The content-addressed store: canonical spec bytes → result bytes.
 pub struct ResultCache {
-    entries: Mutex<BTreeMap<String, Arc<str>>>,
+    entries: Mutex<BTreeMap<String, Cached>>,
     hits: AtomicU64,
     misses: AtomicU64,
 }
@@ -53,9 +71,10 @@ impl ResultCache {
         }
     }
 
-    /// Look `key` up, counting the query as a hit or a miss.
-    pub fn get(&self, key: &str) -> Option<Arc<str>> {
-        let found = self.entries.lock().get(key).cloned();
+    /// Look `key` up, counting the query as a hit or a miss (a cold
+    /// entry is a hit: the result exists and will not be recomputed).
+    pub fn get(&self, key: &str) -> Option<Cached> {
+        let found = self.peek(key);
         match &found {
             Some(_) => self.hits.fetch_add(1, Ordering::Relaxed),
             None => self.misses.fetch_add(1, Ordering::Relaxed),
@@ -64,7 +83,7 @@ impl ResultCache {
     }
 
     /// Look `key` up without touching the counters (for audits).
-    pub fn peek(&self, key: &str) -> Option<Arc<str>> {
+    pub fn peek(&self, key: &str) -> Option<Cached> {
         self.entries.lock().get(key).cloned()
     }
 
@@ -83,18 +102,54 @@ impl ResultCache {
     /// redundant records from re-computed hits.
     pub fn insert_if_absent(&self, key: String, bytes: String) -> (Arc<str>, bool) {
         let mut entries = self.entries.lock();
-        if let Some(existing) = entries.get(key.as_str()) {
-            // beff-analyze: allow(panicflow): integrity tripwire — divergent recompute bytes mean determinism is already broken; dying loudly beats serving either answer
-            assert_eq!(
-                existing.as_ref(),
-                bytes.as_str(),
-                "cache integrity: recomputation of an existing key produced different bytes"
-            );
-            return (Arc::clone(existing), false);
+        match entries.get(key.as_str()) {
+            Some(Cached::Warm(existing)) => {
+                // beff-analyze: allow(panicflow): integrity tripwire — divergent recompute bytes mean determinism is already broken; dying loudly beats serving either answer
+                assert_eq!(
+                    existing.as_ref(),
+                    bytes.as_str(),
+                    "cache integrity: recomputation of an existing key produced different bytes"
+                );
+                (Arc::clone(existing), false)
+            }
+            // A cold entry has no bytes here to hold these against (the
+            // journal read that warms it does its own verification);
+            // the entry stays, the caller gets what it computed.
+            Some(Cached::Cold(_)) => (bytes.into(), false),
+            None => {
+                let shared: Arc<str> = bytes.into();
+                entries.insert(key, Cached::Warm(Arc::clone(&shared)));
+                (shared, true)
+            }
+        }
+    }
+
+    /// The journal holds `key`'s result at `extent`: drop the bytes
+    /// from memory and remember only where they are.
+    pub fn chill(&self, key: &str, extent: Extent) {
+        if let Some(entry) = self.entries.lock().get_mut(key) {
+            *entry = Cached::Cold(extent);
+        }
+    }
+
+    /// Bring a cold entry's bytes (just read back from the journal)
+    /// into memory for good, returning the shared bytes. If the entry
+    /// is already warm — a racing query got there first — that one is
+    /// kept.
+    pub fn warm(&self, key: &str, bytes: String) -> Arc<str> {
+        let mut entries = self.entries.lock();
+        if let Some(Cached::Warm(existing)) = entries.get(key) {
+            return Arc::clone(existing);
         }
         let shared: Arc<str> = bytes.into();
-        entries.insert(key, Arc::clone(&shared));
-        (shared, true)
+        entries.insert(key.to_string(), Cached::Warm(Arc::clone(&shared)));
+        shared
+    }
+
+    /// Forget `key` (its cold bytes turned out to be unreadable), so
+    /// the next query recomputes it.
+    pub fn evict(&self, key: &str) {
+        self.entries.lock().remove(key);
     }
 
     pub fn stats(&self) -> CacheStats {
@@ -115,8 +170,7 @@ mod tests {
         let c = ResultCache::new();
         assert!(c.get("k").is_none());
         c.insert("k".into(), "{\"beff\":1.0}".into());
-        let hit = c.get("k").expect("inserted");
-        assert_eq!(hit.as_ref(), "{\"beff\":1.0}");
+        assert!(matches!(c.get("k"), Some(Cached::Warm(b)) if &*b == "{\"beff\":1.0}"));
         assert_eq!(c.stats(), CacheStats { hits: 1, misses: 1, entries: 1 });
     }
 

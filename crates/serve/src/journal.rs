@@ -43,6 +43,13 @@
 //! byte-equality discipline as live inserts; a journal that contradicts
 //! *itself* (two records for one key with different bytes) is treated
 //! as corruption at the second record, not a panic.
+//!
+//! ## Reading back
+//!
+//! [`Journal::append`] returns the [`Extent`] the record occupies and
+//! [`Journal::read`] returns that record, checksum-verified. The server
+//! uses the pair to keep a journaled result out of memory until someone
+//! asks for it a second time (see [`ResultCache`](crate::ResultCache)).
 
 use crate::spec::fnv1a64;
 use crate::wire::MAX_FRAME;
@@ -161,11 +168,19 @@ pub struct Recovery {
     pub truncated: Option<Truncation>,
 }
 
+/// Where one appended record lives in the journal file.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Extent {
+    at: u64,
+    len: usize,
+}
+
 /// An open journal: replayed once at [`open`](Journal::open), then
 /// append-only.
 pub struct Journal {
     path: PathBuf,
-    file: Mutex<File>,
+    /// The file, positioned at its end, and that end's offset.
+    file: Mutex<(File, u64)>,
 }
 
 impl Journal {
@@ -268,22 +283,47 @@ impl Journal {
             Recovery { recovered: records.len(), bytes: good, truncated };
         let journal = Journal {
             path: path.to_path_buf(),
-            file: Mutex::ranked(&JOURNAL_RANK, file),
+            file: Mutex::ranked(&JOURNAL_RANK, (file, good)),
         };
         Ok((journal, records, recovery))
     }
 
-    /// Append one record. The caller guarantees `key`/`result` fit the
-    /// frame cap (cache keys are small; result reports are bounded by
-    /// the same cap the wire refuses).
-    pub fn append(&self, key: &str, result: &str) -> Result<(), JournalError> {
+    fn io_error(&self, op: &'static str, error: String) -> JournalError {
+        JournalError::Io { path: self.path.display().to_string(), op, error }
+    }
+
+    /// Append one record, returning where it landed. The caller
+    /// guarantees `key`/`result` fit the frame cap (cache keys are
+    /// small; result reports are bounded by the same cap the wire
+    /// refuses).
+    pub fn append(&self, key: &str, result: &str) -> Result<Extent, JournalError> {
         let bytes = encode_record(key, result);
-        let mut file = self.file.lock();
-        file.write_all(&bytes).map_err(|e| JournalError::Io {
-            path: self.path.display().to_string(),
-            op: "append",
-            error: e.to_string(),
-        })
+        let mut guard = self.file.lock();
+        let (file, end) = &mut *guard;
+        file.write_all(&bytes).map_err(|e| self.io_error("append", e.to_string()))?;
+        let extent = Extent { at: *end, len: bytes.len() };
+        *end += bytes.len() as u64;
+        Ok(extent)
+    }
+
+    /// Read back the record an [`append`](Self::append) of this journal
+    /// put at `extent`: `(key, result)`, verified against its checksum
+    /// like a replayed record. The file is left positioned for appends.
+    pub fn read(&self, extent: Extent) -> Result<(String, String), JournalError> {
+        let mut buf = vec![0u8; extent.len];
+        {
+            let mut guard = self.file.lock();
+            let (file, end) = &mut *guard;
+            let read = file
+                .seek(SeekFrom::Start(extent.at))
+                .and_then(|_| file.read_exact(&mut buf));
+            let back = file.seek(SeekFrom::Start(*end));
+            read.and(back).map_err(|e| self.io_error("read back", e.to_string()))?;
+        }
+        match parse_record(&buf) {
+            Ok((key, result, _)) => Ok((key.to_string(), result.to_string())),
+            Err(reason) => Err(self.io_error("read back", reason.to_string())),
+        }
     }
 
     pub fn path(&self) -> &Path {
@@ -325,9 +365,9 @@ fn parse_record(buf: &[u8]) -> Result<(&str, &str, usize), Corrupt> {
     }
     let sealed = &buf[..8 + klen + rlen];
     let got = fnv1a64(sealed);
-    let want = u64::from_be_bytes(
-        buf[8 + klen + rlen..need].try_into().expect("slice is exactly 8 bytes"),
-    );
+    let mut want = [0u8; 8];
+    want.copy_from_slice(&buf[8 + klen + rlen..need]);
+    let want = u64::from_be_bytes(want);
     if want != got {
         return Err(Corrupt::Checksum { want, got });
     }
@@ -368,6 +408,27 @@ mod tests {
         assert!(rec.truncated.is_none());
         assert_eq!(records[0], ("k1".to_string(), "{\"beff\":1.0}".to_string()));
         assert_eq!(records[1], ("k2".to_string(), "{\"beff\":2.0}".to_string()));
+    }
+
+    #[test]
+    fn appended_records_read_back_and_appends_resume_at_the_end() {
+        let path = fresh("read_back.beffj");
+        let Ok((j, _, _)) = Journal::open(&path) else { panic!("fresh journal opens") };
+        let (Ok(e1), Ok(e2)) = (j.append("k1", "{\"beff\":1.0}"), j.append("k2", "")) else {
+            panic!("appends succeed")
+        };
+        assert_eq!(j.read(e2), Ok(("k2".to_string(), String::new())));
+        assert_eq!(j.read(e1), Ok(("k1".to_string(), "{\"beff\":1.0}".to_string())));
+        // a read in the middle of the file must not move the append point
+        assert!(j.append("k3", "three").is_ok());
+        drop(j);
+        let Ok((j, records, rec)) = Journal::open(&path) else { panic!("reopens") };
+        assert!(rec.truncated.is_none());
+        let keys: Vec<&str> = records.iter().map(|(k, _)| k.as_str()).collect();
+        assert_eq!(keys, ["k1", "k2", "k3"]);
+        // an extent of a previous life of the file is verified, not trusted
+        assert!(std::fs::write(&path, vec![b'x'; rec.bytes as usize]).is_ok());
+        assert!(matches!(j.read(e1), Err(JournalError::Io { op: "read back", .. })));
     }
 
     #[test]

@@ -37,8 +37,8 @@
 //!    [`SpecError::ShuttingDown`] refusals) and then drains every
 //!    in-flight batch, so admitted jobs always complete byte-stable.
 
-use crate::cache::{CacheStats, ResultCache};
-use crate::journal::{Journal, JournalError, Recovery};
+use crate::cache::{CacheStats, Cached, ResultCache};
+use crate::journal::{Extent, Journal, JournalError, Recovery};
 use crate::pool::SessionPool;
 use crate::spec::{JobSpec, SpecError};
 use crate::wire::{self, WireError};
@@ -231,7 +231,12 @@ impl Server {
                 Err(e) => admitted.push(Admitted::Refused(e)),
                 Ok(sized) => {
                     let key = spec.canonical_key();
-                    match self.cache.get(&key) {
+                    let hit = match self.cache.get(&key) {
+                        Some(Cached::Warm(bytes)) => Some(bytes),
+                        Some(Cached::Cold(extent)) => self.thaw(&key, extent),
+                        None => None,
+                    };
+                    match hit {
                         Some(bytes) => admitted.push(Admitted::Hit(Outcome {
                             digest: spec.key_digest(),
                             key,
@@ -255,19 +260,20 @@ impl Server {
             let outcome = self.execute(&spec, &sized);
             (key, outcome)
         });
-        let mut failed: BTreeMap<String, BeffError> = BTreeMap::new();
+        let mut done: BTreeMap<String, Result<Arc<str>, BeffError>> = BTreeMap::new();
         for (key, outcome) in computed {
-            match outcome {
-                Ok(bytes) => {
-                    let (shared, fresh) = self.cache.insert_if_absent(key.clone(), bytes);
-                    if fresh {
-                        self.journal_append(&key, &shared);
+            let outcome = outcome.map(|bytes| {
+                let (shared, fresh) = self.cache.insert_if_absent(key.clone(), bytes);
+                if fresh {
+                    // Once the journal holds it, memory need not: the
+                    // entry goes cold until someone asks again.
+                    if let Some(extent) = self.journal_append(&key, &shared) {
+                        self.cache.chill(&key, extent);
                     }
                 }
-                Err(e) => {
-                    failed.insert(key, e);
-                }
-            }
+                shared
+            });
+            done.insert(key, outcome);
         }
 
         // Assembly pass: outcomes in submission order.
@@ -277,33 +283,60 @@ impl Server {
             .map(|(a, spec)| match a {
                 Admitted::Hit(o) => Ok(o),
                 Admitted::Refused(e) => Err(e),
-                Admitted::Pending(key) => match self.cache.peek(&key) {
-                    Some(bytes) => {
-                        Ok(Outcome { digest: spec.key_digest(), key, bytes, cached: false })
+                Admitted::Pending(key) => {
+                    let outcome = done
+                        .get(&key)
+                        // beff-analyze: allow(panicflow): the execution pass ran every distinct pending key and recorded its outcome
+                        .expect("every pending key was executed");
+                    match outcome {
+                        Ok(bytes) => Ok(Outcome {
+                            digest: spec.key_digest(),
+                            bytes: Arc::clone(bytes),
+                            key,
+                            cached: false,
+                        }),
+                        Err(cause) => Err(SpecError::WorldFailed(cause.to_string())),
                     }
-                    None => {
-                        let cause = failed
-                            .get(&key)
-                            // beff-analyze: allow(panicflow): the execution pass ran every distinct pending key; each lands in the cache or in `failed`
-                            .expect("every pending key was executed: cached or failed");
-                        Err(SpecError::WorldFailed(cause.to_string()))
-                    }
-                },
+                }
             })
             .collect()
     }
 
-    /// Shadow a fresh insert in the journal. A failing disk degrades
-    /// journaling (once, loudly) instead of killing the daemon: the
-    /// in-memory cache stays authoritative.
-    fn journal_append(&self, key: &str, bytes: &str) {
-        let Some(journal) = &self.journal else { return };
+    /// Shadow a fresh insert in the journal, returning where the
+    /// record landed. A failing disk degrades journaling (once, loudly)
+    /// instead of killing the daemon: results computed from then on
+    /// simply stay in memory.
+    fn journal_append(&self, key: &str, bytes: &str) -> Option<Extent> {
+        let journal = self.journal.as_ref()?;
         if self.journal_dead.load(Ordering::Relaxed) {
-            return;
+            return None;
         }
-        if let Err(e) = journal.append(key, bytes) {
-            self.journal_dead.store(true, Ordering::Relaxed);
-            eprintln!("serve: journal degraded (cache stays in-memory): {e}");
+        match journal.append(key, bytes) {
+            Ok(extent) => Some(extent),
+            Err(e) => {
+                self.journal_dead.store(true, Ordering::Relaxed);
+                eprintln!("serve: journal degraded (cache stays in-memory): {e}");
+                None
+            }
+        }
+    }
+
+    /// Second query for a result kept cold: read it back from the
+    /// journal and keep it in memory from now on. An unreadable record
+    /// (or one for another key) forgets the entry instead, and the
+    /// query proceeds as the miss it has become — the result is a pure
+    /// function of the spec, so recomputing it is always correct.
+    fn thaw(&self, key: &str, extent: Extent) -> Option<Arc<str>> {
+        // Only a journaled server ever chills an entry.
+        let journal = self.journal.as_ref()?;
+        match journal.read(extent) {
+            Ok((stored, bytes)) if stored == key => Some(self.cache.warm(key, bytes)),
+            read => {
+                let why = read.err().map_or("the record holds another key".into(), |e| e.to_string());
+                eprintln!("serve: cold result unreadable, recomputing: {why}");
+                self.cache.evict(key);
+                None
+            }
         }
     }
 
@@ -569,6 +602,49 @@ mod tests {
         assert!(Arc::ptr_eq(&first.bytes, &second.bytes), "hit shares, not copies");
         let s = srv.cache_stats();
         assert_eq!((s.hits, s.misses, s.entries), (1, 1, 1));
+    }
+
+    fn journaled(name: &str) -> (Server, std::path::PathBuf) {
+        let path = std::env::temp_dir().join(format!("beff-server-{}-{name}", std::process::id()));
+        let _ = std::fs::remove_file(&path);
+        match Server::with_journal(Workers::new(1), &path) {
+            Ok((srv, _)) => (srv, path),
+            Err(e) => panic!("fresh journal opens: {e}"),
+        }
+    }
+
+    #[test]
+    fn journaled_result_stays_cold_until_asked_for_again() {
+        let (srv, path) = journaled("cold.jrn");
+        let spec = JobSpec::new("t3e", 4);
+        let Ok(first) = srv.submit(&spec) else { panic!("valid spec") };
+        assert!(!first.cached);
+        assert!(matches!(srv.cache.peek(&first.key), Some(Cached::Cold(_))));
+        // the second query reads the journal back and keeps the bytes
+        let Ok(second) = srv.submit(&spec) else { panic!("valid spec") };
+        assert!(second.cached);
+        assert_eq!(first.bytes, second.bytes);
+        let Ok(third) = srv.submit(&spec) else { panic!("valid spec") };
+        assert!(Arc::ptr_eq(&second.bytes, &third.bytes), "warm now: a hit shares");
+        let s = srv.cache_stats();
+        assert_eq!((s.hits, s.misses, s.entries), (2, 1, 1));
+        let _ = std::fs::remove_file(&path);
+    }
+
+    #[test]
+    fn unreadable_cold_result_is_recomputed_not_served() {
+        let (srv, path) = journaled("cold-damaged.jrn");
+        let spec = JobSpec::new("t3e", 4);
+        let Ok(first) = srv.submit(&spec) else { panic!("valid spec") };
+        let Ok(len) = std::fs::metadata(&path).map(|m| m.len() as usize) else {
+            panic!("journal exists")
+        };
+        assert!(std::fs::write(&path, vec![b'x'; len]).is_ok());
+        let Ok(again) = srv.submit(&spec) else { panic!("valid spec") };
+        assert!(!again.cached, "the damaged record is forgotten, the job re-run");
+        assert_eq!(first.bytes, again.bytes);
+        assert_eq!(srv.cache_stats().entries, 1);
+        let _ = std::fs::remove_file(&path);
     }
 
     #[test]

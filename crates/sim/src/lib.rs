@@ -14,7 +14,8 @@
 //!   whole workspace shares; `beff-check` and the fault planner seed
 //!   from it.
 //! - [`resource`] / [`link`] — next-free-time reservation with optional
-//!   fair-share contention, and the priced link with fault windows.
+//!   fair-share contention; priced links with fault windows, booked on
+//!   one per-machine [`LinkLedger`].
 //! - [`error`] — typed simulation faults ([`BeffError`]) raised as
 //!   panics and caught at actor/world boundaries.
 //! - [`sched`] — the round-robin token scheduler ([`SimScheduler`])
@@ -58,7 +59,7 @@ pub mod units;
 pub use actors::{run_actors, try_run_actors, ActorCtx, ActorId};
 pub use clock::{Clock, RealClock, VClock};
 pub use error::{silence_fault_panics, BeffError};
-pub use link::{Degrade, Link};
+pub use link::{Degrade, Link, LinkLedger};
 pub use pool::{map_ordered, Workers};
 pub use port::{Message, Port, PushOutcome};
 pub use shard::{try_run_sharded, ShardAudit, ShardCtx, ShardMap, Timed};

@@ -1,9 +1,23 @@
-//! A network link: latency + per-byte occupancy over a [`Resource`].
+//! Network links: latency + per-byte occupancy, booked on a shared
+//! [`LinkLedger`].
+//!
+//! A [`Link`] is the *static* description of one wire (latency, byte
+//! time, fair-share factor) plus its fault state; the *dynamic* state —
+//! next-free time and traffic counters — of every link of a machine
+//! lives in one [`LinkLedger`], behind one lock. Pricing a message
+//! takes that lock once and books every link of the path under it
+//! ([`LedgerGuard::traverse`]), with the same arithmetic a
+//! [`Resource`](crate::resource::Resource) applies to a single
+//! next-free time. One lock is sound because simulated worlds are
+//! token-serial (one rank prices at a time) and batch workers price on
+//! machine replicas, so the ledger lock is never contended; it exists
+//! to carry the bookings from one rank thread to the next.
 
-use crate::resource::Resource;
+use crate::resource::{book, check_contention};
 use crate::units::Secs;
-use beff_sync::Mutex;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use beff_sync::{Mutex, MutexGuard, Rank};
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::Arc;
 
 /// A fault-injected bandwidth degradation window: while the occupancy
 /// start time falls in `[from, until)`, the link's per-byte cost is
@@ -16,6 +30,78 @@ pub struct Degrade {
     pub slowdown: f64,
 }
 
+/// Lock-hierarchy position of a link ledger (DESIGN.md §8). A leaf of
+/// the simulation stack: pricing takes it with no other lock held and
+/// acquires no ranked lock under it, so it sits above every lock a
+/// future caller could hold while pricing (boards, ports, scheduler,
+/// pfs tables, route shards) and below only the sync primitives' own
+/// leaves.
+static LEDGER_RANK: Rank = Rank::new(72, "sim.ledger");
+
+/// Dynamic state of one link.
+#[derive(Debug, Clone, Copy, Default)]
+struct Slot {
+    next_free: Secs,
+    /// Traffic counters (diagnostics): total bytes and messages.
+    bytes: u64,
+    messages: u64,
+}
+
+/// Occupancy and traffic counters of a set of links, behind one lock.
+#[derive(Debug)]
+pub struct LinkLedger {
+    slots: Mutex<Vec<Slot>>,
+}
+
+impl LinkLedger {
+    /// An idle ledger with `links` slots.
+    pub fn new(links: usize) -> Self {
+        Self { slots: Mutex::ranked(&LEDGER_RANK, vec![Slot::default(); links]) }
+    }
+
+    /// Take the ledger lock for one pricing call.
+    #[inline]
+    pub fn lock(&self) -> LedgerGuard<'_> {
+        LedgerGuard { ledger: self, slots: self.slots.lock() }
+    }
+
+    /// Reset every slot's occupancy and counters to idle.
+    pub fn reset(&self) {
+        self.slots.lock().fill(Slot::default());
+    }
+}
+
+/// The held ledger lock: books links until dropped.
+pub struct LedgerGuard<'a> {
+    ledger: &'a LinkLedger,
+    slots: MutexGuard<'a, Vec<Slot>>,
+}
+
+impl LedgerGuard<'_> {
+    /// Push `bytes` through `link`, with the head arriving at the link
+    /// entrance at `head`. Returns `(start, finish)` of the occupancy —
+    /// `start` is when the stream begins flowing on this link (so a
+    /// downstream link may begin then), `finish` is when the last byte
+    /// has crossed (queued messages on a contended link finish at the
+    /// fair-share-degraded rate).
+    #[inline]
+    pub fn traverse(&mut self, link: &Link, head: Secs, bytes: u64) -> (Secs, Secs) {
+        debug_assert!(std::ptr::eq(self.ledger, &*link.ledger), "link of another ledger");
+        let mut occ = bytes as f64 * link.byte_time;
+        // Guarded so that, with no fault installed, the float arithmetic
+        // is *bitwise-identical* to the fault-free code (no multiply by
+        // 1.0 sneaks in).
+        if link.degraded.load(Ordering::Relaxed) {
+            occ *= link.slowdown_at(head + link.latency);
+        }
+        let slot = &mut self.slots[link.slot];
+        let span = book(&mut slot.next_free, link.contention, head + link.latency, occ);
+        slot.bytes += bytes;
+        slot.messages += 1;
+        span
+    }
+}
+
 /// One serially-shared wire/port/bus of the interconnect.
 #[derive(Debug)]
 pub struct Link {
@@ -23,57 +109,59 @@ pub struct Link {
     pub latency: Secs,
     /// Seconds per byte of occupancy (1 / bandwidth).
     pub byte_time: Secs,
-    res: Resource,
-    /// Traffic counters (diagnostics): total bytes and messages.
-    bytes: AtomicU64,
-    messages: AtomicU64,
+    /// Occupancy multiplier for bookings that had to queue (see
+    /// [`Resource::with_contention`](crate::resource::Resource::with_contention)).
+    contention: f64,
+    /// Where this link's occupancy and counters live.
+    ledger: Arc<LinkLedger>,
+    slot: usize,
     /// Fault state. `degraded` mirrors "the window list is non-empty"
-    /// so the hot path pays one relaxed load — and, crucially, performs
-    /// *bitwise-identical* float arithmetic to the pre-fault code when
-    /// no fault is installed (no multiply by 1.0 sneaks in).
+    /// so the hot path pays one relaxed load.
     faults: Mutex<Vec<Degrade>>,
     degraded: AtomicBool,
     dead: AtomicBool,
 }
 
 impl Link {
+    /// A standalone link on a one-slot ledger of its own.
     pub fn new(latency: Secs, byte_time: Secs) -> Self {
         Self::with_contention(latency, byte_time, 1.0)
     }
 
-    /// A link in fair-share contention mode: a message that has to
-    /// queue behind pending traffic occupies `factor` times its serial
-    /// byte time (see [`Resource::with_contention`]). `1.0` is plain
-    /// FIFO packing.
+    /// A standalone link in fair-share contention mode: a message that
+    /// has to queue behind pending traffic occupies `factor` times its
+    /// serial byte time. `1.0` is plain FIFO packing.
     pub fn with_contention(latency: Secs, byte_time: Secs, factor: f64) -> Self {
+        Self::on_ledger(Arc::new(LinkLedger::new(1)), 0, latency, byte_time, factor)
+    }
+
+    /// The link booked in slot `slot` of a shared `ledger` (how a
+    /// machine instantiates its links: one ledger, one lock).
+    pub fn on_ledger(
+        ledger: Arc<LinkLedger>,
+        slot: usize,
+        latency: Secs,
+        byte_time: Secs,
+        factor: f64,
+    ) -> Self {
+        check_contention(factor);
         Self {
             latency,
             byte_time,
-            res: Resource::with_contention(factor),
-            bytes: AtomicU64::new(0),
-            messages: AtomicU64::new(0),
+            contention: factor,
+            ledger,
+            slot,
             faults: Mutex::new(Vec::new()),
             degraded: AtomicBool::new(false),
             dead: AtomicBool::new(false),
         }
     }
 
-    /// Push `bytes` through the link, with the head arriving at the link
-    /// entrance at `head`. Returns `(start, finish)` of the occupancy —
-    /// `start` is when the stream begins flowing on this link (so a
-    /// downstream link may begin then), `finish` is when the last byte
-    /// has crossed (queued messages on a contended link finish at the
-    /// fair-share-degraded rate).
-    #[inline]
+    /// Book one message on this link alone (see
+    /// [`LedgerGuard::traverse`]; paths take the lock once for all
+    /// their links instead).
     pub fn traverse(&self, head: Secs, bytes: u64) -> (Secs, Secs) {
-        let mut occ = bytes as f64 * self.byte_time;
-        if self.degraded.load(Ordering::Relaxed) {
-            occ *= self.slowdown_at(head + self.latency);
-        }
-        let span = self.res.reserve_span(head + self.latency, occ);
-        self.bytes.fetch_add(bytes, Ordering::Relaxed);
-        self.messages.fetch_add(1, Ordering::Relaxed);
-        span
+        self.ledger.lock().traverse(self, head, bytes)
     }
 
     /// Product of the slowdowns of every installed window covering
@@ -115,19 +203,23 @@ impl Link {
         self.dead.store(false, Ordering::Relaxed);
     }
 
+    fn state(&self) -> Slot {
+        self.ledger.lock().slots[self.slot]
+    }
+
     /// Next-free time (diagnostics / tests).
     pub fn horizon(&self) -> Secs {
-        self.res.horizon()
+        self.state().next_free
     }
 
     /// Total bytes that have crossed this link (diagnostics).
     pub fn bytes_carried(&self) -> u64 {
-        self.bytes.load(Ordering::Relaxed)
+        self.state().bytes
     }
 
     /// Total messages that have crossed this link (diagnostics).
     pub fn messages_carried(&self) -> u64 {
-        self.messages.load(Ordering::Relaxed)
+        self.state().messages
     }
 
     /// Reset occupancy and counters to idle. Installed faults are
@@ -136,9 +228,7 @@ impl Link {
     /// `clear_faults`), while `reset` belongs to the world-reuse path
     /// that recycles a net between runs.
     pub fn reset(&self) {
-        self.res.reset();
-        self.bytes.store(0, Ordering::Relaxed);
-        self.messages.store(0, Ordering::Relaxed);
+        self.ledger.lock().slots[self.slot] = Slot::default();
     }
 }
 
@@ -228,6 +318,28 @@ mod tests {
         assert!(l.is_dead());
         let (_, f) = l.traverse(0.0, 100);
         assert!((f - 2e-4).abs() < 1e-12);
+    }
+
+    #[test]
+    fn links_of_one_ledger_book_their_own_slots_under_one_lock() {
+        let ledger = Arc::new(LinkLedger::new(2));
+        // 0.25 s/byte: four bytes occupy exactly one second
+        let a = Link::on_ledger(Arc::clone(&ledger), 0, 0.0, 0.25, 1.0);
+        let b = Link::on_ledger(Arc::clone(&ledger), 1, 0.0, 0.25, 2.0);
+        {
+            let mut g = ledger.lock();
+            assert_eq!(g.traverse(&a, 0.0, 4), (0.0, 1.0));
+            assert_eq!(g.traverse(&b, 0.0, 4), (0.0, 1.0));
+            // queued on b: fair-share factor 2; a's bookings do not touch it
+            assert_eq!(g.traverse(&b, 0.0, 4), (1.0, 3.0));
+        }
+        assert_eq!((a.messages_carried(), b.messages_carried()), (1, 2));
+        assert_eq!((a.horizon(), b.horizon()), (1.0, 3.0));
+        a.reset();
+        assert_eq!((a.horizon(), a.bytes_carried()), (0.0, 0));
+        assert_eq!(b.bytes_carried(), 8, "resetting one link leaves its neighbours");
+        ledger.reset();
+        assert_eq!((b.horizon(), b.bytes_carried(), b.messages_carried()), (0.0, 0, 0));
     }
 
     #[test]

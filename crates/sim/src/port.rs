@@ -15,11 +15,19 @@
 //! below is identical for every instantiation.
 //!
 //! A push first tries to complete the oldest open posted receive it
-//! matches ([`PushOutcome::Matched`] — the only case that wakes
-//! anyone); otherwise it appends to the unexpected queue *silently*
-//! ([`PushOutcome::Queued`]). Receivers scan the unexpected queue once,
-//! then post and sleep — no rescanning of the whole queue per wakeup,
-//! and no wakeups at all for messages nobody is waiting on.
+//! matches ([`PushOutcome::Matched`] — the only case in which a
+//! receiver can be waiting on the message); otherwise it appends to the
+//! unexpected queue *silently* ([`PushOutcome::Queued`]). Receivers
+//! scan the unexpected queue once, then post and wait — no rescanning
+//! of the whole queue per wakeup.
+//!
+//! How a receiver waits is the caller's choice. Token-scheduled worlds
+//! post ([`Port::recv_or_post`]) and hand the scheduler token on; the
+//! sender re-queues them on `Matched`, and the port's condvar is never
+//! involved. Real-mode receivers park on the condvar inside
+//! [`Port::recv`]; the port counts them, and a push or poison notifies
+//! only when that count is non-zero — so a world that never parks here
+//! never pays the futex wake.
 //!
 //! *Non-overtaking* holds by construction: a receive only posts after
 //! finding no match in the unexpected queue, so every message that
@@ -27,7 +35,7 @@
 //! per-sender program order is preserved across both paths.
 
 use crate::error::BeffError;
-use beff_sync::{Condvar, Mutex};
+use beff_sync::{Condvar, Mutex, MutexGuard};
 use std::collections::VecDeque;
 use std::time::Duration;
 
@@ -68,13 +76,25 @@ struct Inner<M: Message> {
     /// Set when the world aborts (an actor panicked); wakes blocked
     /// receivers so they do not deadlock on a dead peer.
     poisoned: bool,
+    /// Receivers parked on the condvar right now, counted under the
+    /// lock on both sides of every wait. `wait` gives the lock up
+    /// atomically, so a notifier that reads zero under the lock knows
+    /// nobody is asleep — a receiver about to wait still holds the lock
+    /// the notifier needs.
+    parked: usize,
 }
 
 // Manual: `derive(Default)` would demand `M: Default`, which messages
 // need not be.
 impl<M: Message> Default for Inner<M> {
     fn default() -> Self {
-        Self { unexpected: VecDeque::new(), posted: Vec::new(), next_ticket: 0, poisoned: false }
+        Self {
+            unexpected: VecDeque::new(),
+            posted: Vec::new(),
+            next_ticket: 0,
+            poisoned: false,
+            parked: 0,
+        }
     }
 }
 
@@ -124,8 +144,19 @@ impl<M: Message> Port<M> {
         }
     }
 
+    /// Release the lock, then wake the parked receivers — if there are
+    /// any: with none parked there is no one to lose the wakeup, and the
+    /// notify (a futex syscall) is skipped.
+    fn wake_parked(&self, g: MutexGuard<'_, Inner<M>>) {
+        let parked = g.parked > 0;
+        drop(g);
+        if parked {
+            self.cond.notify_all();
+        }
+    }
+
     /// Deliver a message (called from the sender's thread). Wakes
-    /// waiters only on [`PushOutcome::Matched`].
+    /// parked receivers only on [`PushOutcome::Matched`].
     pub fn push(&self, msg: M) -> PushOutcome {
         let mut g = self.inner.lock();
         if let Some(slot) = g
@@ -135,8 +166,7 @@ impl<M: Message> Port<M> {
             .min_by_key(|p| p.ticket)
         {
             slot.delivered = Some(msg);
-            drop(g);
-            self.cond.notify_all();
+            self.wake_parked(g);
             return PushOutcome::Matched;
         }
         g.unexpected.push_back(msg);
@@ -145,8 +175,9 @@ impl<M: Message> Port<M> {
 
     /// Abort: wake every blocked receiver with a panic.
     pub fn poison(&self) {
-        self.inner.lock().poisoned = true;
-        self.cond.notify_all();
+        let mut g = self.inner.lock();
+        g.poisoned = true;
+        self.wake_parked(g);
     }
 
     /// Has the world been poisoned?
@@ -162,8 +193,8 @@ impl<M: Message> Port<M> {
 
     /// Blocking receive of the first message matching `m` (unexpected
     /// arrivals first, in arrival order, which preserves per-sender
-    /// ordering). Used in real mode; sim mode drives the nonblocking
-    /// pieces below under the token scheduler.
+    /// ordering). Used in real mode; token-scheduled worlds use
+    /// [`recv_or_post`](Self::recv_or_post) and never park here.
     ///
     /// Panics if the world is poisoned (another actor died), so a
     /// failed run aborts instead of deadlocking.
@@ -177,7 +208,9 @@ impl<M: Message> Port<M> {
         }
         let ticket = g.post(m);
         loop {
+            g.parked += 1;
             self.cond.wait(&mut g);
+            g.parked -= 1;
             if g.posted.iter().any(|p| p.ticket == ticket && p.delivered.is_some()) {
                 return g.remove_slot(ticket).expect("delivery just observed");
             }
@@ -203,8 +236,10 @@ impl<M: Message> Port<M> {
         }
         let ticket = g.post(m);
         loop {
+            g.parked += 1;
             // beff-analyze: allow(taint): real-mode-only API (see the wall-clock waiver above); sim worlds never block on a deadline
             let timed_out = self.cond.wait_until(&mut g, deadline).timed_out();
+            g.parked -= 1;
             // Check the slot even on timeout: a push may have completed
             // the match as the deadline expired, and that message must
             // not be lost.
@@ -218,7 +253,24 @@ impl<M: Message> Port<M> {
         }
     }
 
-    // ----- nonblocking pieces for the sim-mode token scheduler ----------
+    // ----- nonblocking pieces for token-scheduled worlds -----------------
+
+    /// The blocked-receive prologue in one critical section: take a
+    /// matching unexpected message (`Ok`), or — raising
+    /// [`BeffError::PeerFailed`] if the world is poisoned — post the
+    /// receive and return its ticket (`Err`) for the caller to yield on
+    /// and redeem with [`take_delivered`](Self::take_delivered).
+    pub fn recv_or_post(&self, m: M::Filter) -> Result<M, u64> {
+        let mut g = self.inner.lock();
+        if let Some(msg) = g.take_unexpected(m) {
+            return Ok(msg);
+        }
+        if g.poisoned {
+            drop(g);
+            Self::panic_poisoned();
+        }
+        Err(g.post(m))
+    }
 
     /// Take a matching message from the unexpected queue, if any.
     pub fn try_recv(&self, m: M::Filter) -> Option<M> {

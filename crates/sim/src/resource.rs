@@ -43,6 +43,35 @@ pub struct Resource {
     contention: f64,
 }
 
+/// The booking arithmetic itself, on a caller-held next-free time:
+/// [`Resource::reserve_span`] applies it under the resource's own lock,
+/// the link ledger ([`crate::link::LinkLedger`]) to one slot under the
+/// ledger lock. One definition, so the two can never drift apart by a
+/// rounding.
+#[inline]
+pub(crate) fn book(
+    next_free: &mut Secs,
+    contention: f64,
+    earliest: Secs,
+    duration: Secs,
+) -> (Secs, Secs) {
+    debug_assert!(duration >= 0.0, "negative duration {duration}");
+    let start = earliest.max(*next_free);
+    // Queued behind pending work ⇒ contended ⇒ fair-share billing.
+    let occupancy = if *next_free > earliest { duration * contention } else { duration };
+    let finish = start + occupancy;
+    *next_free = finish;
+    (start, finish)
+}
+
+/// A fair-share factor must be finite and ≥ 1.0.
+pub(crate) fn check_contention(factor: f64) {
+    assert!(
+        factor.is_finite() && factor >= 1.0,
+        "contention factor must be finite and >= 1.0, got {factor}"
+    );
+}
+
 impl Default for Resource {
     fn default() -> Self {
         Self::new()
@@ -59,10 +88,7 @@ impl Resource {
     /// `factor` must be finite and ≥ 1.0; `1.0` is byte-identical to
     /// [`Resource::new`].
     pub fn with_contention(factor: f64) -> Self {
-        assert!(
-            factor.is_finite() && factor >= 1.0,
-            "contention factor must be finite and >= 1.0, got {factor}"
-        );
+        check_contention(factor);
         Self { next_free: Mutex::new(0.0), contention: factor }
     }
 
@@ -84,15 +110,7 @@ impl Resource {
     /// [`reserve_finish`](Self::reserve_finish)) rather than adding
     /// `duration` themselves.
     pub fn reserve_span(&self, earliest: Secs, duration: Secs) -> (Secs, Secs) {
-        debug_assert!(duration >= 0.0, "negative duration {duration}");
-        let mut nf = self.next_free.lock();
-        let start = earliest.max(*nf);
-        // Queued behind pending work ⇒ contended ⇒ fair-share billing.
-        let occupancy =
-            if *nf > earliest { duration * self.contention } else { duration };
-        let finish = start + occupancy;
-        *nf = finish;
-        (start, finish)
+        book(&mut self.next_free.lock(), self.contention, earliest, duration)
     }
 
     /// Like [`reserve`](Self::reserve) but returns the *finish* time,

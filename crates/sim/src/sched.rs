@@ -2,9 +2,10 @@
 //!
 //! Sim mode prices time with virtual clocks, so nothing is gained by
 //! letting rank threads run concurrently — and plenty is lost: link
-//! [`Resource`](crate::resource::Resource) reservations would follow host
-//! thread scheduling, making runs causally consistent but not
-//! bit-identical, and every mailbox push would pay a condvar broadcast.
+//! reservations ([`LinkLedger`](crate::link::LinkLedger)) would follow
+//! host thread scheduling, making runs causally consistent but not
+//! bit-identical, and every blocked receiver would have to sleep on its
+//! port's condvar and be woken through the kernel.
 //!
 //! Instead, exactly one rank runs at a time. The token moves only at
 //! explicit points:
@@ -43,7 +44,7 @@ use crate::fiber::FiberSet;
 use crate::error::BeffError;
 use beff_sync::{Condvar, Mutex, Rank};
 use std::collections::VecDeque;
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 
 /// Lock-hierarchy positions (DESIGN.md §8): the scheduler state is
 /// taken before any per-rank parker flag (`grant_next` holds `inner`
@@ -96,8 +97,6 @@ struct SchedState {
     finished: Vec<bool>,
     /// Ranks whose closure has not finished.
     live: usize,
-    /// Every live rank is blocked: wake them all into a panic.
-    deadlocked: bool,
     /// A rank panicked: determinism is moot, wake everyone so they
     /// observe mailbox poison.
     aborted: bool,
@@ -125,6 +124,12 @@ enum Mech {
 pub struct SimScheduler {
     inner: Mutex<SchedState>,
     mech: Mech,
+    /// Every live rank is blocked: wake them all into a panic. Written
+    /// only under `inner`; an atomic so that a rank resuming from a
+    /// yield can check it without taking `inner` again. The `Release`
+    /// store pairs with the `Acquire` load of the resumed rank (which
+    /// the token handoff already orders after the store).
+    deadlocked: AtomicBool,
     /// Coordinated mode: signaled when the shard quiesces (idle set,
     /// last rank finished, abort or deadlock) so the coordinator's
     /// [`wait_idle`](Self::wait_idle) can wake.
@@ -165,7 +170,6 @@ fn new_state(n: usize) -> SchedState {
         blocked: vec![false; n],
         finished: vec![false; n],
         live: n,
-        deadlocked: false,
         aborted: false,
         coordinated: false,
         idle: false,
@@ -180,6 +184,7 @@ impl SimScheduler {
         let sched = Self {
             inner: Mutex::ranked(&SCHED_STATE_RANK, new_state(n)),
             mech: Mech::Park((0..n).map(|_| Parker::new()).collect()),
+            deadlocked: AtomicBool::new(false),
             idle_cv: Condvar::new(),
             granted: AtomicU64::new(0),
             consumed: AtomicU64::new(0),
@@ -215,6 +220,7 @@ impl SimScheduler {
         Self {
             inner: Mutex::ranked(&SCHED_STATE_RANK, st),
             mech: Mech::Fiber(FiberSet::new(n)),
+            deadlocked: AtomicBool::new(false),
             idle_cv: Condvar::new(),
             granted: AtomicU64::new(0),
             consumed: AtomicU64::new(0),
@@ -245,7 +251,7 @@ impl SimScheduler {
     /// panic path. (Thread mode only; the fiber drive loop plays this
     /// role in fiber mode.)
     fn grant_next(&self, st: &mut SchedState, parkers: &[Parker]) {
-        if st.aborted || st.deadlocked {
+        if st.aborted || self.is_deadlocked() {
             return; // everyone has already been woken
         }
         if let Some(next) = st.ready.pop_front() {
@@ -259,12 +265,31 @@ impl SimScheduler {
                 self.idle_cv.notify_all();
                 return;
             }
-            st.deadlocked = true;
+            self.set_deadlocked();
             for (r, p) in parkers.iter().enumerate() {
                 if !st.finished[r] {
                     self.count_grant(p.grant());
                 }
             }
+        }
+    }
+
+    #[inline]
+    fn is_deadlocked(&self) -> bool {
+        self.deadlocked.load(Ordering::Acquire)
+    }
+
+    /// Flip to the deadlock protocol (caller holds `inner`).
+    fn set_deadlocked(&self) {
+        self.deadlocked.store(true, Ordering::Release);
+    }
+
+    /// Raise the typed deadlock fault if the world deadlocked while
+    /// this rank was suspended.
+    #[inline]
+    fn check_deadlock(&self) {
+        if self.is_deadlocked() {
+            BeffError::Deadlock.raise();
         }
     }
 
@@ -292,9 +317,7 @@ impl SimScheduler {
             #[cfg(target_arch = "x86_64")]
             Mech::Fiber(_) => {}
         }
-        if self.inner.lock().deadlocked {
-            BeffError::Deadlock.raise();
-        }
+        self.check_deadlock();
     }
 
     /// The token holder blocks (recv miss or collective wait): release
@@ -316,9 +339,7 @@ impl SimScheduler {
                 // SAFETY: called from rank's own fiber (scheduler
                 // contract); the drive loop resumes us later.
                 unsafe { fs.to_host(rank) };
-                if self.inner.lock().deadlocked {
-                    BeffError::Deadlock.raise();
-                }
+                self.check_deadlock();
             }
         }
     }
@@ -345,7 +366,7 @@ impl SimScheduler {
             Mech::Park(parkers) => {
                 {
                     let mut st = self.inner.lock();
-                    if st.ready.is_empty() || st.aborted || st.deadlocked {
+                    if st.ready.is_empty() || st.aborted || self.is_deadlocked() {
                         return;
                     }
                     st.ready.push_back(rank);
@@ -357,7 +378,7 @@ impl SimScheduler {
             Mech::Fiber(fs) => {
                 {
                     let mut st = self.inner.lock();
-                    if st.ready.is_empty() || st.aborted || st.deadlocked {
+                    if st.ready.is_empty() || st.aborted || self.is_deadlocked() {
                         return;
                     }
                     st.ready.push_back(rank);
@@ -366,9 +387,7 @@ impl SimScheduler {
                 // contract); the drive loop resumes us from the ready
                 // queue we just joined.
                 unsafe { fs.to_host(rank) };
-                if self.inner.lock().deadlocked {
-                    BeffError::Deadlock.raise();
-                }
+                self.check_deadlock();
             }
         }
     }
@@ -409,7 +428,7 @@ impl SimScheduler {
         // A coordinator parked in wait_idle must wake and shut the
         // world down (coordinated mode; harmless otherwise).
         self.idle_cv.notify_all();
-        if st.deadlocked {
+        if self.is_deadlocked() {
             // The deadlock detector already granted every unfinished
             // rank exactly once; granting again would hand unwinding
             // ranks tokens nobody will ever consume.
@@ -446,7 +465,7 @@ impl SimScheduler {
     pub fn wait_idle(&self) {
         let mut st = self.inner.lock();
         debug_assert!(st.coordinated, "wait_idle needs a coordinated scheduler");
-        while !(st.idle || st.live == 0 || st.aborted || st.deadlocked) {
+        while !(st.idle || st.live == 0 || st.aborted || self.is_deadlocked()) {
             self.idle_cv.wait(&mut st);
         }
     }
@@ -456,7 +475,7 @@ impl SimScheduler {
     /// goes straight back to idle (the grant path re-parks it).
     pub fn kick(&self) {
         let mut st = self.inner.lock();
-        if !st.idle || st.aborted || st.deadlocked {
+        if !st.idle || st.aborted || self.is_deadlocked() {
             return;
         }
         st.idle = false;
@@ -474,11 +493,11 @@ impl SimScheduler {
     /// unfinished rank into the panic path (thread mode; fiber shards
     /// resume them on the next [`drive_idle`](Self::drive_idle) pass).
     pub fn declare_deadlock(&self) {
-        let mut st = self.inner.lock();
-        if st.aborted || st.deadlocked || st.live == 0 {
+        let st = self.inner.lock();
+        if st.aborted || self.is_deadlocked() || st.live == 0 {
             return;
         }
-        st.deadlocked = true;
+        self.set_deadlocked();
         if let Mech::Park(parkers) = &self.mech {
             for (r, p) in parkers.iter().enumerate() {
                 if !st.finished[r] {
@@ -515,7 +534,7 @@ impl SimScheduler {
                 if st.live == 0 {
                     return;
                 }
-                if st.aborted || st.deadlocked {
+                if st.aborted || self.is_deadlocked() {
                     st.finished.iter().position(|&f| !f)
                 } else if let Some(r) = st.ready.pop_front() {
                     Some(r)
@@ -548,7 +567,7 @@ impl SimScheduler {
             ready: st.ready.len(),
             blocked: st.blocked.iter().filter(|&&b| b).count(),
             finished: st.finished.iter().filter(|&&f| f).count(),
-            deadlocked: st.deadlocked,
+            deadlocked: self.is_deadlocked(),
             aborted: st.aborted,
         }
     }
@@ -591,14 +610,14 @@ impl SimScheduler {
                 if st.live == 0 {
                     return;
                 }
-                if st.aborted || st.deadlocked {
+                if st.aborted || self.is_deadlocked() {
                     st.finished.iter().position(|&f| !f)
                 } else if let Some(r) = st.ready.pop_front() {
                     Some(r)
                 } else {
                     // Every live rank is blocked: flip to the deadlock
                     // protocol and resume them into the panic path.
-                    st.deadlocked = true;
+                    self.set_deadlocked();
                     st.finished.iter().position(|&f| !f)
                 }
             };

@@ -50,6 +50,14 @@ run_gate "analyze-self (analyzer clean under its own passes)" 120 \
 run_gate "test (offline)" 900 \
     cargo test -q --offline --workspace
 
+# the frozen benchmark package (BENCHMARK.json + benchmark/) is a
+# workspace of its own that reaches the crates by path, and a PR that
+# claims a gain may not edit it — so a crate-API change has to keep it
+# compiling. Build it offline and run its own unit tests here, or it
+# only breaks when the benchmark driver next runs.
+run_gate "benchmark package (offline build + its own tests)" 900 \
+    cargo test -q --offline --manifest-path benchmark/Cargo.toml
+
 # the dynamic half of the lock hierarchy: ranked locks panic on
 # inverted acquisition; property tests prove the checker catches it,
 # and the mpi/netsim/pfs suites run with checking live

@@ -6,7 +6,7 @@ use beff::core::beffio::{run_beff_io, AccessMethod, BeffIoConfig};
 use beff::machines::{by_key, catalog};
 use beff::mpi::World;
 use beff::mpiio::IoWorld;
-use beff::netsim::MB;
+use beff::netsim::{traffic_report, MB};
 
 fn quick_beff(mem: u64) -> BeffConfig {
     BeffConfig {
@@ -31,6 +31,28 @@ fn beff_on_t3e_partition_matches_paper_scale() {
     );
     // ping-pong ~330 MB/s
     assert!((250.0..420.0).contains(&r.pingpong_mbps), "pp = {}", r.pingpong_mbps);
+}
+
+/// What one small job puts on the wires, counted by the link ledger:
+/// exact, and pinned from the per-link counters it replaced (PR 11
+/// commit) — a cached route or a fused booking that skipped or doubled
+/// a link would move a count.
+#[test]
+fn traffic_counts_of_a_small_job_are_pinned() {
+    let Some(machine) = by_key("t3e") else { panic!("t3e is in the catalog") };
+    let net = machine.network();
+    let cfg = quick_beff(machine.mem_per_proc);
+    World::sim_partition(std::sync::Arc::clone(&net), 8).run(|c| run_beff(c, &cfg));
+    let t = traffic_report(&net);
+    assert_eq!(t.port_out.messages, 40_456, "messages");
+    assert_eq!(t.port_in.messages, 40_456, "every message is drained");
+    assert_eq!(t.node_mem.messages, 80_912, "both endpoints' memory");
+    assert_eq!(t.hop.messages, 69_788, "hop traversals");
+    assert_eq!(t.port_out.bytes, 1_506_277_120, "payload bytes");
+    assert_eq!(t.total_bytes(), 8_575_372_352, "bytes over every link");
+    assert_eq!(t.hop.max_link_bytes, 240_090_752, "busiest hop");
+    net.reset();
+    assert_eq!(traffic_report(&net).total_bytes(), 0);
 }
 
 #[test]
