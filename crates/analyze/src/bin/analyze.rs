@@ -26,9 +26,13 @@
 //!
 //! On failure the binary also prints the diagnostic-count delta
 //! against the committed `results/analyze.json`, so a gate break shows
-//! *how much* moved, not just that something did.
+//! *how much* moved, not just that something did. Every run prints each
+//! crate's source-line count with its delta against the same committed
+//! report, so a PR's size trajectory is visible in the gate log.
 
 use beff_analyze::analyze_workspace;
+use beff_json::Json;
+use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
 
 /// One paragraph per rule for `--explain`.
@@ -106,7 +110,7 @@ const EXPLAIN: &[(&str, &str)] = &[
         "lockflow",
         "Interprocedural lock-order proof: for every call made while a declared lock is \
          held, no (transitive) callee may acquire a lock at a level ≤ the held one, and \
-         no callee may reach a scheduler suspension point (yield_turn/wait_turn/fiber \
+         no callee may reach a scheduler suspension point (yield_turn/yield_blocked/fiber \
          switch). Findings ratchet against config::LOCKFLOW_BUDGETS; waive a proven-safe \
          site with `allow(lockflow): <why>`.",
     ),
@@ -165,9 +169,26 @@ fn find_root() -> PathBuf {
 
 /// Diagnostic count in a previously written report: occurrences of the
 /// `"rule":` key our own serializer emits one of per violation.
-fn committed_violation_count(path: &Path) -> Option<usize> {
-    let text = std::fs::read_to_string(path).ok()?;
-    Some(text.matches("\"rule\":").count())
+fn committed_violation_count(text: &str) -> usize {
+    text.matches("\"rule\":").count()
+}
+
+/// Per-crate `lines` of a previously written report (empty when the
+/// report predates the field or does not parse).
+fn committed_lines(text: &str) -> BTreeMap<String, i64> {
+    fn get<'a>(obj: &'a Json, key: &str) -> Option<&'a Json> {
+        let Json::Obj(fields) = obj else { return None };
+        fields.iter().find(|(k, _)| k == key).map(|(_, v)| v)
+    }
+    let Ok(report) = beff_json::parse(text) else { return BTreeMap::new() };
+    let Some(Json::Arr(rows)) = get(&report, "budgets") else { return BTreeMap::new() };
+    rows.iter()
+        .filter_map(|row| match (get(row, "crate")?, get(row, "lines")?) {
+            (Json::Str(k), Json::Int(n)) => Some((k.clone(), *n)),
+            (Json::Str(k), Json::UInt(n)) => Some((k.clone(), *n as i64)),
+            _ => None,
+        })
+        .collect()
 }
 
 fn main() {
@@ -210,9 +231,10 @@ fn main() {
         }
     };
 
-    // Snapshot the committed report's diagnostic count before this run
-    // overwrites the file.
-    let committed_before = committed_violation_count(&root.join("results/analyze.json"));
+    // Snapshot the committed report before this run overwrites the file.
+    let committed = std::fs::read_to_string(root.join("results/analyze.json")).ok();
+    let committed_before = committed.as_deref().map(committed_violation_count);
+    let lines_before = committed.as_deref().map(committed_lines).unwrap_or_default();
 
     let shown: Vec<_> = report
         .violations
@@ -234,6 +256,13 @@ fn main() {
                 b.budget,
                 if b.over() { "  OVER" } else { "" },
             );
+        }
+        for b in &report.budgets {
+            let delta = match lines_before.get(&b.krate) {
+                Some(before) => format!("{:+}", i64::from(b.lines) - before),
+                None => "new".to_string(),
+            };
+            println!("lines         {:<10} {:>6}  ({delta} vs committed report)", b.krate, b.lines);
         }
         for p in &report.passes {
             println!(

@@ -42,8 +42,9 @@ pub const HASH_ORDER_IDENTS: &[&str] = &["HashMap", "HashSet", "DefaultHasher", 
 /// Identifiers that mark x86_64 context-switch machinery. Only
 /// [`FIBER_HOME`] may contain them (the `layering` rule): the fiber
 /// engine's stack-switching `unsafe` is quarantined in the substrate
-/// crate, and no personality crate gets to grow its own.
-pub const FIBER_IDENTS: &[&str] = &["naked_asm", "global_asm", "fiber_switch"];
+/// crate, and no personality crate gets to grow its own — everyone
+/// else reaches fibers through the safe `SimScheduler::launch`.
+pub const FIBER_IDENTS: &[&str] = &["naked_asm", "global_asm", "fiber_switch", "init_fiber"];
 
 /// The one directory allowed to contain [`FIBER_IDENTS`].
 pub const FIBER_HOME: &str = "crates/sim/";
@@ -127,7 +128,7 @@ pub const UNWRAP_BUDGETS: &[(&str, u32)] = &[
     ("pfs", 19),
     ("report", 4),
     ("serve", 141),
-    ("sim", 18),
+    ("sim", 17),
     ("sweep", 4),
     ("sync", 3),
 ];
@@ -162,7 +163,7 @@ pub struct LockDecl {
 /// | 25    | `shard.state`                | one shard's cross-shard outbox |
 /// | 30    | `sim.port`                   | one actor's port state         |
 /// | 40    | `sched.state`                | token-scheduler ready/blocked  |
-/// | 50    | `sched.parker`               | one actor's park flag          |
+/// | 50    | `fiber.baton`                | one thread-backed fiber's turn |
 /// | 60    | `pfs.files` / `pfs.disk`     | filesystem name table          |
 /// | 70    | `netsim.routes`              | one route-table shard          |
 /// | 72    | `sim.ledger`                 | one machine's link occupancy + traffic counters |
@@ -249,11 +250,11 @@ pub const LOCK_HIERARCHY: &[LockDecl] = &[
         name: "sched.state",
     },
     LockDecl {
-        file_suffix: "crates/sim/src/sched.rs",
-        receiver: "granted",
+        file_suffix: "crates/sim/src/fiber.rs",
+        receiver: "turn",
         methods: &["lock"],
         level: 50,
-        name: "sched.parker",
+        name: "fiber.baton",
     },
     LockDecl {
         file_suffix: "crates/pfs/src/fs.rs",
@@ -312,26 +313,17 @@ pub const PANIC_ENTRY_POINTS: &[(&str, &[&str])] = &[
     (
         "crates/sim/src/sched.rs",
         &[
-            "wait_turn",
             "yield_turn",
             "yield_blocked",
             "unblock",
-            "finish",
             "abort",
-            "drain_grant",
-            "wait_idle",
-            "kick",
             "declare_deadlock",
-            "drive_idle",
-            "fiber_exit",
-            "drive_fibers",
+            "drive",
+            "launch_with",
         ],
     ),
     ("crates/sim/src/pool.rs", &["map_ordered"]),
-    (
-        "crates/sim/src/shard.rs",
-        &["try_run_sharded", "try_run_sharded_parked", "try_run_sharded_fibered"],
-    ),
+    ("crates/sim/src/shard.rs", &["try_run_sharded"]),
     (
         "crates/serve/src/server.rs",
         &["serve_connection", "handle_frame", "submit", "submit_batch", "execute", "recompute"],
@@ -343,7 +335,7 @@ pub const PANIC_ENTRY_POINTS: &[(&str, &[&str])] = &[
 /// a call that may (transitively) reach one of these: a lock held over
 /// a suspension point serializes the scheduler against the lock holder
 /// and is the classic deterministic-deadlock shape.
-pub const YIELD_IDENTS: &[&str] = &["yield_turn", "yield_blocked", "wait_turn", "fiber_switch"];
+pub const YIELD_IDENTS: &[&str] = &["yield_turn", "yield_blocked", "fiber_switch"];
 
 /// Identifiers that *observe* a nondeterministic fact without being
 /// outright banned where they appear — the `taint` pass seeds here and
@@ -389,9 +381,9 @@ pub const PANICFLOW_BUDGETS: &[(&str, u32)] = &[
     ("core", 3),
     ("json", 9),
     ("machines", 1),
-    ("mpi", 26),
+    ("mpi", 19),
     ("netsim", 1),
-    ("sim", 23),
+    ("sim", 18),
 ];
 
 /// See [`LOCKFLOW_BUDGETS`].

@@ -33,6 +33,9 @@ pub struct BudgetLine {
     pub counted: u32,
     pub waived: u32,
     pub budget: u32,
+    /// Source lines of every scanned `.rs` file of the crate, tests and
+    /// comments included — the tracked size (ROADMAP "One of each").
+    pub lines: u32,
 }
 
 impl BudgetLine {
@@ -49,6 +52,7 @@ impl ToJson for BudgetLine {
             .field("waived", &self.waived)
             .field("budget", &self.budget)
             .field("over", &self.over())
+            .field("lines", &self.lines)
             .build()
     }
 }
@@ -166,9 +170,12 @@ pub fn analyze_workspace(root: &Path) -> std::io::Result<AnalyzeReport> {
     let mut waivers_used = 0usize;
     let mut parsed: Vec<(SourceFile, FileItems)> = Vec::new();
     let mut rank_literals = Vec::new();
+    let mut lines: BTreeMap<String, u32> = BTreeMap::new();
     for rel in &discovered.rs_files {
         let text = std::fs::read_to_string(root.join(rel))?;
         let f = SourceFile::parse(&rel.to_string_lossy(), &text);
+        *lines.entry(config::crate_of(&f.path).to_string()).or_default() +=
+            text.lines().count() as u32;
         rules::check_waivers(&f, &mut violations);
         waivers_used += rules::check_wallclock(&f, &mut violations);
         waivers_used += rules::check_hash_order(&f, &mut violations);
@@ -224,7 +231,7 @@ pub fn analyze_workspace(root: &Path) -> std::io::Result<AnalyzeReport> {
     settle_pass("taint", &tt.findings, config::TAINT_BUDGETS, &mut passes, &mut violations);
     waivers_used += (lf.waived + pf.waived + tt.waived) as usize;
 
-    let budgets = settle_budgets(&sites, &mut violations);
+    let budgets = settle_budgets(&sites, &lines, &mut violations);
     waivers_used += sites.iter().filter(|s| s.waived).count();
 
     violations.sort_by(|a, b| {
@@ -353,8 +360,17 @@ fn settle_pass(
 
 /// Aggregate unwrap sites into per-crate verdicts; crates over budget
 /// (or absent from the budget table) become violations.
-fn settle_budgets(sites: &[UnwrapSite], violations: &mut Vec<Violation>) -> Vec<BudgetLine> {
+fn settle_budgets(
+    sites: &[UnwrapSite],
+    lines: &BTreeMap<String, u32>,
+    violations: &mut Vec<Violation>,
+) -> Vec<BudgetLine> {
     let mut per_crate: BTreeMap<&str, (u32, u32, Vec<&UnwrapSite>)> = BTreeMap::new();
+    // Every scanned crate gets a row (its size is tracked even when it
+    // has no unwrap site to budget).
+    for krate in lines.keys() {
+        per_crate.entry(krate).or_default();
+    }
     for s in sites {
         let e = per_crate.entry(config::crate_of(&s.path)).or_default();
         if s.waived {
@@ -410,6 +426,7 @@ fn settle_budgets(sites: &[UnwrapSite], violations: &mut Vec<Violation>) -> Vec<
             counted: *counted,
             waived: *waived,
             budget,
+            lines: lines.get(*krate).copied().unwrap_or(0),
         });
     }
     out
@@ -498,7 +515,6 @@ mod tests {
                 (
                     "crates/sim/src/sched.rs",
                     "static STATE_RANK: Rank = Rank::new(40, \"sched.state\");\n\
-                     static PARK_RANK: Rank = Rank::new(50, \"sched.parker\");\n\
                      pub fn held_call() {\n let g = inner.lock();\n lower();\n}\n",
                 ),
                 (
@@ -514,7 +530,7 @@ mod tests {
             .find(|v| v.rule == "lockflow")
             .expect("lockflow violation");
         assert!(v.path.ends_with("sched.rs"));
-        assert_eq!(v.line, 5);
+        assert_eq!(v.line, 4);
         assert!(v.message.contains("baseline"));
         assert!(r.passes.iter().any(|p| p.pass == "lockflow" && p.over()));
     }

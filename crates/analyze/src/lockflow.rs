@@ -15,7 +15,7 @@
 //!   nesting;
 //! * **held-across-yield** — a call made while holding any declared
 //!   lock, where the callee may surrender the turn
-//!   (`yield_turn`/`wait_turn`/fiber switch). A lock held over a
+//!   (`yield_turn`/`yield_blocked`/fiber switch). A lock held over a
 //!   suspension point serializes every other actor needing that lock
 //!   behind the scheduler's choice to resume the holder — the classic
 //!   deterministic-deadlock shape.

@@ -260,7 +260,13 @@ pub fn check_safety(f: &SourceFile, out: &mut Vec<Violation>) -> usize {
 /// function body; the `lock-order` feature of beff-sync checks the
 /// dynamic lockset across calls at test time.
 pub fn check_lock_order(f: &SourceFile, out: &mut Vec<Violation>) -> usize {
-    let decls: Vec<&config::LockDecl> = config::LOCK_HIERARCHY
+    lock_order_in(config::LOCK_HIERARCHY, f, out)
+}
+
+/// [`check_lock_order`] against an explicit hierarchy (the tests'
+/// fixture: no file of the real one declares two locks any more).
+fn lock_order_in(hierarchy: &[config::LockDecl], f: &SourceFile, out: &mut Vec<Violation>) -> usize {
+    let decls: Vec<&config::LockDecl> = hierarchy
         .iter()
         .filter(|d| f.path.ends_with(d.file_suffix))
         .collect();
@@ -526,11 +532,24 @@ mod tests {
         assert!(ok.is_empty());
     }
 
+    /// Two locks declared in one file, as `sched.rs` had when each
+    /// rank parked on its own flag.
+    fn two_locks(f: &SourceFile, out: &mut Vec<Violation>) -> usize {
+        let decl = |receiver, level, name| config::LockDecl {
+            file_suffix: "crates/sim/src/sched.rs",
+            receiver,
+            methods: &["lock"],
+            level,
+            name,
+        };
+        lock_order_in(&[decl("inner", 40, "sched.state"), decl("granted", 50, "sched.flag")], f, out)
+    }
+
     #[test]
     fn lock_order_flags_inverted_nesting() {
         // granted (50) held via let, then inner (40) acquired → violation.
         let src = "fn f(&self) {\n let g = self.granted.lock();\n let st = self.inner.lock();\n}";
-        let v = run(check_lock_order, "crates/sim/src/sched.rs", src);
+        let v = run(two_locks, "crates/sim/src/sched.rs", src);
         assert_eq!(v.len(), 1);
         assert!(v[0].message.contains("sched.state"));
         assert_eq!(v[0].line, 3);
@@ -540,10 +559,10 @@ mod tests {
     fn lock_order_accepts_increasing_and_sequential() {
         // Increasing nesting is fine…
         let inc = "fn f(&self) {\n let st = self.inner.lock();\n let g = self.granted.lock();\n}";
-        assert!(run(check_lock_order, "crates/sim/src/sched.rs", inc).is_empty());
+        assert!(run(two_locks, "crates/sim/src/sched.rs", inc).is_empty());
         // …and a statement-temporary guard dies at the `;`.
         let seq = "fn f(&self) {\n self.granted.lock().x = 1;\n let st = self.inner.lock();\n}";
-        assert!(run(check_lock_order, "crates/sim/src/sched.rs", seq).is_empty());
+        assert!(run(two_locks, "crates/sim/src/sched.rs", seq).is_empty());
     }
 
     #[test]
@@ -556,6 +575,6 @@ mod tests {
     #[test]
     fn lock_order_let_guard_dies_with_block() {
         let src = "fn f(&self) {\n { let g = self.granted.lock(); }\n let st = self.inner.lock();\n}";
-        assert!(run(check_lock_order, "crates/sim/src/sched.rs", src).is_empty());
+        assert!(run(two_locks, "crates/sim/src/sched.rs", src).is_empty());
     }
 }

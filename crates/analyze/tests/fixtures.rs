@@ -20,7 +20,7 @@ fn lock_inversion_fixture_is_caught_by_lockflow() {
         .find(|v| v.rule == "lockflow")
         .unwrap_or_else(|| panic!("no lockflow violation: {:?}", r.violations));
     assert!(v.path.ends_with("crates/sim/src/sched.rs"), "{v:?}");
-    assert_eq!(v.line, 11, "anchors at the call that acquires downward");
+    assert_eq!(v.line, 10, "anchors at the call that acquires downward");
     assert!(v.message.contains("shard.state"), "{v:?}");
     // Nothing else fires: the inversion is the only defect seeded.
     assert!(r.violations.iter().all(|v| v.rule == "lockflow"), "{:?}", r.violations);

@@ -4,7 +4,6 @@
 //! only an interprocedural walk can see.
 
 static STATE_RANK: Rank = Rank::new(40, "sched.state");
-static PARK_RANK: Rank = Rank::new(50, "sched.parker");
 
 pub fn grant_turn() {
     let g = inner.lock();

@@ -142,7 +142,7 @@ fn sharded_ring_sweep() -> f64 {
     const ROUNDS: u32 = 5;
     const LOOKAHEAD: f64 = 1e-6;
     time_it(|| {
-        let results = try_run_sharded(N, Workers::from_env(), LOOKAHEAD, |ctx: ShardCtx<'_, Hop>| {
+        let (results, _) = try_run_sharded(N, Workers::from_env(), LOOKAHEAD, |ctx: ShardCtx<'_, Hop>| {
             let id = ctx.id();
             let (left, right) = ((id + N - 1) % N, (id + 1) % N);
             let mut acc = id as f64 + 1.0;

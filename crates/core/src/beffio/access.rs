@@ -12,7 +12,7 @@ use super::patterns::{all_patterns, IoPattern, PatternType};
 use super::result::{AccessMethod, PatternDetail, TypeRun};
 use super::schedule::{pattern_time, Termination, TimeLoop};
 use beff_json::{Json, ToJson};
-use beff_mpi::{Comm, ReduceOp};
+use beff_mpi::{Comm, Pages, ReduceOp};
 use beff_mpiio::{AMode, FileView, Hints, IoWorld, MpiFile};
 use beff_netsim::{Secs, MB};
 use std::sync::Arc;
@@ -103,17 +103,23 @@ impl Default for RunState {
 }
 
 /// Write/read scratch buffers (write side pre-filled with the rank's
-/// fill byte for verification).
+/// fill byte for verification). Each is M_PART-sized — megabytes per
+/// rank — and a world that does not copy data never writes the read
+/// side, so they are [`Pages`], not `Vec`s: the read side then stays
+/// unmapped zero pages on every run instead of whenever `calloc`
+/// happened to hand out fresh memory.
 pub struct Bufs {
-    pub w: Vec<u8>,
-    pub r: Vec<u8>,
+    pub w: Pages,
+    pub r: Pages,
     pub fill: u8,
 }
 
 impl Bufs {
     pub fn new(rank: usize, max_call: u64) -> Self {
         let fill = (rank % 251) as u8 + 1;
-        Self { w: vec![fill; max_call as usize], r: vec![0; max_call as usize], fill }
+        let mut w = Pages::zeroed(max_call as usize);
+        w.fill(fill);
+        Self { w, r: Pages::zeroed(max_call as usize), fill }
     }
 }
 

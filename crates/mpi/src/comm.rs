@@ -28,11 +28,10 @@ use crate::collectives::ReduceOp;
 use crate::engine::{EngineCfg, RankState};
 use crate::mailbox::{Mailbox, Match, PushOutcome};
 use crate::message::{Envelope, Payload, RecvInfo, Tag, COLLECTIVE_BASE};
-use crate::sched::SimScheduler;
 use crate::wire;
 use beff_faults::{BeffError, FaultSession};
 use beff_netsim::MachineNet;
-use beff_sim::Secs;
+use beff_sim::{Secs, SimScheduler};
 use beff_sync::{Mutex, Rank};
 use std::cell::RefCell;
 
@@ -151,26 +150,13 @@ pub struct WorldShared {
 
 impl WorldShared {
     pub fn new(n: usize, engine: Arc<EngineCfg>) -> Self {
-        let sched = engine.is_sim().then(|| SimScheduler::new(n));
-        Self::with_sched(n, engine, sched)
-    }
-
-    /// Sim world driven by user-space fibers on one host thread rather
-    /// than parked rank threads (see [`crate::sched`]).
-    #[cfg(target_arch = "x86_64")]
-    pub(crate) fn new_fibered(n: usize, engine: Arc<EngineCfg>) -> Self {
-        debug_assert!(engine.is_sim());
-        Self::with_sched(n, engine, Some(SimScheduler::new_fibers(n)))
-    }
-
-    fn with_sched(n: usize, engine: Arc<EngineCfg>, sched: Option<SimScheduler>) -> Self {
         Self {
             mailboxes: (0..n).map(|_| Mailbox::new()).collect(),
             world_ranks: Arc::new((0..n).collect()),
-            engine,
             // ctx 0 is the world communicator
             next_ctx: AtomicU32::new(1),
-            sched,
+            sched: engine.is_sim().then(|| SimScheduler::new(n)),
+            engine,
             boards: Mutex::ranked(&BOARDS_RANK, BTreeMap::new()),
         }
     }

@@ -1,25 +1,27 @@
 //! # beff-mpi
 //!
 //! An MPI-like message-passing runtime for the b_eff / b_eff_io
-//! reproduction: thread-per-rank, blocking/nonblocking point-to-point
-//! with tag matching, collectives built over point-to-point,
-//! communicator split/dup, and Cartesian grid helpers.
+//! reproduction: blocking/nonblocking point-to-point with tag
+//! matching, collectives built over point-to-point, communicator
+//! split/dup, and Cartesian grid helpers.
 //!
 //! Two engines run the *same* benchmark code:
 //!
 //! * **Real** ([`World::real`]) — ranks are host threads, time is the
 //!   wall clock, data moves through shared-memory mailboxes. The host
 //!   machine is, in effect, a small SMP under test.
-//! * **Sim** ([`World::sim`]) — ranks are still host threads, but each
-//!   owns a virtual clock, and every operation is priced by a
-//!   [`beff_netsim::MachineNet`] model. Rank threads take turns under a
-//!   deterministic token scheduler ([`sched::SimScheduler`]): execution
-//!   order is a pure function of the program, so same seeds give
-//!   bit-identical results, and a genuine deadlock in the MPI program
-//!   is detected and reported instead of hanging.
+//! * **Sim** ([`World::sim`]) — ranks are fibers on the caller's
+//!   thread; each owns a virtual clock, and every operation is priced
+//!   by a [`beff_netsim::MachineNet`] model. Ranks take turns under the
+//!   substrate's deterministic token scheduler
+//!   ([`beff_sim::SimScheduler`]): execution order is a pure function
+//!   of the program, so same seeds give bit-identical results, and a
+//!   genuine deadlock in the MPI program is detected and reported
+//!   instead of hanging.
 //!
 //! Repeated runs on one machine model can reuse a resident world
-//! ([`WorldSession`]) instead of respawning rank threads per run.
+//! ([`WorldSession`]) instead of rebuilding rank stacks (sim) or
+//! respawning rank threads (real) per run.
 //!
 //! ```
 //! use beff_mpi::World;
@@ -39,19 +41,11 @@ pub mod runtime;
 pub mod topology;
 pub mod wire;
 
-/// The token scheduler — re-exported from the `beff-sim` substrate,
-/// where it moved when the workload-agnostic core was extracted. Kept
-/// as a module so `beff_mpi::sched::SimScheduler` paths stay valid.
-pub mod sched {
-    pub use beff_sim::sched::*;
-}
-
 pub use beff_faults::{BeffError, FaultSession};
 pub use collectives::ReduceOp;
 pub use comm::{Comm, RecvReq, SendReq};
 pub use engine::EngineCfg;
 pub use message::{Payload, RecvInfo, Tag};
-pub use beff_sim::Workers;
+pub use beff_sim::{Pages, Workers};
 pub use runtime::{World, WorldSession};
-pub use sched::{SchedAudit, SimScheduler};
 pub use topology::{dims_create, CartGrid};

@@ -1,16 +1,24 @@
-//! The world runtime: spawn one thread per rank, hand each a
-//! [`Comm`], join, and return the per-rank results in rank order.
+//! The world runtime: run one closure per rank, each with its own
+//! [`Comm`], and return the per-rank results in rank order.
+//!
+//! How the ranks execute follows the engine. A simulated world
+//! (`World::sim*`) has a token scheduler, so its ranks are fibers
+//! driven on the calling thread through the substrate's one launcher
+//! ([`SimScheduler::launch`](beff_sim::SimScheduler::launch)) — no
+//! thread per rank, no platform switch in this crate. A real-mode
+//! world (`World::real`) has no scheduler and runs one host thread per
+//! rank against the wall clock.
 //!
 //! Two launch shapes exist:
 //!
-//! * [`World::run`] — spawn `n` scoped threads, run, join. Right for
-//!   one-shot runs and non-`'static` closures.
-//! * [`WorldSession`] — spawn the `n` rank threads *once* and dispatch
-//!   any number of runs at them. Each run still gets a fresh
-//!   world-shared state (mailboxes, contexts, scheduler), so results
-//!   are identical to `World::run`; only the thread spawn/join cost is
-//!   amortized. Benchmark drivers sweeping many configurations over
-//!   one partition use this.
+//! * [`World::run`] — set up, run, tear down. Right for one-shot runs
+//!   and non-`'static` closures.
+//! * [`WorldSession`] — keep the per-rank resources (sim: the fiber
+//!   stacks; real: the rank threads) resident and dispatch any number
+//!   of runs at them. Each run still gets a fresh world-shared state
+//!   (mailboxes, contexts, scheduler), so results are identical to
+//!   `World::run`; only the setup cost is amortized. Benchmark drivers
+//!   sweeping many configurations over one partition use this.
 //!
 //! If any rank panics, every mailbox is poisoned so that ranks blocked
 //! on the dead peer abort instead of deadlocking (the moral equivalent
@@ -18,8 +26,7 @@
 
 use crate::comm::{Comm, WorldShared};
 use crate::engine::EngineCfg;
-#[cfg(target_arch = "x86_64")]
-use beff_sim::fiber::{init_fiber, FiberStack, STACK_SIZE};
+use beff_sim::fiber::FiberStack;
 use beff_faults::{BeffError, FaultSession};
 use beff_netsim::MachineNet;
 use beff_sim::{map_ordered, Workers};
@@ -28,37 +35,22 @@ use std::any::Any;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::Arc;
 
-/// Run one rank's closure under the world's panic/scheduler protocol:
-/// wait for the sim token (sim mode), run, and on panic poison every
-/// mailbox and abort the scheduler so blocked peers unwind too.
+/// Run one rank's closure under the world's panic protocol: on panic
+/// poison every mailbox and abort the scheduler (sim mode) so blocked
+/// peers unwind too.
 fn run_rank<R>(
     shared: &Arc<WorldShared>,
     rank: usize,
     f: impl FnOnce(&mut Comm) -> R,
 ) -> Result<R, Box<dyn Any + Send>> {
     let mut comm = Comm::world(Arc::clone(shared), rank);
-    let out = catch_unwind(AssertUnwindSafe(|| {
+    let out = catch_unwind(AssertUnwindSafe(|| f(&mut comm)));
+    if out.is_err() {
+        for mb in &shared.mailboxes {
+            mb.poison();
+        }
         if let Some(s) = &shared.sched {
-            s.wait_turn(rank);
-        }
-        f(&mut comm)
-    }));
-    match &out {
-        Err(_) => {
-            for mb in &shared.mailboxes {
-                mb.poison();
-            }
-            if let Some(s) = &shared.sched {
-                s.abort();
-                // abort() granted this rank its own wakeup token; we
-                // are unwinding and will never park for it.
-                s.drain_grant(rank);
-            }
-        }
-        Ok(_) => {
-            if let Some(s) = &shared.sched {
-                s.finish(rank);
-            }
+            s.abort();
         }
     }
     out
@@ -116,14 +108,9 @@ fn into_typed<R>(settled: Result<Vec<R>, Box<dyn Any + Send>>) -> Result<Vec<R>,
     }
 }
 
-/// Run a simulated world on the calling thread with one fiber per rank
-/// (the fast path: a token handoff is a user-space stack switch instead
-/// of a futex round trip — see [`beff_sim::fiber`]). Semantics are
-/// identical to the thread launcher: same FIFO token order, same
-/// deadlock/abort protocol, bit-identical results.
-#[cfg(target_arch = "x86_64")]
+/// Run a simulated world on the calling thread, one fiber per rank
+/// over `stacks`, against a fresh [`WorldShared`].
 fn run_world_fibers<R, F>(
-    n: usize,
     engine: &Arc<EngineCfg>,
     stacks: &[FiberStack],
     f: &F,
@@ -132,37 +119,9 @@ where
     R: Send,
     F: Fn(&mut Comm) -> R + Sync,
 {
-    assert_eq!(stacks.len(), n);
-    let shared = Arc::new(WorldShared::new_fibered(n, Arc::clone(engine)));
-    let sched = shared.sched.as_ref().expect("fibered world has a scheduler");
-    let mut results: Vec<Option<Result<R, Box<dyn Any + Send>>>> = Vec::with_capacity(n);
-    results.resize_with(n, || None);
-    let slots = results.as_mut_ptr();
-    for (rank, stack) in stacks.iter().enumerate() {
-        let shared = &shared;
-        // SAFETY: disjoint per-rank slot, written from this same thread
-        // while `results` is otherwise untouched until the drive loop
-        // ends.
-        let slot = unsafe { slots.add(rank) };
-        let body = Box::new(move || {
-            let out = run_rank(shared, rank, f);
-            // SAFETY: this fiber is the only writer of its slot, and the
-            // host thread reads it only after drive_fibers() returns.
-            unsafe { *slot = Some(out) };
-            shared.sched.as_ref().expect("fibered world").fiber_exit(rank);
-        });
-        // Safety: stacks and every borrow in `body` outlive the drive
-        // loop below, which runs each fiber to its final switch.
-        let sp = unsafe { init_fiber(stack, body) };
-        sched.fibers().install(rank, sp);
-    }
-    sched.drive_fibers();
-    for st in stacks {
-        assert!(st.canary_intact(), "fiber stack overflow (canary clobbered)");
-    }
-    let audit = sched.audit();
-    assert!(audit.balanced(), "token leak after world join: {audit:?}");
-    settle(results.into_iter().map(|slot| slot.expect("all fibers completed")))
+    let shared = Arc::new(WorldShared::new(stacks.len(), Arc::clone(engine)));
+    let sched = shared.sched.as_ref().expect("a sim world has a scheduler");
+    settle(sched.launch(stacks, |rank| run_rank(&shared, rank, f)))
 }
 
 /// Builder/launcher for a world of `n` ranks.
@@ -298,15 +257,11 @@ impl World {
         R: Send,
         F: Fn(&mut Comm) -> R + Sync,
     {
-        #[cfg(target_arch = "x86_64")]
         if self.engine.is_sim() {
-            let stacks: Vec<FiberStack> =
-                (0..self.n).map(|_| FiberStack::new(STACK_SIZE)).collect();
-            return run_world_fibers(self.n, &self.engine, &stacks, &f);
+            return run_world_fibers(&self.engine, &FiberStack::set(self.n), &f);
         }
         let shared = Arc::new(WorldShared::new(self.n, Arc::clone(&self.engine)));
-
-        let settled = std::thread::scope(|scope| {
+        std::thread::scope(|scope| {
             let mut handles = Vec::with_capacity(self.n);
             for rank in 0..self.n {
                 let shared = Arc::clone(&shared);
@@ -316,12 +271,7 @@ impl World {
             settle(handles.into_iter().map(|h| {
                 h.join().expect("rank thread must not die outside catch_unwind")
             }))
-        });
-        if let Some(s) = &shared.sched {
-            let audit = s.audit();
-            assert!(audit.balanced(), "token leak after world join: {audit:?}");
-        }
-        settled
+        })
     }
 
     /// Launch: run `f` on every rank, return results in rank order.
@@ -349,8 +299,8 @@ impl World {
         into_typed(self.run_settled(f))
     }
 
-    /// Spawn the rank threads once and keep them resident for repeated
-    /// runs (see [`WorldSession`]).
+    /// Set the world up once and keep it resident for repeated runs
+    /// (see [`WorldSession`]).
     pub fn session(&self) -> WorldSession {
         WorldSession::new(self)
     }
@@ -364,16 +314,15 @@ struct RunSlots<R> {
 }
 
 /// How a session keeps its world resident between runs.
-enum SessionMech {
-    /// Real mode (and non-x86_64 sim): `n` worker threads, each waiting
-    /// on a private job channel.
+enum Resident {
+    /// Real mode: `n` worker threads, each waiting on a private job
+    /// channel.
     Threads {
         senders: Vec<channel::Sender<Job>>,
         handles: Vec<std::thread::JoinHandle<()>>,
     },
-    /// x86_64 sim: no threads at all — runs execute on the caller's
-    /// thread over a cached set of fiber stacks.
-    #[cfg(target_arch = "x86_64")]
+    /// Sim mode: runs execute on the caller's thread over a cached set
+    /// of fiber stacks.
     Fibers { stacks: Vec<FiberStack> },
 }
 
@@ -382,8 +331,8 @@ enum SessionMech {
 /// [`WorldShared`] (mailboxes, contexts, token scheduler), so a session
 /// run is observationally identical to a fresh [`World::run`] —
 /// including bit-determinism in sim mode — without paying per-run
-/// spawn/join (real mode: resident rank threads; sim mode on x86_64:
-/// cached fiber stacks, zero threads).
+/// setup (real mode: resident rank threads; sim mode: cached fiber
+/// stacks).
 ///
 /// Shared machine state that outlives a run ([`MachineNet`] link
 /// occupancy) is the *caller's* to reset between runs (`net.reset()`);
@@ -391,20 +340,17 @@ enum SessionMech {
 pub struct WorldSession {
     n: usize,
     engine: Arc<EngineCfg>,
-    mech: SessionMech,
+    resident: Resident,
 }
 
 impl WorldSession {
     pub fn new(world: &World) -> Self {
         let n = world.n;
-        #[cfg(target_arch = "x86_64")]
         if world.engine.is_sim() {
             return Self {
                 n,
                 engine: Arc::clone(&world.engine),
-                mech: SessionMech::Fibers {
-                    stacks: (0..n).map(|_| FiberStack::new(STACK_SIZE)).collect(),
-                },
+                resident: Resident::Fibers { stacks: FiberStack::set(n) },
             };
         }
         let mut senders = Vec::with_capacity(n);
@@ -427,7 +373,7 @@ impl WorldSession {
         Self {
             n,
             engine: Arc::clone(&world.engine),
-            mech: SessionMech::Threads { senders, handles },
+            resident: Resident::Threads { senders, handles },
         }
     }
 
@@ -455,12 +401,9 @@ impl WorldSession {
         R: Send + 'static,
         F: Fn(&mut Comm) -> R + Send + Sync + 'static,
     {
-        let senders = match &self.mech {
-            SessionMech::Threads { senders, .. } => senders,
-            #[cfg(target_arch = "x86_64")]
-            SessionMech::Fibers { stacks } => {
-                return run_world_fibers(self.n, &self.engine, stacks, &f);
-            }
+        let senders = match &self.resident {
+            Resident::Threads { senders, .. } => senders,
+            Resident::Fibers { stacks } => return run_world_fibers(&self.engine, stacks, &f),
         };
         let shared = Arc::new(WorldShared::new(self.n, Arc::clone(&self.engine)));
         let f = Arc::new(f);
@@ -492,10 +435,6 @@ impl WorldSession {
         let outcomes: Vec<_> =
             g.results.drain(..).map(|slot| slot.expect("all ranks reported")).collect();
         drop(g);
-        if let Some(s) = &shared.sched {
-            let audit = s.audit();
-            assert!(audit.balanced(), "token leak after world join: {audit:?}");
-        }
         settle(outcomes)
     }
 
@@ -539,7 +478,7 @@ impl WorldSession {
 
 impl Drop for WorldSession {
     fn drop(&mut self) {
-        if let SessionMech::Threads { senders, handles } = &mut self.mech {
+        if let Resident::Threads { senders, handles } = &mut self.resident {
             // Disconnect the job channels so the workers' recv() errors
             // out, then join them.
             senders.clear();

@@ -1,15 +1,14 @@
-//! Token-accounting property tests: every token the scheduler grants
-//! is consumed on **every** exit path — normal completion, injected
-//! typed fault, invariant (string) panic, detected deadlock — and a
-//! world session survives a faulted run without residue.
+//! Exit-path property tests: every way a simulated world can end —
+//! normal completion, injected typed fault, invariant (string) panic,
+//! detected deadlock — settles to the right typed outcome, and a world
+//! session survives a faulted run without residue.
 //!
-//! The runtime itself asserts `audit().balanced()` after every world
-//! join, so the world-level tests here double as end-to-end proofs:
-//! if any path leaked a token, the run under test would panic with
-//! "token leak after world join".
+//! The launcher itself asserts after every drive loop that no fiber is
+//! left suspended and every stack canary is intact, so the tests here
+//! double as end-to-end proofs of that on each exit path.
 
 use beff_faults::silence_fault_panics;
-use beff_mpi::{BeffError, ReduceOp, SimScheduler, World};
+use beff_mpi::{BeffError, ReduceOp, World};
 use beff_netsim::{MachineNet, NetParams, Topology};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::Arc;
@@ -18,86 +17,7 @@ fn net(procs: usize) -> Arc<MachineNet> {
     Arc::new(MachineNet::new(Topology::Ring { procs }, NetParams::default()))
 }
 
-// ---- thread-parking scheduler, driven directly -----------------------
-//
-// On x86_64 the world runtime always uses the fiber mechanism for sim
-// runs, so the `Mech::Park` grant/consume paths are exercised here by
-// scripting the rank protocol on real threads.
-
-#[test]
-fn park_scheduler_balances_on_normal_completion() {
-    let s = SimScheduler::new(4);
-    std::thread::scope(|scope| {
-        for rank in 0..4 {
-            let s = &s;
-            scope.spawn(move || {
-                s.wait_turn(rank);
-                s.finish(rank);
-            });
-        }
-    });
-    let a = s.audit();
-    assert!(a.balanced(), "{a:?}");
-    assert_eq!(a.finished, 4);
-    assert!(!a.deadlocked && !a.aborted);
-}
-
-#[test]
-fn park_scheduler_balances_after_midrun_abort() {
-    // Rank 1 "panics" (runs the run_rank unwind protocol: abort +
-    // drain its own re-grant); everyone else completes.
-    let s = SimScheduler::new(4);
-    std::thread::scope(|scope| {
-        for rank in 0..4 {
-            let s = &s;
-            scope.spawn(move || {
-                s.wait_turn(rank);
-                if rank == 1 {
-                    s.abort();
-                    s.drain_grant(rank);
-                } else {
-                    s.finish(rank);
-                }
-            });
-        }
-    });
-    let a = s.audit();
-    assert!(a.balanced(), "{a:?}");
-    assert!(a.aborted);
-}
-
-#[test]
-fn park_scheduler_balances_after_deadlock_detection() {
-    // Every rank blocks and nobody ever unblocks anyone: the last
-    // blocker trips the deadlock detector, every rank wakes into the
-    // typed Deadlock raise, and the unwind protocol drains cleanly.
-    silence_fault_panics();
-    let n = 3;
-    let s = SimScheduler::new(n);
-    std::thread::scope(|scope| {
-        for rank in 0..n {
-            let s = &s;
-            scope.spawn(move || {
-                let out = catch_unwind(AssertUnwindSafe(|| {
-                    s.wait_turn(rank);
-                    s.yield_blocked(rank);
-                }));
-                let payload = out.expect_err("deadlock must raise");
-                assert_eq!(
-                    payload.downcast_ref::<BeffError>(),
-                    Some(&BeffError::Deadlock)
-                );
-                s.abort();
-                s.drain_grant(rank);
-            });
-        }
-    });
-    let a = s.audit();
-    assert!(a.balanced(), "{a:?}");
-    assert!(a.deadlocked);
-}
-
-// ---- world level (fiber mechanism on x86_64) -------------------------
+// ---- world level ------------------------------------------------------
 
 #[test]
 fn typed_fault_on_one_rank_settles_to_its_root_cause() {
@@ -171,13 +91,10 @@ fn session_reuse_after_faulted_run_is_bitwise_clean() {
 //
 // The conservative parallel engine's contract is that worker count is
 // *unobservable*: every run below must produce byte-identical results
-// at 1, 2, 4, and 8 workers, and every join re-asserts the token audit
-// (the engine panics with "token leak after sharded join" otherwise),
-// so these double as token-accounting property tests for the parallel
-// paths.
+// at 1, 2, 4, and 8 workers, with every shard's fibers run to their
+// final switch (the launcher panics otherwise).
 
-use beff_sim::shard::try_run_sharded_parked;
-use beff_sim::{Message, ShardCtx, Workers};
+use beff_sim::{try_run_sharded, Message, ShardCtx, Workers};
 
 /// Ring message matched on the *sender* id — the sender-specific-filter
 /// contract the determinism argument requires.
@@ -201,7 +118,7 @@ const LOOKAHEAD: f64 = 1e-6;
 
 fn sharded_ring(n: usize, rounds: u32, w: usize) -> Vec<Result<(u64, u64), BeffError>> {
     let (results, audit) =
-        try_run_sharded_parked(n, Workers::new(w), LOOKAHEAD, |ctx: ShardCtx<'_, Hop>| {
+        try_run_sharded(n, Workers::new(w), LOOKAHEAD, |ctx: ShardCtx<'_, Hop>| {
             let id = ctx.id();
             let (left, right) = ((id + n - 1) % n, (id + 1) % n);
             let mut acc = id as f64 + 1.0;
@@ -212,7 +129,7 @@ fn sharded_ring(n: usize, rounds: u32, w: usize) -> Vec<Result<(u64, u64), BeffE
             }
             (acc.to_bits(), ctx.now().to_bits())
         });
-    assert!(audit.balanced(), "{audit:?}");
+    assert!(audit.shards.iter().all(|a| a.live == 0 && !a.aborted), "{audit:?}");
     results
 }
 
@@ -232,7 +149,7 @@ fn sharded_ring_is_byte_identical_at_1_2_4_8_workers() {
 fn sharded_typed_fault_is_rank_keyed_not_worker_keyed() {
     silence_fault_panics();
     for w in [1, 2, 4, 8] {
-        let (results, audit) = try_run_sharded_parked::<Hop, _, _>(
+        let (results, audit) = try_run_sharded::<Hop, _, _>(
             8,
             Workers::new(w),
             LOOKAHEAD,
@@ -244,7 +161,7 @@ fn sharded_typed_fault_is_rank_keyed_not_worker_keyed() {
                 ctx.now().to_bits()
             },
         );
-        assert!(audit.balanced(), "{audit:?}");
+        assert!(audit.shards.iter().all(|a| a.live == 0 && !a.aborted), "{audit:?}");
         for (id, r) in results.iter().enumerate() {
             match r {
                 Err(e) => {
@@ -260,9 +177,9 @@ fn sharded_typed_fault_is_rank_keyed_not_worker_keyed() {
 #[test]
 fn run_batch_token_audits_balance_at_every_worker_count() {
     // Each job runs a full 4-rank world on its own machine replica;
-    // every world join asserts a balanced token audit internally, and
-    // the batched results must match the serial (1-worker) reference
-    // byte for byte.
+    // every launch asserts internally that no fiber is left suspended,
+    // and the batched results must match the serial (1-worker)
+    // reference byte for byte.
     let workload = |job: usize, c: &mut beff_mpi::Comm| {
         let msg = vec![job as u8; 1024 * (job + 1)];
         let (left, right) = ((c.rank() + 3) % 4, (c.rank() + 1) % 4);

@@ -21,7 +21,9 @@
 //! next starts (still deterministic, just coarse).
 
 use crate::error::BeffError;
+use crate::fiber::FiberStack;
 use crate::sched::SimScheduler;
+use std::any::Any;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 
 /// Identity of one actor in a [`try_run_actors`] world: dense indices
@@ -40,12 +42,6 @@ impl ActorCtx<'_> {
         self.id
     }
 
-    /// The world's scheduler, for workloads that need to build their
-    /// own blocking primitives on top of the token protocol.
-    pub fn sched(&self) -> &SimScheduler {
-        self.sched
-    }
-
     /// Cooperatively rotate the token: every currently ready peer runs
     /// before this actor continues. No-op when no peer is ready.
     pub fn yield_turn(&self) {
@@ -53,12 +49,46 @@ impl ActorCtx<'_> {
     }
 }
 
-/// Outcome of one actor thread, kept panic-free so scoped-join errors
-/// cannot mask the original payload.
-enum Outcome<R> {
+/// How one actor's fiber body ended (shared with [`crate::shard`]).
+pub(crate) enum Outcome<R> {
     Done(R),
     Fault(BeffError),
-    Bug(Box<dyn std::any::Any + Send>),
+    Bug(Box<dyn Any + Send>),
+}
+
+/// Run one actor's closure inside its fiber and classify the exit. A
+/// typed fault is an isolated early exit — the fiber just finishes and
+/// the survivors keep their deterministic order. Anything else is a
+/// bug: `abort_world` runs before the fiber's final switch so the drive
+/// loop unwinds the peers.
+pub(crate) fn run_actor<R>(f: impl FnOnce() -> R, abort_world: impl FnOnce()) -> Outcome<R> {
+    match catch_unwind(AssertUnwindSafe(f)) {
+        Ok(v) => Outcome::Done(v),
+        Err(payload) => match payload.downcast::<BeffError>() {
+            Ok(e) => Outcome::Fault(*e),
+            Err(payload) => {
+                abort_world();
+                Outcome::Bug(payload)
+            }
+        },
+    }
+}
+
+/// Turn id-ordered outcomes into results, propagating the first bug
+/// panic.
+pub(crate) fn settle<R>(mut outcomes: Vec<Outcome<R>>) -> Vec<Result<R, BeffError>> {
+    if let Some(bug) = outcomes.iter().position(|o| matches!(o, Outcome::Bug(_))) {
+        let Outcome::Bug(payload) = outcomes.swap_remove(bug) else { unreachable!() };
+        resume_unwind(payload);
+    }
+    outcomes
+        .into_iter()
+        .map(|o| match o {
+            Outcome::Done(v) => Ok(v),
+            Outcome::Fault(e) => Err(e),
+            Outcome::Bug(_) => unreachable!("bug outcomes already propagated"),
+        })
+        .collect()
 }
 
 /// Run `n` actors to completion under the token scheduler, returning
@@ -72,66 +102,8 @@ where
 {
     assert!(n > 0, "actor world needs at least one actor");
     crate::error::silence_fault_panics();
-    let sched = SimScheduler::new(n);
-    let outcomes: Vec<Outcome<R>> = std::thread::scope(|scope| {
-        let sched = &sched;
-        let f = &f;
-        let handles: Vec<_> = (0..n)
-            .map(|id| {
-                scope.spawn(move || {
-                    let out = catch_unwind(AssertUnwindSafe(|| {
-                        sched.wait_turn(id);
-                        f(ActorCtx { id, sched })
-                    }));
-                    match out {
-                        Ok(v) => {
-                            sched.finish(id);
-                            Outcome::Done(v)
-                        }
-                        Err(payload) => match payload.downcast::<BeffError>() {
-                            // A typed fault is an isolated early exit:
-                            // the actor consumed its own token, so
-                            // `finish` hands it on and the survivors
-                            // keep deterministic order.
-                            Ok(e) => {
-                                sched.finish(id);
-                                Outcome::Fault(*e)
-                            }
-                            Err(payload) => {
-                                sched.abort();
-                                sched.drain_grant(id);
-                                Outcome::Bug(payload)
-                            }
-                        },
-                    }
-                })
-            })
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| match h.join() {
-                Ok(out) => out,
-                Err(payload) => Outcome::Bug(payload),
-            })
-            .collect()
-    });
-    if let Some(bug) = outcomes.iter().position(|o| matches!(o, Outcome::Bug(_))) {
-        let Outcome::Bug(payload) = outcomes.into_iter().nth(bug).expect("position just found")
-        else {
-            unreachable!()
-        };
-        resume_unwind(payload);
-    }
-    let audit = sched.audit();
-    assert!(audit.balanced(), "token leak after actor join: {audit:?}");
-    outcomes
-        .into_iter()
-        .map(|o| match o {
-            Outcome::Done(v) => Ok(v),
-            Outcome::Fault(e) => Err(e),
-            Outcome::Bug(_) => unreachable!("bug outcomes already propagated"),
-        })
-        .collect()
+    let sched = &SimScheduler::new(n);
+    settle(sched.launch(&FiberStack::set(n), |id| run_actor(|| f(ActorCtx { id, sched }), || sched.abort())))
 }
 
 /// [`try_run_actors`] for workloads that expect every actor to

@@ -18,15 +18,23 @@
 //!   one per-machine [`LinkLedger`].
 //! - [`error`] — typed simulation faults ([`BeffError`]) raised as
 //!   panics and caught at actor/world boundaries.
-//! - [`sched`] — the round-robin token scheduler ([`SimScheduler`])
-//!   with its two interchangeable mechanisms (parked threads, x86_64
-//!   fibers) and the [`SchedAudit`] token-accounting invariant.
+//! - [`pages`] — zeroed, lazily committed memory straight from the
+//!   kernel ([`Pages`]): fiber stacks and a personality's big per-rank
+//!   buffers, kept off the `malloc` heap so a world costs what it
+//!   touches whatever ran before it.
+//! - [`fiber`] — one suspend/resume interface with two backends picked
+//!   from the target architecture (x86_64 stack switch, thread baton
+//!   elsewhere); the only module that knows the difference.
+//! - [`sched`] — the round-robin token scheduler ([`SimScheduler`]):
+//!   one host drive loop over fibers, and the one launcher
+//!   ([`SimScheduler::launch`]) every simulated world runs through.
 //! - [`port`] — the two-queue matching mailbox generalized to typed
 //!   [`Port`]s over any [`Message`] type; MPI's rank mailbox is one
 //!   instantiation.
 //! - [`actors`] — a minimal actor runtime ([`try_run_actors`]) that
-//!   runs `n` closures under the token scheduler with typed-fault
-//!   isolation, for workloads that don't want the MPI world machinery.
+//!   runs `n` closures as fibers under the token scheduler with
+//!   typed-fault isolation, for workloads that don't want the MPI world
+//!   machinery.
 //! - [`pool`] — the workspace's one worker pool ([`Workers`],
 //!   [`map_ordered`]): deterministic submission-ordered fan-out of
 //!   share-nothing jobs over `BEFF_WORKERS` OS threads.
@@ -45,9 +53,9 @@
 pub mod actors;
 pub mod clock;
 pub mod error;
-#[cfg(target_arch = "x86_64")]
 pub mod fiber;
 pub mod link;
+pub mod pages;
 pub mod pool;
 pub mod port;
 pub mod resource;
@@ -60,6 +68,7 @@ pub use actors::{run_actors, try_run_actors, ActorCtx, ActorId};
 pub use clock::{Clock, RealClock, VClock};
 pub use error::{silence_fault_panics, BeffError};
 pub use link::{Degrade, Link, LinkLedger};
+pub use pages::Pages;
 pub use pool::{map_ordered, Workers};
 pub use port::{Message, Port, PushOutcome};
 pub use shard::{try_run_sharded, ShardAudit, ShardCtx, ShardMap, Timed};

@@ -43,13 +43,13 @@
 //! isolated early exit keyed to the actor (never to a worker), any
 //! other panic aborts the world and propagates.
 
-use crate::actors::ActorId;
+use crate::actors::{run_actor, settle, ActorId, Outcome};
 use crate::error::BeffError;
+use crate::fiber::FiberStack;
 use crate::pool::Workers;
 use crate::port::{Message, Port, PushOutcome};
 use crate::sched::{SchedAudit, SimScheduler};
 use beff_sync::{Barrier, Mutex, Rank};
-use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicU8, Ordering};
 
 /// Lock-hierarchy position (DESIGN.md §8): per-shard outbox state sits
@@ -139,7 +139,7 @@ impl ShardMap {
     }
 }
 
-/// Per-shard grant/consume accounting plus epoch statistics — the
+/// Per-shard terminal scheduler state plus epoch statistics — the
 /// sharded extension of [`SchedAudit`].
 #[derive(Debug, Clone)]
 pub struct ShardAudit {
@@ -149,13 +149,6 @@ pub struct ShardAudit {
     pub epochs: u64,
     /// Cross-shard messages flushed over the whole run.
     pub flushed: u64,
-}
-
-impl ShardAudit {
-    /// Every shard's token ledger balances.
-    pub fn balanced(&self) -> bool {
-        self.shards.iter().all(|a| a.balanced())
-    }
 }
 
 /// Epoch verdicts, published by the flush leader between the two
@@ -265,28 +258,28 @@ impl<M: Message> Engine<M> {
         self.decision.store(verdict, Ordering::SeqCst);
     }
 
-    /// One shard's coordinator: quiesce, rendezvous, flush (leader),
-    /// act on the verdict. `quiesce` hides the mechanism — parked
-    /// threads wait for idle, fiber shards drive their fibers.
-    fn coordinate(&self, shard: usize, quiesce: &(dyn Fn(&SimScheduler) + Sync)) {
+    /// One shard's coordinator, on the shard's host thread: drive the
+    /// shard's fibers until it quiesces, rendezvous, flush (leader),
+    /// act on the verdict.
+    fn coordinate(&self, shard: usize) {
         let sched = &self.scheds[shard];
         loop {
-            quiesce(sched);
+            sched.drive();
             if self.barrier.wait().is_leader() {
                 self.flush_and_decide();
             }
             self.barrier.wait();
             match self.decision.load(Ordering::SeqCst) {
-                EPOCH_CONTINUE => sched.kick(),
+                EPOCH_CONTINUE => {}
                 EPOCH_DONE => return,
                 EPOCH_DEADLOCK => {
                     sched.declare_deadlock();
-                    quiesce(sched);
+                    sched.drive();
                     return;
                 }
                 _ => {
                     sched.abort();
-                    quiesce(sched);
+                    sched.drive();
                     return;
                 }
             }
@@ -387,76 +380,17 @@ impl<M: Message> ShardCtx<'_, M> {
     }
 }
 
-/// Outcome of one actor, kept panic-free (see [`crate::actors`]).
-enum Outcome<R> {
-    Done(R),
-    Fault(BeffError),
-    Bug(Box<dyn std::any::Any + Send>),
-}
-
-/// The shared actor wrapper: run the closure under the shard's token,
-/// classify the exit. Mirrors [`crate::actors::try_run_actors`]'s
-/// fault protocol exactly — faults are keyed to the actor id, never to
-/// the worker that happened to host its shard.
-fn actor_body<M, R, F>(eng: &Engine<M>, id: ActorId, f: &F, slot: &Mutex<Option<Outcome<R>>>)
-where
-    M: Message,
-    R: Send,
-    F: Fn(ShardCtx<'_, M>) -> R + Sync,
-{
-    let shard = eng.map.shard_of(id);
-    let sched = &eng.scheds[shard];
-    let local = eng.map.local(id);
-    let out = catch_unwind(AssertUnwindSafe(|| {
-        sched.wait_turn(local);
-        f(ShardCtx { id, shard, eng })
-    }));
-    let outcome = match out {
-        Ok(v) => {
-            sched.finish(local);
-            Outcome::Done(v)
-        }
-        Err(payload) => match payload.downcast::<BeffError>() {
-            Ok(e) => {
-                sched.finish(local);
-                Outcome::Fault(*e)
-            }
-            Err(payload) => {
-                eng.aborted.store(true, Ordering::SeqCst);
-                sched.abort();
-                sched.drain_grant(local);
-                Outcome::Bug(payload)
-            }
-        },
-    };
-    *slot.lock() = Some(outcome);
-}
-
-/// Collect per-actor outcomes, propagating the first bug panic.
-fn settle<R>(slots: Vec<Mutex<Option<Outcome<R>>>>) -> Vec<Result<R, BeffError>> {
-    let mut outcomes: Vec<Outcome<R>> = slots
-        .into_iter()
-        .map(|s| s.into_inner().expect("every actor stored an outcome"))
-        .collect();
-    if let Some(bug) = outcomes.iter().position(|o| matches!(o, Outcome::Bug(_))) {
-        let Outcome::Bug(payload) = outcomes.swap_remove(bug) else { unreachable!() };
-        resume_unwind(payload);
-    }
-    outcomes
-        .into_iter()
-        .map(|o| match o {
-            Outcome::Done(v) => Ok(v),
-            Outcome::Fault(e) => Err(e),
-            Outcome::Bug(_) => unreachable!("bug outcomes already propagated"),
-        })
-        .collect()
-}
-
-/// Run `n` actors under the conservative sharded engine on parked OS
-/// threads (one per actor, plus one coordinator per shard). Portable;
-/// the x86_64 fast path is [`try_run_sharded`]'s fiber engine. Returns
-/// id-ordered results and the per-shard audit.
-pub fn try_run_sharded_parked<M, R, F>(
+/// Run `n` actors under the conservative sharded engine: each of the
+/// `min(W, n)` workers is the host thread of its shard's fibers, so a
+/// 10k-actor world costs `W` OS threads on x86_64, not 10k. Returns
+/// id-ordered results and the per-shard audit, bit-identical at every
+/// worker count (for workloads honoring the module's
+/// sender-specific-filter contract). `workers` usually comes from
+/// [`Workers::from_env`] (`BEFF_WORKERS`).
+///
+/// Faults mirror [`crate::actors::try_run_actors`] exactly — keyed to
+/// the actor id, never to the worker that happened to host its shard.
+pub fn try_run_sharded<M, R, F>(
     n: usize,
     workers: Workers,
     lookahead: f64,
@@ -471,119 +405,45 @@ where
     let map = ShardMap::new(n, workers);
     let scheds: Vec<SimScheduler> =
         (0..map.shards()).map(|s| SimScheduler::new_coordinated(map.len(s))).collect();
-    let eng = Engine::new(map, lookahead, scheds);
-    let slots: Vec<Mutex<Option<Outcome<R>>>> = (0..n).map(|_| Mutex::new(None)).collect();
-    std::thread::scope(|scope| {
-        let (eng, f, slots) = (&eng, &f, &slots);
-        for id in 0..n {
-            scope.spawn(move || actor_body(eng, id, f, &slots[id]));
-        }
-        for shard in 0..eng.map.shards() {
-            scope.spawn(move || eng.coordinate(shard, &|s: &SimScheduler| s.wait_idle()));
-        }
+    let eng = &Engine::new(map, lookahead, scheds);
+    let f = &f;
+    let run_shard = |shard: usize| -> Vec<Outcome<R>> {
+        let sched = &eng.scheds[shard];
+        let base = map.base(shard);
+        let stacks = FiberStack::set(map.len(shard));
+        let actor = |local: usize| {
+            let ctx = ShardCtx { id: base + local, shard, eng };
+            run_actor(
+                || f(ctx),
+                || {
+                    eng.aborted.store(true, Ordering::SeqCst);
+                    sched.abort();
+                },
+            )
+        };
+        sched.launch_with(&stacks, actor, || eng.coordinate(shard))
+    };
+    // Contiguous blocks: shard order is id order.
+    let outcomes: Vec<Outcome<R>> = std::thread::scope(|scope| {
+        let run_shard = &run_shard;
+        let workers: Vec<_> =
+            (0..map.shards()).map(|shard| scope.spawn(move || run_shard(shard))).collect();
+        workers
+            .into_iter()
+            .flat_map(|w| w.join().unwrap_or_else(|bug| std::panic::resume_unwind(bug)))
+            .collect()
     });
     let audit = eng.audit();
     if let Some(msg) = eng.violation.lock().take() {
         panic!("{msg}");
     }
-    let results = settle(slots);
-    assert!(audit.balanced(), "token leak after sharded join: {audit:?}");
-    (results, audit)
-}
-
-/// Run `n` actors under the conservative sharded engine on the fiber
-/// mechanism: each of the `min(W, n)` workers drives its shard's
-/// actors as user-space fibers, so a 10k-actor world costs `W` OS
-/// threads, not 10k. Bit-identical to
-/// [`try_run_sharded_parked`] and to itself at every worker count (for
-/// workloads honoring the module's sender-specific-filter contract).
-#[cfg(target_arch = "x86_64")]
-pub fn try_run_sharded_fibered<M, R, F>(
-    n: usize,
-    workers: Workers,
-    lookahead: f64,
-    f: F,
-) -> (Vec<Result<R, BeffError>>, ShardAudit)
-where
-    M: Message,
-    R: Send,
-    F: Fn(ShardCtx<'_, M>) -> R + Sync,
-{
-    use crate::fiber::{init_fiber, FiberStack, STACK_SIZE};
-    crate::error::silence_fault_panics();
-    let map = ShardMap::new(n, workers);
-    let scheds: Vec<SimScheduler> =
-        (0..map.shards()).map(|s| SimScheduler::new_coordinated_fibers(map.len(s))).collect();
-    let eng = Engine::new(map, lookahead, scheds);
-    let slots: Vec<Mutex<Option<Outcome<R>>>> = (0..n).map(|_| Mutex::new(None)).collect();
-    std::thread::scope(|scope| {
-        let (eng, f, slots) = (&eng, &f, &slots);
-        for shard in 0..eng.map.shards() {
-            scope.spawn(move || {
-                let sched = &eng.scheds[shard];
-                let base = eng.map.base(shard);
-                let stacks: Vec<FiberStack> =
-                    (0..eng.map.len(shard)).map(|_| FiberStack::new(STACK_SIZE)).collect();
-                for (local, stack) in stacks.iter().enumerate() {
-                    let id = base + local;
-                    // SAFETY: every fiber completes (or unwinds into its
-                    // stored outcome) before this scope ends, so the
-                    // borrows erased here outlive every resume; the
-                    // body's last action is fiber_exit, which never
-                    // returns into dead frames.
-                    let sp = unsafe {
-                        init_fiber(
-                            stack,
-                            Box::new(move || {
-                                actor_body(eng, id, f, &slots[id]);
-                                eng.scheds[shard].fiber_exit(eng.map.local(id));
-                            }),
-                        )
-                    };
-                    sched.fibers().install(local, sp);
-                }
-                eng.coordinate(shard, &|s: &SimScheduler| s.drive_idle());
-                for stack in &stacks {
-                    assert!(stack.canary_intact(), "fiber stack overflow in shard {shard}");
-                }
-            });
-        }
-    });
-    let audit = eng.audit();
-    if let Some(msg) = eng.violation.lock().take() {
-        panic!("{msg}");
-    }
-    let results = settle(slots);
-    assert!(audit.balanced(), "token leak after sharded join: {audit:?}");
-    (results, audit)
-}
-
-/// Run `n` actors under the conservative sharded engine with the
-/// platform's fast mechanism (fibers on x86_64, parked threads
-/// elsewhere), asserting the token audit. This is the entry point the
-/// benches use; `workers` usually comes from
-/// [`Workers::from_env`] (`BEFF_WORKERS`).
-pub fn try_run_sharded<M, R, F>(
-    n: usize,
-    workers: Workers,
-    lookahead: f64,
-    f: F,
-) -> Vec<Result<R, BeffError>>
-where
-    M: Message,
-    R: Send,
-    F: Fn(ShardCtx<'_, M>) -> R + Sync,
-{
-    #[cfg(target_arch = "x86_64")]
-    let (results, _) = try_run_sharded_fibered(n, workers, lookahead, f);
-    #[cfg(not(target_arch = "x86_64"))]
-    let (results, _) = try_run_sharded_parked(n, workers, lookahead, f);
-    results
+    (settle(outcomes), audit)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::panic::{catch_unwind, AssertUnwindSafe};
 
     /// Ring workload message: matched on the sender id (the
     /// sender-specific-filter contract the determinism argument needs).
@@ -627,8 +487,8 @@ mod tests {
         }
     }
 
-    fn run_ring_parked(n: usize, w: usize) -> Vec<Result<(u64, u64), BeffError>> {
-        try_run_sharded_parked(n, Workers::new(w), LOOKAHEAD, ring(n, 16)).0
+    fn run_ring(n: usize, w: usize) -> Vec<Result<(u64, u64), BeffError>> {
+        try_run_sharded(n, Workers::new(w), LOOKAHEAD, ring(n, 16)).0
     }
 
     #[test]
@@ -644,37 +504,24 @@ mod tests {
     }
 
     #[test]
-    fn ring_results_are_worker_count_invariant_parked() {
-        let serial = run_ring_parked(12, 1);
+    fn ring_results_are_worker_count_invariant() {
+        let serial = run_ring(12, 1);
         assert!(serial.iter().all(|r| r.is_ok()));
         for w in [2, 3, 4, 8] {
-            assert_eq!(serial, run_ring_parked(12, w), "parked ring diverged at {w} workers");
-        }
-    }
-
-    #[cfg(target_arch = "x86_64")]
-    #[test]
-    fn ring_results_are_worker_count_and_mechanism_invariant() {
-        let serial = run_ring_parked(12, 1);
-        for w in [1, 2, 4, 8] {
-            let (fibered, audit) =
-                try_run_sharded_fibered(12, Workers::new(w), LOOKAHEAD, ring(12, 16));
-            assert_eq!(serial, fibered, "fiber ring diverged at {w} workers");
-            assert!(audit.balanced());
+            assert_eq!(serial, run_ring(12, w), "ring diverged at {w} workers");
         }
     }
 
     #[test]
     fn audit_accounts_per_shard_and_balances() {
         let (results, audit) =
-            try_run_sharded_parked(8, Workers::new(4), LOOKAHEAD, ring(8, 4));
+            try_run_sharded(8, Workers::new(4), LOOKAHEAD, ring(8, 4));
         assert!(results.iter().all(|r| r.is_ok()));
         assert_eq!(audit.shards.len(), 4);
-        assert!(audit.balanced());
         assert!(audit.epochs > 0, "a 4-shard ring must cross epoch barriers");
         assert!(audit.flushed > 0, "a 4-shard ring must flush cross-shard messages");
         for a in &audit.shards {
-            assert_eq!(a.finished, 2);
+            assert_eq!((a.live, a.finished), (0, 2));
             assert!(!a.deadlocked && !a.aborted);
         }
     }
@@ -682,7 +529,7 @@ mod tests {
     #[test]
     fn global_deadlock_is_detected_across_shards() {
         // Everyone receives from a peer on another shard; nobody sends.
-        let (results, audit) = try_run_sharded_parked::<Hop, _, _>(
+        let (results, audit) = try_run_sharded::<Hop, _, _>(
             4,
             Workers::new(2),
             LOOKAHEAD,
@@ -695,13 +542,13 @@ mod tests {
         for r in results {
             assert!(matches!(r, Err(BeffError::Deadlock)), "got {r:?}");
         }
-        assert!(audit.balanced());
+        assert!(audit.shards.iter().all(|a| a.deadlocked && a.live == 0), "{audit:?}");
     }
 
     #[test]
     fn typed_fault_is_isolated_per_actor_not_per_worker() {
         let run = |w: usize| {
-            try_run_sharded_parked::<Hop, _, _>(
+            try_run_sharded::<Hop, _, _>(
                 6,
                 Workers::new(w),
                 LOOKAHEAD,
@@ -726,7 +573,7 @@ mod tests {
     #[test]
     fn untyped_panic_aborts_the_world_and_propagates() {
         let r = catch_unwind(AssertUnwindSafe(|| {
-            try_run_sharded_parked::<Hop, _, _>(
+            try_run_sharded::<Hop, _, _>(
                 4,
                 Workers::new(2),
                 LOOKAHEAD,
@@ -752,7 +599,7 @@ mod tests {
         // receive for a cross-shard message stamped near t=0: the
         // flusher must refuse the model's broken latency claim.
         let r = catch_unwind(AssertUnwindSafe(|| {
-            try_run_sharded_parked::<Hop, _, _>(
+            try_run_sharded::<Hop, _, _>(
                 2,
                 Workers::new(2),
                 LOOKAHEAD,
@@ -771,16 +618,14 @@ mod tests {
 
     /// The scale target: a 10k-actor world must fit tier-1 timeouts.
     /// Fibers make this cheap — `W` OS threads and 10k lazily-committed
-    /// stacks, not 10k threads — and the epoch count stays equal to the
-    /// round count regardless of scale.
-    #[cfg(target_arch = "x86_64")]
+    /// stacks — and the epoch count stays equal to the round count
+    /// regardless of scale.
     #[test]
     fn ten_thousand_ranks_fit_tier1_timeouts() {
         let n = 10_000;
         let (results, audit) =
-            try_run_sharded_fibered(n, Workers::new(4), LOOKAHEAD, ring(n, 3));
+            try_run_sharded(n, Workers::new(4), LOOKAHEAD, ring(n, 3));
         assert!(results.iter().all(|r| r.is_ok()));
-        assert!(audit.balanced());
         assert_eq!(audit.shards.len(), 4);
         // The rightward ring crosses each of the 4 shard boundaries
         // once per round.
@@ -789,7 +634,7 @@ mod tests {
 
     #[test]
     fn virtual_clocks_merge_on_receive() {
-        let (results, _) = try_run_sharded_parked::<Hop, _, _>(
+        let (results, _) = try_run_sharded::<Hop, _, _>(
             2,
             Workers::new(2),
             1.0,

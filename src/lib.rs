@@ -33,7 +33,8 @@
 //! * [`netsim`] — topologies, link contention, machine cost models,
 //! * [`faults`] — seeded deterministic fault injection (degraded and
 //!   dead links, stragglers, message drops, rank crashes),
-//! * [`mpi`] — thread-per-rank communicator: p2p, collectives, split,
+//! * [`mpi`] — MPI-like communicator (ranks are fibers in sim mode,
+//!   host threads in real mode): p2p, collectives, split,
 //! * [`pfs`] — striped I/O servers, write-back cache, local-disk twin,
 //! * [`mpiio`] — file views, shared pointers, collective buffering,
 //! * [`core`] — the two benchmarks themselves,
