@@ -122,7 +122,7 @@ pub const UNWRAP_BUDGETS: &[(&str, u32)] = &[
     ("faults", 0),
     ("json", 16),
     ("machines", 6),
-    ("mpi", 25),
+    ("mpi", 21),
     ("mpiio", 25),
     ("netsim", 7),
     ("pfs", 19),
@@ -165,6 +165,8 @@ pub struct LockDecl {
 /// | 40    | `sched.state`                | token-scheduler ready/blocked  |
 /// | 50    | `fiber.baton`                | one thread-backed fiber's turn |
 /// | 60    | `pfs.files` / `pfs.disk`     | filesystem name table          |
+/// | 64    | `pfs.ledger`                 | one filesystem's client/channel/server occupancy + cache accounting |
+/// | 66    | `pfs.file`                   | one file's size, residency stamps, stored bytes |
 /// | 70    | `netsim.routes`              | one route-table shard          |
 /// | 72    | `sim.ledger`                 | one machine's link occupancy + traffic counters |
 /// | 75    | `sync.barrier`               | epoch-barrier generation state |
@@ -184,6 +186,10 @@ pub struct LockDecl {
 /// route-cache miss takes and releases a route shard just before the
 /// ledger), so nesting it inside any of them stays increasing, and
 /// below only the sync primitives' own leaves.
+///
+/// `pfs.ledger` is taken once per priced filesystem call, by a rank
+/// that holds no other lock; the one lock acquired under it is the
+/// `pfs.file` of the file being priced, under which nothing is.
 ///
 /// The serve daemon's locks sit *below* the whole simulation stack:
 /// they bracket map pushes/pops, journal appends and counter flips on
@@ -264,6 +270,20 @@ pub const LOCK_HIERARCHY: &[LockDecl] = &[
         name: "pfs.files",
     },
     LockDecl {
+        file_suffix: "crates/pfs/src/fs.rs",
+        receiver: "ledger",
+        methods: &["lock"],
+        level: 64,
+        name: "pfs.ledger",
+    },
+    LockDecl {
+        file_suffix: "crates/pfs/src/file.rs",
+        receiver: "inner",
+        methods: &["lock"],
+        level: 66,
+        name: "pfs.file",
+    },
+    LockDecl {
         file_suffix: "crates/pfs/src/localdisk.rs",
         receiver: "files",
         methods: &["lock"],
@@ -316,6 +336,7 @@ pub const PANIC_ENTRY_POINTS: &[(&str, &[&str])] = &[
             "yield_turn",
             "yield_blocked",
             "unblock",
+            "unblock_all",
             "abort",
             "declare_deadlock",
             "drive",
@@ -381,7 +402,7 @@ pub const PANICFLOW_BUDGETS: &[(&str, u32)] = &[
     ("core", 3),
     ("json", 9),
     ("machines", 1),
-    ("mpi", 19),
+    ("mpi", 17),
     ("netsim", 1),
     ("sim", 18),
 ];

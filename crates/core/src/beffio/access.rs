@@ -7,6 +7,11 @@
 //! defines the authoritative layout; rewrite and read follow it, capped
 //! at the written repetition counts so they never run off the end of
 //! the file.
+//!
+//! Every access hands MPI-IO a slice of the rank's scratch ([`Bufs`]).
+//! In a world whose payload travels as lengths nobody reads those
+//! bytes, so nobody writes them either: the drivers are the same, the
+//! buffers stay untouched mappings, and a call costs what it prices.
 
 use super::patterns::{all_patterns, IoPattern, PatternType};
 use super::result::{AccessMethod, PatternDetail, TypeRun};
@@ -102,12 +107,13 @@ impl Default for RunState {
     }
 }
 
-/// Write/read scratch buffers (write side pre-filled with the rank's
-/// fill byte for verification). Each is M_PART-sized — megabytes per
-/// rank — and a world that does not copy data never writes the read
-/// side, so they are [`Pages`], not `Vec`s: the read side then stays
-/// unmapped zero pages on every run instead of whenever `calloc`
-/// happened to hand out fresh memory.
+/// Write/read scratch buffers, each M_PART-sized — megabytes per rank.
+/// The write side carries the rank's fill byte (what read verification
+/// checks) only in a world whose payload bytes move; a no-copy world
+/// hands every call a length, never reads either buffer, and so never
+/// touches them. They are [`Pages`], not `Vec`s: untouched means
+/// unmapped zero pages on every run, not whenever `calloc` happened to
+/// hand out fresh memory.
 pub struct Bufs {
     pub w: Pages,
     pub r: Pages,
@@ -115,10 +121,14 @@ pub struct Bufs {
 }
 
 impl Bufs {
-    pub fn new(rank: usize, max_call: u64) -> Self {
+    /// `copies_payload` is [`Comm::copies_payload`] of the world the
+    /// buffers will be used in.
+    pub fn new(rank: usize, max_call: u64, copies_payload: bool) -> Self {
         let fill = (rank % 251) as u8 + 1;
         let mut w = Pages::zeroed(max_call as usize);
-        w.fill(fill);
+        if copies_payload {
+            w.fill(fill);
+        }
         Self { w, r: Pages::zeroed(max_call as usize), fill }
     }
 }

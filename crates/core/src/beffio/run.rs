@@ -15,7 +15,7 @@ use std::sync::Arc;
 pub fn run_beff_io(comm: &mut Comm, io: &Arc<IoWorld>, cfg: &BeffIoConfig) -> BeffIoResult {
     let mp = mpart(cfg.mem_per_node);
     let max_call = all_patterns().iter().map(|p| p.call_bytes(mp)).max().expect("patterns");
-    let mut bufs = Bufs::new(comm.rank(), max_call);
+    let mut bufs = Bufs::new(comm.rank(), max_call, comm.copies_payload());
     let mut selfc = comm
         .split(Some(comm.rank() as u32), 0)
         .expect("self communicator");
@@ -97,6 +97,23 @@ mod tests {
         let cfg = tiny_cfg().with_verify();
         let rs = w.run(move |c| run_beff_io(c, &io, &cfg));
         assert!(rs[0].beff_io > 0.0);
+    }
+
+    #[test]
+    fn bufs_carry_the_fill_byte_only_where_payload_bytes_move() {
+        // the no-copy world hands out lengths and never reads `w`, so it
+        // stays untouched zero pages; `beff_io_with_data_verification`
+        // above is the other half — it fails on an unfilled `w`
+        for copies in [false, true] {
+            let (w, _io) = setup(2, copies);
+            let ok = w.run(move |c| {
+                assert_eq!(c.copies_payload(), copies);
+                let b = Bufs::new(c.rank(), 1 << 16, c.copies_payload());
+                let want = if copies { b.fill } else { 0 };
+                b.fill != 0 && b.w.iter().all(|&x| x == want) && b.r.iter().all(|&x| x == 0)
+            });
+            assert_eq!(ok, [true, true], "copies_payload = {copies}");
+        }
     }
 
     #[test]

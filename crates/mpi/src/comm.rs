@@ -127,6 +127,42 @@ impl CollBoard {
             exited: 0,
         }
     }
+
+    /// The last arriver's step: reduce the contributions in rank order,
+    /// put the common exit `cost` after the latest arrival, publish
+    /// both for the waiters and count the caller's own exit.
+    fn publish(&mut self, cost: Secs, op: Option<ReduceOp>) -> (Secs, Vec<f64>) {
+        let t_exit = self.t_arrive.iter().fold(0.0_f64, |a, &t| a.max(t)) + cost;
+        let mut acc = self.vals[0].take().expect("every rank contributed");
+        for v in &mut self.vals[1..] {
+            let v = v.take().expect("every rank contributed");
+            match op {
+                Some(op) => op.apply(&mut acc, &v),
+                None => debug_assert!(v.is_empty(), "barrier carries no data"),
+            }
+        }
+        self.done = Some((t_exit, acc.clone()));
+        self.exited = 1;
+        (t_exit, acc)
+    }
+}
+
+/// A waiter's step: the published result of the collective under `key`,
+/// if there is one yet, counting the caller's exit — the last of the
+/// `n` ranks out removes the board, so tags can be reused after the
+/// sequence counter wraps.
+fn pick_up(
+    boards: &mut BTreeMap<(u32, Tag), CollBoard>,
+    key: (u32, Tag),
+    n: usize,
+) -> Option<(Secs, Vec<f64>)> {
+    let b = boards.get_mut(&key)?;
+    let done = b.done.clone()?;
+    b.exited += 1;
+    if b.exited == n {
+        boards.remove(&key);
+    }
+    Some(done)
 }
 
 /// State shared by every rank of a world (created by the runtime).
@@ -185,6 +221,11 @@ pub struct Comm {
     /// ctx rank -> world rank
     ranks: Arc<Vec<usize>>,
     coll_seq: u32,
+    /// Virtual-time cost of one synchronization sweep over this
+    /// communicator ([`sim_coll_cost`](Self::sim_coll_cost)): a pure
+    /// function of `ranks`, worked out by the first rendezvous this
+    /// handle is the last arriver of.
+    sweep_cost: Option<Secs>,
 }
 
 impl Comm {
@@ -192,7 +233,7 @@ impl Comm {
     pub(crate) fn world(shared: Arc<WorldShared>, rank: usize) -> Self {
         let state = Rc::new(RefCell::new(RankState::new(&shared.engine)));
         let ranks = Arc::clone(&shared.world_ranks);
-        Self { shared, state, ctx: 0, rank, ranks, coll_seq: 0 }
+        Self { shared, state, ctx: 0, rank, ranks, coll_seq: 0, sweep_cost: None }
     }
 
     // ----- introspection ------------------------------------------------
@@ -533,19 +574,22 @@ impl Comm {
     /// synchronization traffic does not occupy links, so the measured
     /// region that follows starts from the idle network the benchmark's
     /// barrier is there to provide.
-    fn sim_coll_cost(&self, rounds: u32) -> Secs {
+    fn sim_coll_cost(&mut self, rounds: u32) -> Secs {
         let EngineCfg::Sim { net, .. } = self.shared.engine.as_ref() else {
             return 0.0;
         };
-        let p = net.params();
-        let n = self.size();
-        let mut per_sweep = 0.0;
-        let mut k = 1usize;
-        while k < n {
-            let lat = net.route_latency(self.ranks[0], self.ranks[k]);
-            per_sweep += p.o_send + lat + p.o_recv;
-            k <<= 1;
-        }
+        let ranks = &self.ranks;
+        let per_sweep = *self.sweep_cost.get_or_insert_with(|| {
+            let p = net.params();
+            let mut per_sweep = 0.0;
+            let mut k = 1usize;
+            while k < ranks.len() {
+                let lat = net.route_latency(ranks[0], ranks[k]);
+                per_sweep += p.o_send + lat + p.o_recv;
+                k <<= 1;
+            }
+            per_sweep
+        });
         per_sweep * rounds as f64
     }
 
@@ -555,7 +599,11 @@ impl Comm {
     /// once; the last arriver reduces in rank order, prices the
     /// collective in closed form ([`sim_coll_cost`](Self::sim_coll_cost))
     /// and re-queues the waiters. One scheduler yield per rank, zero
-    /// mailbox traffic, bit-deterministic.
+    /// mailbox traffic, bit-deterministic. The last arriver takes
+    /// `mpi.boards` once (post, reduce, publish and count its own exit
+    /// in one go) and `sched.state` once for all its peers; a waiter
+    /// takes `mpi.boards` twice (post; pick up the result and count its
+    /// exit).
     pub(crate) fn sim_rendezvous(
         &mut self,
         tag: Tag,
@@ -569,60 +617,40 @@ impl Comm {
         let now = self.now();
         let shared = Arc::clone(&self.shared);
         let sched = shared.sched.as_ref().expect("sim collectives need the token scheduler");
-        let last = {
+        let published = {
             let mut boards = shared.boards.lock();
             let b = boards.entry(key).or_insert_with(|| CollBoard::new(n));
             b.vals[self.rank] = Some(contrib);
             b.t_arrive[self.rank] = now;
             b.arrived += 1;
-            b.arrived == n
-        };
-        let (t_exit, result) = if last {
             // Barrier costs one dissemination sweep; allreduce is
             // modeled as reduce + bcast (two tree sweeps).
-            let cost = self.sim_coll_cost(if op.is_some() { 2 } else { 1 });
-            let mut boards = shared.boards.lock();
-            let b = boards.get_mut(&key).expect("board exists until all ranks exit");
-            let t_exit = b.t_arrive.iter().fold(0.0_f64, |a, &t| a.max(t)) + cost;
-            let mut acc = b.vals[0].take().expect("every rank contributed");
-            for v in &mut b.vals[1..] {
-                let v = v.take().expect("every rank contributed");
-                match op {
-                    Some(op) => op.apply(&mut acc, &v),
-                    None => debug_assert!(v.is_empty(), "barrier carries no data"),
-                }
+            (b.arrived == n)
+                .then(|| b.publish(self.sim_coll_cost(if op.is_some() { 2 } else { 1 }), op))
+        };
+        let (t_exit, result) = match published {
+            Some(done) => {
+                let me = self.rank;
+                let peers = self.ranks.iter().enumerate().filter(|&(i, _)| i != me);
+                sched.unblock_all(peers.map(|(_, &w)| w));
+                done
             }
-            b.done = Some((t_exit, acc.clone()));
-            drop(boards);
-            for i in 0..n {
-                if i != self.rank {
-                    sched.unblock(self.ranks[i]);
-                }
-            }
-            (t_exit, acc)
-        } else {
-            loop {
+            None => loop {
                 sched.yield_blocked(wr);
                 // Woken: either the last arriver published the result,
                 // or the world died while we were parked.
-                if let Some(done) =
-                    shared.boards.lock().get(&key).and_then(|b| b.done.clone())
-                {
+                let picked = {
+                    let mut boards = shared.boards.lock();
+                    pick_up(&mut boards, key, n)
+                };
+                if let Some(done) = picked {
                     break done;
                 }
                 if shared.mailboxes[wr].is_poisoned() {
                     BeffError::PeerFailed.raise();
                 }
-            }
+            },
         };
-        {
-            let mut boards = shared.boards.lock();
-            let b = boards.get_mut(&key).expect("board exists until all ranks exit");
-            b.exited += 1;
-            if b.exited == n {
-                boards.remove(&key);
-            }
-        }
         self.advance_to(t_exit);
         result
     }
@@ -715,6 +743,7 @@ impl Comm {
             rank,
             ranks: Arc::new(ranks),
             coll_seq: 0,
+            sweep_cost: None,
         }
     }
 }

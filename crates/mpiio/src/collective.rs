@@ -18,8 +18,9 @@
 //!    `cb_buffer_size` chunks.
 //!
 //! In no-copy simulation mode the payload messages and filesystem
-//! writes carry only lengths; the exchange *timing* is still fully
-//! modeled.
+//! writes carry only lengths — no scratch is built, zeroed or copied
+//! (`MpiFile::materialize` is the one place that decides); the
+//! exchange *timing* is still fully modeled.
 
 use crate::file::MpiFile;
 use beff_mpi::{Comm, ReduceOp};
@@ -144,25 +145,25 @@ impl MpiFile {
 
         // ---- phase 1: ship my pieces to their aggregators ----
         let per_aggr = plan.assign(&pieces);
+        let copy = self.materialize(comm);
         let mut scratch: Vec<u8> = Vec::new();
         for (i, mine) in per_aggr.iter().enumerate() {
             let a = plan.aggregators[i];
             let header = encode_pieces(mine);
             comm.send(a, tag_h, &header);
             let total: u64 = mine.iter().map(|p| p.len).sum();
-            if total > 0 {
+            if total == 0 {
+                continue;
+            }
+            if copy {
                 scratch.clear();
-                scratch.resize(total as usize, 0);
-                if self.copy_mode(comm) {
-                    let mut off = 0usize;
-                    for p in mine {
-                        let s = p.data_off as usize;
-                        let e = s + p.len as usize;
-                        scratch[off..off + p.len as usize].copy_from_slice(&data[s..e]);
-                        off += p.len as usize;
-                    }
+                for p in mine {
+                    let s = p.data_off as usize;
+                    scratch.extend_from_slice(&data[s..s + p.len as usize]);
                 }
                 comm.payload_send(a, tag_p, &scratch);
+            } else {
+                comm.payload_send_len(a, tag_p, total);
             }
         }
 
@@ -184,7 +185,6 @@ impl MpiFile {
                 }
             }
             let runs = coalesce(all);
-            let copy = self.copy_mode(comm);
             let cb = self.hints().cb_buffer_size.max(1);
             for (start, len) in runs {
                 if copy {
@@ -244,6 +244,7 @@ impl MpiFile {
 
         // ---- phase 1: send requests ----
         let per_aggr = plan.assign(&pieces);
+        let copy = self.materialize(comm);
         for (i, mine) in per_aggr.iter().enumerate() {
             comm.send(plan.aggregators[i], tag_h, &encode_pieces(mine));
         }
@@ -257,7 +258,6 @@ impl MpiFile {
             }
             let all: Vec<Piece> = requests.iter().flat_map(|(_, ps)| ps.iter().copied()).collect();
             let runs = coalesce(all);
-            let copy = self.copy_mode(comm);
             // read each run once
             let mut run_data: Vec<(u64, Vec<u8>)> = Vec::new();
             let cb = self.hints().cb_buffer_size.max(1);
@@ -292,9 +292,9 @@ impl MpiFile {
                 if total == 0 {
                     continue;
                 }
-                scratch.clear();
-                scratch.resize(total as usize, 0);
                 if copy {
+                    scratch.clear();
+                    scratch.resize(total as usize, 0);
                     let mut off = 0usize;
                     for p in &ps {
                         for (rs, rb) in &run_data {
@@ -307,13 +307,14 @@ impl MpiFile {
                         }
                         off += p.len as usize;
                     }
+                    comm.payload_send(src, tag_p, &scratch);
+                } else {
+                    comm.payload_send_len(src, tag_p, total);
                 }
-                comm.payload_send(src, tag_p, &scratch);
             }
         }
 
         // ---- phase 3: receive my pieces ----
-        let copy = self.copy_mode(comm);
         for (i, mine) in per_aggr.iter().enumerate() {
             let total: u64 = mine.iter().map(|p| p.len).sum();
             if total == 0 {
@@ -336,13 +337,6 @@ impl MpiFile {
         self.seek(self.tell() + buf.len() as u64);
         buf.len() as u64
     }
-
-    fn copy_mode(&self, comm: &Comm) -> bool {
-        match comm.engine() {
-            beff_mpi::EngineCfg::Real => true,
-            beff_mpi::EngineCfg::Sim { copy_data, .. } => *copy_data,
-        }
-    }
 }
 
 fn to_pieces(segs: &[(u64, u64)]) -> Vec<Piece> {
@@ -356,12 +350,7 @@ fn to_pieces(segs: &[(u64, u64)]) -> Vec<Piece> {
 }
 
 fn span_of(pieces: &[Piece]) -> (u64, u64) {
-    if pieces.is_empty() {
-        return (u64::MAX, 0);
-    }
-    let lo = pieces.iter().map(|p| p.phys).min().expect("nonempty");
-    let hi = pieces.iter().map(|p| p.phys + p.len).max().expect("nonempty");
-    (lo, hi)
+    pieces.iter().fold((u64::MAX, 0), |(lo, hi), p| (lo.min(p.phys), hi.max(p.phys + p.len)))
 }
 
 fn comm_tag(comm: &mut Comm) -> beff_mpi::Tag {

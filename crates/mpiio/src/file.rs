@@ -13,7 +13,7 @@ use crate::amode::AMode;
 use crate::hints::Hints;
 use crate::view::FileView;
 use crate::world::{IoWorld, Storage};
-use beff_mpi::{Comm, EngineCfg};
+use beff_mpi::Comm;
 use beff_pfs::{DataRef, FsFile, LocalFile};
 use beff_sync::Mutex;
 use std::io;
@@ -50,6 +50,14 @@ impl MpiFile {
         amode: AMode,
         hints: Hints,
     ) -> io::Result<MpiFile> {
+        // Every rank sees the same engine and storage, so every rank
+        // refuses here, before the first collective step.
+        if matches!(world.storage(), Storage::Local(_)) && !comm.copies_payload() {
+            return Err(io::Error::new(
+                io::ErrorKind::InvalidInput,
+                format!("{path}: a real-disk backend needs an engine that moves payload bytes"),
+            ));
+        }
         // rank 0 creates/truncates, then everyone opens
         if comm.rank() == 0 {
             match world.storage() {
@@ -146,13 +154,19 @@ impl MpiFile {
 
     // ----- raw (physical-offset) operations --------------------------------
 
-    /// Whether real bytes should be pushed into the backend.
-    fn materialize(&self, comm: &Comm) -> bool {
-        match (&self.backing, comm.engine()) {
-            (Backing::Local(_), _) => true,
-            (Backing::Sim(_), EngineCfg::Real) => true,
-            (Backing::Sim(_), EngineCfg::Sim { copy_data, .. }) => *copy_data,
-        }
+    /// Do payload bytes move through this file — the one spelling of
+    /// the question for the raw calls, the two-phase exchange and the
+    /// sieving windows. The engine alone decides: [`MpiFile::open`]
+    /// refuses a real-disk backend under an engine that carries no
+    /// bytes, so a length-only call can only ever meet the simulated
+    /// backend.
+    pub(crate) fn materialize(&self, comm: &Comm) -> bool {
+        let moves = comm.copies_payload();
+        debug_assert!(
+            moves || matches!(self.backing, Backing::Sim(_)),
+            "open admits real files only under an engine that moves bytes"
+        );
+        moves
     }
 
     /// Write `data` (or, in no-copy mode, just its length) at physical

@@ -47,7 +47,7 @@ impl MpiFile {
         buf: &mut [u8],
         buffer: u64,
     ) -> u64 {
-        let copy = self.copy_backend(comm);
+        let copy = self.materialize(comm);
         let mut done = 0u64;
         let mut seg_data_off = vec![0u64; segs.len()];
         {
@@ -84,7 +84,7 @@ impl MpiFile {
         data: &[u8],
         buffer: u64,
     ) -> u64 {
-        let copy = self.copy_backend(comm);
+        let copy = self.materialize(comm);
         let mut done = 0u64;
         let mut data_off = 0u64;
         let mut offsets = Vec::with_capacity(segs.len());
@@ -111,13 +111,6 @@ impl MpiFile {
             }
         }
         done
-    }
-
-    fn copy_backend(&self, comm: &Comm) -> bool {
-        match comm.engine() {
-            beff_mpi::EngineCfg::Real => true,
-            beff_mpi::EngineCfg::Sim { copy_data, .. } => *copy_data,
-        }
     }
 }
 

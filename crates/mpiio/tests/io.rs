@@ -242,6 +242,40 @@ fn local_backend_collective_write_all() {
     assert!(ok.iter().all(|&b| b));
 }
 
+/// A real file needs real bytes: under an engine that carries only
+/// lengths every rank's open is refused with a typed error, instead of
+/// the aggregator panicking in a length-only write mid-collective. The
+/// same disk under an engine that moves bytes works.
+#[test]
+fn local_backend_under_a_no_copy_engine_is_refused_at_open() {
+    let disk = Arc::new(LocalDisk::temp("mpiio-nocopy").unwrap());
+    let io = IoWorld::local(Arc::clone(&disk));
+    let net = || Arc::new(MachineNet::new(Topology::Crossbar { procs: 4 }, NetParams::default()));
+    let strided_write_all = |c: &mut beff_mpi::Comm| {
+        let (n, l) = (c.size() as u64, 128u64);
+        let mut f =
+            MpiFile::open(c, &io, "nc.dat", AMode::read_write_create(), Hints::default())?;
+        f.set_view(FileView::Strided { disp: c.rank() as u64 * l, block: l, stride: n * l });
+        let data = vec![c.rank() as u8 + 1; 4 * l as usize];
+        f.write_all(c, &data);
+        f.seek(0);
+        let mut back = vec![0u8; data.len()];
+        f.read_all(c, &mut back);
+        f.close(c);
+        Ok::<bool, std::io::Error>(back == data)
+    };
+    for r in World::sim(net()).run(strided_write_all) {
+        assert!(matches!(&r, Err(e) if e.kind() == std::io::ErrorKind::InvalidInput), "{r:?}");
+    }
+    for r in World::sim(net()).copy_data(true).run(strided_write_all) {
+        assert!(matches!(r, Ok(true)), "bytes round-trip through the real file: {r:?}");
+    }
+    drop(io);
+    if let Ok(d) = Arc::try_unwrap(disk) {
+        d.destroy();
+    }
+}
+
 #[test]
 fn two_phase_beats_per_chunk_writes_in_virtual_time() {
     // The core claim behind pattern type 0: collective buffering turns

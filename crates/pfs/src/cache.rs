@@ -21,13 +21,20 @@
 
 use crate::config::PfsConfig;
 use beff_netsim::{Secs, MB};
-use beff_sync::Mutex;
 
 /// Cache block granularity for hit/miss bookkeeping.
 pub const CACHE_BLOCK: u64 = 64 * 1024;
 
+/// Write-back cache of one filesystem. Plain state: part of the
+/// filesystem's ledger ([`crate::fs`]), touched only under that lock.
 #[derive(Debug)]
-struct State {
+pub struct Cache {
+    capacity: f64,
+    cache_byte_time: Secs,
+    drain_rate: f64, // bytes/sec, healthy servers
+    /// Multiplier on `drain_rate`: the drain goes *through* the
+    /// servers, so degrading them (fault injection) slows it too.
+    drain_factor: f64,
     /// Dirty bytes not yet on disk.
     dirty: f64,
     /// Virtual time of the last dirty-accounting update.
@@ -36,59 +43,48 @@ struct State {
     cum: u64,
 }
 
-/// Shared write-back cache of one filesystem.
-#[derive(Debug)]
-pub struct Cache {
-    capacity: f64,
-    cache_byte_time: Secs,
-    drain_rate: f64, // bytes/sec, healthy servers
-    /// Multiplier on `drain_rate`: the drain goes *through* the
-    /// servers, so degrading them (fault injection) slows it too.
-    drain_factor: Mutex<f64>,
-    state: Mutex<State>,
-}
-
 impl Cache {
     pub fn new(cfg: &PfsConfig) -> Self {
         Self {
             capacity: cfg.cache_bytes as f64,
             cache_byte_time: 1.0 / (cfg.cache_mbps * MB as f64),
             drain_rate: cfg.drain_bytes_per_sec(),
-            drain_factor: Mutex::new(1.0),
-            state: Mutex::new(State { dirty: 0.0, last: 0.0, cum: 0 }),
+            drain_factor: 1.0,
+            dirty: 0.0,
+            last: 0.0,
+            cum: 0,
         }
     }
 
     /// Current effective drain rate (bytes/sec).
     fn rate(&self) -> f64 {
-        self.drain_rate * *self.drain_factor.lock()
+        self.drain_rate * self.drain_factor
     }
 
     /// Scale the drain bandwidth by `f` (e.g. `1 / slowdown` when the
     /// servers are degraded). `f = 1.0` restores the healthy rate.
-    pub fn set_drain_factor(&self, f: f64) {
+    pub fn set_drain_factor(&mut self, f: f64) {
         assert!(f > 0.0 && f.is_finite(), "drain factor must be a positive scale");
-        *self.drain_factor.lock() = f;
+        self.drain_factor = f;
     }
 
     pub fn enabled(&self) -> bool {
         self.capacity > 0.0
     }
 
-    fn drain_to(&self, s: &mut State, t: Secs) {
-        if t > s.last {
-            s.dirty = (s.dirty - (t - s.last) * self.rate()).max(0.0);
-            s.last = t;
+    fn drain_to(&mut self, t: Secs) {
+        if t > self.last {
+            self.dirty = (self.dirty - (t - self.last) * self.rate()).max(0.0);
+            self.last = t;
         }
     }
 
     /// Admit a write of `len` bytes at time `t`; returns the completion
     /// time. Stalls (in virtual time) until drain frees room.
-    pub fn admit_write(&self, t: Secs, len: u64) -> Secs {
-        let mut s = self.state.lock();
-        self.drain_to(&mut s, t);
+    pub fn admit_write(&mut self, t: Secs, len: u64) -> Secs {
+        self.drain_to(t);
         let len_f = len as f64;
-        let free = self.capacity - s.dirty;
+        let free = self.capacity - self.dirty;
         let start = if len_f <= free {
             t
         } else {
@@ -97,19 +93,18 @@ impl Cache {
             t + (len_f - free) / self.rate()
         };
         let done = start + len_f * self.cache_byte_time;
-        self.drain_to(&mut s, done);
-        s.dirty = (s.dirty + len_f).min(self.capacity.max(len_f));
-        s.last = s.last.max(done);
+        self.drain_to(done);
+        self.dirty = (self.dirty + len_f).min(self.capacity.max(len_f));
+        self.last = self.last.max(done);
         done
     }
 
     /// Wait until all dirty data is on disk; returns completion time.
-    pub fn sync(&self, t: Secs) -> Secs {
-        let mut s = self.state.lock();
-        self.drain_to(&mut s, t);
-        let done = t + s.dirty / self.rate();
-        s.dirty = 0.0;
-        s.last = done;
+    pub fn sync(&mut self, t: Secs) -> Secs {
+        self.drain_to(t);
+        let done = t + self.dirty / self.rate();
+        self.dirty = 0.0;
+        self.last = done;
         done
     }
 
@@ -117,17 +112,16 @@ impl Cache {
     /// value to stamp them with (the clock value *before* this access:
     /// a block is evicted once `cache_bytes` further bytes have entered
     /// since it began caching).
-    pub fn touch(&self, len: u64) -> u64 {
-        let mut s = self.state.lock();
-        let stamp = s.cum;
-        s.cum += len;
+    pub fn touch(&mut self, len: u64) -> u64 {
+        let stamp = self.cum;
+        self.cum += len;
         stamp
     }
 
     /// Is a block stamped `stamp` still resident?
+    #[inline]
     pub fn resident(&self, stamp: u64) -> bool {
-        let s = self.state.lock();
-        (s.cum - stamp) as f64 <= self.capacity
+        (self.cum - stamp) as f64 <= self.capacity
     }
 
     /// Time to move `len` bytes at cache (memory) speed.
@@ -137,10 +131,9 @@ impl Cache {
     }
 
     /// Current dirty bytes (diagnostics / tests).
-    pub fn dirty_at(&self, t: Secs) -> f64 {
-        let mut s = self.state.lock();
-        self.drain_to(&mut s, t);
-        s.dirty
+    pub fn dirty_at(&mut self, t: Secs) -> f64 {
+        self.drain_to(t);
+        self.dirty
     }
 }
 
@@ -160,14 +153,14 @@ mod tests {
 
     #[test]
     fn small_write_at_memory_speed() {
-        let c = cache(100, 100.0, 1, 10.0);
+        let mut c = cache(100, 100.0, 1, 10.0);
         let done = c.admit_write(0.0, 10 * MB);
         assert!((done - 0.1).abs() < 1e-9, "done={done}");
     }
 
     #[test]
     fn oversized_write_throttles_to_drain_rate() {
-        let c = cache(10, 1000.0, 1, 10.0); // 10 MB cache, 10 MB/s drain
+        let mut c = cache(10, 1000.0, 1, 10.0); // 10 MB cache, 10 MB/s drain
         let done = c.admit_write(0.0, 110 * MB);
         // 100 MB over capacity at 10 MB/s drain = ~10 s stall
         assert!(done > 9.0, "done={done}");
@@ -175,7 +168,7 @@ mod tests {
 
     #[test]
     fn drain_frees_room_over_time() {
-        let c = cache(10, 1000.0, 1, 10.0);
+        let mut c = cache(10, 1000.0, 1, 10.0);
         c.admit_write(0.0, 10 * MB); // cache now full
         // ten seconds later everything has drained
         assert!(c.dirty_at(20.0) == 0.0);
@@ -185,7 +178,7 @@ mod tests {
 
     #[test]
     fn sync_waits_for_dirty() {
-        let c = cache(100, 1000.0, 1, 10.0);
+        let mut c = cache(100, 1000.0, 1, 10.0);
         c.admit_write(0.0, 50 * MB);
         let done = c.sync(0.1);
         // ~49 MB still dirty at t=0.1, at 10 MB/s → ~4.9 s
@@ -195,7 +188,7 @@ mod tests {
 
     #[test]
     fn residency_follows_lru_budget() {
-        let c = cache(1, 1000.0, 1, 10.0); // 1 MB capacity
+        let mut c = cache(1, 1000.0, 1, 10.0); // 1 MB capacity
         let stamp = c.touch(512 * 1024);
         assert!(c.resident(stamp));
         c.touch(512 * 1024); // budget now exactly at capacity
@@ -212,7 +205,7 @@ mod tests {
 
     #[test]
     fn sustained_writes_asymptote_to_drain_bandwidth() {
-        let c = cache(8, 1000.0, 4, 25.0); // 100 MB/s drain
+        let mut c = cache(8, 1000.0, 4, 25.0); // 100 MB/s drain
         let mut t = 0.0;
         let total = 1000 * MB;
         let chunk = 8 * MB;

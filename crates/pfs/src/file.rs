@@ -1,35 +1,45 @@
 //! File objects of the simulated filesystem: metadata, optional sparse
-//! content store, and per-block cache residency stamps.
+//! content store, and per-block cache residency stamps — plain state
+//! (`FileState`) behind the file's own lock, `pfs.file`, which
+//! [`crate::Pfs`] takes once per priced call under its ledger lock.
 
 use crate::cache::CACHE_BLOCK;
-use beff_sync::Mutex;
-// beff-analyze: allow(hash-order): per-block maps below are keyed-lookup-only, never iterated
+use beff_sync::{Mutex, MutexGuard, Rank};
+// beff-analyze: allow(hash-order): the block map below is keyed-lookup-only, never iterated
 use std::collections::HashMap;
 
+/// Lock-hierarchy position of one file's state (DESIGN.md §8).
+static FILE_RANK: Rank = Rank::new(66, "pfs.file");
+
+/// Residency stamp of a block that was never cached.
+const NEVER: u64 = u64::MAX;
+
+/// What a file is, behind its lock.
 #[derive(Debug, Default)]
-struct Inner {
+pub(crate) struct FileState {
     size: u64,
     /// Sparse content, CACHE_BLOCK-sized blocks (store-data mode only).
-    /// Hash maps are kept here (hot per-block path) because access is
-    /// strictly by key: nothing ever iterates them, so hasher order
+    /// A hash map is kept here (hot per-block path) because access is
+    /// strictly by key: nothing ever iterates it, so hasher order
     /// cannot leak into results.
     // beff-analyze: allow(hash-order): keyed by block index, cleared wholesale, never iterated
     blocks: HashMap<u64, Box<[u8]>>,
-    /// Cache residency: block index -> LRU stamp.
-    // beff-analyze: allow(hash-order): keyed by block index, never iterated
-    cached: HashMap<u64, u64>,
+    /// Cache residency: LRU stamp by block index, dense from block 0 to
+    /// the last block ever cached (8 bytes per 64 kB of file), [`NEVER`]
+    /// where nothing was.
+    stamps: Vec<u64>,
 }
 
 /// One simulated file.
-#[derive(Debug, Default)]
+#[derive(Debug)]
 pub struct FsFile {
     pub(crate) name: String,
-    inner: Mutex<Inner>,
+    inner: Mutex<FileState>,
 }
 
 impl FsFile {
     pub fn new(name: String) -> Self {
-        Self { name, inner: Mutex::new(Inner::default()) }
+        Self { name, inner: Mutex::ranked(&FILE_RANK, FileState::default()) }
     }
 
     pub fn name(&self) -> &str {
@@ -37,39 +47,48 @@ impl FsFile {
     }
 
     pub fn size(&self) -> u64 {
-        self.inner.lock().size
-    }
-
-    /// Grow the file to at least `end` bytes.
-    pub fn extend_to(&self, end: u64) {
-        let mut g = self.inner.lock();
-        if end > g.size {
-            g.size = end;
-        }
+        self.lock().size
     }
 
     /// Truncate to zero and drop content (rewrite-from-scratch tests).
     pub fn truncate(&self) {
-        let mut g = self.inner.lock();
-        g.size = 0;
-        g.blocks.clear();
-        g.cached.clear();
+        self.lock().truncate();
+    }
+
+    pub(crate) fn lock(&self) -> MutexGuard<'_, FileState> {
+        self.inner.lock()
+    }
+}
+
+/// The blocks overlapping `[offset, offset+len)`, `len > 0`.
+fn block_span(offset: u64, len: u64) -> std::ops::RangeInclusive<usize> {
+    (offset / CACHE_BLOCK) as usize..=((offset + len - 1) / CACHE_BLOCK) as usize
+}
+
+impl FileState {
+    pub(crate) fn size(&self) -> u64 {
+        self.size
+    }
+
+    /// Grow the file to at least `end` bytes.
+    pub(crate) fn extend_to(&mut self, end: u64) {
+        self.size = self.size.max(end);
+    }
+
+    fn truncate(&mut self) {
+        *self = Self::default();
     }
 
     /// Store `data` at `offset` (store-data mode).
-    pub fn store(&self, offset: u64, data: &[u8]) {
-        let mut g = self.inner.lock();
-        let end = offset + data.len() as u64;
-        if end > g.size {
-            g.size = end;
-        }
+    pub(crate) fn store(&mut self, offset: u64, data: &[u8]) {
+        self.extend_to(offset + data.len() as u64);
         let mut pos = 0usize;
         while pos < data.len() {
             let abs = offset + pos as u64;
             let block = abs / CACHE_BLOCK;
             let in_block = (abs % CACHE_BLOCK) as usize;
             let n = ((CACHE_BLOCK as usize) - in_block).min(data.len() - pos);
-            let buf = g
+            let buf = self
                 .blocks
                 .entry(block)
                 .or_insert_with(|| vec![0u8; CACHE_BLOCK as usize].into_boxed_slice());
@@ -80,15 +99,14 @@ impl FsFile {
 
     /// Load stored bytes at `offset` into `out`; unwritten regions read
     /// as zero.
-    pub fn load(&self, offset: u64, out: &mut [u8]) {
-        let g = self.inner.lock();
+    pub(crate) fn load(&self, offset: u64, out: &mut [u8]) {
         let mut pos = 0usize;
         while pos < out.len() {
             let abs = offset + pos as u64;
             let block = abs / CACHE_BLOCK;
             let in_block = (abs % CACHE_BLOCK) as usize;
             let n = ((CACHE_BLOCK as usize) - in_block).min(out.len() - pos);
-            match g.blocks.get(&block) {
+            match self.blocks.get(&block) {
                 Some(buf) => out[pos..pos + n].copy_from_slice(&buf[in_block..in_block + n]),
                 None => out[pos..pos + n].fill(0),
             }
@@ -97,74 +115,45 @@ impl FsFile {
     }
 
     /// Stamp the blocks overlapping `[offset, offset+len)` as cached.
-    pub fn mark_cached(&self, offset: u64, len: u64, stamp: u64) {
+    pub(crate) fn mark_cached(&mut self, offset: u64, len: u64, stamp: u64) {
         if len == 0 {
             return;
         }
-        let mut g = self.inner.lock();
-        let first = offset / CACHE_BLOCK;
-        let last = (offset + len - 1) / CACHE_BLOCK;
-        for b in first..=last {
-            g.cached.insert(b, stamp);
+        let span = block_span(offset, len);
+        if self.stamps.len() <= *span.end() {
+            self.stamps.resize(*span.end() + 1, NEVER);
         }
+        self.stamps[span].fill(stamp);
     }
 
-    /// How many bytes of `[offset, offset+len)` are in blocks whose
-    /// stamp satisfies `resident` — plus the count of *new* bytes that
-    /// will have to come from the servers.
-    pub fn cached_split(
+    /// Fill `runs` (a buffer the caller reuses) with the maximal
+    /// contiguous sub-ranges of `[offset, offset+len)` that are *not*
+    /// cache-resident (these must come from the servers): a block
+    /// counts as resident when it was stamped and `resident` accepts
+    /// the stamp.
+    pub(crate) fn miss_runs(
         &self,
         offset: u64,
         len: u64,
         resident: impl Fn(u64) -> bool,
-    ) -> (u64, u64) {
+        runs: &mut Vec<(u64, u64)>,
+    ) {
+        runs.clear();
         if len == 0 {
-            return (0, 0);
+            return;
         }
-        let g = self.inner.lock();
-        let first = offset / CACHE_BLOCK;
-        let last = (offset + len - 1) / CACHE_BLOCK;
-        let mut hit = 0u64;
-        for b in first..=last {
-            let bstart = b * CACHE_BLOCK;
-            let bend = bstart + CACHE_BLOCK;
-            let ov = bend.min(offset + len) - bstart.max(offset);
-            if g.cached.get(&b).is_some_and(|&s| resident(s)) {
-                hit += ov;
-            }
-        }
-        (hit, len - hit)
-    }
-
-    /// The maximal contiguous sub-ranges of `[offset, offset+len)` that
-    /// are *not* cache-resident (these must come from the servers).
-    pub fn miss_runs(
-        &self,
-        offset: u64,
-        len: u64,
-        resident: impl Fn(u64) -> bool,
-    ) -> Vec<(u64, u64)> {
-        if len == 0 {
-            return Vec::new();
-        }
-        let g = self.inner.lock();
-        let first = offset / CACHE_BLOCK;
-        let last = (offset + len - 1) / CACHE_BLOCK;
-        let mut runs: Vec<(u64, u64)> = Vec::new();
-        for b in first..=last {
-            if g.cached.get(&b).is_some_and(|&s| resident(s)) {
+        let end = offset + len;
+        for b in block_span(offset, len) {
+            if self.stamps.get(b).is_some_and(|&s| s != NEVER && resident(s)) {
                 continue;
             }
-            let bstart = b * CACHE_BLOCK;
-            let bend = bstart + CACHE_BLOCK;
-            let s = bstart.max(offset);
-            let e = bend.min(offset + len);
+            let s = (b as u64 * CACHE_BLOCK).max(offset);
+            let e = ((b as u64 + 1) * CACHE_BLOCK).min(end);
             match runs.last_mut() {
                 Some(r) if r.0 + r.1 == s => r.1 += e - s,
                 _ => runs.push((s, e - s)),
             }
         }
-        runs
     }
 }
 
@@ -172,9 +161,25 @@ impl FsFile {
 mod tests {
     use super::*;
 
+    fn miss_runs(
+        f: &FileState,
+        offset: u64,
+        len: u64,
+        resident: impl Fn(u64) -> bool,
+    ) -> Vec<(u64, u64)> {
+        let mut runs = vec![(7, 7)]; // stale content of a reused buffer
+        f.miss_runs(offset, len, resident, &mut runs);
+        runs
+    }
+
+    /// Bytes of `[offset, offset+len)` in resident blocks.
+    fn hit_bytes(f: &FileState, offset: u64, len: u64, resident: impl Fn(u64) -> bool) -> u64 {
+        len - miss_runs(f, offset, len, resident).iter().map(|r| r.1).sum::<u64>()
+    }
+
     #[test]
     fn store_load_roundtrip_across_blocks() {
-        let f = FsFile::new("x".into());
+        let mut f = FileState::default();
         let data: Vec<u8> = (0..200_000).map(|i| (i % 251) as u8).collect();
         f.store(CACHE_BLOCK - 100, &data);
         let mut out = vec![0u8; data.len()];
@@ -185,7 +190,7 @@ mod tests {
 
     #[test]
     fn unwritten_reads_zero() {
-        let f = FsFile::new("x".into());
+        let mut f = FileState::default();
         f.store(0, b"abc");
         let mut out = [9u8; 6];
         f.load(1_000_000, &mut out);
@@ -193,77 +198,71 @@ mod tests {
     }
 
     #[test]
-    fn cached_split_counts_overlap() {
-        let f = FsFile::new("x".into());
+    fn hits_count_overlap_with_stamped_blocks() {
+        let mut f = FileState::default();
         f.mark_cached(0, CACHE_BLOCK, 5);
         // second block not cached
-        let (hit, miss) = f.cached_split(CACHE_BLOCK / 2, CACHE_BLOCK, |s| s == 5);
-        assert_eq!(hit, CACHE_BLOCK / 2);
-        assert_eq!(miss, CACHE_BLOCK / 2);
+        assert_eq!(hit_bytes(&f, CACHE_BLOCK / 2, CACHE_BLOCK, |s| s == 5), CACHE_BLOCK / 2);
     }
 
     #[test]
     fn eviction_via_resident_predicate() {
-        let f = FsFile::new("x".into());
+        let mut f = FileState::default();
         f.mark_cached(0, 10, 1);
-        let (hit, miss) = f.cached_split(0, 10, |_| false);
-        assert_eq!((hit, miss), (0, 10));
+        assert_eq!(hit_bytes(&f, 0, 10, |_| false), 0);
+        assert_eq!(hit_bytes(&f, 0, 10, |_| true), 10);
     }
 
     #[test]
     fn truncate_clears_everything() {
         let f = FsFile::new("x".into());
-        f.store(0, b"data");
-        f.mark_cached(0, 4, 1);
+        f.lock().store(0, b"data");
+        f.lock().mark_cached(0, 4, 1);
         f.truncate();
         assert_eq!(f.size(), 0);
-        let (hit, _) = f.cached_split(0, 4, |_| true);
-        assert_eq!(hit, 0);
+        assert_eq!(hit_bytes(&f.lock(), 0, 4, |_| true), 0);
+        let mut out = [9u8; 4];
+        f.lock().load(0, &mut out);
+        assert_eq!(out, [0u8; 4]);
     }
 
     #[test]
     fn extend_to_grows_monotonically() {
-        let f = FsFile::new("x".into());
+        let mut f = FileState::default();
         f.extend_to(100);
         f.extend_to(50);
         assert_eq!(f.size(), 100);
     }
-}
-
-#[cfg(test)]
-mod miss_run_tests {
-    use super::*;
 
     #[test]
     fn all_miss_is_one_run() {
-        let f = FsFile::new("x".into());
-        assert_eq!(f.miss_runs(10, 100, |_| true), vec![(10, 100)]);
+        let f = FileState::default();
+        assert_eq!(miss_runs(&f, 10, 100, |_| true), vec![(10, 100)]);
     }
 
     #[test]
     fn cached_middle_splits_runs() {
-        let f = FsFile::new("x".into());
+        let mut f = FileState::default();
         f.mark_cached(CACHE_BLOCK, CACHE_BLOCK, 1); // block 1 cached
-        let runs = f.miss_runs(0, 3 * CACHE_BLOCK, |s| s == 1);
+        let runs = miss_runs(&f, 0, 3 * CACHE_BLOCK, |s| s == 1);
         assert_eq!(runs, vec![(0, CACHE_BLOCK), (2 * CACHE_BLOCK, CACHE_BLOCK)]);
     }
 
     #[test]
     fn fully_cached_has_no_runs() {
-        let f = FsFile::new("x".into());
+        let mut f = FileState::default();
         f.mark_cached(0, 4 * CACHE_BLOCK, 1);
-        assert!(f.miss_runs(100, CACHE_BLOCK, |_| true).is_empty());
+        assert!(miss_runs(&f, 100, CACHE_BLOCK, |_| true).is_empty());
     }
 
     #[test]
-    fn runs_and_split_agree() {
-        let f = FsFile::new("x".into());
+    fn never_cached_gaps_between_stamped_blocks_miss() {
+        // stamping block 3 makes the stamp table dense over 0..=3; the
+        // blocks nobody cached must not read as resident
+        let mut f = FileState::default();
         f.mark_cached(0, CACHE_BLOCK, 1);
         f.mark_cached(3 * CACHE_BLOCK, CACHE_BLOCK, 1);
-        let (hit, miss) = f.cached_split(0, 5 * CACHE_BLOCK, |_| true);
-        let runs = f.miss_runs(0, 5 * CACHE_BLOCK, |_| true);
-        let run_total: u64 = runs.iter().map(|r| r.1).sum();
-        assert_eq!(miss, run_total);
-        assert_eq!(hit + miss, 5 * CACHE_BLOCK);
+        let runs = miss_runs(&f, 0, 5 * CACHE_BLOCK, |_| true);
+        assert_eq!(runs, vec![(CACHE_BLOCK, 2 * CACHE_BLOCK), (4 * CACHE_BLOCK, CACHE_BLOCK)]);
     }
 }

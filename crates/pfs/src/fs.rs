@@ -18,6 +18,21 @@
 //! 5. without a cache, extents go to the striped servers directly, each
 //!    paying `server_request_overhead` (seek) per extent.
 //!
+//! ## One ledger per filesystem
+//!
+//! Everything a call books against — the next-free time of every client
+//! link, of the channel and of every server, the degradation factors,
+//! the cache's dirty and LRU accounting — is plain state in one
+//! `Ledger` behind one lock, `pfs.ledger` (the I/O twin of
+//! `sim::LinkLedger`, and sound for the same reason: one simulated rank
+//! runs at a time). [`Pfs::write`] and [`Pfs::read`] take **two locks
+//! per call**, each once: the ledger, then the file's `pfs.file` for
+//! its size, residency stamps and stored bytes. Next-free times are
+//! booked with [`beff_netsim::resource::book`], the arithmetic
+//! `Resource::reserve_span` runs: a priced call equals, bit for bit,
+//! the one composed from a `Resource` per client, channel and server,
+//! which `tests/ledger.rs` keeps as the oracle.
+//!
 //! Consistency note: reads return bytes another client wrote only if
 //! the read is ordered after the write by MPI synchronization (barrier,
 //! sync, collective). That is exactly the MPI-IO consistency model, and
@@ -26,15 +41,18 @@
 use crate::cache::Cache;
 use crate::config::PfsConfig;
 use crate::file::FsFile;
-use crate::server::Server;
+use crate::server::{occupy, Server};
 use crate::stripe;
-use beff_netsim::{Resource, Secs, MB};
+use beff_netsim::{Secs, MB};
 use beff_sync::{Mutex, Rank};
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
 /// Lock-hierarchy position of the filesystem name table (DESIGN.md §8).
 static FILES_RANK: Rank = Rank::new(60, "pfs.files");
+
+/// Lock-hierarchy position of the ledger (DESIGN.md §8).
+static LEDGER_RANK: Rank = Rank::new(64, "pfs.ledger");
 
 /// Payload of a write: real bytes (store-data mode) or just a length.
 #[derive(Debug, Clone, Copy)]
@@ -61,36 +79,72 @@ impl DataRef<'_> {
 /// The filesystem.
 pub struct Pfs {
     cfg: PfsConfig,
-    servers: Vec<Server>,
-    clients: Vec<Resource>,
-    /// Shared I/O channel: aggregate ceiling for all client traffic.
-    channel: Resource,
-    channel_byte_time: Secs,
-    cache: Cache,
-    files: Mutex<BTreeMap<String, Arc<FsFile>>>,
     client_byte_time: Secs,
+    channel_byte_time: Secs,
+    files: Mutex<BTreeMap<String, Arc<FsFile>>>,
+    ledger: Mutex<Ledger>,
+}
+
+/// What priced calls book against (module doc).
+struct Ledger {
+    /// Next-free time of each client's injection link, and of the
+    /// shared I/O channel: the aggregate ceiling for all client traffic.
+    clients: Vec<Secs>,
+    channel: Secs,
+    servers: Vec<Server>,
+    cache: Cache,
+    /// Scratch of the call in progress, reused: bytes and first file
+    /// offset per server of the range being striped; a read's miss runs.
+    bytes: Vec<u64>,
+    starts: Vec<u64>,
+    runs: Vec<(u64, u64)>,
+}
+
+impl Ledger {
+    /// One scatter-gather request per involved server (servers coalesce
+    /// the stripes of a single contiguous client call), all arriving at
+    /// `t`; returns `finish` pushed out to the last completion.
+    fn striped(
+        &mut self,
+        stripe_unit: u64,
+        t: Secs,
+        offset: u64,
+        len: u64,
+        mut finish: Secs,
+    ) -> Secs {
+        self.bytes.fill(0);
+        self.starts.fill(u64::MAX);
+        stripe::sum_per_server(offset, len, stripe_unit, &mut self.bytes, &mut self.starts);
+        for (s, &bytes) in self.bytes.iter().enumerate() {
+            if bytes > 0 {
+                finish = finish.max(self.servers[s].request_at(t, bytes, Some(self.starts[s])));
+            }
+        }
+        finish
+    }
 }
 
 impl Pfs {
     pub fn new(cfg: PfsConfig) -> Self {
         assert!(cfg.servers > 0 && cfg.clients > 0);
         assert!(cfg.stripe_unit > 0 && cfg.disk_block > 0);
-        let servers = (0..cfg.servers)
-            .map(|_| Server::new(cfg.server_request_overhead, cfg.server_mbps))
-            .collect();
-        let clients = (0..cfg.clients).map(|_| Resource::new()).collect();
-        let cache = Cache::new(&cfg);
-        let client_byte_time = 1.0 / (cfg.client_mbps * MB as f64);
-        let channel_byte_time = 1.0 / (cfg.aggregate_mbps * MB as f64);
+        let ledger = Ledger {
+            clients: vec![0.0; cfg.clients],
+            channel: 0.0,
+            servers: (0..cfg.servers)
+                .map(|_| Server::new(cfg.server_request_overhead, cfg.server_mbps))
+                .collect(),
+            cache: Cache::new(&cfg),
+            bytes: vec![0; cfg.servers],
+            starts: vec![u64::MAX; cfg.servers],
+            runs: Vec::new(),
+        };
         Self {
-            cfg,
-            servers,
-            clients,
-            channel: Resource::new(),
-            channel_byte_time,
-            cache,
+            client_byte_time: 1.0 / (cfg.client_mbps * MB as f64),
+            channel_byte_time: 1.0 / (cfg.aggregate_mbps * MB as f64),
             files: Mutex::ranked(&FILES_RANK, BTreeMap::new()),
-            client_byte_time,
+            ledger: Mutex::ranked(&LEDGER_RANK, ledger),
+            cfg,
         }
     }
 
@@ -126,7 +180,7 @@ impl Pfs {
 
     /// Degrade server `i` (failure injection).
     pub fn set_server_speed_factor(&self, i: usize, f: f64) {
-        self.servers[i].set_speed_factor(f);
+        self.ledger.lock().servers[i].set_speed_factor(f);
     }
 
     /// Degrade *every* I/O server by `slowdown` (>= 1.0): the fault
@@ -135,33 +189,33 @@ impl Pfs {
     /// drain bandwidth degrades by the same factor.
     pub fn degrade_servers(&self, slowdown: f64) {
         assert!(slowdown >= 1.0, "slowdown is a multiplier on service time");
-        for s in &self.servers {
+        let mut led = self.ledger.lock();
+        for s in &mut led.servers {
             s.set_speed_factor(1.0 / slowdown);
         }
-        self.cache.set_drain_factor(1.0 / slowdown);
+        led.cache.set_drain_factor(1.0 / slowdown);
     }
 
     /// Enable the disk seek model on every server (0.0 disables; the
     /// calibrated machine defaults leave it off).
     pub fn set_seek_overhead(&self, seek: Secs) {
-        for s in &self.servers {
+        for s in &mut self.ledger.lock().servers {
             s.set_seek_overhead(seek);
         }
     }
 
-    fn client_inject(&self, client: usize, t: Secs, len: u64) -> Secs {
+    fn client_inject(&self, led: &mut Ledger, client: usize, t: Secs, len: u64) -> Secs {
         let t0 = t + self.cfg.client_request_overhead;
-        let t1 = self.clients[client].reserve_finish(t0, len as f64 * self.client_byte_time);
+        let on_link = len as f64 * self.client_byte_time;
+        let t1 = occupy(&mut led.clients[client], t0, on_link);
         // all traffic shares the I/O channel
-        self.channel.reserve_finish(t1 - len as f64 * self.client_byte_time,
-            len as f64 * self.channel_byte_time).max(t1)
+        occupy(&mut led.channel, t1 - on_link, len as f64 * self.channel_byte_time).max(t1)
     }
 
     /// Extra bytes staged for unaligned boundaries (write amplification)
     /// and whether an interior rewrite forces a synchronous block fetch.
-    fn boundary_penalties(&self, f: &FsFile, offset: u64, len: u64) -> (u64, u64) {
+    fn boundary_penalties(&self, size_before: u64, offset: u64, len: u64) -> (u64, u64) {
         let bs = self.cfg.disk_block;
-        let size_before = f.size();
         let mut amplified = 0u64;
         let mut rmw_fetches = 0u64;
         for b in [offset, offset + len] {
@@ -185,46 +239,34 @@ impl Pfs {
         if len == 0 {
             return t;
         }
-        let mut t1 = self.client_inject(client, t, len);
+        let mut ledger = self.ledger.lock();
+        let led = &mut *ledger;
+        let mut file = f.lock();
+        let mut t1 = self.client_inject(led, client, t, len);
 
-        let (amplified, rmw_fetches) = self.boundary_penalties(f, offset, len);
+        let (amplified, rmw_fetches) = self.boundary_penalties(file.size(), offset, len);
         if rmw_fetches > 0 {
             // synchronous partial-block fetch before the write can land
-            let done = self.servers[self.server_of(offset)]
+            let done = led.servers[self.server_of(offset)]
                 .request(t1, rmw_fetches * self.cfg.disk_block);
             t1 = t1.max(done);
         }
 
-        let done = if self.cache.enabled() {
-            let d = self.cache.admit_write(t1, len + amplified);
-            let stamp = self.cache.touch(len);
-            f.mark_cached(offset, len, stamp);
+        let done = if led.cache.enabled() {
+            let d = led.cache.admit_write(t1, len + amplified);
+            let stamp = led.cache.touch(len);
+            file.mark_cached(offset, len, stamp);
             d
         } else {
-            // One scatter-gather request per involved server: servers
-            // coalesce the stripes of a single contiguous client call.
-            let mut finish = t1;
-            let mut starts = vec![u64::MAX; self.cfg.servers];
-            let mut per_server = vec![0u64; self.cfg.servers];
-            for e in stripe::split(offset, len + amplified, self.cfg.stripe_unit, self.cfg.servers) {
-                per_server[e.server] += e.len;
-                starts[e.server] = starts[e.server].min(e.file_offset);
-            }
-            for (s, &bytes) in per_server.iter().enumerate() {
-                if bytes > 0 {
-                    finish =
-                        finish.max(self.servers[s].request_at(t1, bytes, Some(starts[s])));
-                }
-            }
-            finish
+            led.striped(self.cfg.stripe_unit, t1, offset, len + amplified, t1)
         };
 
         if self.cfg.store_data {
             if let DataRef::Bytes(b) = data {
-                f.store(offset, b);
+                file.store(offset, b);
             }
         }
-        f.extend_to(offset + len);
+        file.extend_to(offset + len);
         done
     }
 
@@ -239,53 +281,40 @@ impl Pfs {
         out: Option<&mut [u8]>,
         t: Secs,
     ) -> (u64, Secs) {
-        let avail = f.size().saturating_sub(offset);
-        let len = len.min(avail);
+        let mut ledger = self.ledger.lock();
+        let led = &mut *ledger;
+        let mut file = f.lock();
+        let len = len.min(file.size().saturating_sub(offset));
         if len == 0 {
             return (0, t + self.cfg.client_request_overhead);
         }
-        let t1 = self.client_inject(client, t, len);
+        let t1 = self.client_inject(led, client, t, len);
 
-        let (runs, hit_bytes) = if self.cache.enabled() {
-            let runs = f.miss_runs(offset, len, |s| self.cache.resident(s));
-            let miss: u64 = runs.iter().map(|r| r.1).sum();
-            (runs, len - miss)
+        // what the cache does not hold comes from the servers
+        let cached = led.cache.enabled();
+        if cached {
+            let cache = &led.cache;
+            file.miss_runs(offset, len, |stamp| cache.resident(stamp), &mut led.runs);
         } else {
-            (vec![(offset, len)], 0)
-        };
+            led.runs.clear();
+            led.runs.push((offset, len));
+        }
+        let miss: u64 = led.runs.iter().map(|r| r.1).sum();
 
-        let mut finish = t1 + self.cache.transfer_time(hit_bytes);
+        let mut finish = t1 + led.cache.transfer_time(len - miss);
+        // read amplification: a disk block per unaligned run boundary
         let bs = self.cfg.disk_block;
-        for (roff, rlen) in &runs {
-            // read amplification at unaligned run boundaries
-            let mut extra = 0u64;
-            if roff % bs != 0 {
-                extra += bs;
-            }
-            if (roff + rlen) % bs != 0 {
-                extra += bs;
-            }
-            let mut starts = vec![u64::MAX; self.cfg.servers];
-            let mut per_server = vec![0u64; self.cfg.servers];
-            for e in stripe::split(*roff, rlen + extra, self.cfg.stripe_unit, self.cfg.servers) {
-                per_server[e.server] += e.len;
-                starts[e.server] = starts[e.server].min(e.file_offset);
-            }
-            for (s, &bytes) in per_server.iter().enumerate() {
-                if bytes > 0 {
-                    finish =
-                        finish.max(self.servers[s].request_at(t1, bytes, Some(starts[s])));
-                }
-            }
+        let staged = |b: u64| if b % bs != 0 { bs } else { 0 };
+        for i in 0..led.runs.len() {
+            let (roff, rlen) = led.runs[i];
+            let extra = staged(roff) + staged(roff + rlen);
+            finish = led.striped(self.cfg.stripe_unit, t1, roff, rlen + extra, finish);
         }
 
-        if self.cache.enabled() {
-            let miss: u64 = runs.iter().map(|r| r.1).sum();
-            if miss > 0 {
-                let stamp = self.cache.touch(miss);
-                for (roff, rlen) in &runs {
-                    f.mark_cached(*roff, *rlen, stamp);
-                }
+        if cached && miss > 0 {
+            let stamp = led.cache.touch(miss);
+            for &(roff, rlen) in &led.runs {
+                file.mark_cached(roff, rlen, stamp);
             }
         }
 
@@ -293,7 +322,7 @@ impl Pfs {
             if let Some(buf) = out {
                 let n = len as usize;
                 assert!(buf.len() >= n, "read buffer too small");
-                f.load(offset, &mut buf[..n]);
+                file.load(offset, &mut buf[..n]);
             }
         }
         (len, finish)
@@ -301,12 +330,12 @@ impl Pfs {
 
     /// Flush all dirty cached data to disk (`MPI_File_sync` backend).
     pub fn sync(&self, t: Secs) -> Secs {
-        self.cache.sync(t)
+        self.ledger.lock().cache.sync(t)
     }
 
-    /// Direct cache access (diagnostics / tests).
-    pub fn cache(&self) -> &Cache {
-        &self.cache
+    /// Dirty bytes the cache still holds at `t` (diagnostics / tests).
+    pub fn dirty_at(&self, t: Secs) -> f64 {
+        self.ledger.lock().cache.dirty_at(t)
     }
 }
 
@@ -432,7 +461,7 @@ mod tests {
         let sdone = p.sync(rdone);
         assert!(sdone >= rdone, "sync never completes early");
         assert!(sdone >= 16.0 / 100.0, "durable no earlier than drain allows: {sdone}");
-        assert_eq!(p.cache().dirty_at(sdone), 0.0);
+        assert_eq!(p.dirty_at(sdone), 0.0);
     }
 
     #[test]

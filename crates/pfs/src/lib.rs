@@ -10,7 +10,8 @@
 //! LRU-by-budget residency, and **read-modify-write penalties** for
 //! non-wellformed (unaligned) accesses. Every operation is priced in
 //! virtual time; contention is expressed through next-free-time
-//! reservation on servers and client links.
+//! reservation on servers, client links and the shared channel, all
+//! booked in one ledger per filesystem ([`fs`]).
 //!
 //! [`LocalDisk`] is the real-mode twin: the same MPI-IO layer can run
 //! against actual host files with wall-clock timing.

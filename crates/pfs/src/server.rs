@@ -2,10 +2,10 @@
 //! overhead, streaming bandwidth, an optional *seek* model (a request
 //! that does not extend one of the server's recent streams pays a disk
 //! arm movement) and an adjustable speed factor for
-//! failure/degradation injection.
+//! failure/degradation injection. Plain state: one slot of its
+//! filesystem's ledger ([`crate::fs`]), touched only under that lock.
 
-use beff_netsim::{Resource, Secs, MB};
-use beff_sync::Mutex;
+use beff_netsim::{resource, Secs, MB};
 
 /// How many concurrent stream tails the server's track buffers follow.
 const STREAMS: usize = 16;
@@ -15,81 +15,87 @@ const STREAMS: usize = 16;
 /// offsets by a full stripe round, not by the per-server byte count).
 const STREAM_SLACK: u64 = 1024 * 1024;
 
+/// Occupy a plain FIFO resource — what `Resource::new()` is — whose
+/// next-free time the caller holds; returns the finish time. The
+/// arithmetic is [`resource::book`], the one `Resource` itself runs.
+#[inline]
+pub(crate) fn occupy(next_free: &mut Secs, earliest: Secs, duration: Secs) -> Secs {
+    resource::book(next_free, 1.0, earliest, duration).1
+}
+
 #[derive(Debug)]
 pub struct Server {
-    res: Resource,
+    next_free: Secs,
     request_overhead: Secs,
     /// Extra cost when a request does not extend a recent stream
     /// (0.0 disables seek modeling — the default for the calibrated
     /// machine models, which the paper's benchmark does not probe).
-    seek_overhead: Mutex<Secs>,
+    seek_overhead: Secs,
     byte_time: Secs,
     /// Recent stream end-offsets (prefetch/track buffers) and the
     /// round-robin victim cursor.
-    streams: Mutex<(usize, [u64; STREAMS])>,
+    streams: [u64; STREAMS],
+    cursor: usize,
     /// 1.0 = healthy; 0.5 = half speed; small values ~ outage.
-    speed_factor: Mutex<f64>,
+    speed_factor: f64,
 }
 
 impl Server {
     pub fn new(request_overhead: Secs, mbps: f64) -> Self {
         Self {
-            res: Resource::new(),
+            next_free: 0.0,
             request_overhead,
-            seek_overhead: Mutex::new(0.0),
+            seek_overhead: 0.0,
             byte_time: 1.0 / (mbps * MB as f64),
-            streams: Mutex::new((0, [u64::MAX; STREAMS])),
-            speed_factor: Mutex::new(1.0),
+            streams: [u64::MAX; STREAMS],
+            cursor: 0,
+            speed_factor: 1.0,
         }
     }
 
     /// Enable/disable the seek model.
-    pub fn set_seek_overhead(&self, seek: Secs) {
-        *self.seek_overhead.lock() = seek;
+    pub fn set_seek_overhead(&mut self, seek: Secs) {
+        self.seek_overhead = seek;
     }
 
     /// Serve a request of `bytes` arriving at `t`; returns completion.
-    pub fn request(&self, t: Secs, bytes: u64) -> Secs {
+    pub fn request(&mut self, t: Secs, bytes: u64) -> Secs {
         self.request_at(t, bytes, None)
     }
 
     /// Serve a request with a known file offset: sequential extensions
     /// of a recent stream skip the seek cost.
-    pub fn request_at(&self, t: Secs, bytes: u64, offset: Option<u64>) -> Secs {
-        let f = *self.speed_factor.lock();
-        assert!(f > 0.0, "speed factor must be positive");
-        let seek = *self.seek_overhead.lock();
+    pub fn request_at(&mut self, t: Secs, bytes: u64, offset: Option<u64>) -> Secs {
         let mut extra = 0.0;
-        if seek > 0.0 {
+        if self.seek_overhead > 0.0 {
             if let Some(off) = offset {
-                let mut g = self.streams.lock();
-                let (cursor, st) = &mut *g;
                 let near = |e: u64| e != u64::MAX && e.abs_diff(off) <= STREAM_SLACK;
-                if let Some(slot) = st.iter().position(|&e| near(e)) {
-                    st[slot] = off + bytes; // extends a stream: no seek
+                if let Some(slot) = self.streams.iter().position(|&e| near(e)) {
+                    self.streams[slot] = off + bytes; // extends a stream: no seek
                 } else {
-                    extra = seek;
+                    extra = self.seek_overhead;
                     // round-robin victim replacement
-                    st[*cursor] = off + bytes;
-                    *cursor = (*cursor + 1) % STREAMS;
+                    self.streams[self.cursor] = off + bytes;
+                    self.cursor = (self.cursor + 1) % STREAMS;
                 }
             } else {
-                extra = seek;
+                extra = self.seek_overhead;
             }
         }
-        let dur = (self.request_overhead + extra + bytes as f64 * self.byte_time) / f;
-        self.res.reserve_finish(t, dur)
+        let dur =
+            (self.request_overhead + extra + bytes as f64 * self.byte_time) / self.speed_factor;
+        occupy(&mut self.next_free, t, dur)
     }
 
     /// Degrade (or restore) the server.
-    pub fn set_speed_factor(&self, f: f64) {
+    pub fn set_speed_factor(&mut self, f: f64) {
         assert!(f > 0.0, "speed factor must be positive");
-        *self.speed_factor.lock() = f;
+        self.speed_factor = f;
     }
 
     /// Next-free time (diagnostics).
     pub fn horizon(&self) -> Secs {
-        self.res.horizon()
+        self.next_free
     }
 }
 
@@ -99,14 +105,14 @@ mod tests {
 
     #[test]
     fn request_costs_overhead_plus_transfer() {
-        let s = Server::new(1e-3, 1.0); // 1 ms + 1 MB/s
+        let mut s = Server::new(1e-3, 1.0); // 1 ms + 1 MB/s
         let done = s.request(0.0, MB);
         assert!((done - 1.001).abs() < 1e-9, "done={done}");
     }
 
     #[test]
     fn requests_serialize() {
-        let s = Server::new(0.0, 1.0);
+        let mut s = Server::new(0.0, 1.0);
         let a = s.request(0.0, MB);
         let b = s.request(0.0, MB);
         assert!((a - 1.0).abs() < 1e-9);
@@ -115,7 +121,7 @@ mod tests {
 
     #[test]
     fn degraded_server_is_slower() {
-        let s = Server::new(0.0, 10.0);
+        let mut s = Server::new(0.0, 10.0);
         let healthy = s.request(0.0, 10 * MB) - 0.0;
         s.set_speed_factor(0.25);
         let t0 = s.horizon();
@@ -131,7 +137,7 @@ mod tests {
 
     #[test]
     fn sequential_streams_skip_seeks() {
-        let s = Server::new(0.0, 1.0);
+        let mut s = Server::new(0.0, 1.0);
         s.set_seek_overhead(0.5);
         // first touch pays the seek, extensions do not
         let mut t = s.request_at(0.0, MB, Some(0));
@@ -148,7 +154,7 @@ mod tests {
 
     #[test]
     fn seek_model_disabled_by_default() {
-        let s = Server::new(0.0, 1.0);
+        let mut s = Server::new(0.0, 1.0);
         let t = s.request_at(0.0, MB, Some(777));
         assert!((t - 1.0).abs() < 1e-9);
     }

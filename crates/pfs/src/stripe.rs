@@ -12,39 +12,61 @@ pub struct Extent {
     pub len: u64,
 }
 
+/// Call `f` with each stripe-unit piece of `[offset, offset+len)`, in
+/// file order.
+fn for_each_piece(
+    offset: u64,
+    len: u64,
+    stripe_unit: u64,
+    servers: usize,
+    mut f: impl FnMut(Extent),
+) {
+    assert!(stripe_unit > 0 && servers > 0);
+    let (mut pos, end) = (offset, offset + len);
+    while pos < end {
+        let stripe = pos / stripe_unit;
+        let piece = ((stripe + 1) * stripe_unit).min(end) - pos;
+        f(Extent { server: (stripe % servers as u64) as usize, file_offset: pos, len: piece });
+        pos += piece;
+    }
+}
+
 /// Split `[offset, offset+len)` into stripe-unit extents, round-robin
 /// over `servers`. Extents are emitted in file order; consecutive
 /// stripes on the *same* server (possible when `servers == 1`) are
 /// merged.
 pub fn split(offset: u64, len: u64, stripe_unit: u64, servers: usize) -> Vec<Extent> {
-    assert!(stripe_unit > 0 && servers > 0);
     let mut out: Vec<Extent> = Vec::new();
-    let mut pos = offset;
-    let end = offset + len;
-    while pos < end {
-        let stripe = pos / stripe_unit;
-        let server = (stripe % servers as u64) as usize;
-        let stripe_end = (stripe + 1) * stripe_unit;
-        let piece = stripe_end.min(end) - pos;
-        match out.last_mut() {
-            Some(last)
-                if last.server == server && last.file_offset + last.len == pos =>
-            {
-                last.len += piece;
-            }
-            _ => out.push(Extent { server, file_offset: pos, len: piece }),
+    for_each_piece(offset, len, stripe_unit, servers, |e| match out.last_mut() {
+        Some(last) if last.server == e.server && last.file_offset + last.len == e.file_offset => {
+            last.len += e.len;
         }
-        pos += piece;
-    }
+        _ => out.push(e),
+    });
     out
+}
+
+/// Add what each server moves for the range to `bytes` and lower
+/// `starts` to the first file offset it is asked for (one slot per
+/// server): the scatter-gather request each involved server sees for
+/// one contiguous client call.
+pub(crate) fn sum_per_server(
+    offset: u64,
+    len: u64,
+    stripe_unit: u64,
+    bytes: &mut [u64],
+    starts: &mut [u64],
+) {
+    for_each_piece(offset, len, stripe_unit, bytes.len(), |e| {
+        bytes[e.server] += e.len;
+        starts[e.server] = starts[e.server].min(e.file_offset);
+    });
 }
 
 /// Total bytes each server moves for the range (index = server id).
 pub fn per_server_bytes(offset: u64, len: u64, stripe_unit: u64, servers: usize) -> Vec<u64> {
     let mut bytes = vec![0u64; servers];
-    for e in split(offset, len, stripe_unit, servers) {
-        bytes[e.server] += e.len;
-    }
+    sum_per_server(offset, len, stripe_unit, &mut bytes, &mut vec![u64::MAX; servers]);
     bytes
 }
 

@@ -45,11 +45,11 @@ pub struct Resource {
 
 /// The booking arithmetic itself, on a caller-held next-free time:
 /// [`Resource::reserve_span`] applies it under the resource's own lock,
-/// the link ledger ([`crate::link::LinkLedger`]) to one slot under the
-/// ledger lock. One definition, so the two can never drift apart by a
-/// rounding.
+/// the link ledger ([`crate::link::LinkLedger`]) and the filesystem
+/// ledger (`beff_pfs::Pfs`) to one slot under their ledger lock. One
+/// definition, so they can never drift apart by a rounding.
 #[inline]
-pub(crate) fn book(
+pub fn book(
     next_free: &mut Secs,
     contention: f64,
     earliest: Secs,

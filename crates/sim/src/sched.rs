@@ -19,7 +19,8 @@
 //! * a rank's body returns (its fiber's final switch),
 //! * a sender's push completes a blocked receiver's posted match, which
 //!   re-queues (not immediately runs) the receiver
-//!   ([`SimScheduler::unblock`]).
+//!   ([`SimScheduler::unblock`]; the last arriver of a rendezvous
+//!   re-queues all its peers at once, [`SimScheduler::unblock_all`]).
 //!
 //! Execution order is therefore a pure function of the program, so two
 //! runs with the same seeds produce bit-identical results — on either
@@ -229,10 +230,19 @@ impl SimScheduler {
     /// again. Called by the token holder; the receiver runs when the
     /// token reaches it, preserving deterministic order.
     pub fn unblock(&self, rank: usize) {
+        self.unblock_all([rank]);
+    }
+
+    /// [`unblock`](Self::unblock) each of `ranks`, in that order, under
+    /// one acquisition of the scheduler state: what the last arriver of
+    /// a collective rendezvous does for its waiting peers.
+    pub fn unblock_all(&self, ranks: impl IntoIterator<Item = usize>) {
         let mut st = self.inner.lock();
-        if st.blocked[rank] {
-            st.blocked[rank] = false;
-            st.ready.push_back(rank);
+        for rank in ranks {
+            if st.blocked[rank] {
+                st.blocked[rank] = false;
+                st.ready.push_back(rank);
+            }
         }
     }
 
@@ -316,28 +326,42 @@ mod tests {
         assert_eq!(&*order.lock(), &[0, 1, 2, 3]);
     }
 
-    /// Ranks 0..n-1 block, the last rank unblocks them all, and they
-    /// resume in the order they were re-queued.
+    /// Ranks 0..n-1 block, the last rank unblocks them all — one call
+    /// each, or one call for all — and they resume in the order they
+    /// were re-queued.
     #[test]
     fn unblock_requeues_in_fifo_order() {
-        let n = 3;
-        let s = SimScheduler::new(n);
-        let log = Mutex::new(Vec::new());
-        s.launch(&FiberStack::set(n), |rank| {
-            log.lock().push(("start", rank));
-            if rank == n - 1 {
-                for peer in 0..n - 1 {
-                    s.unblock(peer); // all already blocked
+        let n = 4;
+        for batched in [false, true] {
+            let s = SimScheduler::new(n);
+            let log = Mutex::new(Vec::new());
+            s.launch(&FiberStack::set(n), |rank| {
+                log.lock().push(("start", rank));
+                if rank < n - 1 {
+                    s.yield_blocked(rank);
+                    log.lock().push(("resume", rank));
+                } else if batched {
+                    s.unblock_all([2, 0, 1]); // all already blocked
+                } else {
+                    for peer in [2, 0, 1] {
+                        s.unblock(peer);
+                    }
                 }
-            } else {
-                s.yield_blocked(rank);
-                log.lock().push(("resume", rank));
-            }
-        });
-        assert_eq!(
-            log.lock().as_slice(),
-            &[("start", 0), ("start", 1), ("start", 2), ("resume", 0), ("resume", 1)]
-        );
+            });
+            assert_eq!(
+                log.lock().as_slice(),
+                &[
+                    ("start", 0),
+                    ("start", 1),
+                    ("start", 2),
+                    ("start", 3),
+                    ("resume", 2),
+                    ("resume", 0),
+                    ("resume", 1)
+                ],
+                "batched: {batched}"
+            );
+        }
     }
 
     #[test]

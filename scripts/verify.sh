@@ -107,6 +107,19 @@ run_gate "storage-sweep (non-MPI substrate workload)" 120 \
     cargo run -q --offline --release -p beff-sweep --bin storage_sweep -- \
     --check --out target/storage_sweep.verify.json
 
+# b_eff_io's behaviour spec: each figure, table and ablation bin that
+# runs pfs + mpiio must print its committed results/*.txt byte for byte
+# (the benchmark package checks four T = 30 s rows per machine; these
+# eight files are every pattern type, access method and hint the I/O
+# half has)
+run_gate "b_eff_io goldens (eight bins replay results/*.txt)" 600 \
+    bash -c 'set -euo pipefail
+    for b in fig3_scaling fig4_detail fig5_compare table2_patterns \
+             ablation_cache ablation_twophase ablation_termination ablation_random; do
+        cargo run -q --offline --release -p beff-bench --bin "$b" 2>"target/$b.stderr" \
+            | cmp - "results/$b.txt" || { tail -n 5 "target/$b.stderr" >&2; exit 1; }
+    done'
+
 # the serving layer (DESIGN.md §11): the loadgen binary replays a
 # seeded query mix against an in-process server and fails itself if
 # any cached result differs byte-for-byte from a fresh recomputation
@@ -162,4 +175,5 @@ fi
 run_gate "BENCH_SIM.json parse" 120 \
     cargo run -q --offline --release -p beff-bench --bin json_check -- BENCH_SIM.json "$scratch"
 
-echo "verify.sh: all checks passed"
+# the script's own wall time is a tracked number (ROADMAP aim 1)
+echo "verify.sh: all checks passed in ${SECONDS} s"
