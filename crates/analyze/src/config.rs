@@ -159,7 +159,8 @@ pub struct LockDecl {
 /// | 13    | `serve.drain`                | admission flag + in-flight count |
 /// | 14    | `serve.cache`                | content-addressed result map   |
 /// | 16    | `serve.pool`                 | idle partitions + armed poisons |
-/// | 20    | `mpi.boards`                 | collective rendezvous boards   |
+/// | 20    | `mpi.boards`                 | one communicator's rendezvous board |
+/// | 22    | `mpi.registry`               | context id → board, taken once per `Comm` |
 /// | 25    | `shard.state`                | one shard's cross-shard outbox |
 /// | 30    | `sim.port`                   | one actor's port state         |
 /// | 40    | `sched.state`                | token-scheduler ready/blocked  |
@@ -229,10 +230,17 @@ pub const LOCK_HIERARCHY: &[LockDecl] = &[
     },
     LockDecl {
         file_suffix: "crates/mpi/src/comm.rs",
-        receiver: "boards",
+        receiver: "board",
         methods: &["lock"],
         level: 20,
         name: "mpi.boards",
+    },
+    LockDecl {
+        file_suffix: "crates/mpi/src/comm.rs",
+        receiver: "registry",
+        methods: &["lock"],
+        level: 22,
+        name: "mpi.registry",
     },
     LockDecl {
         file_suffix: "crates/sim/src/shard.rs",
@@ -402,7 +410,7 @@ pub const PANICFLOW_BUDGETS: &[(&str, u32)] = &[
     ("core", 3),
     ("json", 9),
     ("machines", 1),
-    ("mpi", 17),
+    ("mpi", 16),
     ("netsim", 1),
     ("sim", 18),
 ];

@@ -25,8 +25,53 @@
 //! * `BEFF_CHECK_SEED=0x…` — replay a single case with that exact seed.
 
 use beff_sim::rng::Rng64;
+use std::alloc::{GlobalAlloc, Layout, System};
 use std::ops::RangeInclusive;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
+use std::sync::atomic::{AtomicU64, Ordering};
+
+/// Bytes requested from the allocator so far (growth only for `realloc`).
+static REQUESTED: AtomicU64 = AtomicU64::new(0);
+
+/// The system allocator with a byte counter in front, for tests that
+/// hold a code path to "asks the allocator for (next to) nothing":
+/// install it with `#[global_allocator]` and bracket the path with
+/// [`CountingAlloc::requested`]. The count is process-wide, so such a
+/// test gets a test binary of its own.
+pub struct CountingAlloc;
+
+impl CountingAlloc {
+    pub fn requested() -> u64 {
+        REQUESTED.load(Ordering::Relaxed)
+    }
+}
+
+// SAFETY: every call is forwarded unchanged to `System`, which upholds
+// the `GlobalAlloc` contract; the counter touches no allocator state.
+unsafe impl GlobalAlloc for CountingAlloc {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        REQUESTED.fetch_add(layout.size() as u64, Ordering::Relaxed);
+        // SAFETY: the caller's contract, passed through.
+        unsafe { System.alloc(layout) }
+    }
+
+    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
+        REQUESTED.fetch_add(layout.size() as u64, Ordering::Relaxed);
+        // SAFETY: the caller's contract, passed through.
+        unsafe { System.alloc_zeroed(layout) }
+    }
+
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        REQUESTED.fetch_add(new_size.saturating_sub(layout.size()) as u64, Ordering::Relaxed);
+        // SAFETY: the caller's contract, passed through.
+        unsafe { System.realloc(ptr, layout, new_size) }
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        // SAFETY: the caller's contract, passed through.
+        unsafe { System.dealloc(ptr, layout) }
+    }
+}
 
 /// Default cases per property when neither the call site nor
 /// `BEFF_CHECK_CASES` says otherwise.

@@ -74,6 +74,22 @@ mod tests {
         }
     }
 
+    /// A booking prices from the ledger record, cost queries from the
+    /// link's public fields: two copies of one construction-time value.
+    #[test]
+    fn link_records_carry_the_links_public_terms() {
+        for m in catalog().iter().filter(|m| ["t3e", "sr8000-rr"].contains(&m.key)) {
+            let (key, procs) = (m.key, 64);
+            let net = m.sized_for(procs).network();
+            assert!(net.links().len() > 2 * procs, "{key}");
+            for (l, link) in net.links().iter().enumerate() {
+                let (latency, byte_time) = link.booked_terms();
+                assert_eq!(latency.to_bits(), link.latency.to_bits(), "{key} link {l}");
+                assert_eq!(byte_time.to_bits(), link.byte_time.to_bits(), "{key} link {l}");
+            }
+        }
+    }
+
     #[test]
     fn networks_instantiate_for_all() {
         for m in catalog() {

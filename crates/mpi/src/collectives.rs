@@ -50,7 +50,7 @@ impl Comm {
             return;
         }
         if self.is_sim() {
-            self.sim_rendezvous(tag, Vec::new(), None);
+            self.sim_rendezvous(&[], &mut [], None);
             return;
         }
         let r = self.rank();
@@ -131,8 +131,9 @@ impl Comm {
     /// real worlds reduce to 0 and broadcast.
     pub fn allreduce_f64(&mut self, vals: &[f64], op: ReduceOp) -> Vec<f64> {
         if self.size() > 1 && self.is_sim() {
-            let tag = self.next_coll_tag();
-            return self.sim_rendezvous(tag, vals.to_vec(), Some(op));
+            let mut out = vec![0.0; vals.len()];
+            self.sim_rendezvous(vals, &mut out, Some(op));
+            return out;
         }
         let reduced = self.reduce_f64(0, vals, op);
         let mut buf = reduced.map(|v| wire::encode_f64s(&v)).unwrap_or_default();
@@ -140,8 +141,13 @@ impl Comm {
         wire::decode_f64s(&buf)
     }
 
-    /// Scalar convenience allreduce.
+    /// Scalar allreduce; on the rendezvous board it stays off the heap.
     pub fn allreduce_scalar(&mut self, v: f64, op: ReduceOp) -> f64 {
+        if self.size() > 1 && self.is_sim() {
+            let mut out = [0.0];
+            self.sim_rendezvous(&[v], &mut out, Some(op));
+            return out[0];
+        }
         self.allreduce_f64(&[v], op)[0]
     }
 

@@ -17,6 +17,11 @@
 //!   travels, so simulating a 512-proc machine does not shovel real
 //!   gigabytes through host memory.
 //!
+//! Simulated barriers and allreduces send nothing: the ranks meet on
+//! the communicator's persistent rendezvous board (`CollBoard`), one per
+//! context id, resolved when the handle is made, in one of two
+//! generations picked by the parity of the handle's rendezvous counter.
+//!
 //! Virtual-time accounting (sim mode):
 //!
 //! * send: `clock += o_send`, then the network price is computed; the
@@ -35,9 +40,11 @@ use beff_sim::{Secs, SimScheduler};
 use beff_sync::{Mutex, Rank};
 use std::cell::RefCell;
 
-/// Lock-hierarchy position of the collective boards (DESIGN.md §8):
-/// acquired first, before any mailbox or scheduler lock.
-static BOARDS_RANK: Rank = Rank::new(20, "mpi.boards");
+/// Lock-hierarchy positions (DESIGN.md §8). A communicator's board is
+/// acquired first, before any mailbox or scheduler lock; the registry
+/// that hands boards out is taken once per [`Comm`] handle, alone.
+static BOARD_RANK: Rank = Rank::new(20, "mpi.boards");
+static REGISTRY_RANK: Rank = Rank::new(22, "mpi.registry");
 use std::collections::BTreeMap;
 use std::rc::Rc;
 use std::sync::atomic::{AtomicU32, Ordering};
@@ -99,71 +106,93 @@ fn wire_fault_delay(
     }
 }
 
-/// Rendezvous state for one in-flight simulated collective (one board
-/// per `(ctx, tag)`). Under the token scheduler exactly one rank runs
-/// at a time, so the board sees a deterministic arrival order; the
-/// reduction is nevertheless applied in *rank* order so the result
-/// would not change even if the arrival order did.
-pub(crate) struct CollBoard {
-    /// Per ctx-rank contribution (empty vec for a barrier).
-    vals: Vec<Option<Vec<f64>>>,
+/// One generation of a communicator's rendezvous board: the state of
+/// one simulated collective from its first arrival to its last exit.
+/// Under the token scheduler exactly one rank runs at a time, so it
+/// sees a deterministic arrival order; the reduction is nevertheless
+/// applied in *rank* order so the result would not change even if the
+/// arrival order did.
+#[derive(Default)]
+struct Generation {
+    /// Contribution length of the collective in flight (0: a barrier),
+    /// set by its first arriver.
+    width: usize,
+    /// Per ctx-rank contributions, `width` values each, flat.
+    vals: Vec<f64>,
     /// Per ctx-rank virtual arrival time.
     t_arrive: Vec<Secs>,
     arrived: usize,
-    /// Set by the last arriver: common exit time + reduced vector.
-    done: Option<(Secs, Vec<f64>)>,
-    /// Ranks that have picked up the result; the last one removes the
-    /// board so tags can be reused after the sequence counter wraps.
+    /// Set by the last arriver: the common exit time; the reduced
+    /// vector is then in `result`.
+    t_exit: Option<Secs>,
+    result: Vec<f64>,
+    /// Ranks that have picked up the result; the last one re-arms the
+    /// generation.
     exited: usize,
 }
 
-impl CollBoard {
-    fn new(n: usize) -> Self {
-        Self {
-            vals: (0..n).map(|_| None).collect(),
-            t_arrive: vec![0.0; n],
-            arrived: 0,
-            done: None,
-            exited: 0,
+impl Generation {
+    /// Record ctx-rank `rank`'s arrival at `now` with `contrib`; true
+    /// for the last of the `n` ranks. The buffers grow on a
+    /// communicator's first collectives and are reused from then on.
+    fn post(&mut self, n: usize, rank: usize, now: Secs, contrib: &[f64]) -> bool {
+        if self.arrived == 0 {
+            self.width = contrib.len();
+            self.vals.resize(n * self.width, 0.0);
+            self.result.resize(self.width, 0.0);
+            self.t_arrive.resize(n, 0.0);
         }
+        assert_eq!(contrib.len(), self.width, "reduction length mismatch");
+        self.vals[rank * self.width..][..self.width].copy_from_slice(contrib);
+        self.t_arrive[rank] = now;
+        self.arrived += 1;
+        self.arrived == n
     }
 
-    /// The last arriver's step: reduce the contributions in rank order,
-    /// put the common exit `cost` after the latest arrival, publish
-    /// both for the waiters and count the caller's own exit.
-    fn publish(&mut self, cost: Secs, op: Option<ReduceOp>) -> (Secs, Vec<f64>) {
-        let t_exit = self.t_arrive.iter().fold(0.0_f64, |a, &t| a.max(t)) + cost;
-        let mut acc = self.vals[0].take().expect("every rank contributed");
-        for v in &mut self.vals[1..] {
-            let v = v.take().expect("every rank contributed");
-            match op {
-                Some(op) => op.apply(&mut acc, &v),
-                None => debug_assert!(v.is_empty(), "barrier carries no data"),
+    /// The last arriver's step: reduce the contributions in rank order
+    /// into `out`, put the common exit `cost` after the latest arrival,
+    /// publish both for the waiters and count the caller's own exit.
+    fn publish(&mut self, cost: Secs, op: Option<ReduceOp>, out: &mut [f64]) -> Secs {
+        let (first, rest) = self.vals.split_at(self.width);
+        self.result.copy_from_slice(first);
+        match op {
+            Some(op) if self.width > 0 => {
+                rest.chunks_exact(self.width).for_each(|v| op.apply(&mut self.result, v))
             }
+            _ => debug_assert_eq!(self.width, 0, "barrier carries no data"),
         }
-        self.done = Some((t_exit, acc.clone()));
-        self.exited = 1;
-        (t_exit, acc)
+        out.copy_from_slice(&self.result);
+        let t_exit = self.t_arrive.iter().fold(0.0_f64, |a, &t| a.max(t)) + cost;
+        (self.t_exit, self.exited) = (Some(t_exit), 1);
+        t_exit
+    }
+
+    /// The published exit time, if the collective is complete, with the
+    /// result copied into `out` and the caller's exit counted — the
+    /// last of the `n` ranks out re-arms the generation.
+    fn pick_up(&mut self, n: usize, out: &mut [f64]) -> Option<Secs> {
+        let t_exit = self.t_exit?;
+        out.copy_from_slice(&self.result);
+        self.exited += 1;
+        if self.exited == n {
+            (self.arrived, self.exited, self.t_exit) = (0, 0, None);
+        }
+        Some(t_exit)
     }
 }
 
-/// A waiter's step: the published result of the collective under `key`,
-/// if there is one yet, counting the caller's exit — the last of the
-/// `n` ranks out removes the board, so tags can be reused after the
-/// sequence counter wraps.
-fn pick_up(
-    boards: &mut BTreeMap<(u32, Tag), CollBoard>,
-    key: (u32, Tag),
-    n: usize,
-) -> Option<(Secs, Vec<f64>)> {
-    let b = boards.get_mut(&key)?;
-    let done = b.done.clone()?;
-    b.exited += 1;
-    if b.exited == n {
-        boards.remove(&key);
-    }
-    Some(done)
-}
+/// A communicator's rendezvous board: persistent, resolved once when a
+/// [`Comm`] handle is made, so an arrival looks nothing up and — once
+/// the buffers have grown to the widest collective — allocates
+/// nothing.
+///
+/// Two generations, picked by the parity of the handle's rendezvous
+/// counter. One is not enough: the last arriver of collective *k* keeps
+/// the token and may arrive at *k*+1 before any waiter has run again to
+/// read *k*. Two are: *k*+2 cannot see its first arrival until some
+/// rank has left *k*+1, which was published only after every rank had
+/// arrived there — that is, had left *k* and re-armed its generation.
+type CollBoard = Mutex<[Generation; 2]>;
 
 /// State shared by every rank of a world (created by the runtime).
 pub struct WorldShared {
@@ -179,9 +208,9 @@ pub struct WorldShared {
     /// Deterministic token scheduler (sim mode only; real mode lets
     /// the host scheduler run ranks concurrently).
     pub(crate) sched: Option<SimScheduler>,
-    /// Rendezvous boards for simulated collectives, keyed by
-    /// `(ctx, collective tag)`.
-    pub(crate) boards: Mutex<BTreeMap<(u32, Tag), CollBoard>>,
+    /// The rendezvous board of every communicator made so far, by
+    /// context id.
+    registry: Mutex<BTreeMap<u32, Arc<CollBoard>>>,
 }
 
 impl WorldShared {
@@ -193,8 +222,18 @@ impl WorldShared {
             next_ctx: AtomicU32::new(1),
             sched: engine.is_sim().then(|| SimScheduler::new(n)),
             engine,
-            boards: Mutex::ranked(&BOARDS_RANK, BTreeMap::new()),
+            registry: Mutex::ranked(&REGISTRY_RANK, BTreeMap::new()),
         }
+    }
+
+    /// The board of communicator `ctx`, made by whichever of its ranks
+    /// asks first.
+    fn board(&self, ctx: u32) -> Arc<CollBoard> {
+        let mut registry = self.registry.lock();
+        let board = registry
+            .entry(ctx)
+            .or_insert_with(|| Arc::new(Mutex::ranked(&BOARD_RANK, Default::default())));
+        Arc::clone(board)
     }
 }
 
@@ -221,10 +260,14 @@ pub struct Comm {
     /// ctx rank -> world rank
     ranks: Arc<Vec<usize>>,
     coll_seq: u32,
+    /// This communicator's rendezvous board and how many rendezvous
+    /// this handle has been through: the parity picks the generation.
+    board: Arc<CollBoard>,
+    rendezvous: u32,
     /// Virtual-time cost of one synchronization sweep over this
-    /// communicator ([`sim_coll_cost`](Self::sim_coll_cost)): a pure
-    /// function of `ranks`, worked out by the first rendezvous this
-    /// handle is the last arriver of.
+    /// communicator ([`sim_sweep_cost`](Self::sim_sweep_cost)): a pure function
+    /// of `ranks`, worked out by the first rendezvous this handle is
+    /// the last arriver of.
     sweep_cost: Option<Secs>,
 }
 
@@ -233,7 +276,18 @@ impl Comm {
     pub(crate) fn world(shared: Arc<WorldShared>, rank: usize) -> Self {
         let state = Rc::new(RefCell::new(RankState::new(&shared.engine)));
         let ranks = Arc::clone(&shared.world_ranks);
-        Self { shared, state, ctx: 0, rank, ranks, coll_seq: 0, sweep_cost: None }
+        Self::on_ctx(shared, state, 0, rank, ranks)
+    }
+
+    fn on_ctx(
+        shared: Arc<WorldShared>,
+        state: Rc<RefCell<RankState>>,
+        ctx: u32,
+        rank: usize,
+        ranks: Arc<Vec<usize>>,
+    ) -> Self {
+        let board = shared.board(ctx);
+        Self { shared, state, ctx, rank, ranks, coll_seq: 0, board, rendezvous: 0, sweep_cost: None }
     }
 
     // ----- introspection ------------------------------------------------
@@ -567,84 +621,73 @@ impl Comm {
         self.next_coll_tag()
     }
 
-    /// Closed-form virtual-time cost of one rendezvous collective:
-    /// `rounds` dissemination/tree rounds of a small message, each
-    /// paying both CPU overheads plus the link latencies of the
+    /// Closed-form virtual-time cost of one synchronization sweep over
+    /// `ranks`: ⌈log₂ n⌉ dissemination/tree rounds of a small message,
+    /// each paying both CPU overheads plus the link latencies of the
     /// round's doubling-distance route. Read-only on the network — the
     /// synchronization traffic does not occupy links, so the measured
     /// region that follows starts from the idle network the benchmark's
     /// barrier is there to provide.
-    fn sim_coll_cost(&mut self, rounds: u32) -> Secs {
-        let EngineCfg::Sim { net, .. } = self.shared.engine.as_ref() else {
-            return 0.0;
-        };
-        let ranks = &self.ranks;
-        let per_sweep = *self.sweep_cost.get_or_insert_with(|| {
-            let p = net.params();
-            let mut per_sweep = 0.0;
-            let mut k = 1usize;
-            while k < ranks.len() {
-                let lat = net.route_latency(ranks[0], ranks[k]);
-                per_sweep += p.o_send + lat + p.o_recv;
-                k <<= 1;
-            }
-            per_sweep
-        });
-        per_sweep * rounds as f64
+    fn sim_sweep_cost(net: &MachineNet, ranks: &[usize]) -> Secs {
+        let p = net.params();
+        let mut per_sweep = 0.0;
+        let mut k = 1usize;
+        while k < ranks.len() {
+            let lat = net.route_latency(ranks[0], ranks[k]);
+            per_sweep += p.o_send + lat + p.o_recv;
+            k <<= 1;
+        }
+        per_sweep
     }
 
     /// Simulated collective fast path: instead of ⌈log₂ n⌉ rounds of
     /// point-to-point traffic (each round a token handoff per rank),
-    /// every rank posts its contribution on a shared board and parks
+    /// every rank posts `contrib` on the communicator's board and parks
     /// once; the last arriver reduces in rank order, prices the
-    /// collective in closed form ([`sim_coll_cost`](Self::sim_coll_cost))
-    /// and re-queues the waiters. One scheduler yield per rank, zero
-    /// mailbox traffic, bit-deterministic. The last arriver takes
-    /// `mpi.boards` once (post, reduce, publish and count its own exit
-    /// in one go) and `sched.state` once for all its peers; a waiter
-    /// takes `mpi.boards` twice (post; pick up the result and count its
-    /// exit).
-    pub(crate) fn sim_rendezvous(
-        &mut self,
-        tag: Tag,
-        contrib: Vec<f64>,
-        op: Option<ReduceOp>,
-    ) -> Vec<f64> {
+    /// collective in closed form ([`sim_sweep_cost`](Self::sim_sweep_cost)) and
+    /// re-queues the waiters; every rank leaves with the reduced vector
+    /// in `out` (`op` of `None`: a barrier, both slices empty). One
+    /// scheduler yield per rank, zero mailbox traffic, no allocation,
+    /// bit-deterministic. The last arriver takes `mpi.boards` once
+    /// (post, reduce, publish and count its own exit in one go) and
+    /// `sched.state` once for all its peers; a waiter takes
+    /// `mpi.boards` twice (post; pick up the result and count its exit)
+    /// and `sched.state` once.
+    pub(crate) fn sim_rendezvous(&mut self, contrib: &[f64], out: &mut [f64], op: Option<ReduceOp>) {
         let n = self.size();
         debug_assert!(n > 1, "rendezvous on a singleton communicator");
         let wr = self.world_rank();
-        let key = (self.ctx, tag);
         let now = self.now();
-        let shared = Arc::clone(&self.shared);
+        let Self { shared, board, ranks, sweep_cost, .. } = self;
         let sched = shared.sched.as_ref().expect("sim collectives need the token scheduler");
+        let gen = (self.rendezvous & 1) as usize;
+        self.rendezvous = self.rendezvous.wrapping_add(1);
         let published = {
-            let mut boards = shared.boards.lock();
-            let b = boards.entry(key).or_insert_with(|| CollBoard::new(n));
-            b.vals[self.rank] = Some(contrib);
-            b.t_arrive[self.rank] = now;
-            b.arrived += 1;
-            // Barrier costs one dissemination sweep; allreduce is
-            // modeled as reduce + bcast (two tree sweeps).
-            (b.arrived == n)
-                .then(|| b.publish(self.sim_coll_cost(if op.is_some() { 2 } else { 1 }), op))
+            let g = &mut board.lock()[gen];
+            g.post(n, self.rank, now, contrib).then(|| {
+                let sweep = *sweep_cost.get_or_insert_with(|| match shared.engine.as_ref() {
+                    EngineCfg::Sim { net, .. } => Self::sim_sweep_cost(net, ranks),
+                    EngineCfg::Real => 0.0,
+                });
+                // Barrier costs one dissemination sweep; allreduce is
+                // modeled as reduce + bcast (two tree sweeps).
+                g.publish(sweep * if op.is_some() { 2.0 } else { 1.0 }, op, out)
+            })
         };
-        let (t_exit, result) = match published {
-            Some(done) => {
+        let t_exit = match published {
+            Some(t_exit) => {
                 let me = self.rank;
-                let peers = self.ranks.iter().enumerate().filter(|&(i, _)| i != me);
+                let peers = ranks.iter().enumerate().filter(|&(i, _)| i != me);
                 sched.unblock_all(peers.map(|(_, &w)| w));
-                done
+                t_exit
             }
             None => loop {
                 sched.yield_blocked(wr);
                 // Woken: either the last arriver published the result,
                 // or the world died while we were parked.
-                let picked = {
-                    let mut boards = shared.boards.lock();
-                    pick_up(&mut boards, key, n)
-                };
-                if let Some(done) = picked {
-                    break done;
+                let picked = board.lock()[gen].pick_up(n, out);
+                if let Some(t_exit) = picked {
+                    break t_exit;
                 }
                 if shared.mailboxes[wr].is_poisoned() {
                     BeffError::PeerFailed.raise();
@@ -652,7 +695,6 @@ impl Comm {
             },
         };
         self.advance_to(t_exit);
-        result
     }
 
     // ----- communicator management ----------------------------------------
@@ -736,14 +778,6 @@ impl Comm {
         let rank = r.u32() as usize;
         let n = r.u32() as usize;
         let ranks: Vec<usize> = (0..n).map(|_| r.u32() as usize).collect();
-        Comm {
-            shared: Arc::clone(&self.shared),
-            state: Rc::clone(&self.state),
-            ctx,
-            rank,
-            ranks: Arc::new(ranks),
-            coll_seq: 0,
-            sweep_cost: None,
-        }
+        Self::on_ctx(Arc::clone(&self.shared), Rc::clone(&self.state), ctx, rank, Arc::new(ranks))
     }
 }

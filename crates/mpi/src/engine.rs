@@ -108,17 +108,27 @@ impl RankClock {
 /// the shared table costs.
 pub const ROUTE_CACHE_SLOTS: usize = 16;
 
-/// A rank's handles on the routes to (or from) its current peers:
-/// direct-mapped by the peer's world rank, filled from the machine-wide
-/// table ([`MachineNet::split_route`]) on a miss. A hit costs one
-/// compare — no lock, no map walk, no reference-count traffic.
+const ROUTE_CACHE_SETS: usize = ROUTE_CACHE_SLOTS / 2;
+
+/// One cached route and the peer it leads to (or from).
+type Way = Option<(usize, Arc<SplitRoute>)>;
+
+/// A rank's handles on the routes to (or from) its current peers: two
+/// ways in each of eight sets indexed by the peer's world rank, filled
+/// from the machine-wide table ([`MachineNet::split_route`]) on a miss
+/// over the way not used last. A hit costs two compares at most — no
+/// lock, no map walk, no reference-count traffic — and two peers
+/// congruent mod 8 (or 16) keep one way each instead of evicting each
+/// other on every message.
 pub(crate) struct RouteCache {
-    slots: [Option<(usize, Arc<SplitRoute>)>; ROUTE_CACHE_SLOTS],
+    sets: [[Way; 2]; ROUTE_CACHE_SETS],
+    /// Bit `s`: the way of set `s` to fill next (the one not used last).
+    victims: u8,
 }
 
 impl RouteCache {
     fn new() -> Self {
-        Self { slots: std::array::from_fn(|_| None) }
+        Self { sets: std::array::from_fn(|_| [None, None]), victims: 0 }
     }
 
     /// The route cached under `peer`, looked up with `fill` on a miss.
@@ -128,8 +138,13 @@ impl RouteCache {
         peer: usize,
         fill: impl FnOnce() -> Arc<SplitRoute>,
     ) -> &SplitRoute {
-        let slot = &mut self.slots[peer % ROUTE_CACHE_SLOTS];
-        if !matches!(slot, Some((p, _)) if *p == peer) {
+        let s = peer % ROUTE_CACHE_SETS;
+        let set = &mut self.sets[s];
+        let holds = |way: &Way| matches!(way, Some((p, _)) if *p == peer);
+        let way = set.iter().position(holds).unwrap_or(((self.victims >> s) & 1) as usize);
+        self.victims = (self.victims & !(1 << s)) | (((way ^ 1) as u8) << s);
+        let slot = &mut set[way];
+        if !holds(slot) {
             *slot = None;
         }
         &slot.get_or_insert_with(|| (peer, fill())).1
@@ -191,6 +206,28 @@ mod tests {
         assert!(e.is_sim());
         assert!(e.workers().is_serial());
         assert!(EngineCfg::Real.workers().is_serial());
+    }
+
+    /// Two peers of one set keep a way each, so alternating between
+    /// them fills twice in 100 lookups; a third evicts the way not used
+    /// last.
+    #[test]
+    fn two_peers_of_one_set_stop_evicting_each_other() {
+        let route = Arc::new(SplitRoute { egress: [0].into(), ingress: [1].into() });
+        let fills_of = |peers: &[usize]| {
+            let (mut cache, mut fills) = (RouteCache::new(), Vec::new());
+            for &peer in peers {
+                cache.get(peer, || {
+                    fills.push(peer);
+                    Arc::clone(&route)
+                });
+            }
+            fills
+        };
+        let p = 3;
+        let alternating: Vec<usize> = (0..100).map(|i| p + 16 * (i % 2)).collect();
+        assert_eq!(fills_of(&alternating), [p, p + 16]);
+        assert_eq!(fills_of(&[0, 8, 0, 16, 0, 8]), [0, 8, 16, 8]);
     }
 
     #[test]

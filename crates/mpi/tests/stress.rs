@@ -317,16 +317,17 @@ fn parked_recv_is_always_woken_by_a_matched_push() {
     }
 }
 
-/// Rank 0 ping-pongs with two peers that fall into the same slot of
-/// its route caches (`p` and `p + ROUTE_CACHE_SLOTS`), so every one of
-/// its sends and receives evicts the route the previous one cached.
-/// Every clock any rank reads must equal, bit for bit, the same
-/// exchange priced straight off the machine-wide route table.
+/// Rank 0 ping-pongs with three peers that fall into the same two-way
+/// set of its route caches (`p`, `p + 8`, `p + 16`), in a rotation that
+/// is LRU's worst case: every one of its sends and receives evicts the
+/// route it will need two messages later. Every clock any rank reads
+/// must equal, bit for bit, the same exchange priced straight off the
+/// machine-wide route table.
 #[test]
 fn colliding_route_cache_peers_price_like_the_shared_table() {
     let slots = beff_mpi::engine::ROUTE_CACHE_SLOTS;
     let n = 2 * slots + 2;
-    let (a, b) = (1, 1 + slots);
+    let peers = [1, 1 + slots / 2, 1 + slots];
     let rounds = 5usize;
     let len = |i: usize| 1000 * (i + 1);
     let machine = || {
@@ -340,13 +341,13 @@ fn colliding_route_cache_peers_price_like_the_shared_table() {
         let me = c.rank();
         for i in 0..rounds {
             if me == 0 {
-                for p in [a, b] {
+                for p in peers {
                     c.payload_send(p, 1, &buf[..len(i)]);
                     clocks.push(c.now().to_bits());
                     c.recv(Some(p), Some(2), &mut buf);
                     clocks.push(c.now().to_bits());
                 }
-            } else if me == a || me == b {
+            } else if peers.contains(&me) {
                 c.recv(Some(0), Some(1), &mut buf);
                 clocks.push(c.now().to_bits());
                 c.payload_send(0, 2, &buf[..len(i) / 2]);
@@ -370,7 +371,7 @@ fn colliding_route_cache_peers_price_like_the_shared_table() {
         want[dst].push(now[dst].to_bits());
     };
     for i in 0..rounds {
-        for p in [a, b] {
+        for p in peers {
             message(0, p, len(i));
             message(p, 0, len(i) / 2);
         }

@@ -3,48 +3,15 @@
 //! here by counting what the whole run asks the allocator for. One test
 //! per binary: the count is process-wide.
 
+use beff_check::CountingAlloc;
 use beff_mpi::{Pages, World};
 use beff_mpiio::{AMode, FileView, Hints, IoWorld, MpiFile};
 use beff_netsim::{MachineNet, NetParams, Topology};
 use beff_pfs::{Pfs, PfsConfig};
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-/// Bytes requested from the allocator so far (growth only for `realloc`).
-static REQUESTED: AtomicU64 = AtomicU64::new(0);
-
-struct Counting;
-
-// SAFETY: every call is forwarded unchanged to `System`, which upholds
-// the `GlobalAlloc` contract; the counter touches no allocator state.
-unsafe impl GlobalAlloc for Counting {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        REQUESTED.fetch_add(layout.size() as u64, Ordering::Relaxed);
-        // SAFETY: the caller's contract, passed through.
-        unsafe { System.alloc(layout) }
-    }
-
-    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        REQUESTED.fetch_add(layout.size() as u64, Ordering::Relaxed);
-        // SAFETY: the caller's contract, passed through.
-        unsafe { System.alloc_zeroed(layout) }
-    }
-
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        REQUESTED.fetch_add(new_size.saturating_sub(layout.size()) as u64, Ordering::Relaxed);
-        // SAFETY: the caller's contract, passed through.
-        unsafe { System.realloc(ptr, layout, new_size) }
-    }
-
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        // SAFETY: the caller's contract, passed through.
-        unsafe { System.dealloc(ptr, layout) }
-    }
-}
-
 #[global_allocator]
-static ALLOCATOR: Counting = Counting;
+static ALLOCATOR: CountingAlloc = CountingAlloc;
 
 #[test]
 fn no_copy_collectives_allocate_a_sliver_of_what_they_move() {
@@ -55,7 +22,7 @@ fn no_copy_collectives_allocate_a_sliver_of_what_they_move() {
     let io = IoWorld::sim(Arc::new(Pfs::new(PfsConfig { clients: RANKS, ..PfsConfig::default() })));
     let world = World::sim(net); // payload travels as lengths
 
-    let before = REQUESTED.load(Ordering::Relaxed);
+    let before = CountingAlloc::requested();
     let moved: u64 = world
         .run(|c| {
             // the caller's own buffer, as `core::beffio::Bufs` holds it:
@@ -81,7 +48,7 @@ fn no_copy_collectives_allocate_a_sliver_of_what_they_move() {
         })
         .iter()
         .sum();
-    let requested = REQUESTED.load(Ordering::Relaxed) - before;
+    let requested = CountingAlloc::requested() - before;
 
     assert_eq!(moved, 2 * RANKS as u64 * CALLS * CALL as u64);
     assert!(

@@ -174,8 +174,8 @@ pub struct MachineNet {
     params: NetParams,
     links: Vec<Link>,
     backplane: Option<Link>,
-    /// Occupancy and traffic counters of every link and the backplane:
-    /// one lock per pricing call (see [`LinkLedger`]).
+    /// The records of every link and the backplane, slot `l` for
+    /// `links[l]`: one lock per pricing call (see [`LinkLedger`]).
     ledger: Arc<LinkLedger>,
     routes: RouteTable,
 }
@@ -183,19 +183,16 @@ pub struct MachineNet {
 impl MachineNet {
     pub fn new(topo: Topology, params: NetParams) -> Self {
         let n = topo.num_links();
-        // The backplane books the slot after the last topology link.
-        let ledger = Arc::new(LinkLedger::new(n + params.backplane.is_some() as usize));
-        let links = (0..n)
-            .map(|l| {
-                let kind = topo.link_kind(l);
-                let tier = params.tier_for(kind);
-                let factor = if kind.is_shared() { params.contention } else { 1.0 };
-                Link::on_ledger(Arc::clone(&ledger), l, tier.latency, tier.byte_time(), factor)
-            })
-            .collect();
-        let backplane = params.backplane.map(|t| {
-            Link::on_ledger(Arc::clone(&ledger), n, t.latency, t.byte_time(), params.contention)
+        let topo_links = (0..n).map(|l| {
+            let kind = topo.link_kind(l);
+            let tier = params.tier_for(kind);
+            let factor = if kind.is_shared() { params.contention } else { 1.0 };
+            (tier.latency, tier.byte_time(), factor)
         });
+        // The backplane books the slot after the last topology link.
+        let bp = params.backplane.map(|t| (t.latency, t.byte_time(), params.contention));
+        let (ledger, mut links) = LinkLedger::with_links(topo_links.chain(bp));
+        let backplane = bp.and_then(|_| links.pop());
         Self { topo, params, links, backplane, ledger, routes: RouteTable::new() }
     }
 
@@ -258,7 +255,8 @@ impl MachineNet {
         let mut finish: Secs = inject;
         let mut injected: Secs = inject;
         for (i, &l) in path.iter().enumerate() {
-            let (start, fin) = ledger.traverse(&self.links[l], head, bytes);
+            let (start, fin) =
+                ledger.traverse(l, head, bytes, |at| self.links[l].slowdown_at(at));
             head = start;
             if fin > finish {
                 finish = fin;
@@ -268,7 +266,8 @@ impl MachineNet {
             }
         }
         if let Some(bp) = &self.backplane {
-            let (_, fin) = ledger.traverse(bp, inject, bytes);
+            let (_, fin) =
+                ledger.traverse(self.links.len(), inject, bytes, |at| bp.slowdown_at(at));
             if fin > finish {
                 finish = fin;
             }
@@ -286,7 +285,8 @@ impl MachineNet {
         let mut h = head;
         let mut finish = floor;
         for &l in path {
-            let (start, fin) = ledger.traverse(&self.links[l], h, bytes);
+            let (start, fin) =
+                ledger.traverse(l, h, bytes, |at| self.links[l].slowdown_at(at));
             h = start;
             if fin > finish {
                 finish = fin;

@@ -140,11 +140,23 @@ struct OracleLink {
     byte_time: f64,
     res: Resource,
     windows: Vec<Degrade>,
+    dead: bool,
     bytes: u64,
     messages: u64,
 }
 
 impl OracleLink {
+    fn new(latency: f64, byte_time: f64, contention: f64) -> Self {
+        let res = Resource::with_contention(contention);
+        Self { latency, byte_time, res, windows: Vec::new(), dead: false, bytes: 0, messages: 0 }
+    }
+
+    /// What a reset leaves: the pricing terms and the installed faults.
+    fn reset(&mut self) {
+        self.res.reset();
+        (self.bytes, self.messages) = (0, 0);
+    }
+
     fn traverse(&mut self, head: f64, bytes: u64) -> (f64, f64) {
         let at = head + self.latency;
         let mut occ = bytes as f64 * self.byte_time;
@@ -170,43 +182,54 @@ fn ledger_books_bit_identically_to_per_link_resources() {
         };
         let net = MachineNet::new(topo.clone(), params.clone());
         let n_links = topo.num_links();
-        let mut oracle: Vec<OracleLink> = net
-            .links()
-            .iter()
-            .enumerate()
-            .map(|(l, link)| OracleLink {
-                latency: link.latency,
-                byte_time: link.byte_time,
-                res: Resource::with_contention(if topo.link_kind(l).is_shared() {
-                    contention
-                } else {
-                    1.0
-                }),
-                windows: Vec::new(),
-                bytes: 0,
-                messages: 0,
-            })
+        let shared = |l| if topo.link_kind(l).is_shared() { contention } else { 1.0 };
+        let mut oracle: Vec<OracleLink> = (net.links().iter().enumerate())
+            .map(|(l, link)| OracleLink::new(link.latency, link.byte_time, shared(l)))
             .collect();
-        let mut backplane = params.backplane.map(|t| OracleLink {
-            latency: t.latency,
-            byte_time: t.byte_time(),
-            res: Resource::with_contention(contention),
-            windows: Vec::new(),
-            bytes: 0,
-            messages: 0,
-        });
-        // Degrade windows on a few links (overlapping ones multiply).
-        for _ in 0..g.usize(0..=3) {
+        let mut backplane =
+            params.backplane.map(|t| OracleLink::new(t.latency, t.byte_time(), contention));
+        // A degrade window on some link (overlapping ones multiply).
+        let degrade = |g: &mut Gen, oracle: &mut Vec<OracleLink>| {
             let l = g.usize(0..=n_links - 1);
             let from = g.f64(0.0, 50.0);
             let w = Degrade { from, until: from + g.f64(0.0, 50.0), slowdown: g.f64(1.0, 8.0) };
             oracle[l].windows.push(w);
             net.links()[l].set_fault_windows(oracle[l].windows.clone());
+        };
+        for _ in 0..g.usize(0..=3) {
+            degrade(g, &mut oracle);
         }
         let n = topo.procs();
         for _ in 0..g.usize(1..=60) {
             let bytes = g.u64(0..=4_000_000);
             let head = g.f64(0.0, 100.0);
+            // Between bookings: faults come and go, one link or the
+            // whole ledger is reset — which must idle the counters and
+            // leave the pricing terms and the installed faults alone.
+            match g.usize(0..=11) {
+                0 => degrade(g, &mut oracle),
+                1 => {
+                    let l = g.usize(0..=n_links - 1);
+                    oracle[l].dead = g.bool();
+                    net.links()[l].set_dead(oracle[l].dead);
+                }
+                2 => {
+                    let l = g.usize(0..=n_links - 1);
+                    net.links()[l].reset();
+                    oracle[l].reset();
+                }
+                3 => {
+                    net.reset();
+                    oracle.iter_mut().chain(&mut backplane).for_each(OracleLink::reset);
+                }
+                4 => {
+                    let l = g.usize(0..=n_links - 1);
+                    net.links()[l].clear_faults();
+                    oracle[l].windows.clear();
+                    oracle[l].dead = false;
+                }
+                _ => {}
+            }
             if g.bool() {
                 // one booking on one link
                 let l = g.usize(0..=n_links - 1);
@@ -248,6 +271,11 @@ fn ledger_books_bit_identically_to_per_link_resources() {
             ensure_eq!(link.bytes_carried(), want.bytes, "bytes on link {l}");
             ensure_eq!(link.messages_carried(), want.messages, "messages on link {l}");
             ensure_eq!(link.horizon().to_bits(), want.res.horizon().to_bits());
+            ensure_eq!(link.is_dead(), want.dead, "dead flag of link {l}");
+            ensure_eq!(
+                (link.latency.to_bits(), link.byte_time.to_bits()),
+                (want.latency.to_bits(), want.byte_time.to_bits())
+            );
         }
         let report = traffic_report(&net);
         ensure_eq!(report.total_bytes(), oracle.iter().map(|o| o.bytes).sum::<u64>());

@@ -1,6 +1,7 @@
-//! Stackful fibers for the simulated world: one three-call interface
-//! (`start` a fiber on a body, `resume(rank)`, `to_host(rank)`), two
-//! backends chosen from `target_arch` at build time.
+//! Stackful fibers for the simulated world: one small interface
+//! (`start` a fiber on a body, `resume(rank)`, `to_host(rank)`, and the
+//! hint `prefetch(rank)`), two backends chosen from `target_arch` at
+//! build time.
 //!
 //! Sim mode runs exactly one rank at a time (see [`crate::sched`]), so
 //! a world is a host drive loop that resumes the next ready rank and
@@ -15,6 +16,14 @@
 //!   order, same results, microseconds per switch (a futex wake and a
 //!   kernel context switch). The x86_64 test build compiles this
 //!   backend too and runs the contract tests below against both.
+//!
+//! `prefetch(rank)` asks the cache for the lines `rank` touches first
+//! when it is resumed — the switch's own pops, then the frames it
+//! returns into. A 512-rank world's working set is past the L2 and is
+//! swept in FIFO token order, LRU's worst case, so without the hint
+//! every resume starts with a chain of misses; the scheduler issues it
+//! one rank's worth of work ahead. It is empty on the thread backend,
+//! whose switch is a kernel round trip.
 //!
 //! The contract is deliberately narrow:
 //!
@@ -42,7 +51,12 @@ pub(crate) use threads::FiberSet;
 
 /// Default fiber stack size. Generous for the benchmark closures (heap
 /// buffers, shallow call depth) while staying lazily committed:
-/// untouched pages cost no RSS.
+/// untouched pages cost no RSS. The depth actually used is a measured
+/// number ([`FiberStack::high_water`]: 2.8 kB for b_eff, 8.4 kB for
+/// b_eff_io, three times that in a debug build). Smaller stacks, and
+/// one contiguous mapping of 16 or 64 KiB stacks, were tried against
+/// this: no resolvable change in a 512-rank job — the TLB is not what a
+/// handoff waits for — so the size and one mapping per stack stay.
 pub const STACK_SIZE: usize = 1 << 20;
 
 const CANARY: u64 = 0xBEEF_F1BE_57AC_CA4D;
@@ -71,6 +85,17 @@ impl FiberStack {
         // the live region (aligned to 64 at least); fibers never
         // legally reach this deep.
         unsafe { (self.mem.base() as *const u64).read() == CANARY }
+    }
+
+    /// Deepest the fiber ever got: bytes from the top of the stack down
+    /// to the deepest non-zero word, the canary excluded. Call it with
+    /// the fiber suspended or finished. (A stack starts zeroed and
+    /// frames are not cleared on return, so this is a high-water mark
+    /// up to frames that only ever stored zeros at their deep end.)
+    pub fn high_water(&self) -> usize {
+        let words = self.mem.chunks_exact(8);
+        let deepest = words.skip(1).position(|w| w != [0; 8]);
+        deepest.map_or(0, |i| self.mem.size() - 8 * (i + 1))
     }
 }
 
@@ -154,7 +179,40 @@ mod asm {
             // `rank`); the host slot was saved by the matching resume.
             unsafe { fiber_switch(self.sps[rank].get(), self.host_sp.get()) };
         }
+
+        /// Start pulling the top of `rank`'s suspended stack into the
+        /// cache: the switch's save area and the frames it returns
+        /// into. A hint — it cannot fault and changes no result. Call
+        /// it where the scheduler runs: on the driving host thread or a
+        /// fiber it resumed.
+        #[inline]
+        pub fn prefetch(&self, rank: usize) {
+            use std::arch::x86_64::{_mm_prefetch, _MM_HINT_T0};
+            // SAFETY: the saved stack pointers are read and written only
+            // on the driving host thread (the struct's contract; every
+            // fiber of the set runs on it), so this read races with no
+            // switch. The prefetch instruction dereferences nothing
+            // architecturally; the addresses are formed with wrapping
+            // arithmetic because the last lines may lie past the top of
+            // a shallow stack.
+            unsafe {
+                let sp = *self.sps[rank].get();
+                for line in 0..PREFETCH_LINES {
+                    _mm_prefetch::<_MM_HINT_T0>(sp.wrapping_add(64 * line) as *const i8);
+                }
+            }
+        }
     }
+
+    /// How much of a suspended stack [`FiberSet::prefetch`] asks for:
+    /// 16 lines = 1 KiB above the saved stack pointer, which covers the
+    /// save area and the frames between a blocked `recv` and the
+    /// benchmark loop. Picked from a sweep on the 512-rank b_eff job
+    /// (2.31 / 2.16 / 1.76 / 1.87 s at 0 / 8 / 16 / 24 lines): fewer
+    /// leaves misses behind, more competes with the demand loads for
+    /// line-fill buffers — which is also why hinting the rank's
+    /// `RankState` and mailbox as well (16 more lines) bought nothing.
+    const PREFETCH_LINES: usize = 16;
 
     /// Write the initial save area onto `stack` so that switching to
     /// the returned stack pointer enters `body`. The closure is boxed
@@ -386,6 +444,11 @@ mod threads {
         pub unsafe fn to_host(&self, rank: usize) {
             self.fibers[rank].baton.pass(Turn::Host);
         }
+
+        /// Nothing to do: a switch here is a futex wake and a kernel
+        /// context switch, and the stack is another thread's.
+        #[inline]
+        pub fn prefetch(&self, _rank: usize) {}
     }
 
     impl Drop for FiberSet {
@@ -432,6 +495,7 @@ mod tests {
                         hits.fetch_add(10, Ordering::Relaxed);
                     };
                     unsafe { set.start(0, &stack, body) };
+                    set.prefetch(0); // a hint on either backend
                     unsafe { set.resume(0) };
                     assert_eq!(hits.load(Ordering::Relaxed), 1);
                     unsafe { set.resume(0) };
@@ -547,6 +611,36 @@ mod tests {
     #[test]
     fn both_backends_log_the_identical_sequence() {
         assert_eq!(asm::replay(), threads::replay());
+    }
+
+    /// The high-water mark follows the deepest frame and ignores the
+    /// canary; prefetching a suspended fiber — even one 72 bytes below
+    /// the top of its stack — is a pure hint.
+    #[cfg(target_arch = "x86_64")]
+    #[test]
+    fn high_water_tracks_the_deepest_frame() {
+        #[inline(never)]
+        fn dig(depth: usize) -> u64 {
+            let frame = std::hint::black_box([depth as u64 | 1; 64]);
+            if depth == 0 { frame[0] } else { frame[1] + dig(depth - 1) }
+        }
+        let stack = FiberStack::new(STACK_SIZE);
+        assert_eq!(stack.high_water(), 0, "the canary is not depth");
+        let set = crate::fiber::asm::FiberSet::new(1);
+        let body = || {
+            unsafe { set.to_host(0) };
+            std::hint::black_box(dig(32));
+        };
+        unsafe { set.start(0, &stack, body) };
+        set.prefetch(0);
+        unsafe { set.resume(0) };
+        let shallow = stack.high_water();
+        assert!(shallow > 0 && shallow < 16 * 1024, "shallow = {shallow}");
+        set.prefetch(0);
+        unsafe { set.resume(0) };
+        let deep = stack.high_water();
+        assert!(deep >= shallow + 32 * 64 * 8 && deep < STACK_SIZE / 4, "{shallow} -> {deep}");
+        assert!(stack.canary_intact());
     }
 
     /// Float state survives a switch (the benchmarks are f64-heavy).

@@ -1,17 +1,25 @@
 //! Network links: latency + per-byte occupancy, booked on a shared
 //! [`LinkLedger`].
 //!
-//! A [`Link`] is the *static* description of one wire (latency, byte
-//! time, fair-share factor) plus its fault state; the *dynamic* state —
-//! next-free time and traffic counters — of every link of a machine
-//! lives in one [`LinkLedger`], behind one lock. Pricing a message
-//! takes that lock once and books every link of the path under it
-//! ([`LedgerGuard::traverse`]), with the same arithmetic a
-//! [`Resource`](crate::resource::Resource) applies to a single
-//! next-free time. One lock is sound because simulated worlds are
-//! token-serial (one rank prices at a time) and batch workers price on
-//! machine replicas, so the ledger lock is never contended; it exists
-//! to carry the bookings from one rank thread to the next.
+//! Everything a booking reads or writes of one link sits in one
+//! 64-byte record of the machine's [`LinkLedger`]: the pricing fields
+//! (latency, byte time, fair-share factor, a `degraded` flag) beside
+//! the dynamic ones (next-free time, traffic counters) — one cache line
+//! a hop. The record *owns* the pricing fields: they are written when
+//! the link is made and never again, [`LinkLedger::reset`] idles the
+//! dynamic fields only, and `degraded` follows the installed fault
+//! windows. A [`Link`] is the handle on a record plus what a booking
+//! does not normally touch — the fault windows themselves, the dead
+//! flag — and a public copy of `latency` / `byte_time` for read-only
+//! cost queries; nothing mutates either copy, so they cannot drift.
+//!
+//! Pricing a message takes the ledger lock once and books every link of
+//! the path under it ([`LedgerGuard::traverse`]), with the same
+//! arithmetic a [`Resource`](crate::resource::Resource) applies to a
+//! single next-free time. One lock is sound because simulated worlds
+//! are token-serial (one rank prices at a time) and batch workers price
+//! on machine replicas, so the ledger lock is never contended; it
+//! exists to carry the bookings from one rank thread to the next.
 
 use crate::resource::{book, check_contention};
 use crate::units::Secs;
@@ -38,66 +46,113 @@ pub struct Degrade {
 /// leaves.
 static LEDGER_RANK: Rank = Rank::new(72, "sim.ledger");
 
-/// Dynamic state of one link.
-#[derive(Debug, Clone, Copy, Default)]
+/// One link's record: what a booking reads (fixed when the link is
+/// made, but for `degraded`) beside what it writes, in one cache line.
+#[derive(Debug, Clone, Copy)]
+#[repr(C, align(64))]
 struct Slot {
+    latency: Secs,
+    byte_time: Secs,
+    /// Occupancy multiplier for bookings that had to queue (see
+    /// [`Resource::with_contention`](crate::resource::Resource::with_contention)).
+    contention: f64,
     next_free: Secs,
     /// Traffic counters (diagnostics): total bytes and messages.
     bytes: u64,
     messages: u64,
+    /// "The link's window list is non-empty": the one reason a booking
+    /// looks past the record.
+    degraded: bool,
 }
 
-/// Occupancy and traffic counters of a set of links, behind one lock.
+impl Slot {
+    fn new(latency: Secs, byte_time: Secs, contention: f64) -> Self {
+        check_contention(contention);
+        Self { latency, byte_time, contention, next_free: 0.0, bytes: 0, messages: 0, degraded: false }
+    }
+
+    fn idle(&mut self) {
+        (self.next_free, self.bytes, self.messages) = (0.0, 0, 0);
+    }
+}
+
+/// The records of a set of links, behind one lock.
 #[derive(Debug)]
 pub struct LinkLedger {
     slots: Mutex<Vec<Slot>>,
 }
 
 impl LinkLedger {
-    /// An idle ledger with `links` slots.
-    pub fn new(links: usize) -> Self {
-        Self { slots: Mutex::ranked(&LEDGER_RANK, vec![Slot::default(); links]) }
+    fn of(slots: Vec<Slot>) -> Arc<Self> {
+        Arc::new(Self { slots: Mutex::ranked(&LEDGER_RANK, slots) })
+    }
+
+    /// One ledger and its links from `(latency, byte_time, contention)`
+    /// triples, link `i` on slot `i` (how a machine instantiates its
+    /// links: one ledger, every record filled in one pass under one
+    /// acquisition of its lock).
+    pub fn with_links(
+        specs: impl IntoIterator<Item = (Secs, Secs, f64)>,
+    ) -> (Arc<Self>, Vec<Link>) {
+        let specs = specs.into_iter();
+        let ledger = Self::of(Vec::with_capacity(specs.size_hint().0));
+        let mut slots = ledger.slots.lock();
+        let link = |(slot, (latency, byte_time, contention))| {
+            slots.push(Slot::new(latency, byte_time, contention));
+            Link::on(&ledger, slot, latency, byte_time)
+        };
+        let links = specs.enumerate().map(link).collect();
+        drop(slots);
+        (ledger, links)
     }
 
     /// Take the ledger lock for one pricing call.
     #[inline]
     pub fn lock(&self) -> LedgerGuard<'_> {
-        LedgerGuard { ledger: self, slots: self.slots.lock() }
+        LedgerGuard { slots: self.slots.lock() }
     }
 
-    /// Reset every slot's occupancy and counters to idle.
+    /// Idle every record: occupancy and counters to zero. The pricing
+    /// fields and the `degraded` flags stay.
     pub fn reset(&self) {
-        self.slots.lock().fill(Slot::default());
+        self.slots.lock().iter_mut().for_each(Slot::idle);
     }
 }
 
 /// The held ledger lock: books links until dropped.
 pub struct LedgerGuard<'a> {
-    ledger: &'a LinkLedger,
     slots: MutexGuard<'a, Vec<Slot>>,
 }
 
 impl LedgerGuard<'_> {
-    /// Push `bytes` through `link`, with the head arriving at the link
-    /// entrance at `head`. Returns `(start, finish)` of the occupancy —
-    /// `start` is when the stream begins flowing on this link (so a
-    /// downstream link may begin then), `finish` is when the last byte
-    /// has crossed (queued messages on a contended link finish at the
-    /// fair-share-degraded rate).
+    /// Push `bytes` through the link on `slot`, with the head arriving
+    /// at the link entrance at `head`. Returns `(start, finish)` of the
+    /// occupancy — `start` is when the stream begins flowing on this
+    /// link (so a downstream link may begin then), `finish` is when the
+    /// last byte has crossed (queued messages on a contended link finish
+    /// at the fair-share-degraded rate). `degraded` is asked for the
+    /// slowdown at the occupancy's earliest start only when the record
+    /// says a fault window is installed.
     #[inline]
-    pub fn traverse(&mut self, link: &Link, head: Secs, bytes: u64) -> (Secs, Secs) {
-        debug_assert!(std::ptr::eq(self.ledger, &*link.ledger), "link of another ledger");
-        let mut occ = bytes as f64 * link.byte_time;
+    pub fn traverse(
+        &mut self,
+        slot: usize,
+        head: Secs,
+        bytes: u64,
+        degraded: impl FnOnce(Secs) -> f64,
+    ) -> (Secs, Secs) {
+        let s = &mut self.slots[slot];
+        let at = head + s.latency;
+        let mut occ = bytes as f64 * s.byte_time;
         // Guarded so that, with no fault installed, the float arithmetic
         // is *bitwise-identical* to the fault-free code (no multiply by
         // 1.0 sneaks in).
-        if link.degraded.load(Ordering::Relaxed) {
-            occ *= link.slowdown_at(head + link.latency);
+        if s.degraded {
+            occ *= degraded(at);
         }
-        let slot = &mut self.slots[link.slot];
-        let span = book(&mut slot.next_free, link.contention, head + link.latency, occ);
-        slot.bytes += bytes;
-        slot.messages += 1;
+        let span = book(&mut s.next_free, s.contention, at, occ);
+        s.bytes += bytes;
+        s.messages += 1;
         span
     }
 }
@@ -109,16 +164,13 @@ pub struct Link {
     pub latency: Secs,
     /// Seconds per byte of occupancy (1 / bandwidth).
     pub byte_time: Secs,
-    /// Occupancy multiplier for bookings that had to queue (see
-    /// [`Resource::with_contention`](crate::resource::Resource::with_contention)).
-    contention: f64,
-    /// Where this link's occupancy and counters live.
+    /// Where this link's record lives.
     ledger: Arc<LinkLedger>,
     slot: usize,
-    /// Fault state. `degraded` mirrors "the window list is non-empty"
-    /// so the hot path pays one relaxed load.
+    /// Fault state. The record's `degraded` flag mirrors "the window
+    /// list is non-empty", so a booking on a healthy link never comes
+    /// here.
     faults: Mutex<Vec<Degrade>>,
-    degraded: AtomicBool,
     dead: AtomicBool,
 }
 
@@ -132,41 +184,24 @@ impl Link {
     /// has to queue behind pending traffic occupies `factor` times its
     /// serial byte time. `1.0` is plain FIFO packing.
     pub fn with_contention(latency: Secs, byte_time: Secs, factor: f64) -> Self {
-        Self::on_ledger(Arc::new(LinkLedger::new(1)), 0, latency, byte_time, factor)
+        Self::on(&LinkLedger::of(vec![Slot::new(latency, byte_time, factor)]), 0, latency, byte_time)
     }
 
-    /// The link booked in slot `slot` of a shared `ledger` (how a
-    /// machine instantiates its links: one ledger, one lock).
-    pub fn on_ledger(
-        ledger: Arc<LinkLedger>,
-        slot: usize,
-        latency: Secs,
-        byte_time: Secs,
-        factor: f64,
-    ) -> Self {
-        check_contention(factor);
-        Self {
-            latency,
-            byte_time,
-            contention: factor,
-            ledger,
-            slot,
-            faults: Mutex::new(Vec::new()),
-            degraded: AtomicBool::new(false),
-            dead: AtomicBool::new(false),
-        }
+    fn on(ledger: &Arc<LinkLedger>, slot: usize, latency: Secs, byte_time: Secs) -> Self {
+        let (ledger, faults) = (Arc::clone(ledger), Mutex::new(Vec::new()));
+        Self { latency, byte_time, ledger, slot, faults, dead: AtomicBool::new(false) }
     }
 
     /// Book one message on this link alone (see
     /// [`LedgerGuard::traverse`]; paths take the lock once for all
     /// their links instead).
     pub fn traverse(&self, head: Secs, bytes: u64) -> (Secs, Secs) {
-        self.ledger.lock().traverse(self, head, bytes)
+        self.ledger.lock().traverse(self.slot, head, bytes, |at| self.slowdown_at(at))
     }
 
     /// Product of the slowdowns of every installed window covering
     /// time `t` (1.0 when none does).
-    fn slowdown_at(&self, t: Secs) -> f64 {
+    pub fn slowdown_at(&self, t: Secs) -> f64 {
         let ws = self.faults.lock();
         ws.iter()
             .filter(|w| w.from <= t && t < w.until)
@@ -181,7 +216,7 @@ impl Link {
     pub fn set_fault_windows(&self, windows: Vec<Degrade>) {
         let degraded = !windows.is_empty();
         *self.faults.lock() = windows;
-        self.degraded.store(degraded, Ordering::Relaxed);
+        self.ledger.lock().slots[self.slot].degraded = degraded;
     }
 
     /// Mark the link permanently failed. The link still *prices*
@@ -198,13 +233,19 @@ impl Link {
     /// Remove every installed fault (degradation windows and the dead
     /// flag).
     pub fn clear_faults(&self) {
-        self.faults.lock().clear();
-        self.degraded.store(false, Ordering::Relaxed);
+        self.set_fault_windows(Vec::new());
         self.dead.store(false, Ordering::Relaxed);
     }
 
     fn state(&self) -> Slot {
         self.ledger.lock().slots[self.slot]
+    }
+
+    /// The `(latency, byte_time)` this link's record books with
+    /// (diagnostics / tests: the public fields, bit for bit).
+    pub fn booked_terms(&self) -> (Secs, Secs) {
+        let s = self.state();
+        (s.latency, s.byte_time)
     }
 
     /// Next-free time (diagnostics / tests).
@@ -228,7 +269,7 @@ impl Link {
     /// `clear_faults`), while `reset` belongs to the world-reuse path
     /// that recycles a net between runs.
     pub fn reset(&self) {
-        self.ledger.lock().slots[self.slot] = Slot::default();
+        self.ledger.lock().slots[self.slot].idle();
     }
 }
 
@@ -322,16 +363,16 @@ mod tests {
 
     #[test]
     fn links_of_one_ledger_book_their_own_slots_under_one_lock() {
-        let ledger = Arc::new(LinkLedger::new(2));
         // 0.25 s/byte: four bytes occupy exactly one second
-        let a = Link::on_ledger(Arc::clone(&ledger), 0, 0.0, 0.25, 1.0);
-        let b = Link::on_ledger(Arc::clone(&ledger), 1, 0.0, 0.25, 2.0);
+        let (ledger, links) = LinkLedger::with_links([(0.0, 0.25, 1.0), (0.0, 0.25, 2.0)]);
+        let [a, b] = &links[..] else { panic!("two specs, two links") };
         {
+            let healthy = |_| unreachable!("no window installed");
             let mut g = ledger.lock();
-            assert_eq!(g.traverse(&a, 0.0, 4), (0.0, 1.0));
-            assert_eq!(g.traverse(&b, 0.0, 4), (0.0, 1.0));
+            assert_eq!(g.traverse(0, 0.0, 4, healthy), (0.0, 1.0));
+            assert_eq!(g.traverse(1, 0.0, 4, healthy), (0.0, 1.0));
             // queued on b: fair-share factor 2; a's bookings do not touch it
-            assert_eq!(g.traverse(&b, 0.0, 4), (1.0, 3.0));
+            assert_eq!(g.traverse(1, 0.0, 4, healthy), (1.0, 3.0));
         }
         assert_eq!((a.messages_carried(), b.messages_carried()), (1, 2));
         assert_eq!((a.horizon(), b.horizon()), (1.0, 3.0));
@@ -340,6 +381,20 @@ mod tests {
         assert_eq!(b.bytes_carried(), 8, "resetting one link leaves its neighbours");
         ledger.reset();
         assert_eq!((b.horizon(), b.bytes_carried(), b.messages_carried()), (0.0, 0, 0));
+    }
+
+    /// One record is one cache line, and a reset idles it without
+    /// touching what was fixed at construction or installed since.
+    #[test]
+    fn a_record_is_one_cache_line_and_reset_keeps_its_pricing_fields() {
+        assert_eq!((std::mem::size_of::<Slot>(), std::mem::align_of::<Slot>()), (64, 64));
+        let l = Link::with_contention(1e-6, 1e-9, 2.0);
+        l.set_fault_windows(vec![Degrade { from: 0.0, until: 1.0, slowdown: 3.0 }]);
+        l.traverse(0.0, 100);
+        l.ledger.reset();
+        let s = l.state();
+        assert_eq!((s.latency, s.byte_time, s.contention, s.degraded), (1e-6, 1e-9, 2.0, true));
+        assert_eq!((s.next_free, s.bytes, s.messages), (0.0, 0, 0));
     }
 
     #[test]

@@ -27,6 +27,17 @@
 //! fiber backend, because the backends differ only in what a switch
 //! costs, never in who runs next.
 //!
+//! Who pops the successor: the rank that gives the token up. It holds
+//! `sched.state` anyway (to mark itself blocked or re-queue itself), so
+//! it pops the head of the ready queue under that lock, leaves it in
+//! `handoff` and suspends; the drive loop resumes what it finds there
+//! without taking the lock — one `sched.state` round trip per handoff.
+//! Whoever pops also starts pulling in the stack of the *new* head, the
+//! rank after next ([`FiberSet::prefetch`]), so its first touches after
+//! the switch land on lines already on their way. The drive loop pops
+//! for itself only when nothing was left for it: at the start, after a
+//! body returned, and on abort / deadlock / coordinated quiescence.
+//!
 //! [`SimScheduler::launch`] is the one way to run a world: start
 //! `body(rank)` for every rank, drive to completion, check that every
 //! fiber reached its final switch and every stack canary is intact.
@@ -39,7 +50,7 @@ use crate::error::BeffError;
 use crate::fiber::{FiberSet, FiberStack};
 use beff_sync::{Mutex, Rank};
 use std::collections::VecDeque;
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 
 /// Lock-hierarchy position (DESIGN.md §8).
 static SCHED_STATE_RANK: Rank = Rank::new(40, "sched.state");
@@ -71,7 +82,14 @@ pub struct SimScheduler {
     /// The `Release` store pairs with the `Acquire` load of the resumed
     /// rank (which the switch already orders after the store).
     deadlocked: AtomicBool,
+    /// The successor a suspending rank popped for the drive loop, or
+    /// [`NO_HANDOFF`]. Stored just before the switch to the host and
+    /// taken just after it; `Relaxed` because the switch itself (same
+    /// thread, or the thread backend's baton lock) orders the two.
+    handoff: AtomicUsize,
 }
+
+const NO_HANDOFF: usize = usize::MAX;
 
 /// Snapshot of the scheduler's terminal state (tests, diagnostics).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -103,6 +121,7 @@ impl SimScheduler {
             ),
             fibers: FiberSet::new(n),
             deadlocked: AtomicBool::new(false),
+            handoff: AtomicUsize::new(NO_HANDOFF),
         }
     }
 
@@ -171,33 +190,64 @@ impl SimScheduler {
         st.live -= 1;
     }
 
-    /// Resume ready fibers in FIFO order until every rank has finished.
-    /// With the ready queue dry and ranks still live, a coordinated
-    /// scheduler returns (quiescence: the coordinator decides), a plain
-    /// one flips to the deadlock protocol; on deadlock or abort every
-    /// unfinished fiber is resumed, in rank order, so it can unwind.
+    /// The next rank to run, with the stack of the one after it already
+    /// requested. `st` is this scheduler's locked state.
+    #[inline]
+    fn pop_ready(&self, st: &mut SchedState) -> Option<usize> {
+        let next = st.ready.pop_front()?;
+        if let Some(&after) = st.ready.front() {
+            self.fibers.prefetch(after);
+        }
+        Some(next)
+    }
+
+    /// The token holder is about to suspend normally: pop its successor
+    /// under the lock it already holds and leave it for the drive loop.
+    /// Abort, deadlock and an empty queue leave nothing — the drive
+    /// loop's own locked path decides those.
+    #[inline]
+    fn hand_off(&self, st: &mut SchedState) {
+        if !st.aborted && !self.is_deadlocked() {
+            if let Some(next) = self.pop_ready(st) {
+                self.handoff.store(next, Ordering::Relaxed);
+            }
+        }
+    }
+
+    /// Resume fibers until every rank has finished: the successor the
+    /// last rank left in `handoff`, else the drive loop's own
+    /// [`pick`](Self::pick).
     pub(crate) fn drive(&self) {
         loop {
-            let next = {
-                let mut st = self.inner.lock();
-                if st.live == 0 {
-                    return;
-                }
-                if st.aborted || self.is_deadlocked() {
-                    st.finished.iter().position(|&f| !f)
-                } else if let Some(r) = st.ready.pop_front() {
-                    Some(r)
-                } else if st.coordinated {
-                    return;
-                } else {
-                    self.deadlocked.store(true, Ordering::Release);
-                    st.finished.iter().position(|&f| !f)
-                }
+            let next = match self.handoff.swap(NO_HANDOFF, Ordering::Relaxed) {
+                NO_HANDOFF => self.pick(),
+                next => Some(next),
             };
             let Some(r) = next else { return };
             // SAFETY: r is unfinished and was started by `launch_with`,
             // whose host thread is the only caller of this loop.
             unsafe { self.fibers.resume(r) };
+        }
+    }
+
+    /// The head of the ready queue, or `None` to leave the drive loop.
+    /// With the queue dry and ranks still live, a coordinated scheduler
+    /// leaves (quiescence: the coordinator decides), a plain one flips
+    /// to the deadlock protocol; on deadlock or abort every unfinished
+    /// fiber is resumed, in rank order, so it can unwind.
+    fn pick(&self) -> Option<usize> {
+        let mut st = self.inner.lock();
+        if st.live == 0 {
+            None
+        } else if st.aborted || self.is_deadlocked() {
+            st.finished.iter().position(|&f| !f)
+        } else if let Some(r) = self.pop_ready(&mut st) {
+            Some(r)
+        } else if st.coordinated {
+            None
+        } else {
+            self.deadlocked.store(true, Ordering::Release);
+            st.finished.iter().position(|&f| !f)
         }
     }
 
@@ -222,7 +272,11 @@ impl SimScheduler {
     /// the token and suspend until a peer re-queues us (or the world
     /// dies).
     pub fn yield_blocked(&self, rank: usize) {
-        self.inner.lock().blocked[rank] = true;
+        {
+            let mut st = self.inner.lock();
+            st.blocked[rank] = true;
+            self.hand_off(&mut st);
+        }
         self.suspend(rank);
     }
 
@@ -258,6 +312,7 @@ impl SimScheduler {
                 return;
             }
             st.ready.push_back(rank);
+            self.hand_off(&mut st);
         }
         self.suspend(rank);
     }

@@ -33,6 +33,30 @@ fn beff_on_t3e_partition_matches_paper_scale() {
     assert!((250.0..420.0).contains(&r.pingpong_mbps), "pp = {}", r.pingpong_mbps);
 }
 
+/// How deep the benchmarks dig into their 1 MiB fiber stacks is a
+/// measured number with a wide margin (2.8 kB and 8.4 kB optimised,
+/// 8.6 kB and 21.9 kB in a debug build): nobody has to guess whether
+/// `STACK_SIZE` is tight.
+#[test]
+fn benchmark_worlds_use_a_sliver_of_their_fiber_stacks() {
+    let Some(machine) = by_key("t3e") else { panic!("t3e is in the catalog") };
+    let limit = beff::sim::fiber::STACK_SIZE / 16;
+
+    let session = World::sim_partition(machine.network(), 64).session();
+    let cfg = quick_beff(machine.mem_per_proc);
+    session.run(move |c| run_beff(c, &cfg));
+    let depth = session.stack_high_water();
+    assert!(depth > 0 && depth < limit, "b_eff on t3e x64 went {depth} B deep");
+
+    let session = World::sim_partition(machine.network(), 8).session();
+    let Some(pfs) = machine.sized_for(8).filesystem() else { panic!("the t3e models its I/O") };
+    let io = IoWorld::sim(pfs);
+    let cfg = BeffIoConfig::quick(machine.mem_per_node).with_t(1.0);
+    session.run(move |c| run_beff_io(c, &io, &cfg));
+    let depth = session.stack_high_water();
+    assert!(depth > 0 && depth < limit, "b_eff_io on t3e x8 went {depth} B deep");
+}
+
 /// What one small job puts on the wires, counted by the link ledger:
 /// exact, and pinned from the per-link counters it replaced (PR 11
 /// commit) — a cached route or a fused booking that skipped or doubled
