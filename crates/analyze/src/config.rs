@@ -307,7 +307,7 @@ pub const LOCK_HIERARCHY: &[LockDecl] = &[
     },
     LockDecl {
         file_suffix: "crates/sim/src/link.rs",
-        receiver: "slots",
+        receiver: "books",
         methods: &["lock"],
         level: 72,
         name: "sim.ledger",

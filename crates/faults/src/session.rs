@@ -111,9 +111,7 @@ impl FaultSession {
     /// so calling this after every `net.reset()` leaves the net exactly
     /// as the plan dictates.
     pub fn install(&self, net: &MachineNet) {
-        for link in net.links() {
-            link.clear_faults();
-        }
+        net.ledger().clear_faults();
         let epoch = self.epoch();
         let links = net.links();
         let mut windows: Vec<Vec<Degrade>> = vec![Vec::new(); links.len()];
@@ -127,9 +125,9 @@ impl FaultSession {
                 slowdown,
             });
         }
-        for (link, ws) in links.iter().zip(windows) {
+        for (l, ws) in windows.into_iter().enumerate() {
             if !ws.is_empty() {
-                link.set_fault_windows(ws);
+                net.ledger().set_fault_windows(l, ws);
             }
         }
         for &l in &self.plan.dead_links {
@@ -141,9 +139,7 @@ impl FaultSession {
 
     /// Remove every installed link fault from `net`.
     pub fn clear(net: &MachineNet) {
-        for link in net.links() {
-            link.clear_faults();
-        }
+        net.ledger().clear_faults();
     }
 
     pub fn note_drop(&self) {

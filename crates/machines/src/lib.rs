@@ -83,7 +83,7 @@ mod tests {
             let net = m.sized_for(procs).network();
             assert!(net.links().len() > 2 * procs, "{key}");
             for (l, link) in net.links().iter().enumerate() {
-                let (latency, byte_time) = link.booked_terms();
+                let (latency, byte_time) = net.ledger().booked_terms(l);
                 assert_eq!(latency.to_bits(), link.latency.to_bits(), "{key} link {l}");
                 assert_eq!(byte_time.to_bits(), link.byte_time.to_bits(), "{key} link {l}");
             }

@@ -130,25 +130,26 @@ impl Comm {
     /// board (reduced in rank order, priced as reduce + bcast sweeps);
     /// real worlds reduce to 0 and broadcast.
     pub fn allreduce_f64(&mut self, vals: &[f64], op: ReduceOp) -> Vec<f64> {
-        if self.size() > 1 && self.is_sim() {
-            let mut out = vec![0.0; vals.len()];
-            self.sim_rendezvous(vals, &mut out, Some(op));
-            return out;
-        }
-        let reduced = self.reduce_f64(0, vals, op);
-        let mut buf = reduced.map(|v| wire::encode_f64s(&v)).unwrap_or_default();
-        self.bcast(0, &mut buf);
-        wire::decode_f64s(&buf)
+        let mut out = vec![0.0; vals.len()];
+        self.allreduce_into(vals, &mut out, op);
+        out
     }
 
     /// Scalar allreduce; on the rendezvous board it stays off the heap.
     pub fn allreduce_scalar(&mut self, v: f64, op: ReduceOp) -> f64 {
+        let mut out = [0.0];
+        self.allreduce_into(&[v], &mut out, op);
+        out[0]
+    }
+
+    fn allreduce_into(&mut self, vals: &[f64], out: &mut [f64], op: ReduceOp) {
         if self.size() > 1 && self.is_sim() {
-            let mut out = [0.0];
-            self.sim_rendezvous(&[v], &mut out, Some(op));
-            return out[0];
+            return self.sim_rendezvous(vals, out, Some(op));
         }
-        self.allreduce_f64(&[v], op)[0]
+        let reduced = self.reduce_f64(0, vals, op);
+        let mut buf = reduced.map(|v| wire::encode_f64s(&v)).unwrap_or_default();
+        self.bcast(0, &mut buf);
+        out.copy_from_slice(&wire::decode_f64s(&buf));
     }
 
     /// Linear gather of byte buffers to `root` (control path). Returns

@@ -605,6 +605,20 @@ mod tests {
     }
 
     #[test]
+    fn allreduce_max_agrees_everywhere() {
+        let out = World::real(5).run(|c| {
+            c.allreduce_scalar(c.rank() as f64, ReduceOp::Max)
+        });
+        assert!(out.iter().all(|&v| v == 4.0));
+    }
+
+    #[test]
+    fn allreduce_sum_sim() {
+        let out = tiny_sim().run(|c| c.allreduce_scalar(1.0, ReduceOp::Sum));
+        assert!(out.iter().all(|&v| v == 4.0));
+    }
+
+    #[test]
     fn bcast_from_nonzero_root() {
         let out = World::real(7).run(|c| {
             let mut data = if c.rank() == 3 { b"payload".to_vec() } else { Vec::new() };

@@ -172,11 +172,11 @@ pub struct Egress {
 pub struct MachineNet {
     topo: Topology,
     params: NetParams,
-    links: Vec<Link>,
-    backplane: Option<Link>,
-    /// The records of every link and the backplane, slot `l` for
-    /// `links[l]`: one lock per pricing call (see [`LinkLedger`]).
-    ledger: Arc<LinkLedger>,
+    /// Every link, slot `l` for the topology's link id `l`: one lock
+    /// per pricing call (see [`LinkLedger`]).
+    ledger: LinkLedger,
+    /// The backplane's slot: the one after the last topology link.
+    backplane: Option<usize>,
     routes: RouteTable,
 }
 
@@ -189,11 +189,10 @@ impl MachineNet {
             let factor = if kind.is_shared() { params.contention } else { 1.0 };
             (tier.latency, tier.byte_time(), factor)
         });
-        // The backplane books the slot after the last topology link.
         let bp = params.backplane.map(|t| (t.latency, t.byte_time(), params.contention));
-        let (ledger, mut links) = LinkLedger::with_links(topo_links.chain(bp));
-        let backplane = bp.and_then(|_| links.pop());
-        Self { topo, params, links, backplane, ledger, routes: RouteTable::new() }
+        let ledger = LinkLedger::new(topo_links.chain(bp));
+        let backplane = bp.map(|_| n);
+        Self { topo, params, ledger, backplane, routes: RouteTable::new() }
     }
 
     pub fn procs(&self) -> usize {
@@ -220,10 +219,15 @@ impl MachineNet {
         self.routes.len()
     }
 
-    /// The instantiated links (diagnostics; indices match the
-    /// topology's link-id space).
+    /// The instantiated links (indices match the topology's link-id
+    /// space, and the link's slot in [`ledger`](Self::ledger)).
     pub fn links(&self) -> &[Link] {
-        &self.links
+        &self.ledger.links()[..self.topo.num_links()]
+    }
+
+    /// The links' records: traffic counters, fault installation.
+    pub fn ledger(&self) -> &LinkLedger {
+        &self.ledger
     }
 
     /// Compute the link path for a message (delegates to the topology).
@@ -255,8 +259,7 @@ impl MachineNet {
         let mut finish: Secs = inject;
         let mut injected: Secs = inject;
         for (i, &l) in path.iter().enumerate() {
-            let (start, fin) =
-                ledger.traverse(l, head, bytes, |at| self.links[l].slowdown_at(at));
+            let (start, fin) = ledger.traverse(l, head, bytes);
             head = start;
             if fin > finish {
                 finish = fin;
@@ -265,9 +268,8 @@ impl MachineNet {
                 injected = fin;
             }
         }
-        if let Some(bp) = &self.backplane {
-            let (_, fin) =
-                ledger.traverse(self.links.len(), inject, bytes, |at| bp.slowdown_at(at));
+        if let Some(bp) = self.backplane {
+            let (_, fin) = ledger.traverse(bp, inject, bytes);
             if fin > finish {
                 finish = fin;
             }
@@ -285,8 +287,7 @@ impl MachineNet {
         let mut h = head;
         let mut finish = floor;
         for &l in path {
-            let (start, fin) =
-                ledger.traverse(l, h, bytes, |at| self.links[l].slowdown_at(at));
+            let (start, fin) = ledger.traverse(l, h, bytes);
             h = start;
             if fin > finish {
                 finish = fin;
@@ -303,7 +304,7 @@ impl MachineNet {
         sr.egress
             .iter()
             .chain(sr.ingress.iter())
-            .map(|&l| self.links[l].latency)
+            .map(|&l| self.ledger.links()[l].latency)
             .sum()
     }
 

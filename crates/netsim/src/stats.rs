@@ -82,13 +82,14 @@ pub fn traffic_report(net: &MachineNet) -> TrafficReport {
     // BTreeMap: aggregation walks in kind-index order, so the report is
     // structurally ordered rather than hasher-ordered.
     let mut kinds = std::collections::BTreeMap::new();
-    for (i, link) in net.links().iter().enumerate() {
+    let ledger = net.ledger();
+    for i in 0..net.links().len() {
         let k = topo.link_kind(i);
         let e = kinds.entry(kind_index(k)).or_insert(KindStats::default());
         e.links += 1;
-        let bytes = link.bytes_carried();
+        let bytes = ledger.bytes_carried(i);
         e.bytes += bytes;
-        e.messages += link.messages_carried();
+        e.messages += ledger.messages_carried(i);
         e.max_link_bytes = e.max_link_bytes.max(bytes);
     }
     let get = |k: LinkKind| kinds.get(&kind_index(k)).copied().unwrap_or_default();

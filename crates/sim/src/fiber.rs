@@ -18,11 +18,8 @@
 //!   backend too and runs the contract tests below against both.
 //!
 //! `prefetch(rank)` asks the cache for the lines `rank` touches first
-//! when it is resumed — the switch's own pops, then the frames it
-//! returns into. A 512-rank world's working set is past the L2 and is
-//! swept in FIFO token order, LRU's worst case, so without the hint
-//! every resume starts with a chain of misses; the scheduler issues it
-//! one rank's worth of work ahead. It is empty on the thread backend,
+//! when it is resumed (the scheduler issues it one rank's worth of work
+//! ahead; see `PREFETCH_LINES`). It is empty on the thread backend,
 //! whose switch is a kernel round trip.
 //!
 //! The contract is deliberately narrow:
@@ -207,11 +204,14 @@ mod asm {
     /// How much of a suspended stack [`FiberSet::prefetch`] asks for:
     /// 16 lines = 1 KiB above the saved stack pointer, which covers the
     /// save area and the frames between a blocked `recv` and the
-    /// benchmark loop. Picked from a sweep on the 512-rank b_eff job
-    /// (2.31 / 2.16 / 1.76 / 1.87 s at 0 / 8 / 16 / 24 lines): fewer
-    /// leaves misses behind, more competes with the demand loads for
-    /// line-fill buffers — which is also why hinting the rank's
-    /// `RankState` and mailbox as well (16 more lines) bought nothing.
+    /// benchmark loop. A 512-rank world's working set is past the L2
+    /// and swept in FIFO token order, LRU's worst case, so without the
+    /// hint every resume starts with a chain of misses. What is
+    /// measured is 0 against 16 lines (512-rank b_eff job ≈ 2.3 → 1.8 s,
+    /// outside the run-to-run spread of ≈ 0.4 s). The depth itself
+    /// is not resolved: single readings at 8 / 16 / 24 lines (2.16 /
+    /// 1.76 / 1.87 s) differ by less than that spread, as did hinting
+    /// the rank's `RankState` and mailbox as well (16 more lines).
     const PREFETCH_LINES: usize = 16;
 
     /// Write the initial save area onto `stack` so that switching to
