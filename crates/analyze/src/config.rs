@@ -7,30 +7,25 @@
 //! to this file, not a drive-by at the violation site.
 
 /// Crates whose *library* code must be bit-deterministic: no wall
-/// clock, no hasher-order iteration. (`sync` and `bench` are excluded
-/// by design: one implements timed primitives, the other measures real
-/// time.)
+/// clock, no hasher-order iteration. (`sync` is excluded by design:
+/// it implements timed primitives.)
 pub const DETERMINISTIC_CRATES: &[&str] =
     &["sim", "netsim", "mpi", "pfs", "faults", "mpiio", "sweep", "serve"];
 
 /// Crates exempt from the wall-clock rule wholesale.
 ///
 /// * `sync` — implements `recv_timeout`/`wait_until`; time is its job.
-/// * `bench` — the timing bins exist to read the wall clock.
 /// * `analyze` — this crate (lints must not lint their own fixtures).
-pub const WALLCLOCK_EXEMPT_CRATES: &[&str] = &["sync", "bench", "analyze"];
+pub const WALLCLOCK_EXEMPT_CRATES: &[&str] = &["sync", "analyze"];
 
 /// Individual files exempt from the wall-clock rule (workspace-relative
 /// path suffixes). `sim/src/clock.rs` is *the* virtual-time module: it
 /// owns the only sanctioned mapping between simulated seconds and host
-/// time. `serve`'s load generator and torture harness report honest
-/// wall timings — reported but never gated on — while the library they
-/// drive stays clock-free.
-pub const WALLCLOCK_EXEMPT_FILES: &[&str] = &[
-    "crates/sim/src/clock.rs",
-    "crates/serve/src/bin/loadgen.rs",
-    "crates/serve/src/bin/serve_torture.rs",
-];
+/// time. `serve`'s torture harness reports honest wall timings —
+/// reported but never gated on — while the library it drives stays
+/// clock-free.
+pub const WALLCLOCK_EXEMPT_FILES: &[&str] =
+    &["crates/sim/src/clock.rs", "crates/serve/src/bin/serve_torture.rs"];
 
 /// Identifiers whose appearance in deterministic code means a wall
 /// clock or host-scheduling dependency.
@@ -53,8 +48,8 @@ pub const FIBER_HOME: &str = "crates/sim/";
 /// `threading` rule quarantines them (same mechanism as the fiber
 /// quarantine): determinism lives or dies by *where* threads are
 /// allowed to exist, so thread creation is confined to the substrate's
-/// worker pool (`beff_sim::pool` / the sharded engine), the sync
-/// primitives, and the one MPI launcher. Everyone else funnels
+/// worker pool (`beff_sim::pool`), the sync primitives, and the one
+/// MPI launcher. Everyone else funnels
 /// parallel work through `beff_sim::map_ordered`, whose
 /// submission-order results make worker count unobservable.
 pub const THREAD_IDENTS: &[&str] = &["spawn", "JoinHandle", "Builder", "available_parallelism"];
@@ -115,20 +110,20 @@ pub const DEP_ALLOWLISTS: &[(&str, &[&str])] = &[
 /// and `examples/`.
 pub const UNWRAP_BUDGETS: &[(&str, u32)] = &[
     ("analyze", 43),
-    ("bench", 53),
+    ("bench", 43),
     ("check", 0),
     ("core", 13),
     ("facade", 26),
     ("faults", 0),
     ("json", 16),
     ("machines", 6),
-    ("mpi", 21),
+    ("mpi", 19),
     ("mpiio", 25),
     ("netsim", 7),
     ("pfs", 19),
     ("report", 4),
-    ("serve", 141),
-    ("sim", 17),
+    ("serve", 140),
+    ("sim", 16),
     ("sweep", 4),
     ("sync", 3),
 ];
@@ -161,7 +156,6 @@ pub struct LockDecl {
 /// | 16    | `serve.pool`                 | idle partitions + armed poisons |
 /// | 20    | `mpi.boards`                 | one communicator's rendezvous board |
 /// | 22    | `mpi.registry`               | context id → board, taken once per `Comm` |
-/// | 25    | `shard.state`                | one shard's cross-shard outbox |
 /// | 30    | `sim.port`                   | one actor's port state         |
 /// | 40    | `sched.state`                | token-scheduler ready/blocked  |
 /// | 50    | `fiber.baton`                | one thread-backed fiber's turn |
@@ -170,15 +164,7 @@ pub struct LockDecl {
 /// | 66    | `pfs.file`                   | one file's size, residency stamps, stored bytes |
 /// | 70    | `netsim.routes`              | one route-table shard          |
 /// | 72    | `sim.ledger`                 | one machine's link occupancy + traffic counters |
-/// | 75    | `sync.barrier`               | epoch-barrier generation state |
 /// | 80    | `sync.channel`               | channel queue (leaf)           |
-///
-/// `shard.state` sits *below* the port and scheduler locks because the
-/// epoch flusher holds the outbox while delivering: its acquisition
-/// chain is outbox (25) → port (30) → scheduler (40), strictly
-/// increasing. The barrier is held alone and released before `wait`
-/// returns, so its level only has to clear the locks a coordinator may
-/// still hold — none.
 ///
 /// `sim.ledger` is a leaf of the simulation stack: a pricing call takes
 /// it with no other lock held and acquires no declared lock under it.
@@ -241,13 +227,6 @@ pub const LOCK_HIERARCHY: &[LockDecl] = &[
         methods: &["lock"],
         level: 22,
         name: "mpi.registry",
-    },
-    LockDecl {
-        file_suffix: "crates/sim/src/shard.rs",
-        receiver: "outbox",
-        methods: &["lock"],
-        level: 25,
-        name: "shard.state",
     },
     LockDecl {
         file_suffix: "crates/sim/src/port.rs",
@@ -313,13 +292,6 @@ pub const LOCK_HIERARCHY: &[LockDecl] = &[
         name: "sim.ledger",
     },
     LockDecl {
-        file_suffix: "crates/sync/src/barrier.rs",
-        receiver: "state",
-        methods: &["lock"],
-        level: 75,
-        name: "sync.barrier",
-    },
-    LockDecl {
         file_suffix: "crates/sync/src/channel.rs",
         receiver: "state",
         methods: &["lock"],
@@ -331,7 +303,7 @@ pub const LOCK_HIERARCHY: &[LockDecl] = &[
 /// Entry points for the `panicflow` reachability pass: the functions
 /// the outside world (a connection, a worker thread, a fiber, an MPI
 /// rank) drives directly. An untyped panic reachable from one of these
-/// tears down a worker, poisons a shard epoch, or kills a connection —
+/// tears down a worker, poisons a world, or kills a connection —
 /// the crash-safety layer turns it into a quarantine, but the pass
 /// exists so every such site is either waived with a written invariant
 /// or converted to a typed `BeffError`.
@@ -346,13 +318,11 @@ pub const PANIC_ENTRY_POINTS: &[(&str, &[&str])] = &[
             "unblock",
             "unblock_all",
             "abort",
-            "declare_deadlock",
             "drive",
-            "launch_with",
+            "launch",
         ],
     ),
     ("crates/sim/src/pool.rs", &["map_ordered"]),
-    ("crates/sim/src/shard.rs", &["try_run_sharded"]),
     (
         "crates/serve/src/server.rs",
         &["serve_connection", "handle_frame", "submit", "submit_batch", "execute", "recompute"],
@@ -412,7 +382,7 @@ pub const PANICFLOW_BUDGETS: &[(&str, u32)] = &[
     ("machines", 1),
     ("mpi", 16),
     ("netsim", 1),
-    ("sim", 18),
+    ("sim", 12),
 ];
 
 /// See [`LOCKFLOW_BUDGETS`].

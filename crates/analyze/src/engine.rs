@@ -518,9 +518,9 @@ mod tests {
                      pub fn held_call() {\n let g = inner.lock();\n lower();\n}\n",
                 ),
                 (
-                    "crates/sim/src/shard.rs",
-                    "static SHARD_RANK: Rank = Rank::new(25, \"shard.state\");\n\
-                     pub fn lower() {\n let o = outbox.lock();\n}\n",
+                    "crates/sim/src/port.rs",
+                    "static PORT_RANK: Rank = Rank::new(30, \"sim.port\");\n\
+                     pub fn lower() {\n let o = inner.lock();\n}\n",
                 ),
             ],
         );

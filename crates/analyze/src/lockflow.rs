@@ -403,9 +403,9 @@ mod tests {
         run(&parsed, &syms, &g)
     }
 
-    // `sched.state` is level 40 in crates/sim/src/sched.rs (receiver
-    // `inner`), `shard.state` level 25 in crates/sim/src/shard.rs
-    // (receiver `outbox`) — fixtures below reuse the real declarations.
+    // `sched.state` is level 40 in crates/sim/src/sched.rs, `sim.port`
+    // level 30 in crates/sim/src/port.rs (both through receiver
+    // `inner`) — fixtures below reuse the real declarations.
 
     #[test]
     fn cross_function_inversion_is_found() {
@@ -415,14 +415,14 @@ mod tests {
                 "pub fn holds_sched() {\n let g = inner.lock();\n lower();\n}\n",
             ),
             (
-                "crates/sim/src/shard.rs",
-                "pub fn lower() {\n let o = outbox.lock();\n}\n",
+                "crates/sim/src/port.rs",
+                "pub fn lower() {\n let o = inner.lock();\n}\n",
             ),
         ]);
         assert_eq!(r.findings.len(), 1, "{:?}", r.findings);
         assert_eq!(r.findings[0].path, "crates/sim/src/sched.rs");
         assert_eq!(r.findings[0].line, 3);
-        assert!(r.findings[0].message.contains("shard.state"));
+        assert!(r.findings[0].message.contains("sim.port"));
         assert!(r.findings[0].message.contains("sched.state"));
     }
 
@@ -430,8 +430,8 @@ mod tests {
     fn increasing_chain_is_clean() {
         let r = analyze(&[
             (
-                "crates/sim/src/shard.rs",
-                "pub fn flush() {\n let o = outbox.lock();\n higher();\n}\n",
+                "crates/sim/src/port.rs",
+                "pub fn flush() {\n let o = inner.lock();\n higher();\n}\n",
             ),
             (
                 "crates/sim/src/sched.rs",
@@ -450,13 +450,13 @@ mod tests {
             ),
             ("crates/sim/src/lib.rs", "pub fn middle() {\n bottom();\n}\n"),
             (
-                "crates/sim/src/shard.rs",
-                "pub fn bottom() {\n let o = outbox.lock();\n}\n",
+                "crates/sim/src/port.rs",
+                "pub fn bottom() {\n let o = inner.lock();\n}\n",
             ),
         ]);
         assert_eq!(r.findings.len(), 1, "{:?}", r.findings);
         assert!(r.findings[0].message.contains("middle"));
-        assert!(r.findings[0].message.contains("shard.rs:2"), "{}", r.findings[0].message);
+        assert!(r.findings[0].message.contains("port.rs:2"), "{}", r.findings[0].message);
     }
 
     #[test]
@@ -467,8 +467,8 @@ mod tests {
                 "pub fn careful() {\n let g = inner.lock();\n drop(g);\n lower();\n}\n",
             ),
             (
-                "crates/sim/src/shard.rs",
-                "pub fn lower() {\n let o = outbox.lock();\n}\n",
+                "crates/sim/src/port.rs",
+                "pub fn lower() {\n let o = inner.lock();\n}\n",
             ),
         ]);
         assert!(r.findings.is_empty(), "{:?}", r.findings);
@@ -482,8 +482,8 @@ mod tests {
                 "pub fn scoped() {\n {\n  let g = inner.lock();\n }\n lower();\n}\n",
             ),
             (
-                "crates/sim/src/shard.rs",
-                "pub fn lower() {\n let o = outbox.lock();\n}\n",
+                "crates/sim/src/port.rs",
+                "pub fn lower() {\n let o = inner.lock();\n}\n",
             ),
         ]);
         assert!(r.findings.is_empty(), "{:?}", r.findings);
@@ -492,8 +492,8 @@ mod tests {
     #[test]
     fn lock_held_across_yield_is_found() {
         let r = analyze(&[(
-            "crates/sim/src/shard.rs",
-            "pub fn bad() {\n let o = outbox.lock();\n yield_turn();\n}\n",
+            "crates/sim/src/port.rs",
+            "pub fn bad() {\n let o = inner.lock();\n yield_turn();\n}\n",
         )]);
         assert_eq!(r.findings.len(), 1, "{:?}", r.findings);
         assert!(r.findings[0].message.contains("suspension"));
@@ -503,8 +503,8 @@ mod tests {
     fn transitive_yield_is_found() {
         let r = analyze(&[
             (
-                "crates/sim/src/shard.rs",
-                "pub fn bad() {\n let o = outbox.lock();\n helper();\n}\n",
+                "crates/sim/src/port.rs",
+                "pub fn bad() {\n let o = inner.lock();\n helper();\n}\n",
             ),
             (
                 "crates/sim/src/lib.rs",
@@ -518,9 +518,9 @@ mod tests {
     #[test]
     fn waiver_suppresses_and_is_counted() {
         let r = analyze(&[(
-            "crates/sim/src/shard.rs",
-            "pub fn waived() {\n let o = outbox.lock();\n \
-             // beff-analyze: allow(lockflow): epoch flusher holds the outbox by design\n \
+            "crates/sim/src/port.rs",
+            "pub fn waived() {\n let o = inner.lock();\n \
+             // beff-analyze: allow(lockflow): the port is held over the handoff by design\n \
              yield_turn();\n}\n",
         )]);
         assert!(r.findings.is_empty(), "{:?}", r.findings);
@@ -530,8 +530,8 @@ mod tests {
     #[test]
     fn test_code_is_not_judged() {
         let r = analyze(&[(
-            "crates/sim/src/shard.rs",
-            "#[cfg(test)]\nmod t {\n fn bad() {\n  let o = outbox.lock();\n  yield_turn();\n }\n}\n",
+            "crates/sim/src/port.rs",
+            "#[cfg(test)]\nmod t {\n fn bad() {\n  let o = inner.lock();\n  yield_turn();\n }\n}\n",
         )]);
         assert!(r.findings.is_empty(), "{:?}", r.findings);
     }

@@ -1,9 +1,9 @@
 //! Panic-reachability from the runtime's entry points.
 //!
 //! An untyped panic (`unwrap`, `expect`, `panic!`, a failed `assert!`)
-//! in code reachable from a scheduler turn, a worker-pool job, a shard
-//! epoch, or a serve connection does not just kill a test — it tears
-//! down a worker mid-epoch or poisons a world, and only the
+//! in code reachable from a scheduler turn, a worker-pool job or a
+//! serve connection does not just kill a test — it tears down a
+//! worker mid-batch or poisons a world, and only the
 //! crash-safety layer's quarantine stands between it and a wedged
 //! daemon. The sanctioned fault channel is a typed `BeffError`
 //! (`panic_any`/`resume_unwind` of the structured payload), which the

@@ -21,7 +21,7 @@ fn lock_inversion_fixture_is_caught_by_lockflow() {
         .unwrap_or_else(|| panic!("no lockflow violation: {:?}", r.violations));
     assert!(v.path.ends_with("crates/sim/src/sched.rs"), "{v:?}");
     assert_eq!(v.line, 10, "anchors at the call that acquires downward");
-    assert!(v.message.contains("shard.state"), "{v:?}");
+    assert!(v.message.contains("sim.port"), "{v:?}");
     // Nothing else fires: the inversion is the only defect seeded.
     assert!(r.violations.iter().all(|v| v.rule == "lockflow"), "{:?}", r.violations);
 }

@@ -127,29 +127,7 @@ impl CalibrationReport {
         self.rows.iter().all(|r| r.pass(self.tolerance)) && self.shapes.iter().all(|s| s.pass)
     }
 
-    /// Compact gate summary for embedding in other reports
-    /// (`BENCH_SIM.json` carries this next to the perf sweeps).
-    pub fn summary(&self) -> Json {
-        let rows: Vec<Json> = self
-            .rows
-            .iter()
-            .map(|r| {
-                Json::object()
-                    .field("machine_key", r.machine_key)
-                    .field("procs", &r.procs)
-                    .field("pass", &r.pass(self.tolerance))
-                    .build()
-            })
-            .collect();
-        Json::object()
-            .field("tolerance", &self.tolerance)
-            .field("pass", &self.pass())
-            .field("breaches", &self.breaches())
-            .raw("rows", Json::array(rows.iter()))
-            .build()
-    }
-
-    /// Count of gated metric breaches (for the summary line).
+    /// Count of gated metric breaches.
     pub fn breaches(&self) -> usize {
         self.rows
             .iter()

@@ -1,8 +1,8 @@
 //! # beff-bench
 //!
 //! Harness binaries that regenerate every table and figure of the
-//! paper on the simulated machine models, plus Criterion micro-benches
-//! of the substrates. This library holds the shared runner/CLI glue.
+//! paper on the simulated machine models. This library holds the
+//! shared runner/CLI glue.
 //!
 //! Binaries (one per experiment, see DESIGN.md §4):
 //! `table1`, `fig1_balance`, `table2_patterns`, `fig3_scaling`,
@@ -31,11 +31,10 @@ use std::sync::Arc;
 /// any number of benchmark runs.
 ///
 /// Sweeps that probe the same partition repeatedly (scaling figures,
-/// ablation pairs, the perf harness) previously paid a full world
-/// spawn per measurement configuration; a runner pays it once. Between
-/// runs the link occupancy is reset (measurements start from an idle
-/// network) while the memoized route table — topology-derived, so
-/// run-independent — is kept warm. Results are bit-identical to
+/// ablation pairs) pay the world spawn once. Between runs the link
+/// occupancy is reset (measurements start from an idle network) while
+/// the memoized route table — topology-derived, so run-independent —
+/// is kept warm. Results are bit-identical to
 /// fresh-world runs; a test in `tests/` pins that.
 pub struct PartitionRunner {
     machine: Machine,
@@ -71,9 +70,8 @@ impl PartitionRunner {
     /// — a replica is indistinguishable from the shared net after the
     /// reset that `beff` performs.
     pub fn beff_batch(&self, workers: Workers, cfgs: &[BeffConfig]) -> Vec<BeffResult> {
-        let world =
-            World::sim_partition(Arc::clone(&self.net), self.procs).with_workers(workers);
-        let per_job = world.run_batch(cfgs.len(), |job, c| run_beff(c, &cfgs[job]));
+        let world = World::sim_partition(Arc::clone(&self.net), self.procs);
+        let per_job = world.run_batch(workers, cfgs.len(), |job, c| run_beff(c, &cfgs[job]));
         per_job.into_iter().map(|mut ranks| ranks.swap_remove(0)).collect()
     }
 
@@ -132,12 +130,6 @@ pub fn beffio_cfg(machine: &Machine) -> BeffIoConfig {
         // minutes of virtual time
         BeffIoConfig::quick(machine.mem_per_node).with_t(30.0)
     }
-}
-
-/// A scaled-down b_eff_io schedule with an explicit scheduled time T
-/// (the perf harness uses small T values so timing runs stay short).
-pub fn beffio_cfg_quick_t(machine: &Machine, t: f64) -> BeffIoConfig {
-    BeffIoConfig::quick(machine.mem_per_node).with_t(t)
 }
 
 /// Format "measured (paper X)" comparison cells.

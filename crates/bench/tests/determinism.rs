@@ -1,8 +1,9 @@
 //! Golden determinism tests: the same schedule on the same machine
 //! model must produce *byte-identical* results — across fresh worlds,
-//! across runs of one resident [`PartitionRunner`], and between the
-//! two. The token scheduler promises bit-determinism; these tests pin
-//! it at the level the result files are generated from, so `results/`
+//! across runs of one resident [`PartitionRunner`], between the two,
+//! and between a serial sweep and a batch at any worker count. The
+//! token scheduler promises bit-determinism; these tests pin it at the
+//! level the result files are generated from, so `results/`
 //! regeneration is reproducible by construction.
 //!
 //! Serialized JSON is the comparison medium: it covers every f64 in
@@ -14,7 +15,7 @@ use beff_core::beff::{run_beff, BeffConfig};
 use beff_core::beffio::BeffIoConfig;
 use beff_faults::{FaultPlan, FaultSession};
 use beff_machines::by_key;
-use beff_mpi::World;
+use beff_mpi::{Workers, World};
 use std::sync::Arc;
 
 /// The table1 kernel at reduced scale: full pattern schedule, small
@@ -33,6 +34,27 @@ fn table1_rows_are_byte_identical_across_runs_and_world_reuse() {
     let reused_b = beff_json::to_string(&runner.beff(&cfg));
     assert_eq!(reused_a, reused_b, "world reuse must agree bitwise");
     assert_eq!(fresh_a, reused_a, "reuse must match a fresh world bitwise");
+}
+
+/// Real b_eff jobs through `beff_batch` (one machine replica per job)
+/// against the serial sweep on the shared, reset machine: worker count
+/// must be unobservable in the result bytes.
+#[test]
+fn beff_batch_matches_the_serial_sweep_at_1_and_8_workers() {
+    let machine = by_key("t3e").expect("machine").sized_for(16);
+    let runner = PartitionRunner::new(&machine, 16);
+    let cfgs: Vec<BeffConfig> = (0..4)
+        .map(|j| BeffConfig { seed: 0xBEFF ^ j, ..BeffConfig::quick(machine.mem_per_proc) })
+        .collect();
+    let bytes = |rs: Vec<beff_core::BeffResult>| -> Vec<String> {
+        rs.iter().map(beff_json::to_string).collect()
+    };
+    let serial = bytes(cfgs.iter().map(|cfg| runner.beff(cfg)).collect());
+    assert_ne!(serial[0], serial[1], "distinct seeds must give distinct jobs");
+    for w in [1, 8] {
+        let batch = bytes(runner.beff_batch(Workers::new(w), &cfgs));
+        assert_eq!(serial, batch, "batch diverged from the serial sweep at {w} workers");
+    }
 }
 
 /// The fault layer's no-fault guarantee, pinned bitwise: a world with

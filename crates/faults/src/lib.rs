@@ -24,11 +24,10 @@
 //! `Option`/flag checks only), so fault-free runs stay byte-identical
 //! to the pre-fault golden outputs.
 
-pub mod error;
 pub mod plan;
 pub mod session;
 
-pub use error::{silence_fault_panics, BeffError};
+pub use beff_sim::error::{silence_fault_panics, BeffError};
 pub use plan::{
     resolve_seed, Crash, DropPlan, FaultPlan, FaultSpec, LinkWindow, Straggler, ENV_SEED,
 };

@@ -9,7 +9,7 @@
 //! plan's windows into the next run's local time frame. Crashed ranks
 //! stay crashed across runs — exactly like a real dead node.
 
-use crate::error::BeffError;
+use crate::BeffError;
 use crate::plan::{FaultPlan, LinkWindow};
 use beff_netsim::{Degrade, MachineNet, Secs};
 use std::sync::atomic::{AtomicU64, Ordering};

@@ -1,8 +1,8 @@
 //! Well-formedness checking for JSON text — the read side of the
 //! crate. The writers in [`crate::fmt`] only ever *emit* JSON; the
-//! verification gate needs to confirm that generated report files
-//! (e.g. `BENCH_SIM.json`) are actually parseable before they are
-//! trusted, without pulling in a parser dependency.
+//! report writers need to confirm that what they generate is actually
+//! parseable before it is trusted, without pulling in a parser
+//! dependency.
 //!
 //! This is a validator, not a parser: it walks the grammar (RFC 8259)
 //! and reports the first violation with its byte offset, but builds no

@@ -10,7 +10,7 @@
 
 use beff_faults::FaultSession;
 use beff_netsim::{MachineNet, SplitRoute};
-use beff_sim::{Clock, RealClock, Secs, VClock, Workers};
+use beff_sim::{Clock, RealClock, Secs, VClock};
 use std::sync::Arc;
 
 /// World-level engine configuration, shared by all ranks.
@@ -28,29 +28,12 @@ pub enum EngineCfg {
         /// byte-identical to the fault-free build (the hooks guard on
         /// this `Option` before touching any arithmetic).
         faults: Option<Arc<FaultSession>>,
-        /// Worker pool for *batch*-parallel execution
-        /// (`World::run_batch`): independent whole-world jobs fan out
-        /// over machine replicas on up to this many OS threads.
-        /// Within any single world, rank execution stays token-serial
-        /// regardless — parallelism never touches the schedule that
-        /// determinism depends on. Defaults to [`Workers::from_env`]
-        /// (the `BEFF_WORKERS` knob; `1` = serial).
-        workers: Workers,
     },
 }
 
 impl EngineCfg {
     pub fn is_sim(&self) -> bool {
         matches!(self, EngineCfg::Sim { .. })
-    }
-
-    /// The batch worker pool (`Workers::new(1)` in real mode — real
-    /// worlds already own one host thread per rank).
-    pub fn workers(&self) -> Workers {
-        match self {
-            EngineCfg::Real => Workers::new(1),
-            EngineCfg::Sim { workers, .. } => *workers,
-        }
     }
 
     /// Per-message sender CPU overhead.
@@ -200,12 +183,10 @@ mod tests {
             Topology::Crossbar { procs: 2 },
             NetParams { o_send: 1e-6, o_recv: 2e-6, ..NetParams::default() },
         ));
-        let e = EngineCfg::Sim { net, copy_data: true, faults: None, workers: Workers::new(1) };
+        let e = EngineCfg::Sim { net, copy_data: true, faults: None };
         assert_eq!(e.o_send(), 1e-6);
         assert_eq!(e.o_recv(), 2e-6);
         assert!(e.is_sim());
-        assert!(e.workers().is_serial());
-        assert!(EngineCfg::Real.workers().is_serial());
     }
 
     /// Two peers of one set keep a way each, so alternating between
@@ -248,12 +229,7 @@ mod tests {
             Topology::Crossbar { procs: 2 },
             NetParams::default(),
         ));
-        let sim = RankState::new(&EngineCfg::Sim {
-            net,
-            copy_data: false,
-            faults: None,
-            workers: Workers::new(1),
-        });
+        let sim = RankState::new(&EngineCfg::Sim { net, copy_data: false, faults: None });
         assert!(sim.clock.is_virtual());
     }
 }

@@ -166,7 +166,6 @@ impl World {
                 net,
                 copy_data: false,
                 faults: None,
-                workers: Workers::from_env(),
             }),
         }
     }
@@ -194,43 +193,31 @@ impl World {
         self
     }
 
-    /// Set the batch worker pool for [`run_batch`](Self::run_batch)
-    /// (the construction default is `BEFF_WORKERS` / host cores).
-    /// Panics on a real-mode world — real worlds already own one host
-    /// thread per rank.
-    pub fn with_workers(mut self, w: Workers) -> Self {
-        match Arc::make_mut(&mut self.engine) {
-            EngineCfg::Sim { workers, .. } => *workers = w,
-            EngineCfg::Real => panic!("batch worker pools apply to the sim engine"),
-        }
-        self
-    }
-
     /// Number of ranks.
     pub fn size(&self) -> usize {
         self.n
     }
 
-    /// Run `jobs` independent whole-world simulations in parallel, one
-    /// machine *replica* per job, returning per-job rank-ordered
-    /// results in job order.
+    /// Run `jobs` independent whole-world simulations on up to
+    /// `workers` threads, one machine *replica* per job, returning
+    /// per-job rank-ordered results in job order.
     ///
     /// This is the parallel twin of the serial sweep idiom
     /// `for job { net.reset(); world.run(..) }`: a replica
     /// ([`MachineNet::replica`]) is indistinguishable from the shared
     /// machine after a reset, and each job's world keeps its own
     /// token-serial schedule, so the batch is **byte-identical at every
-    /// worker count** — including `BEFF_WORKERS=1`, which spawns no
-    /// threads at all. Panics if a fault session is attached: a
+    /// worker count** — including one worker, which spawns no threads
+    /// at all. Panics if a fault session is attached: a
     /// [`FaultSession`] is stateful across runs and cannot be shared
     /// between replicas; build per-job worlds with per-job sessions
     /// instead (the chaos driver does).
-    pub fn run_batch<R, F>(&self, jobs: usize, f: F) -> Vec<Vec<R>>
+    pub fn run_batch<R, F>(&self, workers: Workers, jobs: usize, f: F) -> Vec<Vec<R>>
     where
         R: Send,
         F: Fn(usize, &mut Comm) -> R + Sync,
     {
-        let EngineCfg::Sim { net, copy_data, faults, workers } = self.engine.as_ref() else {
+        let EngineCfg::Sim { net, copy_data, faults } = self.engine.as_ref() else {
             panic!("run_batch requires the sim engine (real mode has no machine replicas)");
         };
         assert!(
@@ -238,14 +225,13 @@ impl World {
             "run_batch cannot share a stateful fault session across machine replicas"
         );
         let (n, copy_data) = (self.n, *copy_data);
-        map_ordered(*workers, (0..jobs).collect(), |_, job| {
+        map_ordered(workers, (0..jobs).collect(), |_, job| {
             let world = World {
                 n,
                 engine: Arc::new(EngineCfg::Sim {
                     net: Arc::new(net.replica()),
                     copy_data,
                     faults: None,
-                    workers: Workers::new(1),
                 }),
             };
             world.run(|c| f(job, c))
@@ -476,13 +462,13 @@ impl WorldSession {
     /// Batch-parallel runs on machine replicas (see
     /// [`World::run_batch`]). The session's resident mechanism cannot
     /// be shared across replicas, so this delegates to a per-job world;
-    /// the session (and its worker knob) stays usable afterwards.
-    pub fn run_batch<R, F>(&self, jobs: usize, f: F) -> Vec<Vec<R>>
+    /// the session stays usable afterwards.
+    pub fn run_batch<R, F>(&self, workers: Workers, jobs: usize, f: F) -> Vec<Vec<R>>
     where
         R: Send,
         F: Fn(usize, &mut Comm) -> R + Sync,
     {
-        self.world().run_batch(jobs, f)
+        self.world().run_batch(workers, jobs, f)
     }
 }
 
@@ -835,10 +821,7 @@ mod tests {
             })
             .collect();
         for w in [1, 2, 4, 8] {
-            let batch = world
-                .clone()
-                .with_workers(Workers::new(w))
-                .run_batch(6, batch_job);
+            let batch = world.run_batch(Workers::new(w), 6, batch_job);
             assert_eq!(serial, batch, "batch diverged from the serial sweep at {w} workers");
         }
     }
@@ -849,10 +832,10 @@ mod tests {
             Topology::Ring { procs: 4 },
             NetParams::default(),
         ));
-        let world = World::sim(Arc::clone(&net)).with_workers(Workers::new(2));
+        let world = World::sim(Arc::clone(&net));
         let session = world.session();
-        let a = session.run_batch(3, batch_job);
-        let b = world.run_batch(3, batch_job);
+        let a = session.run_batch(Workers::new(2), 3, batch_job);
+        let b = world.run_batch(Workers::new(2), 3, batch_job);
         assert_eq!(a, b);
         net.reset();
         assert_eq!(session.run(|c| c.size()), vec![4; 4]);
@@ -866,7 +849,7 @@ mod tests {
             NetParams::default(),
         ));
         let session = FaultSession::new(beff_faults::FaultPlan::empty(), 2);
-        let _ = World::sim(net).with_faults(session).run_batch(2, |_, c| c.rank());
+        let _ = World::sim(net).with_faults(session).run_batch(Workers::new(1), 2, |_, c| c.rank());
     }
 
     #[test]

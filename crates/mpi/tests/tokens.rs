@@ -8,7 +8,7 @@
 //! double as end-to-end proofs of that on each exit path.
 
 use beff_faults::silence_fault_panics;
-use beff_mpi::{BeffError, ReduceOp, World};
+use beff_mpi::{BeffError, ReduceOp, Workers, World};
 use beff_netsim::{MachineNet, NetParams, Topology};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::Arc;
@@ -87,92 +87,7 @@ fn session_reuse_after_faulted_run_is_bitwise_clean() {
     );
 }
 
-// ---- worker-count parity (the sharded engine + batch worlds) ---------
-//
-// The conservative parallel engine's contract is that worker count is
-// *unobservable*: every run below must produce byte-identical results
-// at 1, 2, 4, and 8 workers, with every shard's fibers run to their
-// final switch (the launcher panics otherwise).
-
-use beff_sim::{try_run_sharded, Message, ShardCtx, Workers};
-
-/// Ring message matched on the *sender* id — the sender-specific-filter
-/// contract the determinism argument requires.
-#[derive(Debug, Clone, Copy)]
-struct Hop {
-    from: usize,
-    acc: f64,
-}
-
-#[derive(Debug, Clone, Copy)]
-struct From(usize);
-
-impl Message for Hop {
-    type Filter = From;
-    fn admits(f: &From, m: &Hop) -> bool {
-        m.from == f.0
-    }
-}
-
-const LOOKAHEAD: f64 = 1e-6;
-
-fn sharded_ring(n: usize, rounds: u32, w: usize) -> Vec<Result<(u64, u64), BeffError>> {
-    let (results, audit) =
-        try_run_sharded(n, Workers::new(w), LOOKAHEAD, |ctx: ShardCtx<'_, Hop>| {
-            let id = ctx.id();
-            let (left, right) = ((id + n - 1) % n, (id + 1) % n);
-            let mut acc = id as f64 + 1.0;
-            for _ in 0..rounds {
-                ctx.advance(LOOKAHEAD);
-                ctx.send(right, Hop { from: id, acc });
-                acc += ctx.recv(From(left)).acc * 0.5;
-            }
-            (acc.to_bits(), ctx.now().to_bits())
-        });
-    assert!(audit.shards.iter().all(|a| a.live == 0 && !a.aborted), "{audit:?}");
-    results
-}
-
-#[test]
-fn sharded_ring_is_byte_identical_at_1_2_4_8_workers() {
-    let reference = sharded_ring(12, 5, 1);
-    for w in [2, 4, 8] {
-        assert_eq!(
-            format!("{reference:?}"),
-            format!("{:?}", sharded_ring(12, 5, w)),
-            "worker count {w} must be unobservable"
-        );
-    }
-}
-
-#[test]
-fn sharded_typed_fault_is_rank_keyed_not_worker_keyed() {
-    silence_fault_panics();
-    for w in [1, 2, 4, 8] {
-        let (results, audit) = try_run_sharded::<Hop, _, _>(
-            8,
-            Workers::new(w),
-            LOOKAHEAD,
-            |ctx| {
-                if ctx.id() == 3 {
-                    BeffError::Io("injected".into()).raise();
-                }
-                ctx.advance(1.0);
-                ctx.now().to_bits()
-            },
-        );
-        assert!(audit.shards.iter().all(|a| a.live == 0 && !a.aborted), "{audit:?}");
-        for (id, r) in results.iter().enumerate() {
-            match r {
-                Err(e) => {
-                    assert_eq!(id, 3, "only rank 3 faults, at any worker count");
-                    assert_eq!(*e, BeffError::Io("injected".into()));
-                }
-                Ok(bits) => assert_eq!(*bits, 1.0f64.to_bits(), "rank {id} at {w} workers"),
-            }
-        }
-    }
-}
+// ---- worker-count parity (batch worlds) -------------------------------
 
 #[test]
 fn run_batch_token_audits_balance_at_every_worker_count() {
@@ -187,13 +102,9 @@ fn run_batch_token_audits_balance_at_every_worker_count() {
         let t = c.allreduce_scalar(c.now(), ReduceOp::Max);
         (t.to_bits(), c.now().to_bits())
     };
-    let reference = World::sim_partition(net(4), 4)
-        .with_workers(Workers::new(1))
-        .run_batch(6, workload);
+    let reference = World::sim_partition(net(4), 4).run_batch(Workers::new(1), 6, workload);
     for w in [2, 4, 8] {
-        let batched = World::sim_partition(net(4), 4)
-            .with_workers(Workers::new(w))
-            .run_batch(6, workload);
+        let batched = World::sim_partition(net(4), 4).run_batch(Workers::new(w), 6, workload);
         assert_eq!(
             format!("{reference:?}"),
             format!("{batched:?}"),

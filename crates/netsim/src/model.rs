@@ -321,32 +321,6 @@ impl MachineNet {
         self.ledger.reset();
     }
 
-    /// The conservative-execution lookahead for this machine: the
-    /// minimum head latency of any cross-rank route. Every message
-    /// between distinct ranks pays at least this much virtual time on
-    /// the wire, so a parallel executor may let shards drift apart by
-    /// up to one lookahead without risking a causality miss
-    /// (DESIGN.md §10).
-    ///
-    /// The minimum is sampled, not exhaustive: all topologies in the
-    /// catalog are node-symmetric enough that adjacent pairs plus the
-    /// wrap-around pair realize the shortest routes, and an all-pairs
-    /// sweep would be O(procs²) route constructions on a 10k-rank
-    /// machine. Latencies are per-tier constants, so the sample is
-    /// exact for every shipped [`Topology`].
-    pub fn lookahead(&self) -> Secs {
-        let procs = self.procs();
-        if procs < 2 {
-            return 0.0;
-        }
-        let mut min = f64::INFINITY;
-        for i in 0..(procs - 1).min(63) {
-            min = min.min(self.route_latency(i, i + 1));
-        }
-        min = min.min(self.route_latency(0, procs - 1));
-        min
-    }
-
     /// A fresh machine with identical topology and parameters and no
     /// link occupancy — route memoization and reservations start
     /// empty. A replica is indistinguishable from `self` after
@@ -450,24 +424,6 @@ mod tests {
             finish = finish.max(t.arrival);
         }
         assert!(finish > 0.9 && finish < 1.1, "finish={finish}");
-    }
-
-    #[test]
-    fn lookahead_is_the_minimum_cross_rank_latency() {
-        let params = NetParams {
-            o_send: 0.0,
-            o_recv: 0.0,
-            port: Tier::new(1e-6, 1e9),
-            node_mem: Tier::new(0.0, 1e9),
-            hop: Tier::new(1e-6, 1e9),
-            ..NetParams::default()
-        };
-        // Ring nearest-neighbor route: 2 ports + 1 hop of latency.
-        let net = MachineNet::new(Topology::Ring { procs: 8 }, params.clone());
-        assert!((net.lookahead() - 3e-6).abs() < 1e-12, "lookahead={}", net.lookahead());
-        // One proc has no cross-rank routes at all.
-        let solo = MachineNet::new(Topology::Crossbar { procs: 1 }, params);
-        assert_eq!(solo.lookahead(), 0.0);
     }
 
     #[test]

@@ -38,9 +38,10 @@
 //! byte-compared `verify.sh` golden.
 //!
 //! Binaries: `serve` (TCP daemon over the frame protocol), `loadgen`
-//! (seeded query-mix replay against an in-process server, emitting the
-//! `BENCH_SERVE.json` throughput/latency report that `verify.sh`
-//! gates), and `serve_torture` (the failure-model gate).
+//! (seeded query-mix replay against an in-process server: the
+//! cache-correctness audit and the `results/serve_virtual.json` golden
+//! that `verify.sh` gates), and `serve_torture` (the failure-model
+//! gate).
 
 pub mod cache;
 pub mod journal;

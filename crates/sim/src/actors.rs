@@ -49,8 +49,8 @@ impl ActorCtx<'_> {
     }
 }
 
-/// How one actor's fiber body ended (shared with [`crate::shard`]).
-pub(crate) enum Outcome<R> {
+/// How one actor's fiber body ended.
+enum Outcome<R> {
     Done(R),
     Fault(BeffError),
     Bug(Box<dyn Any + Send>),
@@ -61,7 +61,7 @@ pub(crate) enum Outcome<R> {
 /// the survivors keep their deterministic order. Anything else is a
 /// bug: `abort_world` runs before the fiber's final switch so the drive
 /// loop unwinds the peers.
-pub(crate) fn run_actor<R>(f: impl FnOnce() -> R, abort_world: impl FnOnce()) -> Outcome<R> {
+fn run_actor<R>(f: impl FnOnce() -> R, abort_world: impl FnOnce()) -> Outcome<R> {
     match catch_unwind(AssertUnwindSafe(f)) {
         Ok(v) => Outcome::Done(v),
         Err(payload) => match payload.downcast::<BeffError>() {
@@ -76,7 +76,7 @@ pub(crate) fn run_actor<R>(f: impl FnOnce() -> R, abort_world: impl FnOnce()) ->
 
 /// Turn id-ordered outcomes into results, propagating the first bug
 /// panic.
-pub(crate) fn settle<R>(mut outcomes: Vec<Outcome<R>>) -> Vec<Result<R, BeffError>> {
+fn settle<R>(mut outcomes: Vec<Outcome<R>>) -> Vec<Result<R, BeffError>> {
     if let Some(bug) = outcomes.iter().position(|o| matches!(o, Outcome::Bug(_))) {
         let Outcome::Bug(payload) = outcomes.swap_remove(bug) else { unreachable!() };
         resume_unwind(payload);

@@ -25,7 +25,7 @@
 //! The contract is deliberately narrow:
 //!
 //! * every fiber of a set is started and resumed by one host thread
-//!   (the caller of `World::run`, or a shard's worker);
+//!   (the caller of `World::run` or `try_run_actors`);
 //! * a fiber suspends only at explicit scheduler points (blocked recv,
 //!   collective rendezvous, cooperative yield) by switching to the
 //!   host, and a body that returns has made its final switch — the

@@ -38,10 +38,6 @@
 //! - [`pool`] — the workspace's one worker pool ([`Workers`],
 //!   [`map_ordered`]): deterministic submission-ordered fan-out of
 //!   share-nothing jobs over `BEFF_WORKERS` OS threads.
-//! - [`shard`] — conservative parallel discrete-event execution
-//!   ([`try_run_sharded`]): the actor world split into per-worker
-//!   shards with virtual-time epoch barriers and lookahead-validated
-//!   cross-shard delivery, bit-identical at every worker count.
 //!
 //! Determinism contract: with a fixed program, every run schedules
 //! actors in the same total order and advances virtual time through
@@ -61,7 +57,6 @@ pub mod port;
 pub mod resource;
 pub mod rng;
 pub mod sched;
-pub mod shard;
 pub mod units;
 
 pub use actors::{run_actors, try_run_actors, ActorCtx, ActorId};
@@ -71,7 +66,6 @@ pub use link::{Degrade, Link, LinkLedger};
 pub use pages::Pages;
 pub use pool::{map_ordered, Workers};
 pub use port::{Message, Port, PushOutcome};
-pub use shard::{try_run_sharded, ShardAudit, ShardCtx, ShardMap, Timed};
 pub use resource::Resource;
 pub use rng::Rng64;
 pub use sched::{SchedAudit, SimScheduler};

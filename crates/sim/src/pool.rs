@@ -92,11 +92,9 @@ impl Workers {
         }
     }
 
-    /// [`Workers::try_from_env`] for construction paths that cannot
-    /// return a `Result` (engine defaults deep inside world builders).
-    /// An invalid `BEFF_WORKERS` panics with the typed error's message
-    /// — loud and exact, where the pre-fix behavior silently fell back
-    /// to host cores on garbage and clamped `0` to `1`.
+    /// [`Workers::try_from_env`] for drivers that cannot return a
+    /// `Result` (the calibration and chaos sweeps). An invalid
+    /// `BEFF_WORKERS` panics with the typed error's message.
     pub fn from_env() -> Self {
         match Self::try_from_env() {
             Ok(w) => w,

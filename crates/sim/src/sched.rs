@@ -36,7 +36,7 @@
 //! rank after next ([`FiberSet::prefetch`]), so its first touches after
 //! the switch land on lines already on their way. The drive loop pops
 //! for itself only when nothing was left for it: at the start, after a
-//! body returned, and on abort / deadlock / coordinated quiescence.
+//! body returned, and on abort / deadlock.
 //!
 //! [`SimScheduler::launch`] is the one way to run a world: start
 //! `body(rank)` for every rank, drive to completion, check that every
@@ -65,11 +65,6 @@ struct SchedState {
     /// A rank panicked: determinism is moot, resume everyone so they
     /// observe mailbox poison.
     aborted: bool,
-    /// Coordinated mode (the sharded engine): an empty ready queue with
-    /// live ranks is *quiescence* — [`SimScheduler::drive`] returns to
-    /// the shard's coordinator instead of declaring deadlock, because
-    /// only the coordinator sees every shard and can tell the two apart.
-    coordinated: bool,
 }
 
 /// One token scheduler per simulated world run.
@@ -116,7 +111,6 @@ impl SimScheduler {
                     finished: vec![false; n],
                     live: n,
                     aborted: false,
-                    coordinated: false,
                 },
             ),
             fibers: FiberSet::new(n),
@@ -125,36 +119,12 @@ impl SimScheduler {
         }
     }
 
-    /// *Coordinated* mode: quiescence (all live ranks blocked) returns
-    /// from [`drive`](Self::drive) instead of declaring deadlock — the
-    /// sharded engine's coordinator flushes cross-shard messages and
-    /// either drives the shard again or, when every shard is quiet with
-    /// nothing in flight, calls
-    /// [`declare_deadlock`](Self::declare_deadlock).
-    pub fn new_coordinated(n: usize) -> Self {
-        let sched = Self::new(n);
-        sched.inner.lock().coordinated = true;
-        sched
-    }
-
     /// Run `body(rank)` for every rank as a fiber over `stacks`, drive
     /// the world to completion on the calling thread, and return the
     /// bodies' results in rank order. `body` must not unwind (a fiber
     /// that does aborts the process): callers run their workload under
     /// `catch_unwind` and return the outcome as a value.
     pub fn launch<R: Send>(&self, stacks: &[FiberStack], body: impl Fn(usize) -> R + Sync) -> Vec<R> {
-        self.launch_with(stacks, body, || self.drive())
-    }
-
-    /// [`launch`](Self::launch) with the caller's drive step — the
-    /// sharded engine's coordinator alternates [`drive`](Self::drive)
-    /// with epoch barriers.
-    pub(crate) fn launch_with<R: Send>(
-        &self,
-        stacks: &[FiberStack],
-        body: impl Fn(usize) -> R + Sync,
-        drive: impl FnOnce(),
-    ) -> Vec<R> {
         let slots: Vec<Mutex<Option<R>>> = stacks.iter().map(|_| Mutex::new(None)).collect();
         assert_eq!(slots.len(), self.inner.lock().finished.len(), "one stack per rank");
         for (rank, stack) in stacks.iter().enumerate() {
@@ -166,11 +136,11 @@ impl SimScheduler {
             };
             // SAFETY: we are the driving host thread; `stacks`, `slots`
             // and `body` outlive `drive()` below, and nothing resumes a
-            // fiber after that (a later `drive` finds no live rank, or
-            // we panic on the assert with every fiber left suspended).
+            // fiber after that (`drive` returns only with no live rank,
+            // and is not called again).
             unsafe { self.fibers.start(rank, stack, fiber) };
         }
-        drive();
+        self.drive();
         let audit = self.audit();
         assert_eq!(audit.live, 0, "fibers left suspended after the drive loop: {audit:?}");
         for (rank, stack) in stacks.iter().enumerate() {
@@ -217,24 +187,23 @@ impl SimScheduler {
     /// Resume fibers until every rank has finished: the successor the
     /// last rank left in `handoff`, else the drive loop's own
     /// [`pick`](Self::pick).
-    pub(crate) fn drive(&self) {
+    fn drive(&self) {
         loop {
             let next = match self.handoff.swap(NO_HANDOFF, Ordering::Relaxed) {
                 NO_HANDOFF => self.pick(),
                 next => Some(next),
             };
             let Some(r) = next else { return };
-            // SAFETY: r is unfinished and was started by `launch_with`,
+            // SAFETY: r is unfinished and was started by `launch`,
             // whose host thread is the only caller of this loop.
             unsafe { self.fibers.resume(r) };
         }
     }
 
-    /// The head of the ready queue, or `None` to leave the drive loop.
-    /// With the queue dry and ranks still live, a coordinated scheduler
-    /// leaves (quiescence: the coordinator decides), a plain one flips
-    /// to the deadlock protocol; on deadlock or abort every unfinished
-    /// fiber is resumed, in rank order, so it can unwind.
+    /// The head of the ready queue, or `None` once every rank has
+    /// finished. The queue dry with ranks still live is deadlock; on
+    /// deadlock or abort every unfinished fiber is resumed, in rank
+    /// order, so it can unwind.
     fn pick(&self) -> Option<usize> {
         let mut st = self.inner.lock();
         if st.live == 0 {
@@ -243,8 +212,6 @@ impl SimScheduler {
             st.finished.iter().position(|&f| !f)
         } else if let Some(r) = self.pop_ready(&mut st) {
             Some(r)
-        } else if st.coordinated {
-            None
         } else {
             self.deadlocked.store(true, Ordering::Release);
             st.finished.iter().position(|&f| !f)
@@ -322,29 +289,6 @@ impl SimScheduler {
     /// matters).
     pub fn abort(&self) {
         self.inner.lock().aborted = true;
-    }
-
-    // ----- coordinated mode (the sharded engine's shard-side API) -------
-
-    /// The coordinator observed *global* quiescence with live ranks and
-    /// nothing left to flush: the world is deadlocked. The next
-    /// [`drive`](Self::drive) resumes every unfinished rank into the
-    /// typed fault.
-    pub(crate) fn declare_deadlock(&self) {
-        let st = self.inner.lock();
-        if !st.aborted && st.live > 0 {
-            self.deadlocked.store(true, Ordering::Release);
-        }
-    }
-
-    /// Did a flush make any of this shard's ranks runnable again?
-    pub(crate) fn has_ready(&self) -> bool {
-        !self.inner.lock().ready.is_empty()
-    }
-
-    /// Ranks whose body has not returned.
-    pub(crate) fn live_count(&self) -> usize {
-        self.inner.lock().live
     }
 
     /// Terminal state snapshot. Meaningful after the world has joined;

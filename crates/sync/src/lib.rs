@@ -18,14 +18,12 @@
 //!   channel built on [`Mutex`] + [`Condvar`], the in-tree replacement
 //!   for `crossbeam-channel` in server/worker fan-out paths.
 
-mod barrier;
 pub mod channel;
 mod condvar;
 mod mutex;
 pub mod order;
 mod rwlock;
 
-pub use barrier::{Barrier, BarrierWaitResult};
 pub use channel::{bounded, unbounded, Receiver, RecvError, SendError, Sender, TryRecvError};
 pub use condvar::{Condvar, WaitTimeoutResult};
 pub use mutex::{Mutex, MutexGuard};

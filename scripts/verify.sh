@@ -75,10 +75,6 @@ run_gate "calibration residual gate (no refit)" 600 \
     cargo run -q --offline --release -p beff-bench --bin calibrate -- \
     --check --out target/calibration.verify.json --golden results/calibration.json
 
-scratch="target/BENCH_SIM.verify.json"
-run_gate "perf baseline (quick sweeps, scratch output)" 600 \
-    cargo run -q --offline --release -p beff-bench --bin perf_baseline -- --quick --out "$scratch"
-
 # the fixed fault-scenario matrix: termination, byte-identical replay,
 # monotone degradation, I/O slowdown — all checked in-process by the
 # binary, which exits non-zero on any harness invariant violation; the
@@ -123,20 +119,15 @@ run_gate "b_eff_io goldens (eight bins replay results/*.txt)" 600 \
 # the serving layer (DESIGN.md §11): the loadgen binary replays a
 # seeded query mix against an in-process server and fails itself if
 # any cached result differs byte-for-byte from a fresh recomputation
-# (the audit phase) or if the hero hit path is < 50x faster than its
-# cold run. The virtual section of its report — everything except the
-# honest wall timings — must replay byte-identically against the
-# committed golden, and must not change when the worker pool does.
+# (the audit phase). Its report must replay byte-identically against
+# the committed golden at 1 and at 4 workers — which also pins that it
+# does not change when the worker pool does.
 run_gate "serve loadgen (cache correctness + golden, BEFF_WORKERS=1)" 600 \
     env BEFF_WORKERS=1 cargo run -q --offline --release -p beff-serve --bin loadgen -- \
-    --out target/BENCH_SERVE.verify.json \
-    --virtual-out target/serve.virtual.w1.json --golden results/serve_virtual.json
-run_gate "serve parallel-parity (virtual section, BEFF_WORKERS=4)" 600 \
+    --out target/serve.virtual.w1.json --golden results/serve_virtual.json
+run_gate "serve parallel-parity (golden, BEFF_WORKERS=4)" 600 \
     env BEFF_WORKERS=4 cargo run -q --offline --release -p beff-serve --bin loadgen -- \
-    --out target/BENCH_SERVE.parity.json \
-    --virtual-out target/serve.virtual.w4.json --golden results/serve_virtual.json
-run_gate "serve parallel-parity (w1 vs w4 bytes)" 60 \
-    cmp target/serve.virtual.w1.json target/serve.virtual.w4.json
+    --out target/serve.virtual.w4.json --golden results/serve_virtual.json
 
 # the serving-layer failure model (DESIGN.md §12): the torture binary
 # drives seeded adversarial scenarios — frame fuzz, mid-frame
@@ -153,27 +144,6 @@ run_gate "serve-torture parallel-parity (BEFF_WORKERS=4)" 600 \
     env BEFF_WORKERS=4 cargo run -q --offline --release -p beff-serve --bin serve_torture -- \
     --scratch target/serve_torture.w4 \
     --out target/serve_torture.w4.json --golden results/serve_torture.json
-run_gate "serve-torture parallel-parity (w1 vs w4 bytes)" 60 \
-    cmp target/serve_torture.w1.json target/serve_torture.w4.json
-
-echo "== BENCH_SERVE.json gate =="
-# the committed serving baseline must exist and parse
-if [ ! -f BENCH_SERVE.json ]; then
-    echo "FAIL: BENCH_SERVE.json missing (run: cargo run --release -p beff-serve --bin loadgen -- --out BENCH_SERVE.json)" >&2
-    exit 1
-fi
-run_gate "BENCH_SERVE.json parse" 120 \
-    cargo run -q --offline --release -p beff-bench --bin json_check -- BENCH_SERVE.json target/BENCH_SERVE.verify.json
-
-echo "== BENCH_SIM.json gate =="
-# the committed full baseline must exist and parse, and so must the
-# freshly produced scratch run
-if [ ! -f BENCH_SIM.json ]; then
-    echo "FAIL: BENCH_SIM.json missing (run: cargo run --release -p beff-bench --bin perf_baseline)" >&2
-    exit 1
-fi
-run_gate "BENCH_SIM.json parse" 120 \
-    cargo run -q --offline --release -p beff-bench --bin json_check -- BENCH_SIM.json "$scratch"
 
 # the script's own wall time is a tracked number (ROADMAP aim 1)
 echo "verify.sh: all checks passed in ${SECONDS} s"
