@@ -4,13 +4,15 @@
 //! shortest-round-trip float formatting.
 
 use crate::value::Json;
+use std::fmt::Write as _;
 
 pub(crate) fn write_compact(v: &Json, out: &mut String) {
     match v {
         Json::Null => out.push_str("null"),
         Json::Bool(b) => out.push_str(if *b { "true" } else { "false" }),
-        Json::Int(n) => out.push_str(&n.to_string()),
-        Json::UInt(n) => out.push_str(&n.to_string()),
+        // Writing into a `String` cannot fail.
+        Json::Int(n) => _ = write!(out, "{n}"),
+        Json::UInt(n) => _ = write!(out, "{n}"),
         Json::Float(f) => write_f64(*f, out),
         Json::Str(s) => write_escaped(s, out),
         Json::Arr(items) => {
@@ -91,7 +93,17 @@ pub(crate) fn write_canonical(v: &Json, out: &mut String) {
             out.push(']');
         }
         Json::Obj(fields) => {
-            let mut order: Vec<usize> = (0..fields.len()).collect();
+            // Objects of up to 16 fields (every job spec and fault plan)
+            // sort their indices on the stack, where a stable sort this
+            // short does not allocate either; larger ones use the heap.
+            let (mut stack, mut heap) = ([0usize; 16], Vec::new());
+            let order = if fields.len() <= stack.len() {
+                &mut stack[..fields.len()]
+            } else {
+                heap.resize(fields.len(), 0);
+                &mut heap[..]
+            };
+            order.iter_mut().enumerate().for_each(|(i, slot)| *slot = i);
             // Stable sort: duplicate keys (never produced by ToJson
             // impls, possible in hand-built trees) keep insertion order.
             order.sort_by(|&a, &b| fields[a].0.as_bytes().cmp(fields[b].0.as_bytes()));
@@ -118,23 +130,27 @@ fn newline_indent(depth: usize, out: &mut String) {
     }
 }
 
+/// Runs without an escape are copied whole. Every escaped character is
+/// ASCII and no byte of a multi-byte UTF-8 sequence is, so the byte
+/// offsets found here are always char boundaries.
 fn write_escaped(s: &str, out: &mut String) {
     out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\u{08}' => out.push_str("\\b"),
-            '\t' => out.push_str("\\t"),
-            '\n' => out.push_str("\\n"),
-            '\u{0c}' => out.push_str("\\f"),
-            '\r' => out.push_str("\\r"),
-            c if (c as u32) < 0x20 => {
-                out.push_str(&format!("\\u{:04x}", c as u32));
-            }
-            c => out.push(c),
+    let mut rest = s;
+    while let Some(at) = rest.bytes().position(|b| b == b'"' || b == b'\\' || b < 0x20) {
+        out.push_str(&rest[..at]);
+        match rest.as_bytes()[at] {
+            b'"' => out.push_str("\\\""),
+            b'\\' => out.push_str("\\\\"),
+            0x08 => out.push_str("\\b"),
+            b'\t' => out.push_str("\\t"),
+            b'\n' => out.push_str("\\n"),
+            0x0c => out.push_str("\\f"),
+            b'\r' => out.push_str("\\r"),
+            b => _ = write!(out, "\\u{b:04x}"),
         }
+        rest = &rest[at + 1..];
     }
+    out.push_str(rest);
     out.push('"');
 }
 
@@ -169,8 +185,7 @@ fn write_f64(f: f64, out: &mut String) {
     if !(-5 < kk && kk <= 16) {
         // ryu's scientific layout matches `{:e}`: "1e16", "2.5e-7".
         out.push_str(mantissa);
-        out.push('e');
-        out.push_str(&exp.to_string());
+        _ = write!(out, "e{exp}");
     } else if kk <= 0 {
         // 0.0001234
         out.push_str("0.");

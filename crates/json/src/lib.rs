@@ -56,7 +56,10 @@ pub fn to_string_pretty<T: ToJson + ?Sized>(value: &T) -> String {
 /// property `beff-serve` relies on to use the serialized job spec as a
 /// content-addressed cache key.
 pub fn to_canonical<T: ToJson + ?Sized>(value: &T) -> String {
-    let mut out = String::new();
+    // A job spec's key, computed once per query, is 80–250 bytes:
+    // start past the small growth steps. (The cache stores a clone,
+    // which is exactly as long as the key.)
+    let mut out = String::with_capacity(128);
     fmt::write_canonical(&value.to_json(), &mut out);
     out
 }

@@ -25,6 +25,8 @@ pub use sr8000::{sr8000_rr, sr8000_seq};
 pub use t3e::t3e;
 pub use vector::{hpv, sr2201, sv1, sx4, sx5};
 
+use std::sync::OnceLock;
+
 /// Every modeled machine.
 pub fn catalog() -> Vec<Machine> {
     vec![
@@ -40,9 +42,15 @@ pub fn catalog() -> Vec<Machine> {
     ]
 }
 
-/// Look a machine up by its short key.
+/// Look a machine up by its short key, in a catalog built once per
+/// process (the daemon resolves every query against it).
 pub fn by_key(key: &str) -> Option<Machine> {
-    catalog().into_iter().find(|m| m.key == key)
+    static CATALOG: OnceLock<Vec<Machine>> = OnceLock::new();
+    // A call, not the fn value: beff-analyze's call graph (panicflow)
+    // follows calls only.
+    #[allow(clippy::redundant_closure)]
+    let all = CATALOG.get_or_init(|| catalog());
+    all.iter().find(|m| m.key == key).cloned()
 }
 
 #[cfg(test)]

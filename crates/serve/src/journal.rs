@@ -51,7 +51,7 @@
 //! uses the pair to keep a journaled result out of memory until someone
 //! asks for it a second time (see [`ResultCache`](crate::ResultCache)).
 
-use crate::spec::fnv1a64;
+use crate::spec::{digest_of, fnv1a64};
 use crate::wire::MAX_FRAME;
 use beff_sync::{order::Rank, Mutex};
 use std::collections::BTreeMap;
@@ -241,7 +241,7 @@ impl Journal {
                                     offset: offset as u64,
                                     record: records.len(),
                                     reason: Corrupt::Conflict {
-                                        digest: format!("{:016x}", fnv1a64(key.as_bytes())),
+                                        digest: digest_of(key),
                                     },
                                 });
                                 break;

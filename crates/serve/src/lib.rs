@@ -55,4 +55,4 @@ pub use cache::{CacheStats, ResultCache};
 pub use journal::{Journal, JournalError, Recovery};
 pub use queue::Admission;
 pub use server::{serve_connection, ConnClose, Outcome, Server};
-pub use spec::{fnv1a64, FaultCfg, JobSpec, Schedule, SpecError};
+pub use spec::{digest_of, fnv1a64, FaultCfg, JobSpec, Schedule, SpecError};

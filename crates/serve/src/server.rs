@@ -40,7 +40,7 @@
 use crate::cache::{CacheStats, Cached, ResultCache};
 use crate::journal::{Extent, Journal, JournalError, Recovery};
 use crate::pool::SessionPool;
-use crate::spec::{JobSpec, SpecError};
+use crate::spec::{digest_of, JobSpec, SpecError};
 use crate::wire::{self, WireError};
 use beff_bench::resilient::ResilientRunner;
 use beff_json::Json;
@@ -227,9 +227,14 @@ impl Server {
         let mut admitted = Vec::with_capacity(specs.len());
         let mut pending: BTreeMap<String, (JobSpec, Machine)> = BTreeMap::new();
         for spec in specs {
+            // Validation comes before the lookup, so a result journaled
+            // by another build is never served for a spec the catalog
+            // now refuses.
             match spec.resolve() {
                 Err(e) => admitted.push(Admitted::Refused(e)),
                 Ok(sized) => {
+                    // The spec's one canonical key: looked up, digested,
+                    // then moved into its outcome.
                     let key = spec.canonical_key();
                     let hit = match self.cache.get(&key) {
                         Some(Cached::Warm(bytes)) => Some(bytes),
@@ -238,7 +243,7 @@ impl Server {
                     };
                     match hit {
                         Some(bytes) => admitted.push(Admitted::Hit(Outcome {
-                            digest: spec.key_digest(),
+                            digest: digest_of(&key),
                             key,
                             bytes,
                             cached: true,
@@ -279,8 +284,7 @@ impl Server {
         // Assembly pass: outcomes in submission order.
         admitted
             .into_iter()
-            .zip(specs)
-            .map(|(a, spec)| match a {
+            .map(|a| match a {
                 Admitted::Hit(o) => Ok(o),
                 Admitted::Refused(e) => Err(e),
                 Admitted::Pending(key) => {
@@ -290,7 +294,7 @@ impl Server {
                         .expect("every pending key was executed");
                     match outcome {
                         Ok(bytes) => Ok(Outcome {
-                            digest: spec.key_digest(),
+                            digest: digest_of(&key),
                             bytes: Arc::clone(bytes),
                             key,
                             cached: false,
@@ -563,13 +567,15 @@ fn classify_read_error(e: &std::io::Error) -> ReadFailure {
 
 /// `{"cached":…,"digest":"…","result":…}` — the result bytes are a
 /// JSON document already, spliced in verbatim (never reparsed: the
-/// response must carry the exact cached bytes).
+/// response must carry the exact cached bytes), and copied once into a
+/// body allocated at its final size (`concat` sums the parts first).
 fn outcome_body(outcome: &Result<Outcome, SpecError>) -> String {
     match outcome {
-        Ok(o) => format!(
-            "{{\"cached\":{},\"digest\":\"{}\",\"result\":{}}}",
-            o.cached, o.digest, o.bytes
-        ),
+        Ok(o) => {
+            let cached = if o.cached { "true" } else { "false" };
+            ["{\"cached\":", cached, ",\"digest\":\"", &o.digest, "\",\"result\":", &o.bytes, "}"]
+                .concat()
+        }
         Err(e) => error_body(&e.to_string()),
     }
 }
@@ -670,6 +676,16 @@ mod tests {
         let outcomes = srv.submit_batch(&[bad, good]);
         assert!(matches!(outcomes[0], Err(SpecError::UnknownMachine(_))));
         assert!(outcomes[1].is_ok());
+    }
+
+    #[test]
+    fn a_cached_result_is_never_served_for_a_spec_the_catalog_refuses() {
+        // As if replayed from a journal an older catalog wrote.
+        let srv = server();
+        let gone = JobSpec::new("nope", 4);
+        srv.cache.insert(gone.canonical_key(), "{}".into());
+        assert!(matches!(srv.submit(&gone), Err(SpecError::UnknownMachine(_))));
+        assert_eq!(srv.cache_stats().hits, 0, "refused before the lookup");
     }
 
     #[test]

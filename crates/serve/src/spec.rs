@@ -193,7 +193,7 @@ impl JobSpec {
 
     /// Short printable digest of the canonical key (FNV-1a 64, hex).
     pub fn key_digest(&self) -> String {
-        format!("{:016x}", fnv1a64(self.canonical_key().as_bytes()))
+        digest_of(&self.canonical_key())
     }
 
     /// Resolve and validate against the machine catalog: the machine
@@ -419,6 +419,12 @@ pub fn fnv1a64(bytes: &[u8]) -> u64 {
         h = h.wrapping_mul(0x0000_0100_0000_01b3);
     }
     h
+}
+
+/// The short printable digest of a canonical key already in hand
+/// ([`JobSpec::key_digest`] without recomputing the key).
+pub fn digest_of(key: &str) -> String {
+    format!("{:016x}", fnv1a64(key.as_bytes()))
 }
 
 #[cfg(test)]

@@ -8,7 +8,7 @@
 //! and response shapes live in [`crate::server`].
 
 use std::fmt;
-use std::io::{self, Read, Write};
+use std::io::{self, IoSlice, Read, Write};
 
 /// Frames above this size are refused (a corrupt or hostile length
 /// prefix must not drive an allocation): 16 MiB, an order of magnitude
@@ -37,12 +37,15 @@ impl fmt::Display for WireError {
 
 impl std::error::Error for WireError {}
 
+fn frame_len(payload: &str) -> u32 {
+    // beff-analyze: allow(panicflow): every encoded payload is bounded by MAX_FRAME, far below u32::MAX
+    u32::try_from(payload.len()).expect("payload under 4 GiB")
+}
+
 /// Encode one frame: length prefix + payload bytes.
 pub fn encode(payload: &str) -> Vec<u8> {
-    // beff-analyze: allow(panicflow): every encoded payload is bounded by MAX_FRAME, far below u32::MAX
-    let len = u32::try_from(payload.len()).expect("payload under 4 GiB");
     let mut out = Vec::with_capacity(4 + payload.len());
-    out.extend_from_slice(&len.to_be_bytes());
+    out.extend_from_slice(&frame_len(payload).to_be_bytes());
     out.extend_from_slice(payload.as_bytes());
     out
 }
@@ -71,19 +74,21 @@ pub fn decode(buf: &[u8]) -> Result<Option<(String, usize)>, WireError> {
 /// end-of-stream at a frame boundary; EOF mid-frame is an error.
 pub fn read_frame<R: Read>(r: &mut R) -> io::Result<Option<String>> {
     let mut prefix = [0u8; 4];
-    match r.read(&mut prefix)? {
-        0 => return Ok(None),
-        mut got => {
-            while got < 4 {
-                let more = r.read(&mut prefix[got..])?;
-                if more == 0 {
-                    return Err(io::Error::new(
-                        io::ErrorKind::UnexpectedEof,
-                        "stream ended inside a frame length prefix",
-                    ));
-                }
-                got += more;
+    let mut got = 0;
+    while got < 4 {
+        match r.read(&mut prefix[got..]) {
+            Ok(0) if got == 0 => return Ok(None),
+            Ok(0) => {
+                return Err(io::Error::new(
+                    io::ErrorKind::UnexpectedEof,
+                    "stream ended inside a frame length prefix",
+                ))
             }
+            Ok(more) => got += more,
+            // A stray signal is not a broken stream (`read_exact`
+            // below retries it the same way).
+            Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
+            Err(e) => return Err(e),
         }
     }
     let len = u32::from_be_bytes(prefix) as usize;
@@ -100,9 +105,21 @@ pub fn read_frame<R: Read>(r: &mut R) -> io::Result<Option<String>> {
     Ok(Some(payload))
 }
 
-/// Write one frame to a blocking transport.
+/// Write one frame to a blocking transport: prefix and payload go out
+/// as one vectored write (one segment on a socket, no Nagle stall
+/// between them) straight from the caller's bytes.
 pub fn write_frame<W: Write>(w: &mut W, payload: &str) -> io::Result<()> {
-    w.write_all(&encode(payload))?;
+    let prefix = frame_len(payload).to_be_bytes();
+    let mut parts = [IoSlice::new(&prefix), IoSlice::new(payload.as_bytes())];
+    let mut rest = &mut parts[..];
+    while !rest.is_empty() {
+        match w.write_vectored(rest) {
+            Ok(0) => return Err(io::ErrorKind::WriteZero.into()),
+            Ok(n) => IoSlice::advance_slices(&mut rest, n),
+            Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
+            Err(e) => return Err(e),
+        }
+    }
     w.flush()
 }
 
@@ -188,6 +205,34 @@ mod tests {
         assert_eq!(read_frame(&mut r).expect("ok"), Some("alpha".into()));
         assert_eq!(read_frame(&mut r).expect("ok"), Some("beta".into()));
         assert_eq!(read_frame(&mut r).expect("clean eof"), None);
+    }
+
+    /// Fails with `Interrupted` before every chunk of at most 3 bytes,
+    /// so both the length prefix and the payload arrive split.
+    struct Interrupting {
+        bytes: Cursor<Vec<u8>>,
+        interrupt: bool,
+    }
+
+    impl Read for Interrupting {
+        fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
+            self.interrupt = !self.interrupt;
+            if self.interrupt {
+                return Err(io::ErrorKind::Interrupted.into());
+            }
+            let n = buf.len().min(3);
+            self.bytes.read(&mut buf[..n])
+        }
+    }
+
+    #[test]
+    fn interrupted_reads_are_retried_and_the_frame_arrives_intact() {
+        let mut bytes = encode(r#"{"op":"stats"}"#);
+        bytes.extend_from_slice(&encode("beta"));
+        let mut r = Interrupting { bytes: Cursor::new(bytes), interrupt: false };
+        assert_eq!(read_frame(&mut r).ok(), Some(Some(r#"{"op":"stats"}"#.into())));
+        assert_eq!(read_frame(&mut r).ok(), Some(Some("beta".into())));
+        assert_eq!(read_frame(&mut r).ok(), Some(None), "then a clean EOF");
     }
 
     #[test]

@@ -1,8 +1,9 @@
 //! Property tests for the frame codec (ISSUE 9 satellite): decoding is
 //! total — any byte sequence, hostile or truncated, produces a typed
 //! outcome (`Ok(None)` for "need more", a payload, or a [`WireError`])
-//! and never panics; and what `encode` writes, `decode` and
-//! `read_frame` read back exactly, empty payloads included.
+//! and never panics; and what `encode` writes (and `write_frame` sends
+//! byte for byte), `decode` and `read_frame` read back exactly, empty
+//! payloads included.
 
 use beff_check::{check, Gen};
 use beff_serve::wire::{self, WireError, MAX_FRAME};
@@ -101,6 +102,9 @@ fn round_trip_including_empty_payloads() {
         let payload: String =
             (0..len).map(|_| char::from_u32(g.u32(1..=0xD7FF)).expect("below surrogates")).collect();
         let bytes = wire::encode(&payload);
+        let mut written = Vec::new();
+        assert!(wire::write_frame(&mut written, &payload).is_ok());
+        assert_eq!(written, bytes, "write_frame sends exactly the encoded frame");
         let (back, used) = wire::decode(&bytes).expect("own frame decodes").expect("complete");
         assert_eq!(back, payload);
         assert_eq!(used, bytes.len());
