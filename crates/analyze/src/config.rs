@@ -7,25 +7,19 @@
 //! to this file, not a drive-by at the violation site.
 
 /// Crates whose *library* code must be bit-deterministic: no wall
-/// clock, no hasher-order iteration. (`sync` is excluded by design:
-/// it implements timed primitives.)
+/// clock, no hasher-order iteration.
 pub const DETERMINISTIC_CRATES: &[&str] =
     &["sim", "netsim", "mpi", "pfs", "faults", "mpiio", "sweep", "serve"];
 
-/// Crates exempt from the wall-clock rule wholesale.
-///
-/// * `sync` — implements `recv_timeout`/`wait_until`; time is its job.
-/// * `analyze` — this crate (lints must not lint their own fixtures).
-pub const WALLCLOCK_EXEMPT_CRATES: &[&str] = &["sync", "analyze"];
+/// Crates exempt from the wall-clock rule wholesale: `analyze` itself
+/// (lints must not lint their own fixtures).
+pub const WALLCLOCK_EXEMPT_CRATES: &[&str] = &["analyze"];
 
 /// Individual files exempt from the wall-clock rule (workspace-relative
-/// path suffixes). `sim/src/clock.rs` is *the* virtual-time module: it
-/// owns the only sanctioned mapping between simulated seconds and host
-/// time. `serve`'s torture harness reports honest wall timings —
-/// reported but never gated on — while the library it drives stays
-/// clock-free.
-pub const WALLCLOCK_EXEMPT_FILES: &[&str] =
-    &["crates/sim/src/clock.rs", "crates/serve/src/bin/serve_torture.rs"];
+/// path suffixes). `serve`'s torture harness reports honest wall
+/// timings — reported but never gated on — while the library it drives
+/// stays clock-free.
+pub const WALLCLOCK_EXEMPT_FILES: &[&str] = &["crates/serve/src/bin/serve_torture.rs"];
 
 /// Identifiers whose appearance in deterministic code means a wall
 /// clock or host-scheduling dependency.
@@ -47,16 +41,16 @@ pub const FIBER_HOME: &str = "crates/sim/";
 /// Identifiers that create or size host-thread parallelism. The
 /// `threading` rule quarantines them (same mechanism as the fiber
 /// quarantine): determinism lives or dies by *where* threads are
-/// allowed to exist, so thread creation is confined to the substrate's
-/// worker pool (`beff_sim::pool`), the sync primitives, and the one
-/// MPI launcher. Everyone else funnels
+/// allowed to exist, so thread creation is confined to the substrate
+/// (its worker pool and the thread-backed fibers) and the sync
+/// primitives. Everyone else funnels
 /// parallel work through `beff_sim::map_ordered`, whose
 /// submission-order results make worker count unobservable.
 pub const THREAD_IDENTS: &[&str] = &["spawn", "JoinHandle", "Builder", "available_parallelism"];
 
 /// The only places allowed to contain [`THREAD_IDENTS`] outside test
 /// code (path-suffix match: directories end with `/`).
-pub const THREAD_HOMES: &[&str] = &["crates/sim/", "crates/sync/", "crates/mpi/src/runtime.rs"];
+pub const THREAD_HOMES: &[&str] = &["crates/sim/", "crates/sync/"];
 
 /// Substrate names that `beff-netsim` re-exports for compatibility but
 /// that `beff-mpi` must import from `beff_sim` directly (the `layering`
@@ -65,7 +59,7 @@ pub const THREAD_HOMES: &[&str] = &["crates/sim/", "crates/sync/", "crates/mpi/s
 /// own and stays fair game.
 pub const NETSIM_INTERNAL_IDENTS: &[&str] = &[
     "clock", "link", "resource", "rng", "units", // substrate modules
-    "Clock", "RealClock", "VClock", // clocks
+    "VClock", // the clock
     "Link", "Degrade", "Resource", // contention primitives
     "Rng64", "Secs", "KB", "MB", "GB", // rng + units
 ];
@@ -113,17 +107,17 @@ pub const UNWRAP_BUDGETS: &[(&str, u32)] = &[
     ("bench", 43),
     ("check", 0),
     ("core", 13),
-    ("facade", 26),
+    ("facade", 24),
     ("faults", 0),
     ("json", 16),
     ("machines", 6),
-    ("mpi", 19),
-    ("mpiio", 25),
+    ("mpi", 11),
+    ("mpiio", 17),
     ("netsim", 7),
-    ("pfs", 19),
+    ("pfs", 3),
     ("report", 4),
     ("serve", 140),
-    ("sim", 16),
+    ("sim", 14),
     ("sweep", 4),
     ("sync", 3),
 ];
@@ -159,7 +153,7 @@ pub struct LockDecl {
 /// | 30    | `sim.port`                   | one actor's port state         |
 /// | 40    | `sched.state`                | token-scheduler ready/blocked  |
 /// | 50    | `fiber.baton`                | one thread-backed fiber's turn |
-/// | 60    | `pfs.files` / `pfs.disk`     | filesystem name table          |
+/// | 60    | `pfs.files`                  | filesystem name table          |
 /// | 64    | `pfs.ledger`                 | one filesystem's client/channel/server occupancy + cache accounting |
 /// | 66    | `pfs.file`                   | one file's size, residency stamps, stored bytes |
 /// | 70    | `netsim.routes`              | one route-table shard          |
@@ -271,13 +265,6 @@ pub const LOCK_HIERARCHY: &[LockDecl] = &[
         name: "pfs.file",
     },
     LockDecl {
-        file_suffix: "crates/pfs/src/localdisk.rs",
-        receiver: "files",
-        methods: &["lock"],
-        level: 60,
-        name: "pfs.disk",
-    },
-    LockDecl {
         file_suffix: "crates/netsim/src/routing.rs",
         receiver: "shard",
         methods: &["read", "write"],
@@ -380,7 +367,7 @@ pub const PANICFLOW_BUDGETS: &[(&str, u32)] = &[
     ("core", 3),
     ("json", 9),
     ("machines", 1),
-    ("mpi", 16),
+    ("mpi", 7),
     ("netsim", 1),
     ("sim", 12),
 ];

@@ -200,7 +200,7 @@ mod tests {
 
     #[test]
     fn mpi_reaching_netsim_substrate_is_flagged() {
-        let v = src("crates/mpi/src/engine.rs", "type C = beff_netsim::Clock;\n");
+        let v = src("crates/mpi/src/engine.rs", "type C = beff_netsim::VClock;\n");
         assert_eq!(v.len(), 1, "{v:?}");
         assert!(v[0].message.contains("beff_sim"));
     }
@@ -209,7 +209,7 @@ mod tests {
     fn grouped_import_form_is_flagged_per_name() {
         let v = src(
             "crates/mpi/src/engine.rs",
-            "use beff_netsim::{MachineNet, Clock, VClock};\n",
+            "use beff_netsim::{MachineNet, Secs, VClock};\n",
         );
         assert_eq!(v.len(), 2, "{v:?}");
         assert!(v.iter().all(|x| x.message.contains("beff_sim")));
@@ -234,7 +234,7 @@ mod tests {
     fn waiver_is_honored() {
         let f = SourceFile::parse(
             "crates/mpi/src/engine.rs",
-            "// beff-analyze: allow(layering): test fixture\nlet c = beff_netsim::Clock;\n",
+            "// beff-analyze: allow(layering): test fixture\nlet c = beff_netsim::VClock;\n",
         );
         let mut v = Vec::new();
         let waived = check_source(&f, &mut v);

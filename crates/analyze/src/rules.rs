@@ -398,22 +398,27 @@ mod tests {
     fn wallclock_respects_exempt_scope() {
         assert!(run(
             check_wallclock,
-            "crates/sync/src/channel.rs",
+            "crates/analyze/src/rules.rs",
             "fn f() { Instant::now(); }"
         )
         .is_empty());
         assert!(run(
             check_wallclock,
-            "crates/sim/src/clock.rs",
+            "crates/serve/src/bin/serve_torture.rs",
             "fn f() { Instant::now(); }"
         )
         .is_empty());
+        // the substrate's clock and the sync primitives are not exempt
+        for path in ["crates/sim/src/clock.rs", "crates/sync/src/channel.rs"] {
+            let v = run(check_wallclock, path, "fn f() { Instant::now(); }");
+            assert_eq!(v.len(), 1, "{path}");
+        }
     }
 
     #[test]
     fn wallclock_waiver_suppresses() {
         let src = "fn f() { let d = Instant::now(); } \
-                   // beff-analyze: allow(wall-clock): real-mode only\n";
+                   // beff-analyze: allow(wall-clock): host-side report only\n";
         assert!(run(check_wallclock, "crates/mpi/src/x.rs", src).is_empty());
     }
 
@@ -452,13 +457,13 @@ mod tests {
 
     #[test]
     fn threading_allows_homes_tests_and_waivers() {
-        // the substrate's pool, the sync crate, and the MPI launcher
-        // may spawn…
-        for home in
-            ["crates/sim/src/pool.rs", "crates/sync/src/channel.rs", "crates/mpi/src/runtime.rs"]
-        {
+        // the substrate and the sync crate may spawn…
+        for home in ["crates/sim/src/pool.rs", "crates/sync/src/channel.rs"] {
             assert!(run(check_threading, home, "fn f() { s.spawn(|| {}); }").is_empty());
         }
+        // …the MPI runtime may not…
+        let spawn = "fn f() { s.spawn(|| {}); }";
+        assert_eq!(run(check_threading, "crates/mpi/src/runtime.rs", spawn).len(), 1);
         // …test code may spawn…
         let test_src = "#[cfg(test)]\nmod t {\n fn g() { std::thread::spawn(|| {}); }\n}\n";
         assert!(run(check_threading, "crates/bench/src/x.rs", test_src).is_empty());

@@ -2,11 +2,11 @@
 //!
 //! The per-line `wall-clock` and `hash-order` rules ban nondeterminism
 //! *inside* deterministic crates. What they cannot see is legal
-//! nondeterminism flowing in from outside: `beff-sync` is allowed to
-//! read `Instant` (timeouts are its job), `bench` is allowed to time
-//! things — but a deterministic crate calling into such code gets
-//! host-dependent values back, and the bit-replay guarantee quietly
-//! dies at the boundary.
+//! nondeterminism flowing in from outside: the torture harness is
+//! allowed to read `Instant`, crates outside the deterministic set may
+//! iterate hash-ordered containers — but a deterministic crate calling
+//! into such code gets host-dependent values back, and the bit-replay
+//! guarantee quietly dies at the boundary.
 //!
 //! This pass seeds taint at functions that *observe* a
 //! nondeterministic fact:
@@ -190,10 +190,10 @@ mod tests {
     }
 
     #[test]
-    fn wallclock_in_sync_tainting_sim_is_found() {
+    fn wallclock_in_exempt_scope_tainting_sim_is_found() {
         let r = analyze(&[
             (
-                "crates/sync/src/timeout.rs",
+                "crates/analyze/src/timeout.rs",
                 "pub fn deadline_passed() -> bool {\n Instant::now();\n true\n}\n",
             ),
             (
@@ -212,7 +212,7 @@ mod tests {
     fn taint_reaches_through_an_intermediate_nondet_hop() {
         let r = analyze(&[
             (
-                "crates/sync/src/a.rs",
+                "crates/analyze/src/a.rs",
                 "pub fn observe() {\n Instant::now();\n}\npub fn relay() {\n observe();\n}\n",
             ),
             ("crates/serve/src/b.rs", "pub fn uses() {\n relay();\n}\n"),
@@ -225,7 +225,7 @@ mod tests {
     #[test]
     fn interior_det_to_det_edges_are_not_rereported() {
         let r = analyze(&[
-            ("crates/sync/src/a.rs", "pub fn observe() {\n Instant::now();\n}\n"),
+            ("crates/analyze/src/a.rs", "pub fn observe() {\n Instant::now();\n}\n"),
             (
                 "crates/sim/src/entry.rs",
                 "pub fn boundary() {\n observe();\n}\npub fn interior() {\n boundary();\n}\n",
@@ -268,7 +268,7 @@ mod tests {
     #[test]
     fn waiver_on_the_call_site_suppresses() {
         let r = analyze(&[
-            ("crates/sync/src/a.rs", "pub fn observe() {\n Instant::now();\n}\n"),
+            ("crates/analyze/src/a.rs", "pub fn observe() {\n Instant::now();\n}\n"),
             (
                 "crates/sim/src/entry.rs",
                 "pub fn boundary() {\n \
@@ -284,7 +284,7 @@ mod tests {
     fn waiver_on_the_source_stops_seeding() {
         let r = analyze(&[
             (
-                "crates/sync/src/a.rs",
+                "crates/analyze/src/a.rs",
                 "pub fn observe() {\n \
                  // beff-analyze: allow(taint): used for logging only\n \
                  Instant::now();\n}\n",

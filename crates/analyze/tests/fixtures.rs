@@ -50,8 +50,8 @@ fn taint_leak_fixture_is_caught_by_taint() {
         .unwrap_or_else(|| panic!("no taint violation: {:?}", r.violations));
     assert!(v.path.ends_with("crates/sim/src/world.rs"), "{v:?}");
     assert_eq!(v.line, 5, "anchors at the boundary call site");
-    assert!(v.message.contains("wall-clock"), "{v:?}");
-    assert!(v.message.contains("stopwatch.rs:5"), "cites the observation site: {v:?}");
+    assert!(v.message.contains("hash-order"), "{v:?}");
+    assert!(v.message.contains("tally.rs:5"), "cites the observation site: {v:?}");
     assert!(r.violations.iter().all(|v| v.rule == "taint"), "{:?}", r.violations);
 }
 

@@ -1,6 +1,6 @@
 //! Fixture: a deterministic crate calling across the boundary into the
-//! wall-clock reader — the taint pass must flag the call site.
+//! hash-order reader — the taint pass must flag the call site.
 
 pub fn step() {
-    elapsed_secs();
+    first_key();
 }

@@ -166,6 +166,13 @@ pub fn worst_bisection_peer(rank: usize, n: usize) -> Option<usize> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use beff_mpi::World;
+    use beff_netsim::{MachineNet, NetParams, Topology};
+    use std::sync::Arc;
+
+    fn world(topo: Topology) -> World {
+        World::sim(Arc::new(MachineNet::new(topo, NetParams::default())))
+    }
 
     #[test]
     fn interleaved_order_is_permutation_with_long_hops() {
@@ -211,11 +218,7 @@ mod tests {
 
     #[test]
     fn extras_run_on_a_small_sim() {
-        use beff_netsim::{MachineNet, NetParams, Topology};
-        use std::sync::Arc;
-        let net =
-            Arc::new(MachineNet::new(Topology::Ring { procs: 8 }, NetParams::default()));
-        let results = beff_mpi::World::sim(net).run(|c| {
+        let results = world(Topology::Ring { procs: 8 }).run(|c| {
             let mut tr = Transfers::new(c, 1 << 16);
             run_extras(c, &mut tr, 1 << 16, 3)
         });
@@ -232,11 +235,7 @@ mod tests {
 
     #[test]
     fn pingpong_positive_and_agreed() {
-        use beff_netsim::{MachineNet, NetParams, Topology};
-        use std::sync::Arc;
-        let net =
-            Arc::new(MachineNet::new(Topology::Crossbar { procs: 4 }, NetParams::default()));
-        let bws = beff_mpi::World::sim(net).run(|c| {
+        let bws = world(Topology::Crossbar { procs: 4 }).run(|c| {
             let mut tr = Transfers::new(c, 1 << 20);
             pingpong(c, &mut tr, 1 << 20, 4)
         });
@@ -245,28 +244,22 @@ mod tests {
             assert!((w[0] - w[1]).abs() < 1e-9, "all ranks agree: {bws:?}");
         }
     }
-}
-
-#[cfg(test)]
-mod real_mode_tests {
-    use super::*;
-    use crate::beff::methods::Transfers;
 
     #[test]
-    fn extras_and_pingpong_run_in_real_mode() {
-        let results = beff_mpi::World::real(4).run(|c| {
+    fn extras_and_pingpong_move_payload_bytes() {
+        let results = world(Topology::Crossbar { procs: 4 }).copy_data(true).run(|c| {
             let mut tr = Transfers::new(c, 1 << 14);
             let pp = pingpong(c, &mut tr, 1 << 14, 2);
             let extras = run_extras(c, &mut tr, 1 << 14, 2);
             (pp, extras.len())
         });
-        assert!(results[0].0 > 0.0, "real ping-pong must move bytes");
+        assert!(results[0].0 > 0.0, "ping-pong must move bytes");
         assert!(results[0].1 >= 8);
     }
 
     #[test]
     fn single_rank_pingpong_is_zero() {
-        let results = beff_mpi::World::real(1).run(|c| {
+        let results = world(Topology::Crossbar { procs: 1 }).copy_data(true).run(|c| {
             let mut tr = Transfers::new(c, 64);
             pingpong(c, &mut tr, 64, 2)
         });

@@ -202,9 +202,9 @@ mod tests {
     }
 
     #[test]
-    fn methods_work_in_real_mode_with_bytes() {
+    fn methods_work_with_payload_bytes() {
         for method in METHODS {
-            let out = World::real(4).run(move |c| {
+            let out = sim(4).copy_data(true).run(move |c| {
                 let n = c.size();
                 let left = (c.rank() + n - 1) % n;
                 let right = (c.rank() + 1) % n;

@@ -187,15 +187,11 @@ mod tests {
     }
 
     #[test]
-    fn beff_runs_in_real_mode() {
-        let cfg = BeffConfig {
-            mem_per_proc: 64 * MB,
-            schedule: MeasureSchedule { loop_start: 2, reps: 1, ..MeasureSchedule::quick() },
-            seed: 1,
-            extras: false,
-            extra_iters: 1,
-        };
-        let rs = World::real(2).run(move |c| run_beff(c, &cfg));
+    fn beff_runs_with_payload_bytes() {
+        let net =
+            Arc::new(MachineNet::new(Topology::Crossbar { procs: 2 }, NetParams::default()));
+        let cfg = quick_cfg().without_extras();
+        let rs = World::sim(net).copy_data(true).run(move |c| run_beff(c, &cfg));
         assert!(rs[0].beff > 0.0);
     }
 

@@ -5,9 +5,8 @@
 //! ([`beffio`]), plus the balance factor ([`balance`]).
 //!
 //! Both benchmarks are written against the `beff-mpi` communicator and
-//! the `beff-mpiio` file API, so the same code runs on the real engine
-//! (host threads, wall clock, real files) and on simulated machine
-//! models in virtual time.
+//! the `beff-mpiio` file API and run on simulated machine models in
+//! virtual time.
 
 pub mod balance;
 pub mod beff;

@@ -1,14 +1,15 @@
-//! Collective operations, built strictly on top of point-to-point so
-//! that their virtual-time cost *emerges* from the network model
-//! instead of being postulated.
+//! Collective operations.
 //!
-//! Algorithms follow the classic MPICH choices:
+//! Barrier and allreduce meet on the communicator's rendezvous board
+//! (`Comm::sim_rendezvous`): no message moves, the contributions are
+//! reduced in rank order, and the cost is the closed form of the
+//! dissemination sweep (barrier) or of reduce + bcast sweeps
+//! (allreduce). Every other collective is built on point-to-point, so
+//! its virtual-time cost *emerges* from the network model, following
+//! the classic MPICH choices:
 //!
-//! * barrier — dissemination (⌈log₂ n⌉ rounds),
 //! * bcast — binomial tree,
 //! * reduce — binomial tree (commutative ops),
-//! * allreduce — reduce to 0 + bcast (robust, good enough for the
-//!   control-path uses the benchmarks make of it),
 //! * gather — linear to the root (control-path only),
 //! * alltoallv — pairwise shifted exchange, skipping zero counts (this
 //!   is one of the three b_eff communication *methods*).
@@ -39,29 +40,11 @@ impl ReduceOp {
 }
 
 impl Comm {
-    /// Barrier. Simulated worlds rendezvous on a shared board (one
-    /// scheduler yield per rank, closed-form dissemination cost); real
-    /// worlds run the dissemination rounds as actual point-to-point
-    /// traffic.
+    /// Barrier: a rendezvous on the communicator's board (one
+    /// scheduler yield per rank, closed-form dissemination cost).
     pub fn barrier(&mut self) {
-        let tag = self.next_coll_tag();
-        let n = self.size();
-        if n == 1 {
-            return;
-        }
-        if self.is_sim() {
+        if self.size() > 1 {
             self.sim_rendezvous(&[], &mut [], None);
-            return;
-        }
-        let r = self.rank();
-        let mut k = 1;
-        while k < n {
-            let dst = (r + k) % n;
-            let src = (r + n - k) % n;
-            let sreq = self.isend(dst, tag, &[]);
-            let _ = self.recv_vec(Some(src), Some(tag));
-            self.wait_send(sreq);
-            k <<= 1;
         }
     }
 
@@ -126,9 +109,8 @@ impl Comm {
         Some(acc)
     }
 
-    /// Allreduce of an f64 vector. Simulated worlds use the rendezvous
-    /// board (reduced in rank order, priced as reduce + bcast sweeps);
-    /// real worlds reduce to 0 and broadcast.
+    /// Allreduce of an f64 vector on the rendezvous board (reduced in
+    /// rank order, priced as reduce + bcast sweeps).
     pub fn allreduce_f64(&mut self, vals: &[f64], op: ReduceOp) -> Vec<f64> {
         let mut out = vec![0.0; vals.len()];
         self.allreduce_into(vals, &mut out, op);
@@ -143,13 +125,11 @@ impl Comm {
     }
 
     fn allreduce_into(&mut self, vals: &[f64], out: &mut [f64], op: ReduceOp) {
-        if self.size() > 1 && self.is_sim() {
-            return self.sim_rendezvous(vals, out, Some(op));
+        if self.size() > 1 {
+            self.sim_rendezvous(vals, out, Some(op));
+        } else {
+            out.copy_from_slice(vals);
         }
-        let reduced = self.reduce_f64(0, vals, op);
-        let mut buf = reduced.map(|v| wire::encode_f64s(&v)).unwrap_or_default();
-        self.bcast(0, &mut buf);
-        out.copy_from_slice(&wire::decode_f64s(&buf));
     }
 
     /// Linear gather of byte buffers to `root` (control path). Returns

@@ -13,16 +13,16 @@
 //! * [`Comm::send`] / [`Comm::isend`] — *semantic* messages whose bytes
 //!   matter (reductions, control records); bytes always travel.
 //! * [`Comm::payload_send`] / [`Comm::payload_isend`] — *benchmark
-//!   traffic*: in sim mode with `copy_data = false`, only the length
-//!   travels, so simulating a 512-proc machine does not shovel real
-//!   gigabytes through host memory.
+//!   traffic*: with `copy_data = false`, only the length travels, so
+//!   simulating a 512-proc machine does not shovel real gigabytes
+//!   through host memory.
 //!
-//! Simulated barriers and allreduces send nothing: the ranks meet on
-//! the communicator's persistent rendezvous board (`CollBoard`), one per
+//! Barriers and allreduces send nothing: the ranks meet on the
+//! communicator's persistent rendezvous board (`CollBoard`), one per
 //! context id, resolved when the handle is made, in one of two
 //! generations picked by the parity of the handle's rendezvous counter.
 //!
-//! Virtual-time accounting (sim mode):
+//! Virtual-time accounting:
 //!
 //! * send: `clock += o_send`, then the network price is computed; the
 //!   clock waits until the sender-side port is free (`injected`) —
@@ -205,9 +205,8 @@ pub struct WorldShared {
     /// (session checkout must not pay a config deep-clone per run).
     pub(crate) engine: Arc<EngineCfg>,
     pub(crate) next_ctx: AtomicU32,
-    /// Deterministic token scheduler (sim mode only; real mode lets
-    /// the host scheduler run ranks concurrently).
-    pub(crate) sched: Option<SimScheduler>,
+    /// Deterministic token scheduler: one rank runs at a time.
+    pub(crate) sched: SimScheduler,
     /// The rendezvous board of every communicator made so far, by
     /// context id.
     registry: Mutex<BTreeMap<u32, Arc<CollBoard>>>,
@@ -220,7 +219,7 @@ impl WorldShared {
             world_ranks: Arc::new((0..n).collect()),
             // ctx 0 is the world communicator
             next_ctx: AtomicU32::new(1),
-            sched: engine.is_sim().then(|| SimScheduler::new(n)),
+            sched: SimScheduler::new(n),
             engine,
             registry: Mutex::ranked(&REGISTRY_RANK, BTreeMap::new()),
         }
@@ -274,7 +273,7 @@ pub struct Comm {
 impl Comm {
     /// Build the world communicator handle for `rank` (runtime use).
     pub(crate) fn world(shared: Arc<WorldShared>, rank: usize) -> Self {
-        let state = Rc::new(RefCell::new(RankState::new(&shared.engine)));
+        let state = Rc::new(RefCell::new(RankState::new()));
         let ranks = Arc::clone(&shared.world_ranks);
         Self::on_ctx(shared, state, 0, rank, ranks)
     }
@@ -310,46 +309,27 @@ impl Comm {
         self.ranks[self.rank]
     }
 
-    /// Current (virtual or real) time in seconds.
+    /// Current virtual time in seconds.
     #[inline]
     pub fn now(&self) -> Secs {
         self.state.borrow().clock.now()
     }
 
-    /// True when running under the virtual-time engine.
-    pub fn is_sim(&self) -> bool {
-        self.shared.engine.is_sim()
-    }
-
-    /// Model local computation taking `dt` seconds (no-op in real mode,
-    /// where computation takes its own time). A straggler rank's
+    /// Model local computation taking `dt` seconds. A straggler rank's
     /// computation is stretched by its fault-plan multiplier.
     pub fn compute(&mut self, dt: Secs) {
-        let dt = match self.shared.engine.as_ref() {
-            EngineCfg::Sim { faults: Some(fs), .. } => {
-                dt * fs.plan().compute_mult(self.world_rank())
-            }
-            _ => dt,
+        let dt = match &self.shared.engine.faults {
+            Some(fs) => dt * fs.plan().compute_mult(self.world_rank()),
+            None => dt,
         };
         self.state.borrow_mut().clock.advance(dt);
     }
 
-    /// Move the virtual clock to `t` if `t` is in the future (no-op in
-    /// real mode). Used by sibling layers (e.g. MPI-IO) that price
-    /// their own operations against shared resources.
+    /// Move the virtual clock to `t` if `t` is in the future. Used by
+    /// sibling layers (e.g. MPI-IO) that price their own operations
+    /// against shared resources.
     pub fn advance_to(&mut self, t: Secs) {
         self.state.borrow_mut().clock.advance_to(t);
-    }
-
-    /// Engine configuration (for layers that price their own costs,
-    /// like MPI-IO).
-    pub fn engine(&self) -> &EngineCfg {
-        self.shared.engine.as_ref()
-    }
-
-    /// Shared per-rank state (the clock) for sibling layers.
-    pub fn rank_state(&self) -> Rc<RefCell<RankState>> {
-        Rc::clone(&self.state)
     }
 
     // ----- point to point -----------------------------------------------
@@ -367,27 +347,22 @@ impl Comm {
         // Targeted wakeup: only a push that completed a posted receive
         // makes the receiver runnable again. Queued pushes wake no one.
         if outcome == PushOutcome::Matched {
-            if let Some(sched) = &self.shared.sched {
-                sched.unblock(wdst);
-            }
+            self.shared.sched.unblock(wdst);
         }
     }
 
-    /// Blocking receive from this rank's mailbox. Real mode parks on
-    /// the mailbox condvar; sim mode releases the scheduler token while
-    /// blocked so another rank can make progress deterministically.
+    /// Blocking receive from this rank's mailbox: releases the
+    /// scheduler token while blocked so another rank can make progress
+    /// deterministically.
     fn blocking_recv(&self, m: Match) -> Envelope {
         let wr = self.world_rank();
-        if let EngineCfg::Sim { faults: Some(fs), .. } = self.shared.engine.as_ref() {
+        if let Some(fs) = &self.shared.engine.faults {
             let now = self.state.borrow().clock.now();
             if let Some(err) = fs.crash_check(wr, now) {
                 err.raise();
             }
         }
-        let mb = &self.shared.mailboxes[wr];
-        let Some(sched) = &self.shared.sched else {
-            return mb.recv(m);
-        };
+        let (mb, sched) = (&self.shared.mailboxes[wr], &self.shared.sched);
         loop {
             // Raises PeerFailed if the world died.
             let ticket = match mb.recv_or_post(m) {
@@ -402,49 +377,34 @@ impl Comm {
         }
     }
 
-    /// Price and deliver; returns sender-free time (0.0 in real mode).
+    /// Price and deliver; returns sender-free time.
     fn do_send(&mut self, dst: usize, tag: Tag, payload: Payload) -> Secs {
         assert!(dst < self.size(), "send to rank {dst} of {}", self.size());
-        match self.shared.engine.as_ref() {
-            EngineCfg::Real => {
-                self.deliver(dst, tag, 0.0, 0.0, payload);
-                0.0
-            }
-            EngineCfg::Sim { net, faults, .. } => {
-                let (injected, head, finish) = {
-                    let mut st = self.state.borrow_mut();
-                    let wsrc = self.ranks[self.rank];
-                    let wdst = self.ranks[dst];
-                    match faults {
-                        None => st.clock.advance(net.params().o_send),
-                        Some(fs) => {
-                            if let Some(err) = fs.crash_check(wsrc, st.clock.now()) {
-                                drop(st);
-                                err.raise();
-                            }
-                            st.clock
-                                .advance(net.params().o_send * fs.plan().overhead_mult(wsrc));
-                            if fs.plan().has_wire_faults() {
-                                wire_fault_delay(
-                                    &mut st,
-                                    net,
-                                    fs,
-                                    wsrc,
-                                    wdst,
-                                    payload.len(),
-                                );
-                            }
-                        }
+        let EngineCfg { net, faults, .. } = self.shared.engine.as_ref();
+        let (injected, head, finish) = {
+            let mut st = self.state.borrow_mut();
+            let wsrc = self.ranks[self.rank];
+            let wdst = self.ranks[dst];
+            match faults {
+                None => st.clock.advance(net.params().o_send),
+                Some(fs) => {
+                    if let Some(err) = fs.crash_check(wsrc, st.clock.now()) {
+                        drop(st);
+                        err.raise();
                     }
-                    let t0 = st.clock.now();
-                    let sr = st.routes_out.get(wdst, || net.split_route(wsrc, wdst));
-                    let eg = net.price_egress(&sr.egress, payload.len(), t0);
-                    (eg.injected, eg.head, eg.finish)
-                };
-                self.deliver(dst, tag, head, finish, payload);
-                injected
+                    st.clock.advance(net.params().o_send * fs.plan().overhead_mult(wsrc));
+                    if fs.plan().has_wire_faults() {
+                        wire_fault_delay(&mut st, net, fs, wsrc, wdst, payload.len());
+                    }
+                }
             }
-        }
+            let t0 = st.clock.now();
+            let sr = st.routes_out.get(wdst, || net.split_route(wsrc, wdst));
+            let eg = net.price_egress(&sr.egress, payload.len(), t0);
+            (eg.injected, eg.head, eg.finish)
+        };
+        self.deliver(dst, tag, head, finish, payload);
+        injected
     }
 
     /// Blocking semantic send: bytes always travel.
@@ -473,20 +433,21 @@ impl Comm {
     }
 
     fn make_payload(&self, data: &[u8]) -> Payload {
-        match self.shared.engine.as_ref() {
-            EngineCfg::Sim { copy_data: false, .. } => Payload::Len(data.len() as u64),
-            _ => Payload::Data(data.to_vec()),
+        if self.copies_payload() {
+            Payload::Data(data.to_vec())
+        } else {
+            Payload::Len(data.len() as u64)
         }
     }
 
     /// Does benchmark traffic carry real bytes? When `false`, kernels
     /// may use the `*_len` fast paths and zero-length receive buffers.
     pub fn copies_payload(&self) -> bool {
-        !matches!(self.shared.engine.as_ref(), EngineCfg::Sim { copy_data: false, .. })
+        self.shared.engine.copy_data
     }
 
     /// Blocking benchmark send of `len` synthetic bytes. Only valid in
-    /// no-copy simulation mode (real mode needs real bytes to measure).
+    /// no-copy mode.
     pub fn payload_send_len(&mut self, dst: usize, tag: Tag, len: u64) {
         assert!(!self.copies_payload(), "payload_send_len requires no-copy sim mode");
         let injected = self.do_send(dst, tag, Payload::Len(len));
@@ -507,20 +468,16 @@ impl Comm {
     /// Apply receive timing: drain the message through the receiver's
     /// ingress resources (its node memory + port-in), then pay o_recv.
     fn apply_recv_time(&mut self, env: &Envelope) {
-        if let EngineCfg::Sim { net, faults, .. } = self.shared.engine.as_ref() {
-            let mut st = self.state.borrow_mut();
-            let wsrc = self.ranks[env.src];
-            let wdst = self.ranks[self.rank];
-            let sr = st.routes_in.get(wsrc, || net.split_route(wsrc, wdst));
-            let done =
-                net.price_ingress(&sr.ingress, env.payload.len(), env.head, env.arrival);
-            st.clock.advance_to(done);
-            match faults {
-                None => st.clock.advance(net.params().o_recv),
-                Some(fs) => st
-                    .clock
-                    .advance(net.params().o_recv * fs.plan().overhead_mult(wdst)),
-            }
+        let EngineCfg { net, faults, .. } = self.shared.engine.as_ref();
+        let mut st = self.state.borrow_mut();
+        let wsrc = self.ranks[env.src];
+        let wdst = self.ranks[self.rank];
+        let sr = st.routes_in.get(wsrc, || net.split_route(wsrc, wdst));
+        let done = net.price_ingress(&sr.ingress, env.payload.len(), env.head, env.arrival);
+        st.clock.advance_to(done);
+        match faults {
+            None => st.clock.advance(net.params().o_recv),
+            Some(fs) => st.clock.advance(net.params().o_recv * fs.plan().overhead_mult(wdst)),
         }
     }
 
@@ -640,7 +597,7 @@ impl Comm {
         per_sweep
     }
 
-    /// Simulated collective fast path: instead of ⌈log₂ n⌉ rounds of
+    /// The collective rendezvous: instead of ⌈log₂ n⌉ rounds of
     /// point-to-point traffic (each round a token handoff per rank),
     /// every rank posts `contrib` on the communicator's board and parks
     /// once; the last arriver reduces in rank order, prices the
@@ -659,16 +616,14 @@ impl Comm {
         let wr = self.world_rank();
         let now = self.now();
         let Self { shared, board, ranks, sweep_cost, .. } = self;
-        let sched = shared.sched.as_ref().expect("sim collectives need the token scheduler");
+        let sched = &shared.sched;
         let gen = (self.rendezvous & 1) as usize;
         self.rendezvous = self.rendezvous.wrapping_add(1);
         let published = {
             let g = &mut board.lock()[gen];
             g.post(n, self.rank, now, contrib).then(|| {
-                let sweep = *sweep_cost.get_or_insert_with(|| match shared.engine.as_ref() {
-                    EngineCfg::Sim { net, .. } => Self::sim_sweep_cost(net, ranks),
-                    EngineCfg::Real => 0.0,
-                });
+                let sweep =
+                    *sweep_cost.get_or_insert_with(|| Self::sim_sweep_cost(&shared.engine.net, ranks));
                 // Barrier costs one dissemination sweep; allreduce is
                 // modeled as reduce + bcast (two tree sweeps).
                 g.publish(sweep * if op.is_some() { 2.0 } else { 1.0 }, op, out)
@@ -706,31 +661,31 @@ impl Comm {
 
     /// Partition the communicator: ranks passing the same `color` end up
     /// in the same new communicator, ordered by `(key, rank)`.
-    /// `None` color opts out (returns `None`, like MPI_UNDEFINED).
+    /// `None` color opts out (returns `None`, like MPI_UNDEFINED); every
+    /// `Some` color, `u32::MAX` included, is a real one.
     pub fn split(&mut self, color: Option<u32>, key: i64) -> Option<Comm> {
         let tag = self.next_coll_tag();
         let n = self.size();
-        // 1. everyone sends (color, key) to rank 0
-        let mut rec = Vec::with_capacity(16);
-        wire::put_u32(&mut rec, color.map_or(u32::MAX, |c| c));
-        wire::put_i64(&mut rec, key);
+        // 1. everyone sends (color, key) to rank 0; a rank that opts out
+        // sends an empty record, so opting in needs no reserved color
+        let mut rec = Vec::with_capacity(12);
+        if let Some(c) = color {
+            wire::put_u32(&mut rec, c);
+            wire::put_i64(&mut rec, key);
+        }
         if self.rank == 0 {
+            let opted_in = |rec: &[u8], src: usize| {
+                let mut r = wire::Reader::new(rec);
+                (!rec.is_empty()).then(|| (r.u32(), r.i64(), src))
+            };
             let mut entries: Vec<(u32, i64, usize)> = Vec::with_capacity(n);
-            {
-                let mut r = wire::Reader::new(&rec);
-                entries.push((r.u32(), r.i64(), 0));
-            }
+            entries.extend(opted_in(&rec, 0));
             for _ in 1..n {
                 let (data, info) = self.recv_vec(None, Some(tag));
-                let mut r = wire::Reader::new(&data);
-                entries.push((r.u32(), r.i64(), info.src));
+                entries.extend(opted_in(&data, info.src));
             }
             // 2. group by color, order by (key, rank)
-            let mut colors: Vec<u32> = entries
-                .iter()
-                .map(|e| e.0)
-                .filter(|&c| c != u32::MAX)
-                .collect();
+            let mut colors: Vec<u32> = entries.iter().map(|e| e.0).collect();
             colors.sort_unstable();
             colors.dedup();
             let mut replies: Vec<Option<Vec<u8>>> = vec![None; n];

@@ -2,31 +2,28 @@
 //!
 //! An MPI-like message-passing runtime for the b_eff / b_eff_io
 //! reproduction: blocking/nonblocking point-to-point with tag
-//! matching, collectives built over point-to-point, communicator
-//! split/dup, and Cartesian grid helpers.
+//! matching, collectives, communicator split/dup, and Cartesian grid
+//! helpers.
 //!
-//! Two engines run the *same* benchmark code:
-//!
-//! * **Real** ([`World::real`]) — ranks are host threads, time is the
-//!   wall clock, data moves through shared-memory mailboxes. The host
-//!   machine is, in effect, a small SMP under test.
-//! * **Sim** ([`World::sim`]) — ranks are fibers on the caller's
-//!   thread; each owns a virtual clock, and every operation is priced
-//!   by a [`beff_netsim::MachineNet`] model. Ranks take turns under the
-//!   substrate's deterministic token scheduler
-//!   ([`beff_sim::SimScheduler`]): execution order is a pure function
-//!   of the program, so same seeds give bit-identical results, and a
-//!   genuine deadlock in the MPI program is detected and reported
-//!   instead of hanging.
+//! Ranks are fibers on the caller's thread ([`World::sim`]); each owns
+//! a virtual clock, and every operation is priced by a
+//! [`beff_netsim::MachineNet`] model. Ranks take turns under the
+//! substrate's deterministic token scheduler
+//! ([`beff_sim::SimScheduler`]): execution order is a pure function of
+//! the program, so same seeds give bit-identical results, and a genuine
+//! deadlock in the MPI program is detected and reported instead of
+//! hanging.
 //!
 //! Repeated runs on one machine model can reuse a resident world
-//! ([`WorldSession`]) instead of rebuilding rank stacks (sim) or
-//! respawning rank threads (real) per run.
+//! ([`WorldSession`]) instead of rebuilding rank stacks per run.
 //!
 //! ```
 //! use beff_mpi::World;
+//! use beff_netsim::{MachineNet, NetParams, Topology};
+//! use std::sync::Arc;
 //!
-//! let sums = World::real(4).run(|comm| {
+//! let net = Arc::new(MachineNet::new(Topology::Crossbar { procs: 4 }, NetParams::default()));
+//! let sums = World::sim(net).run(|comm| {
 //!     comm.allreduce_scalar(comm.rank() as f64, beff_mpi::ReduceOp::Sum)
 //! });
 //! assert!(sums.iter().all(|&s| s == 6.0));

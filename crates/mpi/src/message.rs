@@ -1,7 +1,7 @@
 //! Message envelopes.
 //!
-//! An [`Envelope`] is what travels between rank mailboxes. In *sim*
-//! mode with `copy_data = false` the payload of benchmark traffic is
+//! An [`Envelope`] is what travels between rank mailboxes. With
+//! `copy_data = false` the payload of benchmark traffic is
 //! just a length ([`Payload::Len`]) so that simulating terabytes of
 //! virtual traffic does not copy terabytes of host memory; semantic
 //! messages (collective reductions, control data) always carry real
@@ -19,7 +19,7 @@ pub const COLLECTIVE_BASE: Tag = 0xC000_0000;
 /// Payload of a message.
 #[derive(Debug, Clone)]
 pub enum Payload {
-    /// Real bytes (always used in real mode and for semantic data).
+    /// Real bytes (always used for semantic data).
     Data(Vec<u8>),
     /// Only the length, for modeled benchmark traffic.
     Len(u64),
@@ -48,12 +48,12 @@ pub struct Envelope {
     /// Sender rank *within that context*.
     pub src: usize,
     pub tag: Tag,
-    /// When the stream began flowing on the last egress link (sim mode;
-    /// the receiver's drain may start here). 0.0 in real mode.
+    /// When the stream began flowing on the last egress link (the
+    /// receiver's drain may start here).
     pub head: Secs,
-    /// When the last byte left the egress path (sim mode); 0.0 in real
-    /// mode. The receiver drains its own ingress resources from `head`
-    /// and completes no earlier than this.
+    /// When the last byte left the egress path. The receiver drains its
+    /// own ingress resources from `head` and completes no earlier than
+    /// this.
     pub arrival: Secs,
     pub payload: Payload,
 }

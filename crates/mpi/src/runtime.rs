@@ -1,28 +1,25 @@
 //! The world runtime: run one closure per rank, each with its own
 //! [`Comm`], and return the per-rank results in rank order.
 //!
-//! How the ranks execute follows the engine. A simulated world
-//! (`World::sim*`) has a token scheduler, so its ranks are fibers
-//! driven on the calling thread through the substrate's one launcher
-//! ([`SimScheduler::launch`](beff_sim::SimScheduler::launch)) — no
-//! thread per rank, no platform switch in this crate. A real-mode
-//! world (`World::real`) has no scheduler and runs one host thread per
-//! rank against the wall clock.
+//! The ranks are fibers driven on the calling thread through the
+//! substrate's one launcher
+//! ([`SimScheduler::launch`](beff_sim::SimScheduler::launch)) under the
+//! world's token scheduler — no thread per rank, no platform switch in
+//! this crate.
 //!
 //! Two launch shapes exist:
 //!
-//! * [`World::run`] — set up, run, tear down. Right for one-shot runs
-//!   and non-`'static` closures.
-//! * [`WorldSession`] — keep the per-rank resources (sim: the fiber
-//!   stacks; real: the rank threads) resident and dispatch any number
-//!   of runs at them. Each run still gets a fresh world-shared state
-//!   (mailboxes, contexts, scheduler), so results are identical to
-//!   `World::run`; only the setup cost is amortized. Benchmark drivers
-//!   sweeping many configurations over one partition use this.
+//! * [`World::run`] — set up, run, tear down. Right for one-shot runs.
+//! * [`WorldSession`] — keep the fiber stacks resident and dispatch any
+//!   number of runs at them. Each run still gets a fresh world-shared
+//!   state (mailboxes, contexts, scheduler), so results are identical
+//!   to `World::run`; only the setup cost is amortized. Benchmark
+//!   drivers sweeping many configurations over one partition use this.
 //!
-//! If any rank panics, every mailbox is poisoned so that ranks blocked
-//! on the dead peer abort instead of deadlocking (the moral equivalent
-//! of `MPI_Abort`), and the first panic is re-thrown to the caller.
+//! If any rank panics, every mailbox is poisoned and the scheduler
+//! aborted so that ranks blocked on the dead peer abort instead of
+//! deadlocking (the moral equivalent of `MPI_Abort`), and the first
+//! panic is re-thrown to the caller.
 
 use crate::comm::{Comm, WorldShared};
 use crate::engine::EngineCfg;
@@ -30,14 +27,13 @@ use beff_sim::fiber::FiberStack;
 use beff_faults::{BeffError, FaultSession};
 use beff_netsim::MachineNet;
 use beff_sim::{map_ordered, Workers};
-use beff_sync::{channel, Condvar, Mutex};
 use std::any::Any;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::Arc;
 
 /// Run one rank's closure under the world's panic protocol: on panic
-/// poison every mailbox and abort the scheduler (sim mode) so blocked
-/// peers unwind too.
+/// poison every mailbox and abort the scheduler so blocked peers unwind
+/// too.
 fn run_rank<R>(
     shared: &Arc<WorldShared>,
     rank: usize,
@@ -49,9 +45,7 @@ fn run_rank<R>(
         for mb in &shared.mailboxes {
             mb.poison();
         }
-        if let Some(s) = &shared.sched {
-            s.abort();
-        }
+        shared.sched.abort();
     }
     out
 }
@@ -108,8 +102,8 @@ fn into_typed<R>(settled: Result<Vec<R>, Box<dyn Any + Send>>) -> Result<Vec<R>,
     }
 }
 
-/// Run a simulated world on the calling thread, one fiber per rank
-/// over `stacks`, against a fresh [`WorldShared`].
+/// Run a world on the calling thread, one fiber per rank over
+/// `stacks`, against a fresh [`WorldShared`].
 fn run_world_fibers<R, F>(
     engine: &Arc<EngineCfg>,
     stacks: &[FiberStack],
@@ -120,8 +114,7 @@ where
     F: Fn(&mut Comm) -> R + Sync,
 {
     let shared = Arc::new(WorldShared::new(stacks.len(), Arc::clone(engine)));
-    let sched = shared.sched.as_ref().expect("a sim world has a scheduler");
-    settle(sched.launch(stacks, |rank| run_rank(&shared, rank, f)))
+    settle(shared.sched.launch(stacks, |rank| run_rank(&shared, rank, f)))
 }
 
 /// Builder/launcher for a world of `n` ranks.
@@ -139,20 +132,14 @@ pub struct World {
 }
 
 impl World {
-    /// Real mode: `n` host threads, wall-clock timing.
-    pub fn real(n: usize) -> Self {
-        assert!(n > 0, "world needs at least one rank");
-        Self { n, engine: Arc::new(EngineCfg::Real) }
-    }
-
-    /// Sim mode on the full machine (one rank per modeled proc).
+    /// A world on the full machine (one rank per modeled proc).
     pub fn sim(net: Arc<MachineNet>) -> Self {
         let n = net.procs();
         Self::sim_partition(net, n)
     }
 
-    /// Sim mode on the first `n` procs of the machine (a *partition*,
-    /// as b_eff_io runs use).
+    /// A world on the first `n` procs of the machine (a *partition*, as
+    /// b_eff_io runs use).
     pub fn sim_partition(net: Arc<MachineNet>, n: usize) -> Self {
         assert!(n > 0, "world needs at least one rank");
         assert!(
@@ -160,33 +147,20 @@ impl World {
             "partition of {n} ranks exceeds machine size {}",
             net.procs()
         );
-        Self {
-            n,
-            engine: Arc::new(EngineCfg::Sim {
-                net,
-                copy_data: false,
-                faults: None,
-            }),
-        }
+        Self { n, engine: Arc::new(EngineCfg { net, copy_data: false, faults: None }) }
     }
 
-    /// Materialize benchmark payload bytes in sim mode (tests use this
-    /// to verify data integrity; big benchmark runs leave it off).
+    /// Materialize benchmark payload bytes (tests use this to verify
+    /// data integrity; big benchmark runs leave it off).
     pub fn copy_data(mut self, yes: bool) -> Self {
-        if let EngineCfg::Sim { copy_data, .. } = Arc::make_mut(&mut self.engine) {
-            *copy_data = yes;
-        }
+        Arc::make_mut(&mut self.engine).copy_data = yes;
         self
     }
 
-    /// Attach a fault session to this (sim) world: every run injects
-    /// the session's plan. Panics on a real-mode world — fault
-    /// injection prices virtual time.
+    /// Attach a fault session to this world: every run injects the
+    /// session's plan.
     pub fn with_faults(mut self, session: Arc<FaultSession>) -> Self {
-        match Arc::make_mut(&mut self.engine) {
-            EngineCfg::Sim { faults, .. } => *faults = Some(session),
-            EngineCfg::Real => panic!("fault injection requires the sim engine"),
-        }
+        Arc::make_mut(&mut self.engine).faults = Some(session);
         // Typed fault raises are routine under injection; keep the
         // default hook's backtrace spam out of chaos sweeps.
         beff_faults::silence_fault_panics();
@@ -217,46 +191,16 @@ impl World {
         R: Send,
         F: Fn(usize, &mut Comm) -> R + Sync,
     {
-        let EngineCfg::Sim { net, copy_data, faults } = self.engine.as_ref() else {
-            panic!("run_batch requires the sim engine (real mode has no machine replicas)");
-        };
+        let EngineCfg { net, copy_data, faults } = self.engine.as_ref();
         assert!(
             faults.is_none(),
             "run_batch cannot share a stateful fault session across machine replicas"
         );
         let (n, copy_data) = (self.n, *copy_data);
         map_ordered(workers, (0..jobs).collect(), |_, job| {
-            let world = World {
-                n,
-                engine: Arc::new(EngineCfg::Sim {
-                    net: Arc::new(net.replica()),
-                    copy_data,
-                    faults: None,
-                }),
-            };
+            let net = Arc::new(net.replica());
+            let world = World { n, engine: Arc::new(EngineCfg { net, copy_data, faults: None }) };
             world.run(|c| f(job, c))
-        })
-    }
-
-    fn run_settled<R, F>(&self, f: F) -> Result<Vec<R>, Box<dyn Any + Send>>
-    where
-        R: Send,
-        F: Fn(&mut Comm) -> R + Sync,
-    {
-        if self.engine.is_sim() {
-            return run_world_fibers(&self.engine, &FiberStack::set(self.n), &f);
-        }
-        let shared = Arc::new(WorldShared::new(self.n, Arc::clone(&self.engine)));
-        std::thread::scope(|scope| {
-            let mut handles = Vec::with_capacity(self.n);
-            for rank in 0..self.n {
-                let shared = Arc::clone(&shared);
-                let f = &f;
-                handles.push(scope.spawn(move || run_rank(&shared, rank, f)));
-            }
-            settle(handles.into_iter().map(|h| {
-                h.join().expect("rank thread must not die outside catch_unwind")
-            }))
         })
     }
 
@@ -268,7 +212,7 @@ impl World {
         R: Send,
         F: Fn(&mut Comm) -> R + Sync,
     {
-        match self.run_settled(f) {
+        match run_world_fibers(&self.engine, &FiberStack::set(self.n), &f) {
             Ok(v) => v,
             Err(p) => resume_unwind(p),
         }
@@ -282,7 +226,7 @@ impl World {
         R: Send,
         F: Fn(&mut Comm) -> R + Sync,
     {
-        into_typed(self.run_settled(f))
+        into_typed(run_world_fibers(&self.engine, &FiberStack::set(self.n), &f))
     }
 
     /// Set the world up once and keep it resident for repeated runs
@@ -292,80 +236,29 @@ impl World {
     }
 }
 
-type Job = Box<dyn FnOnce() + Send>;
-
-struct RunSlots<R> {
-    results: Vec<Option<Result<R, Box<dyn Any + Send>>>>,
-    done: usize,
-}
-
-/// How a session keeps its world resident between runs.
-enum Resident {
-    /// Real mode: `n` worker threads, each waiting on a private job
-    /// channel.
-    Threads {
-        senders: Vec<channel::Sender<Job>>,
-        handles: Vec<std::thread::JoinHandle<()>>,
-    },
-    /// Sim mode: runs execute on the caller's thread over a cached set
-    /// of fiber stacks.
-    Fibers { stacks: Vec<FiberStack> },
-}
-
-/// A resident world, spawned once and reused for any number of runs.
+/// A resident world, set up once and reused for any number of runs.
 /// Every [`run`](WorldSession::run) executes against a *fresh*
-/// [`WorldShared`] (mailboxes, contexts, token scheduler), so a session
-/// run is observationally identical to a fresh [`World::run`] —
-/// including bit-determinism in sim mode — without paying per-run
-/// setup (real mode: resident rank threads; sim mode: cached fiber
-/// stacks).
+/// [`WorldShared`] (mailboxes, contexts, token scheduler) over the
+/// session's cached fiber stacks, so a session run is observationally
+/// identical to a fresh [`World::run`] — bit for bit — without paying
+/// per-run stack setup.
 ///
 /// Shared machine state that outlives a run ([`MachineNet`] link
 /// occupancy) is the *caller's* to reset between runs (`net.reset()`);
 /// the memoized route table is topology-derived and correct to keep.
 pub struct WorldSession {
-    n: usize,
     engine: Arc<EngineCfg>,
-    resident: Resident,
+    stacks: Vec<FiberStack>,
 }
 
 impl WorldSession {
     pub fn new(world: &World) -> Self {
-        let n = world.n;
-        if world.engine.is_sim() {
-            return Self {
-                n,
-                engine: Arc::clone(&world.engine),
-                resident: Resident::Fibers { stacks: FiberStack::set(n) },
-            };
-        }
-        let mut senders = Vec::with_capacity(n);
-        let mut handles = Vec::with_capacity(n);
-        for rank in 0..n {
-            let (tx, rx) = channel::unbounded::<Job>();
-            senders.push(tx);
-            let h = std::thread::Builder::new()
-                .name(format!("beff-rank-{rank}"))
-                .spawn(move || {
-                    // The job itself contains the panic protocol; a
-                    // worker outlives any panicking run.
-                    while let Ok(job) = rx.recv() {
-                        job();
-                    }
-                })
-                .expect("spawn resident rank thread");
-            handles.push(h);
-        }
-        Self {
-            n,
-            engine: Arc::clone(&world.engine),
-            resident: Resident::Threads { senders, handles },
-        }
+        Self { engine: Arc::clone(&world.engine), stacks: FiberStack::set(world.n) }
     }
 
     /// Number of ranks.
     pub fn size(&self) -> usize {
-        self.n
+        self.stacks.len()
     }
 
     /// Rebuild a [`World`] launcher sharing this session's engine (an
@@ -374,64 +267,13 @@ impl WorldSession {
     /// per-job fault session attached via [`World::with_faults`] — while
     /// the resident session itself stays untouched and reusable.
     pub fn world(&self) -> World {
-        World { n: self.n, engine: Arc::clone(&self.engine) }
-    }
-
-    /// True when this session runs the virtual-time engine.
-    pub fn is_sim(&self) -> bool {
-        self.engine.is_sim()
+        World { n: self.size(), engine: Arc::clone(&self.engine) }
     }
 
     /// Deepest any rank's fiber stack has been over this session's runs
-    /// so far, in bytes ([`FiberStack::high_water`]; 0 in real mode,
-    /// whose ranks run on OS thread stacks).
+    /// so far, in bytes ([`FiberStack::high_water`]).
     pub fn stack_high_water(&self) -> usize {
-        match &self.resident {
-            Resident::Fibers { stacks } => stacks.iter().map(FiberStack::high_water).max().unwrap_or(0),
-            Resident::Threads { .. } => 0,
-        }
-    }
-
-    fn run_settled<R, F>(&self, f: F) -> Result<Vec<R>, Box<dyn Any + Send>>
-    where
-        R: Send + 'static,
-        F: Fn(&mut Comm) -> R + Send + Sync + 'static,
-    {
-        let senders = match &self.resident {
-            Resident::Threads { senders, .. } => senders,
-            Resident::Fibers { stacks } => return run_world_fibers(&self.engine, stacks, &f),
-        };
-        let shared = Arc::new(WorldShared::new(self.n, Arc::clone(&self.engine)));
-        let f = Arc::new(f);
-        let slots = Arc::new((
-            Mutex::new(RunSlots::<R> { results: (0..self.n).map(|_| None).collect(), done: 0 }),
-            Condvar::new(),
-        ));
-        for rank in 0..self.n {
-            let shared = Arc::clone(&shared);
-            let f = Arc::clone(&f);
-            let slots = Arc::clone(&slots);
-            let job: Job = Box::new(move || {
-                let out = run_rank(&shared, rank, |c| f(c));
-                let (m, cv) = &*slots;
-                let mut g = m.lock();
-                g.results[rank] = Some(out);
-                g.done += 1;
-                if g.done == g.results.len() {
-                    cv.notify_all();
-                }
-            });
-            senders[rank].send(job).expect("resident rank thread alive");
-        }
-        let (m, cv) = &*slots;
-        let mut g = m.lock();
-        while g.done < self.n {
-            cv.wait(&mut g);
-        }
-        let outcomes: Vec<_> =
-            g.results.drain(..).map(|slot| slot.expect("all ranks reported")).collect();
-        drop(g);
-        settle(outcomes)
+        self.stacks.iter().map(FiberStack::high_water).max().unwrap_or(0)
     }
 
     /// Run `f` on every rank, returning results in rank order. Panics
@@ -439,10 +281,10 @@ impl WorldSession {
     /// session stays usable afterwards.
     pub fn run<R, F>(&self, f: F) -> Vec<R>
     where
-        R: Send + 'static,
-        F: Fn(&mut Comm) -> R + Send + Sync + 'static,
+        R: Send,
+        F: Fn(&mut Comm) -> R + Sync,
     {
-        match self.run_settled(f) {
+        match run_world_fibers(&self.engine, &self.stacks, &f) {
             Ok(v) => v,
             Err(p) => resume_unwind(p),
         }
@@ -453,16 +295,16 @@ impl WorldSession {
     /// afterwards. String panics still propagate.
     pub fn try_run<R, F>(&self, f: F) -> Result<Vec<R>, BeffError>
     where
-        R: Send + 'static,
-        F: Fn(&mut Comm) -> R + Send + Sync + 'static,
+        R: Send,
+        F: Fn(&mut Comm) -> R + Sync,
     {
-        into_typed(self.run_settled(f))
+        into_typed(run_world_fibers(&self.engine, &self.stacks, &f))
     }
 
     /// Batch-parallel runs on machine replicas (see
-    /// [`World::run_batch`]). The session's resident mechanism cannot
-    /// be shared across replicas, so this delegates to a per-job world;
-    /// the session stays usable afterwards.
+    /// [`World::run_batch`]): a replica cannot share the session's
+    /// stacks, so this delegates to a per-job world; the session stays
+    /// usable afterwards.
     pub fn run_batch<R, F>(&self, workers: Workers, jobs: usize, f: F) -> Vec<Vec<R>>
     where
         R: Send,
@@ -472,34 +314,27 @@ impl WorldSession {
     }
 }
 
-impl Drop for WorldSession {
-    fn drop(&mut self) {
-        if let Resident::Threads { senders, handles } = &mut self.resident {
-            // Disconnect the job channels so the workers' recv() errors
-            // out, then join them.
-            senders.clear();
-            for h in handles.drain(..) {
-                let _ = h.join();
-            }
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::collectives::ReduceOp;
     use beff_netsim::{NetParams, Topology};
 
+    /// `n` ranks on a crossbar, moving payload bytes.
+    fn world(n: usize) -> World {
+        let net = Arc::new(MachineNet::new(Topology::Crossbar { procs: n }, NetParams::default()));
+        World::sim(net).copy_data(true)
+    }
+
     #[test]
-    fn real_world_runs_and_orders_results() {
-        let out = World::real(4).run(|c| c.rank() * 10);
+    fn world_runs_and_orders_results() {
+        let out = world(4).run(|c| c.rank() * 10);
         assert_eq!(out, vec![0, 10, 20, 30]);
     }
 
     #[test]
-    fn p2p_roundtrip_real() {
-        let out = World::real(2).run(|c| {
+    fn p2p_roundtrip() {
+        let out = world(2).run(|c| {
             if c.rank() == 0 {
                 c.send(1, 5, b"hello");
                 let (d, info) = c.recv_vec(Some(1), Some(6));
@@ -592,7 +427,7 @@ mod tests {
 
     #[test]
     fn allreduce_max_agrees_everywhere() {
-        let out = World::real(5).run(|c| {
+        let out = world(5).run(|c| {
             c.allreduce_scalar(c.rank() as f64, ReduceOp::Max)
         });
         assert!(out.iter().all(|&v| v == 4.0));
@@ -606,7 +441,7 @@ mod tests {
 
     #[test]
     fn bcast_from_nonzero_root() {
-        let out = World::real(7).run(|c| {
+        let out = world(7).run(|c| {
             let mut data = if c.rank() == 3 { b"payload".to_vec() } else { Vec::new() };
             c.bcast(3, &mut data);
             data
@@ -616,7 +451,7 @@ mod tests {
 
     #[test]
     fn reduce_to_root_only() {
-        let out = World::real(6).run(|c| c.reduce_f64(2, &[1.0, 2.0], ReduceOp::Sum));
+        let out = world(6).run(|c| c.reduce_f64(2, &[1.0, 2.0], ReduceOp::Sum));
         for (r, v) in out.iter().enumerate() {
             if r == 2 {
                 assert_eq!(v.as_deref(), Some(&[6.0, 12.0][..]));
@@ -628,7 +463,7 @@ mod tests {
 
     #[test]
     fn gather_bytes_collects_in_rank_order() {
-        let out = World::real(4).run(|c| c.gather_bytes(0, &[c.rank() as u8]));
+        let out = world(4).run(|c| c.gather_bytes(0, &[c.rank() as u8]));
         let g = out[0].as_ref().unwrap();
         assert_eq!(g.len(), 4);
         for (i, d) in g.iter().enumerate() {
@@ -640,7 +475,7 @@ mod tests {
     fn alltoallv_ring_counts() {
         // Each rank sends 4 bytes to left and right neighbors only.
         let n = 6;
-        let out = World::real(n).run(|c| {
+        let out = world(n).run(|c| {
             let r = c.rank();
             let left = (r + n - 1) % n;
             let right = (r + 1) % n;
@@ -671,7 +506,7 @@ mod tests {
 
     #[test]
     fn split_by_parity() {
-        let out = World::real(6).run(|c| {
+        let out = world(6).run(|c| {
             let color = (c.rank() % 2) as u32;
             let sub = c.split(Some(color), c.rank() as i64).unwrap();
             (sub.rank(), sub.size(), sub.world_rank())
@@ -685,7 +520,7 @@ mod tests {
 
     #[test]
     fn split_undefined_returns_none() {
-        let out = World::real(4).run(|c| {
+        let out = world(4).run(|c| {
             if c.rank() == 3 {
                 c.split(None, 0).is_none()
             } else {
@@ -697,8 +532,17 @@ mod tests {
     }
 
     #[test]
+    fn split_color_u32_max_is_a_real_color() {
+        let out = world(4).run(|c| {
+            let color = (c.rank() != 1).then_some(u32::MAX);
+            c.split(color, c.rank() as i64).map(|sub| (sub.rank(), sub.size()))
+        });
+        assert_eq!(out, vec![Some((0, 3)), None, Some((1, 3)), Some((2, 3))]);
+    }
+
+    #[test]
     fn split_key_reverses_order() {
-        let out = World::real(4).run(|c| {
+        let out = world(4).run(|c| {
             let sub = c.split(Some(0), -(c.rank() as i64)).unwrap();
             sub.rank()
         });
@@ -707,7 +551,7 @@ mod tests {
 
     #[test]
     fn dup_isolates_contexts() {
-        let out = World::real(2).run(|c| {
+        let out = world(2).run(|c| {
             let mut d = c.dup();
             if c.rank() == 0 {
                 // same tag on both comms; matching must separate them
@@ -728,7 +572,7 @@ mod tests {
     #[test]
     fn rank_panic_aborts_world() {
         let r = catch_unwind(AssertUnwindSafe(|| {
-            World::real(3).run(|c| {
+            world(3).run(|c| {
                 if c.rank() == 1 {
                     panic!("injected failure");
                 }
@@ -761,7 +605,7 @@ mod tests {
 
     #[test]
     fn send_to_self_works() {
-        let out = World::real(1).run(|c| {
+        let out = world(1).run(|c| {
             c.send(0, 1, b"self");
             let (d, _) = c.recv_vec(Some(0), Some(1));
             d
@@ -888,7 +732,7 @@ mod tests {
 
     #[test]
     fn session_survives_a_panicking_run() {
-        let session = World::real(3).session();
+        let session = world(3).session();
         let r = catch_unwind(AssertUnwindSafe(|| {
             session.run(|c| {
                 if c.rank() == 1 {

@@ -4,7 +4,7 @@
 //! board's values are the point-to-point tree's.
 
 use beff_faults::silence_fault_panics;
-use beff_mpi::{BeffError, Comm, ReduceOp, World};
+use beff_mpi::{wire, BeffError, Comm, ReduceOp, World};
 use beff_netsim::{MachineNet, NetParams, Topology};
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use beff_sync::Mutex;
@@ -178,22 +178,34 @@ fn a_panicking_rank_fails_the_waiters_of_its_collective() {
     }
 }
 
-/// The board reduces in rank order, the real engine down a binomial
-/// tree and back out by broadcast: on values exact under any
-/// association the two must agree to the bit.
+/// The board reduces in rank order; the reference goes down a binomial
+/// tree to rank 0 (`reduce_f64`) and back out by broadcast (`bcast`)
+/// over point-to-point messages in the same world. On values exact
+/// under any association the two must agree to the bit.
 #[test]
 fn board_values_equal_the_point_to_point_tree() {
     for n in [2, 5, 8] {
-        let job = |c: &mut Comm| {
+        let pairs = world(n).run(|c| {
             let r = c.rank() as f64;
             let vals = [r + 1.0, -0.25 * r, 3.0 - r, (c.rank() % 3) as f64];
-            let mut out = Vec::new();
+            let tree = |c: &mut Comm, vals: &[f64], op| {
+                let reduced = c.reduce_f64(0, vals, op);
+                let mut buf = reduced.map(|v| wire::encode_f64s(&v)).unwrap_or_default();
+                c.bcast(0, &mut buf);
+                wire::decode_f64s(&buf)
+            };
+            let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+            let (mut board, mut reference) = (Vec::new(), Vec::new());
             for op in OPS {
-                out.extend(c.allreduce_f64(&vals, op).iter().map(|v| v.to_bits()));
-                out.push(c.allreduce_scalar(vals[2], op).to_bits());
+                board.extend(bits(&c.allreduce_f64(&vals, op)));
+                reference.extend(bits(&tree(c, &vals, op)));
+                board.push(c.allreduce_scalar(vals[2], op).to_bits());
+                reference.extend(bits(&tree(c, &vals[2..3], op)));
             }
-            out
-        };
-        assert_eq!(world(n).run(job), World::real(n).run(job), "n = {n}");
+            (board, reference)
+        });
+        for (rank, (board, reference)) in pairs.iter().enumerate() {
+            assert_eq!(board, reference, "n = {n}, rank {rank}");
+        }
     }
 }

@@ -19,7 +19,7 @@
 //!
 //! In no-copy simulation mode the payload messages and filesystem
 //! writes carry only lengths — no scratch is built, zeroed or copied
-//! (`MpiFile::materialize` is the one place that decides); the
+//! (`Comm::copies_payload` is the one place that decides); the
 //! exchange *timing* is still fully modeled.
 
 use crate::file::MpiFile;
@@ -145,7 +145,7 @@ impl MpiFile {
 
         // ---- phase 1: ship my pieces to their aggregators ----
         let per_aggr = plan.assign(&pieces);
-        let copy = self.materialize(comm);
+        let copy = comm.copies_payload();
         let mut scratch: Vec<u8> = Vec::new();
         for (i, mine) in per_aggr.iter().enumerate() {
             let a = plan.aggregators[i];
@@ -244,7 +244,7 @@ impl MpiFile {
 
         // ---- phase 1: send requests ----
         let per_aggr = plan.assign(&pieces);
-        let copy = self.materialize(comm);
+        let copy = comm.copies_payload();
         for (i, mine) in per_aggr.iter().enumerate() {
             comm.send(plan.aggregators[i], tag_h, &encode_pieces(mine));
         }

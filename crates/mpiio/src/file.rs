@@ -12,24 +12,17 @@
 use crate::amode::AMode;
 use crate::hints::Hints;
 use crate::view::FileView;
-use crate::world::{IoWorld, Storage};
+use crate::world::IoWorld;
 use beff_mpi::Comm;
-use beff_pfs::{DataRef, FsFile, LocalFile};
+use beff_pfs::{DataRef, FsFile};
 use beff_sync::Mutex;
 use std::io;
 use std::sync::Arc;
 
-/// Backend handle of one open file.
-#[derive(Clone)]
-pub enum Backing {
-    Sim(Arc<FsFile>),
-    Local(Arc<LocalFile>),
-}
-
 /// One rank's open file.
 pub struct MpiFile {
     world: Arc<IoWorld>,
-    backing: Backing,
+    file: Arc<FsFile>,
     path: String,
     amode: AMode,
     hints: Hints,
@@ -50,48 +43,25 @@ impl MpiFile {
         amode: AMode,
         hints: Hints,
     ) -> io::Result<MpiFile> {
-        // Every rank sees the same engine and storage, so every rank
-        // refuses here, before the first collective step.
-        if matches!(world.storage(), Storage::Local(_)) && !comm.copies_payload() {
-            return Err(io::Error::new(
-                io::ErrorKind::InvalidInput,
-                format!("{path}: a real-disk backend needs an engine that moves payload bytes"),
-            ));
-        }
+        let pfs = world.pfs();
         // rank 0 creates/truncates, then everyone opens
         if comm.rank() == 0 {
-            match world.storage() {
-                Storage::Sim(pfs) => {
-                    if !amode.create {
-                        assert!(pfs.exists(path), "open without MPI_MODE_CREATE: {path}");
-                    }
-                    let (f, t) = pfs.open(path, comm.now());
-                    comm.advance_to(t);
-                    if amode.truncate {
-                        f.truncate();
-                    }
-                }
-                Storage::Local(disk) => {
-                    let f = disk.open(path)?;
-                    if amode.truncate {
-                        f.truncate()?;
-                    }
-                }
+            if !amode.create {
+                assert!(pfs.exists(path), "open without MPI_MODE_CREATE: {path}");
+            }
+            let (f, t) = pfs.open(path, comm.now());
+            comm.advance_to(t);
+            if amode.truncate {
+                f.truncate();
             }
             *world.shared_ptr(path).lock() = 0;
         }
         comm.barrier();
-        let backing = match world.storage() {
-            Storage::Sim(pfs) => {
-                let (f, t) = pfs.open(path, comm.now());
-                comm.advance_to(t);
-                Backing::Sim(f)
-            }
-            Storage::Local(disk) => Backing::Local(disk.open(path)?),
-        };
+        let (file, t) = pfs.open(path, comm.now());
+        comm.advance_to(t);
         Ok(MpiFile {
             world: Arc::clone(world),
-            backing,
+            file,
             path: path.to_string(),
             amode,
             hints,
@@ -146,103 +116,49 @@ impl MpiFile {
 
     /// Current physical file size in bytes.
     pub fn size(&self) -> u64 {
-        match &self.backing {
-            Backing::Sim(f) => f.size(),
-            Backing::Local(f) => f.size().unwrap_or(0),
-        }
+        self.file.size()
     }
 
     // ----- raw (physical-offset) operations --------------------------------
 
-    /// Do payload bytes move through this file — the one spelling of
-    /// the question for the raw calls, the two-phase exchange and the
-    /// sieving windows. The engine alone decides: [`MpiFile::open`]
-    /// refuses a real-disk backend under an engine that carries no
-    /// bytes, so a length-only call can only ever meet the simulated
-    /// backend.
-    pub(crate) fn materialize(&self, comm: &Comm) -> bool {
-        let moves = comm.copies_payload();
-        debug_assert!(
-            moves || matches!(self.backing, Backing::Sim(_)),
-            "open admits real files only under an engine that moves bytes"
-        );
-        moves
-    }
-
     /// Write `data` (or, in no-copy mode, just its length) at physical
     /// offset `phys`.
     pub(crate) fn raw_write(&self, comm: &mut Comm, phys: u64, data: &[u8]) {
-        match &self.backing {
-            Backing::Sim(f) => {
-                let pfs = match self.world.storage() {
-                    Storage::Sim(p) => p,
-                    Storage::Local(_) => unreachable!("sim backing implies sim storage"),
-                };
-                let payload = if self.materialize(comm) {
-                    DataRef::Bytes(data)
-                } else {
-                    DataRef::Len(data.len() as u64)
-                };
-                let done = pfs.write(comm.world_rank(), f, phys, payload, comm.now());
-                comm.advance_to(done);
-            }
-            Backing::Local(f) => {
-                f.write_at(phys, data).expect("local write failed");
-            }
-        }
+        let payload = if comm.copies_payload() {
+            DataRef::Bytes(data)
+        } else {
+            DataRef::Len(data.len() as u64)
+        };
+        let pfs = self.world.pfs();
+        let done = pfs.write(comm.world_rank(), &self.file, phys, payload, comm.now());
+        comm.advance_to(done);
     }
 
     /// Write a modeled `len` bytes without a source buffer (aggregator
     /// fast path in no-copy mode).
     pub(crate) fn raw_write_len(&self, comm: &mut Comm, phys: u64, len: u64) {
-        match &self.backing {
-            Backing::Sim(f) => {
-                let pfs = match self.world.storage() {
-                    Storage::Sim(p) => p,
-                    Storage::Local(_) => unreachable!(),
-                };
-                let done = pfs.write(comm.world_rank(), f, phys, DataRef::Len(len), comm.now());
-                comm.advance_to(done);
-            }
-            Backing::Local(_) => {
-                panic!("length-only writes require the simulated backend")
-            }
-        }
+        let pfs = self.world.pfs();
+        let done = pfs.write(comm.world_rank(), &self.file, phys, DataRef::Len(len), comm.now());
+        comm.advance_to(done);
     }
 
     /// Read up to `buf.len()` bytes at physical `phys`; returns bytes
     /// actually read (clamped at EOF).
     pub(crate) fn raw_read(&self, comm: &mut Comm, phys: u64, buf: &mut [u8]) -> u64 {
-        match &self.backing {
-            Backing::Sim(f) => {
-                let pfs = match self.world.storage() {
-                    Storage::Sim(p) => p,
-                    Storage::Local(_) => unreachable!(),
-                };
-                let len = buf.len() as u64;
-                let out = if self.materialize(comm) { Some(buf) } else { None };
-                let (n, done) = pfs.read(comm.world_rank(), f, phys, len, out, comm.now());
-                comm.advance_to(done);
-                n
-            }
-            Backing::Local(f) => f.read_at(phys, buf).expect("local read failed") as u64,
-        }
+        let len = buf.len() as u64;
+        let out = if comm.copies_payload() { Some(buf) } else { None };
+        let pfs = self.world.pfs();
+        let (n, done) = pfs.read(comm.world_rank(), &self.file, phys, len, out, comm.now());
+        comm.advance_to(done);
+        n
     }
 
     /// Length-only read (aggregator fast path).
     pub(crate) fn raw_read_len(&self, comm: &mut Comm, phys: u64, len: u64) -> u64 {
-        match &self.backing {
-            Backing::Sim(f) => {
-                let pfs = match self.world.storage() {
-                    Storage::Sim(p) => p,
-                    Storage::Local(_) => unreachable!(),
-                };
-                let (n, done) = pfs.read(comm.world_rank(), f, phys, len, None, comm.now());
-                comm.advance_to(done);
-                n
-            }
-            Backing::Local(_) => panic!("length-only reads require the simulated backend"),
-        }
+        let pfs = self.world.pfs();
+        let (n, done) = pfs.read(comm.world_rank(), &self.file, phys, len, None, comm.now());
+        comm.advance_to(done);
+        n
     }
 
     // ----- explicit offset / individual pointer ----------------------------
@@ -375,26 +291,15 @@ impl MpiFile {
     /// Collective in MPI; callers pair it with a barrier as b_eff_io
     /// does.
     pub fn sync(&self, comm: &mut Comm) {
-        match &self.backing {
-            Backing::Sim(_) => {
-                let pfs = match self.world.storage() {
-                    Storage::Sim(p) => p,
-                    Storage::Local(_) => unreachable!(),
-                };
-                let done = pfs.sync(comm.now());
-                comm.advance_to(done);
-            }
-            Backing::Local(f) => f.sync().expect("fsync failed"),
-        }
+        let done = self.world.pfs().sync(comm.now());
+        comm.advance_to(done);
     }
 
     /// Collective close.
     pub fn close(self, comm: &mut Comm) {
         comm.barrier();
-        if let (Backing::Sim(_), Storage::Sim(pfs)) = (&self.backing, self.world.storage()) {
-            let done = pfs.close(comm.now());
-            comm.advance_to(done);
-        }
+        let done = self.world.pfs().close(comm.now());
+        comm.advance_to(done);
         if self.amode.delete_on_close && comm.rank() == 0 {
             self.world.unlink(&self.path);
         }

@@ -1,7 +1,7 @@
 //! # beff-mpiio
 //!
 //! An MPI-IO layer over the `beff-mpi` runtime and the `beff-pfs`
-//! storage backends — the portable parallel-I/O interface b_eff_io is
+//! filesystem model — the portable parallel-I/O interface b_eff_io is
 //! defined against (paper §3.2 category 3: "we use only MPI-I/O").
 //!
 //! Implemented surface (everything the five b_eff_io pattern types
@@ -25,7 +25,7 @@ pub mod view;
 pub mod world;
 
 pub use amode::AMode;
-pub use file::{Backing, MpiFile};
+pub use file::MpiFile;
 pub use hints::Hints;
 pub use view::FileView;
-pub use world::{IoWorld, Storage};
+pub use world::IoWorld;

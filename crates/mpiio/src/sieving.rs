@@ -47,7 +47,7 @@ impl MpiFile {
         buf: &mut [u8],
         buffer: u64,
     ) -> u64 {
-        let copy = self.materialize(comm);
+        let copy = comm.copies_payload();
         let mut done = 0u64;
         let mut seg_data_off = vec![0u64; segs.len()];
         {
@@ -84,7 +84,7 @@ impl MpiFile {
         data: &[u8],
         buffer: u64,
     ) -> u64 {
-        let copy = self.materialize(comm);
+        let copy = comm.copies_payload();
         let mut done = 0u64;
         let mut data_off = 0u64;
         let mut offsets = Vec::with_capacity(segs.len());

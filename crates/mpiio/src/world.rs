@@ -1,36 +1,26 @@
-//! The I/O world: which storage backend file operations run against,
-//! plus cross-rank shared state (shared file pointers).
+//! The I/O world: the simulated parallel filesystem file operations run
+//! against, plus cross-rank shared state (shared file pointers).
 
-use beff_pfs::{LocalDisk, Pfs};
+use beff_pfs::Pfs;
 use beff_sync::Mutex;
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
-/// Storage backend: the simulated parallel filesystem or real disk.
-#[derive(Clone)]
-pub enum Storage {
-    Sim(Arc<Pfs>),
-    Local(Arc<LocalDisk>),
-}
-
 /// Shared I/O state for all ranks (create once, capture in the rank
 /// closure).
 pub struct IoWorld {
-    storage: Storage,
+    pfs: Arc<Pfs>,
     shared_ptrs: Mutex<BTreeMap<String, Arc<Mutex<u64>>>>,
 }
 
 impl IoWorld {
     pub fn sim(pfs: Arc<Pfs>) -> Arc<Self> {
-        Arc::new(Self { storage: Storage::Sim(pfs), shared_ptrs: Mutex::new(BTreeMap::new()) })
+        Arc::new(Self { pfs, shared_ptrs: Mutex::new(BTreeMap::new()) })
     }
 
-    pub fn local(disk: Arc<LocalDisk>) -> Arc<Self> {
-        Arc::new(Self { storage: Storage::Local(disk), shared_ptrs: Mutex::new(BTreeMap::new()) })
-    }
-
-    pub fn storage(&self) -> &Storage {
-        &self.storage
+    /// The filesystem behind this world.
+    pub fn pfs(&self) -> &Arc<Pfs> {
+        &self.pfs
     }
 
     /// The shared file pointer cell for `path` (created on demand).
@@ -43,14 +33,11 @@ impl IoWorld {
         )
     }
 
-    /// Remove a file from the backend (used by delete-on-close and
+    /// Remove a file from the filesystem (used by delete-on-close and
     /// benchmark cleanup between patterns).
     pub fn unlink(&self, path: &str) {
         self.shared_ptrs.lock().remove(path);
-        match &self.storage {
-            Storage::Sim(pfs) => pfs.unlink(path),
-            Storage::Local(disk) => disk.unlink(path),
-        }
+        self.pfs.unlink(path);
     }
 }
 

@@ -1,10 +1,10 @@
-//! Integration tests: the MPI-IO layer over both engines and both
-//! storage backends, with data-integrity verification.
+//! Integration tests: the MPI-IO layer over the simulated filesystem,
+//! with data-integrity verification.
 
 use beff_mpi::World;
 use beff_mpiio::{AMode, FileView, Hints, IoWorld, MpiFile};
 use beff_netsim::{MachineNet, NetParams, Topology, MB};
-use beff_pfs::{LocalDisk, Pfs, PfsConfig};
+use beff_pfs::{Pfs, PfsConfig};
 use std::sync::Arc;
 
 fn sim_world(n: usize) -> (World, Arc<IoWorld>) {
@@ -184,96 +184,7 @@ fn delete_on_close_removes_file() {
         .unwrap();
         f.close(c);
     });
-    if let beff_mpiio::Storage::Sim(pfs) = io.storage() {
-        assert!(!pfs.exists("t7"));
-    } else {
-        panic!("expected sim storage");
-    }
-}
-
-#[test]
-fn local_backend_roundtrip_real_mode() {
-    let disk = Arc::new(LocalDisk::temp("mpiio-int").unwrap());
-    let io = IoWorld::local(Arc::clone(&disk));
-    let ok = World::real(3).run(|c| {
-        let mut f =
-            MpiFile::open(c, &io, "file.dat", AMode::read_write_create(), Hints::default())
-                .unwrap();
-        let data = vec![c.rank() as u8 + 1; 2048];
-        f.seek(c.rank() as u64 * 2048);
-        f.write(c, &data);
-        f.sync(c);
-        c.barrier();
-        let peer = (c.rank() + 2) % c.size();
-        let mut buf = vec![0u8; 2048];
-        f.read_at(c, peer as u64 * 2048, &mut buf);
-        let good = buf.iter().all(|&b| b == peer as u8 + 1);
-        f.close(c);
-        good
-    });
-    assert!(ok.iter().all(|&b| b));
-    drop(io);
-    match Arc::try_unwrap(disk) {
-        Ok(d) => d.destroy(),
-        Err(_) => panic!("disk still referenced"),
-    }
-}
-
-#[test]
-fn local_backend_collective_write_all() {
-    let disk = Arc::new(LocalDisk::temp("mpiio-cb").unwrap());
-    let io = IoWorld::local(Arc::clone(&disk));
-    let ok = World::real(4).run(|c| {
-        let n = c.size() as u64;
-        let l = 128u64;
-        let mut f = MpiFile::open(c, &io, "cb.dat", AMode::read_write_create(), Hints::default())
-            .unwrap();
-        f.set_view(FileView::Strided { disp: c.rank() as u64 * l, block: l, stride: n * l });
-        let data: Vec<u8> = (0..8 * l).map(|i| (i as u8) ^ (c.rank() as u8)).collect();
-        f.write_all(c, &data);
-        c.barrier();
-        f.seek(0);
-        let mut back = vec![0u8; data.len()];
-        f.read_all(c, &mut back);
-        let good = back == data;
-        f.close(c);
-        good
-    });
-    assert!(ok.iter().all(|&b| b));
-}
-
-/// A real file needs real bytes: under an engine that carries only
-/// lengths every rank's open is refused with a typed error, instead of
-/// the aggregator panicking in a length-only write mid-collective. The
-/// same disk under an engine that moves bytes works.
-#[test]
-fn local_backend_under_a_no_copy_engine_is_refused_at_open() {
-    let disk = Arc::new(LocalDisk::temp("mpiio-nocopy").unwrap());
-    let io = IoWorld::local(Arc::clone(&disk));
-    let net = || Arc::new(MachineNet::new(Topology::Crossbar { procs: 4 }, NetParams::default()));
-    let strided_write_all = |c: &mut beff_mpi::Comm| {
-        let (n, l) = (c.size() as u64, 128u64);
-        let mut f =
-            MpiFile::open(c, &io, "nc.dat", AMode::read_write_create(), Hints::default())?;
-        f.set_view(FileView::Strided { disp: c.rank() as u64 * l, block: l, stride: n * l });
-        let data = vec![c.rank() as u8 + 1; 4 * l as usize];
-        f.write_all(c, &data);
-        f.seek(0);
-        let mut back = vec![0u8; data.len()];
-        f.read_all(c, &mut back);
-        f.close(c);
-        Ok::<bool, std::io::Error>(back == data)
-    };
-    for r in World::sim(net()).run(strided_write_all) {
-        assert!(matches!(&r, Err(e) if e.kind() == std::io::ErrorKind::InvalidInput), "{r:?}");
-    }
-    for r in World::sim(net()).copy_data(true).run(strided_write_all) {
-        assert!(matches!(r, Ok(true)), "bytes round-trip through the real file: {r:?}");
-    }
-    drop(io);
-    if let Ok(d) = Arc::try_unwrap(disk) {
-        d.destroy();
-    }
+    assert!(!io.pfs().exists("t7"));
 }
 
 #[test]

@@ -35,7 +35,7 @@ pub mod stats;
 pub mod routing;
 pub mod topology;
 
-pub use beff_sim::{Clock, Degrade, Link, RealClock, Resource, Rng64, Secs, VClock, GB, KB, MB};
+pub use beff_sim::{Degrade, Link, Resource, Rng64, Secs, VClock, GB, KB, MB};
 pub use model::{Egress, MachineNet, NetParams, Tier, Transfer};
 pub use stats::{traffic_report, KindStats, TrafficReport};
 pub use routing::{RouteTable, SplitRoute};

@@ -2,8 +2,8 @@
 
 use beff_check::{check, ensure, ensure_eq, Gen};
 use beff_netsim::{
-    traffic_report, Clock, Degrade, MachineNet, NetParams, Placement, Resource, Rng64, Tier,
-    Topology, VClock,
+    traffic_report, Degrade, MachineNet, NetParams, Placement, Resource, Rng64, Tier, Topology,
+    VClock,
 };
 
 fn gen_topology(g: &mut Gen) -> Topology {

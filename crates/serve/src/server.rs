@@ -408,7 +408,6 @@ impl Server {
                 let net = sized.network();
                 let plan = fault.to_fault_spec().materialize(&net);
                 let runner = ResilientRunner::on_net(net, spec.procs, plan);
-                // beff-analyze: allow(taint): the resilient runner drives sim-engine worlds (EngineCfg::Sim); the real-clock arm it can reach is dead on this path
                 Ok(beff_json::to_string(&runner.run(&cfg)))
             }
         }

@@ -1,66 +1,12 @@
-//! Per-rank clocks.
+//! Per-rank virtual clocks.
 //!
-//! The benchmark kernels are written against the [`Clock`] trait so the
-//! same code runs in *real* mode (wall-clock `Instant`) and in *sim*
-//! mode (a plain virtual-seconds counter owned by the rank thread).
-//!
-//! Virtual time only moves via explicit [`Clock::advance`] /
-//! [`Clock::advance_to`] calls made by the MPI / I/O layers when they
-//! apply modeled costs; there is no global scheduler. Causality across
-//! ranks is carried by message arrival timestamps (see
-//! `beff-mpi::engine`).
+//! Every rank owns a [`VClock`]: a plain counter of simulated seconds.
+//! Virtual time only moves via explicit [`VClock::advance`] /
+//! [`VClock::advance_to`] calls made by the MPI / I/O layers when they
+//! apply modeled costs. Causality across ranks is carried by message
+//! arrival timestamps (see `beff-mpi::engine`).
 
 use crate::units::Secs;
-use std::time::Instant;
-
-/// A source of (real or virtual) time local to one rank.
-pub trait Clock: Send {
-    /// Current time in seconds. Real clocks measure from an arbitrary
-    /// epoch; only differences are meaningful.
-    fn now(&self) -> Secs;
-    /// Move the clock forward by `dt` seconds (no-op on real clocks,
-    /// where time passes by itself).
-    fn advance(&mut self, dt: Secs);
-    /// Move the clock forward to `t` if `t` is in the future (no-op on
-    /// real clocks).
-    fn advance_to(&mut self, t: Secs);
-    /// True if this is a virtual clock (costs must be modeled).
-    fn is_virtual(&self) -> bool;
-}
-
-/// Wall-clock time, anchored at creation.
-#[derive(Debug, Clone)]
-pub struct RealClock {
-    epoch: Instant,
-}
-
-impl RealClock {
-    pub fn new() -> Self {
-        Self { epoch: Instant::now() }
-    }
-}
-
-impl Default for RealClock {
-    fn default() -> Self {
-        // beff-analyze: allow(taint): RealClock is the sanctioned real-mode time source; virtual worlds construct VClock instead
-        Self::new()
-    }
-}
-
-impl Clock for RealClock {
-    #[inline]
-    fn now(&self) -> Secs {
-        self.epoch.elapsed().as_secs_f64()
-    }
-    #[inline]
-    fn advance(&mut self, _dt: Secs) {}
-    #[inline]
-    fn advance_to(&mut self, _t: Secs) {}
-    #[inline]
-    fn is_virtual(&self) -> bool {
-        false
-    }
-}
 
 /// Virtual clock: a monotone counter of simulated seconds.
 #[derive(Debug, Clone, Default)]
@@ -78,27 +24,26 @@ impl VClock {
     pub fn starting_at(t: Secs) -> Self {
         Self { t }
     }
-}
 
-impl Clock for VClock {
+    /// Current virtual time in seconds.
     #[inline]
-    fn now(&self) -> Secs {
+    pub fn now(&self) -> Secs {
         self.t
     }
+
+    /// Move the clock forward by `dt` seconds.
     #[inline]
-    fn advance(&mut self, dt: Secs) {
+    pub fn advance(&mut self, dt: Secs) {
         debug_assert!(dt >= 0.0, "negative advance: {dt}");
         self.t += dt;
     }
+
+    /// Move the clock forward to `t` if `t` is in the future.
     #[inline]
-    fn advance_to(&mut self, t: Secs) {
+    pub fn advance_to(&mut self, t: Secs) {
         if t > self.t {
             self.t = t;
         }
-    }
-    #[inline]
-    fn is_virtual(&self) -> bool {
-        true
     }
 }
 
@@ -122,22 +67,5 @@ mod tests {
     fn vclock_starting_at() {
         let c = VClock::starting_at(7.0);
         assert_eq!(c.now(), 7.0);
-    }
-
-    #[test]
-    fn real_clock_is_monotone_and_ignores_advance() {
-        let mut c = RealClock::new();
-        let a = c.now();
-        c.advance(100.0);
-        c.advance_to(1e9);
-        let b = c.now();
-        assert!(b >= a);
-        assert!(b < 50.0, "advance must not affect a real clock");
-        assert!(!c.is_virtual());
-    }
-
-    #[test]
-    fn vclock_is_virtual() {
-        assert!(VClock::new().is_virtual());
     }
 }

@@ -8,8 +8,8 @@
 //!
 //! The pieces, bottom-up:
 //!
-//! - [`units`] / [`clock`] — virtual seconds and the `Clock` trait with
-//!   its simulated ([`VClock`]) and wall-clock ([`RealClock`]) twins.
+//! - [`units`] / [`clock`] — virtual seconds and the per-rank virtual
+//!   clock ([`VClock`]).
 //! - [`rng`] — the one deterministic RNG ([`Rng64`], xoshiro256**) the
 //!   whole workspace shares; `beff-check` and the fault planner seed
 //!   from it.
@@ -60,7 +60,7 @@ pub mod sched;
 pub mod units;
 
 pub use actors::{run_actors, try_run_actors, ActorCtx, ActorId};
-pub use clock::{Clock, RealClock, VClock};
+pub use clock::VClock;
 pub use error::{silence_fault_panics, BeffError};
 pub use link::{Degrade, Link, LinkLedger};
 pub use pages::Pages;

@@ -21,13 +21,10 @@
 //! scan the unexpected queue once, then post and wait — no rescanning
 //! of the whole queue per wakeup.
 //!
-//! How a receiver waits is the caller's choice. Token-scheduled worlds
-//! post ([`Port::recv_or_post`]) and hand the scheduler token on; the
-//! sender re-queues them on `Matched`, and the port's condvar is never
-//! involved. Real-mode receivers park on the condvar inside
-//! [`Port::recv`]; the port counts them, and a push or poison notifies
-//! only when that count is non-zero — so a world that never parks here
-//! never pays the futex wake.
+//! A receiver never waits inside the port: it posts
+//! ([`Port::recv_or_post`]) and hands the scheduler token on; the
+//! sender re-queues it on `Matched`, and it redeems its ticket with
+//! [`Port::take_delivered`].
 //!
 //! *Non-overtaking* holds by construction: a receive only posts after
 //! finding no match in the unexpected queue, so every message that
@@ -35,9 +32,8 @@
 //! per-sender program order is preserved across both paths.
 
 use crate::error::BeffError;
-use beff_sync::{Condvar, Mutex, MutexGuard};
+use beff_sync::Mutex;
 use std::collections::VecDeque;
-use std::time::Duration;
 
 /// A message deliverable through a [`Port`], together with the filter
 /// its receivers match on.
@@ -73,15 +69,9 @@ struct Inner<M: Message> {
     unexpected: VecDeque<M>,
     posted: Vec<Posted<M>>,
     next_ticket: u64,
-    /// Set when the world aborts (an actor panicked); wakes blocked
-    /// receivers so they do not deadlock on a dead peer.
+    /// Set when the world aborts (an actor panicked), so a receiver
+    /// fails instead of deadlocking on a dead peer.
     poisoned: bool,
-    /// Receivers parked on the condvar right now, counted under the
-    /// lock on both sides of every wait. `wait` gives the lock up
-    /// atomically, so a notifier that reads zero under the lock knows
-    /// nobody is asleep — a receiver about to wait still holds the lock
-    /// the notifier needs.
-    parked: usize,
 }
 
 // Manual: `derive(Default)` would demand `M: Default`, which messages
@@ -93,7 +83,6 @@ impl<M: Message> Default for Inner<M> {
             posted: Vec::new(),
             next_ticket: 0,
             poisoned: false,
-            parked: 0,
         }
     }
 }
@@ -123,11 +112,10 @@ impl<M: Message> Inner<M> {
 /// touching the token scheduler.
 static PORT_RANK: beff_sync::Rank = beff_sync::Rank::new(30, "sim.port");
 
-/// Two-queue matching port + wakeup for one actor.
+/// Two-queue matching port for one actor.
 #[derive(Debug)]
 pub struct Port<M: Message> {
     inner: Mutex<Inner<M>>,
-    cond: Condvar,
 }
 
 impl<M: Message> Default for Port<M> {
@@ -138,25 +126,11 @@ impl<M: Message> Default for Port<M> {
 
 impl<M: Message> Port<M> {
     pub fn new() -> Self {
-        Self {
-            inner: Mutex::ranked(&PORT_RANK, Inner::default()),
-            cond: Condvar::new(),
-        }
+        Self { inner: Mutex::ranked(&PORT_RANK, Inner::default()) }
     }
 
-    /// Release the lock, then wake the parked receivers — if there are
-    /// any: with none parked there is no one to lose the wakeup, and the
-    /// notify (a futex syscall) is skipped.
-    fn wake_parked(&self, g: MutexGuard<'_, Inner<M>>) {
-        let parked = g.parked > 0;
-        drop(g);
-        if parked {
-            self.cond.notify_all();
-        }
-    }
-
-    /// Deliver a message (called from the sender's thread). Wakes
-    /// parked receivers only on [`PushOutcome::Matched`].
+    /// Deliver a message. [`PushOutcome::Matched`] tells the caller a
+    /// receiver is waiting on it.
     pub fn push(&self, msg: M) -> PushOutcome {
         let mut g = self.inner.lock();
         if let Some(slot) = g
@@ -166,18 +140,16 @@ impl<M: Message> Port<M> {
             .min_by_key(|p| p.ticket)
         {
             slot.delivered = Some(msg);
-            self.wake_parked(g);
             return PushOutcome::Matched;
         }
         g.unexpected.push_back(msg);
         PushOutcome::Queued
     }
 
-    /// Abort: wake every blocked receiver with a panic.
+    /// Abort: every later receive that finds nothing raises
+    /// [`BeffError::PeerFailed`].
     pub fn poison(&self) {
-        let mut g = self.inner.lock();
-        g.poisoned = true;
-        self.wake_parked(g);
+        self.inner.lock().poisoned = true;
     }
 
     /// Has the world been poisoned?
@@ -185,75 +157,7 @@ impl<M: Message> Port<M> {
         self.inner.lock().poisoned
     }
 
-    fn panic_poisoned() -> ! {
-        // Typed so world drivers can report "a peer died" as a value
-        // instead of tearing the caller down.
-        BeffError::PeerFailed.raise()
-    }
-
-    /// Blocking receive of the first message matching `m` (unexpected
-    /// arrivals first, in arrival order, which preserves per-sender
-    /// ordering). Used in real mode; token-scheduled worlds use
-    /// [`recv_or_post`](Self::recv_or_post) and never park here.
-    ///
-    /// Panics if the world is poisoned (another actor died), so a
-    /// failed run aborts instead of deadlocking.
-    pub fn recv(&self, m: M::Filter) -> M {
-        let mut g = self.inner.lock();
-        if let Some(env) = g.take_unexpected(m) {
-            return env;
-        }
-        if g.poisoned {
-            Self::panic_poisoned();
-        }
-        let ticket = g.post(m);
-        loop {
-            g.parked += 1;
-            self.cond.wait(&mut g);
-            g.parked -= 1;
-            if g.posted.iter().any(|p| p.ticket == ticket && p.delivered.is_some()) {
-                return g.remove_slot(ticket).expect("delivery just observed");
-            }
-            if g.poisoned {
-                g.remove_slot(ticket);
-                Self::panic_poisoned();
-            }
-        }
-    }
-
-    /// Like [`recv`](Self::recv) but gives up after `timeout` (used by
-    /// deadlock-detecting tests; real mode only). Returns `None` on
-    /// timeout or poison.
-    pub fn recv_timeout(&self, m: M::Filter, timeout: Duration) -> Option<M> {
-        // beff-analyze: allow(wall-clock): real-mode-only API; sim worlds never call this
-        let deadline = std::time::Instant::now() + timeout;
-        let mut g = self.inner.lock();
-        if let Some(env) = g.take_unexpected(m) {
-            return Some(env);
-        }
-        if g.poisoned {
-            return None;
-        }
-        let ticket = g.post(m);
-        loop {
-            g.parked += 1;
-            // beff-analyze: allow(taint): real-mode-only API (see the wall-clock waiver above); sim worlds never block on a deadline
-            let timed_out = self.cond.wait_until(&mut g, deadline).timed_out();
-            g.parked -= 1;
-            // Check the slot even on timeout: a push may have completed
-            // the match as the deadline expired, and that message must
-            // not be lost.
-            if g.posted.iter().any(|p| p.ticket == ticket && p.delivered.is_some()) {
-                return g.remove_slot(ticket);
-            }
-            if g.poisoned || timed_out {
-                g.remove_slot(ticket);
-                return None;
-            }
-        }
-    }
-
-    // ----- nonblocking pieces for token-scheduled worlds -----------------
+    // ----- receiving -------------------------------------------------------
 
     /// The blocked-receive prologue in one critical section: take a
     /// matching unexpected message (`Ok`), or — raising
@@ -267,7 +171,9 @@ impl<M: Message> Port<M> {
         }
         if g.poisoned {
             drop(g);
-            Self::panic_poisoned();
+            // Typed so world drivers can report "a peer died" as a value
+            // instead of tearing the caller down.
+            BeffError::PeerFailed.raise();
         }
         Err(g.post(m))
     }
@@ -344,10 +250,10 @@ mod tests {
         let p: Port<Note> = Port::new();
         assert_eq!(p.push(note(0, 1, 10)), PushOutcome::Queued);
         assert_eq!(p.push(note(0, 2, 20)), PushOutcome::Queued);
-        let n = p.recv(NoteFilter { chan: 0, kind: Some(2) });
-        assert_eq!(n.body, 20);
-        let n = p.recv(NoteFilter { chan: 0, kind: Some(1) });
-        assert_eq!(n.body, 10);
+        let n = p.try_recv(NoteFilter { chan: 0, kind: Some(2) });
+        assert_eq!(n.map(|n| n.body), Some(20));
+        let n = p.try_recv(NoteFilter { chan: 0, kind: Some(1) });
+        assert_eq!(n.map(|n| n.body), Some(10));
         assert!(p.is_empty());
     }
 
@@ -356,8 +262,8 @@ mod tests {
         let p: Port<Note> = Port::new();
         p.push(note(0, 3, 7));
         p.push(note(0, 1, 8));
-        let n = p.recv(NoteFilter { chan: 0, kind: None });
-        assert_eq!(n.kind, 3);
+        let n = p.try_recv(NoteFilter { chan: 0, kind: None });
+        assert_eq!(n.map(|n| n.kind), Some(3));
     }
 
     #[test]
@@ -397,20 +303,18 @@ mod tests {
         assert_eq!(p.len(), 1);
     }
 
+    /// A poisoned port still hands out what already arrived; a receive
+    /// that would have to wait fails with the typed peer fault instead.
     #[test]
-    fn poison_wakes_blocked_receiver_with_panic() {
-        use std::sync::Arc;
-        let p: Arc<Port<Note>> = Arc::new(Port::new());
-        let p2 = Arc::clone(&p);
-        let h = std::thread::spawn(move || {
-            let r = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                p2.recv(NoteFilter { chan: 0, kind: None });
-            }));
-            r.is_err()
-        });
-        std::thread::sleep(Duration::from_millis(20));
+    fn poisoned_port_refuses_to_post() {
+        let p: Port<Note> = Port::new();
+        p.push(note(0, 1, 1));
         p.poison();
-        assert!(h.join().unwrap(), "receiver must panic on poison");
+        let f = NoteFilter { chan: 0, kind: None };
+        assert_eq!(p.recv_or_post(f).map(|n| n.body), Ok(1));
+        let r = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| p.recv_or_post(f)));
+        let payload = r.err().map(|e| e.downcast_ref::<BeffError>().cloned());
+        assert_eq!(payload, Some(Some(BeffError::PeerFailed)));
     }
 
     /// The two-queue structure must be observationally equivalent to

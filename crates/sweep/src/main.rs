@@ -26,7 +26,7 @@
 use beff_faults::{resolve_seed, FaultPlan, FaultSession, FaultSpec};
 use beff_json::{Json, ToJson};
 use beff_pfs::{DataRef, Pfs, PfsConfig};
-use beff_sim::{try_run_actors, BeffError, Clock, Secs, VClock, KB, MB};
+use beff_sim::{try_run_actors, BeffError, Secs, VClock, KB, MB};
 use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Default fault seed ("STORAGE"), pre-`BEFF_FAULT_SEED`.

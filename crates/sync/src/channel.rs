@@ -1,12 +1,12 @@
-//! Multi-producer/multi-consumer channels on [`Mutex`] + [`Condvar`].
+//! Multi-producer/multi-consumer bounded channels on [`Mutex`] +
+//! [`Condvar`].
 //!
 //! The in-tree replacement for `crossbeam-channel`: both ends are
 //! cloneable, [`bounded`] applies backpressure at `cap` queued
 //! messages (`bounded(0)` degrades to capacity 1 rather than
 //! implementing rendezvous), and a side disconnects when its last
 //! handle drops. Throughput is a lock per operation — plenty for the
-//! fan-out patterns in the simulated file-server paths, and measured
-//! honestly in the `micro` timing binary.
+//! server's admission queue.
 
 use crate::order::Rank;
 use crate::{Condvar, Mutex};
@@ -18,7 +18,6 @@ use std::collections::VecDeque;
 static CHANNEL_RANK: Rank = Rank::new(80, "sync.channel");
 use std::fmt;
 use std::sync::Arc;
-use std::time::{Duration, Instant};
 
 /// The message could not be delivered: every receiver is gone.
 /// The unsent message is handed back.
@@ -67,7 +66,7 @@ struct State<T> {
 
 struct Shared<T> {
     state: Mutex<State<T>>,
-    /// `usize::MAX` for [`unbounded`]; otherwise the backpressure limit.
+    /// The backpressure limit.
     cap: usize,
     /// Signalled when the queue gains a message or the last sender drops.
     not_empty: Condvar,
@@ -87,18 +86,9 @@ pub struct Receiver<T> {
 
 /// Channel with backpressure: `send` blocks once `cap` messages queue.
 pub fn bounded<T>(cap: usize) -> (Sender<T>, Receiver<T>) {
-    channel(cap.max(1))
-}
-
-/// Channel without backpressure: `send` never blocks.
-pub fn unbounded<T>() -> (Sender<T>, Receiver<T>) {
-    channel(usize::MAX)
-}
-
-fn channel<T>(cap: usize) -> (Sender<T>, Receiver<T>) {
     let shared = Arc::new(Shared {
         state: Mutex::ranked(&CHANNEL_RANK, State { queue: VecDeque::new(), senders: 1, receivers: 1 }),
-        cap,
+        cap: cap.max(1),
         not_empty: Condvar::new(),
         not_full: Condvar::new(),
     });
@@ -152,33 +142,6 @@ impl<T> Receiver<T> {
             }
             None if st.senders == 0 => Err(TryRecvError::Disconnected),
             None => Err(TryRecvError::Empty),
-        }
-    }
-
-    /// Take the next message, giving up after `timeout`.
-    pub fn recv_timeout(&self, timeout: Duration) -> Result<T, TryRecvError> {
-        let deadline = Instant::now() + timeout;
-        let sh = &*self.shared;
-        let mut st = sh.state.lock();
-        loop {
-            if let Some(v) = st.queue.pop_front() {
-                sh.not_full.notify_one();
-                return Ok(v);
-            }
-            if st.senders == 0 {
-                return Err(TryRecvError::Disconnected);
-            }
-            if sh.not_empty.wait_until(&mut st, deadline).timed_out() {
-                // One last poll: a send may have raced the deadline.
-                return match st.queue.pop_front() {
-                    Some(v) => {
-                        sh.not_full.notify_one();
-                        Ok(v)
-                    }
-                    None if st.senders == 0 => Err(TryRecvError::Disconnected),
-                    None => Err(TryRecvError::Empty),
-                };
-            }
         }
     }
 
@@ -247,6 +210,7 @@ impl<T> fmt::Debug for Receiver<T> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::time::Duration;
 
     #[test]
     fn fifo_within_single_producer() {
@@ -317,7 +281,7 @@ mod tests {
 
     #[test]
     fn recv_errors_after_senders_gone() {
-        let (tx, rx) = unbounded();
+        let (tx, rx) = bounded(1);
         assert_eq!(tx.send(9), Ok(()));
         drop(tx);
         assert_eq!(rx.recv(), Ok(9));
@@ -343,21 +307,13 @@ mod tests {
     }
 
     #[test]
-    fn try_recv_and_timeout_report_state() {
+    fn try_recv_reports_state() {
         let (tx, rx) = bounded(1);
         assert_eq!(rx.try_recv(), Err(TryRecvError::Empty));
-        assert_eq!(
-            rx.recv_timeout(Duration::from_millis(5)),
-            Err(TryRecvError::Empty)
-        );
         assert_eq!(tx.send(1), Ok(()));
-        assert_eq!(rx.recv_timeout(Duration::from_millis(5)), Ok(1));
+        assert_eq!(rx.try_recv(), Ok(1));
         drop(tx);
         assert_eq!(rx.try_recv(), Err(TryRecvError::Disconnected));
-        assert_eq!(
-            rx.recv_timeout(Duration::from_millis(5)),
-            Err(TryRecvError::Disconnected)
-        );
     }
 
     #[test]
@@ -369,7 +325,7 @@ mod tests {
 
     #[test]
     fn drain_empties_queue() {
-        let (tx, rx) = unbounded();
+        let (tx, rx) = bounded(8);
         for i in 0..5 {
             assert_eq!(tx.send(i), Ok(()));
         }

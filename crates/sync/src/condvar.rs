@@ -7,20 +7,6 @@
 //! returning.
 
 use crate::mutex::{unpoison, MutexGuard};
-use std::time::{Duration, Instant};
-
-/// Result of a timed wait: did the deadline pass?
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct WaitTimeoutResult {
-    timed_out: bool,
-}
-
-impl WaitTimeoutResult {
-    #[inline]
-    pub fn timed_out(&self) -> bool {
-        self.timed_out
-    }
-}
 
 /// Condition variable; pairs with [`crate::Mutex`].
 #[derive(Debug, Default)]
@@ -52,40 +38,6 @@ impl Condvar {
         guard.inner = Some(g);
     }
 
-    /// Block until notified or `timeout` elapsed.
-    pub fn wait_for<T>(
-        &self,
-        guard: &mut MutexGuard<'_, T>,
-        timeout: Duration,
-    ) -> WaitTimeoutResult {
-        // beff-analyze: allow(unwrap): guard.inner is Some outside an active wait by construction
-        let g = guard.inner.take().expect("guard present");
-        #[cfg(feature = "lock-order")]
-        if let Some(rk) = guard.rank {
-            crate::order::release(rk);
-        }
-        let (g, r) = unpoison(self.inner.wait_timeout(g, timeout));
-        #[cfg(feature = "lock-order")]
-        if let Some(rk) = guard.rank {
-            crate::order::acquire(rk);
-        }
-        guard.inner = Some(g);
-        WaitTimeoutResult { timed_out: r.timed_out() }
-    }
-
-    /// Block until notified or the absolute `deadline` passed.
-    pub fn wait_until<T>(
-        &self,
-        guard: &mut MutexGuard<'_, T>,
-        deadline: Instant,
-    ) -> WaitTimeoutResult {
-        let timeout = deadline.saturating_duration_since(Instant::now());
-        if timeout.is_zero() {
-            return WaitTimeoutResult { timed_out: true };
-        }
-        self.wait_for(guard, timeout)
-    }
-
     /// Wake one waiter.
     pub fn notify_one(&self) {
         self.inner.notify_one();
@@ -102,6 +54,7 @@ mod tests {
     use super::*;
     use crate::Mutex;
     use std::sync::Arc;
+    use std::time::Duration;
 
     #[test]
     fn wait_wakes_on_notify() {
@@ -120,49 +73,6 @@ mod tests {
         *m.lock() = true;
         c.notify_all();
         assert!(h.join().unwrap());
-    }
-
-    #[test]
-    fn wait_for_times_out() {
-        let m = Mutex::new(());
-        let c = Condvar::new();
-        let mut g = m.lock();
-        let r = c.wait_for(&mut g, Duration::from_millis(10));
-        assert!(r.timed_out());
-    }
-
-    #[test]
-    fn wait_until_past_deadline_returns_immediately() {
-        let m = Mutex::new(());
-        let c = Condvar::new();
-        let mut g = m.lock();
-        let r = c.wait_until(&mut g, Instant::now());
-        assert!(r.timed_out());
-        // the guard is still usable after the timeout path
-        drop(g);
-        assert!(m.try_lock().is_some());
-    }
-
-    #[test]
-    fn wait_until_wakes_before_deadline() {
-        let pair = Arc::new((Mutex::new(0u32), Condvar::new()));
-        let p2 = Arc::clone(&pair);
-        let h = std::thread::spawn(move || {
-            let (m, c) = &*p2;
-            let deadline = Instant::now() + Duration::from_secs(30);
-            let mut g = m.lock();
-            while *g == 0 {
-                if c.wait_until(&mut g, deadline).timed_out() {
-                    return 0;
-                }
-            }
-            *g
-        });
-        std::thread::sleep(Duration::from_millis(20));
-        let (m, c) = &*pair;
-        *m.lock() = 7;
-        c.notify_one();
-        assert_eq!(h.join().unwrap(), 7);
     }
 
     #[test]

@@ -24,8 +24,8 @@ mod mutex;
 pub mod order;
 mod rwlock;
 
-pub use channel::{bounded, unbounded, Receiver, RecvError, SendError, Sender, TryRecvError};
-pub use condvar::{Condvar, WaitTimeoutResult};
+pub use channel::{bounded, Receiver, RecvError, SendError, Sender, TryRecvError};
+pub use condvar::Condvar;
 pub use mutex::{Mutex, MutexGuard};
 pub use order::Rank;
 pub use rwlock::{RwLock, RwLockReadGuard, RwLockWriteGuard};

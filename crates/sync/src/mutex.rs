@@ -116,7 +116,7 @@ pub(crate) fn unpoison<G>(r: Result<G, std::sync::PoisonError<G>>) -> G {
 impl<T: ?Sized> MutexGuard<'_, T> {
     #[inline]
     pub(crate) fn std_guard(&self) -> &std::sync::MutexGuard<'_, T> {
-        // `inner` is only `None` transiently inside `Condvar::wait*`,
+        // `inner` is only `None` transiently inside `Condvar::wait`,
         // which holds the only `&mut` borrow.
         // beff-analyze: allow(unwrap): inner is Some outside an active condvar wait by construction
         self.inner.as_ref().expect("guard present outside a condvar wait")

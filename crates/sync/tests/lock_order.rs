@@ -6,7 +6,6 @@
 
 use beff_sync::{Condvar, Mutex, Rank, RwLock};
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::time::Duration;
 
 static L20: Rank = Rank::new(20, "test.l20");
 static L40: Rank = Rank::new(40, "test.l40");
@@ -122,16 +121,26 @@ fn try_lock_failure_does_not_poison_the_lockset() {
 
 #[test]
 fn condvar_wait_returns_rank_to_lockset() {
-    let m = Mutex::ranked(&L40, ());
-    let c = Condvar::new();
+    let pair = std::sync::Arc::new((Mutex::ranked(&L40, false), Condvar::new()));
+    let (m, c) = &*pair;
     let mut g = m.lock();
-    let r = c.wait_for(&mut g, Duration::from_millis(5));
-    assert!(r.timed_out());
+    // The waker can only take the lock once this thread waits on it.
+    let waker = {
+        let pair = std::sync::Arc::clone(&pair);
+        std::thread::spawn(move || {
+            *pair.0.lock() = true;
+            pair.1.notify_all();
+        })
+    };
+    while !*g {
+        c.wait(&mut g);
+    }
     // The rank was re-acquired on wakeup: a lower level still panics…
     assert!(panics(|| drop(Mutex::ranked(&L20, ()).lock())));
     drop(g);
     // …and is clean once the guard drops.
     drop(Mutex::ranked(&L20, ()).lock());
+    waker.join().expect("waker clean");
 }
 
 #[test]

@@ -65,9 +65,6 @@ run_gate "lock-order (runtime hierarchy check)" 300 \
     cargo test -q --offline -p beff-sync -p beff-sim -p beff-mpi -p beff-netsim -p beff-pfs \
     --features beff-sync/lock-order
 
-run_gate "mpi wakeup/scheduler stress (release: realistic race timing)" 300 \
-    cargo test -q --offline --release -p beff-mpi --test stress
-
 # every gated Table-1 metric must sit within the tolerance of the
 # paper value on the committed machine constants; shape claims exact;
 # the report must replay byte-identically against the committed golden

@@ -33,9 +33,9 @@
 //! * [`netsim`] — topologies, link contention, machine cost models,
 //! * [`faults`] — seeded deterministic fault injection (degraded and
 //!   dead links, stragglers, message drops, rank crashes),
-//! * [`mpi`] — MPI-like communicator (ranks are fibers in sim mode,
-//!   host threads in real mode): p2p, collectives, split,
-//! * [`pfs`] — striped I/O servers, write-back cache, local-disk twin,
+//! * [`mpi`] — MPI-like communicator (ranks are fibers on virtual
+//!   clocks): p2p, collectives, split,
+//! * [`pfs`] — striped I/O servers, write-back cache,
 //! * [`mpiio`] — file views, shared pointers, collective buffering,
 //! * [`core`] — the two benchmarks themselves,
 //! * [`machines`] — calibrated models (T3E, SP, SR 8000, SX-5, …),

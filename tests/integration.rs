@@ -1,12 +1,12 @@
 //! Cross-crate integration tests: whole benchmarks on whole machine
-//! models, both engines, with shape assertions from the paper.
+//! models, with shape assertions from the paper.
 
 use beff::core::beff::{run_beff, BeffConfig, MeasureSchedule};
 use beff::core::beffio::{run_beff_io, AccessMethod, BeffIoConfig};
 use beff::machines::{by_key, catalog};
 use beff::mpi::World;
 use beff::mpiio::IoWorld;
-use beff::netsim::{traffic_report, MB};
+use beff::netsim::traffic_report;
 
 fn quick_beff(mem: u64) -> BeffConfig {
     BeffConfig {
@@ -202,33 +202,6 @@ fn degraded_io_server_slows_the_benchmark() {
         degraded < 0.9 * healthy,
         "half the servers at 5% speed must hurt: {healthy} -> {degraded}"
     );
-}
-
-#[test]
-fn real_mode_beff_smoke() {
-    let cfg = BeffConfig {
-        mem_per_proc: 64 * MB,
-        schedule: MeasureSchedule { loop_start: 2, reps: 1, ..MeasureSchedule::quick() },
-        seed: 7,
-        extras: false,
-        extra_iters: 1,
-    };
-    let r = World::real(2).run(|c| run_beff(c, &cfg));
-    assert!(r[0].beff > 0.0);
-    assert!(r[0].pingpong_mbps > 0.0);
-}
-
-#[test]
-fn real_mode_beff_io_smoke_on_temp_files() {
-    let disk = std::sync::Arc::new(beff::pfs::LocalDisk::temp("int-test").unwrap());
-    let io = IoWorld::local(std::sync::Arc::clone(&disk));
-    let cfg = BeffIoConfig::quick(64 * MB).with_t(0.5);
-    let r = World::real(2).run(|c| run_beff_io(c, &io, &cfg));
-    assert!(r[0].beff_io > 0.0);
-    drop(io);
-    if let Ok(d) = std::sync::Arc::try_unwrap(disk) {
-        d.destroy();
-    }
 }
 
 #[test]
