@@ -404,7 +404,7 @@ mod tests {
         .is_empty());
         assert!(run(
             check_wallclock,
-            "crates/serve/src/bin/serve_torture.rs",
+            "src/cmd/serve_torture.rs",
             "fn f() { Instant::now(); }"
         )
         .is_empty());

@@ -1,17 +1,13 @@
 //! # beff-bench
 //!
-//! Harness binaries that regenerate every table and figure of the
-//! paper on the simulated machine models. This library holds the
-//! shared runner/CLI glue.
+//! The runners behind the `beff` command's experiments: resident
+//! partitions, the quick and paper-fidelity schedules, the calibration
+//! gate and the chaos sweep. Every table and figure of the paper is a
+//! `beff` subcommand (`beff help` lists them; DESIGN.md §4 maps each
+//! to its experiment).
 //!
-//! Binaries (one per experiment, see DESIGN.md §4):
-//! `table1`, `fig1_balance`, `table2_patterns`, `fig3_scaling`,
-//! `fig4_detail`, `fig5_compare`, `ablation_termination`,
-//! `ablation_twophase`, `ablation_cache`, `ablation_placement`.
-//!
-//! All binaries accept `--full` for paper-fidelity schedules (minutes
-//! of runtime) and default to a scaled-down schedule that preserves the
-//! shapes.
+//! Experiments default to a scaled-down schedule that preserves the
+//! shapes; `full` selects the paper-fidelity one (minutes of runtime).
 
 pub mod calibration;
 pub mod chaos;
@@ -102,28 +98,18 @@ pub fn run_beffio_on(machine: &Machine, procs: usize, cfg: &BeffIoConfig) -> Bef
     PartitionRunner::new(machine, procs).beffio(cfg)
 }
 
-/// CLI: `--full` selects the paper-fidelity schedule.
-pub fn full_mode() -> bool {
-    std::env::args().any(|a| a == "--full")
-}
-
-/// CLI: an arbitrary flag.
-pub fn has_flag(flag: &str) -> bool {
-    std::env::args().any(|a| a == flag)
-}
-
-/// The b_eff schedule for the selected mode.
-pub fn beff_cfg(machine: &Machine) -> BeffConfig {
-    if full_mode() {
+/// The b_eff schedule: paper fidelity when `full`, quick otherwise.
+pub fn beff_cfg(machine: &Machine, full: bool) -> BeffConfig {
+    if full {
         BeffConfig::paper(machine.mem_per_proc)
     } else {
         BeffConfig::quick(machine.mem_per_proc)
     }
 }
 
-/// The b_eff_io schedule for the selected mode.
-pub fn beffio_cfg(machine: &Machine) -> BeffIoConfig {
-    if full_mode() {
+/// The b_eff_io schedule: paper fidelity when `full`, quick otherwise.
+pub fn beffio_cfg(machine: &Machine, full: bool) -> BeffIoConfig {
+    if full {
         BeffIoConfig::paper(machine.mem_per_node)
     } else {
         // a scaled-down T: same pattern table, seconds instead of

@@ -2,10 +2,10 @@
 //! replay, monotone degradation, crash containment, and the fault-free
 //! inertness of the resilient driver.
 //!
-//! The full matrix runs in `scripts/verify.sh` via the `chaos` binary
+//! The full matrix runs in `scripts/verify.sh` via `beff chaos`
 //! (release build); these tests pin the same invariants on a smaller
 //! scenario set so `cargo test` catches regressions without the
-//! binary.
+//! command.
 
 use beff_bench::chaos::{io_check, run_scenario, scenarios, Scenario};
 use beff_bench::resilient::ResilientRunner;

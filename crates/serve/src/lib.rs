@@ -33,15 +33,15 @@
 //!
 //! The failure model — what survives a torn journal, a poisoned
 //! world, a hostile frame, an overload burst, a racing shutdown — is
-//! DESIGN.md §12, and is enforced by the `serve_torture` binary: a
-//! seeded adversarial scenario mix whose deterministic section is a
+//! DESIGN.md §12, and is enforced by `beff serve_torture`: a seeded
+//! adversarial scenario mix whose deterministic section is a
 //! byte-compared `verify.sh` golden.
 //!
-//! Binaries: `serve` (TCP daemon over the frame protocol), `loadgen`
-//! (seeded query-mix replay against an in-process server: the
-//! cache-correctness audit and the `results/serve_virtual.json` golden
-//! that `verify.sh` gates), and `serve_torture` (the failure-model
-//! gate).
+//! The `beff` command drives this library: `beff serve` (TCP daemon
+//! over the frame protocol), `beff loadgen` (seeded query-mix replay
+//! against an in-process server: the cache-correctness audit and the
+//! `results/serve_virtual.json` golden that `verify.sh` gates), and
+//! `beff serve_torture` (the failure-model gate).
 
 pub mod cache;
 pub mod journal;

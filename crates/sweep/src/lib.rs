@@ -1,7 +1,9 @@
-//! `storage_sweep` — a PFS-only workload on the bare simulation
-//! substrate, with fault injection.
+//! # beff-sweep
 //!
-//! This binary exists to prove a layering claim: `beff-sim` is
+//! A PFS-only workload on the bare simulation substrate, with fault
+//! injection (`beff storage_sweep`).
+//!
+//! This crate exists to prove a layering claim: `beff-sim` is
 //! workload-agnostic. It runs `n` *client actors* under the token
 //! scheduler ([`beff_sim::try_run_actors`]) driving the parallel
 //! filesystem simulator (`beff-pfs`) through a chunk-size ladder —
@@ -12,25 +14,21 @@
 //! absence of a `beff-mpi` edge is machine-enforced by
 //! `beff-analyze`'s layering rule.
 //!
-//! Usage:
-//!   `storage_sweep [--clients N] [--out target/storage_sweep.json] [--check]`
-//!
-//! * the fault seed defaults to `0x57_04A6E` ("STORAGE") and honors the
-//!   `BEFF_FAULT_SEED` environment override like every fault plan;
-//! * `--check` additionally verifies the harness invariants — the
-//!   whole report replays byte-identically, degraded scenarios are not
-//!   faster than the clean one, and the crash scenario reports exactly
-//!   the planned dead clients — exiting non-zero on any violation.
-//!   This is what the `storage-sweep` gate in `scripts/verify.sh` runs.
+//! The fault seed defaults to [`DEFAULT_SEED`] ("STORAGE") and honors
+//! the `BEFF_FAULT_SEED` environment override like every fault plan;
+//! [`check_invariants`] holds the harness invariants — the whole report
+//! replays byte-identically, degraded scenarios are not faster than the
+//! clean one, and the crash scenario reports exactly the planned dead
+//! clients.
 
-use beff_faults::{resolve_seed, FaultPlan, FaultSession, FaultSpec};
+use beff_faults::{FaultPlan, FaultSession, FaultSpec};
 use beff_json::{Json, ToJson};
 use beff_pfs::{DataRef, Pfs, PfsConfig};
 use beff_sim::{try_run_actors, BeffError, Secs, VClock, KB, MB};
 use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Default fault seed ("STORAGE"), pre-`BEFF_FAULT_SEED`.
-const DEFAULT_SEED: u64 = 0x57_04A6E;
+pub const DEFAULT_SEED: u64 = 0x57_04A6E;
 
 /// Bytes each surviving client writes (and reads back) per ladder rung.
 const PER_CLIENT: u64 = 4 * MB;
@@ -42,30 +40,16 @@ const CHUNKS: [u64; 4] = [16 * KB, 64 * KB, 256 * KB, MB];
 /// Fixed per-op client think time; stragglers multiply it.
 const THINK: Secs = 50e-6;
 
-fn arg_after(flag: &str) -> Option<String> {
-    let mut args = std::env::args();
-    while let Some(a) = args.next() {
-        if a == flag {
-            return args.next();
-        }
-    }
-    None
-}
-
-fn has_flag(flag: &str) -> bool {
-    std::env::args().any(|a| a == flag)
-}
-
 /// One rung of the ladder for one scenario.
-struct Point {
-    chunk: u64,
+pub struct Point {
+    pub chunk: u64,
     /// Bytes successfully written + read across all clients.
-    bytes: u64,
+    pub bytes: u64,
     /// Virtual time at which the last surviving client closed.
-    end: Secs,
+    pub end: Secs,
     /// Aggregate goodput over the run, MB/s.
-    mbps: f64,
-    crashed: Vec<usize>,
+    pub mbps: f64,
+    pub crashed: Vec<usize>,
 }
 
 impl ToJson for Point {
@@ -80,10 +64,11 @@ impl ToJson for Point {
     }
 }
 
-struct Scenario {
-    name: &'static str,
-    plan: FaultPlan,
-    points: Vec<Point>,
+/// One fault scenario: its materialized plan and one point per rung.
+pub struct Scenario {
+    pub name: &'static str,
+    pub plan: FaultPlan,
+    pub points: Vec<Point>,
 }
 
 impl ToJson for Scenario {
@@ -99,10 +84,11 @@ impl ToJson for Scenario {
     }
 }
 
-struct Report {
-    seed: u64,
-    clients: usize,
-    scenarios: Vec<Scenario>,
+/// The whole sweep: every scenario over the chunk ladder.
+pub struct Report {
+    pub seed: u64,
+    pub clients: usize,
+    pub scenarios: Vec<Scenario>,
 }
 
 impl ToJson for Report {
@@ -187,7 +173,9 @@ fn run_scenario(name: &'static str, clients: usize, spec: &FaultSpec) -> Scenari
     Scenario { name, plan, points }
 }
 
-fn run_report(clients: usize, seed: u64) -> Report {
+/// Run the four scenarios (clean, slow servers, stragglers, crashes)
+/// on `clients` client actors under fault seed `seed`.
+pub fn run_report(clients: usize, seed: u64) -> Report {
     let scenarios = vec![
         run_scenario("clean", clients, &FaultSpec::none(seed)),
         run_scenario("io_slow", clients, &FaultSpec::none(seed).with_severity(0.6).io_slow()),
@@ -201,8 +189,9 @@ fn run_report(clients: usize, seed: u64) -> Report {
     Report { seed, clients, scenarios }
 }
 
-/// Harness invariants for `--check`; returns violation messages.
-fn check_invariants(report: &Report, replay: &Report) -> Vec<String> {
+/// Harness invariants of a report and its replay; returns violation
+/// messages.
+pub fn check_invariants(report: &Report, replay: &Report) -> Vec<String> {
     let mut bad = Vec::new();
     if beff_json::to_string_pretty(report) != beff_json::to_string_pretty(replay) {
         bad.push("replay is not byte-identical".to_string());
@@ -234,42 +223,4 @@ fn check_invariants(report: &Report, replay: &Report) -> Vec<String> {
         bad.push("clean scenario lost data or crashed".to_string());
     }
     bad
-}
-
-fn main() {
-    let clients: usize = arg_after("--clients")
-        .map(|s| s.parse().expect("--clients N"))
-        .unwrap_or(8);
-    let out = arg_after("--out").unwrap_or_else(|| "target/storage_sweep.json".to_string());
-    let seed = resolve_seed(DEFAULT_SEED);
-
-    let report = run_report(clients, seed);
-    for s in &report.scenarios {
-        for p in &s.points {
-            println!(
-                "{:<12} chunk {:>8} B  {:>9} B moved  end {:.4}s  {:>8.2} MB/s  crashed {:?}",
-                s.name, p.chunk, p.bytes, p.end, p.mbps, p.crashed
-            );
-        }
-    }
-
-    if let Some(dir) = std::path::Path::new(&out).parent() {
-        std::fs::create_dir_all(dir).expect("create output directory");
-    }
-    let text = beff_json::to_string_pretty(&report);
-    beff_json::validate(&text).expect("storage-sweep JSON must be well-formed");
-    std::fs::write(&out, format!("{text}\n")).expect("write storage-sweep report");
-    println!("storage sweep ({} clients, seed {seed:#x}) -> {out}", report.clients);
-
-    if has_flag("--check") {
-        let replay = run_report(clients, seed);
-        let bad = check_invariants(&report, &replay);
-        if !bad.is_empty() {
-            for b in &bad {
-                eprintln!("storage-sweep: INVARIANT VIOLATED: {b}");
-            }
-            std::process::exit(1);
-        }
-        println!("storage-sweep: checks pass");
-    }
 }

@@ -30,6 +30,12 @@ run_gate() {
 run_gate "build (offline)" 900 \
     cargo build --release --offline --workspace
 
+# every gate below runs the two binaries the build produced: `beff`
+# (one subcommand per experiment and gate; `beff help` lists them) and
+# the analyzer
+BEFF=target/release/beff
+ANALYZE=target/release/analyze
+
 # beff-analyze is the determinism & safety contract (DESIGN.md §8 and
 # §13): wall-clock/hash-order bans, unwrap budgets, SAFETY comments,
 # the static lock hierarchy, the registry-free dependency guard, and
@@ -38,14 +44,13 @@ run_gate "build (offline)" 900 \
 # failure the binary prints the diagnostic-count delta against the
 # committed results/analyze.json.
 run_gate "analyze (determinism & safety contract)" 120 \
-    cargo run -q --offline -p beff-analyze --bin analyze -- --out target/analyze.verify.json
+    "$ANALYZE" --out target/analyze.verify.json
 
 # the analyzer never gets to baseline its own defects: crates/analyze
 # must be clean under its own interprocedural passes at budget 0 (no
 # `analyze` row in any pass baseline table, no findings).
 run_gate "analyze-self (analyzer clean under its own passes)" 120 \
-    cargo run -q --offline -p beff-analyze --bin analyze -- --self-gate \
-    --out target/analyze.self.json
+    "$ANALYZE" --self-gate --out target/analyze.self.json
 
 run_gate "test (offline)" 900 \
     cargo test -q --offline --workspace
@@ -69,16 +74,14 @@ run_gate "lock-order (runtime hierarchy check)" 300 \
 # paper value on the committed machine constants; shape claims exact;
 # the report must replay byte-identically against the committed golden
 run_gate "calibration residual gate (no refit)" 600 \
-    cargo run -q --offline --release -p beff-bench --bin calibrate -- \
-    --check --out target/calibration.verify.json --golden results/calibration.json
+    "$BEFF" calibrate --out target/calibration.verify.json --golden results/calibration.json
 
 # the fixed fault-scenario matrix: termination, byte-identical replay,
 # monotone degradation, I/O slowdown — all checked in-process by the
-# binary, which exits non-zero on any harness invariant violation; the
+# command, which exits non-zero on any harness invariant violation; the
 # report must also match the committed golden byte-for-byte
 run_gate "chaos sweep (fault injection harness invariants)" 60 \
-    cargo run -q --offline --release -p beff-bench --bin chaos -- \
-    --out target/chaos.verify.json --golden results/chaos.json
+    "$BEFF" chaos --out target/chaos.verify.json --golden results/chaos.json
 
 # parallel parity: the calibration and chaos sweeps fan their jobs out
 # over the BEFF_WORKERS pool; both reports must match the same
@@ -86,47 +89,42 @@ run_gate "chaos sweep (fault injection harness invariants)" 60 \
 # is unobservable by construction (DESIGN.md §10), and this gate pins
 # it end-to-end
 run_gate "parallel-parity (calibration golden, BEFF_WORKERS=4)" 600 \
-    env BEFF_WORKERS=4 cargo run -q --offline --release -p beff-bench --bin calibrate -- \
-    --check --out target/calibration.parity.json --golden results/calibration.json
+    env BEFF_WORKERS=4 "$BEFF" calibrate --out target/calibration.parity.json \
+    --golden results/calibration.json
 run_gate "parallel-parity (chaos golden, BEFF_WORKERS=4)" 120 \
-    env BEFF_WORKERS=4 cargo run -q --offline --release -p beff-bench --bin chaos -- \
-    --out target/chaos.parity.json --golden results/chaos.json
+    env BEFF_WORKERS=4 "$BEFF" chaos --out target/chaos.parity.json --golden results/chaos.json
 
 # the substrate proof: a PFS-only workload with fault injection on
 # beff-sim actors, no beff-mpi edge anywhere in its dependency cone
-# (machine-enforced by the analyze layering rule); the binary checks
-# byte-identical replay, goodput monotonicity and crash reporting
-run_gate "storage-sweep (non-MPI substrate workload)" 120 \
-    cargo run -q --offline --release -p beff-sweep --bin storage_sweep -- \
-    --check --out target/storage_sweep.verify.json
+# (machine-enforced by the analyze layering rule); the command checks
+# byte-identical replay, goodput monotonicity and crash reporting, and
+# the report must match the committed golden byte-for-byte
+run_gate "storage-sweep (non-MPI substrate workload + golden)" 120 \
+    "$BEFF" storage_sweep --check --out target/storage_sweep.verify.json \
+    --golden results/storage_sweep.json
 
-# b_eff_io's behaviour spec: each figure, table and ablation bin that
-# runs pfs + mpiio must print its committed results/*.txt byte for byte
-# (the benchmark package checks four T = 30 s rows per machine; these
-# eight files are every pattern type, access method and hint the I/O
-# half has)
-run_gate "b_eff_io goldens (eight bins replay results/*.txt)" 600 \
-    bash -c 'set -euo pipefail
-    for b in fig3_scaling fig4_detail fig5_compare table2_patterns \
-             ablation_cache ablation_twophase ablation_termination ablation_random; do
-        cargo run -q --offline --release -p beff-bench --bin "$b" 2>"target/$b.stderr" \
-            | cmp - "results/$b.txt" || { tail -n 5 "target/$b.stderr" >&2; exit 1; }
-    done'
+# the paper's behaviour spec: every table, figure and ablation command
+# with a committed results/<name>.txt (all twelve: Table 1, Fig. 1,
+# Table 2, Figs. 3-5, the five ablations, traffic) must print it byte
+# for byte; `beff goldens` replays them in one process, side by side on
+# the BEFF_WORKERS pool
+run_gate "text goldens (beff goldens replays results/*.txt)" 600 \
+    "$BEFF" goldens
 
-# the serving layer (DESIGN.md §11): the loadgen binary replays a
+# the serving layer (DESIGN.md §11): `beff loadgen` replays a
 # seeded query mix against an in-process server and fails itself if
 # any cached result differs byte-for-byte from a fresh recomputation
 # (the audit phase). Its report must replay byte-identically against
 # the committed golden at 1 and at 4 workers — which also pins that it
 # does not change when the worker pool does.
 run_gate "serve loadgen (cache correctness + golden, BEFF_WORKERS=1)" 600 \
-    env BEFF_WORKERS=1 cargo run -q --offline --release -p beff-serve --bin loadgen -- \
-    --out target/serve.virtual.w1.json --golden results/serve_virtual.json
+    env BEFF_WORKERS=1 "$BEFF" loadgen --out target/serve.virtual.w1.json \
+    --golden results/serve_virtual.json
 run_gate "serve parallel-parity (golden, BEFF_WORKERS=4)" 600 \
-    env BEFF_WORKERS=4 cargo run -q --offline --release -p beff-serve --bin loadgen -- \
-    --out target/serve.virtual.w4.json --golden results/serve_virtual.json
+    env BEFF_WORKERS=4 "$BEFF" loadgen --out target/serve.virtual.w4.json \
+    --golden results/serve_virtual.json
 
-# the serving-layer failure model (DESIGN.md §12): the torture binary
+# the serving-layer failure model (DESIGN.md §12): `beff serve_torture`
 # drives seeded adversarial scenarios — frame fuzz, mid-frame
 # disconnects at every byte boundary, kill-and-restart journal
 # recovery with a recomputation audit, torn-record healing, poisoned
@@ -134,12 +132,10 @@ run_gate "serve parallel-parity (golden, BEFF_WORKERS=4)" 600 \
 # and exits non-zero if any invariant breaks. Its canonical section
 # must match the committed golden byte-for-byte at 1 and 4 workers.
 run_gate "serve-torture (failure model + golden, BEFF_WORKERS=1)" 600 \
-    env BEFF_WORKERS=1 cargo run -q --offline --release -p beff-serve --bin serve_torture -- \
-    --scratch target/serve_torture.w1 \
+    env BEFF_WORKERS=1 "$BEFF" serve_torture --scratch target/serve_torture.w1 \
     --out target/serve_torture.w1.json --golden results/serve_torture.json
 run_gate "serve-torture parallel-parity (BEFF_WORKERS=4)" 600 \
-    env BEFF_WORKERS=4 cargo run -q --offline --release -p beff-serve --bin serve_torture -- \
-    --scratch target/serve_torture.w4 \
+    env BEFF_WORKERS=4 "$BEFF" serve_torture --scratch target/serve_torture.w4 \
     --out target/serve_torture.w4.json --golden results/serve_torture.json
 
 # the script's own wall time is a tracked number (ROADMAP aim 1)

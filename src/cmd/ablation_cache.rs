@@ -4,22 +4,21 @@
 //! hardware peak; growing T (or shrinking the cache) pushes the value
 //! back toward disk speed. Verifies the paper's warning that "one may
 //! use any schedule time T" is a real loophole.
-//!
-//! Usage: `cargo run --release -p beff-bench --bin ablation_cache [--full]`
 
-use beff_bench::{full_mode, PartitionRunner};
+use crate::cli::{Args, Fail};
+use beff_bench::PartitionRunner;
 use beff_core::beffio::BeffIoConfig;
 use beff_machines::by_key;
 use beff_netsim::MB;
 use beff_report::{Align, Table};
+use std::fmt::Write as _;
 
-fn main() {
+pub fn run(args: &Args, out: &mut String) -> Result<(), Fail> {
     let base = by_key("sx5").expect("machine");
     let n = 4;
-    let disk_peak =
-        base.io.as_ref().map(|io| io.servers as f64 * io.server_mbps).unwrap_or(0.0);
+    let disk_peak = base.io.as_ref().map(|io| io.servers as f64 * io.server_mbps).unwrap_or(0.0);
 
-    let (t_short, t_long) = if full_mode() { (600.0, 1800.0) } else { (10.0, 60.0) };
+    let (t_short, t_long) = if args.full() { (600.0, 1800.0) } else { (10.0, 60.0) };
 
     let mut table = Table::new(&[
         "cache",
@@ -68,9 +67,10 @@ fn main() {
         }
     }
 
-    println!("\nAblation — filesystem cache vs schedule time (SX-5, {n} procs)");
-    println!("disk hardware peak: {disk_peak:.0} MB/s\n");
-    println!("{}", table.render());
-    println!("expected shape: with a big cache the fastest pattern exceeds the disk");
-    println!("hardware peak (the paper's SX-5 anecdote); without a cache it cannot.");
+    writeln!(out, "\nAblation — filesystem cache vs schedule time (SX-5, {n} procs)")?;
+    writeln!(out, "disk hardware peak: {disk_peak:.0} MB/s\n")?;
+    writeln!(out, "{}", table.render())?;
+    writeln!(out, "expected shape: with a big cache the fastest pattern exceeds the disk")?;
+    writeln!(out, "hardware peak (the paper's SX-5 anecdote); without a cache it cannot.")?;
+    Ok(())
 }

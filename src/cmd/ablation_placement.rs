@@ -2,14 +2,14 @@
 //! paper's round-robin vs sequential comparison (Table 1: the
 //! numbering "has a heavy impact on the communication bandwidth of the
 //! ring patterns and therefore of the b_eff result").
-//!
-//! Usage: `cargo run --release -p beff-bench --bin ablation_placement [--full]`
 
+use crate::cli::{Args, Fail};
 use beff_bench::{beff_cfg, run_beff_on};
 use beff_machines::{by_key, sr8000_rr, sr8000_seq};
 use beff_report::{Align, Table};
+use std::fmt::Write as _;
 
-fn main() {
+pub fn run(args: &Args, out: &mut String) -> Result<(), Fail> {
     let _ = by_key("sr8000-rr"); // catalog sanity
     let mut table = Table::new(&[
         "placement",
@@ -23,23 +23,15 @@ fn main() {
 
     for n in [24usize, 64, 128] {
         for machine in [sr8000_rr().sized_for(n), sr8000_seq().sized_for(n)] {
-            let cfg = beff_cfg(&machine);
+            let cfg = beff_cfg(&machine, args.full());
             let r = run_beff_on(&machine, n, &cfg);
             eprintln!("done: {} x{n}", machine.key);
-            let ring_avg: f64 = r
-                .patterns
-                .iter()
-                .filter(|p| !p.random)
-                .map(|p| p.avg_over_sizes())
-                .sum::<f64>()
-                / 6.0;
-            let rand_avg: f64 = r
-                .patterns
-                .iter()
-                .filter(|p| p.random)
-                .map(|p| p.avg_over_sizes())
-                .sum::<f64>()
-                / 6.0;
+            let ring_avg: f64 =
+                r.patterns.iter().filter(|p| !p.random).map(|p| p.avg_over_sizes()).sum::<f64>()
+                    / 6.0;
+            let rand_avg: f64 =
+                r.patterns.iter().filter(|p| p.random).map(|p| p.avg_over_sizes()).sum::<f64>()
+                    / 6.0;
             table.row(&[
                 machine.key.to_string(),
                 n.to_string(),
@@ -51,7 +43,8 @@ fn main() {
         }
     }
 
-    println!("\nAblation — SMP placement (Hitachi SR 8000)\n");
-    println!("{}", table.render());
-    println!("expected shape: sequential placement beats round-robin on rings; random patterns hurt sequential placement more (they destroy locality).");
+    writeln!(out, "\nAblation — SMP placement (Hitachi SR 8000)\n")?;
+    writeln!(out, "{}", table.render())?;
+    writeln!(out, "expected shape: sequential placement beats round-robin on rings; random patterns hurt sequential placement more (they destroy locality).")?;
+    Ok(())
 }

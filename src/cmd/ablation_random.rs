@@ -3,10 +3,8 @@
 //! and random writes over chunk sizes on two contrasting systems — the
 //! T3E (small cache, seek-dominated) and the SX-5 (2 GB cache, random
 //! access nearly free while the working set is resident).
-//!
-//! Usage: `cargo run --release -p beff-bench --bin ablation_random [--full]`
 
-use beff_bench::full_mode;
+use crate::cli::{Args, Fail};
 use beff_core::beffio::{run_random_io, RandomIoConfig};
 use beff_machines::by_key;
 use beff_mpi::World;
@@ -14,10 +12,11 @@ use beff_mpiio::IoWorld;
 use beff_netsim::MB;
 use beff_pfs::Pfs;
 use beff_report::{Align, Table};
+use std::fmt::Write as _;
 use std::sync::Arc;
 
-fn main() {
-    let (region, t) = if full_mode() { (64 * MB, 10.0) } else { (8 * MB, 1.0) };
+pub fn run(args: &Args, out: &mut String) -> Result<(), Fail> {
+    let (region, t) = if args.full() { (64 * MB, 10.0) } else { (8 * MB, 1.0) };
 
     let mut table = Table::new(&[
         "system",
@@ -48,8 +47,7 @@ fn main() {
             time_per_point: t,
             ..RandomIoConfig::quick()
         };
-        let rs =
-            World::sim_partition(m.network(), n).run(|c| run_random_io(c, &io, &cfg));
+        let rs = World::sim_partition(m.network(), n).run(|c| run_random_io(c, &io, &cfg));
         let r = &rs[0];
         eprintln!("done: {key}");
         for p in &r.points {
@@ -64,9 +62,10 @@ fn main() {
         }
     }
 
-    println!("\nExtension — random access patterns (paper §6 future work)\n");
-    println!("{}", table.render());
-    println!("reading: a rand/seq ratio near 1 means random patterns would add");
-    println!("little information to b_eff_io on that system; a low ratio means");
-    println!("they probe a distinct subsystem property (seek/RMW costs).");
+    writeln!(out, "\nExtension — random access patterns (paper §6 future work)\n")?;
+    writeln!(out, "{}", table.render())?;
+    writeln!(out, "reading: a rand/seq ratio near 1 means random patterns would add")?;
+    writeln!(out, "little information to b_eff_io on that system; a low ratio means")?;
+    writeln!(out, "they probe a distinct subsystem property (seek/RMW costs).")?;
+    Ok(())
 }

@@ -10,16 +10,16 @@
 //!   already contiguous, emulating the naive collective of the paper's
 //!   SP prototype (Fig. 4: segmented-collective 10x worse than
 //!   segmented-non-collective).
-//!
-//! Usage: `cargo run --release -p beff-bench --bin ablation_twophase [--full]`
 
+use crate::cli::{Args, Fail};
 use beff_bench::{beffio_cfg, PartitionRunner};
 use beff_core::beffio::PatternType;
-use beff_mpiio::Hints;
 use beff_machines::by_key;
+use beff_mpiio::Hints;
 use beff_report::{Align, Table};
+use std::fmt::Write as _;
 
-fn main() {
+pub fn run(args: &Args, out: &mut String) -> Result<(), Fail> {
     let machine = by_key("t3e").expect("machine");
     let n = 16;
     let m = machine.sized_for(n);
@@ -41,19 +41,15 @@ fn main() {
     .align(0, Align::Left);
 
     for (name, hints) in variants {
-        let mut cfg = beffio_cfg(&m);
+        let mut cfg = beffio_cfg(&m, args.full());
         cfg.hints = hints;
         let r = runner.beffio(&cfg);
         eprintln!("done: {name}");
         let w = &r.methods[0];
         let t0 = w.types.iter().find(|t| t.ptype == PatternType::Scatter).unwrap();
         let t4 = w.types.iter().find(|t| t.ptype == PatternType::SegColl).unwrap();
-        let small = t0
-            .patterns
-            .iter()
-            .find(|p| p.chunk_label == "1 kB")
-            .map(|p| p.mbps())
-            .unwrap_or(0.0);
+        let small =
+            t0.patterns.iter().find(|p| p.chunk_label == "1 kB").map(|p| p.mbps()).unwrap_or(0.0);
         table.row(&[
             name.to_string(),
             format!("{:.1}", t0.mbps()),
@@ -63,6 +59,7 @@ fn main() {
         ]);
     }
 
-    println!("\nAblation — collective buffering (T3E, {n} procs)\n");
-    println!("{}", table.render());
+    writeln!(out, "\nAblation — collective buffering (T3E, {n} procs)\n")?;
+    writeln!(out, "{}", table.render())?;
+    Ok(())
 }

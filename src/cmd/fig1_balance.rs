@@ -1,14 +1,14 @@
 //! Regenerates **Figure 1** of the paper: the balance factor
 //! (b_eff / R_max) for each platform.
-//!
-//! Usage: `cargo run --release -p beff-bench --bin fig1_balance [--full]`
 
+use crate::cli::{Args, Fail};
 use beff_bench::{beff_cfg, run_beff_on};
 use beff_core::Balance;
 use beff_machines::{by_key, table1_paper};
 use beff_report::{Align, Chart, Table};
+use std::fmt::Write as _;
 
-fn main() {
+pub fn run(args: &Args, out: &mut String) -> Result<(), Fail> {
     // one bar per Table-1 system row, at the row's processor count
     let mut table = Table::new(&[
         "system",
@@ -25,7 +25,7 @@ fn main() {
     let mut paper = Vec::new();
     for row in table1_paper() {
         let machine = by_key(row.machine_key).expect("catalog").sized_for(row.procs);
-        let cfg = beff_cfg(&machine);
+        let cfg = beff_cfg(&machine, args.full());
         let r = run_beff_on(&machine, row.procs, &cfg);
         let rmax = machine.rmax_for(row.procs);
         let b = Balance::new(r.beff, rmax);
@@ -44,11 +44,12 @@ fn main() {
         eprintln!("done: {} x{}", machine.key, row.procs);
     }
 
-    println!("\nFigure 1 — balance factor b_eff / R_max\n");
-    println!("{}", table.render());
+    writeln!(out, "\nFigure 1 — balance factor b_eff / R_max\n")?;
+    writeln!(out, "{}", table.render())?;
 
     let mut chart = Chart::new("balance factor (bytes per flop, log scale)", &labels);
     chart.series("measured", &ours);
     chart.series("paper b_eff / modeled R_max", &paper);
-    println!("{}", chart.render());
+    writeln!(out, "{}", chart.render())?;
+    Ok(())
 }

@@ -5,18 +5,18 @@
 //!
 //! Also sweeps the scheduled time T, reproducing the §5.4 observation
 //! that short runs benefit from the filesystem cache.
-//!
-//! Usage: `cargo run --release -p beff-bench --bin fig3_scaling [--full]`
 
-use beff_bench::{full_mode, PartitionRunner};
+use crate::cli::{Args, Fail};
+use beff_bench::PartitionRunner;
 use beff_core::beffio::BeffIoConfig;
 use beff_machines::{by_key, SP_IO_CLAIM, T3E_IO_CLAIM};
 use beff_report::{Chart, Table};
+use std::fmt::Write as _;
 
-fn main() {
+pub fn run(args: &Args, out: &mut String) -> Result<(), Fail> {
     // scaled T values: the paper used 10 and 15 minutes; the quick mode
     // keeps the ratio but runs seconds of virtual time
-    let ts: Vec<(f64, &str)> = if full_mode() {
+    let ts: Vec<(f64, &str)> = if args.full() {
         vec![(600.0, "T=10min"), (900.0, "T=15min")]
     } else {
         vec![(20.0, "T=20s"), (30.0, "T=30s")]
@@ -50,21 +50,20 @@ fn main() {
             }
         }
 
-        println!("\nFigure 3 — b_eff_io vs partition size on {}\n", machine.name);
+        writeln!(out, "\nFigure 3 — b_eff_io vs partition size on {}\n", machine.name)?;
         let mut table = Table::new(&["T", "procs", "b_eff_io MB/s"]);
         for r in &table_rows {
             table.row(r);
         }
-        println!("{}", table.render());
+        writeln!(out, "{}", table.render())?;
         let labels: Vec<String> = partitions.iter().map(|n| n.to_string()).collect();
-        let mut chart = Chart::new(&format!("{} b_eff_io (MB/s) over procs", machine.name), &labels);
+        let mut chart =
+            Chart::new(&format!("{} b_eff_io (MB/s) over procs", machine.name), &labels);
         for (name, vals) in &series {
             chart.series(name, vals);
         }
-        println!("{}", chart.render());
-        println!(
-            "paper claim: {}",
-            if key == "t3e" { T3E_IO_CLAIM } else { SP_IO_CLAIM }
-        );
+        writeln!(out, "{}", chart.render())?;
+        writeln!(out, "paper claim: {}", if key == "t3e" { T3E_IO_CLAIM } else { SP_IO_CLAIM })?;
     }
+    Ok(())
 }

@@ -2,30 +2,26 @@
 //! bandwidth of one b_eff_io run — three access methods × five pattern
 //! types over the (pseudo-log) chunk-size axis — on the four systems
 //! the paper compares: IBM SP, Cray T3E, Hitachi SR 8000, NEC SX-5.
-//!
-//! Usage: `cargo run --release -p beff-bench --bin fig4_detail [--full] [--procs N]`
 
+use crate::cli::{Args, Fail};
 use beff_bench::{beffio_cfg, run_beffio_on};
 use beff_core::beffio::PatternType;
 use beff_machines::by_key;
 use beff_report::Chart;
+use std::fmt::Write as _;
 
-fn main() {
-    let procs: usize = std::env::args()
-        .skip_while(|a| a != "--procs")
-        .nth(1)
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(16);
+pub fn run(args: &Args, out: &mut String) -> Result<(), Fail> {
+    let procs = args.get::<usize>("--procs").unwrap_or(16);
 
     for key in ["ibm-sp", "t3e", "sr8000-rr", "sx5"] {
         let machine = by_key(key).expect("machine");
         let n = procs.min(machine.procs);
         let m = machine.sized_for(n);
-        let cfg = beffio_cfg(&m);
+        let cfg = beffio_cfg(&m, args.full());
         let r = run_beffio_on(&m, n, &cfg);
         eprintln!("done: {key} n={n}");
 
-        println!("\n==== Figure 4 row: {} ({} procs) ====", m.name, n);
+        writeln!(out, "\n==== Figure 4 row: {} ({} procs) ====", m.name, n)?;
         for method in &r.methods {
             // x axis: the eight ladder chunk labels of the standard rows
             let reference = &method.types[1]; // shared type has the 8 ladder rows
@@ -45,7 +41,7 @@ fn main() {
                 }
                 chart.series(&format!("type {} ({})", t.ptype as usize, t.ptype.name()), &vals);
             }
-            println!("{}", chart.render());
+            writeln!(out, "{}", chart.render())?;
         }
         // the paper's key observations, checked on the spot
         let w = &r.methods[0];
@@ -54,15 +50,18 @@ fn main() {
         let small = |t: &beff_core::beffio::TypeRun, label: &str| {
             t.patterns.iter().find(|p| p.chunk_label == label).map(|p| p.mbps()).unwrap_or(0.0)
         };
-        println!(
+        writeln!(
+            out,
             "check: 1 kB chunks, initial write: scatter/collective {:.1} MB/s vs separate-files {:.1} MB/s (paper: scatter wins at small chunks)",
             small(scatter, "1 kB"),
             small(sep, "1 kB"),
-        );
-        println!(
+        )?;
+        writeln!(
+            out,
             "check: wellformed 32 kB {:.1} MB/s vs non-wellformed 32 kB+8B {:.1} MB/s on separate files",
             small(sep, "32 kB"),
             small(sep, "32 kB +8B"),
-        );
+        )?;
     }
+    Ok(())
 }

@@ -1,14 +1,14 @@
 //! Regenerates **Figure 5** of the paper: the final b_eff_io values of
 //! the four platforms at several partition sizes.
-//!
-//! Usage: `cargo run --release -p beff-bench --bin fig5_compare [--full]`
 
+use crate::cli::{Args, Fail};
 use beff_bench::{beffio_cfg, run_beffio_on};
 use beff_core::beffio::AccessMethod;
 use beff_machines::by_key;
 use beff_report::{Align, Chart, Table};
+use std::fmt::Write as _;
 
-fn main() {
+pub fn run(args: &Args, out: &mut String) -> Result<(), Fail> {
     let systems: [(&str, Vec<usize>); 4] = [
         ("t3e", vec![8, 16, 32, 64]),
         ("ibm-sp", vec![8, 16, 32, 64]),
@@ -32,7 +32,7 @@ fn main() {
         let machine = by_key(key).expect("machine");
         for &n in partitions {
             let m = machine.sized_for(n);
-            let cfg = beffio_cfg(&m);
+            let cfg = beffio_cfg(&m, args.full());
             let r = run_beffio_on(&m, n, &cfg);
             table.row(&[
                 m.name.to_string(),
@@ -48,9 +48,10 @@ fn main() {
         }
     }
 
-    println!("\nFigure 5 — final b_eff_io comparison\n");
-    println!("{}", table.render());
+    writeln!(out, "\nFigure 5 — final b_eff_io comparison\n")?;
+    writeln!(out, "{}", table.render())?;
     let mut chart = Chart::new("b_eff_io (MB/s, log scale)", &chart_labels);
     chart.series("b_eff_io", &chart_vals);
-    println!("{}", chart.render());
+    writeln!(out, "{}", chart.render())?;
+    Ok(())
 }

@@ -9,11 +9,7 @@
 //! transport would add nondeterministic interleaving for no
 //! throughput.
 //!
-//! ```text
-//! serve [--addr HOST:PORT] [--journal PATH]
-//! #       default 127.0.0.1:7433, or $BEFF_SERVE_ADDR
-//! ```
-//!
+//! The address defaults to `$BEFF_SERVE_ADDR`, then `127.0.0.1:7433`.
 //! With `--journal`, results are shadowed in a durable append-only
 //! journal and replayed into the cache on startup: a killed-and
 //! restarted daemon serves every previously-computed spec from disk,
@@ -28,49 +24,36 @@
 //! typed, protocol offenders get a `{"error":…}` goodbye frame, and
 //! only an explicit shutdown op ends the process.
 
+use crate::cli::{workers, Args, Fail};
 use beff_serve::{serve_connection, ConnClose, Server};
-use beff_sim::Workers;
 use std::net::TcpListener;
-use std::path::PathBuf;
+use std::path::Path;
 
-fn main() {
-    let workers = match Workers::try_from_env() {
-        Ok(w) => w,
-        Err(e) => {
-            eprintln!("serve: {e}");
-            std::process::exit(2);
-        }
-    };
-    let args = parse_args();
-    let server = match &args.journal {
+pub fn run(args: &Args, _: &mut String) -> Result<(), Fail> {
+    let workers = workers()?;
+    let addr = args
+        .text("--addr")
+        .map(str::to_string)
+        .or_else(|| std::env::var("BEFF_SERVE_ADDR").ok())
+        .unwrap_or_else(|| "127.0.0.1:7433".to_string());
+    let server = match args.text("--journal") {
         None => Server::new(workers),
-        Some(path) => match Server::with_journal(workers, path) {
-            Ok((server, recovery)) => {
-                eprintln!(
-                    "serve: journal {} replayed: {} records ({} bytes)",
-                    path.display(),
-                    recovery.recovered,
-                    recovery.bytes
-                );
-                if let Some(t) = &recovery.truncated {
-                    eprintln!("serve: journal tail healed: {t}");
-                }
-                server
+        Some(path) => {
+            let (server, recovery) = Server::with_journal(workers, Path::new(path))
+                .map_err(|e| Fail::new(1, format!("cannot open journal {path}: {e}")))?;
+            eprintln!(
+                "serve: journal {path} replayed: {} records ({} bytes)",
+                recovery.recovered, recovery.bytes
+            );
+            if let Some(t) = &recovery.truncated {
+                eprintln!("serve: journal tail healed: {t}");
             }
-            Err(e) => {
-                eprintln!("serve: cannot open journal {}: {e}", path.display());
-                std::process::exit(1);
-            }
-        },
-    };
-    let listener = match TcpListener::bind(&args.addr) {
-        Ok(l) => l,
-        Err(e) => {
-            eprintln!("serve: cannot bind {}: {e}", args.addr);
-            std::process::exit(1);
+            server
         }
     };
-    eprintln!("serve: listening on {} ({} workers)", args.addr, workers.get());
+    let listener =
+        TcpListener::bind(&addr).map_err(|e| Fail::new(1, format!("cannot bind {addr}: {e}")))?;
+    eprintln!("serve: listening on {addr} ({} workers)", workers.get());
     for stream in listener.incoming() {
         let mut stream = match stream {
             Ok(s) => s,
@@ -85,30 +68,9 @@ fn main() {
             ConnClose::Transport(report) => eprintln!("serve: {report}"),
             ConnClose::Shutdown => {
                 eprintln!("serve: shutdown requested; drained");
-                return;
+                return Ok(());
             }
         }
     }
-}
-
-struct Args {
-    addr: String,
-    journal: Option<PathBuf>,
-}
-
-fn parse_args() -> Args {
-    let args: Vec<String> = std::env::args().collect();
-    let value_of = |flag: &str| -> Option<String> {
-        args.iter().position(|a| a == flag).map(|i| match args.get(i + 1) {
-            Some(v) => v.clone(),
-            None => {
-                eprintln!("serve: {flag} needs a value");
-                std::process::exit(2);
-            }
-        })
-    };
-    let addr = value_of("--addr")
-        .or_else(|| std::env::var("BEFF_SERVE_ADDR").ok())
-        .unwrap_or_else(|| "127.0.0.1:7433".to_string());
-    Args { addr, journal: value_of("--journal").map(PathBuf::from) }
+    Ok(())
 }

@@ -34,64 +34,47 @@
 //!   freshest jobs served;
 //! * **shutdown** — post-drain submissions refused typed.
 //!
-//! ```text
-//! serve_torture [--out FILE] [--golden FILE] [--report FILE]
-//!               [--scratch DIR] [--hero-procs N]
-//! ```
-//!
 //! This file is on the `beff-analyze` wall-clock exempt list: the
 //! `--report` wall section reads host time (and nothing gated does).
 
-use beff_json::{Json, ToJson};
+use super::MixRng;
+use crate::cli::{workers, Args, Fail};
+use beff_json::Json;
 use beff_serve::journal::{self, Journal};
 use beff_serve::wire::{self, MemStream};
 use beff_serve::{
-    fnv1a64, serve_connection, Admission, ConnClose, FaultCfg, JobSpec, Server, SpecError,
+    digest_of, fnv1a64, serve_connection, Admission, ConnClose, FaultCfg, JobSpec, Server,
+    SpecError,
 };
 use beff_sim::Workers;
-use std::path::{Path, PathBuf};
+use std::fmt::Write as _;
+use std::path::Path;
 use std::time::Instant;
 
 /// Seed of every adversarial input in this harness (the torture mix is
 /// part of the gate's definition, so it is fixed, not host entropy).
 const TORTURE_SEED: u64 = 0x70B7_0001;
 
-fn main() {
-    let cli = Cli::parse();
-    let workers = match Workers::try_from_env() {
-        Ok(w) => w,
-        Err(e) => {
-            eprintln!("serve_torture: {e}");
-            std::process::exit(2);
-        }
-    };
+pub fn run(args: &Args, out: &mut String) -> Result<(), Fail> {
+    let workers = workers()?;
+    let scratch = Path::new(args.text("--scratch").unwrap_or("target/serve_torture"));
     let t0 = Instant::now();
 
-    let frame_fuzz = frame_fuzz_scenario(workers);
-    let disconnects = disconnect_scenario(workers);
-    let journal = journal_scenario(workers, &cli.scratch, cli.hero_procs);
-    let quarantine = quarantine_scenario(workers);
-    let fault_storm = fault_storm_scenario(workers);
-    let overload = overload_scenario(workers);
-    let shutdown = shutdown_scenario(workers);
-
-    let report = Report {
-        frame_fuzz,
-        disconnects,
-        journal,
-        quarantine,
-        fault_storm,
-        overload,
-        shutdown,
-    };
-    let canonical = beff_json::to_canonical(&report);
-
-    if let Some(path) = &cli.out {
-        write_file(path, &canonical);
-    }
-    if let Some(path) = &cli.report {
+    let hero_procs = args.get::<usize>("--hero-procs").unwrap_or(512);
+    let report = Json::object()
+        .field("schema", &1u32)
+        .field("seed", &TORTURE_SEED)
+        .raw("frame_fuzz", frame_fuzz_scenario(workers))
+        .raw("disconnects", disconnect_scenario(workers))
+        .raw("journal", journal_scenario(workers, scratch, hero_procs))
+        .raw("quarantine", quarantine_scenario(workers))
+        .raw("fault_storm", fault_storm_scenario(workers))
+        .raw("overload", overload_scenario(workers))
+        .raw("shutdown", shutdown_scenario(workers))
+        .build();
+    if let Some(path) = args.text("--report") {
         let full = Json::object()
-            .raw("torture", report.to_json())
+            .raw("torture", report.clone())
             .raw(
                 "wall",
                 Json::object()
@@ -100,52 +83,25 @@ fn main() {
                     .build(),
             )
             .build();
-        write_file(path, &(beff_json::to_string_pretty(&full) + "\n"));
+        std::fs::write(path, beff_json::to_string_pretty(&full) + "\n")
+            .map_err(|e| Fail::new(1, format!("cannot write {path}: {e}")))?;
     }
-    if let Some(golden) = &cli.golden {
-        let want = std::fs::read_to_string(golden).unwrap_or_else(|e| {
-            eprintln!("serve_torture: cannot read golden {golden}: {e}");
-            std::process::exit(1);
-        });
-        if want != canonical {
-            eprintln!(
-                "serve_torture: torture section diverges from golden {golden} — the failure \
-                 model regressed (or an intended change: regenerate with --out)"
-            );
-            std::process::exit(1);
-        }
-    }
+    args.emit(&beff_json::to_canonical(&report), out)?;
 
-    println!(
-        "serve_torture: survived {} fuzz cases, {} disconnect cuts; journal restart served \
-         {} specs from disk; all scenario invariants held",
-        report.frame_fuzz.cases, report.disconnects.cuts, report.journal.recovered,
-    );
+    writeln!(out, "serve_torture: all scenario invariants held")?;
+    Ok(())
 }
 
 // ---------------------------------------------------------------- fuzz
 
-struct FrameFuzz {
-    cases: usize,
-    protocol_closes: usize,
-    clean_closes: usize,
-    replies: usize,
-    reply_digest: String,
-}
-
 /// Seeded hostile byte streams into the connection loop: the server
 /// answers what is answerable, types what is not, and never dies.
-fn frame_fuzz_scenario(workers: Workers) -> FrameFuzz {
+fn frame_fuzz_scenario(workers: Workers) -> Json {
     let srv = Server::new(workers);
-    let mut rng = TortureRng::new(TORTURE_SEED);
-    let mut out = FrameFuzz {
-        cases: 0,
-        protocol_closes: 0,
-        clean_closes: 0,
-        replies: 0,
-        reply_digest: String::new(),
-    };
-    let mut reply_hash: u64 = 0xcbf2_9ce4_8422_2325;
+    let mut rng = MixRng::new(TORTURE_SEED);
+    let (mut cases, mut protocol_closes, mut clean_closes, mut replies) =
+        (0usize, 0usize, 0usize, 0usize);
+    let mut reply_bytes = String::new();
     let stats = wire::encode(r#"{"op":"stats"}"#);
     for case in 0..64 {
         let input: Vec<u8> = match case % 4 {
@@ -172,11 +128,11 @@ fn frame_fuzz_scenario(workers: Workers) -> FrameFuzz {
                 v
             }
         };
-        out.cases += 1;
+        cases += 1;
         let mut stream = MemStream::new(input);
         match serve_connection(&srv, &mut stream) {
-            ConnClose::Clean => out.clean_closes += 1,
-            ConnClose::Protocol(_) => out.protocol_closes += 1,
+            ConnClose::Clean => clean_closes += 1,
+            ConnClose::Protocol(_) => protocol_closes += 1,
             other => fail(&format!("fuzz case {case}: unexpected close {other:?}")),
         }
         // Every reply the server wrote must itself be a well-formed
@@ -185,11 +141,8 @@ fn frame_fuzz_scenario(workers: Workers) -> FrameFuzz {
         while let Some((payload, n)) = wire::decode(&stream.output[used..])
             .unwrap_or_else(|e| fail(&format!("fuzz case {case}: server wrote a bad frame: {e}")))
         {
-            out.replies += 1;
-            for b in payload.as_bytes() {
-                reply_hash ^= u64::from(*b);
-                reply_hash = reply_hash.wrapping_mul(0x0000_0100_0000_01b3);
-            }
+            replies += 1;
+            reply_bytes.push_str(&payload);
             used += n;
         }
         assert_eq!(used, stream.output.len(), "server output ends at a frame boundary");
@@ -198,53 +151,43 @@ fn frame_fuzz_scenario(workers: Workers) -> FrameFuzz {
     srv.submit(&JobSpec::new("t3e", 4)).unwrap_or_else(|e| {
         fail(&format!("server damaged by fuzz input: {e}"));
     });
-    out.reply_digest = format!("{reply_hash:016x}");
-    out
-}
-
-struct Disconnects {
-    cuts: usize,
-    protocol_closes: usize,
+    Json::object()
+        .field("cases", &cases)
+        .field("protocol_closes", &protocol_closes)
+        .field("clean_closes", &clean_closes)
+        .field("replies", &replies)
+        .field("reply_digest", &digest_of(&reply_bytes))
+        .build()
 }
 
 /// One valid frame, cut at every possible byte boundary: a peer can
 /// vanish anywhere mid-frame and the close is always typed.
-fn disconnect_scenario(workers: Workers) -> Disconnects {
+fn disconnect_scenario(workers: Workers) -> Json {
     let srv = Server::new(workers);
     let full = wire::encode(r#"{"op":"run","spec":{"machine":"t3e","procs":4}}"#);
-    let mut out = Disconnects { cuts: 0, protocol_closes: 0 };
+    let mut protocol_closes = 0usize;
     for cut in 1..full.len() {
-        out.cuts += 1;
         let mut stream = MemStream::new(full[..cut].to_vec());
         match serve_connection(&srv, &mut stream) {
             ConnClose::Protocol(report) => {
                 assert!(report.starts_with("bad frame: "), "cut {cut}: {report}");
-                out.protocol_closes += 1;
+                protocol_closes += 1;
             }
             other => fail(&format!("cut {cut}: expected a protocol close, got {other:?}")),
         }
     }
-    out
+    Json::object()
+        .field("cuts", &(full.len() - 1))
+        .field("protocol_closes", &protocol_closes)
+        .build()
 }
 
 // ------------------------------------------------------------- journal
 
-struct JournalScenario {
-    specs: usize,
-    recovered: usize,
-    recovered_bytes: u64,
-    hero_digest: String,
-    result_digest: String,
-    audited_identical: usize,
-    torn_recovered: usize,
-    torn_record: usize,
-    torn_offset: u64,
-}
-
 /// Kill-and-restart: everything computed before the kill is served
 /// from disk afterwards, byte-identical, proven by recomputation; a
 /// mid-append kill loses exactly the torn record, typed.
-fn journal_scenario(workers: Workers, scratch: &Path, hero_procs: usize) -> JournalScenario {
+fn journal_scenario(workers: Workers, scratch: &Path, hero_procs: usize) -> Json {
     std::fs::create_dir_all(scratch)
         .unwrap_or_else(|e| fail(&format!("cannot create scratch {scratch:?}: {e}")));
     let path = scratch.join("torture.journal");
@@ -281,31 +224,23 @@ fn journal_scenario(workers: Workers, scratch: &Path, hero_procs: usize) -> Jour
     assert_eq!(recovery.recovered, specs.len(), "every record replays");
     assert!(recovery.truncated.is_none(), "a clean journal has no torn tail");
     let mut audited = 0usize;
-    let mut result_hash: u64 = 0xcbf2_9ce4_8422_2325;
+    let mut results = String::new();
     for (spec, want) in specs.iter().zip(&first_digests) {
         let o = srv.submit(spec).unwrap_or_else(|e| fail(&format!("replayed spec: {e}")));
         assert!(o.cached, "life 2 must hit the journal-warmed cache");
-        assert_eq!(
-            fnv1a64(o.bytes.as_bytes()),
-            *want,
-            "journal round trip must be byte-identical"
-        );
+        assert_eq!(fnv1a64(o.bytes.as_bytes()), *want, "journal round trip must be byte-identical");
         // Audit: the disk bytes equal an honest recomputation.
         let fresh = srv.recompute(spec).unwrap_or_else(|e| fail(&format!("audit: {e}")));
         assert_eq!(o.bytes.as_ref(), fresh.as_str(), "journal bytes audit failed");
         audited += 1;
-        for b in o.bytes.as_bytes() {
-            result_hash ^= u64::from(*b);
-            result_hash = result_hash.wrapping_mul(0x0000_0100_0000_01b3);
-        }
+        results.push_str(&o.bytes);
     }
     drop(srv);
 
     // Mid-append kill: tear the final record in half and reopen. The
     // prior records survive; the tear is reported typed and healed.
     let torn_path = scratch.join("torn.journal");
-    std::fs::copy(&path, &torn_path)
-        .unwrap_or_else(|e| fail(&format!("cannot copy journal: {e}")));
+    std::fs::copy(&path, &torn_path).unwrap_or_else(|e| fail(&format!("cannot copy journal: {e}")));
     let clean_len = std::fs::metadata(&torn_path)
         .unwrap_or_else(|e| fail(&format!("cannot stat journal: {e}")))
         .len();
@@ -319,8 +254,8 @@ fn journal_scenario(workers: Workers, scratch: &Path, hero_procs: usize) -> Jour
         f.write_all(&extra[..extra.len() / 2])
             .unwrap_or_else(|e| fail(&format!("cannot write torn record: {e}")));
     }
-    let (_torn_journal, records, torn) = Journal::open(&torn_path)
-        .unwrap_or_else(|e| fail(&format!("torn journal must open: {e}")));
+    let (_torn_journal, records, torn) =
+        Journal::open(&torn_path).unwrap_or_else(|e| fail(&format!("torn journal must open: {e}")));
     assert_eq!(records.len(), specs.len(), "the tear loses exactly the torn record");
     let t = torn.truncated.unwrap_or_else(|| {
         fail("a torn tail must be reported, not silently accepted");
@@ -332,32 +267,24 @@ fn journal_scenario(workers: Workers, scratch: &Path, hero_procs: usize) -> Jour
         "reopen heals the file back to its last intact record"
     );
 
-    JournalScenario {
-        specs: specs.len(),
-        recovered: recovery.recovered,
-        recovered_bytes: recovery.bytes,
-        hero_digest: hero.key_digest(),
-        result_digest: format!("{result_hash:016x}"),
-        audited_identical: audited,
-        torn_recovered: records.len(),
-        torn_record: t.record,
-        torn_offset: t.offset,
-    }
+    Json::object()
+        .field("specs", &specs.len())
+        .field("recovered", &recovery.recovered)
+        .field("recovered_bytes", &recovery.bytes)
+        .field("hero_digest", &hero.key_digest())
+        .field("result_digest", &digest_of(&results))
+        .field("audited_identical", &audited)
+        .field("torn_recovered", &records.len())
+        .field("torn_record", &t.record)
+        .field("torn_offset", &t.offset)
+        .build()
 }
 
 // ---------------------------------------------------------- quarantine
 
-struct Quarantine {
-    healed_identical: bool,
-    quarantined: u64,
-    world_failed_typed: bool,
-    entries_after_failure: usize,
-    recovered_after_failure: bool,
-}
-
 /// The self-healing path end to end, driven by the pool's
 /// deterministic poison hook.
-fn quarantine_scenario(workers: Workers) -> Quarantine {
+fn quarantine_scenario(workers: Workers) -> Json {
     let reference = Server::new(Workers::new(1));
     let heal_spec = JobSpec::new("t3e", 4).with_seed(41);
     let fail_spec = JobSpec::new("t3e", 4).with_seed(42);
@@ -370,8 +297,7 @@ fn quarantine_scenario(workers: Workers) -> Quarantine {
     // One poison: the damaged world is quarantined, the job self-heals
     // on a fresh world, and the answer matches an undamaged server.
     srv.pool().arm_poison("t3e", 4, 1);
-    let healed =
-        srv.submit(&heal_spec).unwrap_or_else(|e| fail(&format!("self-heal failed: {e}")));
+    let healed = srv.submit(&heal_spec).unwrap_or_else(|e| fail(&format!("self-heal failed: {e}")));
     let healed_identical = healed.bytes == want_heal;
     assert!(healed_identical, "post-quarantine bytes must equal cold bytes");
     assert_eq!(srv.pool().quarantined(), 1);
@@ -387,32 +313,25 @@ fn quarantine_scenario(workers: Workers) -> Quarantine {
     assert_eq!(entries_after_failure, entries_before, "failures are never cached");
 
     // Poison exhausted: the same spec now succeeds and matches cold.
-    let recovered =
-        srv.submit(&fail_spec).unwrap_or_else(|e| fail(&format!("post-failure: {e}")));
+    let recovered = srv.submit(&fail_spec).unwrap_or_else(|e| fail(&format!("post-failure: {e}")));
     let recovered_after_failure = recovered.bytes == want_fail;
     assert!(recovered_after_failure, "recovery after WorldFailed must match cold");
 
-    Quarantine {
-        healed_identical,
-        quarantined: srv.pool().quarantined(),
-        world_failed_typed,
-        entries_after_failure,
-        recovered_after_failure,
-    }
+    Json::object()
+        .field("healed_identical", &healed_identical)
+        .field("quarantined", &srv.pool().quarantined())
+        .field("world_failed_typed", &world_failed_typed)
+        .field("entries_after_failure", &entries_after_failure)
+        .field("recovered_after_failure", &recovered_after_failure)
+        .build()
 }
 
 // --------------------------------------------------------- fault storm
 
-struct FaultStorm {
-    specs: usize,
-    replay_identical: usize,
-    digest: String,
-}
-
 /// A seeded burst of faulted specs, computed, recomputed, and computed
 /// again on a fresh server: three byte-identical answers each.
-fn fault_storm_scenario(workers: Workers) -> FaultStorm {
-    let mut rng = TortureRng::new(TORTURE_SEED ^ 0xF417);
+fn fault_storm_scenario(workers: Workers) -> Json {
+    let mut rng = MixRng::new(TORTURE_SEED ^ 0xF417);
     let specs: Vec<JobSpec> = (0..6)
         .map(|i| {
             let mut fault = FaultCfg::none(500 + i);
@@ -433,71 +352,61 @@ fn fault_storm_scenario(workers: Workers) -> FaultStorm {
         .into_iter()
         .map(|o| o.unwrap_or_else(|e| fail(&format!("storm replay: {e}"))).bytes)
         .collect();
-    let mut identical = 0;
-    let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
+    let mut identical = 0usize;
+    let mut bytes = String::new();
     for (spec, (a, b)) in specs.iter().zip(first.iter().zip(&again)) {
         assert_eq!(a, b, "fault storm replay diverged for {}", spec.key_digest());
         let fresh = srv.recompute(spec).unwrap_or_else(|e| fail(&format!("storm audit: {e}")));
         assert_eq!(a.as_ref(), fresh.as_str(), "storm cache audit failed");
         identical += 1;
-        for byte in a.as_bytes() {
-            hash ^= u64::from(*byte);
-            hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
-        }
+        bytes.push_str(a);
     }
-    FaultStorm { specs: specs.len(), replay_identical: identical, digest: format!("{hash:016x}") }
+    Json::object()
+        .field("specs", &specs.len())
+        .field("replay_identical", &identical)
+        .field("digest", &digest_of(&bytes))
+        .build()
 }
 
 // ------------------------------------------------------------ overload
 
-struct Overload {
-    offers: usize,
-    overloaded: usize,
-    expired: usize,
-    served: usize,
-    shed_total: u64,
-}
-
 /// The DESIGN.md §12 flood through the deadline queue: exact typed
 /// shed counts, freshest jobs served.
-fn overload_scenario(workers: Workers) -> Overload {
+fn overload_scenario(workers: Workers) -> Json {
     let srv = Server::new(workers);
     let mut q = Admission::with_deadline(&srv, 8, 16);
-    let mut out = Overload { offers: 0, overloaded: 0, expired: 0, served: 0, shed_total: 0 };
-    for i in 0..20 {
-        out.offers += 1;
+    let offers = 20usize;
+    let (mut overloaded, mut expired, mut served) = (0usize, 0usize, 0usize);
+    for i in 0..offers as u64 {
         match q.offer(JobSpec::new("t3e", 4).with_seed(700 + i)) {
             Ok(()) => {}
-            Err(SpecError::Overloaded { .. }) => out.overloaded += 1,
+            Err(SpecError::Overloaded { .. }) => overloaded += 1,
             Err(e) => fail(&format!("flood offer {i}: unexpected error {e:?}")),
         }
     }
     for outcome in q.flush() {
         match outcome {
-            Ok(_) => out.served += 1,
-            Err(SpecError::DeadlineExpired { .. }) => out.expired += 1,
+            Ok(_) => served += 1,
+            Err(SpecError::DeadlineExpired { .. }) => expired += 1,
             Err(e) => fail(&format!("flood flush: unexpected error {e:?}")),
         }
     }
-    out.shed_total = srv.shed_jobs();
-    assert_eq!(
-        (out.overloaded, out.expired, out.served),
-        (12, 3, 5),
-        "the worked example's exact counts"
-    );
-    assert_eq!(out.shed_total, 15, "every shed is counted, none silent");
-    out
+    let shed_total = srv.shed_jobs();
+    assert_eq!((overloaded, expired, served), (12, 3, 5), "the worked example's exact counts");
+    assert_eq!(shed_total, 15, "every shed is counted, none silent");
+    Json::object()
+        .field("offers", &offers)
+        .field("overloaded", &overloaded)
+        .field("expired", &expired)
+        .field("served", &served)
+        .field("shed_total", &shed_total)
+        .build()
 }
 
 // ------------------------------------------------------------ shutdown
 
-struct Shutdown {
-    drained: bool,
-    refusal: String,
-}
-
 /// Drain, then prove the door is typed-shut.
-fn shutdown_scenario(workers: Workers) -> Shutdown {
+fn shutdown_scenario(workers: Workers) -> Json {
     let srv = Server::new(workers);
     srv.submit(&JobSpec::new("t3e", 4).with_seed(800))
         .unwrap_or_else(|e| fail(&format!("pre-shutdown spec: {e}")));
@@ -510,184 +419,10 @@ fn shutdown_scenario(workers: Workers) -> Shutdown {
         Err(e @ SpecError::ShuttingDown) => e.to_string(),
         other => fail(&format!("post-drain submission must be refused typed: {other:?}")),
     };
-    Shutdown { drained, refusal }
-}
-
-// ----------------------------------------------------------- reporting
-
-struct Report {
-    frame_fuzz: FrameFuzz,
-    disconnects: Disconnects,
-    journal: JournalScenario,
-    quarantine: Quarantine,
-    fault_storm: FaultStorm,
-    overload: Overload,
-    shutdown: Shutdown,
-}
-
-impl ToJson for Report {
-    fn to_json(&self) -> Json {
-        Json::object()
-            .field("schema", &1u32)
-            .field("seed", &TORTURE_SEED)
-            .raw(
-                "frame_fuzz",
-                Json::object()
-                    .field("cases", &(self.frame_fuzz.cases as u64))
-                    .field("protocol_closes", &(self.frame_fuzz.protocol_closes as u64))
-                    .field("clean_closes", &(self.frame_fuzz.clean_closes as u64))
-                    .field("replies", &(self.frame_fuzz.replies as u64))
-                    .field("reply_digest", &self.frame_fuzz.reply_digest)
-                    .build(),
-            )
-            .raw(
-                "disconnects",
-                Json::object()
-                    .field("cuts", &(self.disconnects.cuts as u64))
-                    .field("protocol_closes", &(self.disconnects.protocol_closes as u64))
-                    .build(),
-            )
-            .raw(
-                "journal",
-                Json::object()
-                    .field("specs", &(self.journal.specs as u64))
-                    .field("recovered", &(self.journal.recovered as u64))
-                    .field("recovered_bytes", &self.journal.recovered_bytes)
-                    .field("hero_digest", &self.journal.hero_digest)
-                    .field("result_digest", &self.journal.result_digest)
-                    .field("audited_identical", &(self.journal.audited_identical as u64))
-                    .field("torn_recovered", &(self.journal.torn_recovered as u64))
-                    .field("torn_record", &(self.journal.torn_record as u64))
-                    .field("torn_offset", &self.journal.torn_offset)
-                    .build(),
-            )
-            .raw(
-                "quarantine",
-                Json::object()
-                    .field("healed_identical", &self.quarantine.healed_identical)
-                    .field("quarantined", &self.quarantine.quarantined)
-                    .field("world_failed_typed", &self.quarantine.world_failed_typed)
-                    .field(
-                        "entries_after_failure",
-                        &(self.quarantine.entries_after_failure as u64),
-                    )
-                    .field(
-                        "recovered_after_failure",
-                        &self.quarantine.recovered_after_failure,
-                    )
-                    .build(),
-            )
-            .raw(
-                "fault_storm",
-                Json::object()
-                    .field("specs", &(self.fault_storm.specs as u64))
-                    .field("replay_identical", &(self.fault_storm.replay_identical as u64))
-                    .field("digest", &self.fault_storm.digest)
-                    .build(),
-            )
-            .raw(
-                "overload",
-                Json::object()
-                    .field("offers", &(self.overload.offers as u64))
-                    .field("overloaded", &(self.overload.overloaded as u64))
-                    .field("expired", &(self.overload.expired as u64))
-                    .field("served", &(self.overload.served as u64))
-                    .field("shed_total", &self.overload.shed_total)
-                    .build(),
-            )
-            .raw(
-                "shutdown",
-                Json::object()
-                    .field("drained", &self.shutdown.drained)
-                    .field("refusal", &self.shutdown.refusal)
-                    .build(),
-            )
-            .build()
-    }
+    Json::object().field("drained", &drained).field("refusal", &refusal).build()
 }
 
 fn fail(message: &str) -> ! {
     eprintln!("serve_torture: FAIL — {message}");
     std::process::exit(1);
-}
-
-fn write_file(path: &str, contents: &str) {
-    if let Err(e) = std::fs::write(path, contents) {
-        fail(&format!("cannot write {path}: {e}"));
-    }
-}
-
-/// xorshift64*: the harness's seeded adversarial-input stream
-/// (harness policy, not model behavior — same stance as loadgen).
-struct TortureRng(u64);
-
-impl TortureRng {
-    fn new(seed: u64) -> Self {
-        Self(seed.max(1))
-    }
-
-    fn next(&mut self) -> u64 {
-        let mut x = self.0;
-        x ^= x >> 12;
-        x ^= x << 25;
-        x ^= x >> 27;
-        self.0 = x;
-        x.wrapping_mul(0x2545_F491_4F6C_DD1D)
-    }
-
-    fn below(&mut self, n: usize) -> usize {
-        (self.next() % n as u64) as usize
-    }
-
-    fn byte(&mut self) -> u8 {
-        (self.next() >> 32) as u8
-    }
-}
-
-struct Cli {
-    out: Option<String>,
-    golden: Option<String>,
-    report: Option<String>,
-    scratch: PathBuf,
-    hero_procs: usize,
-}
-
-impl Cli {
-    fn parse() -> Self {
-        let mut cli = Cli {
-            out: None,
-            golden: None,
-            report: None,
-            scratch: PathBuf::from("target/serve_torture"),
-            hero_procs: 512,
-        };
-        let args: Vec<String> = std::env::args().skip(1).collect();
-        let mut i = 0;
-        while i < args.len() {
-            let value = |i: usize| {
-                args.get(i + 1).cloned().unwrap_or_else(|| {
-                    eprintln!("serve_torture: {} needs a value", args[i]);
-                    std::process::exit(2);
-                })
-            };
-            match args[i].as_str() {
-                "--out" => cli.out = Some(value(i)),
-                "--golden" => cli.golden = Some(value(i)),
-                "--report" => cli.report = Some(value(i)),
-                "--scratch" => cli.scratch = PathBuf::from(value(i)),
-                "--hero-procs" => {
-                    cli.hero_procs = value(i).parse().unwrap_or_else(|_| {
-                        eprintln!("serve_torture: --hero-procs needs an integer");
-                        std::process::exit(2);
-                    })
-                }
-                other => {
-                    eprintln!("serve_torture: unknown flag {other:?}");
-                    std::process::exit(2);
-                }
-            }
-            i += 2;
-        }
-        cli
-    }
 }

@@ -1,14 +1,14 @@
 //! Regenerates **Table 1** of the paper: b_eff results for every system
 //! row, side by side with the published numbers.
-//!
-//! Usage: `cargo run --release -p beff-bench --bin table1 [--full] [--claims]`
 
-use beff_bench::{beff_cfg, has_flag, run_beff_on, vs};
+use crate::cli::{Args, Fail};
+use beff_bench::{beff_cfg, run_beff_on, vs};
 use beff_machines::{by_key, table1_paper};
 use beff_netsim::MB;
 use beff_report::{Align, Table};
+use std::fmt::Write as _;
 
-fn main() {
+pub fn run(args: &Args, out: &mut String) -> Result<(), Fail> {
     let mut table = Table::new(&[
         "system",
         "procs",
@@ -23,9 +23,8 @@ fn main() {
     .align(0, Align::Left);
 
     for row in table1_paper() {
-        let machine =
-            by_key(row.machine_key).expect("catalog covers table 1").sized_for(row.procs);
-        let cfg = beff_cfg(&machine);
+        let machine = by_key(row.machine_key).expect("catalog covers table 1").sized_for(row.procs);
+        let cfg = beff_cfg(&machine, args.full());
         let r = run_beff_on(&machine, row.procs, &cfg);
         let n = row.procs as f64;
         table.row(&[
@@ -44,19 +43,21 @@ fn main() {
         ]);
         eprintln!("done: {} x{}", machine.key, row.procs);
 
-        if has_flag("--claims") && row.machine_key == "t3e" && row.procs == 512 {
+        if args.has("--claims") && row.machine_key == "t3e" && row.procs == 512 {
             // §2.2 claim: the T3E-512 communicates its total memory in
             // ~3.2 s
             let total_mem = 512.0 * machine.mem_per_proc as f64 / MB as f64;
-            println!(
+            writeln!(
+                out,
                 "claim check: total memory {} MB / b_eff {:.0} MB/s = {:.1} s (paper: 3.2 s)",
                 total_mem,
                 r.beff,
                 total_mem / r.beff
-            );
+            )?;
         }
     }
 
-    println!("\nTable 1 — effective bandwidth results, measured (paper)\n");
-    println!("{}", table.render());
+    writeln!(out, "\nTable 1 — effective bandwidth results, measured (paper)\n")?;
+    writeln!(out, "{}", table.render())?;
+    Ok(())
 }

@@ -1,14 +1,14 @@
 //! Regenerates **Table 2** of the paper: the b_eff_io pattern list,
 //! printed from the code (the invariants ΣU = 64 etc. are enforced by
 //! the unit tests of `beff-core::beffio::patterns`).
-//!
-//! Usage: `cargo run -p beff-bench --bin table2_patterns`
 
+use crate::cli::{Args, Fail};
 use beff_core::beffio::{all_patterns, mpart, sum_u};
 use beff_netsim::{GB, MB};
 use beff_report::{Align, Table};
+use std::fmt::Write as _;
 
-fn main() {
+pub fn run(_: &Args, out: &mut String) -> Result<(), Fail> {
     let mp = mpart(2 * GB); // a 2 GB node: M_PART = 16 MB
     let mut table =
         Table::new(&["type", "No.", "l (disk chunk)", "L (per call)", "U"]).align(0, Align::Left);
@@ -25,7 +25,8 @@ fn main() {
             p.u.to_string(),
         ]);
     }
-    println!("Table 2 — the b_eff_io patterns (M_PART = {} MB here)\n", mp / MB);
-    println!("{}", table.render());
-    println!("sum of U = {} (paper: 64)", sum_u());
+    writeln!(out, "Table 2 — the b_eff_io patterns (M_PART = {} MB here)\n", mp / MB)?;
+    writeln!(out, "{}", table.render())?;
+    writeln!(out, "sum of U = {} (paper: 64)", sum_u())?;
+    Ok(())
 }

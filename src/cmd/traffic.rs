@@ -5,14 +5,14 @@
 //! behind Table 1's "negative effect of random neighbor locations":
 //! random placement multiplies the hop traffic while the endpoint
 //! traffic stays identical.
-//!
-//! Usage: `cargo run --release -p beff-bench --bin traffic [--procs N]`
 
-use beff_core::beff::{ring_patterns, random_patterns, Method, Transfers};
+use crate::cli::{Args, Fail};
+use beff_core::beff::{random_patterns, ring_patterns, Method, Transfers};
 use beff_machines::t3e;
 use beff_mpi::World;
 use beff_netsim::{traffic_report, TrafficReport, MB};
 use beff_report::{Align, Table};
+use std::fmt::Write as _;
 
 fn run_pattern(
     machine: &beff_machines::Machine,
@@ -23,8 +23,7 @@ fn run_pattern(
     let net2 = std::sync::Arc::clone(&net);
     let times = World::sim_partition(net, procs).run(|c| {
         let n = c.size();
-        let patterns =
-            if random { random_patterns(n, 0xB0EF) } else { ring_patterns(n) };
+        let patterns = if random { random_patterns(n, 0xB0EF) } else { ring_patterns(n) };
         let p = patterns.last().expect("one-big-ring pattern");
         let (left, right) = p.neighbors[c.rank()];
         let mut tr = Transfers::new(c, MB);
@@ -40,12 +39,8 @@ fn run_pattern(
     (report, bytes / MB as f64 / times[0])
 }
 
-fn main() {
-    let procs: usize = std::env::args()
-        .skip_while(|a| a != "--procs")
-        .nth(1)
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(64);
+pub fn run(args: &Args, out: &mut String) -> Result<(), Fail> {
+    let procs = args.get::<usize>("--procs").unwrap_or(64);
     let machine = t3e();
 
     let mut table = Table::new(&[
@@ -73,9 +68,10 @@ fn main() {
         eprintln!("done: random={random}");
     }
 
-    println!("\nTraffic attribution on the T3E torus ({procs} procs, 1 MB messages)\n");
-    println!("{}", table.render());
-    println!("ring neighbors are torus-adjacent (~1 hop/message); random placement");
-    println!("forces dimension-order routes of ~6 hops and concentrates load on");
-    println!("individual links — that is where the random patterns' bandwidth goes.");
+    writeln!(out, "\nTraffic attribution on the T3E torus ({procs} procs, 1 MB messages)\n")?;
+    writeln!(out, "{}", table.render())?;
+    writeln!(out, "ring neighbors are torus-adjacent (~1 hop/message); random placement")?;
+    writeln!(out, "forces dimension-order routes of ~6 hops and concentrates load on")?;
+    writeln!(out, "individual links — that is where the random patterns' bandwidth goes.")?;
+    Ok(())
 }

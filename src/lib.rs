@@ -25,6 +25,10 @@
 //! assert!(results[0].beff > 0.0);
 //! ```
 //!
+//! The package's `beff` binary regenerates every table, figure and
+//! ablation and runs every gate (`cargo run --release -- help` lists
+//! them).
+//!
 //! Crate map (see DESIGN.md for the experiment index):
 //!
 //! * [`sim`] — the workload-agnostic deterministic-simulation
