@@ -189,12 +189,19 @@ fn parse_fn(
         return None; // `fn(…)` pointer type, `Fn()` bound, etc.
     }
     // Signature: everything to the first `{` (body) or `;` (bodiless
-    // declaration). `{` cannot appear in a signature we care about —
-    // const-generic default blocks are not used in this workspace.
+    // declaration) outside brackets — the `;` of an array type
+    // (`-> [u8; 4]`, `a: [u8; 4]`) ends nothing. `{` cannot appear in
+    // a signature we care about — const-generic default blocks are not
+    // used in this workspace.
+    let mut depth = 0u32;
     let mut j = i + 2;
     while j < end {
         let t = &toks[j];
-        if t.is_punct('{') {
+        if t.is_punct('[') || t.is_punct('(') {
+            depth += 1;
+        } else if t.is_punct(']') || t.is_punct(')') {
+            depth = depth.saturating_sub(1);
+        } else if depth == 0 && t.is_punct('{') {
             let close = matching_brace(toks, j)?;
             let item = FnItem {
                 name: name_tok.text.clone(),
@@ -210,8 +217,7 @@ fn parse_fn(
             parse_range(toks, j + 1, close, ctx, out);
             ctx.self_type = saved;
             return Some(close + 1);
-        }
-        if t.is_punct(';') {
+        } else if depth == 0 && t.is_punct(';') {
             out.fns.push(FnItem {
                 name: name_tok.text.clone(),
                 self_type: ctx.self_type.clone(),
@@ -448,6 +454,17 @@ mod tests {
         let it = items("fn takes(f: fn(u32) -> u32) { f(1); }\n");
         assert_eq!(it.fns.len(), 1);
         assert_eq!(it.fns[0].name, "takes");
+    }
+
+    #[test]
+    fn array_types_in_a_signature_do_not_end_it() {
+        let it = items(
+            "fn ret() -> [usize; 6] {\n [0; 6]\n}\nfn arg(a: [u8; 4], b: &[(u8, [u8; 2])]) -> u8 { a[0] }\nfn decl(a: [u8; 4]);\n",
+        );
+        assert_eq!(it.fns.len(), 3, "{:?}", it.fns);
+        assert!(fn_named(&it, "ret").body.is_some());
+        assert!(fn_named(&it, "arg").body.is_some());
+        assert!(fn_named(&it, "decl").body.is_none(), "a `;` outside brackets still ends a declaration");
     }
 
     #[test]

@@ -153,6 +153,23 @@ mod tests {
         assert!(r.findings[0].message.contains("map_ordered"));
     }
 
+    /// The `;` of an array return type does not hide the body: its own
+    /// panic site and the ones it reaches through a call are found.
+    #[test]
+    fn a_fn_returning_an_array_has_a_body() {
+        let r = analyze(&[
+            ("crates/sim/src/pool.rs", "pub fn map_ordered() {\n targets();\n}\n"),
+            (
+                "crates/sim/src/lib.rs",
+                "pub fn targets() -> [u8; 4] {\n x.unwrap();\n helper();\n [0; 4]\n}\n\
+                 pub fn helper() {\n panic!(\"reached\");\n}\n",
+            ),
+        ]);
+        let lines: Vec<u32> = r.findings.iter().map(|f| f.line).collect();
+        assert_eq!(lines, vec![2, 7], "{:?}", r.findings);
+        assert!(r.findings[1].message.contains("helper"));
+    }
+
     #[test]
     fn unreachable_panic_is_not_reported() {
         let r = analyze(&[

@@ -37,7 +37,7 @@ use crate::wire;
 use beff_faults::{BeffError, FaultSession};
 use beff_netsim::MachineNet;
 use beff_sim::{Secs, SimScheduler};
-use beff_sync::{Mutex, Rank};
+use beff_sync::{Claim, Mutex, Rank};
 use std::cell::RefCell;
 
 /// Lock-hierarchy positions (DESIGN.md §8). A communicator's board is
@@ -223,6 +223,14 @@ impl WorldShared {
             engine,
             registry: Mutex::ranked(&REGISTRY_RANK, BTreeMap::new()),
         }
+    }
+
+    /// Hold what every message touches for a run: each rank's mailbox
+    /// and the machine's link ledger (the runtime takes these through
+    /// [`SimScheduler::claim_for_run`]).
+    pub(crate) fn claim(&self) -> Vec<Claim<'_>> {
+        let ledger = self.engine.net.ledger().claim();
+        self.mailboxes.iter().map(Mailbox::claim).chain([ledger]).collect()
     }
 
     /// The board of communicator `ctx`, made by whichever of its ranks

@@ -26,7 +26,7 @@ use crate::engine::EngineCfg;
 use beff_sim::fiber::FiberStack;
 use beff_faults::{BeffError, FaultSession};
 use beff_netsim::MachineNet;
-use beff_sim::{map_ordered, Workers};
+use beff_sim::{map_ordered, SimScheduler, Workers};
 use std::any::Any;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::Arc;
@@ -103,7 +103,9 @@ fn into_typed<R>(settled: Result<Vec<R>, Box<dyn Any + Send>>) -> Result<Vec<R>,
 }
 
 /// Run a world on the calling thread, one fiber per rank over
-/// `stacks`, against a fresh [`WorldShared`].
+/// `stacks`, against a fresh [`WorldShared`] whose mailboxes and link
+/// ledger the world claims for the run where its fibers share this
+/// thread.
 fn run_world_fibers<R, F>(
     engine: &Arc<EngineCfg>,
     stacks: &[FiberStack],
@@ -114,6 +116,7 @@ where
     F: Fn(&mut Comm) -> R + Sync,
 {
     let shared = Arc::new(WorldShared::new(stacks.len(), Arc::clone(engine)));
+    let _claims = SimScheduler::claim_for_run(|| shared.claim());
     settle(shared.sched.launch(stacks, |rank| run_rank(&shared, rank, f)))
 }
 
@@ -744,6 +747,31 @@ mod tests {
         assert!(r.is_err());
         let out = session.run(|c| c.rank());
         assert_eq!(out, vec![0, 1, 2]);
+    }
+
+    /// A world holds the machine's link ledger for its run; a run that
+    /// ends in a rank panic must still let it go, so another thread can
+    /// price on the same machine at once.
+    #[test]
+    fn claims_are_released_when_a_rank_panics() {
+        let net = Arc::new(MachineNet::new(Topology::Crossbar { procs: 3 }, NetParams::default()));
+        let r = catch_unwind(AssertUnwindSafe(|| {
+            World::sim(Arc::clone(&net)).run(|c| {
+                if c.rank() == 1 {
+                    panic!("injected failure");
+                }
+                c.payload_send((c.rank() + 1) % 3, 1, &[0; 64]);
+            })
+        }));
+        assert!(r.is_err());
+        let (tx, rx) = std::sync::mpsc::channel();
+        let pricer = std::thread::spawn({
+            let net = Arc::clone(&net);
+            move || tx.send(net.transfer(0, 2, 1024, 0.0))
+        });
+        let priced = rx.recv_timeout(std::time::Duration::from_secs(60));
+        assert!(priced.is_ok(), "pricing on another thread still waits for the finished world");
+        assert!(pricer.join().is_ok_and(|sent| sent.is_ok()));
     }
 
     #[test]

@@ -173,7 +173,8 @@ pub struct MachineNet {
     topo: Topology,
     params: NetParams,
     /// Every link, slot `l` for the topology's link id `l`: one lock
-    /// per pricing call (see [`LinkLedger`]).
+    /// per pricing call, or one claim per world run (see
+    /// [`LinkLedger`]).
     ledger: LinkLedger,
     /// The backplane's slot: the one after the last topology link.
     backplane: Option<usize>,
@@ -240,8 +241,9 @@ impl MachineNet {
     /// self-message) with the last byte handed to the network at
     /// `inject`. Prefer the split
     /// [`price_egress`](Self::price_egress)/[`price_ingress`](Self::price_ingress)
-    /// pair, which the MPI engine uses so each rank's endpoint
-    /// resources are booked by its own thread.
+    /// pair, which the MPI engine uses so each rank books its own
+    /// endpoint resources on its own turn: the sender's when it sends,
+    /// the receiver's when it receives.
     pub fn price(&self, path: &[usize], bytes: u64, inject: Secs) -> Transfer {
         let eg = self.price_egress(path, bytes, inject);
         Transfer { injected: eg.injected, arrival: eg.finish }
@@ -279,9 +281,10 @@ impl MachineNet {
 
     /// Price the receiver-side drain of a message whose stream reached
     /// the destination at `head` (start of the last egress occupancy)
-    /// and whose last byte left the network at `floor`. Called on the
-    /// receiving rank's thread, so the destination's memory and port-in
-    /// are scheduled by a single thread and pack tightly.
+    /// and whose last byte left the network at `floor`. Called by the
+    /// receiving rank when it takes the message, so the destination's
+    /// memory and port-in are booked in that rank's own receive order
+    /// and pack tightly.
     pub fn price_ingress(&self, path: &[usize], bytes: u64, head: Secs, floor: Secs) -> Secs {
         let mut ledger = self.ledger.lock();
         let mut h = head;

@@ -12,8 +12,8 @@
 //! The table is the *miss* path: each rank keeps a small cache of the
 //! routes to and from its current peers (`beff-mpi`'s `RankState`), so
 //! steady-state sends and receives never come here. Interior locking is
-//! sharded by pair, so host threads that do share a machine (the rank
-//! threads of a parked-thread world, callers pricing through one
+//! sharded by pair, so host threads that do share a machine (the fibers
+//! of a thread-backend world, callers on several threads reaching one
 //! `Arc<MachineNet>`) do not serialize on one lock; a lookup of a
 //! memoized pair takes a shard read lock only.
 

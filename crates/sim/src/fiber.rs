@@ -121,6 +121,10 @@ mod asm {
     unsafe impl Sync for FiberSet {}
 
     impl FiberSet {
+        /// Every fiber runs on the thread that drives it, so a world
+        /// may claim the locks its ranks share for the whole run.
+        pub const ON_HOST_THREAD: bool = true;
+
         pub fn new(n: usize) -> Self {
             Self {
                 host_sp: UnsafeCell::new(std::ptr::null_mut()),
@@ -374,6 +378,10 @@ mod threads {
     }
 
     impl FiberSet {
+        /// Each fiber is a thread of its own: shared state is reached
+        /// through the real locks, never a claim.
+        pub const ON_HOST_THREAD: bool = false;
+
         pub fn new(n: usize) -> Self {
             let fiber = |_| Fiber {
                 baton: Arc::new(Baton {

@@ -18,12 +18,15 @@
 //! a [`Resource`](crate::resource::Resource) applies to a single
 //! next-free time. One lock is sound because simulated worlds are
 //! token-serial (one rank prices at a time) and batch workers price on
-//! machine replicas, so the ledger lock is never contended; it exists
-//! to carry the bookings from one rank thread to the next.
+//! machine replicas. A world whose ranks all run on its host thread
+//! holds the lock for the whole run ([`LinkLedger::claim`]), so a
+//! rank's pricing call takes no atomic, and only one world prices on a
+//! machine at a time: another thread's pricing waits for the run to
+//! end.
 
 use crate::resource::{book, check_contention};
 use crate::units::Secs;
-use beff_sync::{Mutex, MutexGuard, Rank};
+use beff_sync::{Claim, Mutex, MutexGuard, Rank};
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicBool, Ordering};
 
@@ -142,6 +145,12 @@ impl LinkLedger {
     #[inline]
     pub fn lock(&self) -> LedgerGuard<'_> {
         LedgerGuard { books: self.books.lock() }
+    }
+
+    /// Hold the ledger on the calling thread for a run (see
+    /// [`SimScheduler::claim_for_run`](crate::SimScheduler::claim_for_run)).
+    pub fn claim(&self) -> Claim<'_> {
+        self.books.claim()
     }
 
     /// Book one message on one link alone (see

@@ -32,7 +32,7 @@
 //! per-sender program order is preserved across both paths.
 
 use crate::error::BeffError;
-use beff_sync::Mutex;
+use beff_sync::{Claim, Mutex};
 use std::collections::VecDeque;
 
 /// A message deliverable through a [`Port`], together with the filter
@@ -155,6 +155,12 @@ impl<M: Message> Port<M> {
     /// Has the world been poisoned?
     pub fn is_poisoned(&self) -> bool {
         self.inner.lock().poisoned
+    }
+
+    /// Hold this port on the calling thread for a run (see
+    /// [`SimScheduler::claim_for_run`](crate::SimScheduler::claim_for_run)).
+    pub fn claim(&self) -> Claim<'_> {
+        self.inner.claim()
     }
 
     // ----- receiving -------------------------------------------------------

@@ -42,6 +42,15 @@
 //! `body(rank)` for every rank, drive to completion, check that every
 //! fiber reached its final switch and every stack canary is intact.
 //!
+//! State the ranks share is carried between them by locks, and on the
+//! asm backend every rank runs on the driving thread: there a world
+//! *claims* those locks ([`beff_sync::Mutex::claim`]) in the host frame
+//! for the whole run — `launch` claims the scheduler state, a
+//! personality claims its own ([`SimScheduler::claim_for_run`]) — so a
+//! rank's `lock()` is a thread-tag compare and a borrow flag instead of
+//! an atomic read-modify-write pair. The thread backend claims nothing
+//! and keeps the real locks.
+//!
 //! Deadlock (every live rank blocked) is detected by the drive loop
 //! when the ready queue runs dry, and turns into a typed
 //! [`BeffError::Deadlock`] raised on every live rank rather than a hang.
@@ -140,6 +149,7 @@ impl SimScheduler {
             // and is not called again).
             unsafe { self.fibers.start(rank, stack, fiber) };
         }
+        let _state = Self::claim_for_run(|| self.inner.claim());
         self.drive();
         let audit = self.audit();
         assert_eq!(audit.live, 0, "fibers left suspended after the drive loop: {audit:?}");
@@ -150,6 +160,15 @@ impl SimScheduler {
             .into_iter()
             .map(|s| s.into_inner().expect("every finished fiber stored its result"))
             .collect()
+    }
+
+    /// Take `claim()` — claims on state a world's ranks share — and hold
+    /// it for a run, if every fiber runs on the calling thread (the asm
+    /// backend). On the thread backend the fibers are threads of their
+    /// own that must take the real locks, so nothing is claimed. Call
+    /// it on the thread that will `launch`, before launching.
+    pub fn claim_for_run<C>(claim: impl FnOnce() -> C) -> Option<C> {
+        FiberSet::ON_HOST_THREAD.then(claim)
     }
 
     /// `rank`'s body returned; its fiber's final switch follows.

@@ -21,21 +21,24 @@ impl Condvar {
 
     /// Block until notified. Spurious wakeups are possible, as with any
     /// condition variable: callers re-check their predicate in a loop.
+    ///
+    /// Panics on a guard obtained under a claim ([`crate::Mutex::claim`]):
+    /// the claim's thread keeps the lock, so it would wait for itself.
     pub fn wait<T>(&self, guard: &mut MutexGuard<'_, T>) {
-        // beff-analyze: allow(unwrap, panicflow): guard.inner is Some outside an active wait by construction
-        let g = guard.inner.take().expect("guard present");
+        // beff-analyze: allow(unwrap, panicflow): a guard lacks the std guard only under a claim, and no claimed lock has a condvar
+        let g = guard.held.take().expect("Condvar::wait on a guard obtained under a claim");
         // The mutex is released for the duration of the wait, so its
         // rank leaves the thread's lockset and re-enters on wakeup.
         #[cfg(feature = "lock-order")]
-        if let Some(r) = guard.rank {
+        if let Some(r) = guard.rank() {
             crate::order::release(r);
         }
         let g = unpoison(self.inner.wait(g));
         #[cfg(feature = "lock-order")]
-        if let Some(r) = guard.rank {
+        if let Some(r) = guard.rank() {
             crate::order::acquire(r);
         }
-        guard.inner = Some(g);
+        guard.held = Some(g);
     }
 
     /// Wake one waiter.

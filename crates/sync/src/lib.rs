@@ -14,6 +14,9 @@
 //!   panicked already poisons its world through the mailbox protocol,
 //!   so lock poisoning carries no extra information here), and
 //!   `Condvar::wait` takes `&mut MutexGuard` instead of consuming it.
+//!   [`Mutex::claim`] lets one thread hold a mutex for a scope, so that
+//!   thread's `lock()` costs no atomic read-modify-write — how a
+//!   simulated world keeps the state its fibers share for a whole run.
 //! * [`channel::bounded`] — a multi-producer/multi-consumer bounded
 //!   channel built on [`Mutex`] + [`Condvar`], the in-tree replacement
 //!   for `crossbeam-channel` in server/worker fan-out paths.
@@ -26,6 +29,6 @@ mod rwlock;
 
 pub use channel::{bounded, Receiver, RecvError, SendError, Sender, TryRecvError};
 pub use condvar::Condvar;
-pub use mutex::{Mutex, MutexGuard};
+pub use mutex::{Claim, Mutex, MutexGuard};
 pub use order::Rank;
 pub use rwlock::{RwLock, RwLockReadGuard, RwLockWriteGuard};
