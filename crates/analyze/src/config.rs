@@ -148,14 +148,11 @@ pub struct LockDecl {
 /// | 13    | `serve.drain`                | admission flag + in-flight count |
 /// | 14    | `serve.cache`                | content-addressed result map   |
 /// | 16    | `serve.pool`                 | idle partitions + armed poisons |
-/// | 20    | `mpi.boards`                 | one communicator's rendezvous board |
-/// | 22    | `mpi.registry`               | context id → board, taken once per `Comm` |
+/// | 20    | `mpi.boards`                 | one world's rendezvous boards, by context id |
 /// | 30    | `sim.port`                   | one actor's port state         |
 /// | 40    | `sched.state`                | token-scheduler ready/blocked  |
 /// | 50    | `fiber.baton`                | one thread-backed fiber's turn |
-/// | 60    | `pfs.files`                  | filesystem name table          |
-/// | 64    | `pfs.ledger`                 | one filesystem's client/channel/server occupancy + cache accounting |
-/// | 66    | `pfs.file`                   | one file's size, residency stamps, stored bytes |
+/// | 64    | `pfs.ledger`                 | one filesystem's client/channel/server occupancy, cache accounting and files |
 /// | 70    | `netsim.routes`              | one route-table shard          |
 /// | 72    | `sim.ledger`                 | one machine's link occupancy + traffic counters |
 /// | 80    | `sync.channel`               | channel queue (leaf)           |
@@ -163,14 +160,13 @@ pub struct LockDecl {
 /// `sim.ledger` is a leaf of the simulation stack: a pricing call takes
 /// it with no other lock held and acquires no declared lock under it.
 /// It is placed *above* every lock a caller could come to hold while
-/// pricing (boards, ports, scheduler, pfs tables, route shards — a
+/// pricing (boards, ports, scheduler, pfs ledger, route shards — a
 /// route-cache miss takes and releases a route shard just before the
 /// ledger), so nesting it inside any of them stays increasing, and
 /// below only the sync primitives' own leaves.
 ///
-/// `pfs.ledger` is taken once per priced filesystem call, by a rank
-/// that holds no other lock; the one lock acquired under it is the
-/// `pfs.file` of the file being priced, under which nothing is.
+/// `pfs.ledger` is taken once per filesystem call, by a rank that holds
+/// no other lock, and no lock is acquired under it.
 ///
 /// The serve daemon's locks sit *below* the whole simulation stack:
 /// they bracket map pushes/pops, journal appends and counter flips on
@@ -210,17 +206,10 @@ pub const LOCK_HIERARCHY: &[LockDecl] = &[
     },
     LockDecl {
         file_suffix: "crates/mpi/src/comm.rs",
-        receiver: "board",
+        receiver: "boards",
         methods: &["lock"],
         level: 20,
         name: "mpi.boards",
-    },
-    LockDecl {
-        file_suffix: "crates/mpi/src/comm.rs",
-        receiver: "registry",
-        methods: &["lock"],
-        level: 22,
-        name: "mpi.registry",
     },
     LockDecl {
         file_suffix: "crates/sim/src/port.rs",
@@ -245,24 +234,10 @@ pub const LOCK_HIERARCHY: &[LockDecl] = &[
     },
     LockDecl {
         file_suffix: "crates/pfs/src/fs.rs",
-        receiver: "files",
-        methods: &["lock"],
-        level: 60,
-        name: "pfs.files",
-    },
-    LockDecl {
-        file_suffix: "crates/pfs/src/fs.rs",
         receiver: "ledger",
         methods: &["lock"],
         level: 64,
         name: "pfs.ledger",
-    },
-    LockDecl {
-        file_suffix: "crates/pfs/src/file.rs",
-        receiver: "inner",
-        methods: &["lock"],
-        level: 66,
-        name: "pfs.file",
     },
     LockDecl {
         file_suffix: "crates/netsim/src/routing.rs",

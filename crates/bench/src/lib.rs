@@ -17,9 +17,11 @@ use beff_core::beff::{run_beff, BeffConfig};
 use beff_core::beffio::{run_beff_io, BeffIoConfig, BeffIoResult};
 use beff_core::BeffResult;
 use beff_machines::Machine;
-use beff_mpi::{Workers, World, WorldSession};
+use beff_mpi::{Comm, Workers, World, WorldSession};
 use beff_mpiio::IoWorld;
 use beff_netsim::MachineNet;
+use beff_pfs::Pfs;
+use beff_sim::SimScheduler;
 use std::sync::Arc;
 
 /// A resident simulated partition: one machine network plus one
@@ -80,10 +82,23 @@ impl PartitionRunner {
             .filesystem()
             .unwrap_or_else(|| panic!("{} has no I/O model", self.machine.key));
         let io = IoWorld::sim(pfs);
-        let cfg = cfg.clone();
-        let mut results = self.session.run(move |c| run_beff_io(c, &io, &cfg));
+        let mut results = run_on_fs(&self.session, io.pfs(), |c| run_beff_io(c, &io, cfg));
         results.swap_remove(0)
     }
+}
+
+/// Run `f` on every rank of `session` while the world holds `pfs` for
+/// the run where its ranks share this thread
+/// ([`SimScheduler::claim_for_run`]), as it holds its link ledger: every
+/// filesystem call of the run then takes no atomic lock. The claim
+/// drops when the run ends, by unwinding too.
+fn run_on_fs<R, F>(session: &WorldSession, pfs: &Pfs, f: F) -> Vec<R>
+where
+    R: Send,
+    F: Fn(&mut Comm) -> R + Sync,
+{
+    let _fs = SimScheduler::claim_for_run(|| pfs.claim());
+    session.run(f)
 }
 
 /// Run b_eff on the first `procs` processors of a machine model
@@ -121,4 +136,45 @@ pub fn beffio_cfg(machine: &Machine, full: bool) -> BeffIoConfig {
 /// Format "measured (paper X)" comparison cells.
 pub fn vs(measured: f64, paper: f64) -> String {
     format!("{measured:>8.0} ({paper:>6.0})")
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use beff_netsim::{NetParams, Topology};
+    use beff_pfs::{DataRef, PfsConfig};
+    use std::panic::{catch_unwind, AssertUnwindSafe};
+
+    /// A b_eff_io world holds its filesystem for the run; a run that
+    /// ends in a rank panic must still let it go, so another thread can
+    /// do I/O on it afterwards.
+    #[test]
+    fn the_filesystem_claim_is_released_when_a_rank_panics() {
+        let net = Arc::new(MachineNet::new(Topology::Crossbar { procs: 3 }, NetParams::default()));
+        let session = World::sim(net).session();
+        let pfs = Arc::new(Pfs::new(PfsConfig { clients: 3, ..PfsConfig::default() }));
+        let r = catch_unwind(AssertUnwindSafe(|| {
+            run_on_fs(&session, &pfs, |c| {
+                let (f, t) = pfs.open("f", c.now());
+                c.advance_to(pfs.write(c.rank(), &f, 0, DataRef::Len(64), t));
+                if c.rank() == 1 {
+                    panic!("injected failure");
+                }
+                // the peers block on the dead rank
+                c.barrier();
+            })
+        }));
+        assert!(r.is_err());
+        let (tx, rx) = std::sync::mpsc::channel();
+        let writer = std::thread::spawn({
+            let pfs = Arc::clone(&pfs);
+            move || {
+                let (f, t) = pfs.open("g", 0.0);
+                tx.send(pfs.write(0, &f, 0, DataRef::Len(64), t))
+            }
+        });
+        let wrote = rx.recv_timeout(std::time::Duration::from_secs(60));
+        assert!(wrote.is_ok(), "I/O on another thread still waits for the finished world");
+        assert!(writer.join().is_ok_and(|sent| sent.is_ok()));
+    }
 }

@@ -18,9 +18,10 @@
 //!   through host memory.
 //!
 //! Barriers and allreduces send nothing: the ranks meet on the
-//! communicator's persistent rendezvous board (`CollBoard`), one per
-//! context id, resolved when the handle is made, in one of two
-//! generations picked by the parity of the handle's rendezvous counter.
+//! communicator's persistent rendezvous board (`CollBoard`), the slot of
+//! its context id in the world's one board table, made when the first
+//! handle on the communicator is, in one of two generations picked by
+//! the parity of the handle's rendezvous counter.
 //!
 //! Virtual-time accounting:
 //!
@@ -40,12 +41,9 @@ use beff_sim::{Secs, SimScheduler};
 use beff_sync::{Claim, Mutex, Rank};
 use std::cell::RefCell;
 
-/// Lock-hierarchy positions (DESIGN.md §8). A communicator's board is
-/// acquired first, before any mailbox or scheduler lock; the registry
-/// that hands boards out is taken once per [`Comm`] handle, alone.
-static BOARD_RANK: Rank = Rank::new(20, "mpi.boards");
-static REGISTRY_RANK: Rank = Rank::new(22, "mpi.registry");
-use std::collections::BTreeMap;
+/// Lock-hierarchy position (DESIGN.md §8). The board table is acquired
+/// first, before any mailbox or scheduler lock.
+static BOARDS_RANK: Rank = Rank::new(20, "mpi.boards");
 use std::rc::Rc;
 use std::sync::atomic::{AtomicU32, Ordering};
 use std::sync::Arc;
@@ -181,10 +179,10 @@ impl Generation {
     }
 }
 
-/// A communicator's rendezvous board: persistent, resolved once when a
-/// [`Comm`] handle is made, so an arrival looks nothing up and — once
-/// the buffers have grown to the widest collective — allocates
-/// nothing.
+/// A communicator's rendezvous board: persistent, the slot of its
+/// context id in [`WorldShared`]'s board table, so an arrival looks
+/// nothing up and — once the buffers have grown to the widest
+/// collective — allocates nothing.
 ///
 /// Two generations, picked by the parity of the handle's rendezvous
 /// counter. One is not enough: the last arriver of collective *k* keeps
@@ -192,7 +190,7 @@ impl Generation {
 /// read *k*. Two are: *k*+2 cannot see its first arrival until some
 /// rank has left *k*+1, which was published only after every rank had
 /// arrived there — that is, had left *k* and re-armed its generation.
-type CollBoard = Mutex<[Generation; 2]>;
+type CollBoard = [Generation; 2];
 
 /// State shared by every rank of a world (created by the runtime).
 pub struct WorldShared {
@@ -208,8 +206,8 @@ pub struct WorldShared {
     /// Deterministic token scheduler: one rank runs at a time.
     pub(crate) sched: SimScheduler,
     /// The rendezvous board of every communicator made so far, by
-    /// context id.
-    registry: Mutex<BTreeMap<u32, Arc<CollBoard>>>,
+    /// context id (ids are handed out densely, from 0).
+    boards: Mutex<Vec<CollBoard>>,
 }
 
 impl WorldShared {
@@ -221,26 +219,25 @@ impl WorldShared {
             next_ctx: AtomicU32::new(1),
             sched: SimScheduler::new(n),
             engine,
-            registry: Mutex::ranked(&REGISTRY_RANK, BTreeMap::new()),
+            boards: Mutex::ranked(&BOARDS_RANK, Vec::new()),
         }
     }
 
-    /// Hold what every message touches for a run: each rank's mailbox
-    /// and the machine's link ledger (the runtime takes these through
+    /// Hold what every message and every collective arrival touches
+    /// for a run: each rank's mailbox, the board table and the
+    /// machine's link ledger (the runtime takes these through
     /// [`SimScheduler::claim_for_run`]).
     pub(crate) fn claim(&self) -> Vec<Claim<'_>> {
-        let ledger = self.engine.net.ledger().claim();
-        self.mailboxes.iter().map(Mailbox::claim).chain([ledger]).collect()
+        let shared = [self.boards.claim(), self.engine.net.ledger().claim()];
+        self.mailboxes.iter().map(Mailbox::claim).chain(shared).collect()
     }
 
-    /// The board of communicator `ctx`, made by whichever of its ranks
-    /// asks first.
-    fn board(&self, ctx: u32) -> Arc<CollBoard> {
-        let mut registry = self.registry.lock();
-        let board = registry
-            .entry(ctx)
-            .or_insert_with(|| Arc::new(Mutex::ranked(&BOARD_RANK, Default::default())));
-        Arc::clone(board)
+    /// Make the board of communicator `ctx` if none of its ranks has
+    /// yet: its slot in the table is its context id.
+    fn make_board(&self, ctx: u32) {
+        let mut boards = self.boards.lock();
+        let len = boards.len().max(ctx as usize + 1);
+        boards.resize_with(len, Default::default);
     }
 }
 
@@ -267,9 +264,8 @@ pub struct Comm {
     /// ctx rank -> world rank
     ranks: Arc<Vec<usize>>,
     coll_seq: u32,
-    /// This communicator's rendezvous board and how many rendezvous
-    /// this handle has been through: the parity picks the generation.
-    board: Arc<CollBoard>,
+    /// How many rendezvous this handle has been through: the parity
+    /// picks the generation of the communicator's board.
     rendezvous: u32,
     /// Virtual-time cost of one synchronization sweep over this
     /// communicator ([`sim_sweep_cost`](Self::sim_sweep_cost)): a pure function
@@ -293,8 +289,8 @@ impl Comm {
         rank: usize,
         ranks: Arc<Vec<usize>>,
     ) -> Self {
-        let board = shared.board(ctx);
-        Self { shared, state, ctx, rank, ranks, coll_seq: 0, board, rendezvous: 0, sweep_cost: None }
+        shared.make_board(ctx);
+        Self { shared, state, ctx, rank, ranks, coll_seq: 0, rendezvous: 0, sweep_cost: None }
     }
 
     // ----- introspection ------------------------------------------------
@@ -617,18 +613,20 @@ impl Comm {
     /// (post, reduce, publish and count its own exit in one go) and
     /// `sched.state` once for all its peers; a waiter takes
     /// `mpi.boards` twice (post; pick up the result and count its exit)
-    /// and `sched.state` once.
+    /// and `sched.state` once — on the asm backend all of them claimed
+    /// by the world for its run.
     pub(crate) fn sim_rendezvous(&mut self, contrib: &[f64], out: &mut [f64], op: Option<ReduceOp>) {
         let n = self.size();
         debug_assert!(n > 1, "rendezvous on a singleton communicator");
         let wr = self.world_rank();
         let now = self.now();
-        let Self { shared, board, ranks, sweep_cost, .. } = self;
-        let sched = &shared.sched;
+        let Self { shared, ranks, sweep_cost, .. } = self;
+        let (sched, board) = (&shared.sched, self.ctx as usize);
         let gen = (self.rendezvous & 1) as usize;
         self.rendezvous = self.rendezvous.wrapping_add(1);
         let published = {
-            let g = &mut board.lock()[gen];
+            let mut boards = shared.boards.lock();
+            let g = &mut boards[board][gen];
             g.post(n, self.rank, now, contrib).then(|| {
                 let sweep =
                     *sweep_cost.get_or_insert_with(|| Self::sim_sweep_cost(&shared.engine.net, ranks));
@@ -648,7 +646,7 @@ impl Comm {
                 sched.yield_blocked(wr);
                 // Woken: either the last arriver published the result,
                 // or the world died while we were parked.
-                let picked = board.lock()[gen].pick_up(n, out);
+                let picked = shared.boards.lock()[board][gen].pick_up(n, out);
                 if let Some(t_exit) = picked {
                     break t_exit;
                 }

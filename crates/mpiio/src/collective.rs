@@ -133,15 +133,16 @@ impl MpiFile {
     pub fn write_all(&mut self, comm: &mut Comm, data: &[u8]) -> u64 {
         let segs = self.view().map_range(self.tell(), data.len() as u64);
         if !self.needs_exchange(comm, segs.len()) {
-            let n = self.write(comm, data);
+            let n = self.write_segs(comm, &segs, data);
+            self.seek(self.tell() + n);
             comm.barrier();
             return n;
         }
         let pieces = to_pieces(&segs);
         let (my_lo, my_hi) = span_of(&pieces);
         let plan = make_plan(comm, self, my_lo, my_hi);
-        let tag_h = comm_tag(comm);
-        let tag_p = comm_tag(comm);
+        let tag_h = comm.alloc_tag();
+        let tag_p = comm.alloc_tag();
 
         // ---- phase 1: ship my pieces to their aggregators ----
         let per_aggr = plan.assign(&pieces);
@@ -232,15 +233,16 @@ impl MpiFile {
     pub fn read_all(&mut self, comm: &mut Comm, buf: &mut [u8]) -> u64 {
         let segs = self.view().map_range(self.tell(), buf.len() as u64);
         if !self.needs_exchange(comm, segs.len()) {
-            let n = self.read(comm, buf);
+            let n = self.read_segs(comm, &segs, buf);
+            self.seek(self.tell() + n);
             comm.barrier();
             return n;
         }
         let pieces = to_pieces(&segs);
         let (my_lo, my_hi) = span_of(&pieces);
         let plan = make_plan(comm, self, my_lo, my_hi);
-        let tag_h = comm_tag(comm);
-        let tag_p = comm_tag(comm);
+        let tag_h = comm.alloc_tag();
+        let tag_p = comm.alloc_tag();
 
         // ---- phase 1: send requests ----
         let per_aggr = plan.assign(&pieces);
@@ -351,11 +353,6 @@ fn to_pieces(segs: &[(u64, u64)]) -> Vec<Piece> {
 
 fn span_of(pieces: &[Piece]) -> (u64, u64) {
     pieces.iter().fold((u64::MAX, 0), |(lo, hi), p| (lo.min(p.phys), hi.max(p.phys + p.len)))
-}
-
-fn comm_tag(comm: &mut Comm) -> beff_mpi::Tag {
-    // piggyback on the collective tag allocator via a zero-cost barrier-free call
-    comm.alloc_tag()
 }
 
 #[cfg(test)]

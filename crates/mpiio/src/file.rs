@@ -11,7 +11,7 @@
 
 use crate::amode::AMode;
 use crate::hints::Hints;
-use crate::view::FileView;
+use crate::view::{FileView, Segment};
 use crate::world::IoWorld;
 use beff_mpi::Comm;
 use beff_pfs::{DataRef, FsFile};
@@ -22,7 +22,7 @@ use std::sync::Arc;
 /// One rank's open file.
 pub struct MpiFile {
     world: Arc<IoWorld>,
-    file: Arc<FsFile>,
+    file: FsFile,
     path: String,
     amode: AMode,
     hints: Hints,
@@ -52,7 +52,7 @@ impl MpiFile {
             let (f, t) = pfs.open(path, comm.now());
             comm.advance_to(t);
             if amode.truncate {
-                f.truncate();
+                pfs.truncate(&f);
             }
             *world.shared_ptr(path).lock() = 0;
         }
@@ -116,7 +116,7 @@ impl MpiFile {
 
     /// Current physical file size in bytes.
     pub fn size(&self) -> u64 {
-        self.file.size()
+        self.world.pfs().size(&self.file)
     }
 
     // ----- raw (physical-offset) operations --------------------------------
@@ -168,12 +168,17 @@ impl MpiFile {
     /// is set; otherwise one backend call per segment.
     pub fn write_at(&mut self, comm: &mut Comm, voffset: u64, data: &[u8]) -> u64 {
         let segs = self.view.map_range(voffset, data.len() as u64);
+        self.write_segs(comm, &segs, data)
+    }
+
+    /// [`write_at`](Self::write_at) to `segs`, the view's map of it.
+    pub(crate) fn write_segs(&mut self, comm: &mut Comm, segs: &[Segment], data: &[u8]) -> u64 {
         if segs.len() > 1 && self.hints.ds_write {
             let buffer = self.hints.ds_buffer_size.max(1);
-            return self.sieved_write(comm, &segs, data, buffer);
+            return self.sieved_write(comm, segs, data, buffer);
         }
         let mut done = 0usize;
-        for (phys, len) in segs {
+        for &(phys, len) in segs {
             self.raw_write(comm, phys, &data[done..done + len as usize]);
             done += len as usize;
         }
@@ -192,15 +197,20 @@ impl MpiFile {
     /// is set (the ROMIO default).
     pub fn read_at(&mut self, comm: &mut Comm, voffset: u64, buf: &mut [u8]) -> u64 {
         let segs = self.view.map_range(voffset, buf.len() as u64);
+        self.read_segs(comm, &segs, buf)
+    }
+
+    /// [`read_at`](Self::read_at) from `segs`, the view's map of it.
+    pub(crate) fn read_segs(&mut self, comm: &mut Comm, segs: &[Segment], buf: &mut [u8]) -> u64 {
         if segs.len() > 1
             && self.hints.ds_read
             && segs.last().is_some_and(|s| s.0 + s.1 <= self.size())
         {
             let buffer = self.hints.ds_buffer_size.max(1);
-            return self.sieved_read(comm, &segs, buf, buffer);
+            return self.sieved_read(comm, segs, buf, buffer);
         }
         let mut done = 0u64;
-        for (phys, len) in segs {
+        for &(phys, len) in segs {
             let n = self.raw_read(comm, phys, &mut buf[done as usize..(done + len) as usize]);
             done += n;
             if n < len {

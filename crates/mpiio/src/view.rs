@@ -10,8 +10,48 @@
 //!   bytes (type 0: rank p sees chunks of size l at stride n·l,
 //!   displaced p·l).
 
+use std::ops::Deref;
+
 /// A segment of a physical file: (physical offset, length).
 pub type Segment = (u64, u64);
+
+/// The physical segments of one view-linear range, in file order
+/// ([`FileView::map_range`]): one segment — any range of a contiguous
+/// view — is held inline, so mapping it allocates nothing; several
+/// spill to the heap.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum Segments {
+    /// No segment, or one.
+    Inline(Option<Segment>),
+    /// Two or more.
+    Spilled(Vec<Segment>),
+}
+
+impl Segments {
+    /// Append `seg`, merged into the last segment if it continues it.
+    fn push(&mut self, seg: Segment) {
+        let continues = |last: &Segment| last.0 + last.1 == seg.0;
+        match self {
+            Self::Inline(None) => *self = Self::Inline(Some(seg)),
+            Self::Inline(Some(last)) if continues(last) => last.1 += seg.1,
+            Self::Inline(Some(first)) => *self = Self::Spilled(vec![*first, seg]),
+            Self::Spilled(v) => match v.last_mut() {
+                Some(last) if continues(last) => last.1 += seg.1,
+                _ => v.push(seg),
+            },
+        }
+    }
+}
+
+impl Deref for Segments {
+    type Target = [Segment];
+    fn deref(&self) -> &[Segment] {
+        match self {
+            Self::Inline(one) => one.as_slice(),
+            Self::Spilled(v) => v,
+        }
+    }
+}
 
 /// How a rank's linear stream maps onto the file.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -42,35 +82,26 @@ impl FileView {
 
     /// Map the view-linear range `[v, v+len)` to physical segments, in
     /// file order, merging adjacent pieces.
-    pub fn map_range(&self, v: u64, len: u64) -> Vec<Segment> {
+    pub fn map_range(&self, v: u64, len: u64) -> Segments {
+        let mut out = Segments::Inline(None);
         if len == 0 {
-            return Vec::new();
+            return out;
         }
         match *self {
-            FileView::Contiguous { disp } => vec![(disp + v, len)],
+            FileView::Contiguous { disp } => out.push((disp + v, len)),
             FileView::Strided { disp, block, stride } => {
                 assert!(block > 0 && stride >= block, "degenerate strided view");
-                let mut out: Vec<Segment> = Vec::new();
                 let mut pos = v;
                 let end = v + len;
                 while pos < end {
                     let in_block = pos % block;
                     let piece = (block - in_block).min(end - pos);
-                    let phys = disp + (pos / block) * stride + in_block;
-                    match out.last_mut() {
-                        Some(last) if last.0 + last.1 == phys => last.1 += piece,
-                        _ => out.push((phys, piece)),
-                    }
+                    out.push((disp + (pos / block) * stride + in_block, piece));
                     pos += piece;
                 }
-                out
             }
         }
-    }
-
-    /// Is a range a single physical extent under this view?
-    pub fn is_contiguous(&self, v: u64, len: u64) -> bool {
-        self.map_range(v, len).len() <= 1
+        out
     }
 }
 
@@ -82,8 +113,8 @@ mod tests {
     fn contiguous_maps_identity_plus_disp() {
         let view = FileView::Contiguous { disp: 100 };
         assert_eq!(view.map_offset(5), 105);
-        assert_eq!(view.map_range(10, 20), vec![(110, 20)]);
-        assert!(view.is_contiguous(0, 1 << 40));
+        assert_eq!(*view.map_range(10, 20), [(110, 20)]);
+        assert_eq!(view.map_range(0, 1 << 40).len(), 1);
     }
 
     #[test]
@@ -97,22 +128,22 @@ mod tests {
         // second chunk starts at 100 + 400
         assert_eq!(view.map_offset(100), 500);
         let segs = view.map_range(0, 250);
-        assert_eq!(segs, vec![(100, 100), (500, 100), (900, 50)]);
-        assert!(!view.is_contiguous(0, 101));
-        assert!(view.is_contiguous(0, 100));
+        assert_eq!(*segs, [(100, 100), (500, 100), (900, 50)]);
+        assert_eq!(view.map_range(0, 101).len(), 2);
+        assert_eq!(view.map_range(0, 100).len(), 1);
     }
 
     #[test]
     fn strided_partial_start() {
         let view = FileView::Strided { disp: 0, block: 10, stride: 40 };
         let segs = view.map_range(5, 10);
-        assert_eq!(segs, vec![(5, 5), (40, 5)]);
+        assert_eq!(*segs, [(5, 5), (40, 5)]);
     }
 
     #[test]
     fn stride_equal_block_merges_to_contiguous() {
         let view = FileView::Strided { disp: 7, block: 10, stride: 10 };
-        assert_eq!(view.map_range(0, 100), vec![(7, 100)]);
+        assert_eq!(*view.map_range(0, 100), [(7, 100)]);
     }
 
     #[test]

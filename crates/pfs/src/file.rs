@@ -1,20 +1,16 @@
 //! File objects of the simulated filesystem: metadata, optional sparse
 //! content store, and per-block cache residency stamps — plain state
-//! (`FileState`) behind the file's own lock, `pfs.file`, which
-//! [`crate::Pfs`] takes once per priced call under its ledger lock.
+//! (`FileState`) kept in the filesystem's ledger, and the handle
+//! ([`FsFile`]) that names it there.
 
 use crate::cache::CACHE_BLOCK;
-use beff_sync::{Mutex, MutexGuard, Rank};
 // beff-analyze: allow(hash-order): the block map below is keyed-lookup-only, never iterated
 use std::collections::HashMap;
-
-/// Lock-hierarchy position of one file's state (DESIGN.md §8).
-static FILE_RANK: Rank = Rank::new(66, "pfs.file");
 
 /// Residency stamp of a block that was never cached.
 const NEVER: u64 = u64::MAX;
 
-/// What a file is, behind its lock.
+/// What a file is: one slot of its filesystem's ledger.
 #[derive(Debug, Default)]
 pub(crate) struct FileState {
     size: u64,
@@ -30,34 +26,12 @@ pub(crate) struct FileState {
     stamps: Vec<u64>,
 }
 
-/// One simulated file.
-#[derive(Debug)]
+/// A handle on one simulated file: its slot in the ledger of the
+/// filesystem that opened it ([`crate::Pfs::open`]), which is the only
+/// filesystem it means anything to.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct FsFile {
-    pub(crate) name: String,
-    inner: Mutex<FileState>,
-}
-
-impl FsFile {
-    pub fn new(name: String) -> Self {
-        Self { name, inner: Mutex::ranked(&FILE_RANK, FileState::default()) }
-    }
-
-    pub fn name(&self) -> &str {
-        &self.name
-    }
-
-    pub fn size(&self) -> u64 {
-        self.lock().size
-    }
-
-    /// Truncate to zero and drop content (rewrite-from-scratch tests).
-    pub fn truncate(&self) {
-        self.lock().truncate();
-    }
-
-    pub(crate) fn lock(&self) -> MutexGuard<'_, FileState> {
-        self.inner.lock()
-    }
+    pub(crate) slot: usize,
 }
 
 /// The blocks overlapping `[offset, offset+len)`, `len > 0`.
@@ -75,7 +49,8 @@ impl FileState {
         self.size = self.size.max(end);
     }
 
-    fn truncate(&mut self) {
+    /// Drop size, content and residency (rewrite-from-scratch opens).
+    pub(crate) fn truncate(&mut self) {
         *self = Self::default();
     }
 
@@ -215,14 +190,14 @@ mod tests {
 
     #[test]
     fn truncate_clears_everything() {
-        let f = FsFile::new("x".into());
-        f.lock().store(0, b"data");
-        f.lock().mark_cached(0, 4, 1);
+        let mut f = FileState::default();
+        f.store(0, b"data");
+        f.mark_cached(0, 4, 1);
         f.truncate();
         assert_eq!(f.size(), 0);
-        assert_eq!(hit_bytes(&f.lock(), 0, 4, |_| true), 0);
+        assert_eq!(hit_bytes(&f, 0, 4, |_| true), 0);
         let mut out = [9u8; 4];
-        f.lock().load(0, &mut out);
+        f.load(0, &mut out);
         assert_eq!(out, [0u8; 4]);
     }
 

@@ -22,12 +22,13 @@
 //!
 //! Everything a call books against — the next-free time of every client
 //! link, of the channel and of every server, the degradation factors,
-//! the cache's dirty and LRU accounting — is plain state in one
+//! the cache's dirty and LRU accounting — and every file — its name,
+//! size, residency stamps and stored bytes — is plain state in one
 //! `Ledger` behind one lock, `pfs.ledger` (the I/O twin of
 //! `sim::LinkLedger`, and sound for the same reason: one simulated rank
-//! runs at a time). [`Pfs::write`] and [`Pfs::read`] take **two locks
-//! per call**, each once: the ledger, then the file's `pfs.file` for
-//! its size, residency stamps and stored bytes. Next-free times are
+//! runs at a time). Every call takes it **once**; a world whose ranks
+//! share one host thread holds it for the whole run ([`Pfs::claim`]),
+//! so there a call takes no atomic lock at all. Next-free times are
 //! booked with [`beff_netsim::resource::book`], the arithmetic
 //! `Resource::reserve_span` runs: a priced call equals, bit for bit,
 //! the one composed from a `Resource` per client, channel and server,
@@ -40,16 +41,12 @@
 
 use crate::cache::Cache;
 use crate::config::PfsConfig;
-use crate::file::FsFile;
+use crate::file::{FileState, FsFile};
 use crate::server::{occupy, Server};
 use crate::stripe;
 use beff_netsim::{Secs, MB};
-use beff_sync::{Mutex, Rank};
+use beff_sync::{Claim, Mutex, Rank};
 use std::collections::BTreeMap;
-use std::sync::Arc;
-
-/// Lock-hierarchy position of the filesystem name table (DESIGN.md §8).
-static FILES_RANK: Rank = Rank::new(60, "pfs.files");
 
 /// Lock-hierarchy position of the ledger (DESIGN.md §8).
 static LEDGER_RANK: Rank = Rank::new(64, "pfs.ledger");
@@ -81,7 +78,6 @@ pub struct Pfs {
     cfg: PfsConfig,
     client_byte_time: Secs,
     channel_byte_time: Secs,
-    files: Mutex<BTreeMap<String, Arc<FsFile>>>,
     ledger: Mutex<Ledger>,
 }
 
@@ -93,6 +89,10 @@ struct Ledger {
     channel: Secs,
     servers: Vec<Server>,
     cache: Cache,
+    /// Every file opened so far, by the slot its [`FsFile`] handles
+    /// name, and the slot of each name that exists.
+    files: Vec<FileState>,
+    names: BTreeMap<String, usize>,
     /// Scratch of the call in progress, reused: bytes and first file
     /// offset per server of the range being striped; a read's miss runs.
     bytes: Vec<u64>,
@@ -135,6 +135,8 @@ impl Pfs {
                 .map(|_| Server::new(cfg.server_request_overhead, cfg.server_mbps))
                 .collect(),
             cache: Cache::new(&cfg),
+            files: Vec::new(),
+            names: BTreeMap::new(),
             bytes: vec![0; cfg.servers],
             starts: vec![u64::MAX; cfg.servers],
             runs: Vec::new(),
@@ -142,7 +144,6 @@ impl Pfs {
         Self {
             client_byte_time: 1.0 / (cfg.client_mbps * MB as f64),
             channel_byte_time: 1.0 / (cfg.aggregate_mbps * MB as f64),
-            files: Mutex::ranked(&FILES_RANK, BTreeMap::new()),
             ledger: Mutex::ranked(&LEDGER_RANK, ledger),
             cfg,
         }
@@ -152,15 +153,28 @@ impl Pfs {
         &self.cfg
     }
 
+    /// Hold the ledger on the calling thread until the returned claim
+    /// drops ([`Mutex::claim`]): every call made on this thread meanwhile
+    /// takes no atomic lock, and every other thread's call waits. For a
+    /// world whose ranks all run on the claiming thread.
+    pub fn claim(&self) -> Claim<'_> {
+        self.ledger.claim()
+    }
+
     /// Open (creating if needed); returns the file and the completion
     /// time of the open itself.
-    pub fn open(&self, path: &str, t: Secs) -> (Arc<FsFile>, Secs) {
-        let mut files = self.files.lock();
-        let f = files
-            .entry(path.to_string())
-            .or_insert_with(|| Arc::new(FsFile::new(path.to_string())))
-            .clone();
-        (f, t + self.cfg.open_cost)
+    pub fn open(&self, path: &str, t: Secs) -> (FsFile, Secs) {
+        let mut ledger = self.ledger.lock();
+        let Ledger { names, files, .. } = &mut *ledger;
+        let slot = match names.get(path) {
+            Some(&slot) => slot,
+            None => {
+                files.push(FileState::default());
+                names.insert(path.to_string(), files.len() - 1);
+                files.len() - 1
+            }
+        };
+        (FsFile { slot }, t + self.cfg.open_cost)
     }
 
     /// Close cost.
@@ -168,14 +182,28 @@ impl Pfs {
         t + self.cfg.close_cost
     }
 
-    /// Remove a file.
+    /// Remove a file, dropping its content: a handle that outlives the
+    /// unlink sees an empty file.
     pub fn unlink(&self, path: &str) {
-        self.files.lock().remove(path);
+        let mut led = self.ledger.lock();
+        if let Some(slot) = led.names.remove(path) {
+            led.files[slot].truncate();
+        }
     }
 
     /// Does the file exist?
     pub fn exists(&self, path: &str) -> bool {
-        self.files.lock().contains_key(path)
+        self.ledger.lock().names.contains_key(path)
+    }
+
+    /// Current size of `f` in bytes.
+    pub fn size(&self, f: &FsFile) -> u64 {
+        self.ledger.lock().files[f.slot].size()
+    }
+
+    /// Truncate `f` to zero and drop its content and cache residency.
+    pub fn truncate(&self, f: &FsFile) {
+        self.ledger.lock().files[f.slot].truncate();
     }
 
     /// Degrade server `i` (failure injection).
@@ -241,10 +269,10 @@ impl Pfs {
         }
         let mut ledger = self.ledger.lock();
         let led = &mut *ledger;
-        let mut file = f.lock();
         let mut t1 = self.client_inject(led, client, t, len);
 
-        let (amplified, rmw_fetches) = self.boundary_penalties(file.size(), offset, len);
+        let (amplified, rmw_fetches) =
+            self.boundary_penalties(led.files[f.slot].size(), offset, len);
         if rmw_fetches > 0 {
             // synchronous partial-block fetch before the write can land
             let done = led.servers[self.server_of(offset)]
@@ -255,12 +283,13 @@ impl Pfs {
         let done = if led.cache.enabled() {
             let d = led.cache.admit_write(t1, len + amplified);
             let stamp = led.cache.touch(len);
-            file.mark_cached(offset, len, stamp);
+            led.files[f.slot].mark_cached(offset, len, stamp);
             d
         } else {
             led.striped(self.cfg.stripe_unit, t1, offset, len + amplified, t1)
         };
 
+        let file = &mut led.files[f.slot];
         if self.cfg.store_data {
             if let DataRef::Bytes(b) = data {
                 file.store(offset, b);
@@ -283,8 +312,7 @@ impl Pfs {
     ) -> (u64, Secs) {
         let mut ledger = self.ledger.lock();
         let led = &mut *ledger;
-        let mut file = f.lock();
-        let len = len.min(file.size().saturating_sub(offset));
+        let len = len.min(led.files[f.slot].size().saturating_sub(offset));
         if len == 0 {
             return (0, t + self.cfg.client_request_overhead);
         }
@@ -294,7 +322,7 @@ impl Pfs {
         let cached = led.cache.enabled();
         if cached {
             let cache = &led.cache;
-            file.miss_runs(offset, len, |stamp| cache.resident(stamp), &mut led.runs);
+            led.files[f.slot].miss_runs(offset, len, |stamp| cache.resident(stamp), &mut led.runs);
         } else {
             led.runs.clear();
             led.runs.push((offset, len));
@@ -311,6 +339,7 @@ impl Pfs {
             finish = led.striped(self.cfg.stripe_unit, t1, roff, rlen + extra, finish);
         }
 
+        let file = &mut led.files[f.slot];
         if cached && miss > 0 {
             let stamp = led.cache.touch(miss);
             for &(roff, rlen) in &led.runs {
@@ -342,6 +371,7 @@ impl Pfs {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::Arc;
 
     fn pfs(cfg: PfsConfig) -> Pfs {
         Pfs::new(cfg)
@@ -369,12 +399,29 @@ mod tests {
     #[test]
     fn open_is_idempotent() {
         let p = pfs(base_cfg());
-        let (a, _) = p.open("f", 0.0);
-        let (b, _) = p.open("f", 0.0);
-        assert!(Arc::ptr_eq(&a, &b));
+        let (a, t) = p.open("f", 0.0);
+        let t = p.write(0, &a, 0, DataRef::Len(10), t);
+        let (b, _) = p.open("f", t);
+        assert_eq!(a, b);
+        assert_eq!(p.size(&b), 10);
         assert!(p.exists("f"));
         p.unlink("f");
         assert!(!p.exists("f"));
+        let (c, _) = p.open("f", t);
+        assert_ne!(a, c, "a name made again is a new file");
+        assert_eq!(p.size(&c), 0);
+    }
+
+    #[test]
+    fn truncate_empties_the_file_for_every_handle() {
+        let p = pfs(base_cfg());
+        let (a, t) = p.open("f", 0.0);
+        let t = p.write(0, &a, 0, DataRef::Bytes(b"data"), t);
+        let (b, _) = p.open("f", t);
+        p.truncate(&b);
+        assert_eq!(p.size(&a), 0);
+        let mut out = [9u8; 4];
+        assert_eq!(p.read(0, &a, 0, 4, Some(&mut out), t).0, 0);
     }
 
     #[test]

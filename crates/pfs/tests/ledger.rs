@@ -306,7 +306,7 @@ fn ledger_prices_bit_identically_to_per_object_resources() {
             }
             let t = clock[c];
             // aligned or 8 bytes off; appending, or back inside the file
-            let size = files[f].size();
+            let size = pfs.size(&files[f]);
             let base = if g.bool() { size } else { g.u64(0..=size) };
             let offset = base / cfg.disk_block * cfg.disk_block + if g.bool() { 8 } else { 0 };
             let len = if g.bool() { g.u64(1..=4096) } else { g.u64(1..=2 * MB) };
@@ -340,7 +340,7 @@ fn ledger_prices_bit_identically_to_per_object_resources() {
                     oracle.servers.iter_mut().for_each(|s| s.seek_overhead = seek);
                 }
             }
-            ensure_eq!(files[f].size(), oracle.files[f].size);
+            ensure_eq!(pfs.size(&files[f]), oracle.files[f].size);
         }
         let end = clock.iter().fold(0.0f64, |a, &t| a.max(t));
         oracle.cache.drain_to(end);

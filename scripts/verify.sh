@@ -65,12 +65,13 @@ run_gate "benchmark package (offline build + its own tests)" 900 \
 
 # the dynamic half of the lock hierarchy: ranked locks panic on
 # inverted acquisition (claimed or not); property tests prove the
-# checker catches it, and the mpi/netsim/pfs/mpiio suites run with
-# checking live — mpiio's worlds take pfs.ledger and pfs.file inside
-# the locks a world claims for its run
+# checker catches it, and the mpi/netsim/pfs/mpiio/core suites run with
+# checking live — mpiio's worlds take pfs.ledger inside the locks a
+# world claims for its run, and core's b_eff_io tests drive the
+# ordered, shared, separate, two-phase and segmented paths through them
 run_gate "lock-order (runtime hierarchy check)" 300 \
     cargo test -q --offline -p beff-sync -p beff-sim -p beff-mpi -p beff-netsim -p beff-pfs \
-    -p beff-mpiio --features beff-sync/lock-order
+    -p beff-mpiio -p beff-core --features beff-sync/lock-order
 
 # every gated Table-1 metric must sit within the tolerance of the
 # paper value on the committed machine constants; shape claims exact;
