@@ -117,7 +117,7 @@ pub const UNWRAP_BUDGETS: &[(&str, u32)] = &[
     ("pfs", 3),
     ("report", 4),
     ("serve", 131),
-    ("sim", 14),
+    ("sim", 13),
     ("sweep", 0),
     ("sync", 3),
 ];

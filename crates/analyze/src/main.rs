@@ -71,9 +71,10 @@ const EXPLAIN: &[(&str, &str)] = &[
     (
         "lock-order",
         "Textually nested acquisition of declared locks (config::LOCK_HIERARCHY) must be \
-         in strictly increasing level order within a function. The runtime half is \
-         beff-sync's `lock-order` feature; see also `lockflow` for the cross-function \
-         version.",
+         in strictly increasing level order within a function, and an entry whose \
+         `receiver.method(` appears nowhere in its declaring file is stale. The runtime \
+         half is beff-sync's `lock-order` feature; see also `lockflow` for the \
+         cross-function version.",
     ),
     (
         "lock-decl",

@@ -258,7 +258,9 @@ pub fn check_safety(f: &SourceFile, out: &mut Vec<Violation>) -> usize {
 /// increasing level order within a function. This is the *textual*
 /// half of the hierarchy check — it sees nesting visible in one
 /// function body; the `lock-order` feature of beff-sync checks the
-/// dynamic lockset across calls at test time.
+/// dynamic lockset across calls at test time. A declaration whose
+/// `receiver.method(` appears nowhere in its file guards nothing and
+/// is itself a violation: the lock was renamed or moved under it.
 pub fn check_lock_order(f: &SourceFile, out: &mut Vec<Violation>) -> usize {
     lock_order_in(config::LOCK_HIERARCHY, f, out)
 }
@@ -282,6 +284,7 @@ fn lock_order_in(hierarchy: &[config::LockDecl], f: &SourceFile, out: &mut Vec<V
     }
     let toks = &f.tokens;
     let mut live: Vec<Live> = Vec::new();
+    let mut seen = vec![false; decls.len()];
     let mut depth = 0usize;
     for i in 0..toks.len() {
         let t = &toks[i];
@@ -295,9 +298,10 @@ fn lock_order_in(hierarchy: &[config::LockDecl], f: &SourceFile, out: &mut Vec<V
                 live.retain(|l| l.let_bound || l.depth != depth);
             }
             TokenKind::Ident => {
-                let Some(decl) = decls.iter().find(|d| d.receiver == t.text) else {
+                let Some(d) = decls.iter().position(|d| d.receiver == t.text) else {
                     continue;
                 };
+                let decl = decls[d];
                 // receiver . method (
                 if !matches!(toks.get(i + 1), Some(n) if n.is_punct('.')) {
                     continue;
@@ -309,6 +313,7 @@ fn lock_order_in(hierarchy: &[config::LockDecl], f: &SourceFile, out: &mut Vec<V
                 if !matches!(toks.get(i + 3), Some(p) if p.is_punct('(')) {
                     continue;
                 }
+                seen[d] = true;
                 if f.waived("lock-order", t.line) {
                     waived += 1;
                     continue;
@@ -336,6 +341,21 @@ fn lock_order_in(hierarchy: &[config::LockDecl], f: &SourceFile, out: &mut Vec<V
             }
             _ => {}
         }
+    }
+    for decl in decls.iter().zip(seen).filter(|(_, seen)| !seen).map(|(d, _)| d) {
+        out.push(Violation {
+            rule: "lock-order",
+            path: f.path.clone(),
+            line: 0,
+            message: format!(
+                "'{}' (level {}) is declared as acquired through `{}` ({}) but this file \
+                 never does; the declaration is stale",
+                decl.name,
+                decl.level,
+                decl.receiver,
+                decl.methods.join("/"),
+            ),
+        });
     }
     waived
 }
@@ -575,6 +595,21 @@ mod tests {
         let src = "fn f(&self) {\n let a = self.inner.lock();\n let b = self.inner.lock();\n}";
         let v = run(check_lock_order, "crates/sim/src/sched.rs", src);
         assert_eq!(v.len(), 1, "self-deadlock on one std mutex");
+    }
+
+    #[test]
+    fn lock_order_flags_a_declaration_nothing_acquires() {
+        // `granted` is only read, never locked: its declaration is stale.
+        let src = "fn f(&self) {\n let st = self.inner.lock();\n let g = self.granted.get();\n}";
+        let v = run(two_locks, "crates/sim/src/sched.rs", src);
+        assert_eq!(v.len(), 1, "{v:?}");
+        assert!(v[0].message.contains("'sched.flag'") && v[0].message.contains("stale"));
+        // a waived acquisition still counts as one
+        let waived = "fn f(&self) {\n let st = self.inner.lock();\n \
+                      let g = self.granted.lock(); // beff-analyze: allow(lock-order): fixture\n}";
+        assert!(run(two_locks, "crates/sim/src/sched.rs", waived).is_empty());
+        // files no declaration names are not charged
+        assert!(run(two_locks, "crates/sim/src/port.rs", "fn f() {}").is_empty());
     }
 
     #[test]

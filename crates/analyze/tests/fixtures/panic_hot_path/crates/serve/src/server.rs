@@ -6,3 +6,7 @@ static DRAIN_RANK: Rank = Rank::new(13, "serve.drain");
 pub fn submit() {
     decode_frame();
 }
+
+pub fn admit() {
+    let d = drain.lock();
+}

@@ -64,10 +64,54 @@ struct Posted<M: Message> {
     delivered: Option<M>,
 }
 
+/// An ordered queue whose first two entries live inline (a b_eff
+/// mailbox rarely holds more): `head` fills front to back, and `spill`
+/// is non-empty only while both are full.
+#[derive(Debug)]
+struct Inline2<T> {
+    head: [Option<T>; 2],
+    spill: VecDeque<T>,
+}
+
+impl<T> Inline2<T> {
+    const fn new() -> Self {
+        Self { head: [None, None], spill: VecDeque::new() }
+    }
+
+    fn iter(&self) -> impl Iterator<Item = &T> {
+        self.head.iter().flatten().chain(&self.spill)
+    }
+
+    fn iter_mut(&mut self) -> impl Iterator<Item = &mut T> {
+        self.head.iter_mut().flatten().chain(&mut self.spill)
+    }
+
+    fn push_back(&mut self, x: T) {
+        match self.head.iter_mut().find(|h| h.is_none()) {
+            Some(free) => *free = Some(x),
+            None => self.spill.push_back(x),
+        }
+    }
+
+    /// Remove the entry at `pos`, keeping the order of the rest.
+    fn remove(&mut self, pos: usize) -> Option<T> {
+        if pos >= 2 {
+            return self.spill.remove(pos - 2);
+        }
+        let out = self.head[pos].take();
+        if pos == 0 {
+            self.head[0] = self.head[1].take();
+        }
+        self.head[1] = self.spill.pop_front();
+        out
+    }
+}
+
 #[derive(Debug)]
 struct Inner<M: Message> {
-    unexpected: VecDeque<M>,
-    posted: Vec<Posted<M>>,
+    unexpected: Inline2<M>,
+    /// In ticket order: posted at the back, removed in place.
+    posted: Inline2<Posted<M>>,
     next_ticket: u64,
     /// Set when the world aborts (an actor panicked), so a receiver
     /// fails instead of deadlocking on a dead peer.
@@ -79,8 +123,8 @@ struct Inner<M: Message> {
 impl<M: Message> Default for Inner<M> {
     fn default() -> Self {
         Self {
-            unexpected: VecDeque::new(),
-            posted: Vec::new(),
+            unexpected: Inline2::new(),
+            posted: Inline2::new(),
             next_ticket: 0,
             poisoned: false,
         }
@@ -90,20 +134,20 @@ impl<M: Message> Default for Inner<M> {
 impl<M: Message> Inner<M> {
     fn take_unexpected(&mut self, m: M::Filter) -> Option<M> {
         let pos = self.unexpected.iter().position(|e| M::admits(&m, e))?;
-        Some(self.unexpected.remove(pos).expect("position just found"))
+        self.unexpected.remove(pos)
     }
 
     fn post(&mut self, m: M::Filter) -> u64 {
         let ticket = self.next_ticket;
         self.next_ticket += 1;
-        self.posted.push(Posted { ticket, m, delivered: None });
+        self.posted.push_back(Posted { ticket, m, delivered: None });
         ticket
     }
 
     /// Remove the slot for `ticket`, returning its delivery if any.
     fn remove_slot(&mut self, ticket: u64) -> Option<M> {
         let pos = self.posted.iter().position(|p| p.ticket == ticket)?;
-        self.posted.swap_remove(pos).delivered
+        self.posted.remove(pos)?.delivered
     }
 }
 
@@ -133,12 +177,9 @@ impl<M: Message> Port<M> {
     /// receiver is waiting on it.
     pub fn push(&self, msg: M) -> PushOutcome {
         let mut g = self.inner.lock();
-        if let Some(slot) = g
-            .posted
-            .iter_mut()
-            .filter(|p| p.delivered.is_none() && M::admits(&p.m, &msg))
-            .min_by_key(|p| p.ticket)
-        {
+        // `posted` is in ticket order: the first open match is the oldest.
+        let slot = g.posted.iter_mut().find(|p| p.delivered.is_none() && M::admits(&p.m, &msg));
+        if let Some(slot) = slot {
             slot.delivered = Some(msg);
             return PushOutcome::Matched;
         }
@@ -213,7 +254,7 @@ impl<M: Message> Port<M> {
     /// Number of messages held (unexpected + delivered-but-untaken).
     pub fn len(&self) -> usize {
         let g = self.inner.lock();
-        g.unexpected.len() + g.posted.iter().filter(|p| p.delivered.is_some()).count()
+        g.unexpected.iter().count() + g.posted.iter().filter(|p| p.delivered.is_some()).count()
     }
 
     pub fn is_empty(&self) -> bool {
@@ -321,6 +362,54 @@ mod tests {
         let r = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| p.recv_or_post(f)));
         let payload = r.err().map(|e| e.downcast_ref::<BeffError>().cloned());
         assert_eq!(payload, Some(Some(BeffError::PeerFailed)));
+    }
+
+    /// Two entries a queue stay inside the port: one that never holds
+    /// more never allocates. Past two, FIFO order and oldest-ticket
+    /// matching hold across the boundary, removing from the front, the
+    /// middle and the spill.
+    #[test]
+    fn inline_entries_spill_past_two_in_order() {
+        let spill = |p: &Port<Note>| {
+            let g = p.inner.lock();
+            (g.unexpected.spill.capacity(), g.posted.spill.capacity())
+        };
+        let any = NoteFilter { chan: 0, kind: None };
+        let kind = |k| NoteFilter { chan: 0, kind: Some(k) };
+        let body = |n: Option<Note>| n.map(|n| n.body);
+        let p: Port<Note> = Port::new();
+        for _ in 0..3 {
+            p.push(note(0, 0, 1));
+            p.push(note(0, 1, 2));
+            assert_eq!(body(p.try_recv(kind(1))), Some(2));
+            assert_eq!(body(p.try_recv(any)), Some(1));
+            let (t0, t1) = (p.post(any), p.post(any));
+            assert_eq!(p.push(note(0, 0, 3)), PushOutcome::Matched);
+            assert_eq!(body(p.take_delivered(t1)), None);
+            assert_eq!(body(p.take_delivered(t0)), Some(3));
+        }
+        assert_eq!(spill(&p), (0, 0), "two entries a queue never allocate");
+
+        for k in 0..5 {
+            p.push(note(0, k, 10 + u64::from(k)));
+        }
+        assert!(spill(&p).0 > 0);
+        assert_eq!(body(p.try_recv(kind(1))), Some(11), "the middle of the inline pair");
+        assert_eq!(body(p.try_recv(kind(4))), Some(14), "the spill");
+        let drained: Vec<_> = std::iter::from_fn(|| body(p.try_recv(any))).collect();
+        assert_eq!(drained, [10, 12, 13], "arrival order across the boundary");
+
+        let t = [kind(1), any, kind(1), any, any].map(|f| p.post(f));
+        assert_eq!(body(p.take_delivered(t[1])), None, "cancel inline");
+        assert_eq!(body(p.take_delivered(t[3])), None, "cancel spilled");
+        for (k, b) in [(1, 20), (2, 21), (1, 22)] {
+            assert_eq!(p.push(note(0, k, b)), PushOutcome::Matched);
+        }
+        assert_eq!(p.push(note(0, 3, 23)), PushOutcome::Queued);
+        let got = [t[0], t[2], t[4]].map(|t| body(p.take_delivered(t)));
+        assert_eq!(got, [Some(20), Some(22), Some(21)], "oldest open ticket wins");
+        assert_eq!(body(p.try_recv(any)), Some(23));
+        assert!(p.is_empty());
     }
 
     /// The two-queue structure must be observationally equivalent to

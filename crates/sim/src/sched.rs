@@ -8,10 +8,9 @@
 //! port's condvar and be woken through the kernel.
 //!
 //! Instead, exactly one rank runs at a time, under one protocol: every
-//! rank is a fiber ([`crate::fiber`]), the host's drive loop resumes the
-//! rank at the head of a FIFO ready queue, and a rank gives the token
-//! back by suspending to the host. The token moves only at explicit
-//! points:
+//! rank is a fiber ([`crate::fiber`]), the token goes to the rank at the
+//! head of a FIFO ready queue, and a rank gives it up by switching
+//! straight into that rank. The token moves only at explicit points:
 //!
 //! * a rank blocks in `recv` or a collective rendezvous with nothing
 //!   to do ([`SimScheduler::yield_blocked`]),
@@ -29,14 +28,14 @@
 //!
 //! Who pops the successor: the rank that gives the token up. It holds
 //! `sched.state` anyway (to mark itself blocked or re-queue itself), so
-//! it pops the head of the ready queue under that lock, leaves it in
-//! `handoff` and suspends; the drive loop resumes what it finds there
-//! without taking the lock — one `sched.state` round trip per handoff.
-//! Whoever pops also starts pulling in the stack of the *new* head, the
-//! rank after next ([`FiberSet::prefetch`]), so its first touches after
-//! the switch land on lines already on their way. The drive loop pops
-//! for itself only when nothing was left for it: at the start, after a
-//! body returned, and on abort / deadlock.
+//! it pops the head of the ready queue under that lock and switches
+//! into it, fiber to fiber — one `sched.state` round trip and one
+//! context switch per handoff. Whoever pops also starts pulling in the
+//! stack of the *new* head, the rank after next
+//! ([`FiberSet::prefetch`]), so its first touches after the switch land
+//! on lines already on their way. The host's drive loop runs only when
+//! no rank can take the token directly: at the start, after a body
+//! returned, and on abort, deadlock or an empty ready queue.
 //!
 //! [`SimScheduler::launch`] is the one way to run a world: start
 //! `body(rank)` for every rank, drive to completion, check that every
@@ -59,7 +58,7 @@ use crate::error::BeffError;
 use crate::fiber::{FiberSet, FiberStack};
 use beff_sync::{Mutex, Rank};
 use std::collections::VecDeque;
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, Ordering};
 
 /// Lock-hierarchy position (DESIGN.md §8).
 static SCHED_STATE_RANK: Rank = Rank::new(40, "sched.state");
@@ -74,6 +73,8 @@ struct SchedState {
     /// A rank panicked: determinism is moot, resume everyone so they
     /// observe mailbox poison.
     aborted: bool,
+    /// Fibers the drive loop resumed ([`SchedAudit::host_resumes`]).
+    host_resumes: usize,
 }
 
 /// One token scheduler per simulated world run.
@@ -86,14 +87,7 @@ pub struct SimScheduler {
     /// The `Release` store pairs with the `Acquire` load of the resumed
     /// rank (which the switch already orders after the store).
     deadlocked: AtomicBool,
-    /// The successor a suspending rank popped for the drive loop, or
-    /// [`NO_HANDOFF`]. Stored just before the switch to the host and
-    /// taken just after it; `Relaxed` because the switch itself (same
-    /// thread, or the thread backend's baton lock) orders the two.
-    handoff: AtomicUsize,
 }
-
-const NO_HANDOFF: usize = usize::MAX;
 
 /// Snapshot of the scheduler's terminal state (tests, diagnostics).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -104,6 +98,10 @@ pub struct SchedAudit {
     pub finished: usize,
     pub deadlocked: bool,
     pub aborted: bool,
+    /// Times the drive loop resumed a fiber: at the start, after a body
+    /// returned, and when a rank gave the token up with no successor to
+    /// switch into — not once per handoff.
+    pub host_resumes: usize,
 }
 
 impl SimScheduler {
@@ -120,11 +118,11 @@ impl SimScheduler {
                     finished: vec![false; n],
                     live: n,
                     aborted: false,
+                    host_resumes: 0,
                 },
             ),
             fibers: FiberSet::new(n),
             deadlocked: AtomicBool::new(false),
-            handoff: AtomicUsize::new(NO_HANDOFF),
         }
     }
 
@@ -190,29 +188,10 @@ impl SimScheduler {
         Some(next)
     }
 
-    /// The token holder is about to suspend normally: pop its successor
-    /// under the lock it already holds and leave it for the drive loop.
-    /// Abort, deadlock and an empty queue leave nothing — the drive
-    /// loop's own locked path decides those.
-    #[inline]
-    fn hand_off(&self, st: &mut SchedState) {
-        if !st.aborted && !self.is_deadlocked() {
-            if let Some(next) = self.pop_ready(st) {
-                self.handoff.store(next, Ordering::Relaxed);
-            }
-        }
-    }
-
-    /// Resume fibers until every rank has finished: the successor the
-    /// last rank left in `handoff`, else the drive loop's own
-    /// [`pick`](Self::pick).
+    /// Resume fibers until every rank has finished. A fiber comes back
+    /// here only when no rank could take the token from it directly.
     fn drive(&self) {
-        loop {
-            let next = match self.handoff.swap(NO_HANDOFF, Ordering::Relaxed) {
-                NO_HANDOFF => self.pick(),
-                next => Some(next),
-            };
-            let Some(r) = next else { return };
+        while let Some(r) = self.pick() {
             // SAFETY: r is unfinished and was started by `launch`,
             // whose host thread is the only caller of this loop.
             unsafe { self.fibers.resume(r) };
@@ -225,7 +204,7 @@ impl SimScheduler {
     /// order, so it can unwind.
     fn pick(&self) -> Option<usize> {
         let mut st = self.inner.lock();
-        if st.live == 0 {
+        let next = if st.live == 0 {
             None
         } else if st.aborted || self.is_deadlocked() {
             st.finished.iter().position(|&f| !f)
@@ -234,7 +213,9 @@ impl SimScheduler {
         } else {
             self.deadlocked.store(true, Ordering::Release);
             st.finished.iter().position(|&f| !f)
-        }
+        };
+        st.host_resumes += usize::from(next.is_some());
+        next
     }
 
     #[inline]
@@ -242,13 +223,20 @@ impl SimScheduler {
         self.deadlocked.load(Ordering::Acquire)
     }
 
-    /// Give the token back to the drive loop; raise the typed deadlock
-    /// fault if the world deadlocked while this rank was suspended.
+    /// Give the token to `next`, or back to the drive loop if there is
+    /// none; raise the typed deadlock fault if the world deadlocked
+    /// while this rank was suspended.
     #[inline]
-    fn suspend(&self, rank: usize) {
-        // SAFETY: called from rank's own fiber (scheduler contract);
-        // the drive loop resumes us later.
-        unsafe { self.fibers.to_host(rank) };
+    fn suspend(&self, rank: usize, next: Option<usize>) {
+        // SAFETY: called from rank's own fiber (scheduler contract), with
+        // no guard held; `next` came off the ready queue, so it is a
+        // started, suspended, unfinished fiber other than `rank`.
+        unsafe {
+            match next {
+                Some(next) => self.fibers.switch(rank, next),
+                None => self.fibers.to_host(rank),
+            }
+        }
         if self.is_deadlocked() {
             BeffError::Deadlock.raise();
         }
@@ -258,12 +246,13 @@ impl SimScheduler {
     /// the token and suspend until a peer re-queues us (or the world
     /// dies).
     pub fn yield_blocked(&self, rank: usize) {
-        {
+        let next = {
             let mut st = self.inner.lock();
             st.blocked[rank] = true;
-            self.hand_off(&mut st);
-        }
-        self.suspend(rank);
+            // On abort or deadlock the drive loop's locked path decides.
+            if st.aborted || self.is_deadlocked() { None } else { self.pop_ready(&mut st) }
+        };
+        self.suspend(rank, next);
     }
 
     /// A push just completed `rank`'s posted receive: make it runnable
@@ -292,15 +281,15 @@ impl SimScheduler {
     /// [`yield_blocked`](Self::yield_blocked) the rank stays runnable,
     /// so this can never deadlock the world.
     pub fn yield_turn(&self, rank: usize) {
-        {
+        let next = {
             let mut st = self.inner.lock();
             if st.ready.is_empty() || st.aborted || self.is_deadlocked() {
                 return;
             }
             st.ready.push_back(rank);
-            self.hand_off(&mut st);
-        }
-        self.suspend(rank);
+            self.pop_ready(&mut st)
+        };
+        self.suspend(rank, next);
     }
 
     /// A rank panicked: the drive loop resumes every unfinished rank so
@@ -321,6 +310,7 @@ impl SimScheduler {
             finished: st.finished.iter().filter(|&&f| f).count(),
             deadlocked: self.is_deadlocked(),
             aborted: st.aborted,
+            host_resumes: st.host_resumes,
         }
     }
 }
@@ -380,6 +370,23 @@ mod tests {
                 "batched: {batched}"
             );
         }
+    }
+
+    /// A handoff switches fiber to fiber: 64 000 rotations bring the
+    /// drive loop in only to start each rank and to take the token
+    /// back after each body returns.
+    #[test]
+    fn handoffs_bypass_the_drive_loop() {
+        let n = 64;
+        let s = SimScheduler::new(n);
+        s.launch(&FiberStack::set(n), |rank| {
+            for _ in 0..1000 {
+                s.yield_turn(rank);
+            }
+        });
+        let a = s.audit();
+        assert_eq!((a.live, a.finished), (0, n));
+        assert!(a.host_resumes <= 2 * n, "{a:?}");
     }
 
     #[test]
