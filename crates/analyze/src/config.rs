@@ -107,7 +107,7 @@ pub const UNWRAP_BUDGETS: &[(&str, u32)] = &[
     ("bench", 15),
     ("check", 0),
     ("core", 13),
-    ("facade", 55),
+    ("facade", 54),
     ("faults", 0),
     ("json", 16),
     ("machines", 6),

@@ -26,8 +26,8 @@ use beff_core::beff::resilient::{
     WatchdogPolicy,
 };
 use beff_core::beff::{
-    extra::pingpong, lmax, message_sizes, random_patterns, ring_patterns, BeffConfig, BeffResult,
-    Pattern, PatternResult, Transfers,
+    extra::pingpong, lmax, message_sizes, pattern_tables, BeffConfig, BeffResult, Pattern,
+    PatternResult, Transfers,
 };
 use beff_faults::{FaultPlan, FaultSession};
 use beff_machines::Machine;
@@ -105,13 +105,14 @@ impl ResilientRunner {
         let lmaxv = lmax(cfg.mem_per_proc);
         let sizes = message_sizes(lmaxv);
 
-        let mut patterns = ring_patterns(n);
-        patterns.extend(random_patterns(n, cfg.seed));
+        // the world's neighbor tables, built once here on the host; each
+        // attempt's ranks read their own rows
+        let patterns = pattern_tables(n, cfg.seed);
 
         let mut usable: Vec<PatternResult> = Vec::new();
         let mut health = Vec::with_capacity(patterns.len());
-        for pattern in &patterns {
-            let (result, h) = self.run_pattern(cfg, pattern);
+        for (pattern, table) in patterns {
+            let (result, h) = self.run_pattern(cfg, &pattern, &table);
             if let Some(pr) = result {
                 usable.push(pr);
             }
@@ -147,6 +148,7 @@ impl ResilientRunner {
         &self,
         cfg: &BeffConfig,
         pattern: &Pattern,
+        table: &[(usize, usize)],
     ) -> (Option<PatternResult>, PatternHealth) {
         let mut budget = self.policy.point_budget;
         let mut retries = 0u32;
@@ -166,10 +168,8 @@ impl ResilientRunner {
             if let Some(fs) = &self.faults {
                 fs.install(&self.net);
             }
-            let cfg2 = cfg.clone();
-            let pat = pattern.clone();
-            let b = budget;
-            let out = self.session.try_run(move |c| run_one_pattern(c, &cfg2, &pat, b));
+            let out =
+                self.session.try_run(|c| run_one_pattern(c, cfg, pattern, table[c.rank()], budget));
             match out {
                 Ok(mut v) => {
                     let attempt = v.swap_remove(0);

@@ -32,42 +32,77 @@ use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Bytes requested from the allocator so far (growth only for `realloc`).
 static REQUESTED: AtomicU64 = AtomicU64::new(0);
+/// Bytes allocated and not yet freed.
+static LIVE: AtomicU64 = AtomicU64::new(0);
+/// The most `LIVE` has been since the last [`CountingAlloc::reset_peak`].
+static PEAK: AtomicU64 = AtomicU64::new(0);
 
-/// The system allocator with a byte counter in front, for tests that
-/// hold a code path to "asks the allocator for (next to) nothing":
-/// install it with `#[global_allocator]` and bracket the path with
-/// [`CountingAlloc::requested`]. The count is process-wide, so such a
-/// test gets a test binary of its own.
+/// The system allocator with byte counters in front, for tests that
+/// hold a code path to "asks the allocator for (next to) nothing"
+/// ([`CountingAlloc::requested`]) or to "holds no more than this at
+/// once" ([`CountingAlloc::live`], [`CountingAlloc::peak`]): install it
+/// with `#[global_allocator]` and bracket the path. The counts are
+/// process-wide, so such a test gets a test binary of its own.
 pub struct CountingAlloc;
 
 impl CountingAlloc {
     pub fn requested() -> u64 {
         REQUESTED.load(Ordering::Relaxed)
     }
+
+    /// Heap bytes live right now.
+    pub fn live() -> u64 {
+        LIVE.load(Ordering::Relaxed)
+    }
+
+    /// The high-water mark of [`live`](Self::live) since the last
+    /// [`reset_peak`](Self::reset_peak) (or since the process started).
+    pub fn peak() -> u64 {
+        PEAK.load(Ordering::Relaxed)
+    }
+
+    /// Start a new high-water mark at what is live now.
+    pub fn reset_peak() {
+        PEAK.store(LIVE.load(Ordering::Relaxed), Ordering::Relaxed);
+    }
+
+    fn grow(bytes: u64) {
+        REQUESTED.fetch_add(bytes, Ordering::Relaxed);
+        let live = LIVE.fetch_add(bytes, Ordering::Relaxed) + bytes;
+        PEAK.fetch_max(live, Ordering::Relaxed);
+    }
+
+    fn shrink(bytes: u64) {
+        LIVE.fetch_sub(bytes, Ordering::Relaxed);
+    }
 }
 
 // SAFETY: every call is forwarded unchanged to `System`, which upholds
-// the `GlobalAlloc` contract; the counter touches no allocator state.
+// the `GlobalAlloc` contract; the counters touch no allocator state.
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        REQUESTED.fetch_add(layout.size() as u64, Ordering::Relaxed);
+        Self::grow(layout.size() as u64);
         // SAFETY: the caller's contract, passed through.
         unsafe { System.alloc(layout) }
     }
 
     unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        REQUESTED.fetch_add(layout.size() as u64, Ordering::Relaxed);
+        Self::grow(layout.size() as u64);
         // SAFETY: the caller's contract, passed through.
         unsafe { System.alloc_zeroed(layout) }
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        REQUESTED.fetch_add(new_size.saturating_sub(layout.size()) as u64, Ordering::Relaxed);
+        // only the difference counts: growth is requested and live,
+        // shrinkage is freed
+        Self::grow(new_size.saturating_sub(layout.size()) as u64);
+        Self::shrink(layout.size().saturating_sub(new_size) as u64);
         // SAFETY: the caller's contract, passed through.
         unsafe { System.realloc(ptr, layout, new_size) }
     }
 
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        Self::shrink(layout.size() as u64);
         // SAFETY: the caller's contract, passed through.
         unsafe { System.dealloc(ptr, layout) }
     }

@@ -15,14 +15,9 @@ pub fn run_extras(comm: &mut Comm, tr: &mut Transfers, len: u64, iters: u32) -> 
 
     // --- worst-case cycle: one ring ordered for maximal distance ---
     {
-        let order = interleaved_order(n);
-        let mut pos = vec![0usize; n];
-        for (i, &r) in order.iter().enumerate() {
-            pos[r] = i;
-        }
-        let me = pos[comm.rank()];
-        let left = order[(me + n - 1) % n];
-        let right = order[(me + 1) % n];
+        let me = interleaved_position(comm.rank(), n);
+        let left = interleaved_rank((me + n - 1) % n, n);
+        let right = interleaved_rank((me + 1) % n, n);
         let dt = timed(comm, iters, |c, tr| {
             tr.ring_iteration(c, Method::NonBlocking, left, right, len)
         }, tr);
@@ -128,18 +123,25 @@ fn timed(
     comm.allreduce_scalar(dt_local, ReduceOp::Max).max(1e-12)
 }
 
-/// Order visiting ranks with ~n/2 distance between neighbors:
-/// 0, h, 1, h+1, … with h = ⌈n/2⌉.
-pub fn interleaved_order(n: usize) -> Vec<usize> {
-    let h = n.div_ceil(2);
-    let mut v = Vec::with_capacity(n);
-    for i in 0..h {
-        v.push(i);
-        if i + h < n {
-            v.push(i + h);
-        }
+/// The rank at position `pos` of the worst-case cycle's order, which
+/// visits ranks with ~n/2 distance between neighbors: 0, h, 1, h+1, …
+/// with h = ⌈n/2⌉.
+fn interleaved_rank(pos: usize, n: usize) -> usize {
+    if pos.is_multiple_of(2) {
+        pos / 2
+    } else {
+        n.div_ceil(2) + pos / 2
     }
-    v
+}
+
+/// The position of `rank` in the order of [`interleaved_rank`].
+fn interleaved_position(rank: usize, n: usize) -> usize {
+    let h = n.div_ceil(2);
+    if rank < h {
+        2 * rank
+    } else {
+        2 * (rank - h) + 1
+    }
 }
 
 /// Pair 2i ↔ 2i+1 (odd tail idles).
@@ -177,7 +179,12 @@ mod tests {
     #[test]
     fn interleaved_order_is_permutation_with_long_hops() {
         for n in [2usize, 5, 8, 17, 64] {
-            let v = interleaved_order(n);
+            let v: Vec<usize> = (0..n).map(|pos| interleaved_rank(pos, n)).collect();
+            let opening = (0..n.div_ceil(2)).flat_map(|i| [i, i + n.div_ceil(2)]);
+            assert!(v.iter().copied().eq(opening.filter(|&r| r < n)), "n={n}: {v:?}");
+            for (pos, &r) in v.iter().enumerate() {
+                assert_eq!(interleaved_position(r, n), pos, "n={n} rank={r}");
+            }
             let mut s = v.clone();
             s.sort_unstable();
             assert_eq!(s, (0..n).collect::<Vec<_>>(), "n={n}");

@@ -137,13 +137,15 @@ pub struct PatternAttempt {
     pub t_end: Secs,
 }
 
-/// Measure one pattern, guarded. Collective: every rank calls it and
-/// every rank returns the same decision (trip or not), because the
-/// watchdog compares the *allreduced* loop time against the budget.
+/// Measure one pattern, guarded, with this rank's `(left, right)` in it.
+/// Collective: every rank calls it and every rank returns the same
+/// decision (trip or not), because the watchdog compares the
+/// *allreduced* loop time against the budget.
 pub fn run_one_pattern(
     comm: &mut Comm,
     cfg: &BeffConfig,
     pattern: &Pattern,
+    (left, right): (usize, usize),
     budget: Secs,
 ) -> PatternAttempt {
     let n = comm.size();
@@ -151,7 +153,6 @@ pub fn run_one_pattern(
     let sizes = message_sizes(lmaxv);
     let msgs = messages_per_iteration(n);
     let mut tr = Transfers::new(comm, lmaxv);
-    let (left, right) = pattern.neighbors[comm.rank()];
 
     let mut looplength = cfg.schedule.loop_start;
     let mut curve = Vec::with_capacity(sizes.len());

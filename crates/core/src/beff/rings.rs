@@ -5,18 +5,27 @@
 //! A *pattern* assigns every rank a left and a right neighbor inside
 //! its ring. Rings of size 2 have `left == right` (the two messages of
 //! an iteration go to the same peer).
+//!
+//! There is one neighbor rule, and a rank applies it to itself: a ring
+//! pattern is arithmetic on [`ring_sizes`] (find the ring that holds the
+//! rank, O(rings), no allocation); a random pattern is the same layout
+//! over a permutation drawn from `Rng64::new(seed)`, six in a row into
+//! one reused scratch buffer, in which the rank looks up its own
+//! position. [`rank_patterns`] is what a rank of `run_beff` keeps —
+//! twelve names, ring layouts and its own pairs, nothing of size n once
+//! it returns — so a simulated world of n ranks costs O(n), not O(n²).
+//! [`pattern_tables`] applies the same rule to every position at once,
+//! for the host (the resilient driver, tests).
 
 use beff_json::{Json, ToJson};
 use beff_netsim::Rng64;
 
-/// A communication pattern: per-rank (left, right) neighbors, plus a
-/// descriptive name and whether it belongs to the random family.
+/// A communication pattern's layout: a descriptive name, whether it
+/// belongs to the random family, and its rings.
 #[derive(Debug, Clone)]
 pub struct Pattern {
     pub name: String,
     pub random: bool,
-    /// neighbor pair per rank: (left, right)
-    pub neighbors: Vec<(usize, usize)>,
     /// ring sizes, for the protocol report
     pub ring_sizes: Vec<usize>,
 }
@@ -26,7 +35,6 @@ impl ToJson for Pattern {
         Json::object()
             .field("name", &self.name)
             .field("random", &self.random)
-            .field("neighbors", &self.neighbors)
             .field("ring_sizes", &self.ring_sizes)
             .build()
     }
@@ -99,62 +107,114 @@ pub fn ring_targets(n: usize) -> [usize; 6] {
     ]
 }
 
-/// Build the neighbor table for rings over `order` (ranks in ring
-/// order, consecutive ranks share a ring per `sizes`).
-fn neighbors_from_rings(order: &[usize], sizes: &[usize]) -> Vec<(usize, usize)> {
-    let n = order.len();
-    debug_assert_eq!(sizes.iter().sum::<usize>(), n, "ring sizes must cover all ranks");
-    let mut out = vec![(usize::MAX, usize::MAX); n];
-    let mut base = 0usize;
-    for &sz in sizes {
-        for i in 0..sz {
-            let me = order[base + i];
-            let left = order[base + (i + sz - 1) % sz];
-            let right = order[base + (i + 1) % sz];
-            out[me] = (left, right);
-        }
-        base += sz;
+/// The twelve patterns over `n` ranks in measurement order — six rings
+/// on natural rank order, then six over seeded random permutations —
+/// visited one at a time. A random pattern's permutation is drawn into
+/// `order`, one buffer reused for all six; a ring pattern leaves it
+/// empty (the identity).
+struct Walk {
+    n: usize,
+    next: usize,
+    rng: Rng64,
+    /// position in ring order → rank; empty for the identity
+    order: Vec<usize>,
+}
+
+impl Walk {
+    fn new(n: usize, seed: u64) -> Self {
+        Self { n, next: 0, rng: Rng64::new(seed), order: Vec::new() }
     }
-    debug_assert!(out.iter().all(|&(l, r)| l != usize::MAX && r != usize::MAX));
-    out
+
+    /// Step to the next pattern and return its layout. The k-th random
+    /// pattern's ranks are the k-th `Rng64::permutation(n)` drawn from
+    /// the seed.
+    fn step(&mut self) -> Option<Pattern> {
+        let (k, n) = (self.next, self.n);
+        if k == 12 {
+            return None;
+        }
+        self.next += 1;
+        let (random, i) = (k >= 6, k % 6);
+        if random {
+            self.order.clear();
+            self.order.extend(0..n);
+            self.rng.shuffle(&mut self.order);
+        }
+        let s = ring_targets(n)[i];
+        let family = if random { "random" } else { "ring" };
+        Some(Pattern {
+            name: format!("{family}-{} (target {s})", i + 1),
+            random,
+            ring_sizes: ring_sizes(n, s),
+        })
+    }
+
+    fn rank_at(&self, pos: usize) -> usize {
+        if self.order.is_empty() {
+            pos
+        } else {
+            self.order[pos]
+        }
+    }
+
+    fn position_of(&self, rank: usize) -> usize {
+        if self.order.is_empty() {
+            rank
+        } else {
+            // beff-analyze: allow(unwrap): `order` is a permutation of 0..n and rank < n
+            self.order.iter().position(|&r| r == rank).expect("a permutation holds every rank")
+        }
+    }
+
+    /// The neighbor rule: the (left, right) of the rank at position `pos`
+    /// of the ring that spans positions `base..base + sz`.
+    fn pair_in(&self, (base, sz): (usize, usize), pos: usize) -> (usize, usize) {
+        let i = pos - base;
+        (self.rank_at(base + (i + sz - 1) % sz), self.rank_at(base + (i + 1) % sz))
+    }
 }
 
-/// The six ring patterns on natural rank order.
-pub fn ring_patterns(n: usize) -> Vec<Pattern> {
-    let order: Vec<usize> = (0..n).collect();
-    ring_targets(n)
-        .iter()
-        .enumerate()
-        .map(|(i, &s)| {
-            let sizes = ring_sizes(n, s);
-            Pattern {
-                name: format!("ring-{} (target {s})", i + 1),
-                random: false,
-                neighbors: neighbors_from_rings(&order, &sizes),
-                ring_sizes: sizes,
-            }
-        })
-        .collect()
+/// The consecutive rings of a layout as position ranges `(base, size)`.
+fn rings(sizes: &[usize]) -> impl Iterator<Item = (usize, usize)> + '_ {
+    sizes.iter().scan(0, |base, &sz| {
+        *base += sz;
+        Some((*base - sz, sz))
+    })
 }
 
-/// The six random patterns: the same ring layouts over a seeded random
-/// permutation of the ranks (a fresh permutation per pattern).
-pub fn random_patterns(n: usize, seed: u64) -> Vec<Pattern> {
-    let mut rng = Rng64::new(seed);
-    ring_targets(n)
-        .iter()
-        .enumerate()
-        .map(|(i, &s)| {
-            let order = rng.permutation(n);
-            let sizes = ring_sizes(n, s);
-            Pattern {
-                name: format!("random-{} (target {s})", i + 1),
-                random: true,
-                neighbors: neighbors_from_rings(&order, &sizes),
-                ring_sizes: sizes,
+/// The twelve patterns as rank `rank` of `n` meets them — the layout of
+/// each and the rank's own (left, right) in it. O(n) time per random
+/// pattern; the one n-entry scratch buffer is gone on return.
+pub fn rank_patterns(n: usize, rank: usize, seed: u64) -> Vec<(Pattern, (usize, usize))> {
+    assert!(rank < n, "rank {rank} outside a world of {n}");
+    let mut walk = Walk::new(n, seed);
+    std::iter::from_fn(|| {
+        let p = walk.step()?;
+        let pos = walk.position_of(rank);
+        let ring = rings(&p.ring_sizes).find(|&(base, sz)| pos < base + sz);
+        // beff-analyze: allow(unwrap): `ring_sizes(n, _)` sums to n, and pos < n
+        let pair = walk.pair_in(ring.expect("the rings cover every position"), pos);
+        Some((p, pair))
+    })
+    .collect()
+}
+
+/// The twelve patterns with every rank's (left, right), indexed by rank:
+/// the same rule as [`rank_patterns`], applied once to every position.
+/// A world-sized table, for the host.
+pub fn pattern_tables(n: usize, seed: u64) -> Vec<(Pattern, Vec<(usize, usize)>)> {
+    let mut walk = Walk::new(n, seed);
+    std::iter::from_fn(|| {
+        let p = walk.step()?;
+        let mut table = vec![(0, 0); n];
+        for ring in rings(&p.ring_sizes) {
+            for pos in ring.0..ring.0 + ring.1 {
+                table[walk.rank_at(pos)] = walk.pair_in(ring, pos);
             }
-        })
-        .collect()
+        }
+        Some((p, table))
+    })
+    .collect()
 }
 
 /// Messages sent per iteration of a pattern (2 per rank: one to each
@@ -224,14 +284,74 @@ mod tests {
         assert_eq!(ring_targets(2), [2, 2, 2, 2, 2, 2]);
     }
 
+    /// The tables as the parent's builder made them: every rank's pair
+    /// read off the rings laid over `order`, for the identity and for
+    /// six fresh `Rng64::permutation` draws.
+    fn reference(n: usize, seed: u64) -> Vec<Vec<(usize, usize)>> {
+        let mut rng = Rng64::new(seed);
+        let orders = (0..12).map(|k| if k < 6 { (0..n).collect() } else { rng.permutation(n) });
+        orders
+            .zip(ring_targets(n).repeat(2))
+            .map(|(order, s): (Vec<usize>, usize)| {
+                let mut out = vec![(usize::MAX, usize::MAX); n];
+                let mut base = 0;
+                for sz in ring_sizes(n, s) {
+                    for i in 0..sz {
+                        let at = |j: usize| order[base + j % sz];
+                        out[at(i)] = (at(i + sz - 1), at(i + 1));
+                    }
+                    base += sz;
+                }
+                out
+            })
+            .collect()
+    }
+
+    fn tables(n: usize, seed: u64) -> Vec<Vec<(usize, usize)>> {
+        pattern_tables(n, seed).into_iter().map(|(_, t)| t).collect()
+    }
+
+    #[test]
+    fn tables_are_the_reference_rings_and_permutations() {
+        for n in [1usize, 2, 3, 7, 16, 33, 100, 512] {
+            for seed in [0xB0EF, 1, 8] {
+                assert_eq!(tables(n, seed), reference(n, seed), "n={n} seed={seed}");
+            }
+        }
+    }
+
+    /// A rank's own view is its row of the host table, in all twelve
+    /// patterns: every rank up to 64 ranks, and for every world size up
+    /// to 600 its first, last and a drawn rank, over three drawn seeds.
+    #[test]
+    fn every_rank_reads_its_row_of_the_table() {
+        beff_check::check_n("rank view equals the table", 3, |g| {
+            let seed = g.u64(0..=u64::MAX);
+            for n in 1..=600usize {
+                let tables = pattern_tables(n, seed);
+                let drawn = [0, n - 1, g.usize(0..=n - 1)];
+                let all: Vec<usize> = (0..n).collect();
+                for &rank in if n <= 64 { &all[..] } else { &drawn[..] } {
+                    let mine = rank_patterns(n, rank, seed);
+                    beff_check::ensure_eq!(mine.len(), 12);
+                    for ((p, pair), (q, table)) in mine.iter().zip(&tables) {
+                        beff_check::ensure_eq!(*pair, table[rank], "{} n={n} rank={rank}", p.name);
+                        beff_check::ensure_eq!((&p.name, p.random), (&q.name, q.random));
+                        beff_check::ensure_eq!(p.ring_sizes, q.ring_sizes);
+                    }
+                }
+            }
+        });
+    }
+
     #[test]
     fn neighbors_are_mutual_along_rings() {
-        for n in [2usize, 5, 7, 16, 33] {
-            for p in ring_patterns(n) {
-                for (me, &(l, r)) in p.neighbors.iter().enumerate() {
+        for n in [2usize, 5, 7, 16, 24, 33] {
+            for (p, t) in pattern_tables(n, 3) {
+                for (me, &(l, r)) in t.iter().enumerate() {
                     // my right neighbor's left neighbor is me
-                    assert_eq!(p.neighbors[r].0, me, "{} n={n} me={me}", p.name);
-                    assert_eq!(p.neighbors[l].1, me, "{} n={n} me={me}", p.name);
+                    assert_eq!(t[r].0, me, "{} n={n} me={me}", p.name);
+                    assert_eq!(t[l].1, me, "{} n={n} me={me}", p.name);
                 }
             }
         }
@@ -239,45 +359,33 @@ mod tests {
 
     #[test]
     fn ring_of_two_has_left_equal_right() {
-        let p = &ring_patterns(4)[0]; // rings of 2
-        for &(l, r) in &p.neighbors {
+        let (_, t) = &pattern_tables(4, 1)[0]; // rings of 2
+        for &(l, r) in t {
             assert_eq!(l, r);
         }
     }
 
     #[test]
     fn six_plus_six_patterns() {
-        assert_eq!(ring_patterns(16).len(), 6);
-        assert_eq!(random_patterns(16, 1).len(), 6);
+        let ps = pattern_tables(16, 1);
+        assert_eq!(ps.len(), 12);
+        assert!(ps.iter().enumerate().all(|(k, (p, _))| p.random == (k >= 6)));
     }
 
     #[test]
     fn random_patterns_are_deterministic_and_distinct() {
-        let a = random_patterns(32, 7);
-        let b = random_patterns(32, 7);
-        for (x, y) in a.iter().zip(&b) {
-            assert_eq!(x.neighbors, y.neighbors);
-        }
-        let c = random_patterns(32, 8);
-        assert!(a.iter().zip(&c).any(|(x, y)| x.neighbors != y.neighbors));
-    }
-
-    #[test]
-    fn random_pattern_neighbors_are_permutation_consistent() {
-        for p in random_patterns(24, 3) {
-            for (me, &(l, r)) in p.neighbors.iter().enumerate() {
-                assert_eq!(p.neighbors[r].0, me, "{}", p.name);
-                assert_eq!(p.neighbors[l].1, me, "{}", p.name);
-            }
-        }
+        let (a, b, c) = (tables(32, 7), tables(32, 7), tables(32, 8));
+        assert_eq!(a, b);
+        assert_eq!(a[..6], c[..6], "ring patterns do not depend on the seed");
+        assert!((6..12).all(|k| a[k] != c[k]));
     }
 
     #[test]
     fn last_pattern_is_one_big_ring() {
-        let ps = ring_patterns(10);
-        assert_eq!(ps[5].ring_sizes, vec![10]);
+        let (p, t) = &pattern_tables(10, 1)[5];
+        assert_eq!(p.ring_sizes, vec![10]);
         // in one ring of n, left/right differ for n > 2
-        for &(l, r) in &ps[5].neighbors {
+        for &(l, r) in t {
             assert_ne!(l, r);
         }
     }

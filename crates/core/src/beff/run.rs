@@ -5,7 +5,7 @@ use super::extra::{pingpong, run_extras};
 use super::measure::{measure_point, MeasureSchedule};
 use super::methods::{Transfers, METHODS};
 use super::result::{BeffResult, PatternResult};
-use super::rings::{messages_per_iteration, random_patterns, ring_patterns};
+use super::rings::{messages_per_iteration, rank_patterns};
 use super::sizes::{lmax, message_sizes};
 use beff_json::{Json, ToJson};
 use beff_mpi::Comm;
@@ -74,12 +74,12 @@ pub fn run_beff(comm: &mut Comm, cfg: &BeffConfig) -> BeffResult {
     let msgs = messages_per_iteration(n);
     let mut tr = Transfers::new(comm, lmax);
 
-    let mut patterns = ring_patterns(n);
-    patterns.extend(random_patterns(n, cfg.seed));
+    // the twelve layouts and this rank's own pairs: O(rings) a rank, not
+    // a world-sized table (see `rings`)
+    let patterns = rank_patterns(n, comm.rank(), cfg.seed);
 
     let mut results = Vec::with_capacity(patterns.len());
-    for pattern in &patterns {
-        let (left, right) = pattern.neighbors[comm.rank()];
+    for (pattern, (left, right)) in patterns {
         let mut looplength = cfg.schedule.loop_start;
         let mut curve = Vec::with_capacity(sizes.len());
         for &len in &sizes {
@@ -96,9 +96,9 @@ pub fn run_beff(comm: &mut Comm, cfg: &BeffConfig) -> BeffResult {
             curve.push(best);
         }
         results.push(PatternResult {
-            name: pattern.name.clone(),
+            name: pattern.name,
             random: pattern.random,
-            ring_sizes: pattern.ring_sizes.clone(),
+            ring_sizes: pattern.ring_sizes,
             curve,
         });
     }

@@ -1,12 +1,12 @@
 //! Collective operations.
 //!
-//! Barrier and allreduce meet on the communicator's rendezvous board
-//! (`Comm::sim_rendezvous`): no message moves, the contributions are
-//! reduced in rank order, and the cost is the closed form of the
-//! dissemination sweep (barrier) or of reduce + bcast sweeps
-//! (allreduce). Every other collective is built on point-to-point, so
-//! its virtual-time cost *emerges* from the network model, following
-//! the classic MPICH choices:
+//! Barrier, allreduce and the exclusive prefix sum meet on the
+//! communicator's rendezvous board (`Comm::sim_rendezvous`): no message
+//! moves, the contributions are folded in rank order, and the cost is
+//! the closed form of the dissemination sweep (barrier) or of reduce +
+//! bcast sweeps (allreduce, scan). Every other collective is built on
+//! point-to-point, so its virtual-time cost *emerges* from the network
+//! model, following the classic MPICH choices:
 //!
 //! * bcast — binomial tree,
 //! * reduce — binomial tree (commutative ops),
@@ -14,7 +14,7 @@
 //! * alltoallv — pairwise shifted exchange, skipping zero counts (this
 //!   is one of the three b_eff communication *methods*).
 
-use crate::comm::Comm;
+use crate::comm::{Comm, Fold};
 use crate::message::RecvInfo;
 use crate::wire;
 
@@ -44,7 +44,7 @@ impl Comm {
     /// scheduler yield per rank, closed-form dissemination cost).
     pub fn barrier(&mut self) {
         if self.size() > 1 {
-            self.sim_rendezvous(&[], &mut [], None);
+            self.sim_rendezvous(&[], &mut [], Fold::Barrier);
         }
     }
 
@@ -126,10 +126,25 @@ impl Comm {
 
     fn allreduce_into(&mut self, vals: &[f64], out: &mut [f64], op: ReduceOp) {
         if self.size() > 1 {
-            self.sim_rendezvous(vals, out, Some(op));
+            self.sim_rendezvous(vals, out, Fold::Reduce(op));
         } else {
             out.copy_from_slice(vals);
         }
+    }
+
+    /// Exclusive prefix sum (`MPI_Exscan` with a sum, plus the total):
+    /// returns the sum of the values of the ranks before this one (0.0
+    /// on rank 0) and the sum over all ranks. Each rank posts one value
+    /// on the board and the last arriver forms the running sums in rank
+    /// order — bit for bit what summing an allreduced one-hot vector in
+    /// rank order gives, at the allreduce's price, with no n-vector.
+    pub fn exscan_sum(&mut self, v: f64) -> (f64, f64) {
+        if self.size() == 1 {
+            return (0.0, v);
+        }
+        let mut out = [0.0; 2];
+        self.sim_rendezvous(&[v], &mut out, Fold::ExScanSum);
+        (out[0], out[1])
     }
 
     /// Linear gather of byte buffers to `root` (control path). Returns

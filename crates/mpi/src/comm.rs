@@ -104,6 +104,20 @@ fn wire_fault_delay(
     }
 }
 
+/// What the last arriver of a rendezvous makes of the contributions.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub(crate) enum Fold {
+    /// A barrier: nothing posted, nothing returned; one sweep.
+    Barrier,
+    /// Every rank leaves with the contributions reduced by the operator
+    /// (reduce + bcast: two sweeps).
+    Reduce(ReduceOp),
+    /// One value a rank; each leaves with `[the sum of the values of the
+    /// ranks before it, the sum of all]`, running sums in rank order from
+    /// 0.0. Priced like the allreduce it stands in for (two sweeps).
+    ExScanSum,
+}
+
 /// One generation of a communicator's rendezvous board: the state of
 /// one simulated collective from its first arrival to its last exit.
 /// Under the token scheduler exactly one rank runs at a time, so it
@@ -147,30 +161,47 @@ impl Generation {
         self.arrived == n
     }
 
-    /// The last arriver's step: reduce the contributions in rank order
-    /// into `out`, put the common exit `cost` after the latest arrival,
-    /// publish both for the waiters and count the caller's own exit.
-    fn publish(&mut self, cost: Secs, op: Option<ReduceOp>, out: &mut [f64]) -> Secs {
-        let (first, rest) = self.vals.split_at(self.width);
-        self.result.copy_from_slice(first);
-        match op {
-            Some(op) if self.width > 0 => {
+    /// The last arriver's step: fold the contributions in rank order,
+    /// copy ctx-rank `rank`'s share into `out`, put the common exit
+    /// `cost` after the latest arrival, publish both for the waiters and
+    /// count the caller's own exit.
+    fn publish(&mut self, cost: Secs, fold: Fold, rank: usize, out: &mut [f64]) -> Secs {
+        match fold {
+            Fold::Reduce(op) if self.width > 0 => {
+                let (first, rest) = self.vals.split_at(self.width);
+                self.result.copy_from_slice(first);
                 rest.chunks_exact(self.width).for_each(|v| op.apply(&mut self.result, v))
+            }
+            Fold::ExScanSum => {
+                // each rank's value becomes the sum of those before it
+                let mut sum = 0.0;
+                for v in &mut self.vals {
+                    (*v, sum) = (sum, sum + *v);
+                }
+                self.result[0] = sum;
             }
             _ => debug_assert_eq!(self.width, 0, "barrier carries no data"),
         }
-        out.copy_from_slice(&self.result);
+        self.share(fold, rank, out);
         let t_exit = self.t_arrive.iter().fold(0.0_f64, |a, &t| a.max(t)) + cost;
         (self.t_exit, self.exited) = (Some(t_exit), 1);
         t_exit
     }
 
-    /// The published exit time, if the collective is complete, with the
-    /// result copied into `out` and the caller's exit counted — the
-    /// last of the `n` ranks out re-arms the generation.
-    fn pick_up(&mut self, n: usize, out: &mut [f64]) -> Option<Secs> {
+    /// What ctx-rank `rank` leaves a published collective with.
+    fn share(&self, fold: Fold, rank: usize, out: &mut [f64]) {
+        match fold {
+            Fold::ExScanSum => out.copy_from_slice(&[self.vals[rank], self.result[0]]),
+            _ => out.copy_from_slice(&self.result),
+        }
+    }
+
+    /// The published exit time, if the collective is complete, with
+    /// ctx-rank `rank`'s share copied into `out` and its exit counted —
+    /// the last of the `n` ranks out re-arms the generation.
+    fn pick_up(&mut self, n: usize, fold: Fold, rank: usize, out: &mut [f64]) -> Option<Secs> {
         let t_exit = self.t_exit?;
-        out.copy_from_slice(&self.result);
+        self.share(fold, rank, out);
         self.exited += 1;
         if self.exited == n {
             (self.arrived, self.exited, self.t_exit) = (0, 0, None);
@@ -604,10 +635,11 @@ impl Comm {
     /// The collective rendezvous: instead of ⌈log₂ n⌉ rounds of
     /// point-to-point traffic (each round a token handoff per rank),
     /// every rank posts `contrib` on the communicator's board and parks
-    /// once; the last arriver reduces in rank order, prices the
-    /// collective in closed form ([`sim_sweep_cost`](Self::sim_sweep_cost)) and
-    /// re-queues the waiters; every rank leaves with the reduced vector
-    /// in `out` (`op` of `None`: a barrier, both slices empty). One
+    /// once; the last arriver folds the contributions in rank order
+    /// ([`Fold`]), prices the collective in closed form
+    /// ([`sim_sweep_cost`](Self::sim_sweep_cost)) and re-queues the
+    /// waiters; every rank leaves with its share of the fold in `out`
+    /// (a barrier: both slices empty). One
     /// scheduler yield per rank, zero mailbox traffic, no allocation,
     /// bit-deterministic. The last arriver takes `mpi.boards` once
     /// (post, reduce, publish and count its own exit in one go) and
@@ -615,29 +647,30 @@ impl Comm {
     /// `mpi.boards` twice (post; pick up the result and count its exit)
     /// and `sched.state` once — on the asm backend all of them claimed
     /// by the world for its run.
-    pub(crate) fn sim_rendezvous(&mut self, contrib: &[f64], out: &mut [f64], op: Option<ReduceOp>) {
+    pub(crate) fn sim_rendezvous(&mut self, contrib: &[f64], out: &mut [f64], fold: Fold) {
         let n = self.size();
         debug_assert!(n > 1, "rendezvous on a singleton communicator");
         let wr = self.world_rank();
         let now = self.now();
         let Self { shared, ranks, sweep_cost, .. } = self;
-        let (sched, board) = (&shared.sched, self.ctx as usize);
+        let (sched, board, me) = (&shared.sched, self.ctx as usize, self.rank);
         let gen = (self.rendezvous & 1) as usize;
         self.rendezvous = self.rendezvous.wrapping_add(1);
         let published = {
             let mut boards = shared.boards.lock();
             let g = &mut boards[board][gen];
-            g.post(n, self.rank, now, contrib).then(|| {
+            g.post(n, me, now, contrib).then(|| {
                 let sweep =
                     *sweep_cost.get_or_insert_with(|| Self::sim_sweep_cost(&shared.engine.net, ranks));
                 // Barrier costs one dissemination sweep; allreduce is
-                // modeled as reduce + bcast (two tree sweeps).
-                g.publish(sweep * if op.is_some() { 2.0 } else { 1.0 }, op, out)
+                // modeled as reduce + bcast (two tree sweeps), and so is
+                // the scan.
+                let sweeps = if fold == Fold::Barrier { 1.0 } else { 2.0 };
+                g.publish(sweep * sweeps, fold, me, out)
             })
         };
         let t_exit = match published {
             Some(t_exit) => {
-                let me = self.rank;
                 let peers = ranks.iter().enumerate().filter(|&(i, _)| i != me);
                 sched.unblock_all(peers.map(|(_, &w)| w));
                 t_exit
@@ -646,7 +679,7 @@ impl Comm {
                 sched.yield_blocked(wr);
                 // Woken: either the last arriver published the result,
                 // or the world died while we were parked.
-                let picked = shared.boards.lock()[board][gen].pick_up(n, out);
+                let picked = shared.boards.lock()[board][gen].pick_up(n, fold, me, out);
                 if let Some(t_exit) = picked {
                     break t_exit;
                 }

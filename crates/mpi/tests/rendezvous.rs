@@ -209,3 +209,47 @@ fn board_values_equal_the_point_to_point_tree() {
         }
     }
 }
+
+/// The exclusive prefix sum on the board against what it replaces in
+/// MPI-IO's ordered access: an allreduced one-hot vector of lengths,
+/// summed up to the rank and in full. For random lengths (zeros and
+/// values past 2^53 among them), random arrival times and a world of
+/// one rank up, three scans in a row, every rank's offset and total
+/// and its clock after each scan are equal to the bit.
+#[test]
+fn the_scan_is_the_one_hot_allreduce_it_replaces() {
+    beff_check::check_n("exscan equals the one-hot allreduce", 24, |g| {
+        let n = g.usize(1..=40);
+        let rounds: Vec<Vec<(f64, f64)>> = (0..3)
+            .map(|_| {
+                let len = |g: &mut beff_check::Gen| match g.usize(0..=3) {
+                    0 => 0,
+                    1 => g.u64(0..=u64::MAX >> 4),
+                    _ => g.u64(0..=1 << 30),
+                };
+                (0..n).map(|_| (len(g) as f64, g.f64(0.0, 1e-5))).collect()
+            })
+            .collect();
+        let run = |scan: bool| {
+            world(n).run(|c| {
+                let (me, n) = (c.rank(), c.size());
+                let mut seen = Vec::new();
+                for round in &rounds {
+                    let (len, delay) = round[me];
+                    c.compute(delay);
+                    let (off, total) = if scan {
+                        c.exscan_sum(len)
+                    } else {
+                        let mut onehot = vec![0.0; n];
+                        onehot[me] = len;
+                        let lens = c.allreduce_f64(&onehot, ReduceOp::Sum);
+                        (lens[..me].iter().sum::<f64>(), lens.iter().sum::<f64>())
+                    };
+                    seen.push((off as u64, total.to_bits(), c.now().to_bits()));
+                }
+                seen
+            })
+        };
+        beff_check::ensure_eq!(run(true), run(false), "n = {n}");
+    });
+}

@@ -317,17 +317,8 @@ impl MpiFile {
 }
 
 /// Exclusive prefix of `len` over ranks plus the total (for ordered
-/// shared-pointer access). Uses a gather+bcast on rank 0.
+/// shared-pointer access): one scan on the communicator's board.
 fn ordered_offsets(comm: &mut Comm, len: u64) -> (u64, u64) {
-    let lens = comm.allreduce_f64(
-        &{
-            let mut v = vec![0.0f64; comm.size()];
-            v[comm.rank()] = len as f64;
-            v
-        },
-        beff_mpi::ReduceOp::Sum,
-    );
-    let my_off: f64 = lens[..comm.rank()].iter().sum();
-    let total: f64 = lens.iter().sum();
+    let (my_off, total) = comm.exscan_sum(len as f64);
     (my_off as u64, total as u64)
 }

@@ -7,7 +7,7 @@
 //! traffic stays identical.
 
 use crate::cli::{Args, Fail};
-use beff_core::beff::{random_patterns, ring_patterns, Method, Transfers};
+use beff_core::beff::{rank_patterns, Method, Transfers};
 use beff_machines::t3e;
 use beff_mpi::World;
 use beff_netsim::{traffic_report, TrafficReport, MB};
@@ -22,10 +22,9 @@ fn run_pattern(
     let net = machine.network();
     let net2 = std::sync::Arc::clone(&net);
     let times = World::sim_partition(net, procs).run(|c| {
-        let n = c.size();
-        let patterns = if random { random_patterns(n, 0xB0EF) } else { ring_patterns(n) };
-        let p = patterns.last().expect("one-big-ring pattern");
-        let (left, right) = p.neighbors[c.rank()];
+        // the last pattern of each family is its one big ring
+        let mut patterns = rank_patterns(c.size(), c.rank(), 0xB0EF);
+        let (_, (left, right)) = patterns.swap_remove(if random { 11 } else { 5 });
         let mut tr = Transfers::new(c, MB);
         c.barrier();
         let t0 = c.now();
