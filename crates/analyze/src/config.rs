@@ -279,6 +279,7 @@ pub const PANIC_ENTRY_POINTS: &[(&str, &[&str])] = &[
             "yield_blocked",
             "unblock",
             "unblock_all",
+            "hand_off",
             "abort",
             "drive",
             "launch",
@@ -342,7 +343,7 @@ pub const PANICFLOW_BUDGETS: &[(&str, u32)] = &[
     ("core", 3),
     ("json", 9),
     ("machines", 1),
-    ("mpi", 7),
+    ("mpi", 6),
     ("netsim", 1),
     ("sim", 12),
 ];

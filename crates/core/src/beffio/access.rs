@@ -421,7 +421,12 @@ fn run_separate(
 
 /// Pattern types 3 and 4: one file of per-rank segments; size-driven
 /// repetitions computed from the measurements of types 0–2; type 3
-/// uses noncollective calls, type 4 collective ones.
+/// uses noncollective calls, type 4 collective ones. Type 4 hands a
+/// pattern's repetitions to MPI-IO as one run
+/// ([`MpiFile::write_all_n`]/[`MpiFile::read_all_n`]: bit for bit the
+/// calls one by one, and in a no-copy world one rendezvous for all of
+/// them); with `verify` it makes the calls one by one, so that every
+/// read is checked.
 fn run_segmented(
     comm: &mut Comm,
     io: &Arc<IoWorld>,
@@ -469,22 +474,30 @@ fn run_segmented(
         } else {
             let l = p.l(mpart) as usize;
             let reps = state.seg_reps[p.std_row()];
-            for _ in 0..reps {
+            if collective && !cfg.verify {
                 if method.is_write() {
-                    if collective {
-                        f.write_all(comm, &bufs.w[..l]);
-                    } else {
-                        f.write(comm, &bufs.w[..l]);
-                    }
-                } else if collective {
-                    f.read_all(comm, &mut bufs.r[..l]);
-                    if cfg.verify {
-                        verify_buf(&bufs.r[..l], bufs.fill, "type 4 read_all");
-                    }
+                    f.write_all_n(comm, &bufs.w[..l], reps);
                 } else {
-                    f.read(comm, &mut bufs.r[..l]);
-                    if cfg.verify {
-                        verify_buf(&bufs.r[..l], bufs.fill, "type 3 read");
+                    f.read_all_n(comm, &mut bufs.r[..l], reps);
+                }
+            } else {
+                for _ in 0..reps {
+                    if method.is_write() {
+                        if collective {
+                            f.write_all(comm, &bufs.w[..l]);
+                        } else {
+                            f.write(comm, &bufs.w[..l]);
+                        }
+                    } else if collective {
+                        f.read_all(comm, &mut bufs.r[..l]);
+                        if cfg.verify {
+                            verify_buf(&bufs.r[..l], bufs.fill, "type 4 read_all");
+                        }
+                    } else {
+                        f.read(comm, &mut bufs.r[..l]);
+                        if cfg.verify {
+                            verify_buf(&bufs.r[..l], bufs.fill, "type 3 read");
+                        }
                     }
                 }
             }

@@ -1,7 +1,8 @@
 //! Collective operations.
 //!
-//! Barrier, allreduce and the exclusive prefix sum meet on the
-//! communicator's rendezvous board (`Comm::sim_rendezvous`): no message
+//! Barrier, allreduce, the exclusive prefix sum and a run of
+//! agreement/step/barrier rounds meet on the communicator's rendezvous
+//! board (`Comm::sim_rendezvous`, `Comm::sim_rounds`): no message
 //! moves, the contributions are folded in rank order, and the cost is
 //! the closed form of the dissemination sweep (barrier) or of reduce +
 //! bcast sweeps (allreduce, scan). Every other collective is built on
@@ -17,6 +18,7 @@
 use crate::comm::{Comm, Fold};
 use crate::message::RecvInfo;
 use crate::wire;
+use beff_sim::Secs;
 
 /// Reduction operators over f64 vectors.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -145,6 +147,46 @@ impl Comm {
         let mut out = [0.0; 2];
         self.sim_rendezvous(&[v], &mut out, Fold::ExScanSum);
         (out[0], out[1])
+    }
+
+    /// `rounds` rounds of an agreement, a per-rank step and a barrier,
+    /// met as one rendezvous. Bit for bit, every rank runs
+    ///
+    /// ```text
+    /// agreed = allreduce(contrib, Max)      // the first agreement
+    /// if !batch(agreed) { return false }    // nothing else happened
+    /// own = contrib
+    /// for round in 0..rounds {
+    ///     if round > 0 { allreduce(contrib, Max) }
+    ///     advance_to(step(world_rank, own, now))
+    ///     barrier()
+    /// }
+    /// return true
+    /// ```
+    ///
+    /// and leaves with `out = agreed ++ own`. Only the first agreement
+    /// parks the ranks: its last arriver, if `batch` accepts the fold,
+    /// runs every rank's `step` of every round itself, in the order the
+    /// token would have run them, and hands the token on where the last
+    /// barrier would have left it — one scheduler yield a rank for the
+    /// whole run instead of two a round. `batch` must be a pure function
+    /// of the fold; `step` books the rank's round on state the token
+    /// orders, and neither communicates nor blocks.
+    ///
+    /// Panics unless the communicator spans the world with at least two
+    /// ranks (no rank outside it may run between the steps), `rounds` is
+    /// at least one and `out` holds twice `contrib`.
+    pub fn allreduce_rounds(
+        &mut self,
+        contrib: &[f64],
+        out: &mut [f64],
+        rounds: u64,
+        batch: impl Fn(&[f64]) -> bool,
+        step: impl FnMut(usize, &mut [f64], Secs) -> Secs,
+    ) -> bool {
+        assert!(self.size() > 1 && self.spans_world(), "rounds need a world-wide communicator");
+        assert!(rounds > 0 && out.len() == 2 * contrib.len(), "rounds: bad shape");
+        self.sim_rounds(contrib, out, rounds, batch, step)
     }
 
     /// Linear gather of byte buffers to `root` (control path). Returns

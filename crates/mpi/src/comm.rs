@@ -116,6 +116,10 @@ pub(crate) enum Fold {
     /// ranks before it, the sum of all]`, running sums in rank order from
     /// 0.0. Priced like the allreduce it stands in for (two sweeps).
     ExScanSum,
+    /// The agreement of a run of rounds ([`Comm::allreduce_rounds`]):
+    /// reduced with `Max` like an allreduce, and each rank leaves with the
+    /// result followed by its own contribution as the rounds left it.
+    Rounds,
 }
 
 /// One generation of a communicator's rendezvous board: the state of
@@ -161,17 +165,12 @@ impl Generation {
         self.arrived == n
     }
 
-    /// The last arriver's step: fold the contributions in rank order,
-    /// copy ctx-rank `rank`'s share into `out`, put the common exit
-    /// `cost` after the latest arrival, publish both for the waiters and
-    /// count the caller's own exit.
-    fn publish(&mut self, cost: Secs, fold: Fold, rank: usize, out: &mut [f64]) -> Secs {
+    /// The last arriver's step: fold the contributions in rank order
+    /// and return the latest arrival.
+    fn fold(&mut self, fold: Fold) -> Secs {
         match fold {
-            Fold::Reduce(op) if self.width > 0 => {
-                let (first, rest) = self.vals.split_at(self.width);
-                self.result.copy_from_slice(first);
-                rest.chunks_exact(self.width).for_each(|v| op.apply(&mut self.result, v))
-            }
+            Fold::Reduce(op) if self.width > 0 => self.reduce(op),
+            Fold::Rounds => self.reduce(ReduceOp::Max),
             Fold::ExScanSum => {
                 // each rank's value becomes the sum of those before it
                 let mut sum = 0.0;
@@ -182,8 +181,20 @@ impl Generation {
             }
             _ => debug_assert_eq!(self.width, 0, "barrier carries no data"),
         }
+        self.t_arrive.iter().fold(0.0_f64, |a, &t| a.max(t))
+    }
+
+    fn reduce(&mut self, op: ReduceOp) {
+        let (first, rest) = self.vals.split_at(self.width);
+        self.result.copy_from_slice(first);
+        rest.chunks_exact(self.width).for_each(|v| op.apply(&mut self.result, v))
+    }
+
+    /// Publish the folded collective for the waiters: the common exit
+    /// `t_exit`, with ctx-rank `rank`'s share copied into `out` and the
+    /// caller's own exit counted.
+    fn publish(&mut self, t_exit: Secs, fold: Fold, rank: usize, out: &mut [f64]) -> Secs {
         self.share(fold, rank, out);
-        let t_exit = self.t_arrive.iter().fold(0.0_f64, |a, &t| a.max(t)) + cost;
         (self.t_exit, self.exited) = (Some(t_exit), 1);
         t_exit
     }
@@ -192,6 +203,11 @@ impl Generation {
     fn share(&self, fold: Fold, rank: usize, out: &mut [f64]) {
         match fold {
             Fold::ExScanSum => out.copy_from_slice(&[self.vals[rank], self.result[0]]),
+            Fold::Rounds => {
+                let (agreed, own) = out.split_at_mut(self.width);
+                agreed.copy_from_slice(&self.result);
+                own.copy_from_slice(&self.vals[rank * self.width..][..self.width]);
+            }
             _ => out.copy_from_slice(&self.result),
         }
     }
@@ -222,6 +238,52 @@ impl Generation {
 /// rank has left *k*+1, which was published only after every rank had
 /// arrived there — that is, had left *k* and re-armed its generation.
 type CollBoard = [Generation; 2];
+
+/// Every round of a batched run of rounds, in closed form: round `k`'s
+/// agreement exit (`t_agreed` for the first; for later ones what
+/// `Generation::fold` gives when every rank arrives at the last
+/// barrier's exit, plus two sweeps), each rank's `step` on its `width`
+/// values of `slots`, in the token order the per-round schedule runs them,
+/// and the closing barrier (the latest completion plus one sweep).
+/// Returns the last barrier's exit and the ctx rank that published it.
+///
+/// The token order: the agreement's publisher keeps the token and steps
+/// first, then its peers in ctx order, as [`SimScheduler::unblock_all`]
+/// queued them; the last of them publishes the barrier, keeps the token
+/// and posts first at the next agreement, whose publisher is therefore
+/// the last rank in ctx order other than it. Steps booked at one virtual
+/// time land on shared resources in this order, so the order shows in
+/// the results.
+#[allow(clippy::too_many_arguments)]
+fn book_rounds(
+    slots: &mut [f64],
+    width: usize,
+    ranks: &[usize],
+    first: usize,
+    mut t_agreed: Secs,
+    sweep: Secs,
+    rounds: u64,
+    mut step: impl FnMut(usize, &mut [f64], Secs) -> Secs,
+) -> (Secs, usize) {
+    let n = ranks.len();
+    // the last rank in ctx order other than `r`
+    let last_but = |r: usize| if r == n - 1 { n - 2 } else { n - 1 };
+    let (mut publisher, mut holder, mut t_exit) = (first, first, t_agreed);
+    for round in 0..rounds {
+        if round > 0 {
+            t_agreed = t_exit + sweep * 2.0;
+        }
+        let order = std::iter::once(publisher).chain((0..n).filter(|&r| r != publisher));
+        let latest = order.fold(0.0_f64, |latest, r| {
+            let done = step(ranks[r], &mut slots[r * width..][..width], t_agreed);
+            latest.max(t_agreed.max(done))
+        });
+        t_exit = latest + sweep;
+        holder = last_but(publisher);
+        publisher = last_but(holder);
+    }
+    (t_exit, holder)
+}
 
 /// State shared by every rank of a world (created by the runtime).
 pub struct WorldShared {
@@ -650,12 +712,10 @@ impl Comm {
     pub(crate) fn sim_rendezvous(&mut self, contrib: &[f64], out: &mut [f64], fold: Fold) {
         let n = self.size();
         debug_assert!(n > 1, "rendezvous on a singleton communicator");
-        let wr = self.world_rank();
         let now = self.now();
+        let gen = self.next_generation();
+        let (board, me) = (self.ctx as usize, self.rank);
         let Self { shared, ranks, sweep_cost, .. } = self;
-        let (sched, board, me) = (&shared.sched, self.ctx as usize, self.rank);
-        let gen = (self.rendezvous & 1) as usize;
-        self.rendezvous = self.rendezvous.wrapping_add(1);
         let published = {
             let mut boards = shared.boards.lock();
             let g = &mut boards[board][gen];
@@ -666,29 +726,130 @@ impl Comm {
                 // modeled as reduce + bcast (two tree sweeps), and so is
                 // the scan.
                 let sweeps = if fold == Fold::Barrier { 1.0 } else { 2.0 };
-                g.publish(sweep * sweeps, fold, me, out)
+                let latest = g.fold(fold);
+                g.publish(latest + sweep * sweeps, fold, me, out)
             })
         };
         let t_exit = match published {
             Some(t_exit) => {
-                let peers = ranks.iter().enumerate().filter(|&(i, _)| i != me);
-                sched.unblock_all(peers.map(|(_, &w)| w));
+                self.release_peers();
                 t_exit
             }
-            None => loop {
-                sched.yield_blocked(wr);
-                // Woken: either the last arriver published the result,
-                // or the world died while we were parked.
-                let picked = shared.boards.lock()[board][gen].pick_up(n, fold, me, out);
-                if let Some(t_exit) = picked {
-                    break t_exit;
-                }
-                if shared.mailboxes[wr].is_poisoned() {
-                    BeffError::PeerFailed.raise();
-                }
-            },
+            None => self.await_exit(gen, fold, out),
         };
         self.advance_to(t_exit);
+    }
+
+    /// A run of `rounds` rounds as one rendezvous
+    /// ([`allreduce_rounds`](Self::allreduce_rounds)): the first
+    /// agreement is a real one on the board; if `batch` accepts its fold,
+    /// its last arriver books every rank's `step` of every round in
+    /// closed form ([`book_rounds`]), off the board lock, publishes the
+    /// last barrier's exit and each rank's slot, and leaves the token
+    /// with the rank the per-round schedule would have left it with.
+    /// Otherwise the agreement is published like an allreduce.
+    pub(crate) fn sim_rounds(
+        &mut self,
+        contrib: &[f64],
+        out: &mut [f64],
+        rounds: u64,
+        batch: impl Fn(&[f64]) -> bool,
+        step: impl FnMut(usize, &mut [f64], Secs) -> Secs,
+    ) -> bool {
+        let n = self.size();
+        let now = self.now();
+        let gen = self.next_generation();
+        let (board, me, width) = (self.ctx as usize, self.rank, contrib.len());
+        let Self { shared, ranks, sweep_cost, .. } = self;
+        let last = {
+            let mut boards = shared.boards.lock();
+            let g = &mut boards[board][gen];
+            g.post(n, me, now, contrib).then(|| {
+                let sweep =
+                    *sweep_cost.get_or_insert_with(|| Self::sim_sweep_cost(&shared.engine.net, ranks));
+                let t_agreed = g.fold(Fold::Rounds) + sweep * 2.0;
+                if batch(&g.result) {
+                    // the steps need no board: take the slots along
+                    Ok((std::mem::take(&mut g.vals), t_agreed, sweep))
+                } else {
+                    Err(g.publish(t_agreed, Fold::Rounds, me, out))
+                }
+            })
+        };
+        let (mut slots, t_agreed, sweep) = match last {
+            None => {
+                let t_exit = self.await_exit(gen, Fold::Rounds, out);
+                self.advance_to(t_exit);
+                return batch(&out[..width]);
+            }
+            Some(Err(t_agreed)) => {
+                self.release_peers();
+                self.advance_to(t_agreed);
+                return false;
+            }
+            Some(Ok(batched)) => batched,
+        };
+        let (t_exit, holder) =
+            book_rounds(&mut slots, width, &self.ranks, me, t_agreed, sweep, rounds, step);
+        {
+            let mut boards = self.shared.boards.lock();
+            let g = &mut boards[board][gen];
+            g.vals = slots;
+            g.publish(t_exit, Fold::Rounds, me, out);
+        }
+        if holder == me {
+            self.release_peers();
+        } else {
+            let queued = self.ranks.iter().enumerate().filter(|&(r, _)| r != holder);
+            let (wr, to) = (self.world_rank(), self.ranks[holder]);
+            self.shared.sched.hand_off(wr, queued.map(|(_, &w)| w), to);
+        }
+        self.advance_to(t_exit);
+        true
+    }
+
+    /// The generation of the board the next rendezvous meets in, by the
+    /// parity of this handle's rendezvous counter.
+    fn next_generation(&mut self) -> usize {
+        let gen = (self.rendezvous & 1) as usize;
+        self.rendezvous = self.rendezvous.wrapping_add(1);
+        gen
+    }
+
+    /// How many rendezvous this handle has been through: one per
+    /// barrier, allreduce, scan or run of rounds.
+    pub fn rendezvous_count(&self) -> u32 {
+        self.rendezvous
+    }
+
+    /// Does this communicator hold every rank of the world?
+    pub fn spans_world(&self) -> bool {
+        self.size() == self.shared.mailboxes.len()
+    }
+
+    /// The last arriver's exit: re-queue every peer, in ctx order.
+    fn release_peers(&self) {
+        let peers = self.ranks.iter().enumerate().filter(|&(r, _)| r != self.rank);
+        self.shared.sched.unblock_all(peers.map(|(_, &w)| w));
+    }
+
+    /// A waiter's exit: park until the last arriver has published
+    /// generation `gen`, then pick up this rank's share into `out` and
+    /// the common exit time.
+    fn await_exit(&self, gen: usize, fold: Fold, out: &mut [f64]) -> Secs {
+        let (n, wr, board) = (self.size(), self.world_rank(), self.ctx as usize);
+        loop {
+            self.shared.sched.yield_blocked(wr);
+            // Woken: either the last arriver published the result, or the
+            // world died while we were parked.
+            let picked = self.shared.boards.lock()[board][gen].pick_up(n, fold, self.rank, out);
+            if let Some(t_exit) = picked {
+                return t_exit;
+            }
+            if self.shared.mailboxes[wr].is_poisoned() {
+                BeffError::PeerFailed.raise();
+            }
+        }
     }
 
     // ----- communicator management ----------------------------------------

@@ -7,7 +7,9 @@
 //! Protocol per collective call:
 //!
 //! 1. agree on the path (direct vs exchange) with an allreduce, so no
-//!    rank can deadlock waiting for headers that never come;
+//!    rank can deadlock waiting for headers that never come; a request
+//!    of at most one segment on every rank takes the direct path — its
+//!    `Pfs` call and a closing barrier — and the steps below are skipped;
 //! 2. compute the global byte span of the call and divide it into one
 //!    contiguous *file domain* per aggregator rank;
 //! 3. every rank packs, per aggregator, the pieces of its request that
@@ -17,14 +19,31 @@
 //!    contiguous runs and issues large reads/writes in
 //!    `cb_buffer_size` chunks.
 //!
+//! A run of `reps` calls of one buffer ([`MpiFile::write_all_n`],
+//! [`MpiFile::read_all_n`]) is defined as the calls one by one, and is
+//! made so wherever the ranks cannot batch it. They can in a no-copy
+//! world with `cb_enable` and without `force_two_phase`, on a
+//! communicator of two or more ranks that spans the world — conditions
+//! every rank sees alike — when every rank's view turns out contiguous,
+//! which the first call's agreement settles (a flag posted beside the
+//! segment count, folded with `Max`). A contiguous view maps every call
+//! of the run to one segment, so none needs the exchange, and the run is
+//! one rendezvous ([`Comm::allreduce_rounds`]): the agreement's last
+//! arriver books every rank's `Pfs` call of every repetition, in the
+//! token order the calls would have had, and the bits are the calls'.
+//! Otherwise the first call goes on past that agreement, and the rest
+//! are made one by one.
+//!
 //! In no-copy simulation mode the payload messages and filesystem
 //! writes carry only lengths — no scratch is built, zeroed or copied
 //! (`Comm::copies_payload` is the one place that decides); the
 //! exchange *timing* is still fully modeled.
 
 use crate::file::MpiFile;
+use crate::view::{FileView, Segment};
 use beff_mpi::{Comm, ReduceOp};
 use beff_mpi::wire;
+use beff_pfs::DataRef;
 
 /// A piece of one rank's request: physical file range + where it lives
 /// in the rank's user buffer.
@@ -131,14 +150,119 @@ impl MpiFile {
 
     /// `MPI_File_write_all`: collective write at the individual pointer.
     pub fn write_all(&mut self, comm: &mut Comm, data: &[u8]) -> u64 {
-        let segs = self.view().map_range(self.tell(), data.len() as u64);
-        if !self.needs_exchange(comm, segs.len()) {
-            let n = self.write_segs(comm, &segs, data);
+        self.all(comm, &mut Access::Write(data))
+    }
+
+    /// `MPI_File_read_all`: collective read at the individual pointer.
+    pub fn read_all(&mut self, comm: &mut Comm, buf: &mut [u8]) -> u64 {
+        self.all(comm, &mut Access::Read(buf))
+    }
+
+    /// `reps` consecutive [`write_all`](Self::write_all) calls of `data`,
+    /// bit for bit; returns the bytes written. Where the ranks can
+    /// (module docs), the run is one rendezvous.
+    pub fn write_all_n(&mut self, comm: &mut Comm, data: &[u8], reps: u64) -> u64 {
+        self.all_n(comm, Access::Write(data), reps)
+    }
+
+    /// `reps` consecutive [`read_all`](Self::read_all) calls into `buf`,
+    /// bit for bit; returns the bytes read (short at EOF). Where the
+    /// ranks can (module docs), the run is one rendezvous.
+    pub fn read_all_n(&mut self, comm: &mut Comm, buf: &mut [u8], reps: u64) -> u64 {
+        self.all_n(comm, Access::Read(buf), reps)
+    }
+
+    /// `reps` collective calls of one access: one rendezvous for the
+    /// whole run where the local conditions hold and every rank's view
+    /// turns out contiguous, the calls one by one otherwise.
+    fn all_n(&mut self, comm: &mut Comm, mut access: Access<'_>, reps: u64) -> u64 {
+        let hints = self.hints();
+        let local = !comm.copies_payload()
+            && hints.cb_enable
+            && !hints.force_two_phase
+            && comm.size() > 1
+            && comm.spans_world();
+        if reps == 0 || !local {
+            return (0..reps).map(|_| self.all(comm, &mut access)).sum();
+        }
+        let len = access.len();
+        let segs = self.view().map_range(self.tell(), len);
+        let phys = self.view().map_offset(self.tell());
+        // A contiguous view maps every call of the run to one segment,
+        // so none needs the exchange; its offsets ride the board as f64s.
+        let end = len.checked_mul(reps).and_then(|b| b.checked_add(phys));
+        let exact = end.is_some_and(|end| end < 1 << 53);
+        let per_call = !matches!(self.view(), FileView::Contiguous { .. }) || !exact;
+        let contrib = [segs.len() as f64, f64::from(u8::from(per_call)), phys as f64, len as f64];
+        let mut out = [0.0; 8];
+        let (pfs, file, write) = (self.world.pfs(), self.file, access.is_write());
+        let batched = comm.allreduce_rounds(
+            &contrib,
+            &mut out,
+            reps,
+            |agreed| agreed[1] == 0.0,
+            // one call of one rank; `own` is its contribution, the
+            // offset advanced by what each call moved
+            |client, own, t| {
+                let (phys, len) = (own[2] as u64, own[3] as u64);
+                if len == 0 {
+                    return t;
+                }
+                let (n, done) = if write {
+                    (len, pfs.write(client, &file, phys, DataRef::Len(len), t))
+                } else {
+                    pfs.read(client, &file, phys, len, None, t)
+                };
+                own[2] = (phys + n) as f64;
+                done
+            },
+        );
+        if batched {
+            let moved = out[6] as u64 - phys;
+            self.seek(self.tell() + moved);
+            return moved;
+        }
+        // the first call goes on past its agreement, the rest one by one
+        let first = self.all_agreed(comm, &mut access, &segs, out[0] > 1.0);
+        first + (1..reps).map(|_| self.all(comm, &mut access)).sum::<u64>()
+    }
+
+    /// One [`write_all`](Self::write_all) or [`read_all`](Self::read_all).
+    fn all(&mut self, comm: &mut Comm, access: &mut Access<'_>) -> u64 {
+        let segs = self.view().map_range(self.tell(), access.len());
+        let exchange = self.needs_exchange(comm, segs.len());
+        self.all_agreed(comm, access, &segs, exchange)
+    }
+
+    /// The rest of one call once the ranks agreed on its path.
+    fn all_agreed(
+        &mut self,
+        comm: &mut Comm,
+        access: &mut Access<'_>,
+        segs: &[Segment],
+        exchange: bool,
+    ) -> u64 {
+        match access {
+            Access::Write(data) => self.write_all_agreed(comm, data, segs, exchange),
+            Access::Read(buf) => self.read_all_agreed(comm, buf, segs, exchange),
+        }
+    }
+
+    /// `write_all` past its agreement: the direct path, or the exchange.
+    fn write_all_agreed(
+        &mut self,
+        comm: &mut Comm,
+        data: &[u8],
+        segs: &[Segment],
+        exchange: bool,
+    ) -> u64 {
+        if !exchange {
+            let n = self.write_segs(comm, segs, data);
             self.seek(self.tell() + n);
             comm.barrier();
             return n;
         }
-        let pieces = to_pieces(&segs);
+        let pieces = to_pieces(segs);
         let (my_lo, my_hi) = span_of(&pieces);
         let plan = make_plan(comm, self, my_lo, my_hi);
         let tag_h = comm.alloc_tag();
@@ -229,16 +353,21 @@ impl MpiFile {
         data.len() as u64
     }
 
-    /// `MPI_File_read_all`: collective read at the individual pointer.
-    pub fn read_all(&mut self, comm: &mut Comm, buf: &mut [u8]) -> u64 {
-        let segs = self.view().map_range(self.tell(), buf.len() as u64);
-        if !self.needs_exchange(comm, segs.len()) {
-            let n = self.read_segs(comm, &segs, buf);
+    /// `read_all` past its agreement: the direct path, or the exchange.
+    fn read_all_agreed(
+        &mut self,
+        comm: &mut Comm,
+        buf: &mut [u8],
+        segs: &[Segment],
+        exchange: bool,
+    ) -> u64 {
+        if !exchange {
+            let n = self.read_segs(comm, segs, buf);
             self.seek(self.tell() + n);
             comm.barrier();
             return n;
         }
-        let pieces = to_pieces(&segs);
+        let pieces = to_pieces(segs);
         let (my_lo, my_hi) = span_of(&pieces);
         let plan = make_plan(comm, self, my_lo, my_hi);
         let tag_h = comm.alloc_tag();
@@ -338,6 +467,25 @@ impl MpiFile {
         comm.barrier();
         self.seek(self.tell() + buf.len() as u64);
         buf.len() as u64
+    }
+}
+
+/// The buffer of one collective access.
+enum Access<'a> {
+    Write(&'a [u8]),
+    Read(&'a mut [u8]),
+}
+
+impl Access<'_> {
+    fn len(&self) -> u64 {
+        match self {
+            Access::Write(data) => data.len() as u64,
+            Access::Read(buf) => buf.len() as u64,
+        }
+    }
+
+    fn is_write(&self) -> bool {
+        matches!(self, Access::Write(_))
     }
 }
 

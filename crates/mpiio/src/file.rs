@@ -21,8 +21,9 @@ use std::sync::Arc;
 
 /// One rank's open file.
 pub struct MpiFile {
-    world: Arc<IoWorld>,
-    file: FsFile,
+    pub(crate) world: Arc<IoWorld>,
+    /// The same ledger slot on every rank: the open is collective.
+    pub(crate) file: FsFile,
     path: String,
     amode: AMode,
     hints: Hints,

@@ -1,7 +1,8 @@
 //! A contiguous access does not touch the allocator: the view maps it
 //! to one segment held inline, `write_all`/`read_all` map it once and
-//! meet on a warm rendezvous board, and the filesystem books it in
-//! buffers its ledger reuses. Held here by counting what the whole run
+//! meet on a warm rendezvous board, a run of them books every round of
+//! every rank off that board, and the filesystem books it in buffers
+//! its ledger reuses. Held here by counting what the whole run
 //! asks the allocator for. One test per binary: the count is
 //! process-wide.
 
@@ -19,7 +20,8 @@ const RANKS: usize = 8;
 const EACH: u64 = 1000;
 const CHUNK: usize = 1024;
 
-/// `EACH` calls of each of the four kinds over the rank's own range.
+/// `EACH` calls of each of the four kinds over the rank's own range,
+/// and `EACH` more of each collective kind as one run.
 fn pass(c: &mut Comm, f: &mut MpiFile, buf: &mut [u8]) {
     f.seek(0);
     for _ in 0..EACH {
@@ -29,6 +31,10 @@ fn pass(c: &mut Comm, f: &mut MpiFile, buf: &mut [u8]) {
     for _ in 0..EACH {
         f.read_all(c, buf);
     }
+    f.seek(0);
+    f.write_all_n(c, buf, EACH);
+    f.seek(0);
+    f.read_all_n(c, buf, EACH);
     for i in 0..EACH {
         f.write_at(c, i * CHUNK as u64, buf);
         f.read_at(c, i * CHUNK as u64, buf);
@@ -60,7 +66,7 @@ fn warm_contiguous_io_stays_off_the_heap() {
     // A heap segment list is 16 B a call, two for a `write_all` or
     // `read_all` that mapped its range twice; what is left to count is
     // the test harness's own thread, so hold it under a byte a call.
-    let calls = 4 * EACH * RANKS as u64;
+    let calls = 6 * EACH * RANKS as u64;
     let most = requested.iter().copied().max().unwrap_or(u64::MAX);
     assert!(most < calls, "{calls} contiguous I/O calls asked the allocator for {most} B");
 }

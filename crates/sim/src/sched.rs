@@ -19,7 +19,9 @@
 //! * a sender's push completes a blocked receiver's posted match, which
 //!   re-queues (not immediately runs) the receiver
 //!   ([`SimScheduler::unblock`]; the last arriver of a rendezvous
-//!   re-queues all its peers at once, [`SimScheduler::unblock_all`]).
+//!   re-queues all its peers at once, [`SimScheduler::unblock_all`]),
+//! * a rank re-queues a given order, itself among it, and hands the
+//!   token to a named blocked rank ([`SimScheduler::hand_off`]).
 //!
 //! Execution order is therefore a pure function of the program, so two
 //! runs with the same seeds produce bit-identical results — on either
@@ -275,6 +277,36 @@ impl SimScheduler {
         }
     }
 
+    /// Directed handoff: the token holder `rank` re-queues `order` — itself
+    /// among them, as runnable, and each blocked peer unblocked — behind
+    /// the ready ranks, then switches straight into `to`, a blocked rank
+    /// outside `order`, which runs next. `rank` resumes when the token
+    /// reaches its queued position. What the last arriver of a rendezvous
+    /// that ran its peers' steps does to leave the token where their own
+    /// calls would have.
+    pub fn hand_off(&self, rank: usize, order: impl IntoIterator<Item = usize>, to: usize) {
+        let next = {
+            let mut st = self.inner.lock();
+            for r in order {
+                if r == rank || st.blocked[r] {
+                    st.blocked[r] = false;
+                    st.ready.push_back(r);
+                }
+            }
+            if st.aborted || self.is_deadlocked() {
+                None
+            } else {
+                debug_assert!(st.blocked[to], "hand_off into rank {to}, which is not blocked");
+                st.blocked[to] = false;
+                if let Some(&after) = st.ready.front() {
+                    self.fibers.prefetch(after);
+                }
+                Some(to)
+            }
+        };
+        self.suspend(rank, next);
+    }
+
     /// Cooperative rotation for actor workloads: the token holder
     /// re-queues itself behind every currently ready rank and hands
     /// the token on. No-op when nobody else is ready. Unlike
@@ -370,6 +402,47 @@ mod tests {
                 "batched: {batched}"
             );
         }
+    }
+
+    /// A directed handoff re-queues its order behind the ranks already
+    /// ready, runs the named rank next, and the caller resumes from its
+    /// own queued position.
+    #[test]
+    fn hand_off_runs_the_named_rank_then_the_queue() {
+        let n = 5;
+        let s = SimScheduler::new(n);
+        let log = Mutex::new(Vec::new());
+        s.launch(&FiberStack::set(n), |rank| {
+            log.lock().push(("start", rank));
+            match rank {
+                0..=2 => {
+                    s.yield_blocked(rank);
+                    log.lock().push(("resume", rank));
+                }
+                3 => {
+                    // rank 4 has not started: it is ahead of the order
+                    s.hand_off(3, [0, 3, 1], 2);
+                    log.lock().push(("resume", 3));
+                }
+                _ => {}
+            }
+        });
+        assert_eq!(
+            log.lock().as_slice(),
+            &[
+                ("start", 0),
+                ("start", 1),
+                ("start", 2),
+                ("start", 3),
+                ("resume", 2),
+                ("start", 4),
+                ("resume", 0),
+                ("resume", 3),
+                ("resume", 1)
+            ]
+        );
+        let a = s.audit();
+        assert_eq!((a.live, a.blocked, a.ready), (0, 0, 0));
     }
 
     /// A handoff switches fiber to fiber: 64 000 rotations bring the
