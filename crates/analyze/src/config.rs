@@ -109,14 +109,14 @@ pub const UNWRAP_BUDGETS: &[(&str, u32)] = &[
     ("core", 13),
     ("facade", 54),
     ("faults", 0),
-    ("json", 16),
+    ("json", 11),
     ("machines", 6),
-    ("mpi", 11),
+    ("mpi", 10),
     ("mpiio", 17),
     ("netsim", 7),
     ("pfs", 3),
     ("report", 4),
-    ("serve", 131),
+    ("serve", 130),
     ("sim", 13),
     ("sweep", 0),
     ("sync", 3),
@@ -153,17 +153,15 @@ pub struct LockDecl {
 /// | 40    | `sched.state`                | token-scheduler ready/blocked  |
 /// | 50    | `fiber.baton`                | one thread-backed fiber's turn |
 /// | 64    | `pfs.ledger`                 | one filesystem's client/channel/server occupancy, cache accounting and files |
-/// | 70    | `netsim.routes`              | one route-table shard          |
+/// | 70    | `netsim.routes`              | one machine's route table      |
 /// | 72    | `sim.ledger`                 | one machine's link occupancy + traffic counters |
-/// | 80    | `sync.channel`               | channel queue (leaf)           |
 ///
 /// `sim.ledger` is a leaf of the simulation stack: a pricing call takes
 /// it with no other lock held and acquires no declared lock under it.
 /// It is placed *above* every lock a caller could come to hold while
-/// pricing (boards, ports, scheduler, pfs ledger, route shards — a
-/// route-cache miss takes and releases a route shard just before the
-/// ledger), so nesting it inside any of them stays increasing, and
-/// below only the sync primitives' own leaves.
+/// pricing (boards, ports, scheduler, pfs ledger, route table — a
+/// route-cache miss takes and releases the route table just before the
+/// ledger), so nesting it inside any of them stays increasing.
 ///
 /// `pfs.ledger` is taken once per filesystem call, by a rank that holds
 /// no other lock, and no lock is acquired under it.
@@ -241,8 +239,8 @@ pub const LOCK_HIERARCHY: &[LockDecl] = &[
     },
     LockDecl {
         file_suffix: "crates/netsim/src/routing.rs",
-        receiver: "shard",
-        methods: &["read", "write"],
+        receiver: "routes",
+        methods: &["lock"],
         level: 70,
         name: "netsim.routes",
     },
@@ -252,13 +250,6 @@ pub const LOCK_HIERARCHY: &[LockDecl] = &[
         methods: &["lock"],
         level: 72,
         name: "sim.ledger",
-    },
-    LockDecl {
-        file_suffix: "crates/sync/src/channel.rs",
-        receiver: "state",
-        methods: &["lock"],
-        level: 80,
-        name: "sync.channel",
     },
 ];
 

@@ -429,7 +429,7 @@ mod tests {
         )
         .is_empty());
         // the substrate's clock and the sync primitives are not exempt
-        for path in ["crates/sim/src/clock.rs", "crates/sync/src/channel.rs"] {
+        for path in ["crates/sim/src/clock.rs", "crates/sync/src/condvar.rs"] {
             let v = run(check_wallclock, path, "fn f() { Instant::now(); }");
             assert_eq!(v.len(), 1, "{path}");
         }
@@ -478,7 +478,7 @@ mod tests {
     #[test]
     fn threading_allows_homes_tests_and_waivers() {
         // the substrate and the sync crate may spawn…
-        for home in ["crates/sim/src/pool.rs", "crates/sync/src/channel.rs"] {
+        for home in ["crates/sim/src/pool.rs", "crates/sync/src/condvar.rs"] {
             assert!(run(check_threading, home, "fn f() { s.spawn(|| {}); }").is_empty());
         }
         // …the MPI runtime may not…

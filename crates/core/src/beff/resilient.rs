@@ -314,6 +314,6 @@ mod tests {
         let s = beff_json::to_string(&rep);
         assert!(s.contains("\"stable\":false"));
         assert!(s.contains("\"fault_seed\":7"));
-        beff_json::validate(&s).expect("well-formed");
+        beff_json::parse(&s).expect("well-formed");
     }
 }

@@ -7,6 +7,8 @@
 //! (field order preserved, same pretty indentation, same shortest
 //! round-trip float formatting). Report files generated before and
 //! after the registry-dependency removal therefore diff clean.
+//! [`parse`] is the one reader: it builds a [`Json`] tree or reports
+//! the first [`JsonError`] with its byte offset.
 //!
 //! ```
 //! use beff_json::{Json, ToJson};
@@ -26,13 +28,11 @@
 //! );
 //! ```
 
-mod check;
 mod fmt;
 mod parse;
 mod value;
 
-pub use check::{validate, JsonError};
-pub use parse::parse;
+pub use parse::{parse, JsonError};
 pub use value::{Json, ObjectBuilder, ToJson};
 
 /// Serialize compactly (no whitespace) — `serde_json::to_string` shape.

@@ -1,12 +1,26 @@
-//! A parser building the [`Json`] tree — the decode side of the wire
-//! protocol. The [`crate::check`] validator answers "is this text
-//! well-formed?" without allocating; this module answers "what does it
-//! say?" for the paths that must read JSON back (the `beff-serve`
-//! request decoder). Grammar and error reporting match the validator:
-//! RFC 8259, first violation with its byte offset.
+//! A parser building the [`Json`] tree — the read side of the crate:
+//! the `beff-serve` request decoder, and every writer that confirms its
+//! output is well-formed before trusting it. It walks the RFC 8259
+//! grammar and reports the first violation with its byte offset.
 
-use crate::check::JsonError;
 use crate::value::Json;
+
+/// First well-formedness violation in a JSON document.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct JsonError {
+    /// Byte offset of the violation.
+    pub at: usize,
+    /// What went wrong, human-readable.
+    pub msg: String,
+}
+
+impl std::fmt::Display for JsonError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        write!(f, "invalid JSON at byte {}: {}", self.at, self.msg)
+    }
+}
+
+impl std::error::Error for JsonError {}
 
 /// Parse exactly one JSON document (surrounded by optional whitespace)
 /// into a [`Json`] tree.
@@ -308,6 +322,8 @@ mod tests {
         assert_eq!(parse("-7"), Ok(Json::Int(-7)));
         assert_eq!(parse("1.5"), Ok(Json::Float(1.5)));
         assert_eq!(parse("-2.5e-7"), Ok(Json::Float(-2.5e-7)));
+        assert_eq!(parse("-0.5"), Ok(Json::Float(-0.5)));
+        assert_eq!(parse("1.25E+10"), Ok(Json::Float(1.25e10)));
         assert_eq!(parse("\"hi\""), Ok(Json::Str("hi".into())));
     }
 
@@ -321,15 +337,17 @@ mod tests {
 
     #[test]
     fn containers_preserve_order() {
-        let j = parse(r#"{"z":1,"a":[true,null],"m":{"k":"v"}}"#).expect("parses");
-        assert_eq!(
-            j,
-            Json::Obj(vec![
-                ("z".into(), Json::UInt(1)),
-                ("a".into(), Json::Arr(vec![Json::Bool(true), Json::Null])),
-                ("m".into(), Json::Obj(vec![("k".into(), Json::Str("v".into()))])),
-            ])
-        );
+        let want = Json::Obj(vec![
+            ("z".into(), Json::UInt(1)),
+            ("a".into(), Json::Arr(vec![Json::Bool(true), Json::Null])),
+            ("m".into(), Json::Obj(vec![("k".into(), Json::Str("v".into()))])),
+        ]);
+        for text in [
+            r#"{"z":1,"a":[true,null],"m":{"k":"v"}}"#,
+            " \t{\n  \"z\": 1 , \"a\": [ true, null ],\r\n\"m\" :{\"k\":\"v\"}}\n  ",
+        ] {
+            assert_eq!(parse(text), Ok(want.clone()), "{text:?}");
+        }
     }
 
     #[test]
@@ -353,7 +371,7 @@ mod tests {
     }
 
     #[test]
-    fn rejects_what_the_validator_rejects() {
+    fn rejects_malformed_documents() {
         for bad in [
             "", "{", "[1,]", "{\"a\":}", "{\"a\" 1}", "{'a':1}", "01", "1.", "1e",
             "\"abc", "\"\\x\"", "nul", "{} {}", "\"a\nb\"", "\"\\ud800\"", "\"\\udc00 alone\"",
@@ -366,5 +384,6 @@ mod tests {
     fn errors_carry_byte_offsets() {
         let e = parse("[1, 2, x]").expect_err("must fail");
         assert_eq!(e.at, 7);
+        assert!(e.to_string().contains("byte 7"), "{e}");
     }
 }

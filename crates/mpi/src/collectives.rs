@@ -189,25 +189,6 @@ impl Comm {
         self.sim_rounds(contrib, out, rounds, batch, step)
     }
 
-    /// Linear gather of byte buffers to `root` (control path). Returns
-    /// `Some(per-rank data)` on the root.
-    pub fn gather_bytes(&mut self, root: usize, data: &[u8]) -> Option<Vec<Vec<u8>>> {
-        let tag = self.next_coll_tag();
-        let n = self.size();
-        if self.rank() == root {
-            let mut out: Vec<Vec<u8>> = vec![Vec::new(); n];
-            out[root] = data.to_vec();
-            for _ in 0..n - 1 {
-                let (d, info) = self.recv_vec(None, Some(tag));
-                out[info.src] = d;
-            }
-            Some(out)
-        } else {
-            self.send(root, tag, data);
-            None
-        }
-    }
-
     /// Broadcast a u64 from `root` (control path convenience).
     pub fn bcast_u64(&mut self, root: usize, v: u64) -> u64 {
         let mut buf = Vec::new();

@@ -620,11 +620,6 @@ impl Comm {
         (data, info)
     }
 
-    /// Nonblocking probe for a matching message.
-    pub fn iprobe(&self, src: Option<usize>, tag: Option<Tag>) -> bool {
-        self.shared.mailboxes[self.world_rank()].probe(Match { ctx: self.ctx, src, tag })
-    }
-
     /// Combined send+receive (both transfers may overlap), the
     /// `MPI_Sendrecv` the b_eff ring kernels use. Benchmark-payload
     /// semantics on both sides.

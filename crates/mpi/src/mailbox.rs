@@ -90,8 +90,8 @@ mod tests {
     fn context_isolation() {
         let mb = Mailbox::new();
         mb.push(env(1, 0, 5));
-        assert!(!mb.probe(Match { ctx: 0, src: None, tag: None }));
-        assert!(mb.probe(Match { ctx: 1, src: None, tag: None }));
+        assert!(mb.try_recv(Match { ctx: 0, src: None, tag: None }).is_none());
+        assert!(mb.try_recv(Match { ctx: 1, src: None, tag: None }).is_some());
     }
 
     #[test]

@@ -465,16 +465,6 @@ mod tests {
     }
 
     #[test]
-    fn gather_bytes_collects_in_rank_order() {
-        let out = world(4).run(|c| c.gather_bytes(0, &[c.rank() as u8]));
-        let g = out[0].as_ref().unwrap();
-        assert_eq!(g.len(), 4);
-        for (i, d) in g.iter().enumerate() {
-            assert_eq!(d, &vec![i as u8]);
-        }
-    }
-
-    #[test]
     fn alltoallv_ring_counts() {
         // Each rank sends 4 bytes to left and right neighbors only.
         let n = 6;

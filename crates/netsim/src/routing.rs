@@ -11,14 +11,14 @@
 //!
 //! The table is the *miss* path: each rank keeps a small cache of the
 //! routes to and from its current peers (`beff-mpi`'s `RankState`), so
-//! steady-state sends and receives never come here. Interior locking is
-//! sharded by pair, so host threads that do share a machine (the fibers
-//! of a thread-backend world, callers on several threads reaching one
-//! `Arc<MachineNet>`) do not serialize on one lock; a lookup of a
-//! memoized pair takes a shard read lock only.
+//! steady-state sends and receives never come here. Every world runs on
+//! one host thread and a batch job gets its own machine replica, so the
+//! table is never contended: one plain lock keeps it `Sync` (a serve
+//! partition moves between pool workers; the thread fiber backend runs
+//! a world's fibers on several threads, one at a time).
 
 use crate::topology::Topology;
-use beff_sync::{Rank, RwLock};
+use beff_sync::{Mutex, Rank};
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
@@ -39,21 +39,19 @@ impl SplitRoute {
     }
 }
 
-const SHARDS: usize = 16;
-
-/// Lock-hierarchy position of every route-table shard (DESIGN.md §8).
-/// One level for all 16 shards: no code path ever holds two shards at
-/// once (`split` touches exactly one, `len` reads them sequentially).
+/// Lock-hierarchy position of the route table (DESIGN.md §8). A miss
+/// computes the route under it; `route_split_into` takes no lock, so
+/// nothing is acquired under it.
 static ROUTES_RANK: Rank = Rank::new(70, "netsim.routes");
 
 /// Machine-wide, lazily-memoized all-pairs route table.
 ///
-/// Shards hold `BTreeMap`s, not `HashMap`s: route enumeration order is
-/// structural (sorted by pair), never hasher-dependent, so any future
-/// diagnostic walk over the table is bitwise-reproducible for free.
+/// A `BTreeMap`, not a `HashMap`: route enumeration order is structural
+/// (sorted by pair), never hasher-dependent, so any future diagnostic
+/// walk over the table is bitwise-reproducible for free.
 #[derive(Debug)]
 pub struct RouteTable {
-    shards: [RwLock<BTreeMap<(u32, u32), Arc<SplitRoute>>>; SHARDS],
+    routes: Mutex<BTreeMap<(u32, u32), Arc<SplitRoute>>>,
 }
 
 impl Default for RouteTable {
@@ -64,39 +62,25 @@ impl Default for RouteTable {
 
 impl RouteTable {
     pub fn new() -> Self {
-        Self { shards: std::array::from_fn(|_| RwLock::ranked(&ROUTES_RANK, BTreeMap::new())) }
-    }
-
-    #[inline]
-    fn shard(src: usize, dst: usize) -> usize {
-        // src and dst are proc indices (< 2^16 in practice); mix both so
-        // neighboring pairs spread over the shards.
-        (src.wrapping_mul(31).wrapping_add(dst)) % SHARDS
+        Self { routes: Mutex::ranked(&ROUTES_RANK, BTreeMap::new()) }
     }
 
     /// The split route from `src` to `dst` (both halves empty for
     /// self-messages), computing and memoizing it on first use.
     pub fn split(&self, topo: &Topology, src: usize, dst: usize) -> Arc<SplitRoute> {
-        let key = (src as u32, dst as u32);
-        let shard = &self.shards[Self::shard(src, dst)];
-        if let Some(r) = shard.read().get(&key) {
-            return Arc::clone(r);
-        }
-        // Compute outside the write lock; a racing thread may compute
-        // the same route, in which case the first insert wins.
-        let mut e = Vec::new();
-        let mut i = Vec::new();
-        topo.route_split_into(src, dst, &mut e, &mut i);
-        let route = Arc::new(SplitRoute {
-            egress: e.into_boxed_slice(),
-            ingress: i.into_boxed_slice(),
+        let mut routes = self.routes.lock();
+        let route = routes.entry((src as u32, dst as u32)).or_insert_with(|| {
+            let mut e = Vec::new();
+            let mut i = Vec::new();
+            topo.route_split_into(src, dst, &mut e, &mut i);
+            Arc::new(SplitRoute { egress: e.into_boxed_slice(), ingress: i.into_boxed_slice() })
         });
-        Arc::clone(shard.write().entry(key).or_insert(route))
+        Arc::clone(route)
     }
 
     /// Number of memoized pairs (diagnostics).
     pub fn len(&self) -> usize {
-        self.shards.iter().map(|s| s.read().len()).sum()
+        self.routes.lock().len()
     }
 
     pub fn is_empty(&self) -> bool {

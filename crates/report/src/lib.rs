@@ -2,15 +2,13 @@
 //!
 //! Output formatting for the benchmark harness: monospace tables
 //! ([`Table`]), pseudo-log ASCII charts ([`Chart`], matching the
-//! paper's Fig. 3-5 axes), CSV emission, and JSON dumps of result
-//! structures for EXPERIMENTS.md.
+//! paper's Fig. 3-5 axes), and JSON dumps of result structures for
+//! EXPERIMENTS.md.
 
-pub mod csv;
 pub mod plot;
 pub mod skampi;
 pub mod table;
 
-pub use csv::to_csv;
 pub use plot::{Chart, Series};
 pub use skampi::{SkampiBlock, SkampiReport};
 pub use table::{Align, Table};

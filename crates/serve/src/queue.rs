@@ -4,9 +4,9 @@
 //! The server's efficient unit of work is a *batch* — distinct misses
 //! fan out over the worker pool together ([`Server::submit_batch`]).
 //! [`Admission`] sits in front of it: queries accumulate in a bounded
-//! [`beff_sync::channel`] and are flushed as one batch when the queue
-//! fills (or on demand), which converts a stream of single queries
-//! into pool-sized batches with a hard cap on buffered work.
+//! queue and are flushed as one batch when the queue fills (or on
+//! demand), which converts a stream of single queries into pool-sized
+//! batches with a hard cap on buffered work.
 //!
 //! Two admission disciplines share the buffer (DESIGN.md §12):
 //!
@@ -30,15 +30,14 @@
 
 use crate::server::{Outcome, Server};
 use crate::spec::{JobSpec, SpecError};
-use beff_sync::channel::{bounded, Receiver, Sender};
+use std::collections::VecDeque;
 
 /// A bounded spec queue in front of a [`Server`].
 pub struct Admission<'s> {
     server: &'s Server,
-    tx: Sender<(JobSpec, u64)>,
-    rx: Receiver<(JobSpec, u64)>,
+    /// Buffered specs with the tick each was admitted at, oldest first.
+    queue: VecDeque<(JobSpec, u64)>,
     capacity: usize,
-    queued: usize,
     /// Virtual clock: one tick per admission attempt.
     tick: u64,
     /// Maximum ticks a buffered job may wait before a flush sheds it
@@ -51,8 +50,7 @@ impl<'s> Admission<'s> {
     /// deadline — buffered jobs never expire.
     pub fn new(server: &'s Server, capacity: usize) -> Self {
         let capacity = capacity.max(1);
-        let (tx, rx) = bounded(capacity);
-        Self { server, tx, rx, capacity, queued: 0, tick: 0, budget: None }
+        Self { server, queue: VecDeque::new(), capacity, tick: 0, budget: None }
     }
 
     /// Like [`new`](Self::new), but a flush sheds (typed
@@ -70,7 +68,7 @@ impl<'s> Admission<'s> {
 
     /// Specs currently buffered.
     pub fn queued(&self) -> usize {
-        self.queued
+        self.queue.len()
     }
 
     /// The virtual clock: admission attempts observed so far.
@@ -84,8 +82,8 @@ impl<'s> Admission<'s> {
     pub fn enqueue(&mut self, spec: JobSpec) -> Vec<Result<Outcome, SpecError>> {
         self.tick += 1;
         let flushed =
-            if self.queued == self.capacity { self.flush_inner() } else { Vec::new() };
-        self.buffer(spec);
+            if self.queue.len() == self.capacity { self.flush() } else { Vec::new() };
+        self.queue.push_back((spec, self.tick));
         flushed
     }
 
@@ -94,22 +92,15 @@ impl<'s> Admission<'s> {
     /// the server's `shed_jobs`) rather than executing anything.
     pub fn offer(&mut self, spec: JobSpec) -> Result<(), SpecError> {
         self.tick += 1;
-        if self.queued == self.capacity {
+        if self.queue.len() == self.capacity {
             self.server.note_shed(1);
             return Err(SpecError::Overloaded {
-                queued: self.queued,
+                queued: self.queue.len(),
                 capacity: self.capacity,
             });
         }
-        self.buffer(spec);
+        self.queue.push_back((spec, self.tick));
         Ok(())
-    }
-
-    fn buffer(&mut self, spec: JobSpec) {
-        self.tx
-            .send((spec, self.tick))
-            .expect("admission queue receiver lives as long as the sender");
-        self.queued += 1;
     }
 
     /// Execute everything buffered as one batch, in admission order.
@@ -117,16 +108,7 @@ impl<'s> Admission<'s> {
     /// [`SpecError::DeadlineExpired`] in their admission slots; only
     /// the still-fresh jobs execute.
     pub fn flush(&mut self) -> Vec<Result<Outcome, SpecError>> {
-        self.flush_inner()
-    }
-
-    fn flush_inner(&mut self) -> Vec<Result<Outcome, SpecError>> {
-        let mut batch = Vec::with_capacity(self.queued);
-        while let Ok(job) = self.rx.try_recv() {
-            batch.push(job);
-        }
-        self.queued = 0;
-        if batch.is_empty() {
+        if self.queue.is_empty() {
             return Vec::new();
         }
 
@@ -136,8 +118,9 @@ impl<'s> Admission<'s> {
             Expired { waited: u64, budget: u64 },
         }
         let mut shed = 0u64;
-        let slots: Vec<Slot> = batch
-            .into_iter()
+        let slots: Vec<Slot> = self
+            .queue
+            .drain(..)
             .map(|(spec, admitted)| {
                 let waited = self.tick - admitted;
                 match self.budget {

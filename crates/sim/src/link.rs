@@ -45,8 +45,7 @@ pub struct Degrade {
 /// the simulation stack: pricing takes it with no other lock held and
 /// acquires no ranked lock under it, so it sits above every lock a
 /// future caller could hold while pricing (boards, ports, scheduler,
-/// pfs ledger, route shards) and below only the sync primitives' own
-/// leaves.
+/// pfs ledger, the route table).
 static LEDGER_RANK: Rank = Rank::new(72, "sim.ledger");
 
 /// One link's record: what a booking reads (fixed when the ledger is

@@ -64,54 +64,11 @@ struct Posted<M: Message> {
     delivered: Option<M>,
 }
 
-/// An ordered queue whose first two entries live inline (a b_eff
-/// mailbox rarely holds more): `head` fills front to back, and `spill`
-/// is non-empty only while both are full.
-#[derive(Debug)]
-struct Inline2<T> {
-    head: [Option<T>; 2],
-    spill: VecDeque<T>,
-}
-
-impl<T> Inline2<T> {
-    const fn new() -> Self {
-        Self { head: [None, None], spill: VecDeque::new() }
-    }
-
-    fn iter(&self) -> impl Iterator<Item = &T> {
-        self.head.iter().flatten().chain(&self.spill)
-    }
-
-    fn iter_mut(&mut self) -> impl Iterator<Item = &mut T> {
-        self.head.iter_mut().flatten().chain(&mut self.spill)
-    }
-
-    fn push_back(&mut self, x: T) {
-        match self.head.iter_mut().find(|h| h.is_none()) {
-            Some(free) => *free = Some(x),
-            None => self.spill.push_back(x),
-        }
-    }
-
-    /// Remove the entry at `pos`, keeping the order of the rest.
-    fn remove(&mut self, pos: usize) -> Option<T> {
-        if pos >= 2 {
-            return self.spill.remove(pos - 2);
-        }
-        let out = self.head[pos].take();
-        if pos == 0 {
-            self.head[0] = self.head[1].take();
-        }
-        self.head[1] = self.spill.pop_front();
-        out
-    }
-}
-
 #[derive(Debug)]
 struct Inner<M: Message> {
-    unexpected: Inline2<M>,
+    unexpected: VecDeque<M>,
     /// In ticket order: posted at the back, removed in place.
-    posted: Inline2<Posted<M>>,
+    posted: VecDeque<Posted<M>>,
     next_ticket: u64,
     /// Set when the world aborts (an actor panicked), so a receiver
     /// fails instead of deadlocking on a dead peer.
@@ -123,8 +80,8 @@ struct Inner<M: Message> {
 impl<M: Message> Default for Inner<M> {
     fn default() -> Self {
         Self {
-            unexpected: Inline2::new(),
-            posted: Inline2::new(),
+            unexpected: VecDeque::new(),
+            posted: VecDeque::new(),
             next_ticket: 0,
             poisoned: false,
         }
@@ -243,18 +200,12 @@ impl<M: Message> Port<M> {
         self.inner.lock().remove_slot(ticket)
     }
 
-    // ----- probes / diagnostics -----------------------------------------
-
-    /// Nonblocking probe: does an *unclaimed* matching message exist?
-    /// (Messages already delivered to a posted receive are spoken for.)
-    pub fn probe(&self, m: M::Filter) -> bool {
-        self.inner.lock().unexpected.iter().any(|e| M::admits(&m, e))
-    }
+    // ----- diagnostics ---------------------------------------------------
 
     /// Number of messages held (unexpected + delivered-but-untaken).
     pub fn len(&self) -> usize {
         let g = self.inner.lock();
-        g.unexpected.iter().count() + g.posted.iter().filter(|p| p.delivered.is_some()).count()
+        g.unexpected.len() + g.posted.iter().filter(|p| p.delivered.is_some()).count()
     }
 
     pub fn is_empty(&self) -> bool {
@@ -317,8 +268,8 @@ mod tests {
     fn channel_isolation() {
         let p: Port<Note> = Port::new();
         p.push(note(1, 0, 5));
-        assert!(!p.probe(NoteFilter { chan: 0, kind: None }));
-        assert!(p.probe(NoteFilter { chan: 1, kind: None }));
+        assert!(p.try_recv(NoteFilter { chan: 0, kind: None }).is_none());
+        assert!(p.try_recv(NoteFilter { chan: 1, kind: None }).is_some());
     }
 
     #[test]
@@ -364,44 +315,26 @@ mod tests {
         assert_eq!(payload, Some(Some(BeffError::PeerFailed)));
     }
 
-    /// Two entries a queue stay inside the port: one that never holds
-    /// more never allocates. Past two, FIFO order and oldest-ticket
-    /// matching hold across the boundary, removing from the front, the
-    /// middle and the spill.
+    /// FIFO order and oldest-ticket matching hold wherever an entry is
+    /// removed: the front, the middle and the back of either queue, and
+    /// a cancelled post between open ones.
     #[test]
     fn inline_entries_spill_past_two_in_order() {
-        let spill = |p: &Port<Note>| {
-            let g = p.inner.lock();
-            (g.unexpected.spill.capacity(), g.posted.spill.capacity())
-        };
         let any = NoteFilter { chan: 0, kind: None };
         let kind = |k| NoteFilter { chan: 0, kind: Some(k) };
         let body = |n: Option<Note>| n.map(|n| n.body);
         let p: Port<Note> = Port::new();
-        for _ in 0..3 {
-            p.push(note(0, 0, 1));
-            p.push(note(0, 1, 2));
-            assert_eq!(body(p.try_recv(kind(1))), Some(2));
-            assert_eq!(body(p.try_recv(any)), Some(1));
-            let (t0, t1) = (p.post(any), p.post(any));
-            assert_eq!(p.push(note(0, 0, 3)), PushOutcome::Matched);
-            assert_eq!(body(p.take_delivered(t1)), None);
-            assert_eq!(body(p.take_delivered(t0)), Some(3));
-        }
-        assert_eq!(spill(&p), (0, 0), "two entries a queue never allocate");
-
         for k in 0..5 {
             p.push(note(0, k, 10 + u64::from(k)));
         }
-        assert!(spill(&p).0 > 0);
-        assert_eq!(body(p.try_recv(kind(1))), Some(11), "the middle of the inline pair");
-        assert_eq!(body(p.try_recv(kind(4))), Some(14), "the spill");
+        assert_eq!(body(p.try_recv(kind(1))), Some(11), "the middle");
+        assert_eq!(body(p.try_recv(kind(4))), Some(14), "the back");
         let drained: Vec<_> = std::iter::from_fn(|| body(p.try_recv(any))).collect();
-        assert_eq!(drained, [10, 12, 13], "arrival order across the boundary");
+        assert_eq!(drained, [10, 12, 13], "arrival order");
 
         let t = [kind(1), any, kind(1), any, any].map(|f| p.post(f));
-        assert_eq!(body(p.take_delivered(t[1])), None, "cancel inline");
-        assert_eq!(body(p.take_delivered(t[3])), None, "cancel spilled");
+        assert_eq!(body(p.take_delivered(t[1])), None, "cancel near the front");
+        assert_eq!(body(p.take_delivered(t[3])), None, "cancel in the middle");
         for (k, b) in [(1, 20), (2, 21), (1, 22)] {
             assert_eq!(p.push(note(0, k, b)), PushOutcome::Matched);
         }

@@ -6,29 +6,21 @@
 //! with zero network access (the portability lesson of the paper: a
 //! characterization benchmark is only useful where it *builds*).
 //!
-//! Two layers:
-//!
-//! * [`Mutex`] / [`Condvar`] / [`RwLock`] — thin wrappers over
-//!   `std::sync` with the `parking_lot` API shape: `lock()` returns the
-//!   guard directly (a poisoned lock is unwrapped — a rank that
-//!   panicked already poisons its world through the mailbox protocol,
-//!   so lock poisoning carries no extra information here), and
-//!   `Condvar::wait` takes `&mut MutexGuard` instead of consuming it.
-//!   [`Mutex::claim`] lets one thread hold a mutex for a scope, so that
-//!   thread's `lock()` costs no atomic read-modify-write — how a
-//!   simulated world keeps the state its fibers share for a whole run.
-//! * [`channel::bounded`] — a multi-producer/multi-consumer bounded
-//!   channel built on [`Mutex`] + [`Condvar`], the in-tree replacement
-//!   for `crossbeam-channel` in server/worker fan-out paths.
+//! [`Mutex`] / [`Condvar`] are thin wrappers over `std::sync` with the
+//! `parking_lot` API shape: `lock()` returns the guard directly (a
+//! poisoned lock is unwrapped — a rank that panicked already poisons
+//! its world through the mailbox protocol, so lock poisoning carries no
+//! extra information here), and `Condvar::wait` takes `&mut MutexGuard`
+//! instead of consuming it. [`Mutex::claim`] lets one thread hold a
+//! mutex for a scope, so that thread's `lock()` costs no atomic
+//! read-modify-write — how a simulated world keeps the state its fibers
+//! share for a whole run. [`order`] is the runtime half of the lock
+//! hierarchy.
 
-pub mod channel;
 mod condvar;
 mod mutex;
 pub mod order;
-mod rwlock;
 
-pub use channel::{bounded, Receiver, RecvError, SendError, Sender, TryRecvError};
 pub use condvar::Condvar;
 pub use mutex::{Claim, Mutex, MutexGuard};
 pub use order::Rank;
-pub use rwlock::{RwLock, RwLockReadGuard, RwLockWriteGuard};

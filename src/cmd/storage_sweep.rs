@@ -25,7 +25,7 @@ pub fn run(args: &Args, out: &mut String) -> Result<(), Fail> {
         }
     }
     let text = beff_json::to_string_pretty(&report);
-    beff_json::validate(&text).expect("storage-sweep JSON must be well-formed");
+    beff_json::parse(&text).expect("storage-sweep JSON must be well-formed");
     writeln!(out, "storage sweep ({} clients, seed {seed:#x})", report.clients)?;
     args.emit(&format!("{text}\n"), out)?;
 

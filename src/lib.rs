@@ -43,14 +43,14 @@
 //! * [`mpiio`] — file views, shared pointers, collective buffering,
 //! * [`core`] — the two benchmarks themselves,
 //! * [`machines`] — calibrated models (T3E, SP, SR 8000, SX-5, …),
-//! * [`report`] — tables / pseudo-log charts / CSV / JSON dumps,
+//! * [`report`] — tables / pseudo-log charts / JSON dumps,
 //! * [`serve`] — resident benchmark daemon: job queue, pooled resident
 //!   worlds, content-addressed result cache (exact hits, by
 //!   determinism),
-//! * [`sync`] — in-tree locks, condvars and MPMC channels over
-//!   `std::sync` (no registry dependencies anywhere in the stack),
-//! * [`json`] — in-tree JSON value model and serde_json-compatible
-//!   writers behind the [`json::ToJson`] trait.
+//! * [`sync`] — in-tree ranked locks and condvars over `std::sync`
+//!   (no registry dependencies anywhere in the stack),
+//! * [`json`] — in-tree JSON value model, serde_json-compatible
+//!   writers behind the [`json::ToJson`] trait, and one parser.
 
 pub use beff_core as core;
 pub use beff_faults as faults;
