@@ -506,7 +506,13 @@ impl Comm {
 
     /// Blocking semantic send: bytes always travel.
     pub fn send(&mut self, dst: usize, tag: Tag, data: &[u8]) {
-        let injected = self.do_send(dst, tag, Payload::Data(data.to_vec()));
+        self.send_vec(dst, tag, data.to_vec());
+    }
+
+    /// [`send`](Self::send) of a buffer the caller gives up: it becomes
+    /// the message, uncopied.
+    pub fn send_vec(&mut self, dst: usize, tag: Tag, data: Vec<u8>) {
+        let injected = self.do_send(dst, tag, Payload::Data(data));
         self.state.borrow_mut().clock.advance_to(injected);
     }
 

@@ -12,12 +12,12 @@
 //!    `Pfs` call and a closing barrier — and the steps below are skipped;
 //! 2. compute the global byte span of the call and divide it into one
 //!    contiguous *file domain* per aggregator rank;
-//! 3. every rank packs, per aggregator, the pieces of its request that
-//!    fall into that aggregator's domain and ships them as one header
-//!    message plus one payload message;
-//! 4. each aggregator coalesces everything it received into maximal
-//!    contiguous runs and issues large reads/writes in
-//!    `cb_buffer_size` chunks.
+//! 3. every rank splits its request at the domain boundaries in one
+//!    pass and ships each aggregator the pieces in its domain as one
+//!    header message plus one payload message;
+//! 4. each aggregator decodes every header into one buffer, sorts and
+//!    merges it in place into maximal contiguous runs, and issues large
+//!    reads/writes in `cb_buffer_size` chunks.
 //!
 //! A run of `reps` calls of one buffer ([`MpiFile::write_all_n`],
 //! [`MpiFile::read_all_n`]) is defined as the calls one by one, and is
@@ -40,19 +40,12 @@
 //! exchange *timing* is still fully modeled.
 
 use crate::file::MpiFile;
+use crate::hints::Hints;
 use crate::view::{FileView, Segment};
-use beff_mpi::{Comm, ReduceOp};
+use beff_mpi::{Comm, ReduceOp, Tag};
 use beff_mpi::wire;
 use beff_pfs::DataRef;
-
-/// A piece of one rank's request: physical file range + where it lives
-/// in the rank's user buffer.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-struct Piece {
-    phys: u64,
-    len: u64,
-    data_off: u64,
-}
+use std::ops::Range;
 
 /// Domain decomposition of one collective call.
 struct Plan {
@@ -60,78 +53,144 @@ struct Plan {
     lo: u64,
     /// Domain width per aggregator.
     width: u64,
-    /// Aggregator comm ranks.
-    aggregators: Vec<usize>,
-}
-
-fn make_plan(comm: &mut Comm, file: &MpiFile, my_lo: u64, my_hi: u64) -> Plan {
-    let n = comm.size();
-    let lo_hi = comm.allreduce_f64(&[my_lo as f64, -(my_hi as f64)], ReduceOp::Min);
-    let lo = lo_hi[0] as u64;
-    let hi = (-lo_hi[1]) as u64;
-    let naggr = file.hints().aggregators(n);
-    let span = hi.saturating_sub(lo);
-    let cb = file.hints().cb_buffer_size.max(1);
-    let width = (span.div_ceil(naggr as u64)).div_ceil(cb) * cb;
-    let aggregators = (0..naggr).map(|i| i * n / naggr).collect();
-    Plan { lo, width: width.max(cb), aggregators }
+    /// Aggregators, one per domain.
+    naggr: usize,
+    /// Ranks of the communicator.
+    n: usize,
 }
 
 impl Plan {
-    /// Split `pieces` (sorted by phys) by aggregator domain.
-    fn assign(&self, pieces: &[Piece]) -> Vec<Vec<Piece>> {
-        let mut out = vec![Vec::new(); self.aggregators.len()];
-        for p in pieces {
-            let mut phys = p.phys;
-            let mut len = p.len;
-            let mut data_off = p.data_off;
-            while len > 0 {
-                let d = ((phys - self.lo) / self.width) as usize;
-                let d = d.min(self.aggregators.len() - 1);
-                let dom_end = self.lo + (d as u64 + 1) * self.width;
-                let take = len.min(dom_end.saturating_sub(phys).max(1));
-                out[d].push(Piece { phys, len: take, data_off });
-                phys += take;
-                data_off += take;
-                len -= take;
+    /// The domains of the span `[lo, hi)` for `n` ranks under `hints`.
+    fn new(lo: u64, hi: u64, n: usize, hints: &Hints) -> Plan {
+        let naggr = hints.aggregators(n);
+        let span = hi.saturating_sub(lo);
+        let cb = hints.cb_buffer_size.max(1);
+        let width = (span.div_ceil(naggr as u64)).div_ceil(cb) * cb;
+        Plan { lo, width: width.max(cb), naggr, n }
+    }
+
+    /// Agree on the plan of a call whose segments on this rank are
+    /// `segs` (in file order, so the first and last bound them).
+    fn agree(comm: &mut Comm, hints: &Hints, segs: &[Segment]) -> Plan {
+        let my_lo = segs.first().map_or(u64::MAX, |s| s.0);
+        let my_hi = segs.last().map_or(0, |s| s.0 + s.1);
+        let lo_hi = comm.allreduce_f64(&[my_lo as f64, -(my_hi as f64)], ReduceOp::Min);
+        Plan::new(lo_hi[0] as u64, (-lo_hi[1]) as u64, comm.size(), hints)
+    }
+
+    /// The comm rank of domain `d`'s aggregator.
+    fn aggregator(&self, d: usize) -> usize {
+        d * self.n / self.naggr
+    }
+
+    fn is_aggregator(&self, rank: usize) -> bool {
+        (0..self.naggr).any(|d| self.aggregator(d) == rank)
+    }
+
+    /// Split `segs` (sorted by phys, disjoint) at the domain boundaries
+    /// in one pass, and hand `each` every domain in order: its index,
+    /// its header — a count, then a (phys, len) pair per piece — written
+    /// straight into the buffer that becomes its message, and the bytes
+    /// its pieces cover. A domain's pieces are consecutive in the view,
+    /// so they are one slice of the rank's buffer.
+    fn split(&self, segs: &[Segment], mut each: impl FnMut(usize, Vec<u8>, u64)) {
+        // the segment being split, and its bytes earlier domains took
+        let (mut next, mut done) = (0, 0);
+        for d in 0..self.naggr {
+            // the last domain takes everything past the others
+            let end = if d + 1 == self.naggr {
+                u64::MAX
+            } else {
+                self.lo.saturating_add((d as u64 + 1).saturating_mul(self.width))
+            };
+            // one piece per segment the domain overlaps
+            let count = segs[next..].partition_point(|s| s.0 < end);
+            let mut header = Vec::with_capacity(8 + 16 * count);
+            wire::put_u64(&mut header, count as u64);
+            let mut total = 0;
+            for &(start, len) in &segs[next..next + count] {
+                let phys = start + done;
+                let take = (len - done).min(end - phys);
+                wire::put_u64(&mut header, phys);
+                wire::put_u64(&mut header, take);
+                total += take;
+                if take == len - done {
+                    (next, done) = (next + 1, 0);
+                } else {
+                    done += take;
+                }
             }
-        }
-        out
-    }
-}
-
-fn encode_pieces(pieces: &[Piece]) -> Vec<u8> {
-    let mut buf = Vec::with_capacity(8 + pieces.len() * 16);
-    wire::put_u64(&mut buf, pieces.len() as u64);
-    for p in pieces {
-        wire::put_u64(&mut buf, p.phys);
-        wire::put_u64(&mut buf, p.len);
-    }
-    buf
-}
-
-fn decode_pieces(buf: &[u8]) -> Vec<Piece> {
-    let mut r = wire::Reader::new(buf);
-    let n = r.u64() as usize;
-    (0..n)
-        .map(|_| Piece { phys: r.u64(), len: r.u64(), data_off: 0 })
-        .collect()
-}
-
-/// Coalesce sorted pieces into maximal contiguous (phys, len) runs.
-fn coalesce(mut pieces: Vec<Piece>) -> Vec<(u64, u64)> {
-    pieces.sort_by_key(|p| p.phys);
-    let mut runs: Vec<(u64, u64)> = Vec::new();
-    for p in pieces {
-        match runs.last_mut() {
-            Some(r) if r.0 + r.1 >= p.phys => {
-                let end = (p.phys + p.len).max(r.0 + r.1);
-                r.1 = end - r.0;
-            }
-            _ => runs.push((p.phys, p.len)),
+            each(d, header, total);
         }
     }
-    runs
+}
+
+/// Append the pieces of one header to `pieces`; returns the bytes they
+/// cover.
+fn decode_into(header: &[u8], pieces: &mut Vec<Segment>) -> u64 {
+    let from = pieces.len();
+    let pairs = header.get(8..).unwrap_or_default().chunks_exact(16);
+    pieces.extend(pairs.map(|pair| {
+        let mut r = wire::Reader::new(pair);
+        (r.u64(), r.u64())
+    }));
+    pieces[from..].iter().map(|p| p.1).sum()
+}
+
+/// Receive the next header from any rank into `pieces`; returns its
+/// sender and the bytes its pieces cover.
+fn recv_header(comm: &mut Comm, tag: Tag, pieces: &mut Vec<Segment>) -> (usize, u64) {
+    let (header, info) = comm.recv_vec(None, Some(tag));
+    (info.src, decode_into(&header, pieces))
+}
+
+/// Coalesce pieces into maximal contiguous (phys, len) runs, in place.
+fn runs_of(mut pieces: Vec<Segment>) -> Vec<Segment> {
+    pieces.sort_unstable();
+    pieces.dedup_by(|next, run| {
+        let continues = run.0 + run.1 >= next.0;
+        if continues {
+            run.1 = (next.0 + next.1).max(run.0 + run.1) - run.0;
+        }
+        continues
+    });
+    pieces
+}
+
+/// Copy mode only: the bytes of an aggregator's runs, back to back.
+struct RunBytes<'a> {
+    runs: &'a [Segment],
+    /// Where each run starts in `bytes`.
+    offs: Vec<usize>,
+    bytes: Vec<u8>,
+}
+
+impl<'a> RunBytes<'a> {
+    fn new(runs: &'a [Segment]) -> Self {
+        let mut total = 0;
+        let offs = runs
+            .iter()
+            .map(|r| {
+                total += r.1 as usize;
+                total - r.1 as usize
+            })
+            .collect();
+        RunBytes { runs, offs, bytes: vec![0; total] }
+    }
+
+    /// Where piece `(phys, len)` lies in `bytes`: in the last run that
+    /// starts at or before it, found by binary search.
+    fn range(&self, (phys, len): Segment) -> Range<usize> {
+        let r = self.runs.partition_point(|run| run.0 <= phys) - 1;
+        let s = self.offs[r] + (phys - self.runs[r].0) as usize;
+        s..s + len as usize
+    }
+}
+
+/// The `cb_buffer_size` chunks of a run of `len` bytes: (offset in the
+/// run, length).
+fn chunks(len: u64, cb: u64) -> impl Iterator<Item = (u64, u64)> {
+    (0..len).step_by(cb as usize).map(move |off| (off, cb.min(len - off)))
 }
 
 impl MpiFile {
@@ -262,88 +321,68 @@ impl MpiFile {
             comm.barrier();
             return n;
         }
-        let pieces = to_pieces(segs);
-        let (my_lo, my_hi) = span_of(&pieces);
-        let plan = make_plan(comm, self, my_lo, my_hi);
+        let plan = Plan::agree(comm, self.hints(), segs);
         let tag_h = comm.alloc_tag();
         let tag_p = comm.alloc_tag();
+        let copy = comm.copies_payload();
 
         // ---- phase 1: ship my pieces to their aggregators ----
-        let per_aggr = plan.assign(&pieces);
-        let copy = comm.copies_payload();
-        let mut scratch: Vec<u8> = Vec::new();
-        for (i, mine) in per_aggr.iter().enumerate() {
-            let a = plan.aggregators[i];
-            let header = encode_pieces(mine);
-            comm.send(a, tag_h, &header);
-            let total: u64 = mine.iter().map(|p| p.len).sum();
+        let mut off = 0;
+        plan.split(segs, |d, header, total| {
+            let a = plan.aggregator(d);
+            comm.send_vec(a, tag_h, header);
             if total == 0 {
-                continue;
+                return;
             }
             if copy {
-                scratch.clear();
-                for p in mine {
-                    let s = p.data_off as usize;
-                    scratch.extend_from_slice(&data[s..s + p.len as usize]);
-                }
-                comm.payload_send(a, tag_p, &scratch);
+                comm.payload_send(a, tag_p, &data[off..off + total as usize]);
             } else {
                 comm.payload_send_len(a, tag_p, total);
             }
-        }
+            off += total as usize;
+        });
 
         // ---- phase 2: aggregate and write ----
-        if let Some(_my_index) = plan.aggregators.iter().position(|&a| a == comm.rank()) {
-            let mut all: Vec<Piece> = Vec::new();
-            let mut buffers: Vec<(Vec<Piece>, Vec<u8>)> = Vec::new();
+        if plan.is_aggregator(comm.rank()) {
+            // every source's pieces, in arrival order; copy mode also
+            // keeps where each source's pieces end and its payload
+            let mut pieces = Vec::new();
+            let mut payloads: Vec<(usize, Vec<u8>)> = Vec::new();
             for _ in 0..comm.size() {
-                let (hdr, info) = comm.recv_vec(None, Some(tag_h));
-                let ps = decode_pieces(&hdr);
-                let total: u64 = ps.iter().map(|p| p.len).sum();
-                all.extend(ps.iter().copied());
+                let (src, total) = recv_header(comm, tag_h, &mut pieces);
                 if total > 0 {
-                    let (payload, _) = {
-                        let req = comm.irecv(Some(info.src), Some(tag_p));
-                        comm.wait_recv(req)
-                    };
-                    buffers.push((ps, payload));
+                    let req = comm.irecv(Some(src), Some(tag_p));
+                    let (payload, _) = comm.wait_recv(req);
+                    if copy {
+                        payloads.push((pieces.len(), payload));
+                    }
                 }
             }
-            let runs = coalesce(all);
             let cb = self.hints().cb_buffer_size.max(1);
-            for (start, len) in runs {
-                if copy {
-                    // assemble the run from the received payloads
-                    let mut buf = vec![0u8; len as usize];
-                    for (ps, payload) in &buffers {
-                        let mut poff = 0usize;
-                        for p in ps {
-                            if p.phys >= start && p.phys + p.len <= start + len {
-                                let dst = (p.phys - start) as usize;
-                                if payload.len() >= poff + p.len as usize {
-                                    buf[dst..dst + p.len as usize]
-                                        .copy_from_slice(&payload[poff..poff + p.len as usize]);
-                                }
-                            }
-                            poff += p.len as usize;
-                        }
+            if copy {
+                let runs = runs_of(pieces.clone());
+                let mut staged = RunBytes::new(&runs);
+                let mut from = 0;
+                for (end, payload) in &payloads {
+                    let mut poff = 0;
+                    for &p in &pieces[from..*end] {
+                        let dst = staged.range(p);
+                        let len = dst.len();
+                        staged.bytes[dst].copy_from_slice(&payload[poff..poff + len]);
+                        poff += len;
                     }
-                    let mut off = 0u64;
-                    while off < len {
-                        let chunk = cb.min(len - off);
-                        self.raw_write(
-                            comm,
-                            start + off,
-                            &buf[off as usize..(off + chunk) as usize],
-                        );
-                        off += chunk;
+                    from = *end;
+                }
+                for (&(start, len), &at) in runs.iter().zip(&staged.offs) {
+                    for (off, chunk) in chunks(len, cb) {
+                        let s = at + off as usize;
+                        self.raw_write(comm, start + off, &staged.bytes[s..s + chunk as usize]);
                     }
-                } else {
-                    let mut off = 0u64;
-                    while off < len {
-                        let chunk = cb.min(len - off);
+                }
+            } else {
+                for (start, len) in runs_of(pieces) {
+                    for (off, chunk) in chunks(len, cb) {
                         self.raw_write_len(comm, start + off, chunk);
-                        off += chunk;
                     }
                 }
             }
@@ -367,102 +406,80 @@ impl MpiFile {
             comm.barrier();
             return n;
         }
-        let pieces = to_pieces(segs);
-        let (my_lo, my_hi) = span_of(&pieces);
-        let plan = make_plan(comm, self, my_lo, my_hi);
+        let plan = Plan::agree(comm, self.hints(), segs);
         let tag_h = comm.alloc_tag();
         let tag_p = comm.alloc_tag();
+        let copy = comm.copies_payload();
 
         // ---- phase 1: send requests ----
-        let per_aggr = plan.assign(&pieces);
-        let copy = comm.copies_payload();
-        for (i, mine) in per_aggr.iter().enumerate() {
-            comm.send(plan.aggregators[i], tag_h, &encode_pieces(mine));
-        }
+        let mut totals = Vec::with_capacity(plan.naggr);
+        plan.split(segs, |d, header, total| {
+            comm.send_vec(plan.aggregator(d), tag_h, header);
+            totals.push(total);
+        });
 
         // ---- phase 2: aggregators read and distribute ----
-        if plan.aggregators.contains(&comm.rank()) {
-            let mut requests: Vec<(usize, Vec<Piece>)> = Vec::new();
-            for _ in 0..comm.size() {
-                let (hdr, info) = comm.recv_vec(None, Some(tag_h));
-                requests.push((info.src, decode_pieces(&hdr)));
-            }
-            let all: Vec<Piece> = requests.iter().flat_map(|(_, ps)| ps.iter().copied()).collect();
-            let runs = coalesce(all);
-            // read each run once
-            let mut run_data: Vec<(u64, Vec<u8>)> = Vec::new();
+        if plan.is_aggregator(comm.rank()) {
+            // every source's pieces, in arrival order, and per source
+            // its rank, where its pieces end and the bytes they cover
+            let mut pieces = Vec::new();
+            let sources: Vec<(usize, usize, u64)> = (0..comm.size())
+                .map(|_| {
+                    let (src, total) = recv_header(comm, tag_h, &mut pieces);
+                    (src, pieces.len(), total)
+                })
+                .collect();
             let cb = self.hints().cb_buffer_size.max(1);
-            for (start, len) in &runs {
-                if copy {
-                    let mut b = vec![0u8; *len as usize];
-                    let mut off = 0u64;
-                    while off < *len {
-                        let chunk = cb.min(len - off);
-                        self.raw_read(
-                            comm,
-                            start + off,
-                            &mut b[off as usize..(off + chunk) as usize],
-                        );
-                        off += chunk;
+            if copy {
+                // read each run once
+                let runs = runs_of(pieces.clone());
+                let mut staged = RunBytes::new(&runs);
+                for (&(start, len), &at) in runs.iter().zip(&staged.offs) {
+                    for (off, chunk) in chunks(len, cb) {
+                        let s = at + off as usize;
+                        self.raw_read(comm, start + off, &mut staged.bytes[s..s + chunk as usize]);
                     }
-                    run_data.push((*start, b));
-                } else {
-                    let mut off = 0u64;
-                    while off < *len {
-                        let chunk = cb.min(len - off);
-                        self.raw_read_len(comm, start + off, chunk);
-                        off += chunk;
+                }
+                // distribute
+                let mut from = 0;
+                for &(src, end, total) in &sources {
+                    if total == 0 {
+                        continue;
                     }
-                    run_data.push((*start, Vec::new()));
-                }
-            }
-            // distribute
-            let mut scratch: Vec<u8> = Vec::new();
-            for (src, ps) in requests {
-                let total: u64 = ps.iter().map(|p| p.len).sum();
-                if total == 0 {
-                    continue;
-                }
-                if copy {
-                    scratch.clear();
-                    scratch.resize(total as usize, 0);
-                    let mut off = 0usize;
-                    for p in &ps {
-                        for (rs, rb) in &run_data {
-                            if p.phys >= *rs && p.phys + p.len <= *rs + rb.len() as u64 {
-                                let s = (p.phys - rs) as usize;
-                                scratch[off..off + p.len as usize]
-                                    .copy_from_slice(&rb[s..s + p.len as usize]);
-                                break;
-                            }
-                        }
-                        off += p.len as usize;
+                    let mut scratch = Vec::with_capacity(total as usize);
+                    for &p in &pieces[from..end] {
+                        scratch.extend_from_slice(&staged.bytes[staged.range(p)]);
                     }
                     comm.payload_send(src, tag_p, &scratch);
-                } else {
-                    comm.payload_send_len(src, tag_p, total);
+                    from = end;
+                }
+            } else {
+                for (start, len) in runs_of(pieces) {
+                    for (off, chunk) in chunks(len, cb) {
+                        self.raw_read_len(comm, start + off, chunk);
+                    }
+                }
+                for &(src, _, total) in &sources {
+                    if total > 0 {
+                        comm.payload_send_len(src, tag_p, total);
+                    }
                 }
             }
         }
 
-        // ---- phase 3: receive my pieces ----
-        for (i, mine) in per_aggr.iter().enumerate() {
-            let total: u64 = mine.iter().map(|p| p.len).sum();
+        // ---- phase 3: receive my pieces, one slice of `buf` a domain ----
+        let mut off = 0;
+        for (d, &total) in totals.iter().enumerate() {
             if total == 0 {
                 continue;
             }
-            let a = plan.aggregators[i];
-            let req = comm.irecv(Some(a), Some(tag_p));
+            let req = comm.irecv(Some(plan.aggregator(d)), Some(tag_p));
             let (payload, _) = comm.wait_recv(req);
-            if copy && payload.len() as u64 >= total {
-                let mut poff = 0usize;
-                for p in mine {
-                    let d = p.data_off as usize;
-                    buf[d..d + p.len as usize]
-                        .copy_from_slice(&payload[poff..poff + p.len as usize]);
-                    poff += p.len as usize;
-                }
+            let total = total as usize;
+            if copy && payload.len() >= total {
+                buf[off..off + total].copy_from_slice(&payload[..total]);
             }
+            off += total;
         }
         comm.barrier();
         self.seek(self.tell() + buf.len() as u64);
@@ -489,57 +506,135 @@ impl Access<'_> {
     }
 }
 
-fn to_pieces(segs: &[(u64, u64)]) -> Vec<Piece> {
-    let mut out = Vec::with_capacity(segs.len());
-    let mut data_off = 0u64;
-    for &(phys, len) in segs {
-        out.push(Piece { phys, len, data_off });
-        data_off += len;
-    }
-    out
-}
-
-fn span_of(pieces: &[Piece]) -> (u64, u64) {
-    pieces.iter().fold((u64::MAX, 0), |(lo, hi), p| (lo.min(p.phys), hi.max(p.phys + p.len)))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use beff_check::{check_n, ensure_eq};
 
-    #[test]
-    fn coalesce_merges_adjacent_and_overlapping() {
-        let ps = vec![
-            Piece { phys: 10, len: 10, data_off: 0 },
-            Piece { phys: 0, len: 10, data_off: 0 },
-            Piece { phys: 25, len: 5, data_off: 0 },
-            Piece { phys: 22, len: 4, data_off: 0 },
-        ];
-        assert_eq!(coalesce(ps), vec![(0, 20), (22, 8)]);
+    /// The split as it was: a piece list with buffer offsets, one `Vec`
+    /// of pieces per domain, each encoded on its own.
+    mod before {
+        use super::*;
+
+        #[derive(Clone, Copy)]
+        pub struct Piece {
+            pub phys: u64,
+            pub len: u64,
+            pub data_off: u64,
+        }
+
+        pub fn to_pieces(segs: &[Segment]) -> Vec<Piece> {
+            let mut data_off = 0;
+            segs.iter()
+                .map(|&(phys, len)| {
+                    data_off += len;
+                    Piece { phys, len, data_off: data_off - len }
+                })
+                .collect()
+        }
+
+        pub fn assign(plan: &Plan, pieces: &[Piece]) -> Vec<Vec<Piece>> {
+            let mut out = vec![Vec::new(); plan.naggr];
+            for p in pieces {
+                let (mut phys, mut len, mut data_off) = (p.phys, p.len, p.data_off);
+                while len > 0 {
+                    let d = (((phys - plan.lo) / plan.width) as usize).min(plan.naggr - 1);
+                    let dom_end = plan.lo + (d as u64 + 1) * plan.width;
+                    let take = len.min(dom_end.saturating_sub(phys).max(1));
+                    out[d].push(Piece { phys, len: take, data_off });
+                    phys += take;
+                    data_off += take;
+                    len -= take;
+                }
+            }
+            out
+        }
+
+        pub fn encode_pieces(pieces: &[Piece]) -> Vec<u8> {
+            let mut buf = Vec::with_capacity(8 + pieces.len() * 16);
+            wire::put_u64(&mut buf, pieces.len() as u64);
+            for p in pieces {
+                wire::put_u64(&mut buf, p.phys);
+                wire::put_u64(&mut buf, p.len);
+            }
+            buf
+        }
+
+        pub fn coalesce(mut pieces: Vec<Piece>) -> Vec<Segment> {
+            pieces.sort_by_key(|p| p.phys);
+            let mut runs: Vec<Segment> = Vec::new();
+            for p in pieces {
+                match runs.last_mut() {
+                    Some(r) if r.0 + r.1 >= p.phys => {
+                        let end = (p.phys + p.len).max(r.0 + r.1);
+                        r.1 = end - r.0;
+                    }
+                    _ => runs.push((p.phys, p.len)),
+                }
+            }
+            runs
+        }
     }
 
     #[test]
-    fn pieces_encode_roundtrip() {
-        let ps = vec![
-            Piece { phys: 7, len: 100, data_off: 0 },
-            Piece { phys: 1 << 40, len: 1, data_off: 0 },
-        ];
-        let back = decode_pieces(&encode_pieces(&ps));
-        assert_eq!(back.len(), 2);
-        assert_eq!(back[0].phys, 7);
-        assert_eq!(back[1].phys, 1 << 40);
+    fn one_pass_split_sends_the_headers_and_runs_of_the_piece_lists() {
+        check_n("one pass split sends the headers and runs of the piece lists", 400, |g| {
+            let n = g.usize(1..=9);
+            let block = g.u64(1..=300);
+            // stride == block merges a rank's blocks into one segment
+            let stride = if g.weighted(0.2) { block } else { block * g.u64(1..=n as u64 + 2) };
+            let hints = Hints {
+                cb_nodes: g.usize(0..=n + 1),
+                cb_buffer_size: *g.choose(&[1, 7, block, 4096, 1 << 20]),
+                ..Hints::default()
+            };
+            let segs: Vec<Vec<Segment>> = (0..n as u64)
+                .map(|p| {
+                    let disp = p * block + g.u64(0..=1);
+                    // empty ranges, partial first and last blocks
+                    let start = g.u64(0..=3 * block);
+                    let len = if g.weighted(0.1) { 0 } else { g.u64(1..=25 * block) };
+                    FileView::Strided { disp, block, stride }.map_range(start, len).to_vec()
+                })
+                .collect();
+            let lo = segs.iter().filter_map(|s| s.first()).map(|s| s.0).min().unwrap_or(u64::MAX);
+            let hi = segs.iter().filter_map(|s| s.last()).map(|s| s.0 + s.1).max().unwrap_or(0);
+            let plan = Plan::new(lo, hi, n, &hints);
+
+            let mut received = vec![(Vec::new(), Vec::new()); plan.naggr];
+            for mine in &segs {
+                let old = before::assign(&plan, &before::to_pieces(mine));
+                let mut new = Vec::new();
+                plan.split(mine, |_, header, total| new.push((header, total)));
+                ensure_eq!(new.len(), plan.naggr);
+                for (d, ((header, total), old)) in new.iter().zip(&old).enumerate() {
+                    ensure_eq!(*header, before::encode_pieces(old), "domain {d}");
+                    ensure_eq!(*total, old.iter().map(|p| p.len).sum::<u64>(), "domain {d}");
+                    let (all_new, all_old) = &mut received[d];
+                    decode_into(header, all_new);
+                    all_old.extend_from_slice(old);
+                }
+            }
+            for (all_new, all_old) in received {
+                ensure_eq!(runs_of(all_new), before::coalesce(all_old));
+            }
+        });
     }
 
     #[test]
-    fn span_of_empty_is_inverted() {
-        let (lo, hi) = span_of(&[]);
-        assert!(lo > hi);
+    fn runs_merge_adjacent_and_overlapping_pieces() {
+        let pieces = vec![(10, 10), (0, 10), (25, 5), (22, 4), (22, 1), (40, 1)];
+        assert_eq!(runs_of(pieces), vec![(0, 20), (22, 8), (40, 1)]);
     }
 
     #[test]
-    fn to_pieces_tracks_data_offsets() {
-        let ps = to_pieces(&[(100, 10), (300, 20)]);
-        assert_eq!(ps[0].data_off, 0);
-        assert_eq!(ps[1].data_off, 10);
+    fn a_piece_is_found_in_its_run() {
+        let runs = [(0, 20), (22, 8), (40, 1)];
+        let buf = RunBytes::new(&runs);
+        assert_eq!(buf.offs, [0, 20, 28]);
+        assert_eq!(buf.bytes.len(), 29);
+        assert_eq!(buf.range((5, 3)), 5..8);
+        assert_eq!(buf.range((22, 8)), 20..28);
+        assert_eq!(buf.range((40, 1)), 28..29);
     }
 }

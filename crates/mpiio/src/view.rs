@@ -27,22 +27,6 @@ pub enum Segments {
     Spilled(Vec<Segment>),
 }
 
-impl Segments {
-    /// Append `seg`, merged into the last segment if it continues it.
-    fn push(&mut self, seg: Segment) {
-        let continues = |last: &Segment| last.0 + last.1 == seg.0;
-        match self {
-            Self::Inline(None) => *self = Self::Inline(Some(seg)),
-            Self::Inline(Some(last)) if continues(last) => last.1 += seg.1,
-            Self::Inline(Some(first)) => *self = Self::Spilled(vec![*first, seg]),
-            Self::Spilled(v) => match v.last_mut() {
-                Some(last) if continues(last) => last.1 += seg.1,
-                _ => v.push(seg),
-            },
-        }
-    }
-}
-
 impl Deref for Segments {
     type Target = [Segment];
     fn deref(&self) -> &[Segment] {
@@ -81,27 +65,34 @@ impl FileView {
     }
 
     /// Map the view-linear range `[v, v+len)` to physical segments, in
-    /// file order, merging adjacent pieces.
+    /// file order, merging adjacent pieces: a contiguous view, or a
+    /// stride equal to the block, maps it to one segment; otherwise no
+    /// two blocks merge, so the list is sized once from the number of
+    /// blocks the range touches.
     pub fn map_range(&self, v: u64, len: u64) -> Segments {
-        let mut out = Segments::Inline(None);
         if len == 0 {
-            return out;
+            return Segments::Inline(None);
         }
         match *self {
-            FileView::Contiguous { disp } => out.push((disp + v, len)),
+            FileView::Contiguous { disp } => Segments::Inline(Some((disp + v, len))),
             FileView::Strided { disp, block, stride } => {
                 assert!(block > 0 && stride >= block, "degenerate strided view");
-                let mut pos = v;
-                let end = v + len;
-                while pos < end {
-                    let in_block = pos % block;
-                    let piece = (block - in_block).min(end - pos);
-                    out.push((disp + (pos / block) * stride + in_block, piece));
-                    pos += piece;
+                if stride == block {
+                    return Segments::Inline(Some((disp + v, len)));
+                }
+                let (first, last) = (v / block, (v + len - 1) / block);
+                let seg = |b: u64| {
+                    let lo = (b * block).max(v);
+                    let hi = ((b + 1) * block).min(v + len);
+                    (disp + b * stride + lo % block, hi - lo)
+                };
+                if first == last {
+                    Segments::Inline(Some(seg(first)))
+                } else {
+                    Segments::Spilled((first..=last).map(seg).collect())
                 }
             }
         }
-        out
     }
 }
 
@@ -157,6 +148,42 @@ mod tests {
                 assert!(w[0].0 + w[0].1 <= w[1].0);
             }
         }
+    }
+
+    /// The generic loop: block by block, each merged into the last
+    /// segment if it continues it.
+    fn map_range_generic(disp: u64, block: u64, stride: u64, v: u64, len: u64) -> Vec<Segment> {
+        let mut out: Vec<Segment> = Vec::new();
+        let (mut pos, end) = (v, v + len);
+        while pos < end {
+            let in_block = pos % block;
+            let piece = (block - in_block).min(end - pos);
+            let seg = (disp + (pos / block) * stride + in_block, piece);
+            match out.last_mut() {
+                Some(last) if last.0 + last.1 == seg.0 => last.1 += seg.1,
+                _ => out.push(seg),
+            }
+            pos += piece;
+        }
+        out
+    }
+
+    #[test]
+    fn strided_map_equals_the_generic_loop() {
+        beff_check::check("strided map equals the generic loop", |g| {
+            let block = g.u64(1..=4_096);
+            // a stride equal to the block merges every block
+            let stride = if g.weighted(0.2) { block } else { block + g.u64(1..=3 * block) };
+            let disp = g.u64(0..=100_000);
+            // ranges inside one block, across a few, and from mid-block
+            let v = g.u64(0..=8 * block);
+            let blocks = g.u64(1..=40);
+            let len = g.u64(0..=blocks * block);
+            let view = FileView::Strided { disp, block, stride };
+            let segs = view.map_range(v, len);
+            beff_check::ensure_eq!(*segs, *map_range_generic(disp, block, stride, v, len));
+            beff_check::ensure_eq!(matches!(segs, Segments::Spilled(_)), segs.len() > 1);
+        });
     }
 
     #[test]
