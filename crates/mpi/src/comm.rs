@@ -69,7 +69,7 @@ fn wire_fault_delay(
     bytes: u64,
 ) {
     let plan = fs.plan();
-    let sr = st.routes_out.get(wdst, || net.split_route(wsrc, wdst));
+    let sr = st.routes.get(wdst, || net.split_route(wsrc, wdst));
     let links = net.links();
     let route_dead = sr
         .egress
@@ -496,7 +496,7 @@ impl Comm {
                 }
             }
             let t0 = st.clock.now();
-            let sr = st.routes_out.get(wdst, || net.split_route(wsrc, wdst));
+            let sr = st.routes.get(wdst, || net.split_route(wsrc, wdst));
             let eg = net.price_egress(&sr.egress, payload.len(), t0);
             (eg.injected, eg.head, eg.finish)
         };
@@ -575,8 +575,8 @@ impl Comm {
         let mut st = self.state.borrow_mut();
         let wsrc = self.ranks[env.src];
         let wdst = self.ranks[self.rank];
-        let sr = st.routes_in.get(wsrc, || net.split_route(wsrc, wdst));
-        let done = net.price_ingress(&sr.ingress, env.payload.len(), env.head, env.arrival);
+        let ingress = net.topology().ingress(wsrc, wdst);
+        let done = net.price_ingress(&ingress, env.payload.len(), env.head, env.arrival);
         st.clock.advance_to(done);
         match faults {
             None => st.clock.advance(net.params().o_recv),

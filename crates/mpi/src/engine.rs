@@ -1,6 +1,7 @@
 //! The engine: what a rank's clock is (a [`VClock`]), what a message
-//! transfer costs (the [`beff_netsim::MachineNet`] price), and whether
-//! benchmark payloads are materialized (`copy_data`).
+//! transfer costs (the [`beff_netsim::MachineNet`] price, a send's links
+//! from the rank's [`RouteCache`], a receive's from `Topology::ingress`)
+//! and whether benchmark payloads are materialized (`copy_data`).
 
 use beff_faults::FaultSession;
 use beff_netsim::{MachineNet, SplitRoute};
@@ -21,7 +22,7 @@ pub struct EngineCfg {
     pub faults: Option<Arc<FaultSession>>,
 }
 
-/// How many peers each side of a rank's [`RouteCache`] holds. The
+/// How many peers a rank's [`RouteCache`] holds. The
 /// b_eff patterns give a rank two neighbours at a time; an exchange
 /// with more peers than this (a wide all-to-all) misses and pays what
 /// the shared table costs.
@@ -29,10 +30,10 @@ pub const ROUTE_CACHE_SLOTS: usize = 16;
 
 const ROUTE_CACHE_SETS: usize = ROUTE_CACHE_SLOTS / 2;
 
-/// One cached route and the peer it leads to (or from).
+/// One cached route and the peer it leads to.
 type Way = Option<(usize, Arc<SplitRoute>)>;
 
-/// A rank's handles on the routes to (or from) its current peers: two
+/// A rank's handles on the routes to its current peers: two
 /// ways in each of eight sets indexed by the peer's world rank, filled
 /// from the machine-wide table ([`MachineNet::split_route`]) on a miss
 /// over the way not used last. A hit costs two compares at most — no
@@ -70,8 +71,8 @@ impl RouteCache {
     }
 }
 
-/// Mutable per-rank simulation state: the rank's clock and its route
-/// handles.
+/// Mutable per-rank simulation state: the rank's clock and its handles
+/// on the routes it sends over.
 ///
 /// Routes are *owned* by the machine-wide [`MachineNet`] route table,
 /// shared by all ranks of all worlds on that machine; a rank only
@@ -84,14 +85,12 @@ impl RouteCache {
 pub(crate) struct RankState {
     pub(crate) clock: VClock,
     /// Routes from this rank, keyed by world destination.
-    pub(crate) routes_out: RouteCache,
-    /// Routes to this rank, keyed by world source.
-    pub(crate) routes_in: RouteCache,
+    pub(crate) routes: RouteCache,
 }
 
 impl RankState {
     pub(crate) fn new() -> Self {
-        Self { clock: VClock::new(), routes_out: RouteCache::new(), routes_in: RouteCache::new() }
+        Self { clock: VClock::new(), routes: RouteCache::new() }
     }
 }
 

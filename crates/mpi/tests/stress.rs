@@ -230,11 +230,11 @@ fn two_queue_mailbox_matches_linear_scan_reference() {
 }
 
 /// Rank 0 ping-pongs with three peers that fall into the same two-way
-/// set of its route caches (`p`, `p + 8`, `p + 16`), in a rotation that
-/// is LRU's worst case: every one of its sends and receives evicts the
-/// route it will need two messages later. Every clock any rank reads
-/// must equal, bit for bit, the same exchange priced straight off the
-/// machine-wide route table.
+/// set of its route cache (`p`, `p + 8`, `p + 16`), in a rotation that
+/// is LRU's worst case: every one of its sends evicts the route it will
+/// need two sends later (receives need no route). Every clock any rank
+/// reads must equal, bit for bit, the same exchange priced straight off
+/// the machine-wide route table.
 #[test]
 fn colliding_route_cache_peers_price_like_the_shared_table() {
     let slots = beff_mpi::engine::ROUTE_CACHE_SLOTS;

@@ -15,9 +15,10 @@
 //! 3. every rank splits its request at the domain boundaries in one
 //!    pass and ships each aggregator the pieces in its domain as one
 //!    header message plus one payload message;
-//! 4. each aggregator decodes every header into one buffer, sorts and
-//!    merges it in place into maximal contiguous runs, and issues large
-//!    reads/writes in `cb_buffer_size` chunks.
+//! 4. each aggregator decodes every header into one buffer, merges the
+//!    senders' lists — each sorted, as its view is — into maximal
+//!    contiguous runs by chasing contiguity ([`merge_runs`]), and issues
+//!    large reads/writes in `cb_buffer_size` chunks.
 //!
 //! A run of `reps` calls of one buffer ([`MpiFile::write_all_n`],
 //! [`MpiFile::read_all_n`]) is defined as the calls one by one, and is
@@ -45,6 +46,7 @@ use crate::view::{FileView, Segment};
 use beff_mpi::{Comm, ReduceOp, Tag};
 use beff_mpi::wire;
 use beff_pfs::DataRef;
+use std::borrow::Cow;
 use std::ops::Range;
 
 /// Domain decomposition of one collective call.
@@ -144,17 +146,189 @@ fn recv_header(comm: &mut Comm, tag: Tag, pieces: &mut Vec<Segment>) -> (usize, 
     (info.src, decode_into(&header, pieces))
 }
 
-/// Coalesce pieces into maximal contiguous (phys, len) runs, in place.
-fn runs_of(mut pieces: Vec<Segment>) -> Vec<Segment> {
-    pieces.sort_unstable();
-    pieces.dedup_by(|next, run| {
-        let continues = run.0 + run.1 >= next.0;
-        if continues {
-            run.1 = (next.0 + next.1).max(run.0 + run.1) - run.0;
+/// Where a source's pieces end in the aggregator's buffer: its rank,
+/// the end, and the bytes its pieces cover.
+type Source = (usize, usize, u64);
+
+/// The runs of every source's pieces (`pieces`, in arrival order, cut
+/// by `sources`), merged with the lists in rank order.
+fn runs_of_sources(pieces: &[Segment], sources: &[Source]) -> Vec<Segment> {
+    let mut lists = vec![&pieces[..0]; sources.len()];
+    let mut from = 0;
+    for &(src, end, _) in sources {
+        lists[src] = &pieces[from..end];
+        from = end;
+    }
+    merge_runs(&lists, |a, b| a <= b)
+}
+
+/// The union of the pieces of `lists` as maximal contiguous (phys, len)
+/// runs in ascending order, a piece that starts at or before a run's
+/// end joining it — what sorting all the pieces and merging them would
+/// give, made without sorting. A run starts at the lowest head and
+/// grows by any head that reaches its end: first the list that grew it
+/// last, then the next list, and only then the lowest head of all, off
+/// a heap; it closes when none reaches. A strided exchange deals its
+/// pieces round-robin across the lists, so the next list almost always
+/// reaches. `le` is every comparison of positions the merge makes.
+fn merge_runs(lists: &[&[Segment]], le: impl FnMut(u64, u64) -> bool) -> Vec<Segment> {
+    let mut m = Merge::new(lists, le);
+    let mut runs = Vec::new();
+    while let Some(first) = m.lowest() {
+        let (start, mut end) = (m.lists[first].head().0, 0);
+        m.take(first, &mut end);
+        let mut last = first;
+        loop {
+            if m.reaches(last, end) {
+                m.take(last, &mut end);
+                continue;
+            }
+            let next = if last + 1 < lists.len() { last + 1 } else { 0 };
+            let grows = if next != last && m.reaches(next, end) {
+                next
+            } else {
+                // the lowest head reaches if any does
+                match m.lowest() {
+                    Some(low) if m.reaches(low, end) => low,
+                    _ => break,
+                }
+            };
+            m.take(grows, &mut end);
+            last = grows;
         }
-        continues
-    });
-    pieces
+        runs.push((start, end - start));
+    }
+    runs
+}
+
+/// One list of [`merge_runs`], sorted by position.
+struct List<'a> {
+    pieces: Cow<'a, [Segment]>,
+    /// How many pieces runs have taken.
+    taken: usize,
+    /// Taken from since its heap key was set.
+    stale: bool,
+}
+
+impl List<'_> {
+    fn head(&self) -> Segment {
+        self.pieces[self.taken]
+    }
+
+    fn is_done(&self) -> bool {
+        self.taken == self.pieces.len()
+    }
+}
+
+/// The state of [`merge_runs`].
+struct Merge<'a, F> {
+    lists: Vec<List<'a>>,
+    /// A min-heap of (key, list) holding every list not yet seen done.
+    /// A key is its list's head position when set and heads only grow,
+    /// so a key never exceeds its head, and a top that is not stale has
+    /// the lowest head of all.
+    heap: Vec<(u64, usize)>,
+    /// Lists with pieces left.
+    live: usize,
+    le: F,
+}
+
+impl<'a, F: FnMut(u64, u64) -> bool> Merge<'a, F> {
+    fn new(lists: &[&'a [Segment]], le: F) -> Self {
+        let lists: Vec<List<'a>> = lists
+            .iter()
+            .map(|&l| {
+                // a list in view order is sorted; any other is sorted here
+                let pieces = if l.is_sorted_by_key(|p| p.0) {
+                    Cow::Borrowed(l)
+                } else {
+                    let mut l = l.to_vec();
+                    l.sort_unstable();
+                    Cow::Owned(l)
+                };
+                List { pieces, taken: 0, stale: false }
+            })
+            .collect();
+        let heap: Vec<(u64, usize)> = lists
+            .iter()
+            .enumerate()
+            .filter(|(_, l)| !l.is_done())
+            .map(|(i, l)| (l.head().0, i))
+            .collect();
+        let mut m = Merge { lists, live: heap.len(), heap, le };
+        for i in (0..m.heap.len() / 2).rev() {
+            m.sift_down(i);
+        }
+        m
+    }
+
+    /// `a <= b`, through the caller's comparator.
+    fn le(&mut self, a: u64, b: u64) -> bool {
+        // beff-analyze: dynamic-call: the comparator merge_runs was given
+        (self.le)(a, b)
+    }
+
+    /// Does list `l`'s head start at or before `end`?
+    fn reaches(&mut self, l: usize, end: u64) -> bool {
+        let list = &self.lists[l];
+        if list.is_done() {
+            return false;
+        }
+        let phys = list.head().0;
+        self.le(phys, end)
+    }
+
+    /// Take list `l`'s head into the run ending at `end`.
+    fn take(&mut self, l: usize, end: &mut u64) {
+        let list = &mut self.lists[l];
+        let (phys, len) = list.head();
+        *end = (*end).max(phys + len);
+        list.taken += 1;
+        list.stale = true;
+        if list.is_done() {
+            self.live -= 1;
+        }
+    }
+
+    /// The list with the lowest head, if any has pieces left: the heap's
+    /// top once every stale key above it is refreshed.
+    fn lowest(&mut self) -> Option<usize> {
+        if self.live == 0 {
+            return None;
+        }
+        while let Some(&(_, l)) = self.heap.first() {
+            let list = &mut self.lists[l];
+            if !list.stale {
+                return Some(l);
+            }
+            list.stale = false;
+            if list.is_done() {
+                self.heap.swap_remove(0);
+            } else {
+                self.heap[0].0 = list.head().0;
+            }
+            self.sift_down(0);
+        }
+        None
+    }
+
+    fn sift_down(&mut self, mut i: usize) {
+        let n = self.heap.len();
+        loop {
+            let mut c = 2 * i + 1;
+            if c >= n {
+                return;
+            }
+            if c + 1 < n && !self.le(self.heap[c].0, self.heap[c + 1].0) {
+                c += 1;
+            }
+            if self.le(self.heap[i].0, self.heap[c].0) {
+                return;
+            }
+            self.heap.swap(i, c);
+            i = c;
+        }
+    }
 }
 
 /// Copy mode only: the bytes of an aggregator's runs, back to back.
@@ -344,12 +518,14 @@ impl MpiFile {
 
         // ---- phase 2: aggregate and write ----
         if plan.is_aggregator(comm.rank()) {
-            // every source's pieces, in arrival order; copy mode also
-            // keeps where each source's pieces end and its payload
+            // every source's pieces, in arrival order, and where each
+            // source's pieces end; copy mode also keeps its payload
             let mut pieces = Vec::new();
+            let mut sources = Vec::with_capacity(comm.size());
             let mut payloads: Vec<(usize, Vec<u8>)> = Vec::new();
             for _ in 0..comm.size() {
                 let (src, total) = recv_header(comm, tag_h, &mut pieces);
+                sources.push((src, pieces.len(), total));
                 if total > 0 {
                     let req = comm.irecv(Some(src), Some(tag_p));
                     let (payload, _) = comm.wait_recv(req);
@@ -359,8 +535,8 @@ impl MpiFile {
                 }
             }
             let cb = self.hints().cb_buffer_size.max(1);
+            let runs = runs_of_sources(&pieces, &sources);
             if copy {
-                let runs = runs_of(pieces.clone());
                 let mut staged = RunBytes::new(&runs);
                 let mut from = 0;
                 for (end, payload) in &payloads {
@@ -380,7 +556,7 @@ impl MpiFile {
                     }
                 }
             } else {
-                for (start, len) in runs_of(pieces) {
+                for (start, len) in runs {
                     for (off, chunk) in chunks(len, cb) {
                         self.raw_write_len(comm, start + off, chunk);
                     }
@@ -423,16 +599,16 @@ impl MpiFile {
             // every source's pieces, in arrival order, and per source
             // its rank, where its pieces end and the bytes they cover
             let mut pieces = Vec::new();
-            let sources: Vec<(usize, usize, u64)> = (0..comm.size())
+            let sources: Vec<Source> = (0..comm.size())
                 .map(|_| {
                     let (src, total) = recv_header(comm, tag_h, &mut pieces);
                     (src, pieces.len(), total)
                 })
                 .collect();
             let cb = self.hints().cb_buffer_size.max(1);
+            let runs = runs_of_sources(&pieces, &sources);
             if copy {
                 // read each run once
-                let runs = runs_of(pieces.clone());
                 let mut staged = RunBytes::new(&runs);
                 for (&(start, len), &at) in runs.iter().zip(&staged.offs) {
                     for (off, chunk) in chunks(len, cb) {
@@ -454,7 +630,7 @@ impl MpiFile {
                     from = end;
                 }
             } else {
-                for (start, len) in runs_of(pieces) {
+                for (start, len) in runs {
                     for (off, chunk) in chunks(len, cb) {
                         self.raw_read_len(comm, start + off, chunk);
                     }
@@ -509,7 +685,44 @@ impl Access<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use beff_check::{check_n, ensure_eq};
+    use beff_check::{check_n, ensure, ensure_eq, Gen};
+
+    /// The reference coalescing: every piece sorted, then merged in
+    /// place into maximal contiguous runs.
+    fn runs_of(mut pieces: Vec<Segment>) -> Vec<Segment> {
+        pieces.sort_unstable();
+        pieces.dedup_by(|next, run| {
+            let continues = run.0 + run.1 >= next.0;
+            if continues {
+                run.1 = (next.0 + next.1).max(run.0 + run.1) - run.0;
+            }
+            continues
+        });
+        pieces
+    }
+
+    /// [`merge_runs`] of `lists` and the comparisons it made.
+    fn merged(lists: &[Vec<Segment>]) -> (Vec<Segment>, u64) {
+        let lists: Vec<&[Segment]> = lists.iter().map(Vec::as_slice).collect();
+        let mut compares = 0;
+        let runs = merge_runs(&lists, |a, b| {
+            compares += 1;
+            a <= b
+        });
+        (runs, compares)
+    }
+
+    /// Pieces in ascending order with gaps, touching and overlapping
+    /// neighbours and zero lengths.
+    fn sorted_pieces(g: &mut Gen, count: usize) -> Vec<Segment> {
+        let mut phys = g.u64(0..=50);
+        (0..count)
+            .map(|_| {
+                phys += *g.choose(&[0, 1, 5, 40]);
+                (phys, *g.choose(&[0, 1, 3, 8, 40]))
+            })
+            .collect()
+    }
 
     /// The split as it was: a piece list with buffer offsets, one `Vec`
     /// of pieces per domain, each encoded on its own.
@@ -601,6 +814,7 @@ mod tests {
             let hi = segs.iter().filter_map(|s| s.last()).map(|s| s.0 + s.1).max().unwrap_or(0);
             let plan = Plan::new(lo, hi, n, &hints);
 
+            // per domain, each sender's decoded list and all old pieces
             let mut received = vec![(Vec::new(), Vec::new()); plan.naggr];
             for mine in &segs {
                 let old = before::assign(&plan, &before::to_pieces(mine));
@@ -610,21 +824,96 @@ mod tests {
                 for (d, ((header, total), old)) in new.iter().zip(&old).enumerate() {
                     ensure_eq!(*header, before::encode_pieces(old), "domain {d}");
                     ensure_eq!(*total, old.iter().map(|p| p.len).sum::<u64>(), "domain {d}");
-                    let (all_new, all_old) = &mut received[d];
-                    decode_into(header, all_new);
+                    let (lists, all_old) = &mut received[d];
+                    let mut list = Vec::new();
+                    decode_into(header, &mut list);
+                    lists.push(list);
                     all_old.extend_from_slice(old);
                 }
             }
-            for (all_new, all_old) in received {
-                ensure_eq!(runs_of(all_new), before::coalesce(all_old));
+            for (lists, all_old) in received {
+                ensure_eq!(merged(&lists).0, before::coalesce(all_old));
             }
         });
     }
 
     #[test]
     fn runs_merge_adjacent_and_overlapping_pieces() {
-        let pieces = vec![(10, 10), (0, 10), (25, 5), (22, 4), (22, 1), (40, 1)];
-        assert_eq!(runs_of(pieces), vec![(0, 20), (22, 8), (40, 1)]);
+        let lists = [vec![(0, 10), (22, 1), (25, 5)], vec![(10, 10), (22, 4), (40, 1)]];
+        assert_eq!(merged(&lists).0, vec![(0, 20), (22, 8), (40, 1)]);
+        // a list out of view order is sorted first
+        let lists = [vec![(25, 5), (0, 10)], vec![], vec![(22, 4), (10, 10), (40, 1), (22, 1)]];
+        assert_eq!(merged(&lists).0, vec![(0, 20), (22, 8), (40, 1)]);
+    }
+
+    /// The merge equals the reference on random per-sender lists, and
+    /// makes at most 3 comparisons a piece on the two regular shapes
+    /// of an exchange — round-robin strided (type 0's) and one block
+    /// a sender — and at most 3 + 2⌈log₂ k⌉ when k senders are dealt
+    /// pieces at random.
+    #[test]
+    fn merging_sender_lists_equals_sorting_and_coalescing_them() {
+        check_n("merging sender lists equals sorting and coalescing them", 400, |g| {
+            let k = g.usize(1..=64);
+            let shape = g.usize(0..=3);
+            let lists: Vec<Vec<Segment>> = match shape {
+                // overlapping, touching, zero-length, empty and single
+                // senders; now and then one out of view order
+                0 => (0..k.min(9))
+                    .map(|_| {
+                        let many = g.usize(2..=12);
+                        let count = *g.choose(&[0, 1, many]);
+                        let mut list = sorted_pieces(g, count);
+                        if g.weighted(0.1) {
+                            list.reverse();
+                        }
+                        list
+                    })
+                    .collect(),
+                // round-robin strided: rounds of one block per sender
+                1 => {
+                    let (block, rounds, base) = (g.u64(1..=100), g.u64(1..=20), g.u64(0..=99));
+                    let k = k as u64;
+                    (0..k)
+                        .map(|i| (0..rounds).map(|j| (base + (j * k + i) * block, block)).collect())
+                        .collect()
+                }
+                // one contiguous block a sender, cut into pieces
+                2 => {
+                    let mut phys = g.u64(0..=99);
+                    (0..k)
+                        .map(|_| {
+                            (0..g.usize(1..=10))
+                                .map(|_| {
+                                    let len = g.u64(1..=50);
+                                    phys += len;
+                                    (phys - len, len)
+                                })
+                                .collect()
+                        })
+                        .collect()
+                }
+                // pieces dealt to random senders
+                _ => {
+                    let mut lists = vec![Vec::new(); k];
+                    let count = g.usize(1..=400);
+                    for p in sorted_pieces(g, count) {
+                        lists[g.usize(0..=k - 1)].push(p);
+                    }
+                    lists
+                }
+            };
+            let pieces: Vec<Segment> = lists.concat();
+            let (runs, compares) = merged(&lists);
+            ensure_eq!(runs, runs_of(pieces.clone()), "shape {shape}, {k} senders");
+            let per_piece = match shape {
+                0 => return,
+                1 | 2 => 3,
+                _ => 3 + 2 * u64::from(k.next_power_of_two().trailing_zeros()),
+            };
+            let n = pieces.len() as u64;
+            ensure!(compares <= per_piece * n, "shape {shape}: {compares} compares, {n} pieces");
+        });
     }
 
     #[test]

@@ -39,4 +39,4 @@ pub use beff_sim::{Degrade, Link, Resource, Rng64, Secs, VClock, GB, KB, MB};
 pub use model::{Egress, MachineNet, NetParams, Tier, Transfer};
 pub use stats::{traffic_report, KindStats, TrafficReport};
 pub use routing::{RouteTable, SplitRoute};
-pub use topology::{LinkKind, Placement, Topology};
+pub use topology::{Ingress, LinkKind, Placement, Topology};

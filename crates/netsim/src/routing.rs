@@ -9,9 +9,10 @@
 //! (the old per-rank `RouteCache` cloned the topology and re-derived
 //! identical routes 512 times on the largest modeled system).
 //!
-//! The table is the *miss* path: each rank keeps a small cache of the
-//! routes to and from its current peers (`beff-mpi`'s `RankState`), so
-//! steady-state sends and receives never come here. Every world runs on
+//! The table is the *miss* path of a send: each rank keeps a small
+//! cache of the routes to its current peers (`beff-mpi`'s `RankState`),
+//! so steady-state sends never come here. A receive never does: its
+//! ingress links are arithmetic ([`Topology::ingress`]). Every world runs on
 //! one host thread and a batch job gets its own machine replica, so the
 //! table is never contended: one plain lock keeps it `Sync` (a serve
 //! partition moves between pool workers; the thread fiber backend runs

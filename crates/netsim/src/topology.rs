@@ -347,6 +347,23 @@ impl Topology {
         }
     }
 
+    /// The ingress half of [`route_split_into`](Self::route_split_into)
+    /// by arithmetic alone: the destination's node memory and port-in,
+    /// after its node's NIC-in when the message crosses SMP nodes; none
+    /// for a self-message. No route is walked, so a receive needs no
+    /// route cache.
+    pub fn ingress(&self, src: usize, dst: usize) -> Ingress {
+        let n = self.procs();
+        let (mem, port) = (2 * n + dst, n + dst);
+        match *self {
+            _ if src == dst => Ingress { links: [0; 3], len: 0 },
+            Topology::SmpCluster { nodes, .. } if self.node_of(src) != self.node_of(dst) => {
+                Ingress { links: [3 * n + nodes + self.node_of(dst), mem, port], len: 3 }
+            }
+            _ => Ingress { links: [mem, port, 0], len: 2 },
+        }
+    }
+
     /// Convenience allocation form of [`route_into`](Self::route_into).
     pub fn route(&self, src: usize, dst: usize) -> Vec<usize> {
         let mut p = Vec::new();
@@ -360,6 +377,22 @@ impl Topology {
             .into_iter()
             .filter(|&l| self.link_kind(l) == LinkKind::Hop)
             .count()
+    }
+}
+
+/// The links a receiver books for one message ([`Topology::ingress`]),
+/// in order; it derefs to them.
+#[derive(Debug, Clone, Copy)]
+pub struct Ingress {
+    links: [usize; 3],
+    len: usize,
+}
+
+impl std::ops::Deref for Ingress {
+    type Target = [usize];
+
+    fn deref(&self) -> &[usize] {
+        &self.links[..self.len]
     }
 }
 

@@ -44,6 +44,48 @@ fn routes_stay_in_link_space_and_split_consistently() {
     });
 }
 
+/// A topology of the variant `v` (0..5) with about `procs` procs.
+fn topology_of(v: usize, procs: usize, g: &mut Gen) -> Topology {
+    let side = |d: u32| (procs as f64).powf(1.0 / d as f64).round().max(1.0) as usize;
+    let placement = *g.choose(&[Placement::Sequential, Placement::RoundRobin]);
+    match v {
+        0 => Topology::Crossbar { procs },
+        1 => Topology::Ring { procs },
+        2 => Topology::Torus2D { dims: [side(2), procs / side(2)] },
+        3 => Topology::Torus3D { dims: [side(3), side(3), procs / (side(3) * side(3)).max(1)] },
+        _ => {
+            let ppn = *g.choose(&[1, 2, 4, 8]);
+            Topology::SmpCluster { nodes: (procs / ppn).max(1), ppn, placement }
+        }
+    }
+}
+
+#[test]
+fn ingress_by_arithmetic_is_the_ingress_half_of_the_split_route() {
+    check("ingress by arithmetic is the ingress half of the split route", |g| {
+        let v = g.usize(0..=4);
+        let (mut e, mut i) = (Vec::new(), Vec::new());
+        let mut same = |topo: &Topology, src: usize, dst: usize| {
+            topo.route_split_into(src, dst, &mut e, &mut i);
+            ensure_eq!(&*topo.ingress(src, dst), &i[..], "{topo:?} {src}->{dst}");
+        };
+        // every pair up to 64 procs, SMP intra- and inter-node included
+        let small = topology_of(v, g.usize(1..=64), g);
+        let n = small.procs();
+        for src in 0..n {
+            for dst in 0..n {
+                same(&small, src, dst);
+            }
+        }
+        // drawn pairs at 512
+        let large = topology_of(v, 512, g);
+        let n = large.procs();
+        for _ in 0..64 {
+            same(&large, g.usize(0..=n - 1), g.usize(0..=n - 1));
+        }
+    });
+}
+
 #[test]
 fn resource_reservations_never_overlap() {
     check("resource reservations never overlap", |g| {
