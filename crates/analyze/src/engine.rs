@@ -195,6 +195,11 @@ pub fn analyze_workspace(root: &Path) -> std::io::Result<AnalyzeReport> {
         layering::check_manifest(&rel.to_string_lossy(), &text, &mut violations);
         manifest_texts.push((rel.to_string_lossy().replace('\\', "/"), text));
     }
+    match std::fs::read_to_string(root.join(deps::CARGO_CONFIG)) {
+        Ok(text) => deps::check_cargo_config(deps::CARGO_CONFIG, &text, &mut violations),
+        Err(e) if e.kind() == std::io::ErrorKind::NotFound => {}
+        Err(e) => return Err(e),
+    }
 
     let scanned_paths: Vec<String> = parsed.iter().map(|(f, _)| f.path.clone()).collect();
     ranks::crosscheck(&rank_literals, &scanned_paths, &mut violations);
@@ -463,6 +468,19 @@ mod tests {
         assert_eq!(r.files_scanned, 1);
         assert_eq!(r.manifests_scanned, 1);
         assert_eq!(r.graph.functions, 1);
+    }
+
+    #[test]
+    fn the_cargo_config_is_read_although_discovery_skips_dot_directories() {
+        let r = scratch(
+            "cargo-config",
+            &[
+                ("crates/mpi/src/lib.rs", "pub fn ok() -> u32 { 1 }\n"),
+                (".cargo/config.toml", "[profile.release]\nlto = \"fat\"\n[source.crates-io]\n"),
+            ],
+        );
+        let found: Vec<_> = r.violations.iter().map(|v| (v.rule, v.path.as_str(), v.line)).collect();
+        assert_eq!(found, [("path-deps", ".cargo/config.toml", 3)]);
     }
 
     #[test]

@@ -86,7 +86,8 @@ const EXPLAIN: &[(&str, &str)] = &[
     (
         "path-deps",
         "Workspace crates may only depend on each other by path; any registry dependency \
-         in any Cargo.toml fails the gate (the build must stay offline and self-contained).",
+         in any Cargo.toml fails the gate (the build must stay offline and self-contained). \
+         .cargo/config.toml may hold only [profile.<name>] tables and no `panic` key.",
     ),
     (
         "layering",

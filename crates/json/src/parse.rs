@@ -22,15 +22,25 @@ impl std::fmt::Display for JsonError {
 
 impl std::error::Error for JsonError {}
 
+/// Deepest nesting of arrays and objects [`parse`] accepts: serde_json's
+/// recursion limit. The parser recurses once per container, so without
+/// a bound a request of a few hundred kB of `[` overflows the stack of
+/// the thread that parses it; the deepest document this workspace
+/// writes is a handful of levels.
+const MAX_DEPTH: usize = 128;
+
 /// Parse exactly one JSON document (surrounded by optional whitespace)
 /// into a [`Json`] tree.
+///
+/// A container nested more than 128 levels deep (serde_json's limit) is
+/// an error at its opening byte.
 ///
 /// Number mapping mirrors the writers: tokens without `.`/`e` become
 /// [`Json::Int`] (negative) or [`Json::UInt`] (non-negative), falling
 /// back to [`Json::Float`] when they exceed the integer ranges;
 /// everything else is [`Json::Float`].
 pub fn parse(input: &str) -> Result<Json, JsonError> {
-    let mut p = Parser { b: input.as_bytes(), pos: 0 };
+    let mut p = Parser { b: input.as_bytes(), pos: 0, depth: 0 };
     p.skip_ws();
     let v = p.value()?;
     p.skip_ws();
@@ -43,6 +53,8 @@ pub fn parse(input: &str) -> Result<Json, JsonError> {
 struct Parser<'a> {
     b: &'a [u8],
     pos: usize,
+    /// Containers open around `pos`.
+    depth: usize,
 }
 
 impl Parser<'_> {
@@ -71,8 +83,15 @@ impl Parser<'_> {
 
     fn value(&mut self) -> Result<Json, JsonError> {
         match self.peek() {
-            Some(b'{') => self.object(),
-            Some(b'[') => self.array(),
+            Some(open @ (b'{' | b'[')) => {
+                if self.depth == MAX_DEPTH {
+                    return Err(self.err(&format!("nesting deeper than {MAX_DEPTH} levels")));
+                }
+                self.depth += 1;
+                let container = if open == b'{' { self.object() } else { self.array() };
+                self.depth -= 1;
+                container
+            }
             Some(b'"') => self.string().map(Json::Str),
             Some(b't') => self.literal(b"true").map(|_| Json::Bool(true)),
             Some(b'f') => self.literal(b"false").map(|_| Json::Bool(false)),
@@ -378,6 +397,40 @@ mod tests {
         ] {
             assert!(parse(bad).is_err(), "should reject: {bad}");
         }
+    }
+
+    #[test]
+    fn nesting_is_bounded_at_max_depth() {
+        // depth 129 of `[` fails at the 129th opener, byte 128
+        let too_deep = JsonError { at: 128, msg: "nesting deeper than 128 levels".into() };
+        assert_eq!(parse(&"[".repeat(MAX_DEPTH + 1)), Err(too_deep));
+        // arrays, objects and the two interleaved: 128 levels parse, and
+        // one more fails at its opening byte
+        for (open, close) in [("[", "]"), ("{\"k\":", "}"), ("[{\"k\":", "}]")] {
+            let per_repeat = open.matches(['[', '{']).count();
+            let nest = |repeats: usize| format!("{}1{}", open.repeat(repeats), close.repeat(repeats));
+            assert!(parse(&nest(MAX_DEPTH / per_repeat)).is_ok(), "depth 128 of {open} parses");
+            let text = nest(MAX_DEPTH / per_repeat + 1);
+            let offender = text.match_indices(['[', '{']).nth(MAX_DEPTH).map(|(at, _)| at);
+            assert_eq!(parse(&text).map_err(|e| e.at).err(), offender, "{open}");
+        }
+    }
+
+    #[test]
+    fn every_committed_result_document_parses() -> std::io::Result<()> {
+        let dir = concat!(env!("CARGO_MANIFEST_DIR"), "/../../results");
+        let mut parsed = 0;
+        for entry in std::fs::read_dir(dir)? {
+            let path = entry?.path();
+            if path.extension().is_some_and(|ext| ext == "json") {
+                if let Err(e) = parse(&std::fs::read_to_string(&path)?) {
+                    panic!("{}: {e}", path.display());
+                }
+                parsed += 1;
+            }
+        }
+        assert!(parsed >= 6, "found {parsed} result documents");
+        Ok(())
     }
 
     #[test]

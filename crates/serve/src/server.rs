@@ -728,6 +728,21 @@ mod tests {
     }
 
     #[test]
+    fn a_deeply_nested_frame_is_an_error_not_a_stack_overflow() {
+        // a 1 MiB frame of `[`, parsed on a 256 KiB stack: the parser
+        // stops at its depth limit instead of recursing a million times
+        let parsed = std::thread::Builder::new()
+            .stack_size(256 << 10)
+            .spawn(|| server().handle_frame(&"[".repeat(1 << 20)).0)
+            .map(|parser| parser.join());
+        let Ok(Ok(body)) = parsed else { panic!("the parsing thread failed: {parsed:?}") };
+        assert_eq!(
+            body,
+            "{\"error\":\"bad request JSON: invalid JSON at byte 128: nesting deeper than 128 levels\"}"
+        );
+    }
+
+    #[test]
     fn worker_count_is_unobservable_in_outcome_bytes() {
         let specs: Vec<JobSpec> =
             (0..4).map(|i| JobSpec::new("t3e", 4).with_seed(100 + i)).collect();

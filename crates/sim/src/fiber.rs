@@ -51,8 +51,9 @@ pub(crate) use threads::FiberSet;
 /// Default fiber stack size. Generous for the benchmark closures (heap
 /// buffers, shallow call depth) while staying lazily committed:
 /// untouched pages cost no RSS. The depth actually used is a measured
-/// number ([`FiberStack::high_water`]: 2.8 kB for b_eff, 8.4 kB for
-/// b_eff_io, three times that in a debug build). Smaller stacks, and
+/// number ([`FiberStack::high_water`] with the release profile's fat LTO:
+/// 2.7 kB for b_eff, 4.4 kB for b_eff_io; about three times that in a
+/// debug build). Smaller stacks, and
 /// one contiguous mapping of 16 or 64 KiB stacks, were tried against
 /// this: no resolvable change in a 512-rank job — the TLB is not what a
 /// handoff waits for — so the size and one mapping per stack stay.
@@ -222,9 +223,12 @@ mod asm {
     }
 
     /// How much of a suspended stack [`FiberSet::prefetch`] asks for:
-    /// 16 lines = 1 KiB above the saved stack pointer, which covers the
-    /// save area and the frames between a blocked `recv` and the
-    /// benchmark loop. A 512-rank world's working set is past the L2
+    /// 16 lines = 1 KiB above the saved stack pointer: the save area and
+    /// the frames it returns into. It no longer reaches the benchmark
+    /// loop: with the release profile's fat LTO a b_eff rank blocked in
+    /// `recv` saves its stack pointer ≈ 1.4 KiB below its ring loop's
+    /// frame (≈ 0.6 KiB without LTO); whether more lines pay is not
+    /// measured. A 512-rank world's working set is past the L2
     /// and swept in FIFO token order, LRU's worst case, so without the
     /// hint every resume starts with a chain of misses. What is
     /// measured is 0 against 16 lines (512-rank b_eff job ≈ 2.3 → 1.8 s,

@@ -11,13 +11,14 @@ cd "$(dirname "$0")/.."
 
 # run_gate NAME TIMEOUT_SECS CMD... — run a gate under `timeout`,
 # naming the stuck gate on expiry (exit 124) and the failed gate
-# otherwise.
+# otherwise, and print its elapsed seconds.
 run_gate() {
     local name="$1" budget="$2"
     shift 2
     echo "== ${name} =="
-    local rc=0
+    local rc=0 start="${SECONDS}"
     timeout --foreground "${budget}" "$@" || rc=$?
+    echo "-- ${name}: $((SECONDS - start)) s (budget ${budget} s)"
     if [ "$rc" -eq 124 ]; then
         echo "FAIL: gate '${name}' hung (killed after ${budget}s)" >&2
         exit 124

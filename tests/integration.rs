@@ -34,9 +34,9 @@ fn beff_on_t3e_partition_matches_paper_scale() {
 }
 
 /// How deep the benchmarks dig into their 1 MiB fiber stacks is a
-/// measured number with a wide margin (2.8 kB and 8.4 kB optimised,
-/// 8.6 kB and 21.9 kB in a debug build): nobody has to guess whether
-/// `STACK_SIZE` is tight.
+/// measured number with a wide margin (2.7 kB and 4.4 kB with the
+/// release profile's fat LTO, 8.7 kB and 13.4 kB in a debug build):
+/// nobody has to guess whether `STACK_SIZE` is tight.
 #[test]
 fn benchmark_worlds_use_a_sliver_of_their_fiber_stacks() {
     let Some(machine) = by_key("t3e") else { panic!("t3e is in the catalog") };
