@@ -123,18 +123,6 @@ impl CallGraph {
         let (a, b) = self.site_range[f];
         &self.sites[a..b]
     }
-
-    /// Callers inverted index (computed on demand by passes that walk
-    /// the graph upward).
-    pub fn callers(&self) -> Vec<Vec<usize>> {
-        let mut up: Vec<BTreeSet<usize>> = vec![BTreeSet::new(); self.callees.len()];
-        for (caller, outs) in self.callees.iter().enumerate() {
-            for &c in outs {
-                up[c].insert(caller);
-            }
-        }
-        up.into_iter().map(|s| s.into_iter().collect()).collect()
-    }
 }
 
 /// Build the graph. `files` must be in the discover-sorted order the

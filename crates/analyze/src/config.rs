@@ -1,56 +1,104 @@
 //! The project's determinism & safety contract, as data.
 //!
-//! Everything the rules enforce is declared here — which crates are
-//! deterministic, which files may touch the wall clock, how many
-//! `unwrap()`/`expect()` calls each crate is budgeted, and the lock
-//! hierarchy. Changing the contract is a deliberate, reviewable edit
-//! to this file, not a drive-by at the violation site.
+//! Everything the rules enforce is declared here — which identifiers
+//! are banned where, how many `unwrap()`/`expect()` calls each crate is
+//! budgeted, and which files own the ranked locks. Changing the
+//! contract is a deliberate, reviewable edit to this file, not a
+//! drive-by at the violation site.
 
-/// Crates whose *library* code must be bit-deterministic: no wall
-/// clock, no hasher-order iteration.
-pub const DETERMINISTIC_CRATES: &[&str] =
-    &["sim", "netsim", "mpi", "pfs", "faults", "mpiio", "sweep", "serve"];
+/// Every rule name a diagnostic carries, and so every name a waiver
+/// may cite: `allow(<name>)` with a name not on this list is itself a
+/// `waiver` violation.
+pub const RULES: &[&str] = &[
+    "wall-clock",
+    "hash-order",
+    "threading",
+    "layering",
+    "unwrap",
+    "safety",
+    "lock-decl",
+    "path-deps",
+    "waiver",
+    "callgraph",
+    "lockflow",
+    "panicflow",
+];
 
-/// Crates exempt from the wall-clock rule wholesale: `analyze` itself
-/// (lints must not lint their own fixtures).
-pub const WALLCLOCK_EXEMPT_CRATES: &[&str] = &["analyze"];
+/// One identifier quarantine: `idents` may appear only under `homes`
+/// (a home ending in `/` is a directory and matches as a prefix, any
+/// other home is a file and matches as a suffix). Test code is out of
+/// scope unless `tests` is set. A hit is reported as `` `<ident>` ``
+/// followed by `why`.
+pub struct Ban {
+    pub rule: &'static str,
+    pub idents: &'static [&'static str],
+    pub homes: &'static [&'static str],
+    pub tests: bool,
+    pub why: &'static str,
+}
 
-/// Individual files exempt from the wall-clock rule (workspace-relative
-/// path suffixes). `beff serve_torture`'s `--report` carries honest
-/// wall timings — reported but never gated on — while the `serve`
-/// library it drives stays clock-free.
-pub const WALLCLOCK_EXEMPT_FILES: &[&str] = &["src/cmd/serve_torture.rs"];
-
-/// Identifiers whose appearance in deterministic code means a wall
-/// clock or host-scheduling dependency.
-pub const WALLCLOCK_IDENTS: &[&str] = &["Instant", "SystemTime", "sleep", "park_timeout"];
-
-/// Hash-ordered container identifiers banned in deterministic crates.
-pub const HASH_ORDER_IDENTS: &[&str] = &["HashMap", "HashSet", "DefaultHasher", "RandomState"];
-
-/// Identifiers that mark x86_64 context-switch machinery. Only
-/// [`FIBER_HOME`] may contain them (the `layering` rule): the fiber
-/// engine's stack-switching `unsafe` is quarantined in the substrate
-/// crate, and no personality crate gets to grow its own — everyone
-/// else reaches fibers through the safe `SimScheduler::launch`.
-pub const FIBER_IDENTS: &[&str] = &["naked_asm", "global_asm", "fiber_switch", "init_fiber"];
-
-/// The one directory allowed to contain [`FIBER_IDENTS`].
-pub const FIBER_HOME: &str = "crates/sim/";
-
-/// Identifiers that create or size host-thread parallelism. The
-/// `threading` rule quarantines them (same mechanism as the fiber
-/// quarantine): determinism lives or dies by *where* threads are
-/// allowed to exist, so thread creation is confined to the substrate
-/// (its worker pool and the thread-backed fibers) and the sync
-/// primitives. Everyone else funnels
-/// parallel work through `beff_sim::map_ordered`, whose
-/// submission-order results make worker count unobservable.
-pub const THREAD_IDENTS: &[&str] = &["spawn", "JoinHandle", "Builder", "available_parallelism"];
-
-/// The only places allowed to contain [`THREAD_IDENTS`] outside test
-/// code (path-suffix match: directories end with `/`).
-pub const THREAD_HOMES: &[&str] = &["crates/sim/", "crates/sync/"];
+/// The identifier quarantines, one per rule ([`crate::rules::check_bans`]).
+///
+/// * `wall-clock` — host time or scheduling breaks bitwise replay; the
+///   simulated clock is the only time source. `beff serve_torture`'s
+///   `--report` carries honest wall timings, reported but never gated
+///   on, so its command file is the one home.
+/// * `hash-order` — iteration order that depends on the process-random
+///   hasher seed, and host facts of the same kind (a thread's id, an
+///   allocation's address).
+/// * `threading` — thread creation is confined to the substrate (its
+///   worker pool and the thread-backed fibers) and the sync
+///   primitives; everyone else funnels parallel work through
+///   `beff_sim::map_ordered`, whose submission-order results make
+///   worker count unobservable.
+/// * `layering` (fiber containment) — the x86_64 context-switch
+///   machinery lives in the substrate crate; everyone else reaches
+///   fibers through the safe `SimScheduler::launch`. Test code is in
+///   scope too.
+pub const BANS: &[Ban] = &[
+    Ban {
+        rule: "wall-clock",
+        idents: &["Instant", "SystemTime", "sleep", "park_timeout"],
+        homes: &["src/cmd/serve_torture.rs"],
+        tests: false,
+        why: "reads host time/scheduling; use the simulated clock (netsim::clock) or waive \
+              with `// beff-analyze: allow(wall-clock): <why>`",
+    },
+    Ban {
+        rule: "hash-order",
+        idents: &[
+            "HashMap",
+            "HashSet",
+            "DefaultHasher",
+            "RandomState",
+            "ThreadId",
+            "addr_of",
+            "addr_of_mut",
+        ],
+        homes: &[],
+        tests: false,
+        why: "has a host-dependent order or identity (hasher seed, thread id, address); use \
+              BTreeMap/BTreeSet or an index, or waive keyed-lookup-only use with \
+              `// beff-analyze: allow(hash-order): <why>`",
+    },
+    Ban {
+        rule: "threading",
+        idents: &["spawn", "JoinHandle", "Builder", "available_parallelism"],
+        homes: &["crates/sim/", "crates/sync/"],
+        tests: false,
+        why: "creates or sizes host threads outside the thread homes; use \
+              `beff_sim::map_ordered` over the shared worker pool, or waive with \
+              `// beff-analyze: allow(threading): <why>`",
+    },
+    Ban {
+        rule: "layering",
+        idents: &["naked_asm", "global_asm", "fiber_switch", "init_fiber"],
+        homes: &["crates/sim/"],
+        tests: true,
+        why: "is context-switch machinery; only `crates/sim` may contain fiber/stack-switching \
+              code (DESIGN.md §9)",
+    },
+];
 
 /// Substrate names that `beff-netsim` re-exports for compatibility but
 /// that `beff-mpi` must import from `beff_sim` directly (the `layering`
@@ -103,7 +151,7 @@ pub const DEP_ALLOWLISTS: &[(&str, &[&str])] = &[
 /// table in a reviewed diff. `facade` covers the root `src/` (the
 /// `beff` command), `tests/` and `examples/`.
 pub const UNWRAP_BUDGETS: &[(&str, u32)] = &[
-    ("analyze", 43),
+    ("analyze", 42),
     ("bench", 15),
     ("check", 0),
     ("core", 13),
@@ -122,135 +170,32 @@ pub const UNWRAP_BUDGETS: &[(&str, u32)] = &[
     ("sync", 3),
 ];
 
-/// One declared lock in the static hierarchy: a file-path suffix, the
-/// receiver identifier the lock is acquired through, the methods that
-/// acquire it, and its level. Within any function, locks must be
-/// acquired in strictly increasing level order; acquiring at a level
-/// ≤ one already held is a violation.
-///
-/// Levels match the runtime `beff_sync::Rank` declarations (DESIGN.md
-/// §8): the static pass catches textually nested misuse at review
-/// time, the `lock-order` feature catches dynamically nested misuse
-/// under test.
+/// One ranked lock: the file that owns it, the receiver identifier it
+/// is acquired through, and the methods that acquire it. Its level and
+/// name are not written here: they are read off the file's one
+/// `Rank::new(level, "name")` literal (the `lock-decl` rule), so the
+/// runtime checker (beff-sync's `lock-order` feature) and the static
+/// one (`lockflow`) see a single hierarchy. DESIGN.md §8 tabulates it
+/// and argues the order.
 pub struct LockDecl {
     pub file_suffix: &'static str,
     pub receiver: &'static str,
     pub methods: &'static [&'static str],
-    pub level: u16,
-    pub name: &'static str,
 }
 
-/// The declared hierarchy. Levels (acquired low → high):
-///
-/// | level | lock                         | guards                         |
-/// |-------|------------------------------|--------------------------------|
-/// | 12    | `serve.journal`              | durable result-journal file    |
-/// | 13    | `serve.drain`                | admission flag + in-flight count |
-/// | 14    | `serve.cache`                | content-addressed result map   |
-/// | 16    | `serve.pool`                 | idle partitions + armed poisons |
-/// | 20    | `mpi.boards`                 | one world's rendezvous boards, by context id |
-/// | 30    | `sim.port`                   | one actor's port state         |
-/// | 40    | `sched.state`                | token-scheduler ready/blocked  |
-/// | 50    | `fiber.baton`                | one thread-backed fiber's turn |
-/// | 64    | `pfs.ledger`                 | one filesystem's client/channel/server occupancy, cache accounting and files |
-/// | 70    | `netsim.routes`              | one machine's route table      |
-/// | 72    | `sim.ledger`                 | one machine's link occupancy + traffic counters |
-///
-/// `sim.ledger` is a leaf of the simulation stack: a pricing call takes
-/// it with no other lock held and acquires no declared lock under it.
-/// It is placed *above* every lock a caller could come to hold while
-/// pricing (boards, ports, scheduler, pfs ledger, route table — a
-/// route-cache miss takes and releases the route table just before the
-/// ledger), so nesting it inside any of them stays increasing.
-///
-/// `pfs.ledger` is taken once per filesystem call, by a rank that holds
-/// no other lock, and no lock is acquired under it.
-///
-/// The serve daemon's locks sit *below* the whole simulation stack:
-/// they bracket map pushes/pops, journal appends and counter flips on
-/// the request path and are always released before a simulation runs,
-/// so any accidental nesting of a serve lock around a sim lock is
-/// still hierarchy-increasing. `serve.journal` is lowest — an append
-/// happens while nothing else is held; `serve.drain` brackets only the
-/// admission flag and in-flight counter around a batch.
+/// The files that own a ranked lock, one lock each.
 pub const LOCK_HIERARCHY: &[LockDecl] = &[
-    LockDecl {
-        file_suffix: "crates/serve/src/journal.rs",
-        receiver: "file",
-        methods: &["lock"],
-        level: 12,
-        name: "serve.journal",
-    },
-    LockDecl {
-        file_suffix: "crates/serve/src/server.rs",
-        receiver: "drain",
-        methods: &["lock"],
-        level: 13,
-        name: "serve.drain",
-    },
-    LockDecl {
-        file_suffix: "crates/serve/src/cache.rs",
-        receiver: "entries",
-        methods: &["lock"],
-        level: 14,
-        name: "serve.cache",
-    },
-    LockDecl {
-        file_suffix: "crates/serve/src/pool.rs",
-        receiver: "state",
-        methods: &["lock"],
-        level: 16,
-        name: "serve.pool",
-    },
-    LockDecl {
-        file_suffix: "crates/mpi/src/comm.rs",
-        receiver: "boards",
-        methods: &["lock"],
-        level: 20,
-        name: "mpi.boards",
-    },
-    LockDecl {
-        file_suffix: "crates/sim/src/port.rs",
-        receiver: "inner",
-        methods: &["lock"],
-        level: 30,
-        name: "sim.port",
-    },
-    LockDecl {
-        file_suffix: "crates/sim/src/sched.rs",
-        receiver: "inner",
-        methods: &["lock"],
-        level: 40,
-        name: "sched.state",
-    },
-    LockDecl {
-        file_suffix: "crates/sim/src/fiber.rs",
-        receiver: "turn",
-        methods: &["lock"],
-        level: 50,
-        name: "fiber.baton",
-    },
-    LockDecl {
-        file_suffix: "crates/pfs/src/fs.rs",
-        receiver: "ledger",
-        methods: &["lock"],
-        level: 64,
-        name: "pfs.ledger",
-    },
-    LockDecl {
-        file_suffix: "crates/netsim/src/routing.rs",
-        receiver: "routes",
-        methods: &["lock"],
-        level: 70,
-        name: "netsim.routes",
-    },
-    LockDecl {
-        file_suffix: "crates/sim/src/link.rs",
-        receiver: "books",
-        methods: &["lock"],
-        level: 72,
-        name: "sim.ledger",
-    },
+    LockDecl { file_suffix: "crates/serve/src/journal.rs", receiver: "file", methods: &["lock"] },
+    LockDecl { file_suffix: "crates/serve/src/server.rs", receiver: "drain", methods: &["lock"] },
+    LockDecl { file_suffix: "crates/serve/src/cache.rs", receiver: "entries", methods: &["lock"] },
+    LockDecl { file_suffix: "crates/serve/src/pool.rs", receiver: "state", methods: &["lock"] },
+    LockDecl { file_suffix: "crates/mpi/src/comm.rs", receiver: "boards", methods: &["lock"] },
+    LockDecl { file_suffix: "crates/sim/src/port.rs", receiver: "inner", methods: &["lock"] },
+    LockDecl { file_suffix: "crates/sim/src/sched.rs", receiver: "inner", methods: &["lock"] },
+    LockDecl { file_suffix: "crates/sim/src/fiber.rs", receiver: "turn", methods: &["lock"] },
+    LockDecl { file_suffix: "crates/pfs/src/fs.rs", receiver: "ledger", methods: &["lock"] },
+    LockDecl { file_suffix: "crates/netsim/src/routing.rs", receiver: "routes", methods: &["lock"] },
+    LockDecl { file_suffix: "crates/sim/src/link.rs", receiver: "books", methods: &["lock"] },
 ];
 
 /// Entry points for the `panicflow` reachability pass: the functions
@@ -290,13 +235,6 @@ pub const PANIC_ENTRY_POINTS: &[(&str, &[&str])] = &[
 /// and is the classic deterministic-deadlock shape.
 pub const YIELD_IDENTS: &[&str] = &["yield_turn", "yield_blocked", "fiber_switch"];
 
-/// Identifiers that *observe* a nondeterministic fact without being
-/// outright banned where they appear — the `taint` pass seeds here and
-/// follows the data into deterministic crates. (Wall-clock and
-/// hash-order idents also seed, in the scopes where the per-line rules
-/// permit them; these are the sources with no per-line rule at all.)
-pub const TAINT_SOURCE_IDENTS: &[&str] = &["ThreadId", "addr_of", "addr_of_mut"];
-
 /// Method names owned, in practice, by std containers/iterators/
 /// primitives. A method call through an *untyped* receiver with one of
 /// these names resolves to std (external), never to a same-named
@@ -317,19 +255,12 @@ pub const STD_METHOD_NAMES: &[&str] = &[
     "to_vec", "trim", "unwrap_or", "unwrap_or_default", "unwrap_or_else", "values",
 ];
 
-/// Per-crate interprocedural-pass baselines, keyed by the crate the
-/// *finding site* lives in. Same ratchet contract as
-/// [`UNWRAP_BUDGETS`], with one difference: a crate absent from a table
-/// has budget **zero** (so `analyze` itself is gated clean by
-/// omission). Counts are of unwaived findings.
-///
-/// `panicflow`'s numbers are an inventory of the audited panic surface
-/// reachable from [`PANIC_ENTRY_POINTS`] — sites whose invariants are
-/// argued in comments but not yet worth a waiver line each. They may
-/// only fall, or rise via a reviewed edit here.
-pub const LOCKFLOW_BUDGETS: &[(&str, u32)] = &[];
-
-/// See [`LOCKFLOW_BUDGETS`].
+/// Per-crate `panicflow` baselines, keyed by the crate the *finding
+/// site* lives in: an inventory of the audited panic surface reachable
+/// from [`PANIC_ENTRY_POINTS`] — sites whose invariants are argued in
+/// comments but not yet worth a waiver line each. Same ratchet contract
+/// as [`UNWRAP_BUDGETS`], with one difference: a crate absent from the
+/// table has budget **zero**. Counts are of unwaived findings.
 pub const PANICFLOW_BUDGETS: &[(&str, u32)] = &[
     ("core", 3),
     ("json", 9),
@@ -339,12 +270,9 @@ pub const PANICFLOW_BUDGETS: &[(&str, u32)] = &[
     ("sim", 12),
 ];
 
-/// See [`LOCKFLOW_BUDGETS`].
-pub const TAINT_BUDGETS: &[(&str, u32)] = &[];
-
-/// Budget lookup for a pass table: missing crate = 0.
-pub fn pass_budget(table: &[(&str, u32)], krate: &str) -> u32 {
-    table.iter().find(|(c, _)| *c == krate).map(|&(_, n)| n).unwrap_or(0)
+/// A crate's [`PANICFLOW_BUDGETS`] entry: missing crate = 0.
+pub fn panicflow_budget(krate: &str) -> u32 {
+    PANICFLOW_BUDGETS.iter().find(|(c, _)| *c == krate).map(|&(_, n)| n).unwrap_or(0)
 }
 
 /// The crate a workspace-relative path belongs to, for budget and
@@ -359,15 +287,21 @@ pub fn crate_of(path: &str) -> &str {
     "facade"
 }
 
-/// Is `path` (workspace-relative) in wall-clock-banned scope?
-pub fn wallclock_applies(path: &str) -> bool {
-    if WALLCLOCK_EXEMPT_FILES.iter().any(|f| path.ends_with(f) || path == *f) {
-        return false;
-    }
-    !WALLCLOCK_EXEMPT_CRATES.contains(&crate_of(path))
-}
+#[cfg(test)]
+mod tests {
+    use super::*;
 
-/// Is `path` in hash-order-banned scope?
-pub fn hash_order_applies(path: &str) -> bool {
-    DETERMINISTIC_CRATES.contains(&crate_of(path))
+    /// The analyzer never baselines its own defects: with no `analyze`
+    /// row, any panicflow finding in `crates/analyze` is a violation.
+    #[test]
+    fn the_analyzer_has_no_pass_baseline() {
+        assert!(PANICFLOW_BUDGETS.iter().all(|(krate, _)| *krate != "analyze"));
+    }
+
+    #[test]
+    fn every_ban_reports_under_a_listed_rule() {
+        for ban in BANS {
+            assert!(RULES.contains(&ban.rule), "{}", ban.rule);
+        }
+    }
 }

@@ -2,13 +2,14 @@
 //!
 //! [`analyze_workspace`] scans every tracked `.rs` file and `Cargo.toml`
 //! under the workspace root (via [`crate::source::discover`]'s sorted,
-//! component-skipping walk), runs the per-line rule set, then builds
-//! the item/symbol/call-graph layer and runs the three interprocedural
-//! passes (`lockflow`, `panicflow`, `taint`) plus the `lock-decl`
-//! rank cross-check. Everything aggregates into an [`AnalyzeReport`]
-//! that serializes through beff-json into `results/analyze.json` —
-//! schema `beff/analyze/2`, byte-identical across runs because every
-//! collection is sorted and every id derives from the sorted walk.
+//! component-skipping walk), runs the per-line rule set, resolves the
+//! lock hierarchy from the `Rank::new` literals (`lock-decl`), then
+//! builds the item/symbol/call-graph layer and runs the two
+//! interprocedural passes (`lockflow`, `panicflow`). Everything
+//! aggregates into an [`AnalyzeReport`] that serializes through
+//! beff-json into `results/analyze.json` — schema `beff/analyze/3`,
+//! byte-identical across runs because every collection is sorted and
+//! every id derives from the sorted walk.
 
 use crate::callgraph;
 use crate::config;
@@ -21,7 +22,6 @@ use crate::ranks;
 use crate::rules::{self, Finding, UnwrapSite, Violation};
 use crate::source::{self, SourceFile};
 use crate::symbols::SymbolTable;
-use crate::taint;
 use beff_json::{Json, ToJson};
 use std::collections::BTreeMap;
 use std::path::Path;
@@ -68,10 +68,9 @@ impl ToJson for Violation {
     }
 }
 
-/// Per-crate verdict for one interprocedural pass.
+/// Per-crate `panicflow` verdict.
 #[derive(Debug, Clone)]
 pub struct PassLine {
-    pub pass: &'static str,
     pub krate: String,
     pub counted: u32,
     pub budget: u32,
@@ -86,7 +85,6 @@ impl PassLine {
 impl ToJson for PassLine {
     fn to_json(&self) -> Json {
         Json::object()
-            .field("pass", self.pass)
             .field("crate", &self.krate)
             .field("counted", &self.counted)
             .field("budget", &self.budget)
@@ -107,7 +105,6 @@ pub struct GraphSummary {
     pub dynamic_annotated: usize,
     pub panic_entry_points: usize,
     pub panic_reachable_fns: usize,
-    pub taint_sources: usize,
 }
 
 impl ToJson for GraphSummary {
@@ -121,7 +118,6 @@ impl ToJson for GraphSummary {
             .field("dynamic_annotated", &self.dynamic_annotated)
             .field("panic_entry_points", &self.panic_entry_points)
             .field("panic_reachable_fns", &self.panic_reachable_fns)
-            .field("taint_sources", &self.taint_sources)
             .build()
     }
 }
@@ -134,7 +130,7 @@ pub struct AnalyzeReport {
     pub manifests_scanned: usize,
     pub violations: Vec<Violation>,
     pub budgets: Vec<BudgetLine>,
-    pub passes: Vec<PassLine>,
+    pub panicflow: Vec<PassLine>,
     pub graph: GraphSummary,
     pub waivers_used: usize,
 }
@@ -155,7 +151,7 @@ impl ToJson for AnalyzeReport {
             .field("waivers_used", &self.waivers_used)
             .field("graph", &self.graph)
             .field("budgets", &self.budgets)
-            .field("passes", &self.passes)
+            .field("panicflow", &self.panicflow)
             .field("violations", &self.violations)
             .build()
     }
@@ -177,11 +173,8 @@ pub fn analyze_workspace(root: &Path) -> std::io::Result<AnalyzeReport> {
         *lines.entry(config::crate_of(&f.path).to_string()).or_default() +=
             text.lines().count() as u32;
         rules::check_waivers(&f, &mut violations);
-        waivers_used += rules::check_wallclock(&f, &mut violations);
-        waivers_used += rules::check_hash_order(&f, &mut violations);
-        waivers_used += rules::check_threading(&f, &mut violations);
+        waivers_used += rules::check_bans(&f, &mut violations);
         waivers_used += rules::check_safety(&f, &mut violations);
-        waivers_used += rules::check_lock_order(&f, &mut violations);
         waivers_used += layering::check_source(&f, &mut violations);
         rules::collect_unwraps(&f, &mut sites);
         rank_literals.extend(ranks::scan(&f, &mut violations));
@@ -202,15 +195,14 @@ pub fn analyze_workspace(root: &Path) -> std::io::Result<AnalyzeReport> {
     }
 
     let scanned_paths: Vec<String> = parsed.iter().map(|(f, _)| f.path.clone()).collect();
-    ranks::crosscheck(&rank_literals, &scanned_paths, &mut violations);
+    let locks = ranks::resolve(&rank_literals, &scanned_paths, &mut violations);
 
     // Interprocedural layer.
     let mut syms = SymbolTable::build(&parsed);
     syms.set_visibility(dependency_closure(&manifest_texts));
     let g = callgraph::build(&parsed, &syms, &mut violations);
-    let lf = lockflow::run(&parsed, &syms, &g);
+    let lf = lockflow::run(&parsed, &syms, &g, &locks);
     let pf = panicflow::run(&parsed, &syms, &g);
-    let tt = taint::run(&parsed, &syms, &g);
 
     let graph = GraphSummary {
         functions: g.stats.functions,
@@ -221,20 +213,11 @@ pub fn analyze_workspace(root: &Path) -> std::io::Result<AnalyzeReport> {
         dynamic_annotated: g.stats.dynamic_annotated,
         panic_entry_points: pf.entries.len(),
         panic_reachable_fns: pf.reachable,
-        taint_sources: tt.sources,
     };
 
-    let mut passes = Vec::new();
-    settle_pass("lockflow", &lf.findings, config::LOCKFLOW_BUDGETS, &mut passes, &mut violations);
-    settle_pass(
-        "panicflow",
-        &pf.findings,
-        config::PANICFLOW_BUDGETS,
-        &mut passes,
-        &mut violations,
-    );
-    settle_pass("taint", &tt.findings, config::TAINT_BUDGETS, &mut passes, &mut violations);
-    waivers_used += (lf.waived + pf.waived + tt.waived) as usize;
+    violations.extend(lf.violations);
+    let panicflow = settle_panicflow(&pf.findings, &mut violations);
+    waivers_used += (lf.waived + pf.waived) as usize;
 
     let budgets = settle_budgets(&sites, &lines, &mut violations);
     waivers_used += sites.iter().filter(|s| s.waived).count();
@@ -243,12 +226,12 @@ pub fn analyze_workspace(root: &Path) -> std::io::Result<AnalyzeReport> {
         (a.path.as_str(), a.line, a.rule).cmp(&(b.path.as_str(), b.line, b.rule))
     });
     Ok(AnalyzeReport {
-        schema: "beff/analyze/2",
+        schema: "beff/analyze/3",
         files_scanned: discovered.rs_files.len(),
         manifests_scanned: discovered.manifests.len(),
         violations,
         budgets,
-        passes,
+        panicflow,
         graph,
         waivers_used,
     })
@@ -318,33 +301,28 @@ fn dependency_closure(
     }
 }
 
-/// Group one pass's findings per crate, compare against its baseline
-/// table, and promote every finding in an over-budget crate to a
-/// violation (one per site — the diagnostics must name file:line, not
-/// just a count).
-fn settle_pass(
-    pass: &'static str,
-    findings: &[Finding],
-    table: &[(&str, u32)],
-    lines: &mut Vec<PassLine>,
-    violations: &mut Vec<Violation>,
-) {
+/// Group the panicflow findings per crate, compare against
+/// [`config::PANICFLOW_BUDGETS`], and promote every finding in an
+/// over-budget crate to a violation (one per site — the diagnostics
+/// must name file:line, not just a count).
+fn settle_panicflow(findings: &[Finding], violations: &mut Vec<Violation>) -> Vec<PassLine> {
     let mut per_crate: BTreeMap<&str, Vec<&Finding>> = BTreeMap::new();
     for f in findings {
         per_crate.entry(f.krate.as_str()).or_default().push(f);
     }
     // Crates with a declared baseline appear in the report even when
     // currently clean, so a ratchet opportunity is visible.
-    for &(krate, _) in table {
+    for &(krate, _) in config::PANICFLOW_BUDGETS {
         per_crate.entry(krate).or_default();
     }
+    let mut lines = Vec::new();
     for (krate, found) in &per_crate {
-        let budget = config::pass_budget(table, krate);
+        let budget = config::panicflow_budget(krate);
         let counted = found.len() as u32;
         if counted > budget {
             for f in found {
                 violations.push(Violation {
-                    rule: pass,
+                    rule: "panicflow",
                     path: f.path.clone(),
                     line: f.line,
                     message: format!(
@@ -354,13 +332,9 @@ fn settle_pass(
                 });
             }
         }
-        lines.push(PassLine {
-            pass,
-            krate: krate.to_string(),
-            counted,
-            budget,
-        });
+        lines.push(PassLine { krate: krate.to_string(), counted, budget });
     }
+    lines
 }
 
 /// Aggregate unwrap sites into per-crate verdicts; crates over budget
@@ -522,11 +496,9 @@ mod tests {
     }
 
     #[test]
-    fn pass_findings_over_baseline_are_violations_with_sites() {
-        // `sim` has no lockflow baseline → budget 0 → one seeded
-        // cross-function inversion must surface as a file:line
-        // violation. Rank literals accompany the lock uses so the
-        // lock-decl cross-check stays clean.
+    fn lockflow_findings_are_violations_with_sites() {
+        // One seeded cross-function inversion surfaces as a file:line
+        // violation. Rank literals give the locks their levels.
         let r = scratch(
             "lockflow",
             &[
@@ -542,15 +514,8 @@ mod tests {
                 ),
             ],
         );
-        let v = r
-            .violations
-            .iter()
-            .find(|v| v.rule == "lockflow")
-            .expect("lockflow violation");
-        assert!(v.path.ends_with("sched.rs"));
-        assert_eq!(v.line, 4);
-        assert!(v.message.contains("baseline"));
-        assert!(r.passes.iter().any(|p| p.pass == "lockflow" && p.over()));
+        let found: Vec<_> = r.violations.iter().map(|v| (v.rule, v.path.as_str(), v.line)).collect();
+        assert_eq!(found, [("lockflow", "crates/sim/src/sched.rs", 4)], "{:?}", r.violations);
     }
 
     #[test]
@@ -577,7 +542,7 @@ mod tests {
         let r = scratch("json", &[("crates/mpi/src/lib.rs", "pub fn ok() {}\n")]);
         let s = beff_json::to_string_pretty(&r);
         beff_json::parse(&s).expect("valid JSON");
-        assert!(s.contains("\"schema\": \"beff/analyze/2\""));
+        assert!(s.contains("\"schema\": \"beff/analyze/3\""));
         assert!(s.contains("\"graph\""));
     }
 }

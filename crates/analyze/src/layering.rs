@@ -6,7 +6,8 @@
 //! 1. **Fiber containment** — the x86_64 context-switch machinery
 //!    (`naked_asm`, the `fiber_switch`/`fiber_entry` trampolines) may
 //!    exist only inside `crates/sim/`. No other crate gets to grow its
-//!    own stack-switching unsafe code.
+//!    own stack-switching unsafe code. This one is a row of
+//!    [`config::BANS`], checked by [`crate::rules::check_bans`].
 //! 2. **Substrate reach-through** — `beff-mpi` must import substrate
 //!    names (clocks, resources, links, RNG, units) from `beff_sim`,
 //!    never through `beff_netsim`'s compatibility re-exports. The MPI
@@ -30,84 +31,63 @@ use crate::lexer::TokenKind;
 use crate::rules::Violation;
 use crate::source::SourceFile;
 
-/// Source half: fiber containment + substrate reach-through. Returns
-/// the number of honored waivers.
+/// Source half: substrate reach-through. Returns the number of
+/// honored waivers.
 pub fn check_source(f: &SourceFile, out: &mut Vec<Violation>) -> usize {
+    if config::crate_of(&f.path) != "mpi" {
+        return 0;
+    }
     let mut waived = 0;
-    let in_fiber_home = f.path.starts_with(config::FIBER_HOME);
-    let in_mpi = config::crate_of(&f.path) == "mpi";
     let toks = &f.tokens;
-    for (i, t) in toks.iter().enumerate() {
-        if t.kind != TokenKind::Ident {
+    for i in 0..toks.len() {
+        // `beff_netsim :: …` — either a single path segment or a
+        // grouped import whose brace block we scan flat.
+        if !(toks[i].is_ident("beff_netsim")
+            && toks.get(i + 1).is_some_and(|a| a.is_punct(':'))
+            && toks.get(i + 2).is_some_and(|b| b.is_punct(':')))
+        {
             continue;
         }
-        if !in_fiber_home && config::FIBER_IDENTS.contains(&t.text.as_str()) {
-            if f.waived("layering", t.line) {
+        let banned = |s: &str| config::NETSIM_INTERNAL_IDENTS.contains(&s);
+        let mut hits: Vec<(u32, String)> = Vec::new();
+        match toks.get(i + 3) {
+            Some(c) if c.kind == TokenKind::Ident => {
+                if banned(&c.text) {
+                    hits.push((c.line, c.text.clone()));
+                }
+            }
+            Some(c) if c.is_punct('{') => {
+                let mut depth = 1;
+                let mut j = i + 4;
+                while depth > 0 && j < toks.len() {
+                    let u = &toks[j];
+                    if u.is_punct('{') {
+                        depth += 1;
+                    } else if u.is_punct('}') {
+                        depth -= 1;
+                    } else if u.kind == TokenKind::Ident && banned(&u.text) {
+                        hits.push((u.line, u.text.clone()));
+                    }
+                    j += 1;
+                }
+            }
+            _ => {}
+        }
+        for (line, name) in hits {
+            if f.waived("layering", line) {
                 waived += 1;
                 continue;
             }
             out.push(Violation {
                 rule: "layering",
                 path: f.path.clone(),
-                line: t.line,
+                line,
                 message: format!(
-                    "`{}` is context-switch machinery; only `{}` may contain \
-                     fiber/stack-switching code (DESIGN.md §9)",
-                    t.text,
-                    config::FIBER_HOME.trim_end_matches('/'),
+                    "`beff_netsim::{name}` reaches a substrate internal through netsim's \
+                     compatibility re-exports; beff-mpi must import `{name}` from \
+                     `beff_sim` (DESIGN.md §9)"
                 ),
             });
-            continue;
-        }
-        if in_mpi && t.text == "beff_netsim" {
-            // `beff_netsim :: …` — either a single path segment or a
-            // grouped import whose brace block we scan flat.
-            if !(toks.get(i + 1).is_some_and(|a| a.is_punct(':'))
-                && toks.get(i + 2).is_some_and(|b| b.is_punct(':')))
-            {
-                continue;
-            }
-            let banned = |s: &str| config::NETSIM_INTERNAL_IDENTS.contains(&s);
-            let mut hits: Vec<(u32, String)> = Vec::new();
-            match toks.get(i + 3) {
-                Some(c) if c.kind == TokenKind::Ident => {
-                    if banned(&c.text) {
-                        hits.push((c.line, c.text.clone()));
-                    }
-                }
-                Some(c) if c.is_punct('{') => {
-                    let mut depth = 1;
-                    let mut j = i + 4;
-                    while depth > 0 && j < toks.len() {
-                        let u = &toks[j];
-                        if u.is_punct('{') {
-                            depth += 1;
-                        } else if u.is_punct('}') {
-                            depth -= 1;
-                        } else if u.kind == TokenKind::Ident && banned(&u.text) {
-                            hits.push((u.line, u.text.clone()));
-                        }
-                        j += 1;
-                    }
-                }
-                _ => {}
-            }
-            for (line, name) in hits {
-                if f.waived("layering", line) {
-                    waived += 1;
-                    continue;
-                }
-                out.push(Violation {
-                    rule: "layering",
-                    path: f.path.clone(),
-                    line,
-                    message: format!(
-                        "`beff_netsim::{name}` reaches a substrate internal through netsim's \
-                         compatibility re-exports; beff-mpi must import `{name}` from \
-                         `beff_sim` (DESIGN.md §9)"
-                    ),
-                });
-            }
         }
     }
     waived
@@ -180,22 +160,6 @@ mod tests {
         let mut v = Vec::new();
         check_source(&f, &mut v);
         v
-    }
-
-    #[test]
-    fn fiber_asm_is_fine_inside_sim() {
-        let v = src(
-            "crates/sim/src/fiber.rs",
-            "unsafe extern \"sysv64\" fn s() { naked_asm!(\"ret\") }\n",
-        );
-        assert!(v.is_empty(), "{v:?}");
-    }
-
-    #[test]
-    fn fiber_asm_outside_sim_is_flagged() {
-        let v = src("crates/mpi/src/runtime.rs", "fn f() { naked_asm!(\"ret\") }\n");
-        assert_eq!(v.len(), 1);
-        assert!(v[0].message.contains("context-switch"));
     }
 
     #[test]

@@ -6,7 +6,7 @@
 //! The output is two parallel streams per file: significant [`Token`]s
 //! (identifiers, literals, punctuation) and [`Comment`]s. Comments are
 //! kept separately because several rules *read* them — `// SAFETY:`
-//! justifications and `// beff-analyze: allow(...)` waivers are
+//! justifications and `beff-analyze` waivers are
 //! comment-borne — while every code-facing rule must ignore them.
 //!
 //! Deliberately out of scope: macro expansion, cfg evaluation beyond

@@ -1,22 +1,22 @@
-//! Rank-table single-sourcing: the lock hierarchy is declared twice —
-//! as runtime `Rank::new(level, "name")` literals in the owning files
-//! and as [`config::LOCK_HIERARCHY`] here — and the two copies WILL
-//! drift unless a gate diffs them. This pass reads every
-//! `Rank::new(<level>, "<name>")` literal off the token stream (the
-//! lexer retains literal text for exactly this purpose) and
-//! cross-checks:
+//! The lock hierarchy, single-sourced. Each file
+//! [`config::LOCK_HIERARCHY`] declares owns one ranked lock, and the
+//! lock's level and name are that file's runtime
+//! `Rank::new(level, "name")` literal — the value beff-sync's runtime
+//! checker uses. This pass reads the literals off the token stream (the
+//! lexer retains literal text for exactly this purpose) and resolves
+//! the hierarchy `lockflow` judges by. Rule `lock-decl` checks that the
+//! resolution is total:
 //!
-//! * every non-test literal must match a `LOCK_HIERARCHY` entry by
-//!   name, level, **and** declaring file;
-//! * every `LOCK_HIERARCHY` entry must be backed by at least one
-//!   literal in its declared file.
+//! * each declared file holds exactly one non-test literal;
+//! * the file of each non-test literal is declared;
+//! * each declaration has at least one acquisition
+//!   (`receiver.method(`) in its file, or it is stale.
 //!
 //! A mismatch is a hard `lock-decl` violation — no waivers, no budget:
-//! a wrong level in either copy silently changes which inversions the
-//! runtime and static checkers can see, so drift is never acceptable.
+//! a lock the static checker cannot rank is a lock it cannot see.
 
-use crate::config;
-use crate::lexer::TokenKind;
+use crate::config::{self, LockDecl};
+use crate::lexer::{Token, TokenKind};
 use crate::rules::Violation;
 use crate::source::SourceFile;
 
@@ -29,8 +29,25 @@ pub struct RankLiteral {
     pub name: String,
 }
 
+/// A declared lock with the level and name of its file's literal.
+pub struct RankedLock {
+    pub decl: &'static LockDecl,
+    pub level: u16,
+    pub name: String,
+}
+
+/// Is `toks[k..]` an acquisition of `decl`'s lock: `receiver . method (`?
+pub fn acquires_at(toks: &[Token], k: usize, decl: &LockDecl) -> bool {
+    toks[k].is_ident(decl.receiver)
+        && matches!(toks.get(k + 1), Some(n) if n.is_punct('.'))
+        && matches!(toks.get(k + 2), Some(m) if m.kind == TokenKind::Ident
+            && decl.methods.contains(&m.text.as_str()))
+        && matches!(toks.get(k + 3), Some(p) if p.is_punct('('))
+}
+
 /// Scan one file for non-test `Rank::new(...)` literals. Malformed
-/// ones (non-numeric level, non-literal name) are reported directly.
+/// ones (non-numeric level, non-literal name) and a declaration of this
+/// file that nothing here acquires are reported directly.
 pub fn scan(f: &SourceFile, out: &mut Vec<Violation>) -> Vec<RankLiteral> {
     let toks = &f.tokens;
     let mut found = Vec::new();
@@ -64,75 +81,87 @@ pub fn scan(f: &SourceFile, out: &mut Vec<Violation>) -> Vec<RankLiteral> {
                 path: f.path.clone(),
                 line: toks[k].line,
                 message: "Rank::new(...) whose level/name are not plain literals; the \
-                          lock-decl cross-check can only single-source literal ranks"
+                          static hierarchy can only be read from literal ranks"
                     .to_string(),
             }),
+        }
+    }
+    for decl in config::LOCK_HIERARCHY.iter().filter(|d| f.path.ends_with(d.file_suffix)) {
+        if !(0..toks.len()).any(|k| acquires_at(toks, k, decl)) {
+            out.push(Violation {
+                rule: "lock-decl",
+                path: f.path.clone(),
+                line: 0,
+                message: format!(
+                    "LOCK_HIERARCHY declares this file's lock as acquired through `{}` ({}) \
+                     but this file never does; the declaration is stale",
+                    decl.receiver,
+                    decl.methods.join("/"),
+                ),
+            });
         }
     }
     found
 }
 
-/// Diff all collected literals against [`config::LOCK_HIERARCHY`].
-/// `scanned` is every source path this run looked at: an entry's
-/// missing-literal check only fires when its declaring file was
-/// actually scanned (so partial trees — fixtures, scratch workspaces —
-/// are not charged for locks that live elsewhere).
-pub fn crosscheck(literals: &[RankLiteral], scanned: &[String], out: &mut Vec<Violation>) {
+/// Resolve [`config::LOCK_HIERARCHY`] against all collected literals.
+/// `scanned` is every source path this run looked at: a declaration
+/// only resolves (or is charged for a missing literal) when its file
+/// was actually scanned, so partial trees — fixtures, scratch
+/// workspaces — are not charged for locks that live elsewhere.
+pub fn resolve(
+    literals: &[RankLiteral],
+    scanned: &[String],
+    out: &mut Vec<Violation>,
+) -> Vec<RankedLock> {
     for l in literals {
-        let Some(decl) = config::LOCK_HIERARCHY.iter().find(|d| d.name == l.name) else {
+        if !config::LOCK_HIERARCHY.iter().any(|d| l.path.ends_with(d.file_suffix)) {
             out.push(Violation {
                 rule: "lock-decl",
                 path: l.path.clone(),
                 line: l.line,
                 message: format!(
-                    "Rank::new({}, \"{}\") has no LOCK_HIERARCHY entry; declare it in \
-                     analyze's config so both checkers see the same hierarchy",
+                    "Rank::new({}, \"{}\") is in a file LOCK_HIERARCHY does not declare; \
+                     add its receiver to analyze's config so lockflow sees the lock",
                     l.level, l.name
                 ),
             });
+        }
+    }
+    let mut locks = Vec::new();
+    for decl in config::LOCK_HIERARCHY {
+        let Some(path) = scanned.iter().find(|p| p.ends_with(decl.file_suffix)) else {
             continue;
         };
-        if decl.level != l.level {
-            out.push(Violation {
+        let mine: Vec<&RankLiteral> =
+            literals.iter().filter(|l| l.path.ends_with(decl.file_suffix)).collect();
+        match mine[..] {
+            [l] => locks.push(RankedLock { decl, level: l.level, name: l.name.clone() }),
+            [] => out.push(Violation {
                 rule: "lock-decl",
-                path: l.path.clone(),
-                line: l.line,
-                message: format!(
-                    "Rank::new({}, \"{}\") disagrees with LOCK_HIERARCHY level {} — the \
-                     two copies of the hierarchy have drifted",
-                    l.level, l.name, decl.level
-                ),
-            });
-        }
-        if !l.path.ends_with(decl.file_suffix) {
-            out.push(Violation {
-                rule: "lock-decl",
-                path: l.path.clone(),
-                line: l.line,
-                message: format!(
-                    "Rank \"{}\" is declared in {} but LOCK_HIERARCHY places it in {}",
-                    l.name, l.path, decl.file_suffix
-                ),
-            });
-        }
-    }
-    for decl in config::LOCK_HIERARCHY {
-        if !scanned.iter().any(|p| p.ends_with(decl.file_suffix)) {
-            continue;
-        }
-        if !literals.iter().any(|l| l.name == decl.name) {
-            out.push(Violation {
-                rule: "lock-decl",
-                path: decl.file_suffix.to_string(),
+                path: path.clone(),
                 line: 0,
-                message: format!(
-                    "LOCK_HIERARCHY declares '{}' (level {}) but no Rank::new literal \
-                     backs it in {}",
-                    decl.name, decl.level, decl.file_suffix
-                ),
-            });
+                message: "LOCK_HIERARCHY declares a lock in this file but no \
+                          Rank::new(level, \"name\") literal gives its level"
+                    .to_string(),
+            }),
+            [first, ..] => {
+                for extra in &mine[1..] {
+                    out.push(Violation {
+                        rule: "lock-decl",
+                        path: extra.path.clone(),
+                        line: extra.line,
+                        message: format!(
+                            "a second Rank::new literal (\"{}\") in a file that owns one \
+                             lock (\"{}\", line {}); each declared file holds exactly one",
+                            extra.name, first.name, first.line
+                        ),
+                    });
+                }
+            }
         }
     }
+    locks
 }
 
 #[cfg(test)]
@@ -146,68 +175,81 @@ mod tests {
         (l, v)
     }
 
+    fn resolved(path: &str, src: &str) -> (Vec<RankedLock>, Vec<Violation>) {
+        let (l, mut v) = literals_of(path, src);
+        let locks = resolve(&l, &[path.to_string()], &mut v);
+        (locks, v)
+    }
+
+    const SCHED: &str = "crates/sim/src/sched.rs";
+
     #[test]
     fn literal_is_read_off_the_token_stream() {
         let (l, v) = literals_of(
-            "crates/sim/src/sched.rs",
-            "static STATE_RANK: Rank = Rank::new(40, \"sched.state\");\n",
+            SCHED,
+            "static STATE_RANK: Rank = Rank::new(40, \"sched.state\");\nfn f() { inner.lock(); }\n",
         );
-        assert!(v.is_empty());
+        assert!(v.is_empty(), "{v:?}");
         assert_eq!(l.len(), 1);
         assert_eq!((l[0].level, l[0].name.as_str(), l[0].line), (40, "sched.state", 1));
     }
 
     #[test]
-    fn matching_literal_crosschecks_clean() {
-        let path = "crates/sim/src/sched.rs";
-        let (l, _) = literals_of(path, "static R: Rank = Rank::new(40, \"sched.state\");\n");
-        let mut v = Vec::new();
-        crosscheck(&l, &[path.to_string()], &mut v);
+    fn a_declared_file_takes_its_level_and_name_from_its_literal() {
+        let src = "static R: Rank = Rank::new(41, \"sched.state\");\nfn f() { inner.lock(); }\n";
+        let (locks, v) = resolved(SCHED, src);
         assert!(v.is_empty(), "{v:?}");
+        assert_eq!(locks.len(), 1);
+        assert_eq!((locks[0].decl.receiver, locks[0].level), ("inner", 41));
+        assert_eq!(locks[0].name, "sched.state");
     }
 
     #[test]
     fn missing_literal_in_a_scanned_file_is_flagged() {
-        let path = "crates/sim/src/port.rs";
-        let (l, _) = literals_of(path, "fn no_rank_here() {}\n");
-        let mut v = Vec::new();
-        crosscheck(&l, &[path.to_string()], &mut v);
+        let (locks, v) = resolved("crates/sim/src/port.rs", "fn f() { inner.lock(); }\n");
+        assert!(locks.is_empty());
         assert_eq!(v.len(), 1, "{v:?}");
-        assert!(v[0].message.contains("sim.port"));
+        assert!(v[0].message.contains("no Rank::new"));
+    }
+
+    #[test]
+    fn a_second_literal_in_a_declared_file_is_flagged() {
+        let src = "static R: Rank = Rank::new(40, \"sched.state\");\n\
+                   static S: Rank = Rank::new(41, \"sched.spare\");\nfn f() { inner.lock(); }\n";
+        let (locks, v) = resolved(SCHED, src);
+        assert!(locks.is_empty());
+        let found: Vec<_> = v.iter().map(|v| (v.rule, v.line)).collect();
+        assert_eq!(found, [("lock-decl", 2)], "{v:?}");
+        assert!(v[0].message.contains("exactly one"));
+    }
+
+    #[test]
+    fn a_literal_in_an_undeclared_file_is_flagged() {
+        let src = "static R: Rank = Rank::new(33, \"mpi.rogue\");\n";
+        let (_, v) = resolved("crates/mpi/src/world.rs", src);
+        assert_eq!(v.len(), 1, "{v:?}");
+        assert!(v[0].message.contains("does not declare"));
     }
 
     #[test]
     fn unscanned_files_are_not_charged() {
         let mut v = Vec::new();
-        crosscheck(&[], &["crates/mpi/src/lib.rs".to_string()], &mut v);
+        assert!(resolve(&[], &["crates/mpi/src/lib.rs".to_string()], &mut v).is_empty());
         assert!(v.is_empty(), "{v:?}");
     }
 
     #[test]
-    fn level_drift_is_a_hard_violation() {
-        let path = "crates/sim/src/sched.rs";
-        let (l, _) = literals_of(path, "static R: Rank = Rank::new(41, \"sched.state\");\n");
-        let mut v = Vec::new();
-        crosscheck(&l, &[path.to_string()], &mut v);
-        assert!(v.iter().any(|x| x.message.contains("drifted")), "{v:?}");
-    }
-
-    #[test]
-    fn wrong_file_is_a_hard_violation() {
-        let path = "crates/sim/src/port.rs";
-        let (l, _) = literals_of(path, "static R: Rank = Rank::new(40, \"sched.state\");\n");
-        let mut v = Vec::new();
-        crosscheck(&l, &[path.to_string()], &mut v);
-        assert!(v.iter().any(|x| x.message.contains("places it in")), "{v:?}");
-    }
-
-    #[test]
-    fn undeclared_literal_is_a_hard_violation() {
-        let path = "crates/sim/src/sched.rs";
-        let (l, _) = literals_of(path, "static R: Rank = Rank::new(33, \"sched.rogue\");\n");
-        let mut v = Vec::new();
-        crosscheck(&l, &[path.to_string()], &mut v);
-        assert!(v.iter().any(|x| x.message.contains("no LOCK_HIERARCHY entry")), "{v:?}");
+    fn a_declaration_nothing_acquires_is_stale() {
+        // `inner` is only read, never locked: the declaration is stale.
+        let src = "static R: Rank = Rank::new(40, \"sched.state\");\nfn f() { inner.get(); }\n";
+        let (_, v) = literals_of(SCHED, src);
+        assert_eq!(v.len(), 1, "{v:?}");
+        assert!(v[0].message.contains("`inner`") && v[0].message.contains("stale"));
+        // a waived acquisition still counts as one
+        let waived = "fn f() {\n let st = inner.lock(); // beff-analyze: allow(lockflow): fixture\n}";
+        assert!(literals_of(SCHED, waived).1.is_empty());
+        // files no declaration names are not charged
+        assert!(literals_of("crates/sim/src/lib.rs", "fn f() {}").1.is_empty());
     }
 
     #[test]
@@ -223,7 +265,7 @@ mod tests {
     #[test]
     fn non_literal_rank_is_flagged() {
         let (l, v) = literals_of(
-            "crates/sim/src/sched.rs",
+            "crates/sync/src/order.rs",
             "static R: Rank = Rank::new(LEVEL, \"sched.state\");\n",
         );
         assert!(l.is_empty());

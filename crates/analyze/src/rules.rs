@@ -2,18 +2,21 @@
 //! token stream and emits [`Violation`]s; waivers and test-scope
 //! decisions are applied here so every rule reports the same way.
 //!
-//! | rule         | scope                              | waivable |
-//! |--------------|------------------------------------|----------|
-//! | `wall-clock`  | non-test code, minus exempt crates | yes      |
-//! | `hash-order`  | non-test code of deterministic crates | yes   |
-//! | `threading`   | non-test code outside the thread homes | yes  |
-//! | `unwrap`      | everything, per-crate budget       | yes      |
-//! | `safety`      | non-test `unsafe` blocks & impls   | yes      |
-//! | `lock-order`  | declared locks, whole workspace    | yes      |
-//! | `waiver`      | malformed waivers themselves       | no       |
+//! | rule          | scope                                   | waivable |
+//! |---------------|-----------------------------------------|----------|
+//! | `wall-clock`  | every non-test line but its one home    | yes      |
+//! | `hash-order`  | every non-test line                     | yes      |
+//! | `threading`   | non-test code outside the thread homes  | yes      |
+//! | `layering`    | fiber idents outside `crates/sim/`      | yes      |
+//! | `unwrap`      | everything, per-crate budget            | yes      |
+//! | `safety`      | non-test `unsafe` blocks & impls        | yes      |
+//! | `waiver`      | malformed or unknown-rule waivers       | no       |
+//!
+//! The first four are one mechanism, [`check_bans`], driven by
+//! [`config::BANS`].
 
 use crate::config;
-use crate::lexer::{Token, TokenKind};
+use crate::lexer::TokenKind;
 use crate::source::SourceFile;
 
 /// One diagnostic: `path:line: [rule] message`.
@@ -31,10 +34,10 @@ impl Violation {
     }
 }
 
-/// One interprocedural-pass finding, before budget settlement. The
-/// engine groups these per crate, compares against the pass's baseline
-/// table, and promotes every finding in an over-budget crate to a
-/// [`Violation`].
+/// One `panicflow` finding, before budget settlement. The engine
+/// groups these per crate, compares against the baseline table, and
+/// promotes every finding in an over-budget crate to a [`Violation`].
+/// `lockflow` findings become violations directly.
 #[derive(Debug, Clone)]
 pub struct Finding {
     pub path: String,
@@ -54,92 +57,24 @@ pub struct UnwrapSite {
 }
 
 /// Malformed waivers are diagnostics too: a waiver that silently
-/// failed to parse would otherwise *disable itself*.
+/// failed to parse would otherwise *disable itself*, and one naming a
+/// rule that does not exist ([`config::RULES`]) waives nothing.
 pub fn check_waivers(f: &SourceFile, out: &mut Vec<Violation>) {
-    for (line, msg) in &f.bad_waivers {
-        out.push(Violation {
-            rule: "waiver",
-            path: f.path.clone(),
-            line: *line,
-            message: msg.clone(),
-        });
+    let unknown = f.waivers.iter().flat_map(|w| {
+        w.rules
+            .iter()
+            .filter(|r| !config::RULES.contains(&r.as_str()))
+            .map(|r| (w.comment_line, format!("allow({r}) names no rule this analyzer has")))
+    });
+    for (line, message) in f.bad_waivers.iter().cloned().chain(unknown) {
+        out.push(Violation { rule: "waiver", path: f.path.clone(), line, message });
     }
 }
 
-/// Rule `wall-clock`: no `Instant`, `SystemTime`, `sleep`,
-/// `park_timeout` identifiers in deterministic library code. Test code
-/// is out of scope (stress tests time real races on purpose). Returns
-/// the number of honored waivers.
-pub fn check_wallclock(f: &SourceFile, out: &mut Vec<Violation>) -> usize {
-    if !config::wallclock_applies(&f.path) {
-        return 0;
-    }
-    let mut waived = 0;
-    for t in &f.tokens {
-        if t.kind != TokenKind::Ident || !config::WALLCLOCK_IDENTS.contains(&t.text.as_str()) {
-            continue;
-        }
-        if f.is_test_line(t.line) {
-            continue;
-        }
-        if f.waived("wall-clock", t.line) {
-            waived += 1;
-            continue;
-        }
-        out.push(Violation {
-            rule: "wall-clock",
-            path: f.path.clone(),
-            line: t.line,
-            message: format!(
-                "`{}` reads host time/scheduling in a deterministic module; use the \
-                 simulated clock (netsim::clock) or waive with \
-                 `// beff-analyze: allow(wall-clock): <why>`",
-                t.text
-            ),
-        });
-    }
-    waived
-}
-
-/// Rule `hash-order`: no hasher-ordered containers in deterministic
-/// crates — iteration order would depend on the process-random hasher.
-/// Keyed-lookup-only maps may stay, with a waiver saying so. Returns
-/// the number of honored waivers.
-pub fn check_hash_order(f: &SourceFile, out: &mut Vec<Violation>) -> usize {
-    if !config::hash_order_applies(&f.path) {
-        return 0;
-    }
-    let mut waived = 0;
-    for t in &f.tokens {
-        if t.kind != TokenKind::Ident || !config::HASH_ORDER_IDENTS.contains(&t.text.as_str()) {
-            continue;
-        }
-        if f.is_test_line(t.line) {
-            continue;
-        }
-        if f.waived("hash-order", t.line) {
-            waived += 1;
-            continue;
-        }
-        out.push(Violation {
-            rule: "hash-order",
-            path: f.path.clone(),
-            line: t.line,
-            message: format!(
-                "`{}` has hasher-dependent iteration order in a deterministic crate; \
-                 use BTreeMap/BTreeSet, or waive keyed-lookup-only use with \
-                 `// beff-analyze: allow(hash-order): <why>`",
-                t.text
-            ),
-        });
-    }
-    waived
-}
-
-/// Is `path` one of the places allowed to create threads? Directory
-/// homes (trailing `/`) match as prefixes, file homes as suffixes.
-fn thread_home(path: &str) -> bool {
-    config::THREAD_HOMES.iter().any(|h| {
+/// Does `path` lie under one of `homes`? Directory homes (trailing
+/// `/`) match as prefixes, file homes as suffixes.
+fn at_home(path: &str, homes: &[&str]) -> bool {
+    homes.iter().any(|h| {
         if h.ends_with('/') {
             path.starts_with(h) || path.contains(&format!("/{h}"))
         } else {
@@ -148,40 +83,31 @@ fn thread_home(path: &str) -> bool {
     })
 }
 
-/// Rule `threading`: no `spawn`/`Builder`/`JoinHandle`/
-/// `available_parallelism` identifiers outside [`config::THREAD_HOMES`]
-/// — the worker-pool quarantine mirroring the fiber quarantine. Host
-/// parallelism elsewhere must route through `beff_sim::map_ordered`,
-/// whose submission-order results keep worker count unobservable. Test
-/// code is out of scope (stress tests race real threads on purpose).
-/// Returns the number of honored waivers.
-pub fn check_threading(f: &SourceFile, out: &mut Vec<Violation>) -> usize {
-    if thread_home(&f.path) {
-        return 0;
-    }
+/// Rules `wall-clock`, `hash-order`, `threading` and `layering`'s
+/// fiber containment: every identifier a [`config::BANS`] entry names
+/// is a violation outside that entry's homes, unless waived. Returns
+/// the number of honored waivers.
+pub fn check_bans(f: &SourceFile, out: &mut Vec<Violation>) -> usize {
     let mut waived = 0;
-    for t in &f.tokens {
-        if t.kind != TokenKind::Ident || !config::THREAD_IDENTS.contains(&t.text.as_str()) {
-            continue;
+    for ban in config::BANS.iter().filter(|b| !at_home(&f.path, b.homes)) {
+        for t in &f.tokens {
+            if t.kind != TokenKind::Ident
+                || !ban.idents.contains(&t.text.as_str())
+                || (!ban.tests && f.is_test_line(t.line))
+            {
+                continue;
+            }
+            if f.waived(ban.rule, t.line) {
+                waived += 1;
+                continue;
+            }
+            out.push(Violation {
+                rule: ban.rule,
+                path: f.path.clone(),
+                line: t.line,
+                message: format!("`{}` {}", t.text, ban.why),
+            });
         }
-        if f.is_test_line(t.line) {
-            continue;
-        }
-        if f.waived("threading", t.line) {
-            waived += 1;
-            continue;
-        }
-        out.push(Violation {
-            rule: "threading",
-            path: f.path.clone(),
-            line: t.line,
-            message: format!(
-                "`{}` creates or sizes host threads outside the thread homes; use \
-                 `beff_sim::map_ordered` over the shared worker pool, or waive with \
-                 `// beff-analyze: allow(threading): <why>`",
-                t.text
-            ),
-        });
     }
     waived
 }
@@ -254,126 +180,6 @@ pub fn check_safety(f: &SourceFile, out: &mut Vec<Violation>) -> usize {
     waived
 }
 
-/// Rule `lock-order`: declared locks must be acquired in strictly
-/// increasing level order within a function. This is the *textual*
-/// half of the hierarchy check — it sees nesting visible in one
-/// function body; the `lock-order` feature of beff-sync checks the
-/// dynamic lockset across calls at test time. A declaration whose
-/// `receiver.method(` appears nowhere in its file guards nothing and
-/// is itself a violation: the lock was renamed or moved under it.
-pub fn check_lock_order(f: &SourceFile, out: &mut Vec<Violation>) -> usize {
-    lock_order_in(config::LOCK_HIERARCHY, f, out)
-}
-
-/// [`check_lock_order`] against an explicit hierarchy (the tests'
-/// fixture: no file of the real one declares two locks any more).
-fn lock_order_in(hierarchy: &[config::LockDecl], f: &SourceFile, out: &mut Vec<Violation>) -> usize {
-    let decls: Vec<&config::LockDecl> = hierarchy
-        .iter()
-        .filter(|d| f.path.ends_with(d.file_suffix))
-        .collect();
-    if decls.is_empty() {
-        return 0;
-    }
-    let mut waived = 0;
-    struct Live {
-        depth: usize,
-        level: u16,
-        name: &'static str,
-        let_bound: bool,
-    }
-    let toks = &f.tokens;
-    let mut live: Vec<Live> = Vec::new();
-    let mut seen = vec![false; decls.len()];
-    let mut depth = 0usize;
-    for i in 0..toks.len() {
-        let t = &toks[i];
-        match t.kind {
-            TokenKind::Punct('{') => depth += 1,
-            TokenKind::Punct('}') => {
-                depth = depth.saturating_sub(1);
-                live.retain(|l| l.depth <= depth);
-            }
-            TokenKind::Punct(';') => {
-                live.retain(|l| l.let_bound || l.depth != depth);
-            }
-            TokenKind::Ident => {
-                let Some(d) = decls.iter().position(|d| d.receiver == t.text) else {
-                    continue;
-                };
-                let decl = decls[d];
-                // receiver . method (
-                if !matches!(toks.get(i + 1), Some(n) if n.is_punct('.')) {
-                    continue;
-                }
-                let Some(m) = toks.get(i + 2) else { continue };
-                if m.kind != TokenKind::Ident || !decl.methods.contains(&m.text.as_str()) {
-                    continue;
-                }
-                if !matches!(toks.get(i + 3), Some(p) if p.is_punct('(')) {
-                    continue;
-                }
-                seen[d] = true;
-                if f.waived("lock-order", t.line) {
-                    waived += 1;
-                    continue;
-                }
-                for held in &live {
-                    if held.level >= decl.level {
-                        out.push(Violation {
-                            rule: "lock-order",
-                            path: f.path.clone(),
-                            line: t.line,
-                            message: format!(
-                                "acquiring '{}' (level {}) while '{}' (level {}) is held; \
-                                 the declared hierarchy requires strictly increasing levels",
-                                decl.name, decl.level, held.name, held.level
-                            ),
-                        });
-                    }
-                }
-                live.push(Live {
-                    depth,
-                    level: decl.level,
-                    name: decl.name,
-                    let_bound: stmt_starts_with_let(toks, i),
-                });
-            }
-            _ => {}
-        }
-    }
-    for decl in decls.iter().zip(seen).filter(|(_, seen)| !seen).map(|(d, _)| d) {
-        out.push(Violation {
-            rule: "lock-order",
-            path: f.path.clone(),
-            line: 0,
-            message: format!(
-                "'{}' (level {}) is declared as acquired through `{}` ({}) but this file \
-                 never does; the declaration is stale",
-                decl.name,
-                decl.level,
-                decl.receiver,
-                decl.methods.join("/"),
-            ),
-        });
-    }
-    waived
-}
-
-/// Does the statement containing token `i` start with `let` (so the
-/// guard outlives the statement)?
-fn stmt_starts_with_let(toks: &[Token], i: usize) -> bool {
-    for j in (0..i).rev() {
-        match toks[j].kind {
-            TokenKind::Punct(';') | TokenKind::Punct('{') | TokenKind::Punct('}') => {
-                return matches!(toks.get(j + 1), Some(t) if t.is_ident("let"));
-            }
-            _ => {}
-        }
-    }
-    matches!(toks.first(), Some(t) if t.is_ident("let"))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -393,12 +199,8 @@ mod tests {
     }
 
     #[test]
-    fn wallclock_flags_instant_in_deterministic_crate() {
-        let v = run(
-            check_wallclock,
-            "crates/mpi/src/comm.rs",
-            "fn f() { let t = Instant::now(); }",
-        );
+    fn wallclock_flags_instant() {
+        let v = run(check_bans, "crates/mpi/src/comm.rs", "fn f() { let t = Instant::now(); }");
         assert_eq!(v.len(), 1);
         assert_eq!(v[0].rule, "wall-clock");
         assert_eq!(v[0].line, 1);
@@ -410,28 +212,20 @@ mod tests {
         // not fire; a cfg(test) module may sleep.
         let src = "/// Instantiate the network.\nfn f() { let s = \"Instant\"; }\n\
                    #[cfg(test)]\nmod t {\n fn g() { std::thread::sleep(d); }\n}\n";
-        let v = run(check_wallclock, "crates/mpi/src/x.rs", src);
+        let v = run(check_bans, "crates/mpi/src/x.rs", src);
         assert!(v.is_empty(), "{v:?}");
     }
 
     #[test]
-    fn wallclock_respects_exempt_scope() {
-        assert!(run(
-            check_wallclock,
-            "crates/analyze/src/rules.rs",
-            "fn f() { Instant::now(); }"
-        )
-        .is_empty());
-        assert!(run(
-            check_wallclock,
-            "src/cmd/serve_torture.rs",
-            "fn f() { Instant::now(); }"
-        )
-        .is_empty());
-        // the substrate's clock and the sync primitives are not exempt
-        for path in ["crates/sim/src/clock.rs", "crates/sync/src/condvar.rs"] {
-            let v = run(check_wallclock, path, "fn f() { Instant::now(); }");
-            assert_eq!(v.len(), 1, "{path}");
+    fn wallclock_has_one_home() {
+        let now = "fn f() { Instant::now(); }";
+        assert!(run(check_bans, "src/cmd/serve_torture.rs", now).is_empty());
+        // the analyzer, the substrate's clock and the sync primitives
+        // are not exempt
+        for path in
+            ["crates/analyze/src/rules.rs", "crates/sim/src/clock.rs", "crates/sync/src/condvar.rs"]
+        {
+            assert_eq!(run(check_bans, path, now).len(), 1, "{path}");
         }
     }
 
@@ -439,37 +233,30 @@ mod tests {
     fn wallclock_waiver_suppresses() {
         let src = "fn f() { let d = Instant::now(); } \
                    // beff-analyze: allow(wall-clock): host-side report only\n";
-        assert!(run(check_wallclock, "crates/mpi/src/x.rs", src).is_empty());
+        assert!(run(check_bans, "crates/mpi/src/x.rs", src).is_empty());
     }
 
     #[test]
-    fn hash_order_flags_hashmap_in_deterministic_crate() {
-        let v = run(
-            check_hash_order,
-            "crates/netsim/src/x.rs",
-            "use std::collections::HashMap;\nfn f() { let m: HashMap<u32, u32> = HashMap::new(); }",
-        );
-        assert_eq!(v.len(), 3); // use + type + ctor
-        assert!(v.iter().all(|v| v.rule == "hash-order"));
+    fn hash_order_flags_hashmap_in_every_crate() {
+        let src = "use std::collections::HashMap;\nfn f() { let m: HashMap<u32, u32> = HashMap::new(); }";
+        for path in ["crates/netsim/src/x.rs", "crates/report/src/x.rs", "src/cmd/serve.rs"] {
+            let v = run(check_bans, path, src);
+            assert_eq!(v.len(), 3, "{path}"); // use + type + ctor
+            assert!(v.iter().all(|v| v.rule == "hash-order"));
+        }
     }
 
     #[test]
-    fn hash_order_ignores_non_deterministic_crates() {
-        assert!(run(
-            check_hash_order,
-            "crates/report/src/x.rs",
-            "use std::collections::HashMap;"
-        )
-        .is_empty());
+    fn hash_order_covers_thread_ids_and_addresses() {
+        let src = "fn f() {\n let t: ThreadId = id();\n let p = addr_of!(x);\n}";
+        let v = run(check_bans, "crates/sim/src/pool.rs", src);
+        let found: Vec<_> = v.iter().map(|v| (v.rule, v.line)).collect();
+        assert_eq!(found, [("hash-order", 2), ("hash-order", 3)]);
     }
 
     #[test]
     fn threading_flags_spawn_outside_homes() {
-        let v = run(
-            check_threading,
-            "crates/bench/src/x.rs",
-            "fn f() { std::thread::spawn(|| {}); }",
-        );
+        let v = run(check_bans, "crates/bench/src/x.rs", "fn f() { std::thread::spawn(|| {}); }");
         assert_eq!(v.len(), 1);
         assert_eq!(v[0].rule, "threading");
         assert!(v[0].message.contains("map_ordered"));
@@ -479,28 +266,52 @@ mod tests {
     fn threading_allows_homes_tests_and_waivers() {
         // the substrate and the sync crate may spawn…
         for home in ["crates/sim/src/pool.rs", "crates/sync/src/condvar.rs"] {
-            assert!(run(check_threading, home, "fn f() { s.spawn(|| {}); }").is_empty());
+            assert!(run(check_bans, home, "fn f() { s.spawn(|| {}); }").is_empty());
         }
         // …the MPI runtime may not…
         let spawn = "fn f() { s.spawn(|| {}); }";
-        assert_eq!(run(check_threading, "crates/mpi/src/runtime.rs", spawn).len(), 1);
+        assert_eq!(run(check_bans, "crates/mpi/src/runtime.rs", spawn).len(), 1);
         // …test code may spawn…
         let test_src = "#[cfg(test)]\nmod t {\n fn g() { std::thread::spawn(|| {}); }\n}\n";
-        assert!(run(check_threading, "crates/bench/src/x.rs", test_src).is_empty());
+        assert!(run(check_bans, "crates/bench/src/x.rs", test_src).is_empty());
         // …and a waiver suppresses with a reason on record.
         let waived = "fn f() {\n // beff-analyze: allow(threading): real second thread\n \
                       std::thread::spawn(|| {});\n}";
-        assert!(run(check_threading, "crates/bench/src/x.rs", waived).is_empty());
+        assert!(run(check_bans, "crates/bench/src/x.rs", waived).is_empty());
     }
 
     #[test]
     fn threading_covers_sizing_idents_too() {
-        let v = run(
-            check_threading,
-            "crates/netsim/src/x.rs",
-            "fn f() { let n = std::thread::available_parallelism(); }",
-        );
+        let src = "fn f() { let n = std::thread::available_parallelism(); }";
+        assert_eq!(run(check_bans, "crates/netsim/src/x.rs", src).len(), 1);
+    }
+
+    #[test]
+    fn fiber_asm_is_fine_inside_sim() {
+        let src = "unsafe extern \"sysv64\" fn s() { naked_asm!(\"ret\") }\n";
+        assert!(run(check_bans, "crates/sim/src/fiber.rs", src).is_empty());
+    }
+
+    #[test]
+    fn fiber_asm_outside_sim_is_flagged_in_tests_too() {
+        let v = run(check_bans, "crates/mpi/src/runtime.rs", "fn f() { naked_asm!(\"ret\") }\n");
         assert_eq!(v.len(), 1);
+        assert_eq!(v[0].rule, "layering");
+        assert!(v[0].message.contains("context-switch"));
+        let test_src = "#[cfg(test)]\nmod t {\n fn g() { naked_asm!(\"ret\") }\n}\n";
+        assert_eq!(run(check_bans, "crates/mpi/src/runtime.rs", test_src).len(), 1);
+    }
+
+    #[test]
+    fn a_waiver_naming_an_unknown_rule_is_a_violation() {
+        let src = "// beff-analyze: allow(no-such-rule): nothing by that name\n\
+                   fn f() {}\n\
+                   g(); // beff-analyze: allow(unwrap, lock-order): not a rule here\n";
+        let mut v = Vec::new();
+        check_waivers(&file("crates/faults/src/lib.rs", src), &mut v);
+        let found: Vec<_> = v.iter().map(|v| (v.rule, v.line)).collect();
+        assert_eq!(found, [("waiver", 1), ("waiver", 3)], "{v:?}");
+        assert!(v[1].message.contains("allow(lock-order)"));
     }
 
     #[test]
@@ -555,66 +366,5 @@ mod tests {
             "fn f() { unsafe { go() } // SAFETY: single-threaded here\n}",
         );
         assert!(ok.is_empty());
-    }
-
-    /// Two locks declared in one file, as `sched.rs` had when each
-    /// rank parked on its own flag.
-    fn two_locks(f: &SourceFile, out: &mut Vec<Violation>) -> usize {
-        let decl = |receiver, level, name| config::LockDecl {
-            file_suffix: "crates/sim/src/sched.rs",
-            receiver,
-            methods: &["lock"],
-            level,
-            name,
-        };
-        lock_order_in(&[decl("inner", 40, "sched.state"), decl("granted", 50, "sched.flag")], f, out)
-    }
-
-    #[test]
-    fn lock_order_flags_inverted_nesting() {
-        // granted (50) held via let, then inner (40) acquired → violation.
-        let src = "fn f(&self) {\n let g = self.granted.lock();\n let st = self.inner.lock();\n}";
-        let v = run(two_locks, "crates/sim/src/sched.rs", src);
-        assert_eq!(v.len(), 1);
-        assert!(v[0].message.contains("sched.state"));
-        assert_eq!(v[0].line, 3);
-    }
-
-    #[test]
-    fn lock_order_accepts_increasing_and_sequential() {
-        // Increasing nesting is fine…
-        let inc = "fn f(&self) {\n let st = self.inner.lock();\n let g = self.granted.lock();\n}";
-        assert!(run(two_locks, "crates/sim/src/sched.rs", inc).is_empty());
-        // …and a statement-temporary guard dies at the `;`.
-        let seq = "fn f(&self) {\n self.granted.lock().x = 1;\n let st = self.inner.lock();\n}";
-        assert!(run(two_locks, "crates/sim/src/sched.rs", seq).is_empty());
-    }
-
-    #[test]
-    fn lock_order_flags_same_level_reacquisition() {
-        let src = "fn f(&self) {\n let a = self.inner.lock();\n let b = self.inner.lock();\n}";
-        let v = run(check_lock_order, "crates/sim/src/sched.rs", src);
-        assert_eq!(v.len(), 1, "self-deadlock on one std mutex");
-    }
-
-    #[test]
-    fn lock_order_flags_a_declaration_nothing_acquires() {
-        // `granted` is only read, never locked: its declaration is stale.
-        let src = "fn f(&self) {\n let st = self.inner.lock();\n let g = self.granted.get();\n}";
-        let v = run(two_locks, "crates/sim/src/sched.rs", src);
-        assert_eq!(v.len(), 1, "{v:?}");
-        assert!(v[0].message.contains("'sched.flag'") && v[0].message.contains("stale"));
-        // a waived acquisition still counts as one
-        let waived = "fn f(&self) {\n let st = self.inner.lock();\n \
-                      let g = self.granted.lock(); // beff-analyze: allow(lock-order): fixture\n}";
-        assert!(run(two_locks, "crates/sim/src/sched.rs", waived).is_empty());
-        // files no declaration names are not charged
-        assert!(run(two_locks, "crates/sim/src/port.rs", "fn f() {}").is_empty());
-    }
-
-    #[test]
-    fn lock_order_let_guard_dies_with_block() {
-        let src = "fn f(&self) {\n { let g = self.granted.lock(); }\n let st = self.inner.lock();\n}";
-        assert!(run(two_locks, "crates/sim/src/sched.rs", src).is_empty());
     }
 }

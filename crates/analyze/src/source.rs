@@ -7,10 +7,11 @@
 //! ## Waiver syntax
 //!
 //! ```text
-//! // beff-analyze: allow(rule-name): justification text
+//! // beff-analyze: allow(hash-order): keyed lookups only, never iterated
 //! ```
 //!
-//! The justification is mandatory: a waiver with no reason is itself a
+//! The rule must be one the analyzer has and the justification is
+//! mandatory: a waiver naming no rule, or with no reason, is itself a
 //! diagnostic. A waiver on a line of code applies to that line; a
 //! waiver on a comment-only line applies to the next line that has
 //! code. Multiple rules may be waived at once: `allow(a, b): why`.
@@ -32,7 +33,7 @@ use crate::lexer::{self, Comment, Token, TokenKind};
 use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
 
-/// One parsed `beff-analyze: allow(...)` waiver.
+/// One parsed `allow(...)` waiver.
 #[derive(Debug, Clone)]
 pub struct Waiver {
     pub rules: Vec<String>,

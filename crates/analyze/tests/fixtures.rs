@@ -41,18 +41,10 @@ fn panic_hot_path_fixture_is_caught_by_panicflow() {
 }
 
 #[test]
-fn taint_leak_fixture_is_caught_by_taint() {
-    let r = analyze_workspace(&fixture("taint_leak")).expect("analyze");
-    let v = r
-        .violations
-        .iter()
-        .find(|v| v.rule == "taint")
-        .unwrap_or_else(|| panic!("no taint violation: {:?}", r.violations));
-    assert!(v.path.ends_with("crates/sim/src/world.rs"), "{v:?}");
-    assert_eq!(v.line, 5, "anchors at the boundary call site");
-    assert!(v.message.contains("hash-order"), "{v:?}");
-    assert!(v.message.contains("tally.rs:5"), "cites the observation site: {v:?}");
-    assert!(r.violations.iter().all(|v| v.rule == "taint"), "{:?}", r.violations);
+fn hash_order_fixture_is_caught_at_its_source() {
+    let r = analyze_workspace(&fixture("hash_order_at_source")).expect("analyze");
+    let found: Vec<_> = r.violations.iter().map(|v| (v.rule, v.path.as_str(), v.line)).collect();
+    assert_eq!(found, [("hash-order", "crates/sync/src/tally.rs", 5)], "{:?}", r.violations);
 }
 
 /// Copy a fixture tree into a scratch dir, creating files in the given
@@ -107,8 +99,8 @@ fn report_is_byte_identical_across_runs_and_walk_orders() {
 #[test]
 fn workspace_report_is_byte_identical_across_runs() {
     // The real workspace, twice. This does not assert pass() — the
-    // verify gate owns that — only that the full pipeline (163+ files,
-    // call graph, three passes) is a pure function of the tree.
+    // verify gate owns that — only that the full pipeline (every file,
+    // the call graph, both passes) is a pure function of the tree.
     let root = Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
     let r1 = beff_json::to_string_pretty(&analyze_workspace(&root).expect("analyze"));
     let r2 = beff_json::to_string_pretty(&analyze_workspace(&root).expect("analyze"));

@@ -1,5 +1,5 @@
 //! Runtime lock-ordering: the dynamic half of the workspace lock
-//! hierarchy (DESIGN.md §8, `beff-analyze` rule `lock-order`).
+//! hierarchy (DESIGN.md §8, `beff-analyze` pass `lockflow`).
 //!
 //! Each lock that participates in the hierarchy is constructed with
 //! [`Mutex::ranked`](crate::Mutex::ranked), naming a static [`Rank`].
