@@ -160,7 +160,7 @@ pub const UNWRAP_BUDGETS: &[(&str, u32)] = &[
     ("json", 11),
     ("machines", 6),
     ("mpi", 10),
-    ("mpiio", 14),
+    ("mpiio", 12),
     ("netsim", 7),
     ("pfs", 3),
     ("report", 4),

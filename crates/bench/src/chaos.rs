@@ -20,7 +20,7 @@
 //! Plus the I/O hook: a degraded filesystem must price writes slower.
 
 use crate::resilient::ResilientRunner;
-use beff_core::beff::{BeffConfig, MeasureSchedule};
+use beff_core::beff::{BeffConfig, MeasureSchedule, DEFAULT_SEED};
 use beff_core::beff::resilient::ResilientBeffResult;
 use beff_faults::FaultSpec;
 use beff_json::{Json, ToJson};
@@ -44,7 +44,7 @@ pub fn chaos_cfg() -> BeffConfig {
     BeffConfig {
         mem_per_proc: 64 * MB,
         schedule: MeasureSchedule { loop_start: 1, reps: 1, ..MeasureSchedule::quick() },
-        seed: 0xB0EF,
+        seed: DEFAULT_SEED,
         extras: false,
         extra_iters: 2,
     }

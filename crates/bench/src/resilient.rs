@@ -15,11 +15,13 @@
 //!   `failed` verdicts, and assembles whatever survived into a
 //!   [`ResilientBeffResult`].
 //!
-//! With an **empty plan** the runner attaches no fault session at all,
-//! so every rank executes the exact instruction stream of the classic
-//! [`PartitionRunner`](crate::PartitionRunner) path — the fault layer
-//! being compiled in costs nothing and changes no bits (pinned by
-//! `tests/determinism.rs`).
+//! With an **empty plan** the runner attaches no fault session at all:
+//! the fault layer being compiled in costs nothing and changes no bits
+//! (an empty session is pinned inert by `tests/determinism.rs`). Its
+//! curves still differ from the classic
+//! [`PartitionRunner`](crate::PartitionRunner) path's: each pattern
+//! runs in a world of its own, and the watchdog's extra `Min`
+//! allreduce moves the clocks.
 
 use beff_core::beff::resilient::{
     run_one_pattern, PatternHealth, PatternStatus, ResilientBeffResult, StabilityReport,
@@ -67,11 +69,6 @@ impl ResilientRunner {
         let mut r = Self::on_net(machine.network(), procs, plan);
         r.machine = Some(machine.clone());
         r
-    }
-
-    pub fn with_policy(mut self, policy: WatchdogPolicy) -> Self {
-        self.policy = policy;
-        self
     }
 
     /// Partition size (ranks).

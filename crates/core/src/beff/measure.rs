@@ -4,7 +4,8 @@
 //! the bandwidth formula
 //! `b = L · messages · looplength / max-time-over-ranks`.
 
-use super::methods::{Method, Transfers};
+use super::methods::{Transfers, METHODS};
+use super::run::BeffConfig;
 use beff_json::{Json, ToJson};
 use beff_mpi::{Comm, ReduceOp};
 use beff_netsim::{Secs, MB};
@@ -57,50 +58,69 @@ impl MeasureSchedule {
     }
 }
 
-/// One measured point.
-#[derive(Debug, Clone, Copy)]
-pub struct Measurement {
-    /// Bandwidth in MByte/s (aggregate over all ranks).
-    pub mbps: f64,
-    /// Max-over-ranks elapsed time of the loop.
-    pub dt: Secs,
-    /// Looplength used.
-    pub looplength: u32,
+/// One pattern's measured curve.
+#[derive(Debug, Clone)]
+pub struct PatternCurve {
+    /// Best MByte/s per message size; a trip truncates it.
+    pub curve: Vec<f64>,
+    /// A point's max-over-ranks loop time exceeded the watchdog budget.
+    pub tripped: bool,
+    /// Largest `dt_max / dt_min` over the points (1.0 without a watchdog).
+    pub max_spread: f64,
 }
 
-impl ToJson for Measurement {
-    fn to_json(&self) -> Json {
-        Json::object()
-            .field("mbps", &self.mbps)
-            .field("dt", &self.dt)
-            .field("looplength", &self.looplength)
-            .build()
-    }
-}
-
-/// Measure one (pattern, size, method) point: synchronize, run the
-/// loop, reduce the max time, apply the formula. `messages` is the
-/// total message count per iteration over all ranks (2·n for rings).
-#[allow(clippy::too_many_arguments)]
-pub fn measure_point(
+/// Measure one pattern with this rank's `(left, right)` in it: for each
+/// size, the best over methods × reps of the formula, adapting the
+/// looplength after every point. `messages` is the total message count
+/// per iteration over all ranks (2·n for rings). Collective: every rank
+/// calls it.
+///
+/// With a `watchdog` budget every point also allreduces the minimum
+/// loop time (the straggler spread), and a point whose allreduced
+/// maximum exceeds the budget ends the curve on every rank alike.
+/// Without one, a point costs one barrier and one allreduce.
+pub fn pattern_curve(
     comm: &mut Comm,
     tr: &mut Transfers,
-    method: Method,
-    left: usize,
-    right: usize,
-    len: u64,
+    cfg: &BeffConfig,
+    sizes: &[u64],
     messages: u64,
-    looplength: u32,
-) -> Measurement {
-    comm.barrier();
-    let t0 = comm.now();
-    for _ in 0..looplength {
-        tr.ring_iteration(comm, method, left, right, len);
+    (left, right): (usize, usize),
+    watchdog: Option<Secs>,
+) -> PatternCurve {
+    let schedule = &cfg.schedule;
+    let mut looplength = schedule.loop_start;
+    let mut out =
+        PatternCurve { curve: Vec::with_capacity(sizes.len()), tripped: false, max_spread: 1.0 };
+    for &len in sizes {
+        let mut best = 0.0f64;
+        for method in METHODS {
+            for _rep in 0..schedule.reps {
+                comm.barrier();
+                let t0 = comm.now();
+                for _ in 0..looplength {
+                    tr.ring_iteration(comm, method, left, right, len);
+                }
+                let dt_local = comm.now() - t0;
+                let dt = comm.allreduce_scalar(dt_local, ReduceOp::Max);
+                if let Some(budget) = watchdog {
+                    let dt_min = comm.allreduce_scalar(dt_local, ReduceOp::Min);
+                    if dt_min > 0.0 {
+                        out.max_spread = out.max_spread.max(dt / dt_min);
+                    }
+                    if dt > budget {
+                        out.tripped = true;
+                        return out;
+                    }
+                }
+                let bytes = len as f64 * messages as f64 * looplength as f64;
+                best = best.max(bytes / MB as f64 / dt.max(1e-12));
+                looplength = schedule.adapt(looplength, dt);
+            }
+        }
+        out.curve.push(best);
     }
-    let dt_local = comm.now() - t0;
-    let dt = comm.allreduce_scalar(dt_local, ReduceOp::Max);
-    let bytes = len as f64 * messages as f64 * looplength as f64;
-    Measurement { mbps: bytes / MB as f64 / dt.max(1e-12), dt, looplength }
+    out
 }
 
 #[cfg(test)]
@@ -140,22 +160,30 @@ mod tests {
     }
 
     #[test]
-    fn measure_point_computes_formula() {
+    fn pattern_curve_agrees_across_ranks_and_trips_on_its_budget() {
         use beff_netsim::{MachineNet, NetParams, Topology};
-        use std::sync::Arc;
-        let net =
-            Arc::new(MachineNet::new(Topology::Crossbar { procs: 2 }, NetParams::default()));
-        let ms = beff_mpi::World::sim(net).run(|c| {
-            let peer = 1 - c.rank();
-            let mut tr = Transfers::new(c, 1 << 16);
-            measure_point(c, &mut tr, Method::NonBlocking, peer, peer, 1 << 16, 4, 10)
-        });
-        // both ranks agree on the reduced measurement
-        assert!((ms[0].mbps - ms[1].mbps).abs() < 1e-9);
-        assert!(ms[0].mbps > 0.0);
-        assert_eq!(ms[0].looplength, 10);
-        // sanity: cannot exceed 2x the port bandwidth budget (2 ports
-        // x 300 MB/s on the default model)
-        assert!(ms[0].mbps < 2.0 * 300.0 * 1.1, "mbps={}", ms[0].mbps);
+        let cfg = BeffConfig::quick(64 * MB);
+        let run = |watchdog| {
+            let net = MachineNet::new(Topology::Crossbar { procs: 2 }, NetParams::default());
+            beff_mpi::World::sim(std::sync::Arc::new(net)).run(|c| {
+                let peer = 1 - c.rank();
+                let mut tr = Transfers::new(c, 1 << 16);
+                pattern_curve(c, &mut tr, &cfg, &[1 << 10, 1 << 16], 4, (peer, peer), watchdog)
+            })
+        };
+        let free = run(None);
+        assert_eq!(free[0].curve, free[1].curve, "ranks agree on the reduced curve");
+        assert!(free[0].curve.len() == 2 && !free[0].tripped && free[0].max_spread == 1.0);
+        // cannot exceed 2 ports x 300 MB/s on the default model
+        assert!(free[0].curve[1] < 2.0 * 300.0 * 1.1, "curve={:?}", free[0].curve);
+        // a generous budget measures the same points, up to the rounding
+        // its extra allreduce brings to the clocks
+        let guarded = run(Some(1.0));
+        assert!(guarded[0].curve.len() == 2 && !guarded[0].tripped);
+        for (g, f) in guarded[0].curve.iter().zip(&free[0].curve) {
+            assert!((g - f).abs() <= 1e-9 * f, "guarded {g} vs free {f}");
+        }
+        // a budget no point can meet trips the first one on every rank
+        assert!(run(Some(0.0)).iter().all(|a| a.tripped && a.curve.is_empty()));
     }
 }

@@ -30,5 +30,5 @@ pub use resilient::{
 };
 pub use result::{BeffResult, ExtraResult, PatternResult};
 pub use rings::{pattern_tables, rank_patterns, ring_sizes, ring_targets, Pattern};
-pub use run::{run_beff, BeffConfig};
+pub use run::{run_beff, BeffConfig, DEFAULT_SEED};
 pub use sizes::{lmax, message_sizes, NUM_SIZES};

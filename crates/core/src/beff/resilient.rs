@@ -1,9 +1,11 @@
 //! Resilient per-pattern b_eff building blocks: watchdog deadlines,
 //! straggler detection, and the stability report schema.
 //!
-//! The classic driver ([`super::run::run_beff`]) assumes a healthy
-//! machine: one wedged pattern would stall the whole run, and one dead
-//! rank aborts everything. The resilient path (driven from
+//! Both drivers measure a pattern with one loop,
+//! [`super::measure::pattern_curve`]. The classic driver
+//! ([`super::run::run_beff`]) assumes a healthy machine: one wedged
+//! pattern would stall the whole run, and one dead rank aborts
+//! everything. The resilient path (driven from
 //! `beff-bench`'s `ResilientRunner`) runs **one pattern per world
 //! run**, so a fault is contained to the pattern it hit:
 //!
@@ -20,15 +22,15 @@
 //!   still emits b_eff — with the failure written into the output
 //!   instead of a crashed process.
 
-use super::measure::MeasureSchedule;
-use super::methods::{Transfers, METHODS};
+use super::measure::{pattern_curve, MeasureSchedule, PatternCurve};
+use super::methods::Transfers;
 use super::result::{BeffResult, PatternResult};
 use super::rings::{messages_per_iteration, Pattern};
 use super::run::BeffConfig;
 use super::sizes::{lmax, message_sizes};
 use beff_json::{Json, ToJson};
 use beff_mpi::{Comm, ReduceOp};
-use beff_netsim::{Secs, MB};
+use beff_netsim::Secs;
 
 /// Driver-side resilience policy: how long a point may take, how often
 /// to retry, and how much per-rank spread is tolerated.
@@ -137,15 +139,16 @@ pub struct PatternAttempt {
     pub t_end: Secs,
 }
 
-/// Measure one pattern, guarded, with this rank's `(left, right)` in it.
-/// Collective: every rank calls it and every rank returns the same
-/// decision (trip or not), because the watchdog compares the
-/// *allreduced* loop time against the budget.
+/// Measure one pattern, guarded, with this rank's `(left, right)` pair
+/// in it: [`pattern_curve`] under the watchdog `budget`. Collective:
+/// every rank calls it and every rank returns the same decision (trip
+/// or not), because the watchdog compares the *allreduced* loop time
+/// against the budget.
 pub fn run_one_pattern(
     comm: &mut Comm,
     cfg: &BeffConfig,
     pattern: &Pattern,
-    (left, right): (usize, usize),
+    pair: (usize, usize),
     budget: Secs,
 ) -> PatternAttempt {
     let n = comm.size();
@@ -153,38 +156,8 @@ pub fn run_one_pattern(
     let sizes = message_sizes(lmaxv);
     let msgs = messages_per_iteration(n);
     let mut tr = Transfers::new(comm, lmaxv);
-
-    let mut looplength = cfg.schedule.loop_start;
-    let mut curve = Vec::with_capacity(sizes.len());
-    let mut tripped = false;
-    let mut max_spread = 1.0f64;
-
-    'sizes: for &len in &sizes {
-        let mut best = 0.0f64;
-        for method in METHODS {
-            for _rep in 0..cfg.schedule.reps {
-                comm.barrier();
-                let t0 = comm.now();
-                for _ in 0..looplength {
-                    tr.ring_iteration(comm, method, left, right, len);
-                }
-                let dt_local = comm.now() - t0;
-                let dt = comm.allreduce_scalar(dt_local, ReduceOp::Max);
-                let dt_min = comm.allreduce_scalar(dt_local, ReduceOp::Min);
-                if dt_min > 0.0 {
-                    max_spread = max_spread.max(dt / dt_min);
-                }
-                if dt > budget {
-                    tripped = true;
-                    break 'sizes;
-                }
-                let bytes = len as f64 * msgs as f64 * looplength as f64;
-                best = best.max(bytes / MB as f64 / dt.max(1e-12));
-                looplength = cfg.schedule.adapt(looplength, dt);
-            }
-        }
-        curve.push(best);
-    }
+    let PatternCurve { curve, tripped, max_spread } =
+        pattern_curve(comm, &mut tr, cfg, &sizes, msgs, pair, Some(budget));
 
     let t_end = comm.allreduce_scalar(comm.now(), ReduceOp::Max);
     PatternAttempt {

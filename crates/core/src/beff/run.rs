@@ -2,13 +2,17 @@
 //! repetitions with looplength adaptation, then assembles the result.
 
 use super::extra::{pingpong, run_extras};
-use super::measure::{measure_point, MeasureSchedule};
-use super::methods::{Transfers, METHODS};
+use super::measure::{pattern_curve, MeasureSchedule};
+use super::methods::Transfers;
 use super::result::{BeffResult, PatternResult};
 use super::rings::{messages_per_iteration, rank_patterns};
 use super::sizes::{lmax, message_sizes};
 use beff_json::{Json, ToJson};
 use beff_mpi::Comm;
+
+/// The paper's default pattern seed: every command, spec and harness
+/// that does not name a seed draws the random patterns from this one.
+pub const DEFAULT_SEED: u64 = 0xB0EF;
 
 /// Configuration of a b_eff run.
 #[derive(Debug, Clone)]
@@ -42,7 +46,7 @@ impl BeffConfig {
         Self {
             mem_per_proc,
             schedule: MeasureSchedule::paper(),
-            seed: 0xB0EF,
+            seed: DEFAULT_SEED,
             extras: true,
             extra_iters: 16,
         }
@@ -53,7 +57,7 @@ impl BeffConfig {
         Self {
             mem_per_proc,
             schedule: MeasureSchedule::quick(),
-            seed: 0xB0EF,
+            seed: DEFAULT_SEED,
             extras: true,
             extra_iters: 4,
         }
@@ -79,22 +83,8 @@ pub fn run_beff(comm: &mut Comm, cfg: &BeffConfig) -> BeffResult {
     let patterns = rank_patterns(n, comm.rank(), cfg.seed);
 
     let mut results = Vec::with_capacity(patterns.len());
-    for (pattern, (left, right)) in patterns {
-        let mut looplength = cfg.schedule.loop_start;
-        let mut curve = Vec::with_capacity(sizes.len());
-        for &len in &sizes {
-            let mut best = 0.0f64;
-            for method in METHODS {
-                for _rep in 0..cfg.schedule.reps {
-                    let m = measure_point(
-                        comm, &mut tr, method, left, right, len, msgs, looplength,
-                    );
-                    best = best.max(m.mbps);
-                    looplength = cfg.schedule.adapt(looplength, m.dt);
-                }
-            }
-            curve.push(best);
-        }
+    for (pattern, pair) in patterns {
+        let curve = pattern_curve(comm, &mut tr, cfg, &sizes, msgs, pair, None).curve;
         results.push(PatternResult {
             name: pattern.name,
             random: pattern.random,

@@ -94,17 +94,6 @@ impl ToJson for RandomIoResult {
     }
 }
 
-impl RandomIoResult {
-    /// Random-to-sequential read ratio at the smallest chunk — the
-    /// headline number for "should random patterns join b_eff_io".
-    pub fn small_chunk_penalty(&self) -> f64 {
-        self.points
-            .first()
-            .map(|p| if p.seq_read_mbps > 0.0 { p.rand_read_mbps / p.seq_read_mbps } else { 0.0 })
-            .unwrap_or(0.0)
-    }
-}
-
 fn measure(
     comm: &mut Comm,
     f: &mut MpiFile,
@@ -249,19 +238,5 @@ mod tests {
             p.rand_read_mbps,
             p.seq_read_mbps
         );
-    }
-
-    #[test]
-    fn penalty_metric_is_first_chunk_ratio() {
-        let r = RandomIoResult {
-            nprocs: 2,
-            points: vec![RandomIoPoint {
-                chunk: 1024,
-                seq_read_mbps: 100.0,
-                rand_read_mbps: 25.0,
-                rand_write_mbps: 10.0,
-            }],
-        };
-        assert!((r.small_chunk_penalty() - 0.25).abs() < 1e-12);
     }
 }

@@ -201,40 +201,6 @@ impl BeffIoResult {
     pub fn method_value(&self, m: AccessMethod) -> Option<f64> {
         self.methods.iter().find(|r| r.method == m).map(|r| r.value())
     }
-
-    /// The Fig. 4-style detail table: one row per (method, type,
-    /// pattern) with its bandwidth.
-    pub fn detail_table(&self) -> String {
-        use std::fmt::Write;
-        let mut s = String::new();
-        let _ = writeln!(
-            s,
-            "b_eff_io detail: {} processes, T = {:.0} s, M_PART = {} B, segment = {} B",
-            self.nprocs, self.t_sched, self.mpart, self.segment
-        );
-        for m in &self.methods {
-            let _ = writeln!(s, "-- access method: {} (value {:.1} MB/s)", m.method.name(), m.value());
-            for t in &m.types {
-                let _ = writeln!(
-                    s,
-                    "   type {} [{}]: {:.1} MB/s over {:.2} s",
-                    t.ptype as usize,
-                    t.ptype.name(),
-                    t.mbps(),
-                    t.open_close_secs
-                );
-                for p in &t.patterns {
-                    let _ = writeln!(
-                        s,
-                        "      #{:<2} {:<12} reps {:>6}  {:>12} B  {:>8.3} s  {:>9.2} MB/s",
-                        p.id, p.chunk_label, p.reps, p.bytes, p.secs, p.mbps()
-                    );
-                }
-            }
-        }
-        let _ = writeln!(s, "b_eff_io = {:.1} MB/s", self.beff_io);
-        s
-    }
 }
 
 #[cfg(test)]
@@ -300,12 +266,5 @@ mod tests {
             secs: 5.0,
         };
         assert!((p.mbps() - 10.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn detail_table_renders() {
-        let r = BeffIoResult::assemble(2, 900.0, 2 * MB, MB, vec![]);
-        let s = r.detail_table();
-        assert!(s.contains("b_eff_io"));
     }
 }

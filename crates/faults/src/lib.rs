@@ -8,8 +8,7 @@
 //! - a [`FaultSpec`] names which fault classes are active and how hard
 //!   they bite (`severity` in 0..=1);
 //! - [`FaultSpec::materialize`] draws a concrete [`FaultPlan`] from the
-//!   `beff-check` RNG (override the seed with `BEFF_FAULT_SEED`, same
-//!   decimal-or-0x parsing as `BEFF_CHECK_SEED`);
+//!   `beff-check` RNG, seeded by the spec's own `seed`;
 //! - a [`FaultSession`] carries the plan across the per-pattern runs of
 //!   one benchmark execution, accumulating virtual time (each world run
 //!   restarts its clocks at zero) and remembering which ranks died.

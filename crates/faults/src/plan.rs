@@ -11,8 +11,8 @@ use beff_check::Gen;
 use beff_json::{Json, ToJson};
 use beff_netsim::{MachineNet, Secs};
 
-/// Environment override for the fault seed, parsed like
-/// `BEFF_CHECK_SEED`: decimal or `0x`-prefixed hex.
+/// Environment override for a command's default fault seed, parsed
+/// like `BEFF_CHECK_SEED`: decimal or `0x`-prefixed hex.
 pub const ENV_SEED: &str = "BEFF_FAULT_SEED";
 
 fn env_u64(var: &str) -> Option<u64> {
@@ -28,8 +28,8 @@ fn env_u64(var: &str) -> Option<u64> {
     }
 }
 
-/// The seed a fault plan will actually use: `BEFF_FAULT_SEED` when set,
-/// otherwise `default`.
+/// A command's default fault seed: `BEFF_FAULT_SEED` when set, else
+/// `default`. A [`FaultSpec`] keeps the seed it is given.
 pub fn resolve_seed(default: u64) -> u64 {
     env_u64(ENV_SEED).unwrap_or(default)
 }
@@ -49,7 +49,7 @@ fn splitmix64(mut x: u64) -> u64 {
 /// Which fault classes are active and how hard they bite.
 #[derive(Debug, Clone, PartialEq)]
 pub struct FaultSpec {
-    /// Seed for plan materialization (after `BEFF_FAULT_SEED` override).
+    /// Seed for plan materialization.
     pub seed: u64,
     /// Overall severity in `0.0..=1.0`; scales slowdowns, multipliers
     /// and drop rates. Severity 0 produces an empty schedule for the
@@ -76,7 +76,7 @@ impl FaultSpec {
     /// No faults at all (still seeded, so `materialize` is total).
     pub fn none(seed: u64) -> Self {
         Self {
-            seed: resolve_seed(seed),
+            seed,
             severity: 0.0,
             degrade: false,
             flapping: false,

@@ -11,12 +11,9 @@
 //!
 //! * bcast — binomial tree,
 //! * reduce — binomial tree (commutative ops),
-//! * gather — linear to the root (control-path only),
-//! * alltoallv — pairwise shifted exchange, skipping zero counts (this
-//!   is one of the three b_eff communication *methods*).
+//! * gather — linear to the root (control-path only).
 
 use crate::comm::{Comm, Fold};
-use crate::message::RecvInfo;
 use crate::wire;
 use beff_sim::Secs;
 
@@ -197,52 +194,6 @@ impl Comm {
         }
         self.bcast(root, &mut buf);
         wire::Reader::new(&buf).u64()
-    }
-
-    /// `MPI_Alltoallv` with benchmark-payload semantics: rank `i`'s
-    /// slice `sendbuf[sdispls[i]..sdispls[i]+scounts[i]]` goes to rank
-    /// `i`; received data lands at `rdispls[i]` in `recvbuf`. Zero-count
-    /// pairs exchange nothing (as real MPI implementations do). Uses the
-    /// pairwise shifted-exchange schedule.
-    #[allow(clippy::too_many_arguments)]
-    pub fn payload_alltoallv(
-        &mut self,
-        sendbuf: &[u8],
-        scounts: &[usize],
-        sdispls: &[usize],
-        recvbuf: &mut [u8],
-        rcounts: &[usize],
-        rdispls: &[usize],
-    ) {
-        let tag = self.next_coll_tag();
-        let n = self.size();
-        assert!(scounts.len() == n && sdispls.len() == n);
-        assert!(rcounts.len() == n && rdispls.len() == n);
-        let r = self.rank();
-        // self-exchange first (local copy)
-        if scounts[r] > 0 {
-            assert_eq!(scounts[r], rcounts[r], "self count mismatch");
-            let src = &sendbuf[sdispls[r]..sdispls[r] + scounts[r]];
-            recvbuf[rdispls[r]..rdispls[r] + rcounts[r]].copy_from_slice(src);
-        }
-        for shift in 1..n {
-            let dst = (r + shift) % n;
-            let src = (r + n - shift) % n;
-            let sreq = if scounts[dst] > 0 {
-                let chunk = &sendbuf[sdispls[dst]..sdispls[dst] + scounts[dst]];
-                Some(self.payload_isend(dst, tag, chunk))
-            } else {
-                None
-            };
-            if rcounts[src] > 0 {
-                let rb = &mut recvbuf[rdispls[src]..rdispls[src] + rcounts[src]];
-                let info: RecvInfo = self.recv(Some(src), Some(tag), rb);
-                debug_assert_eq!(info.len as usize, rcounts[src]);
-            }
-            if let Some(req) = sreq {
-                self.wait_send(req);
-            }
-        }
     }
 }
 

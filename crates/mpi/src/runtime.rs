@@ -207,7 +207,8 @@ impl World {
         })
     }
 
-    /// Launch: run `f` on every rank, return results in rank order.
+    /// Launch: run `f` on every rank, return results in rank order —
+    /// a one-run [`session`](Self::session).
     ///
     /// Panics (re-raising the rank's payload) if any rank panics.
     pub fn run<R, F>(&self, f: F) -> Vec<R>
@@ -215,10 +216,7 @@ impl World {
         R: Send,
         F: Fn(&mut Comm) -> R + Sync,
     {
-        match run_world_fibers(&self.engine, &FiberStack::set(self.n), &f) {
-            Ok(v) => v,
-            Err(p) => resume_unwind(p),
-        }
+        self.session().run(f)
     }
 
     /// Launch like [`run`](Self::run), but return a failed run's typed
@@ -229,7 +227,7 @@ impl World {
         R: Send,
         F: Fn(&mut Comm) -> R + Sync,
     {
-        into_typed(run_world_fibers(&self.engine, &FiberStack::set(self.n), &f))
+        self.session().try_run(f)
     }
 
     /// Set the world up once and keep it resident for repeated runs
@@ -461,39 +459,6 @@ mod tests {
             } else {
                 assert!(v.is_none());
             }
-        }
-    }
-
-    #[test]
-    fn alltoallv_ring_counts() {
-        // Each rank sends 4 bytes to left and right neighbors only.
-        let n = 6;
-        let out = world(n).run(|c| {
-            let r = c.rank();
-            let left = (r + n - 1) % n;
-            let right = (r + 1) % n;
-            let mut scounts = vec![0; n];
-            let mut sdispls = vec![0; n];
-            scounts[left] = 4;
-            scounts[right] = 4;
-            sdispls[left] = 0;
-            sdispls[right] = 4;
-            let sendbuf: Vec<u8> = vec![r as u8; 8];
-            let mut rcounts = vec![0; n];
-            let mut rdispls = vec![0; n];
-            rcounts[left] = 4;
-            rcounts[right] = 4;
-            rdispls[left] = 0;
-            rdispls[right] = 4;
-            let mut recvbuf = vec![0u8; 8];
-            c.payload_alltoallv(&sendbuf, &scounts, &sdispls, &mut recvbuf, &rcounts, &rdispls);
-            recvbuf
-        });
-        for (r, data) in out.iter().enumerate() {
-            let left = (r + n - 1) % n;
-            let right = (r + 1) % n;
-            assert_eq!(data[..4], vec![left as u8; 4][..]);
-            assert_eq!(data[4..], vec![right as u8; 4][..]);
         }
     }
 

@@ -345,8 +345,10 @@ fn split_partitions_are_exact() {
 }
 
 #[test]
-fn alltoallv_random_counts_roundtrip() {
-    check_n("alltoallv random counts roundtrip", 12, |g| {
+fn isend_recv_random_counts_roundtrip() {
+    // every rank posts a send of a drawn length (zero included) to every
+    // peer, then receives from each peer in shifted order
+    check_n("isend/recv random counts roundtrip", 12, |g| {
         let seed = g.u64(0..=999);
         let n = 4usize;
         let out = world(n).run(move |c| {
@@ -355,29 +357,22 @@ fn alltoallv_random_counts_roundtrip() {
                 ((seed as usize).wrapping_mul(31) + from * 7 + to * 13) % 50
             };
             let r = c.rank();
-            let mut sendbuf = Vec::new();
-            let mut scounts = vec![0; n];
-            let mut sdispls = vec![0; n];
-            for to in 0..n {
-                sdispls[to] = sendbuf.len();
-                scounts[to] = count(r, to);
-                sendbuf.extend(std::iter::repeat_n((r * 16 + to) as u8, scounts[to]));
-            }
-            let mut rcounts = vec![0; n];
-            let mut rdispls = vec![0; n];
-            let mut total = 0;
-            for from in 0..n {
-                rdispls[from] = total;
-                rcounts[from] = count(from, r);
-                total += rcounts[from];
-            }
-            let mut recvbuf = vec![0u8; total];
-            c.payload_alltoallv(&sendbuf, &scounts, &sdispls, &mut recvbuf, &rcounts, &rdispls);
-            // verify contents
+            let sends: Vec<_> = (1..n)
+                .map(|shift| {
+                    let to = (r + shift) % n;
+                    c.payload_isend(to, 3, &vec![(r * 16 + to) as u8; count(r, to)])
+                })
+                .collect();
             let mut ok = true;
-            for from in 0..n {
-                let seg = &recvbuf[rdispls[from]..rdispls[from] + rcounts[from]];
-                ok &= seg.iter().all(|&b| b == (from * 16 + r) as u8);
+            for shift in 1..n {
+                let from = (r + n - shift) % n;
+                let mut buf = vec![0u8; count(from, r)];
+                let info = c.recv(Some(from), Some(3), &mut buf);
+                ok &= info.len as usize == buf.len();
+                ok &= buf.iter().all(|&b| b == (from * 16 + r) as u8);
+            }
+            for s in sends {
+                c.wait_send(s);
             }
             ok
         });

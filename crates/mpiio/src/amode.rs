@@ -2,8 +2,8 @@
 //!
 //! Note the paper's §5.4 point on `MPI_MODE_UNIQUE_OPEN`: the benchmark
 //! must *not* set it even though files are opened uniquely, because it
-//! would allow an implementation to defer `sync` to close. We model the
-//! flag but never set it in the benchmark.
+//! would allow an implementation to defer `sync` to close. The modes
+//! here have no such flag.
 
 /// Access mode flags.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -14,8 +14,6 @@ pub struct AMode {
     /// Truncate existing contents at open.
     pub truncate: bool,
     pub delete_on_close: bool,
-    /// Promise that no other open accesses the file concurrently.
-    pub unique_open: bool,
 }
 
 impl AMode {
@@ -28,7 +26,6 @@ impl AMode {
             create: true,
             truncate: true,
             delete_on_close: false,
-            unique_open: false,
         }
     }
 
@@ -40,7 +37,6 @@ impl AMode {
             create: false,
             truncate: false,
             delete_on_close: false,
-            unique_open: false,
         }
     }
 
@@ -52,7 +48,6 @@ impl AMode {
             create: false,
             truncate: false,
             delete_on_close: false,
-            unique_open: false,
         }
     }
 
@@ -64,17 +59,11 @@ impl AMode {
             create: true,
             truncate: false,
             delete_on_close: false,
-            unique_open: false,
         }
     }
 
     pub fn with_delete_on_close(mut self) -> Self {
         self.delete_on_close = true;
-        self
-    }
-
-    pub fn with_unique_open(mut self) -> Self {
-        self.unique_open = true;
         self
     }
 }
@@ -95,7 +84,7 @@ mod tests {
 
     #[test]
     fn builders_set_flags() {
-        let m = AMode::read_only().with_delete_on_close().with_unique_open();
-        assert!(m.delete_on_close && m.unique_open);
+        let m = AMode::read_only().with_delete_on_close();
+        assert!(m.delete_on_close);
     }
 }

@@ -164,9 +164,8 @@ impl MpiFile {
 
     // ----- explicit offset / individual pointer ----------------------------
 
-    /// `MPI_File_write_at` (view-linear offset). Returns bytes written.
-    /// Noncontiguous requests use data sieving when the `ds_write` hint
-    /// is set; otherwise one backend call per segment.
+    /// `MPI_File_write_at` (view-linear offset). Returns bytes written;
+    /// one backend call per segment.
     pub fn write_at(&mut self, comm: &mut Comm, voffset: u64, data: &[u8]) -> u64 {
         let segs = self.view.map_range(voffset, data.len() as u64);
         self.write_segs(comm, &segs, data)
@@ -174,10 +173,6 @@ impl MpiFile {
 
     /// [`write_at`](Self::write_at) to `segs`, the view's map of it.
     pub(crate) fn write_segs(&mut self, comm: &mut Comm, segs: &[Segment], data: &[u8]) -> u64 {
-        if segs.len() > 1 && self.hints.ds_write {
-            let buffer = self.hints.ds_buffer_size.max(1);
-            return self.sieved_write(comm, segs, data, buffer);
-        }
         let mut done = 0usize;
         for &(phys, len) in segs {
             self.raw_write(comm, phys, &data[done..done + len as usize]);
@@ -240,17 +235,6 @@ impl MpiFile {
             v
         };
         self.write_at(comm, v, data)
-    }
-
-    /// `MPI_File_read_shared` (noncollective).
-    pub fn read_shared(&mut self, comm: &mut Comm, buf: &mut [u8]) -> u64 {
-        let v = {
-            let mut p = self.shared.lock();
-            let v = *p;
-            *p += buf.len() as u64;
-            v
-        };
-        self.read_at(comm, v, buf)
     }
 
     /// `MPI_File_write_ordered` (collective): ranks write at the shared

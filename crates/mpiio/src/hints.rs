@@ -23,10 +23,6 @@ pub struct Hints {
     /// Data sieving for noncollective noncontiguous *reads*
     /// (ROMIO `romio_ds_read`; on by default).
     pub ds_read: bool,
-    /// Data sieving for noncollective noncontiguous *writes* — turns
-    /// them into read-modify-writes (ROMIO `romio_ds_write`; off by
-    /// default, like ROMIO on most filesystems).
-    pub ds_write: bool,
     /// Sieving window size (`ind_rd_buffer_size`).
     pub ds_buffer_size: u64,
 }
@@ -39,7 +35,6 @@ impl Default for Hints {
             cb_nodes: 0,
             force_two_phase: false,
             ds_read: true,
-            ds_write: false,
             ds_buffer_size: 4 * 1024 * 1024,
         }
     }
@@ -53,7 +48,6 @@ impl ToJson for Hints {
             .field("cb_nodes", &self.cb_nodes)
             .field("force_two_phase", &self.force_two_phase)
             .field("ds_read", &self.ds_read)
-            .field("ds_write", &self.ds_write)
             .field("ds_buffer_size", &self.ds_buffer_size)
             .build()
     }
@@ -97,7 +91,7 @@ mod tests {
     #[test]
     fn sieving_defaults_follow_romio() {
         let h = Hints::default();
-        assert!(h.ds_read && !h.ds_write);
+        assert!(h.ds_read);
         assert!(h.ds_buffer_size > 0);
     }
 }

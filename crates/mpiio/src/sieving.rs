@@ -1,11 +1,7 @@
 //! Data sieving (ROMIO's optimization for *noncollective* noncontiguous
-//! access): instead of one filesystem request per tiny hole-separated
-//! segment, read a whole contiguous window and scatter from it — and
-//! for writes, read-modify-write the window.
-//!
-//! Defaults follow ROMIO: sieving is on for reads and off for writes
-//! (write sieving turns clean writes into read-modify-writes, which is
-//! only a win for very fragmented access).
+//! reads): instead of one filesystem request per tiny hole-separated
+//! segment, read a whole contiguous window and scatter from it. On by
+//! default, as in ROMIO. Writes are not sieved.
 
 use crate::file::MpiFile;
 use crate::view::Segment;
@@ -37,9 +33,9 @@ pub(crate) fn plan_windows(segs: &[Segment], buffer: u64) -> Vec<(std::ops::Rang
 
 impl MpiFile {
     /// Sieved noncollective read: read whole windows, scatter the
-    /// segments out of them. `data_off` positions follow the segment
-    /// order. Returns bytes read (caller guarantees the view range is
-    /// within EOF or tolerates zero-fill).
+    /// segments out of them into `buf` in segment order. Returns bytes
+    /// read (caller guarantees the view range is within EOF or
+    /// tolerates zero-fill).
     pub(crate) fn sieved_read(
         &mut self,
         comm: &mut Comm,
@@ -48,15 +44,9 @@ impl MpiFile {
         buffer: u64,
     ) -> u64 {
         let copy = comm.copies_payload();
+        // windows cover the segments in order, so the bytes done so far
+        // are the next segment's position in `buf`
         let mut done = 0u64;
-        let mut seg_data_off = vec![0u64; segs.len()];
-        {
-            let mut acc = 0;
-            for (i, s) in segs.iter().enumerate() {
-                seg_data_off[i] = acc;
-                acc += s.1;
-            }
-        }
         for (range, start, len) in plan_windows(segs, buffer) {
             if copy {
                 let mut window = vec![0u8; len as usize];
@@ -64,49 +54,12 @@ impl MpiFile {
                 for i in range {
                     let (phys, slen) = segs[i];
                     let w = (phys - start) as usize;
-                    let d = seg_data_off[i] as usize;
+                    let d = done as usize;
                     buf[d..d + slen as usize].copy_from_slice(&window[w..w + slen as usize]);
                     done += slen;
                 }
             } else {
                 self.raw_read_len(comm, start, len);
-                done += range.map(|i| segs[i].1).sum::<u64>();
-            }
-        }
-        done
-    }
-
-    /// Sieved noncollective write: read-modify-write whole windows.
-    pub(crate) fn sieved_write(
-        &mut self,
-        comm: &mut Comm,
-        segs: &[Segment],
-        data: &[u8],
-        buffer: u64,
-    ) -> u64 {
-        let copy = comm.copies_payload();
-        let mut done = 0u64;
-        let mut data_off = 0u64;
-        let mut offsets = Vec::with_capacity(segs.len());
-        for s in segs {
-            offsets.push(data_off);
-            data_off += s.1;
-        }
-        for (range, start, len) in plan_windows(segs, buffer) {
-            if copy {
-                let mut window = vec![0u8; len as usize];
-                self.raw_read(comm, start, &mut window); // fetch existing bytes
-                for i in range {
-                    let (phys, slen) = segs[i];
-                    let w = (phys - start) as usize;
-                    let d = offsets[i] as usize;
-                    window[w..w + slen as usize].copy_from_slice(&data[d..d + slen as usize]);
-                    done += slen;
-                }
-                self.raw_write(comm, start, &window);
-            } else {
-                self.raw_read_len(comm, start, len);
-                self.raw_write_len(comm, start, len);
                 done += range.map(|i| segs[i].1).sum::<u64>();
             }
         }

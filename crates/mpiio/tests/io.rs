@@ -284,42 +284,6 @@ fn sieved_read_roundtrips_strided_data() {
 }
 
 #[test]
-fn sieved_write_matches_per_segment_write() {
-    // with ds_write on, a strided noncollective write must produce the
-    // same file contents as the plain per-segment path
-    let run = |ds_write: bool| -> Vec<u8> {
-        let (w, io) = sim_world(2);
-        let io2 = Arc::clone(&io);
-        let out = w.run(move |c| {
-            let n = c.size() as u64;
-            let l = 128u64;
-            let hints = Hints { ds_write, ..Hints::default() };
-            let mut f =
-                MpiFile::open(c, &io2, "dsw", AMode::read_write_create(), hints).unwrap();
-            // lay down a background pattern so RMW has bytes to preserve
-            if c.rank() == 0 {
-                f.set_view(FileView::Contiguous { disp: 0 });
-                f.write_at(c, 0, &vec![0xEE; (8 * n * l) as usize]);
-                f.sync(c);
-            }
-            c.barrier();
-            f.set_view(FileView::Strided { disp: c.rank() as u64 * l, block: l, stride: n * l });
-            let data: Vec<u8> = (0..4 * l).map(|i| (i as u8) ^ (c.rank() as u8)).collect();
-            f.write_at(c, 0, &data);
-            f.sync(c);
-            c.barrier();
-            let mut whole = vec![0u8; (8 * n * l) as usize];
-            f.set_view(FileView::Contiguous { disp: 0 });
-            f.read_at(c, 0, &mut whole);
-            f.close(c);
-            whole
-        });
-        out.into_iter().next().unwrap()
-    };
-    assert_eq!(run(true), run(false));
-}
-
-#[test]
 fn sieving_reduces_virtual_read_time_for_fragmented_access() {
     let n = 2usize;
     let net = Arc::new(MachineNet::new(Topology::Crossbar { procs: n }, NetParams::default()));

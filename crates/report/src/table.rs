@@ -36,12 +36,6 @@ impl Table {
         self
     }
 
-    /// Convenience: a row from displayable items.
-    pub fn row_display<T: std::fmt::Display>(&mut self, cells: &[T]) -> &mut Self {
-        let v: Vec<String> = cells.iter().map(|c| c.to_string()).collect();
-        self.row(&v)
-    }
-
     pub fn is_empty(&self) -> bool {
         self.rows.is_empty()
     }
@@ -105,13 +99,6 @@ mod tests {
         assert!(lines[0].starts_with("name"));
         assert!(lines[2].starts_with("a "));
         assert!(lines[3].ends_with("12345"));
-    }
-
-    #[test]
-    fn row_display_works() {
-        let mut t = Table::new(&["x"]);
-        t.row_display(&[42]);
-        assert!(t.render().contains("42"));
     }
 
     #[test]

@@ -41,7 +41,7 @@ use crate::cache::{CacheStats, Cached, ResultCache};
 use crate::journal::{Extent, Journal, JournalError, Recovery};
 use crate::pool::SessionPool;
 use crate::spec::{digest_of, JobSpec, SpecError};
-use crate::wire::{self, WireError};
+use crate::wire;
 use beff_bench::resilient::ResilientRunner;
 use beff_json::Json;
 use beff_machines::Machine;
@@ -406,7 +406,7 @@ impl Server {
             }
             Some(fault) => {
                 let net = sized.network();
-                let plan = fault.to_fault_spec().materialize(&net);
+                let plan = fault.materialize(&net);
                 let runner = ResilientRunner::on_net(net, spec.procs, plan);
                 Ok(beff_json::to_string(&runner.run(&cfg)))
             }
@@ -582,10 +582,6 @@ fn outcome_body(outcome: &Result<Outcome, SpecError>) -> String {
 pub(crate) fn error_body(message: &str) -> String {
     format!("{{\"error\":{}}}", beff_json::to_string(message))
 }
-
-// Keep the wire error type reachable from this module's docs.
-#[allow(unused_imports)]
-use WireError as _WireErrorForDocs;
 
 #[cfg(test)]
 mod tests {

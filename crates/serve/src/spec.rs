@@ -15,7 +15,7 @@
 //! insert) therefore never leaks into the cache key; the property
 //! tests in `tests/canonical.rs` pin this.
 
-use beff_core::beff::BeffConfig;
+use beff_core::beff::{BeffConfig, DEFAULT_SEED};
 use beff_faults::FaultSpec;
 use beff_json::{Json, ToJson};
 use beff_machines::Machine;
@@ -51,88 +51,6 @@ impl Schedule {
     }
 }
 
-/// Deterministic fault plan attached to a job: the
-/// [`FaultSpec`](beff_faults::FaultSpec) surface, minus `io_slow`
-/// (the server runs b_eff, which prices no filesystem traffic).
-#[derive(Debug, Clone, PartialEq)]
-pub struct FaultCfg {
-    pub seed: u64,
-    /// Overall severity in `0.0..=1.0`.
-    pub severity: f64,
-    pub degrade: bool,
-    pub flapping: bool,
-    pub stragglers: usize,
-    pub drops: bool,
-    pub crashes: usize,
-    pub dead_links: usize,
-}
-
-impl FaultCfg {
-    /// No fault classes enabled (still seeded).
-    pub fn none(seed: u64) -> Self {
-        Self {
-            seed,
-            severity: 0.0,
-            degrade: false,
-            flapping: false,
-            stragglers: 0,
-            drops: false,
-            crashes: 0,
-            dead_links: 0,
-        }
-    }
-
-    /// Is every fault class disabled? (Then the clean pooled path is
-    /// bit-identical and the session pool may serve the job.)
-    pub fn is_empty(&self) -> bool {
-        !self.degrade
-            && !self.flapping
-            && self.stragglers == 0
-            && !self.drops
-            && self.crashes == 0
-            && self.dead_links == 0
-    }
-
-    /// The materializable fault spec.
-    pub fn to_fault_spec(&self) -> FaultSpec {
-        let mut s = FaultSpec::none(self.seed).with_severity(self.severity);
-        if self.degrade {
-            s = s.degrade();
-        }
-        if self.flapping {
-            s = s.flapping();
-        }
-        if self.stragglers > 0 {
-            s = s.stragglers(self.stragglers);
-        }
-        if self.drops {
-            s = s.drops();
-        }
-        if self.crashes > 0 {
-            s = s.crashes(self.crashes);
-        }
-        if self.dead_links > 0 {
-            s = s.dead_links(self.dead_links);
-        }
-        s
-    }
-}
-
-impl ToJson for FaultCfg {
-    fn to_json(&self) -> Json {
-        Json::object()
-            .field("seed", &self.seed)
-            .field("severity", &self.severity)
-            .field("degrade", &self.degrade)
-            .field("flapping", &self.flapping)
-            .field("stragglers", &self.stragglers)
-            .field("drops", &self.drops)
-            .field("crashes", &self.crashes)
-            .field("dead_links", &self.dead_links)
-            .build()
-    }
-}
-
 /// One benchmark query: which machine, how many ranks, which schedule,
 /// which seeds, which faults.
 #[derive(Debug, Clone, PartialEq)]
@@ -146,8 +64,10 @@ pub struct JobSpec {
     pub seed: u64,
     /// Measure the non-averaged diagnostic patterns too.
     pub extras: bool,
-    /// Optional fault plan; `None` is the clean path.
-    pub fault: Option<FaultCfg>,
+    /// Optional fault plan; `None` is the clean path. `io_slow` is
+    /// refused by [`resolve`](Self::resolve): b_eff prices no
+    /// filesystem traffic, and the canonical key does not name it.
+    pub fault: Option<FaultSpec>,
 }
 
 impl JobSpec {
@@ -158,7 +78,7 @@ impl JobSpec {
             machine: machine.to_string(),
             procs,
             schedule: Schedule::Quick,
-            seed: 0xB0EF,
+            seed: DEFAULT_SEED,
             extras: false,
             fault: None,
         }
@@ -179,7 +99,7 @@ impl JobSpec {
         self
     }
 
-    pub fn with_fault(mut self, fault: FaultCfg) -> Self {
+    pub fn with_fault(mut self, fault: FaultSpec) -> Self {
         self.fault = Some(fault);
         self
     }
@@ -198,8 +118,9 @@ impl JobSpec {
 
     /// Resolve and validate against the machine catalog: the machine
     /// must exist, the partition must fit it (and respect SMP node
-    /// granularity), and fault severity must be in range. Returns the
-    /// machine model *sized for the partition*.
+    /// granularity), fault severity must be in range, and the fault plan
+    /// must not slow the filesystem. Returns the machine model *sized
+    /// for the partition*.
     pub fn resolve(&self) -> Result<Machine, SpecError> {
         let machine = beff_machines::by_key(&self.machine)
             .ok_or_else(|| SpecError::UnknownMachine(self.machine.clone()))?;
@@ -214,6 +135,9 @@ impl JobSpec {
         if let Some(f) = &self.fault {
             if !(0.0..=1.0).contains(&f.severity) {
                 return Err(SpecError::BadSeverity(f.severity));
+            }
+            if f.io_slow {
+                return Err(SpecError::IoFault);
             }
         }
         Ok(machine.sized_for(self.procs))
@@ -244,9 +168,9 @@ impl JobSpec {
         let mut machine: Option<String> = None;
         let mut procs: Option<usize> = None;
         let mut schedule = Schedule::Quick;
-        let mut seed: u64 = 0xB0EF;
+        let mut seed = DEFAULT_SEED;
         let mut extras = false;
-        let mut fault: Option<FaultCfg> = None;
+        let mut fault: Option<FaultSpec> = None;
         for (name, value) in fields {
             match name.as_str() {
                 "machine" => machine = Some(as_str(value, "machine")?.to_string()),
@@ -286,17 +210,32 @@ impl ToJson for JobSpec {
             .field("schedule", self.schedule.as_str())
             .field("seed", &self.seed)
             .field("extras", &self.extras)
-            .field("fault", &self.fault)
+            .raw("fault", self.fault.as_ref().map_or(Json::Null, fault_json))
             .build()
     }
 }
 
-fn fault_from_json(v: &Json) -> Result<FaultCfg, SpecError> {
+/// A fault plan's wire form: every [`FaultSpec`] field but `io_slow`,
+/// which [`JobSpec::resolve`] refuses.
+fn fault_json(f: &FaultSpec) -> Json {
+    Json::object()
+        .field("seed", &f.seed)
+        .field("severity", &f.severity)
+        .field("degrade", &f.degrade)
+        .field("flapping", &f.flapping)
+        .field("stragglers", &f.stragglers)
+        .field("drops", &f.drops)
+        .field("crashes", &f.crashes)
+        .field("dead_links", &f.dead_links)
+        .build()
+}
+
+fn fault_from_json(v: &Json) -> Result<FaultSpec, SpecError> {
     let fields = match v {
         Json::Obj(fields) => fields,
         _ => return Err(SpecError::Malformed("fault must be a JSON object or null".into())),
     };
-    let mut f = FaultCfg::none(0);
+    let mut f = FaultSpec::none(0);
     for (name, value) in fields {
         match name.as_str() {
             "seed" => f.seed = as_u64(value, "fault.seed")?,
@@ -357,6 +296,9 @@ pub enum SpecError {
     BadProcs { procs: usize, max: usize },
     NotNodeGranular { procs: usize, ppn: usize },
     BadSeverity(f64),
+    /// The fault plan slows the filesystem (`io_slow`), which b_eff
+    /// never touches.
+    IoFault,
     /// Wire-shape problems: wrong types, unknown fields, bad JSON.
     Malformed(String),
     /// Shed at admission: the bounded queue (or batch frame) was full.
@@ -386,6 +328,9 @@ impl fmt::Display for SpecError {
             }
             SpecError::BadSeverity(s) => {
                 write!(f, "fault severity {s} out of range (0.0..=1.0)")
+            }
+            SpecError::IoFault => {
+                write!(f, "fault plan sets io_slow, but b_eff prices no filesystem traffic")
             }
             SpecError::Malformed(msg) => write!(f, "malformed spec: {msg}"),
             SpecError::Overloaded { queued, capacity } => {
@@ -452,8 +397,8 @@ mod tests {
 
     #[test]
     fn seed_bit_changes_the_key() {
-        let a = JobSpec::new("t3e", 16).with_seed(0xB0EF);
-        let b = JobSpec::new("t3e", 16).with_seed(0xB0EF ^ 1);
+        let a = JobSpec::new("t3e", 16).with_seed(DEFAULT_SEED);
+        let b = JobSpec::new("t3e", 16).with_seed(DEFAULT_SEED ^ 1);
         assert_ne!(a.canonical_key(), b.canonical_key());
     }
 
@@ -486,16 +431,23 @@ mod tests {
             Err(SpecError::NotNodeGranular { ppn: 8, .. })
         ));
         let mut bad = JobSpec::new("t3e", 16);
-        bad.fault = Some(FaultCfg { severity: 1.5, ..FaultCfg::none(1) });
+        bad.fault = Some(FaultSpec { severity: 1.5, ..FaultSpec::none(1) });
         assert!(matches!(bad.resolve(), Err(SpecError::BadSeverity(_))));
     }
 
     #[test]
+    fn resolve_refuses_a_filesystem_fault() {
+        // b_eff prices no filesystem traffic, and the key does not name
+        // `io_slow`: the plan is refused, not silently run without it
+        let fault = FaultSpec::none(1).with_severity(0.5);
+        let spec = JobSpec::new("t3e", 16).with_fault(fault.clone().io_slow());
+        assert!(matches!(spec.resolve(), Err(SpecError::IoFault)));
+        assert!(JobSpec::new("t3e", 16).with_fault(fault).resolve().is_ok());
+    }
+
+    #[test]
     fn json_round_trip_preserves_the_spec() {
-        let mut f = FaultCfg::none(9);
-        f.severity = 0.5;
-        f.degrade = true;
-        f.stragglers = 2;
+        let f = FaultSpec::none(9).with_severity(0.5).degrade().stragglers(2);
         let spec = JobSpec::new("sr2201", 16)
             .with_schedule(Schedule::Paper)
             .with_seed(42)

@@ -5,7 +5,8 @@
 
 use beff_check::{check, Gen};
 use beff_json::Json;
-use beff_serve::{FaultCfg, JobSpec, Schedule};
+use beff_faults::FaultSpec;
+use beff_serve::{JobSpec, Schedule};
 
 /// A random valid-shaped spec (machine keys drawn from the catalog
 /// names; validity against partition bounds is irrelevant to keying).
@@ -17,7 +18,7 @@ fn arbitrary_spec(g: &mut Gen) -> JobSpec {
     }
     spec = spec.with_seed(g.u64(0..=u64::MAX)).with_extras(g.bool());
     if g.bool() {
-        let mut f = FaultCfg::none(g.u64(0..=u64::MAX));
+        let mut f = FaultSpec::none(g.u64(0..=u64::MAX));
         f.severity = g.unit_f64();
         f.degrade = g.bool();
         f.flapping = g.bool();
@@ -101,7 +102,7 @@ fn one_seed_bit_misses() {
 fn one_fault_seed_bit_misses() {
     check("one_fault_seed_bit_misses", |g| {
         let mut spec = arbitrary_spec(g);
-        let mut fault = spec.fault.clone().unwrap_or_else(|| FaultCfg::none(g.u64(0..=1 << 40)));
+        let mut fault = spec.fault.clone().unwrap_or_else(|| FaultSpec::none(g.u64(0..=1 << 40)));
         spec = spec.clone().with_fault(fault.clone());
         let before = spec.canonical_key();
         fault.seed ^= 1u64 << g.u32(0..=63);
@@ -121,4 +122,27 @@ fn distinct_specs_get_distinct_keys() {
             assert_eq!(a.canonical_key(), b.canonical_key());
         }
     });
+}
+
+#[test]
+fn fixed_faulted_spec_key_is_pinned() -> Result<(), Box<dyn std::error::Error>> {
+    // every field, and all eight fault fields, away from its default:
+    // these strings are what caches and journals hold
+    let wire = concat!(
+        r#"{"machine":"sr2201","procs":16,"schedule":"paper","seed":42,"extras":true,"#,
+        r#""fault":{"seed":64023,"severity":0.75,"degrade":true,"flapping":true,"#,
+        r#""stragglers":3,"drops":true,"crashes":1,"dead_links":2}}"#
+    );
+    let spec = JobSpec::from_json(&beff_json::parse(wire)?)?;
+    assert_eq!(beff_json::to_string(&spec), wire, "the wire form keeps the field order");
+    assert_eq!(
+        spec.canonical_key(),
+        concat!(
+            r#"{"extras":true,"fault":{"crashes":1,"dead_links":2,"degrade":true,"drops":true,"#,
+            r#""flapping":true,"seed":64023,"severity":0.75,"stragglers":3},"machine":"sr2201","#,
+            r#""procs":16,"schedule":"paper","seed":42}"#
+        )
+    );
+    assert_eq!(spec.key_digest(), "b4f3799dbf42e9a4");
+    Ok(())
 }

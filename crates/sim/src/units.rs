@@ -43,17 +43,6 @@ pub fn fmt_bytes(b: u64) -> String {
     }
 }
 
-/// Format a bandwidth in MByte/s with a sensible precision.
-pub fn fmt_mbps(v: f64) -> String {
-    if v >= 100.0 {
-        format!("{v:.0}")
-    } else if v >= 10.0 {
-        format!("{v:.1}")
-    } else {
-        format!("{v:.2}")
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -84,12 +73,5 @@ mod tests {
         assert_eq!(fmt_bytes(MB), "1 MB");
         assert_eq!(fmt_bytes(1), "1 B");
         assert_eq!(fmt_bytes(1025), "1025 B");
-    }
-
-    #[test]
-    fn fmt_mbps_precision() {
-        assert_eq!(fmt_mbps(330.4), "330");
-        assert_eq!(fmt_mbps(39.25), "39.2");
-        assert_eq!(fmt_mbps(1.234), "1.23");
     }
 }

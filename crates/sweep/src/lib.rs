@@ -14,8 +14,8 @@
 //! absence of a `beff-mpi` edge is machine-enforced by
 //! `beff-analyze`'s layering rule.
 //!
-//! The fault seed defaults to [`DEFAULT_SEED`] ("STORAGE") and honors
-//! the `BEFF_FAULT_SEED` environment override like every fault plan;
+//! The fault seed defaults to [`DEFAULT_SEED`] ("STORAGE"; the
+//! `storage_sweep` command lets `BEFF_FAULT_SEED` override it);
 //! [`check_invariants`] holds the harness invariants — the whole report
 //! replays byte-identically, degraded scenarios are not faster than the
 //! clean one, and the crash scenario reports exactly the planned dead

@@ -1,9 +1,8 @@
 //! The chaos sweep: run the fixed fault-scenario matrix through the
 //! resilient driver and write the stability/harness report.
 //!
-//! * the fault seed defaults to `0xC4A05` and is overridable by
-//!   `--seed` or the `BEFF_FAULT_SEED` environment variable (the same
-//!   replay knob every fault plan honors);
+//! * the fault seed is `--seed` when given, else `BEFF_FAULT_SEED`,
+//!   else `0xC4A05`;
 //! * exit is non-zero when a **harness invariant** breaks (a scenario
 //!   hangs — impossible by construction, but this is where it would
 //!   surface — replay is not byte-identical, a severity family is not

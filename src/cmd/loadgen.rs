@@ -22,8 +22,9 @@
 
 use super::MixRng;
 use crate::cli::{workers, Args, Fail};
+use beff_faults::FaultSpec;
 use beff_json::Json;
-use beff_serve::{Admission, FaultCfg, JobSpec, Server};
+use beff_serve::{Admission, JobSpec, Server};
 use std::fmt::Write as _;
 
 /// Seed of the query mix (the mix itself is part of the benchmark
@@ -189,7 +190,7 @@ pub fn run(args: &Args, out: &mut String) -> Result<(), Fail> {
 /// The fixed spec universe: small partitions across machine families,
 /// one faulted spec, and the 512-rank hero last.
 fn ladder(hero_procs: usize) -> Vec<JobSpec> {
-    let mut fault = FaultCfg::none(7);
+    let mut fault = FaultSpec::none(7);
     fault.severity = 0.5;
     fault.degrade = true;
     vec![

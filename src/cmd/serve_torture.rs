@@ -39,12 +39,12 @@
 
 use super::MixRng;
 use crate::cli::{workers, Args, Fail};
+use beff_faults::FaultSpec;
 use beff_json::Json;
 use beff_serve::journal::{self, Journal};
 use beff_serve::wire::{self, MemStream};
 use beff_serve::{
-    digest_of, fnv1a64, serve_connection, Admission, ConnClose, FaultCfg, JobSpec, Server,
-    SpecError,
+    digest_of, fnv1a64, serve_connection, Admission, ConnClose, JobSpec, Server, SpecError,
 };
 use beff_sim::Workers;
 use std::fmt::Write as _;
@@ -334,7 +334,7 @@ fn fault_storm_scenario(workers: Workers) -> Json {
     let mut rng = MixRng::new(TORTURE_SEED ^ 0xF417);
     let specs: Vec<JobSpec> = (0..6)
         .map(|i| {
-            let mut fault = FaultCfg::none(500 + i);
+            let mut fault = FaultSpec::none(500 + i);
             fault.severity = (rng.below(9) + 1) as f64 / 10.0;
             fault.degrade = rng.below(2) == 0;
             JobSpec::new("t3e", 16).with_seed(600 + i).with_fault(fault)

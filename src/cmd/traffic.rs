@@ -7,7 +7,7 @@
 //! traffic stays identical.
 
 use crate::cli::{Args, Fail};
-use beff_core::beff::{rank_patterns, Method, Transfers};
+use beff_core::beff::{rank_patterns, Method, Transfers, DEFAULT_SEED};
 use beff_machines::t3e;
 use beff_mpi::World;
 use beff_netsim::{traffic_report, TrafficReport, MB};
@@ -23,7 +23,7 @@ fn run_pattern(
     let net2 = std::sync::Arc::clone(&net);
     let times = World::sim_partition(net, procs).run(|c| {
         // the last pattern of each family is its one big ring
-        let mut patterns = rank_patterns(c.size(), c.rank(), 0xB0EF);
+        let mut patterns = rank_patterns(c.size(), c.rank(), DEFAULT_SEED);
         let (_, (left, right)) = patterns.swap_remove(if random { 11 } else { 5 });
         let mut tr = Transfers::new(c, MB);
         c.barrier();
