@@ -161,7 +161,7 @@ pub const UNWRAP_BUDGETS: &[(&str, u32)] = &[
     ("machines", 6),
     ("mpi", 10),
     ("mpiio", 12),
-    ("netsim", 7),
+    ("netsim", 5),
     ("pfs", 3),
     ("report", 4),
     ("serve", 130),
@@ -266,7 +266,6 @@ pub const PANICFLOW_BUDGETS: &[(&str, u32)] = &[
     ("json", 9),
     ("machines", 1),
     ("mpi", 6),
-    ("netsim", 1),
     ("sim", 12),
 ];
 

@@ -33,7 +33,6 @@ pub fn ibm_sp() -> Machine {
             port: Tier::new(2.0e-6, 500.0),
             node_mem: Tier::new(0.2e-6, 450.0),
             hop: Tier::new(0.0, 1e9),
-            membus: Tier::new(0.5e-6, 1_000.0),
             nic: Tier::new(10.0e-6, 133.0),
             backplane: None,
             contention: 1.0,

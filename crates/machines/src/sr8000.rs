@@ -36,7 +36,6 @@ fn base(nodes: usize, placement: Placement, key: &'static str, name: &'static st
             port: Tier::new(1.0e-6, 820.0),
             node_mem: Tier::new(0.3e-6, 810.0), // per-rank bank lane
             hop: Tier::new(0.0, 1e9), // unused
-            membus: Tier::new(0.1e-6, 8_500.0), // informational (not routed)
             // Split NIC cost: a 20 us per-message setup (head delay,
             // overlapped once streams pipeline) over a ~1.1 GB/s link.
             // The earlier single constant (1 950 MB/s) compensated FIFO

@@ -34,7 +34,6 @@ pub fn t3e() -> Machine {
             port: Tier::new(1.0e-6, 332.0),
             node_mem: Tier::new(0.2e-6, 428.0),
             hop: Tier::new(0.15e-6, 600.0),
-            membus: Tier::new(0.0, 1e9), // unused on a torus
             nic: Tier::new(0.0, 1e9),
             backplane: None,
             // Adaptive-routed torus under all-to-all random traffic

@@ -31,7 +31,6 @@ pub fn sx5() -> Machine {
             port: Tier::new(3.0e-6, 21_000.0),
             node_mem: Tier::new(0.3e-6, 19_400.0),
             hop: Tier::new(0.0, 1e9),
-            membus: Tier::new(0.0, 1e9),
             nic: Tier::new(0.0, 1e9),
             backplane: None,
             contention: 1.0,
@@ -74,7 +73,6 @@ pub fn sx4() -> Machine {
             port: Tier::new(2.0e-6, 9_000.0),
             node_mem: Tier::new(0.4e-6, 6_600.0),
             hop: Tier::new(0.0, 1e9),
-            membus: Tier::new(0.0, 1e9),
             nic: Tier::new(0.0, 1e9),
             // shared memory ports: the crossbar's aggregate saturates
             // only near the full 16-proc partition (ring demand at
@@ -108,7 +106,6 @@ pub fn sr2201() -> Machine {
             port: Tier::new(4.0e-6, 250.0),
             node_mem: Tier::new(1.0e-6, 190.0),
             hop: Tier::new(0.0, 1e9),
-            membus: Tier::new(0.0, 1e9),
             nic: Tier::new(0.0, 1e9),
             backplane: None,
             contention: 1.0,
@@ -133,7 +130,6 @@ pub fn hpv() -> Machine {
             port: Tier::new(3.0e-6, 600.0),
             node_mem: Tier::new(0.5e-6, 500.0),
             hop: Tier::new(0.0, 1e9),
-            membus: Tier::new(0.0, 1e9),
             nic: Tier::new(0.0, 1e9),
             // the shared memory system tops out before 7 ports do, and
             // bus arbitration under 7 contending processors costs a
@@ -161,7 +157,6 @@ pub fn sv1() -> Machine {
             port: Tier::new(2.0e-6, 1_000.0),
             node_mem: Tier::new(0.3e-6, 1_150.0),
             hop: Tier::new(0.0, 1e9),
-            membus: Tier::new(0.0, 1e9),
             nic: Tier::new(0.0, 1e9),
             // ping-pong streams at ~1 GB/s, but 15 concurrent pairs
             // saturate the shared memory subsystem at ~4.8 GB/s — a

@@ -19,7 +19,7 @@
 //! memory bandwidth saturates before the per-proc ports do (classic
 //! shared-memory SMPs like the HP-V).
 //!
-//! Shared resources (torus hops, NICs, node buses, the backplane) can
+//! Shared resources (torus hops, NICs, the backplane) can
 //! additionally run in **fair-share contention mode**
 //! ([`NetParams::contention`]): queued traffic is billed `factor` × its
 //! serial time, so K simultaneous streams share the wire at
@@ -79,15 +79,12 @@ pub struct NetParams {
     pub node_mem: Tier,
     /// Ring/torus hop.
     pub hop: Tier,
-    /// Reserved: SMP node bus aggregate (currently not routed — the
-    /// per-rank NodeMem lanes bound node throughput; see topology docs).
-    pub membus: Tier,
     /// SMP node NIC (both directions).
     pub nic: Tier,
     /// Optional machine-wide aggregate bandwidth ceiling.
     pub backplane: Option<Tier>,
     /// Fair-share contention factor for *shared* resources (torus hops,
-    /// NICs, node buses, the backplane — see [`LinkKind::is_shared`]):
+    /// NICs, the backplane — see [`LinkKind::is_shared`]):
     /// a message that has to queue behind other traffic occupies
     /// `factor` × its serial time, so K simultaneous streams share the
     /// wire at `bandwidth / factor` aggregate while a lone stream still
@@ -108,7 +105,6 @@ impl Default for NetParams {
             port: Tier::new(2e-6, 300.0),
             node_mem: Tier::new(0.0, 330.0),
             hop: Tier::new(0.5e-6, 1000.0),
-            membus: Tier::new(1e-6, 800.0),
             nic: Tier::new(5e-6, 150.0),
             backplane: None,
             contention: 1.0,
@@ -125,7 +121,6 @@ impl ToJson for NetParams {
             .field("port", &self.port)
             .field("node_mem", &self.node_mem)
             .field("hop", &self.hop)
-            .field("membus", &self.membus)
             .field("nic", &self.nic)
             .field("backplane", &self.backplane)
             .field("contention", &self.contention)
@@ -139,7 +134,6 @@ impl NetParams {
             LinkKind::PortOut | LinkKind::PortIn => self.port,
             LinkKind::NodeMem => self.node_mem,
             LinkKind::Hop => self.hop,
-            LinkKind::MemBus => self.membus,
             LinkKind::NicOut | LinkKind::NicIn => self.nic,
         }
     }
@@ -231,12 +225,6 @@ impl MachineNet {
         &self.ledger
     }
 
-    /// Compute the link path for a message (delegates to the topology).
-    #[inline]
-    pub fn route_into(&self, src: usize, dst: usize, path: &mut Vec<usize>) {
-        self.topo.route_into(src, dst, path);
-    }
-
     /// Price a transfer along a precomputed full `path` (empty =
     /// self-message) with the last byte handed to the network at
     /// `inject`. Prefer the split
@@ -314,9 +302,7 @@ impl MachineNet {
     /// Route + price in one call (allocates; hot paths should cache the
     /// route and call [`price`](Self::price)).
     pub fn transfer(&self, src: usize, dst: usize, bytes: u64, inject: Secs) -> Transfer {
-        let mut path = Vec::new();
-        self.topo.route_into(src, dst, &mut path);
-        self.price(&path, bytes, inject)
+        self.price(&self.topo.route(src, dst), bytes, inject)
     }
 
     /// Clear all link occupancy (tests / between independent runs).
@@ -557,8 +543,7 @@ mod tests {
     #[test]
     fn price_with_cached_route_matches_transfer() {
         let net = MachineNet::new(Topology::Torus2D { dims: [4, 4] }, NetParams::default());
-        let mut path = Vec::new();
-        net.route_into(3, 9, &mut path);
+        let path = net.topology().route(3, 9);
         let a = net.price(&path, MB, 0.0);
         net.reset();
         let b = net.transfer(3, 9, MB, 0.0);

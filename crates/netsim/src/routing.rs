@@ -41,8 +41,8 @@ impl SplitRoute {
 }
 
 /// Lock-hierarchy position of the route table (DESIGN.md §8). A miss
-/// computes the route under it; `route_split_into` takes no lock, so
-/// nothing is acquired under it.
+/// computes the route under it; routing takes no lock, so nothing is
+/// acquired under it.
 static ROUTES_RANK: Rank = Rank::new(70, "netsim.routes");
 
 /// Machine-wide, lazily-memoized all-pairs route table.
@@ -66,15 +66,18 @@ impl RouteTable {
         Self { routes: Mutex::ranked(&ROUTES_RANK, BTreeMap::new()) }
     }
 
-    /// The split route from `src` to `dst` (both halves empty for
-    /// self-messages), computing and memoizing it on first use.
+    /// The route from `src` to `dst` split before its
+    /// [`Topology::ingress`] tail (both halves empty for self-messages),
+    /// computed and memoized on first use.
     pub fn split(&self, topo: &Topology, src: usize, dst: usize) -> Arc<SplitRoute> {
         let mut routes = self.routes.lock();
         let route = routes.entry((src as u32, dst as u32)).or_insert_with(|| {
-            let mut e = Vec::new();
-            let mut i = Vec::new();
-            topo.route_split_into(src, dst, &mut e, &mut i);
-            Arc::new(SplitRoute { egress: e.into_boxed_slice(), ingress: i.into_boxed_slice() })
+            let mut egress = topo.route(src, dst);
+            let ingress = egress.split_off(egress.len() - topo.ingress(src, dst).len());
+            Arc::new(SplitRoute {
+                egress: egress.into_boxed_slice(),
+                ingress: ingress.into_boxed_slice(),
+            })
         });
         Arc::clone(route)
     }
@@ -100,10 +103,7 @@ mod tests {
         for s in 0..16 {
             for d in 0..16 {
                 let sr = table.split(&topo, s, d);
-                let (mut e, mut i) = (Vec::new(), Vec::new());
-                topo.route_split_into(s, d, &mut e, &mut i);
-                assert_eq!(&*sr.egress, e.as_slice(), "{s}->{d}");
-                assert_eq!(&*sr.ingress, i.as_slice(), "{s}->{d}");
+                assert_eq!(&*sr.ingress, &*topo.ingress(s, d), "{s}->{d}");
                 assert_eq!(sr.full(), topo.route(s, d), "{s}->{d}");
             }
         }

@@ -29,13 +29,12 @@ impl ToJson for KindStats {
 }
 
 /// A traffic report over all link kinds.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct TrafficReport {
     pub port_out: KindStats,
     pub port_in: KindStats,
     pub node_mem: KindStats,
     pub hop: KindStats,
-    pub membus: KindStats,
     pub nic_out: KindStats,
     pub nic_in: KindStats,
 }
@@ -47,7 +46,6 @@ impl ToJson for TrafficReport {
             .field("port_in", &self.port_in)
             .field("node_mem", &self.node_mem)
             .field("hop", &self.hop)
-            .field("membus", &self.membus)
             .field("nic_out", &self.nic_out)
             .field("nic_in", &self.nic_in)
             .build()
@@ -61,7 +59,6 @@ impl TrafficReport {
             + self.port_in.bytes
             + self.node_mem.bytes
             + self.hop.bytes
-            + self.membus.bytes
             + self.nic_out.bytes
             + self.nic_in.bytes
     }
@@ -79,41 +76,24 @@ impl TrafficReport {
 /// Collect a traffic report from a machine's links.
 pub fn traffic_report(net: &MachineNet) -> TrafficReport {
     let topo = net.topology();
-    // BTreeMap: aggregation walks in kind-index order, so the report is
-    // structurally ordered rather than hasher-ordered.
-    let mut kinds = std::collections::BTreeMap::new();
     let ledger = net.ledger();
+    let mut r = TrafficReport::default();
     for i in 0..net.links().len() {
-        let k = topo.link_kind(i);
-        let e = kinds.entry(kind_index(k)).or_insert(KindStats::default());
+        let e = match topo.link_kind(i) {
+            LinkKind::PortOut => &mut r.port_out,
+            LinkKind::PortIn => &mut r.port_in,
+            LinkKind::NodeMem => &mut r.node_mem,
+            LinkKind::Hop => &mut r.hop,
+            LinkKind::NicOut => &mut r.nic_out,
+            LinkKind::NicIn => &mut r.nic_in,
+        };
         e.links += 1;
         let bytes = ledger.bytes_carried(i);
         e.bytes += bytes;
         e.messages += ledger.messages_carried(i);
         e.max_link_bytes = e.max_link_bytes.max(bytes);
     }
-    let get = |k: LinkKind| kinds.get(&kind_index(k)).copied().unwrap_or_default();
-    TrafficReport {
-        port_out: get(LinkKind::PortOut),
-        port_in: get(LinkKind::PortIn),
-        node_mem: get(LinkKind::NodeMem),
-        hop: get(LinkKind::Hop),
-        membus: get(LinkKind::MemBus),
-        nic_out: get(LinkKind::NicOut),
-        nic_in: get(LinkKind::NicIn),
-    }
-}
-
-fn kind_index(k: LinkKind) -> u8 {
-    match k {
-        LinkKind::PortOut => 0,
-        LinkKind::PortIn => 1,
-        LinkKind::NodeMem => 2,
-        LinkKind::Hop => 3,
-        LinkKind::MemBus => 4,
-        LinkKind::NicOut => 5,
-        LinkKind::NicIn => 6,
-    }
+    r
 }
 
 #[cfg(test)]

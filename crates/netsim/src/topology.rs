@@ -19,9 +19,10 @@
 //! * [`Topology::Ring`] / [`Topology::Torus2D`] / [`Topology::Torus3D`]
 //!   — direct networks with dimension-order routing over per-hop links
 //!   plus the per-node ports (Cray T3E is an 8×8×8 torus),
-//! * [`Topology::SmpCluster`] — nodes with `ppn` processes each, a
-//!   shared memory bus inside the node and NIC in/out ports between
-//!   nodes over a contention-free switch (Hitachi SR 8000, IBM SP).
+//! * [`Topology::SmpCluster`] — nodes with `ppn` processes each, one
+//!   memory lane per process inside the node and NIC in/out ports
+//!   between nodes over a contention-free switch (Hitachi SR 8000,
+//!   IBM SP).
 
 use beff_json::{Json, ToJson};
 
@@ -52,8 +53,6 @@ pub enum LinkKind {
     NodeMem,
     /// One directed hop of a ring/torus.
     Hop,
-    /// Shared memory bus of one SMP node (aggregate over its ranks).
-    MemBus,
     /// NIC transmit port of one node.
     NicOut,
     /// NIC receive port of one node.
@@ -66,11 +65,10 @@ impl LinkKind {
     /// contention billing ([`crate::model::NetParams::contention`])
     /// applies only to shared kinds: a lone rank streaming back-to-back
     /// through its own port pays no arbitration overhead, but torus
-    /// hops, SMP node buses and NICs carry traffic from many agents and
-    /// do.
+    /// hops and SMP NICs carry traffic from many agents and do.
     pub fn is_shared(self) -> bool {
         match self {
-            LinkKind::Hop | LinkKind::MemBus | LinkKind::NicOut | LinkKind::NicIn => true,
+            LinkKind::Hop | LinkKind::NicOut | LinkKind::NicIn => true,
             LinkKind::PortOut | LinkKind::PortIn | LinkKind::NodeMem => false,
         }
     }
@@ -141,53 +139,40 @@ impl Topology {
         }
     }
 
-    /// Number of distinct links (dense link-id space `0..num_links()`).
+    /// Number of distinct links (dense link-id space `0..num_links()`):
+    /// per proc a port-out, a port-in and a node memory, then per proc
+    /// and torus dimension a `+` and a `-` hop, or per SMP node a NIC-out
+    /// and a NIC-in.
     pub fn num_links(&self) -> usize {
+        let n = self.procs();
         match *self {
-            Topology::Crossbar { procs } => 3 * procs,
-            Topology::Ring { procs } => 5 * procs,
-            Topology::Torus2D { dims } => 7 * dims[0] * dims[1],
-            Topology::Torus3D { dims } => 9 * dims[0] * dims[1] * dims[2],
-            Topology::SmpCluster { nodes, ppn, .. } => 3 * nodes * ppn + 2 * nodes,
+            Topology::SmpCluster { nodes, .. } => 3 * n + 2 * nodes,
+            _ => (3 + 2 * self.dims().len()) * n,
         }
     }
 
     /// Role of a link id (for per-kind cost parameters).
     pub fn link_kind(&self, link: usize) -> LinkKind {
-        fn endpoint(link: usize, n: usize) -> Option<LinkKind> {
-            if link < n {
-                Some(LinkKind::PortOut)
-            } else if link < 2 * n {
-                Some(LinkKind::PortIn)
-            } else if link < 3 * n {
-                Some(LinkKind::NodeMem)
-            } else {
-                None
-            }
+        debug_assert!(link < self.num_links(), "{self:?} has no link {link}");
+        let n = self.procs();
+        match (link / n, self) {
+            (0, _) => LinkKind::PortOut,
+            (1, _) => LinkKind::PortIn,
+            (2, _) => LinkKind::NodeMem,
+            (_, Topology::SmpCluster { nodes, .. }) if link < 3 * n + nodes => LinkKind::NicOut,
+            (_, Topology::SmpCluster { .. }) => LinkKind::NicIn,
+            _ => LinkKind::Hop,
         }
-        match *self {
-            Topology::Crossbar { procs } => endpoint(link, procs).expect("crossbar link id"),
-            Topology::Ring { procs } => endpoint(link, procs).unwrap_or(LinkKind::Hop),
-            Topology::Torus2D { dims } => {
-                endpoint(link, dims[0] * dims[1]).unwrap_or(LinkKind::Hop)
-            }
-            Topology::Torus3D { dims } => {
-                endpoint(link, dims[0] * dims[1] * dims[2]).unwrap_or(LinkKind::Hop)
-            }
-            Topology::SmpCluster { nodes, ppn, .. } => {
-                let p = nodes * ppn;
-                if link < p {
-                    LinkKind::PortOut
-                } else if link < 2 * p {
-                    LinkKind::PortIn
-                } else if link < 3 * p {
-                    LinkKind::NodeMem
-                } else if link < 3 * p + nodes {
-                    LinkKind::NicOut
-                } else {
-                    LinkKind::NicIn
-                }
-            }
+    }
+
+    /// Torus side lengths, X first: a ring is a 1-D torus; a crossbar
+    /// or an SMP cluster has no hop links.
+    fn dims(&self) -> &[usize] {
+        match self {
+            Topology::Ring { procs } => std::slice::from_ref(procs),
+            Topology::Torus2D { dims } => dims,
+            Topology::Torus3D { dims } => dims,
+            Topology::Crossbar { .. } | Topology::SmpCluster { .. } => &[],
         }
     }
 
@@ -196,162 +181,61 @@ impl Topology {
         match *self {
             Topology::SmpCluster { nodes, ppn, placement } => match placement {
                 Placement::Sequential => rank / ppn,
-                Placement::RoundRobin => {
-                    debug_assert!(ppn > 0);
-                    rank % nodes
-                }
+                Placement::RoundRobin => rank % nodes,
             },
             _ => rank,
         }
     }
 
     /// Append the links a message from `src` to `dst` traverses, in
-    /// order, to `path`. `src == dst` yields an empty path (local copy,
-    /// priced separately by the model).
+    /// order, to `path`: the sender's port-out and node memory, the
+    /// torus hops in dimension order (X first, shortest direction per
+    /// dimension), the sender node's NIC-out when the message leaves an
+    /// SMP node, then its [`ingress`](Self::ingress). `src == dst`
+    /// yields an empty path (local copy, priced separately by the
+    /// model).
     pub fn route_into(&self, src: usize, dst: usize, path: &mut Vec<usize>) {
         path.clear();
         if src == dst {
             return;
         }
-        match *self {
-            Topology::Crossbar { procs } => {
-                path.push(src); // port out
-                path.push(2 * procs + src); // node memory (send side)
-                path.push(2 * procs + dst); // node memory (recv side)
-                path.push(procs + dst); // port in
+        let n = self.procs();
+        path.push(src);
+        path.push(2 * n + src);
+        // dimension d's `+` and `-` hops are link blocks 3 + 2d and
+        // 4 + 2d, indexed by the node the hop leaves
+        let (mut node, mut stride) = (src, 1);
+        for (d, &len) in self.dims().iter().enumerate() {
+            let (mut cur, to) = ((src / stride) % len, (dst / stride) % len);
+            while cur != to {
+                let (next, dir) = step(cur, to, len);
+                path.push((3 + 2 * d + dir) * n + node);
+                node = node - cur * stride + next * stride;
+                cur = next;
             }
-            Topology::Ring { procs } => {
-                path.push(src);
-                path.push(2 * procs + src);
-                route_dim(src, dst, procs, 3 * procs, 4 * procs, path);
-                path.push(2 * procs + dst);
-                path.push(procs + dst);
-            }
-            Topology::Torus2D { dims } => {
-                let n = dims[0] * dims[1];
-                path.push(src);
-                path.push(2 * n + src);
-                let (sx, sy) = (src % dims[0], src / dims[0]);
-                let (dx, dy) = (dst % dims[0], dst / dims[0]);
-                // dimension-order: X first, then Y
-                let mut cur = (sx, sy);
-                while cur.0 != dx {
-                    let (nx, dir) = step(cur.0, dx, dims[0]);
-                    let node = cur.1 * dims[0] + cur.0;
-                    path.push(3 * n + dir * n + node);
-                    cur.0 = nx;
-                }
-                while cur.1 != dy {
-                    let (ny, dir) = step(cur.1, dy, dims[1]);
-                    let node = cur.1 * dims[0] + cur.0;
-                    path.push(3 * n + (2 + dir) * n + node);
-                    cur.1 = ny;
-                }
-                path.push(2 * n + dst);
-                path.push(n + dst);
-            }
-            Topology::Torus3D { dims } => {
-                let n = dims[0] * dims[1] * dims[2];
-                path.push(src);
-                path.push(2 * n + src);
-                let coord =
-                    |r: usize| (r % dims[0], (r / dims[0]) % dims[1], r / (dims[0] * dims[1]));
-                let (mut cx, mut cy, mut cz) = coord(src);
-                let (dx, dy, dz) = coord(dst);
-                let node = |x: usize, y: usize, z: usize| z * dims[0] * dims[1] + y * dims[0] + x;
-                while cx != dx {
-                    let (nx, dir) = step(cx, dx, dims[0]);
-                    path.push(3 * n + dir * n + node(cx, cy, cz));
-                    cx = nx;
-                }
-                while cy != dy {
-                    let (ny, dir) = step(cy, dy, dims[1]);
-                    path.push(3 * n + (2 + dir) * n + node(cx, cy, cz));
-                    cy = ny;
-                }
-                while cz != dz {
-                    let (nz, dir) = step(cz, dz, dims[2]);
-                    path.push(3 * n + (4 + dir) * n + node(cx, cy, cz));
-                    cz = nz;
-                }
-                path.push(2 * n + dst);
-                path.push(n + dst);
-            }
-            Topology::SmpCluster { nodes, ppn, .. } => {
-                let p = nodes * ppn;
-                let sn = self.node_of(src);
-                let dn = self.node_of(dst);
-                path.push(src); // port out
-                path.push(2 * p + src); // sender memory lane (banked)
-                if sn != dn {
-                    path.push(3 * p + sn); // NIC out
-                    path.push(3 * p + nodes + dn); // NIC in
-                }
-                path.push(2 * p + dst); // receiver memory lane
-                path.push(p + dst); // port in
-            }
+            stride *= len;
         }
+        if matches!(self, Topology::SmpCluster { .. }) && self.node_of(src) != self.node_of(dst) {
+            path.push(3 * n + self.node_of(src));
+        }
+        path.extend_from_slice(&self.ingress(src, dst));
     }
 
-    /// Split a route into the **egress** part (booked by the sender:
-    /// its port-out, its node memory, the network hops) and the
-    /// **ingress** part (booked by the *receiver* when it drains the
-    /// message: destination node memory and port-in). Booking ingress
+    /// The tail of [`route_into`](Self::route_into)'s route that the
+    /// *receiver* books when it drains the message: the destination's
+    /// node memory and port-in, after its node's NIC-in when the message
+    /// crosses SMP nodes; none for a self-message. The sender books the
+    /// rest (its port-out and node memory, the network). Booking ingress
     /// on the receiver's thread keeps each rank's endpoint resources
     /// scheduled by a single thread, which packs them tightly — the
-    /// behaviour of real DMA/memory systems.
+    /// behaviour of real DMA/memory systems. By arithmetic alone: no
+    /// route is walked, so a receive needs no route cache.
     ///
-    /// Note the intra-node SMP case books the node bus twice (send-side
-    /// copy in egress, receive-side copy in ingress): message passing
-    /// over shared memory costs two memory transits, which is why the
-    /// paper observes "half of the memory-to-memory copy bandwidth" on
-    /// SMPs.
-    pub fn route_split_into(
-        &self,
-        src: usize,
-        dst: usize,
-        egress: &mut Vec<usize>,
-        ingress: &mut Vec<usize>,
-    ) {
-        egress.clear();
-        ingress.clear();
-        if src == dst {
-            return;
-        }
-        match *self {
-            Topology::Crossbar { procs } => {
-                egress.push(src);
-                egress.push(2 * procs + src);
-                ingress.push(2 * procs + dst);
-                ingress.push(procs + dst);
-            }
-            Topology::Ring { .. } | Topology::Torus2D { .. } | Topology::Torus3D { .. } => {
-                // reuse the full route and split off the fixed-size tail
-                self.route_into(src, dst, egress);
-                let tail = egress.split_off(egress.len() - 2);
-                ingress.extend_from_slice(&tail);
-            }
-            Topology::SmpCluster { nodes, ppn, .. } => {
-                let p = nodes * ppn;
-                let sn = self.node_of(src);
-                let dn = self.node_of(dst);
-                egress.push(src); // port out
-                egress.push(2 * p + src); // sender memory lane
-                if sn != dn {
-                    egress.push(3 * p + sn); // NIC out
-                    ingress.push(3 * p + nodes + dn); // NIC in
-                }
-                ingress.push(2 * p + dst); // receiver memory lane
-                ingress.push(p + dst); // port in
-            }
-        }
-    }
-
-    /// The ingress half of [`route_split_into`](Self::route_split_into)
-    /// by arithmetic alone: the destination's node memory and port-in,
-    /// after its node's NIC-in when the message crosses SMP nodes; none
-    /// for a self-message. No route is walked, so a receive needs no
-    /// route cache.
+    /// An intra-node SMP message thus books node memory twice (the
+    /// sender's lane before the split, the receiver's after it): message
+    /// passing over shared memory costs two memory transits, which is
+    /// why the paper observes "half of the memory-to-memory copy
+    /// bandwidth" on SMPs.
     pub fn ingress(&self, src: usize, dst: usize) -> Ingress {
         let n = self.procs();
         let (mem, port) = (2 * n + dst, n + dst);
@@ -369,14 +253,6 @@ impl Topology {
         let mut p = Vec::new();
         self.route_into(src, dst, &mut p);
         p
-    }
-
-    /// Number of network hops (Hop-kind links) between two ranks.
-    pub fn hops(&self, src: usize, dst: usize) -> usize {
-        self.route(src, dst)
-            .into_iter()
-            .filter(|&l| self.link_kind(l) == LinkKind::Hop)
-            .count()
     }
 }
 
@@ -408,28 +284,14 @@ fn step(cur: usize, dst: usize, len: usize) -> (usize, usize) {
     }
 }
 
-/// Route along a 1-D ring: shortest direction, one link per hop.
-/// Link ids: `plus_base + node` for the +1 direction, `minus_base +
-/// node` for the -1 direction.
-fn route_dim(
-    src: usize,
-    dst: usize,
-    len: usize,
-    plus_base: usize,
-    minus_base: usize,
-    path: &mut Vec<usize>,
-) {
-    let mut cur = src;
-    while cur != dst {
-        let (next, dir) = step(cur, dst, len);
-        path.push(if dir == 0 { plus_base + cur } else { minus_base + cur });
-        cur = next;
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Number of network hops (Hop-kind links) between two ranks.
+    fn hops(t: &Topology, src: usize, dst: usize) -> usize {
+        t.route(src, dst).into_iter().filter(|&l| t.link_kind(l) == LinkKind::Hop).count()
+    }
 
     #[test]
     fn crossbar_route_is_ports_and_memories() {
@@ -450,9 +312,9 @@ mod tests {
         assert_eq!(t.route(0, 1), vec![0, 16, 24, 17, 9]);
         // -dir hop block starts at 4*8 = 32
         assert_eq!(t.route(0, 7), vec![0, 16, 32, 23, 15]);
-        assert_eq!(t.hops(0, 4), 4);
-        assert_eq!(t.hops(0, 3), 3);
-        assert_eq!(t.hops(0, 5), 3); // wraps backwards
+        assert_eq!(hops(&t, 0, 4), 4);
+        assert_eq!(hops(&t, 0, 3), 3);
+        assert_eq!(hops(&t, 0, 5), 3); // wraps backwards
     }
 
     #[test]
@@ -486,10 +348,10 @@ mod tests {
     fn torus3d_distance_is_manhattan_with_wrap() {
         let t = Topology::Torus3D { dims: [8, 8, 8] };
         assert_eq!(t.procs(), 512);
-        assert_eq!(t.hops(0, 7), 1); // x: 0->7 wraps backwards
-        assert_eq!(t.hops(0, 4), 4); // x: halfway, 4 hops
+        assert_eq!(hops(&t, 0, 7), 1); // x: 0->7 wraps backwards
+        assert_eq!(hops(&t, 0, 4), 4); // x: halfway, 4 hops
         let far = 4 + 4 * 8 + 4 * 64; // coords (4,4,4)
-        assert_eq!(t.hops(0, far), 12);
+        assert_eq!(hops(&t, 0, far), 12);
     }
 
     #[test]
@@ -497,7 +359,7 @@ mod tests {
         let t = Topology::Torus3D { dims: [4, 4, 4] };
         for src in 0..64 {
             for dst in 0..64 {
-                assert!(t.hops(src, dst) <= 6, "{src}->{dst}");
+                assert!(hops(&t, src, dst) <= 6, "{src}->{dst}");
             }
         }
     }
@@ -507,7 +369,7 @@ mod tests {
         // Ring pattern on MPI_COMM_WORLD maps well onto a row-major torus:
         // this is why ring patterns beat random patterns on the T3E.
         let t = Topology::Torus3D { dims: [8, 8, 8] };
-        let close = (0..511).filter(|&r| t.hops(r, r + 1) == 1).count();
+        let close = (0..511).filter(|&r| hops(&t, r, r + 1) == 1).count();
         assert!(close >= 448, "only {close} adjacent consecutive pairs");
     }
 
@@ -548,67 +410,35 @@ mod tests {
     }
 
     #[test]
-    fn all_topologies_route_within_link_space() {
-        let topos = [
-            Topology::Crossbar { procs: 5 },
-            Topology::Ring { procs: 7 },
-            Topology::Torus2D { dims: [3, 5] },
-            Topology::Torus3D { dims: [2, 3, 4] },
-            Topology::SmpCluster { nodes: 3, ppn: 4, placement: Placement::RoundRobin },
-        ];
-        for t in &topos {
-            let n = t.procs();
-            for s in 0..n {
-                for d in 0..n {
-                    for l in t.route(s, d) {
-                        assert!(l < t.num_links(), "{t:?} {s}->{d} link {l}");
-                    }
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn route_split_partitions_resources() {
+    fn every_route_ends_with_its_ingress() {
+        // what RouteTable::split cuts at: the receiver books the tail
+        let smp = |placement| Topology::SmpCluster { nodes: 2, ppn: 4, placement };
         let topos = [
             Topology::Crossbar { procs: 6 },
             Topology::Ring { procs: 6 },
             Topology::Torus2D { dims: [3, 2] },
             Topology::Torus3D { dims: [2, 2, 2] },
+            smp(Placement::Sequential),
+            smp(Placement::RoundRobin),
         ];
         for t in &topos {
             let n = t.procs();
             for s in 0..n {
                 for d in 0..n {
-                    let (mut e, mut i) = (Vec::new(), Vec::new());
-                    t.route_split_into(s, d, &mut e, &mut i);
-                    if s == d {
-                        assert!(e.is_empty() && i.is_empty());
-                        continue;
-                    }
-                    // egress + ingress == full route for non-SMP shapes
-                    let mut full = e.clone();
-                    full.extend_from_slice(&i);
-                    assert_eq!(full, t.route(s, d), "{t:?} {s}->{d}");
-                    assert_eq!(t.link_kind(i[0]), LinkKind::NodeMem);
-                    assert_eq!(t.link_kind(*i.last().unwrap()), LinkKind::PortIn);
+                    let ingress = t.ingress(s, d);
+                    assert!(t.route(s, d).ends_with(&ingress), "{t:?} {s}->{d}");
+                    assert_eq!(ingress.is_empty(), s == d, "{t:?} {s}->{d}");
                 }
             }
         }
-    }
-
-    #[test]
-    fn smp_split_books_both_memory_lanes() {
-        let t = Topology::SmpCluster { nodes: 2, ppn: 4, placement: Placement::Sequential };
-        let (mut e, mut i) = (Vec::new(), Vec::new());
-        t.route_split_into(0, 1, &mut e, &mut i);
-        // egress: out(0), lane(0)=16; ingress: lane(1)=17, in(1)=9
-        assert_eq!(e, vec![0, 16]);
-        assert_eq!(i, vec![17, 8 + 1]);
-        // inter-node: NICs split across the halves
-        t.route_split_into(0, 4, &mut e, &mut i);
-        assert_eq!(e, vec![0, 16, 24]);
-        assert_eq!(i, vec![26 + 1, 16 + 4, 8 + 4]);
+        // intra-node SMP: the sender's lane(0)=16 before the split, the
+        // receiver's lane(1)=17 and in(1)=9 after it
+        let t = smp(Placement::Sequential);
+        assert_eq!(t.route(0, 1), vec![0, 16, 17, 9]);
+        assert_eq!(t.ingress(0, 1)[..], [17, 9]);
+        // inter-node: NIC-out(0)=24 before the split, NIC-in(1)=27 after
+        assert_eq!(t.route(0, 4), vec![0, 16, 24, 27, 20, 12]);
+        assert_eq!(t.ingress(0, 4)[..], [27, 20, 12]);
     }
 
     #[test]

@@ -28,19 +28,13 @@ fn routes_stay_in_link_space_and_split_consistently() {
         let topo = gen_topology(g);
         let n = topo.procs();
         let (src, dst) = (g.usize(0..=999) % n, g.usize(0..=999) % n);
-        for l in topo.route(src, dst) {
+        let (route, ingress) = (topo.route(src, dst), topo.ingress(src, dst));
+        for &l in &route {
             ensure!(l < topo.num_links());
         }
-        let (mut e, mut i) = (Vec::new(), Vec::new());
-        topo.route_split_into(src, dst, &mut e, &mut i);
-        for l in e.iter().chain(i.iter()) {
-            ensure!(*l < topo.num_links());
-        }
-        if src == dst {
-            ensure!(e.is_empty() && i.is_empty());
-        } else {
-            ensure!(!e.is_empty() && !i.is_empty());
-        }
+        ensure!(route.ends_with(&ingress));
+        ensure_eq!(ingress.is_empty(), src == dst);
+        ensure!(route.len() > ingress.len() || src == dst);
     });
 }
 
@@ -64,10 +58,9 @@ fn topology_of(v: usize, procs: usize, g: &mut Gen) -> Topology {
 fn ingress_by_arithmetic_is_the_ingress_half_of_the_split_route() {
     check("ingress by arithmetic is the ingress half of the split route", |g| {
         let v = g.usize(0..=4);
-        let (mut e, mut i) = (Vec::new(), Vec::new());
-        let mut same = |topo: &Topology, src: usize, dst: usize| {
-            topo.route_split_into(src, dst, &mut e, &mut i);
-            ensure_eq!(&*topo.ingress(src, dst), &i[..], "{topo:?} {src}->{dst}");
+        let same = |topo: &Topology, src: usize, dst: usize| {
+            let ingress = topo.ingress(src, dst);
+            ensure!(topo.route(src, dst).ends_with(&ingress), "{topo:?} {src}->{dst}");
         };
         // every pair up to 64 procs, SMP intra- and inter-node included
         let small = topology_of(v, g.usize(1..=64), g);

@@ -510,17 +510,17 @@ mod tests {
 
     type Log = Vec<(&'static str, usize)>;
 
-    /// The fiber contract, instantiated once per backend.
+    /// The fiber contract, once per backend; the flag is its ON_HOST_THREAD.
     macro_rules! contract_tests {
-        ($backend:ident) => {
+        ($backend:ident, $on_host_thread:expr) => {
             mod $backend {
                 use super::*;
                 use crate::fiber::$backend::FiberSet;
 
-                /// Minimal two-way handoff: host → fiber → host → fiber
-                /// → done.
+                /// Minimal two-way handoff: host → fiber → host → fiber → done.
                 #[test]
                 fn fiber_switches_roundtrip() {
+                    assert_eq!(FiberSet::ON_HOST_THREAD, $on_host_thread);
                     let stack = FiberStack::new(STACK_SIZE);
                     let set = FiberSet::new(1);
                     let hits = AtomicU32::new(0);
@@ -698,8 +698,8 @@ mod tests {
     }
 
     #[cfg(target_arch = "x86_64")]
-    contract_tests!(asm);
-    contract_tests!(threads);
+    contract_tests!(asm, true);
+    contract_tests!(threads, false);
 
     /// Both backends replay the same token order.
     #[cfg(target_arch = "x86_64")]

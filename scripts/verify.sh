@@ -49,8 +49,10 @@ ANALYZE=target/release/analyze
 run_gate "analyze (determinism & safety contract)" 120 \
     "$ANALYZE" --out target/analyze.verify.json
 
+# warnings are errors here: a test-only item nothing reads (or any
+# other warning the test build sees) fails the gate
 run_gate "test (offline)" 900 \
-    cargo test -q --offline --workspace
+    env RUSTFLAGS="-D warnings" cargo test -q --offline --workspace
 
 # the frozen benchmark package (BENCHMARK.json + benchmark/) is a
 # workspace of its own that reaches the crates by path, and a PR that
