@@ -29,6 +29,6 @@ pub use resilient::{
     StabilityReport, WatchdogPolicy,
 };
 pub use result::{BeffResult, ExtraResult, PatternResult};
-pub use rings::{pattern_tables, rank_patterns, ring_sizes, ring_targets, Pattern};
+pub use rings::{pattern_tables, rank_patterns, ring_sizes, ring_targets, Pattern, RingLayout};
 pub use run::{run_beff, BeffConfig, DEFAULT_SEED};
 pub use sizes::{lmax, message_sizes, NUM_SIZES};

@@ -164,7 +164,7 @@ pub fn run_one_pattern(
         result: PatternResult {
             name: pattern.name.clone(),
             random: pattern.random,
-            ring_sizes: pattern.ring_sizes.clone(),
+            ring_sizes: pattern.ring_sizes,
             curve,
         },
         tripped,

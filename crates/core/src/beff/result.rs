@@ -1,6 +1,7 @@
 //! b_eff result assembly: the averaging rule of §4 and the detailed
 //! protocol report.
 
+use super::rings::RingLayout;
 use crate::logavg::{logavg, logavg2, mean};
 use beff_json::{Json, ToJson};
 
@@ -9,7 +10,7 @@ use beff_json::{Json, ToJson};
 pub struct PatternResult {
     pub name: String,
     pub random: bool,
-    pub ring_sizes: Vec<usize>,
+    pub ring_sizes: RingLayout,
     /// Best bandwidth (max over methods and repetitions) per message
     /// size, MByte/s aggregate.
     pub curve: Vec<f64>,
@@ -175,9 +176,10 @@ impl BeffResult {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::beff::rings::ring_sizes;
 
     fn pat(name: &str, random: bool, curve: Vec<f64>) -> PatternResult {
-        PatternResult { name: name.into(), random, ring_sizes: vec![2], curve }
+        PatternResult { name: name.into(), random, ring_sizes: ring_sizes(2, 2), curve }
     }
 
     #[test]

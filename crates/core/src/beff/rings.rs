@@ -8,17 +8,18 @@
 //!
 //! There is one neighbor rule, and a rank applies it to itself: a ring
 //! pattern is arithmetic on [`ring_sizes`] (find the ring that holds the
-//! rank, O(rings), no allocation); a random pattern is the same layout
-//! over a permutation drawn from `Rng64::new(seed)`, six in a row into
-//! one reused scratch buffer, in which the rank looks up its own
-//! position. [`rank_patterns`] is what a rank of `run_beff` keeps —
-//! twelve names, ring layouts and its own pairs, nothing of size n once
-//! it returns — so a simulated world of n ranks costs O(n), not O(n²).
-//! [`pattern_tables`] applies the same rule to every position at once,
-//! for the host (the resilient driver, tests).
+//! rank, O(1) on a layout of at most three runs, no allocation); a
+//! random pattern is the same layout over a permutation drawn from
+//! `Rng64::new(seed)`, six in a row into one reused scratch buffer, in
+//! which the rank looks up its own position. [`rank_patterns`] is what a
+//! rank of `run_beff` keeps — twelve names, ring layouts and its own
+//! pairs, nothing of size n — so a simulated world of n ranks costs
+//! O(n), not O(n²). [`pattern_tables`] applies the same rule to every
+//! position at once, for the host (the resilient driver, tests).
 
 use beff_json::{Json, ToJson};
 use beff_netsim::Rng64;
+use std::fmt;
 
 /// A communication pattern's layout: a descriptive name, whether it
 /// belongs to the random family, and its rings.
@@ -27,7 +28,7 @@ pub struct Pattern {
     pub name: String,
     pub random: bool,
     /// ring sizes, for the protocol report
-    pub ring_sizes: Vec<usize>,
+    pub ring_sizes: RingLayout,
 }
 
 impl ToJson for Pattern {
@@ -37,6 +38,84 @@ impl ToJson for Pattern {
             .field("random", &self.random)
             .field("ring_sizes", &self.ring_sizes)
             .build()
+    }
+}
+
+/// The ring sizes of a layout in ring order, held as runs of equal
+/// sizes: the remainder rules of [`ring_sizes`] never make more than
+/// three runs, so a layout is a few words inline whatever the world
+/// size. It reads, prints (`Debug`) and serializes (`ToJson`) as the
+/// expanded list of sizes.
+#[derive(Clone, Copy, Default, PartialEq, Eq)]
+pub struct RingLayout {
+    /// `(ring size, count)` in ring order; the first `len` are used,
+    /// the rest stay `(0, 0)`.
+    runs: [(usize, usize); 3],
+    len: usize,
+}
+
+/// A run of no rings: pads [`RingLayout::of`]'s three.
+const NO_RUN: (usize, usize) = (0, 0);
+
+impl RingLayout {
+    /// The layout of three runs `(ring size, count)` in ring order: a
+    /// run of no rings is dropped, and a run of the size of the one
+    /// before it joins that one.
+    fn of(runs: [(usize, usize); 3]) -> Self {
+        let mut layout = Self::default();
+        for (size, count) in runs {
+            match layout.runs[..layout.len].last_mut() {
+                _ if count == 0 => {}
+                Some(last) if last.0 == size => last.1 += count,
+                _ => {
+                    layout.runs[layout.len] = (size, count);
+                    layout.len += 1;
+                }
+            }
+        }
+        layout
+    }
+
+    /// The `(ring size, count)` runs, in ring order.
+    pub(crate) fn runs(&self) -> &[(usize, usize)] {
+        &self.runs[..self.len]
+    }
+
+    /// Every ring's size, in ring order.
+    pub fn iter(&self) -> impl Iterator<Item = &usize> + '_ {
+        self.runs().iter().flat_map(|(size, count)| std::iter::repeat_n(size, *count))
+    }
+
+    /// The consecutive rings as position ranges `(base, size)`.
+    fn rings(&self) -> impl Iterator<Item = (usize, usize)> + '_ {
+        self.iter().scan(0, |base, &sz| {
+            *base += sz;
+            Some((*base - sz, sz))
+        })
+    }
+
+    /// The ring holding position `pos`, as `(base, size)`: O(runs).
+    fn ring_at(&self, pos: usize) -> Option<(usize, usize)> {
+        let mut base = 0;
+        for &(size, count) in self.runs() {
+            if pos < base + size * count {
+                return Some((base + (pos - base) / size * size, size));
+            }
+            base += size * count;
+        }
+        None
+    }
+}
+
+impl fmt::Debug for RingLayout {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_list().entries(self.iter()).finish()
+    }
+}
+
+impl ToJson for RingLayout {
+    fn to_json(&self) -> Json {
+        Json::Arr(self.iter().map(ToJson::to_json).collect())
     }
 }
 
@@ -50,47 +129,33 @@ impl ToJson for Pattern {
 ///
 /// Reproduces the published examples: size 4 → "1*3, 1*5, or 2*5";
 /// size 8 → "3*7 … 1*7, 1*9 … 4*9"; 29 = 7+7+7+8; 28 = 4*7.
-pub fn ring_sizes(n: usize, s: usize) -> Vec<usize> {
+pub fn ring_sizes(n: usize, s: usize) -> RingLayout {
     assert!(n >= 1 && s >= 2);
     // Too few ranks for two full rings: one ring holds everyone (the
     // paper's "less or equal 7 → one ring" rule for target 4).
     if n < 2 * s {
-        return vec![n];
+        return RingLayout::of([(n, 1), NO_RUN, NO_RUN]);
     }
     let k = n / s;
     let r = n % s;
     if r == 0 {
-        return vec![s; k];
+        return RingLayout::of([(s, k), NO_RUN, NO_RUN]);
     }
     if r <= s / 2 && r <= k {
         // r rings of s+1, the rest of size s
-        let mut v = vec![s + 1; r];
-        v.extend(std::iter::repeat_n(s, k - r));
-        return v;
+        return RingLayout::of([(s + 1, r), (s, k - r), NO_RUN]);
     }
     if s - r <= k + 1 && s >= 3 {
         // s-r rings of s-1, the rest (k+1-(s-r)) of size s
         let a = s - r;
-        let b = k + 1 - a;
-        let mut v = vec![s; b];
-        v.extend(std::iter::repeat_n(s - 1, a));
-        return v;
+        return RingLayout::of([(s, k + 1 - a), (s - 1, a), NO_RUN]);
     }
     // fallback: rings of s while more than 2s remain, then split the
     // rest into two roughly equal rings (each >= 2)
-    let mut v = Vec::new();
-    let mut left = n;
-    while left > 2 * s {
-        v.push(s);
-        left -= s;
-    }
-    if left > s + 1 {
-        v.push(left / 2);
-        v.push(left - left / 2);
-    } else {
-        v.push(left);
-    }
-    v
+    let full = (n - 2 * s).div_ceil(s);
+    let left = n - full * s;
+    let rest = if left > s + 1 { [(left / 2, 1), (left - left / 2, 1)] } else { [(left, 1), NO_RUN] };
+    RingLayout::of([(s, full), rest[0], rest[1]])
 }
 
 /// The six target ring sizes of the paper for `n` ranks (clamped to
@@ -174,14 +239,6 @@ impl Walk {
     }
 }
 
-/// The consecutive rings of a layout as position ranges `(base, size)`.
-fn rings(sizes: &[usize]) -> impl Iterator<Item = (usize, usize)> + '_ {
-    sizes.iter().scan(0, |base, &sz| {
-        *base += sz;
-        Some((*base - sz, sz))
-    })
-}
-
 /// The twelve patterns as rank `rank` of `n` meets them — the layout of
 /// each and the rank's own (left, right) in it. O(n) time per random
 /// pattern; the one n-entry scratch buffer is gone on return.
@@ -191,9 +248,9 @@ pub fn rank_patterns(n: usize, rank: usize, seed: u64) -> Vec<(Pattern, (usize, 
     std::iter::from_fn(|| {
         let p = walk.step()?;
         let pos = walk.position_of(rank);
-        let ring = rings(&p.ring_sizes).find(|&(base, sz)| pos < base + sz);
         // beff-analyze: allow(unwrap): `ring_sizes(n, _)` sums to n, and pos < n
-        let pair = walk.pair_in(ring.expect("the rings cover every position"), pos);
+        let ring = p.ring_sizes.ring_at(pos).expect("the rings cover every position");
+        let pair = walk.pair_in(ring, pos);
         Some((p, pair))
     })
     .collect()
@@ -207,7 +264,7 @@ pub fn pattern_tables(n: usize, seed: u64) -> Vec<(Pattern, Vec<(usize, usize)>)
     std::iter::from_fn(|| {
         let p = walk.step()?;
         let mut table = vec![(0, 0); n];
-        for ring in rings(&p.ring_sizes) {
+        for ring in p.ring_sizes.rings() {
             for pos in ring.0..ring.0 + ring.1 {
                 table[walk.rank_at(pos)] = walk.pair_in(ring, pos);
             }
@@ -227,6 +284,11 @@ pub fn messages_per_iteration(n: usize) -> u64 {
 mod tests {
     use super::*;
 
+    /// The ring sizes of `ring_sizes(n, s)` as a list.
+    fn sizes(n: usize, s: usize) -> Vec<usize> {
+        ring_sizes(n, s).iter().copied().collect()
+    }
+
     fn check_cover(n: usize, sizes: &[usize]) {
         assert_eq!(sizes.iter().sum::<usize>(), n, "sizes {sizes:?} for n={n}");
         assert!(sizes.iter().all(|&s| s >= 2), "ring of <2: {sizes:?}");
@@ -234,9 +296,9 @@ mod tests {
 
     #[test]
     fn pattern1_rings_of_two_and_three() {
-        assert_eq!(ring_sizes(6, 2), vec![2, 2, 2]);
+        assert_eq!(sizes(6, 2), vec![2, 2, 2]);
         // 7 ranks: paper's example — 0&1, 2&3, 4&5&6
-        let v = ring_sizes(7, 2);
+        let v = sizes(7, 2);
         check_cover(7, &v);
         assert!(v.contains(&3));
         assert_eq!(v.iter().filter(|&&s| s == 2).count(), 2);
@@ -245,33 +307,89 @@ mod tests {
     #[test]
     fn pattern2_remainders_match_paper() {
         // "the last rings may have the sizes 1*3, 1*5, or 2*5"
-        assert_eq!(ring_sizes(9, 4), vec![5, 4]); // 1*5
-        assert_eq!(ring_sizes(10, 4), vec![5, 5]); // 2*5
-        let v = ring_sizes(11, 4); // 1*3
+        assert_eq!(sizes(9, 4), vec![5, 4]); // 1*5
+        assert_eq!(sizes(10, 4), vec![5, 5]); // 2*5
+        let v = sizes(11, 4); // 1*3
         check_cover(11, &v);
         assert!(v.contains(&3));
         // n <= 7: one ring
-        assert_eq!(ring_sizes(7, 4), vec![7]);
-        assert_eq!(ring_sizes(4, 4), vec![4]);
+        assert_eq!(sizes(7, 4), vec![7]);
+        assert_eq!(sizes(4, 4), vec![4]);
     }
 
     #[test]
     fn pattern3_remainders_match_paper() {
         // "3*7, ... 1*7, 1*9, ... 4*9"
-        assert_eq!(ring_sizes(33, 8), vec![9, 8, 8, 8]); // 1*9
-        assert_eq!(ring_sizes(36, 8), vec![9, 9, 9, 9]); // 4*9
-        assert_eq!(ring_sizes(29, 8), vec![8, 7, 7, 7]); // 29 = 7+7+7+8
-        assert_eq!(ring_sizes(28, 8), vec![7, 7, 7, 7]); // 4*7
-        let v = ring_sizes(39, 8); // r=7 -> 1*7
+        assert_eq!(sizes(33, 8), vec![9, 8, 8, 8]); // 1*9
+        assert_eq!(sizes(36, 8), vec![9, 9, 9, 9]); // 4*9
+        assert_eq!(sizes(29, 8), vec![8, 7, 7, 7]); // 29 = 7+7+7+8
+        assert_eq!(sizes(28, 8), vec![7, 7, 7, 7]); // 4*7
+        let v = sizes(39, 8); // r=7 -> 1*7
         check_cover(39, &v);
         assert_eq!(v.iter().filter(|&&s| s == 7).count(), 1);
     }
 
+    /// The remainder rules as a list, one ring at a time: what a
+    /// layout's runs must expand to.
+    fn rule_sizes(n: usize, s: usize) -> Vec<usize> {
+        if n < 2 * s {
+            return vec![n];
+        }
+        let (k, r) = (n / s, n % s);
+        if r == 0 {
+            return vec![s; k];
+        }
+        if r <= s / 2 && r <= k {
+            let mut v = vec![s + 1; r];
+            v.extend(std::iter::repeat_n(s, k - r));
+            return v;
+        }
+        if s - r <= k + 1 && s >= 3 {
+            let a = s - r;
+            let mut v = vec![s; k + 1 - a];
+            v.extend(std::iter::repeat_n(s - 1, a));
+            return v;
+        }
+        let mut v = Vec::new();
+        let mut left = n;
+        while left > 2 * s {
+            v.push(s);
+            left -= s;
+        }
+        if left > s + 1 {
+            v.push(left / 2);
+            v.push(left - left / 2);
+        } else {
+            v.push(left);
+        }
+        v
+    }
+
+    /// Every world size up to 600 under each of its six targets and
+    /// every target from 2 to 40: at most three runs, which cover the
+    /// world in rings of two or more, expand to the rules' list, and
+    /// print and serialize as that list does.
     #[test]
-    fn all_sizes_cover_for_many_n() {
-        for n in 2..=200 {
-            for s in [2, 4, 8, 16, 32] {
-                check_cover(n, &ring_sizes(n, s));
+    fn layouts_are_at_most_three_runs_of_the_rules() {
+        for n in 1..=600usize {
+            for s in ring_targets(n).into_iter().chain(2..=40) {
+                let layout = ring_sizes(n, s);
+                let want = rule_sizes(n, s);
+                assert!(layout.runs().len() <= 3, "n={n} s={s}: {:?}", layout.runs());
+                assert!(layout.runs().iter().all(|&(size, count)| size > 0 && count > 0));
+                assert_eq!(layout.runs().iter().map(|(size, count)| size * count).sum::<usize>(), n);
+                assert_eq!(layout.iter().copied().collect::<Vec<_>>(), want, "n={n} s={s}");
+                if n >= 2 {
+                    check_cover(n, &want);
+                }
+                assert_eq!(format!("{layout:?}"), format!("{want:?}"));
+                assert_eq!(beff_json::to_string_pretty(&layout), beff_json::to_string_pretty(&want));
+                for (base, sz) in layout.rings() {
+                    for pos in base..base + sz {
+                        assert_eq!(layout.ring_at(pos), Some((base, sz)), "n={n} s={s} pos={pos}");
+                    }
+                }
+                assert_eq!(layout.ring_at(n), None);
             }
         }
     }
@@ -295,7 +413,7 @@ mod tests {
             .map(|(order, s): (Vec<usize>, usize)| {
                 let mut out = vec![(usize::MAX, usize::MAX); n];
                 let mut base = 0;
-                for sz in ring_sizes(n, s) {
+                for &sz in ring_sizes(n, s).iter() {
                     for i in 0..sz {
                         let at = |j: usize| order[base + j % sz];
                         out[at(i)] = (at(i + sz - 1), at(i + 1));
@@ -383,7 +501,7 @@ mod tests {
     #[test]
     fn last_pattern_is_one_big_ring() {
         let (p, t) = &pattern_tables(10, 1)[5];
-        assert_eq!(p.ring_sizes, vec![10]);
+        assert_eq!(format!("{:?}", p.ring_sizes), "[10]");
         // in one ring of n, left/right differ for n > 2
         for &(l, r) in t {
             assert_ne!(l, r);

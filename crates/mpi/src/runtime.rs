@@ -271,10 +271,11 @@ impl WorldSession {
         World { n: self.size(), engine: Arc::clone(&self.engine) }
     }
 
-    /// Deepest any rank's fiber stack has been over this session's runs
-    /// so far, in bytes ([`FiberStack::high_water`]).
-    pub fn stack_high_water(&self) -> usize {
-        self.stacks.iter().map(FiberStack::high_water).max().unwrap_or(0)
+    /// The session's fiber stacks, one a rank: how deep its runs have
+    /// dug ([`FiberStack::high_water`]) and whether any overflowed
+    /// ([`FiberStack::deep_page_is_zero`]).
+    pub fn stacks(&self) -> &[FiberStack] {
+        &self.stacks
     }
 
     /// Run `f` on every rank, returning results in rank order. Panics

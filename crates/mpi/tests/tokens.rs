@@ -4,8 +4,9 @@
 //! session survives a faulted run without residue.
 //!
 //! The launcher itself asserts after every drive loop that no fiber is
-//! left suspended and every stack canary is intact, so the tests here
-//! double as end-to-end proofs of that on each exit path.
+//! left suspended and the deepest page of every stack holds only zeros,
+//! so the tests here double as end-to-end proofs of that on each exit
+//! path.
 
 use beff_faults::silence_fault_panics;
 use beff_mpi::{BeffError, ReduceOp, Workers, World};

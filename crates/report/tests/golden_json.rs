@@ -7,7 +7,7 @@
 //! If one of these tests fails, the archive format changed — bump it
 //! deliberately, never by accident.
 
-use beff_core::beff::{BeffResult, ExtraResult, PatternResult};
+use beff_core::beff::{ring_sizes, BeffResult, ExtraResult, PatternResult};
 use beff_core::beffio::{
     AccessMethod, BeffIoResult, MethodRun, PatternDetail, PatternType, TypeRun,
 };
@@ -22,13 +22,13 @@ fn small_beff() -> BeffResult {
             PatternResult {
                 name: "ring-2".into(),
                 random: false,
-                ring_sizes: vec![2],
+                ring_sizes: ring_sizes(2, 2),
                 curve: vec![10.0, 20.5],
             },
             PatternResult {
                 name: "random".into(),
                 random: true,
-                ring_sizes: vec![2],
+                ring_sizes: ring_sizes(2, 2),
                 curve: vec![1.5, 4.0],
             },
         ],

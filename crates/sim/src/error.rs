@@ -8,7 +8,7 @@
 //! `catch_unwind` boundary catches it, and `World::try_run` /
 //! `WorldSession::try_run` downcast it back into a value the driver can
 //! match on. String panics remain reserved for true invariant
-//! violations (fiber stack canary, mailbox protocol bugs): those still
+//! violations (fiber stack overflow, mailbox protocol bugs): those still
 //! propagate as panics and abort the run loudly.
 
 use std::fmt;

@@ -36,10 +36,11 @@
 //!   `catch_unwind` *inside* the fiber and its outcome is a stored
 //!   value; a body that unwinds anyway aborts the process.
 //!
-//! Stacks are [`Pages`] without guard pages, so each carries a canary
-//! at the deep end that the launcher checks after the run. (The thread
-//! backend runs on the OS thread's own guarded stack and takes only
-//! the size from a [`FiberStack`].)
+//! Stacks are [`Pages`] without guard pages, so the launcher checks
+//! after the run that the deepest page of each is still all zeros
+//! ([`FiberStack::deep_page_is_zero`]). (The thread backend runs on the
+//! OS thread's own guarded stack and takes only the size from a
+//! [`FiberStack`].)
 
 use crate::pages::Pages;
 
@@ -57,20 +58,23 @@ pub(crate) use threads::FiberSet;
 /// one contiguous mapping of 16 or 64 KiB stacks, were tried against
 /// this: no resolvable change in a 512-rank job — the TLB is not what a
 /// handoff waits for — so the size and one mapping per stack stay.
+/// The deepest page ([`FiberStack::deep_page_is_zero`]) is the overflow
+/// tripwire: nothing writes it, so it costs no RSS either.
 pub const STACK_SIZE: usize = 1 << 20;
 
-const CANARY: u64 = 0xBEEF_F1BE_57AC_CA4D;
+/// The deep end of a stack that no fiber may reach: one page.
+const DEEP_PAGE: usize = 4096;
 
-/// One fiber stack with a deep-end canary.
+/// One fiber stack, zero until a fiber writes it.
 pub struct FiberStack {
     mem: Pages,
 }
 
 impl FiberStack {
+    /// A fresh stack: nothing is written, so nothing is committed until
+    /// a fiber first runs on it.
     pub fn new(size: usize) -> Self {
-        let mut mem = Pages::zeroed(size);
-        mem[..8].copy_from_slice(&CANARY.to_ne_bytes());
-        Self { mem }
+        Self { mem: Pages::zeroed(size) }
     }
 
     /// `n` stacks of the default [`STACK_SIZE`]: one world's worth.
@@ -78,24 +82,24 @@ impl FiberStack {
         (0..n).map(|_| Self::new(STACK_SIZE)).collect()
     }
 
-    /// Did the fiber ever scribble over the deep end? (No guard pages,
-    /// so this is the overflow tripwire.)
-    pub fn canary_intact(&self) -> bool {
-        // SAFETY: reads the canary word written by `new` at the base of
-        // the live region (aligned to 64 at least); fibers never
-        // legally reach this deep.
-        unsafe { (self.mem.base() as *const u64).read() == CANARY }
+    /// Does the deepest page of the stack still hold only zeros? A
+    /// fiber that wrote anything there has overflowed (there are no
+    /// guard pages). Reading an untouched page maps the kernel's zero
+    /// page, which costs no RSS. Call it with the fiber suspended or
+    /// finished.
+    pub fn deep_page_is_zero(&self) -> bool {
+        let deep = &self.mem[..DEEP_PAGE.min(self.mem.size())];
+        deep.iter().fold(0, |any, &b| any | b) == 0
     }
 
     /// Deepest the fiber ever got: bytes from the top of the stack down
-    /// to the deepest non-zero word, the canary excluded. Call it with
-    /// the fiber suspended or finished. (A stack starts zeroed and
-    /// frames are not cleared on return, so this is a high-water mark
-    /// up to frames that only ever stored zeros at their deep end.)
+    /// to the deepest non-zero word. Call it with the fiber suspended or
+    /// finished. (A stack starts zeroed and frames are not cleared on
+    /// return, so this is a high-water mark up to frames that only ever
+    /// stored zeros at their deep end.)
     pub fn high_water(&self) -> usize {
-        let words = self.mem.chunks_exact(8);
-        let deepest = words.skip(1).position(|w| w != [0; 8]);
-        deepest.map_or(0, |i| self.mem.size() - 8 * (i + 1))
+        let deepest = self.mem.chunks_exact(8).position(|w| w != [0; 8]);
+        deepest.map_or(0, |i| self.mem.size() - 8 * i)
     }
 }
 
@@ -137,8 +141,8 @@ mod asm {
 
         /// Prepare `stack` so the first switch into `rank`
         /// ([`resume`](Self::resume) or [`switch`](Self::switch)) enters
-        /// `body`; when `body` returns the fiber makes its final switch
-        /// to the host.
+        /// `body`; when `body` returns the fiber frees what `start`
+        /// boxed and makes its final switch to the host.
         ///
         /// # Safety
         /// The caller must be the driving host thread, must keep
@@ -151,10 +155,11 @@ mod asm {
             stack: &'a FiberStack,
             body: impl FnOnce() + Send + 'a,
         ) {
+            // the final switch, as `to_host(rank)` makes it, is left to
+            // `fiber_main`, which makes it once this closure is freed
             let entry = move || {
                 body();
-                // SAFETY: runs on rank's own fiber, as its last action.
-                unsafe { self.to_host(rank) };
+                (self.sps[rank].get(), self.host_sp.get().cast_const())
             };
             // SAFETY: the caller keeps `stack` and `entry`'s borrows
             // alive for as long as it resumes this fiber.
@@ -238,6 +243,10 @@ mod asm {
     /// the rank's `RankState` and mailbox as well (16 more lines).
     const PREFETCH_LINES: usize = 16;
 
+    /// The two saved-stack-pointer cells of a fiber's final switch, to
+    /// the host: where to save its own and where to load the host's.
+    type FinalSwitch = (*mut *mut u8, *const *mut u8);
+
     /// Write the initial save area onto `stack` so that switching to
     /// the returned stack pointer enters `body`. The closure is boxed
     /// twice so a single (thin) pointer smuggles it through the
@@ -247,18 +256,18 @@ mod asm {
     /// The caller must keep `stack` alive while the fiber can still be
     /// switched to, and `body`'s borrows alive until it has returned or
     /// the fiber is abandoned.
-    unsafe fn init_fiber(stack: &FiberStack, body: Box<dyn FnOnce() + '_>) -> *mut u8 {
+    unsafe fn init_fiber(stack: &FiberStack, body: Box<dyn FnOnce() -> FinalSwitch + '_>) -> *mut u8 {
         // SAFETY: lifetime erasure only — the fiber is not resumed
         // after the borrowed data dies (see # Safety above), and the
         // box layout is lifetime-free.
-        let body: Box<dyn FnOnce() + 'static> = unsafe { std::mem::transmute(body) };
+        let body: Box<dyn FnOnce() -> FinalSwitch + 'static> = unsafe { std::mem::transmute(body) };
         let closure = Box::into_raw(Box::new(body)) as u64;
 
         // SAFETY: one-past-the-end of the owned allocation, which is
         // explicitly allowed for pointer arithmetic (stacks grow down).
         let top = unsafe { stack.mem.base().add(stack.mem.size()) };
         // SAFETY: all writes land inside `stack`'s allocation (72 bytes
-        // below its top, far above the canary), and the save-area
+        // below its top, far above its deepest page), and the save-area
         // layout matches fiber_switch's asm exactly.
         unsafe {
             // Layout mirrors fiber_switch's save area (see its asm):
@@ -333,10 +342,16 @@ mod asm {
     unsafe extern "sysv64" fn fiber_main(closure: *mut u8) {
         // SAFETY: `closure` is the Box::into_raw pointer parked in r12
         // by init_fiber; ownership transfers here exactly once.
-        let body = unsafe { Box::from_raw(closure as *mut Box<dyn FnOnce()>) };
-        body();
-        // The body's last action was its final switch to the host;
-        // getting here means the host resumed a finished fiber, and
+        let body = unsafe { Box::from_raw(closure as *mut Box<dyn FnOnce() -> FinalSwitch>) };
+        // Calling the body consumes and frees both boxes before it
+        // returns; a body that made the final switch itself would leave
+        // them behind, since nothing ever switches back into it.
+        let (save, load) = body();
+        // SAFETY: the cells of this fiber's rank and of the host, the
+        // switch `to_host(rank)` makes; the host is inside the resume
+        // that saved its cell, and nothing is left on this frame to drop.
+        unsafe { fiber_switch(save, load) };
+        // Getting here means the host resumed a finished fiber, and
         // there is no frame below this one to return into.
         std::process::abort();
     }
@@ -535,7 +550,37 @@ mod tests {
                     assert_eq!(hits.load(Ordering::Relaxed), 1);
                     unsafe { set.resume(0) };
                     assert_eq!(hits.load(Ordering::Relaxed), 11);
-                    assert!(stack.canary_intact());
+                    assert!(stack.deep_page_is_zero());
+                }
+
+                /// The overflow check passes a fresh stack and one a
+                /// fiber has run on, and trips on any non-zero byte in
+                /// the deepest page: its deepest word, its middle, its
+                /// top word and its last byte.
+                #[test]
+                fn a_write_into_the_deep_page_trips_the_overflow_check() {
+                    let run_one = || {
+                        let stack = FiberStack::new(STACK_SIZE);
+                        assert!(stack.deep_page_is_zero(), "a fresh stack");
+                        let set = FiberSet::new(1);
+                        let body = || {
+                            std::hint::black_box([1u64; 64]);
+                        };
+                        unsafe {
+                            set.start(0, &stack, body);
+                            set.resume(0);
+                        }
+                        assert!(stack.deep_page_is_zero(), "a stack a fiber ran on");
+                        stack
+                    };
+                    for at in [0, DEEP_PAGE / 2, DEEP_PAGE - 8, DEEP_PAGE - 1] {
+                        let mut stack = run_one();
+                        stack.mem[at] = 1;
+                        assert!(!stack.deep_page_is_zero(), "a byte at {at}");
+                    }
+                    let mut stack = run_one();
+                    stack.mem[DEEP_PAGE] = 1;
+                    assert!(stack.deep_page_is_zero(), "the page above the deepest");
                 }
 
                 /// Two fibers interleaved through the host in a fixed
@@ -620,7 +665,7 @@ mod tests {
                         log.lock().push(("run", r));
                         unsafe { set.resume(r) };
                     }
-                    assert!(stacks.iter().all(|s| s.canary_intact()));
+                    assert!(stacks.iter().all(|s| s.deep_page_is_zero()));
                     log.into_inner()
                 }
 
@@ -691,7 +736,7 @@ mod tests {
                     };
                     assert_eq!(out.lock().map(f64::to_bits), [want(1.0, 1.5), want(2.0, 0.75)]);
                     assert_eq!(host_acc.to_bits(), want(3.0, 1.25));
-                    assert!(stacks.iter().all(|s| s.canary_intact()));
+                    assert!(stacks.iter().all(|s| s.deep_page_is_zero()));
                 }
             }
         };
@@ -708,9 +753,9 @@ mod tests {
         assert_eq!(asm::replay(), threads::replay());
     }
 
-    /// The high-water mark follows the deepest frame and ignores the
-    /// canary; prefetching a suspended fiber — even one 72 bytes below
-    /// the top of its stack — is a pure hint.
+    /// The high-water mark follows the deepest frame, down to the
+    /// deepest word; prefetching a suspended fiber — even one 72 bytes
+    /// below the top of its stack — is a pure hint.
     #[cfg(target_arch = "x86_64")]
     #[test]
     fn high_water_tracks_the_deepest_frame() {
@@ -719,8 +764,13 @@ mod tests {
             let frame = std::hint::black_box([depth as u64 | 1; 64]);
             if depth == 0 { frame[0] } else { frame[1] + dig(depth - 1) }
         }
+        let mut stack = FiberStack::new(STACK_SIZE);
+        assert_eq!(stack.high_water(), 0, "a fresh stack");
+        stack.mem[8] = 1;
+        assert_eq!(stack.high_water(), STACK_SIZE - 8, "the deepest word but one");
+        stack.mem[0] = 1;
+        assert_eq!(stack.high_water(), STACK_SIZE, "the deepest word");
         let stack = FiberStack::new(STACK_SIZE);
-        assert_eq!(stack.high_water(), 0, "the canary is not depth");
         let set = crate::fiber::asm::FiberSet::new(1);
         let body = || {
             unsafe { set.to_host(0) };
@@ -735,6 +785,6 @@ mod tests {
         unsafe { set.resume(0) };
         let deep = stack.high_water();
         assert!(deep >= shallow + 32 * 64 * 8 && deep < STACK_SIZE / 4, "{shallow} -> {deep}");
-        assert!(stack.canary_intact());
+        assert!(stack.deep_page_is_zero());
     }
 }

@@ -41,7 +41,8 @@
 //!
 //! [`SimScheduler::launch`] is the one way to run a world: start
 //! `body(rank)` for every rank, drive to completion, check that every
-//! fiber reached its final switch and every stack canary is intact.
+//! fiber reached its final switch and that the deepest page of every
+//! stack still holds only zeros.
 //!
 //! State the ranks share is carried between them by locks, and on the
 //! asm backend every rank runs on the driving thread: there a world
@@ -154,7 +155,7 @@ impl SimScheduler {
         let audit = self.audit();
         assert_eq!(audit.live, 0, "fibers left suspended after the drive loop: {audit:?}");
         for (rank, stack) in stacks.iter().enumerate() {
-            assert!(stack.canary_intact(), "fiber stack overflow on rank {rank} (canary clobbered)");
+            assert!(stack.deep_page_is_zero(), "fiber stack overflow on rank {rank} (deepest page written)");
         }
         slots
             .into_iter()

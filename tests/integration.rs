@@ -4,9 +4,10 @@
 use beff::core::beff::{run_beff, BeffConfig, MeasureSchedule};
 use beff::core::beffio::{run_beff_io, AccessMethod, BeffIoConfig};
 use beff::machines::{by_key, catalog};
-use beff::mpi::World;
+use beff::mpi::{World, WorldSession};
 use beff::mpiio::IoWorld;
 use beff::netsim::traffic_report;
+use beff::sim::fiber::FiberStack;
 
 fn quick_beff(mem: u64) -> BeffConfig {
     BeffConfig {
@@ -33,10 +34,16 @@ fn beff_on_t3e_partition_matches_paper_scale() {
     assert!((250.0..420.0).contains(&r.pingpong_mbps), "pp = {}", r.pingpong_mbps);
 }
 
+/// Deepest any rank of `session` has dug into its fiber stack.
+fn high_water(session: &WorldSession) -> usize {
+    session.stacks().iter().map(FiberStack::high_water).max().unwrap_or(0)
+}
+
 /// How deep the benchmarks dig into their 1 MiB fiber stacks is a
 /// measured number with a wide margin (2.7 kB and 4.4 kB with the
 /// release profile's fat LTO, 8.7 kB and 13.4 kB in a debug build):
-/// nobody has to guess whether `STACK_SIZE` is tight.
+/// nobody has to guess whether `STACK_SIZE` is tight. The deepest page
+/// of every stack, the overflow tripwire, is still zero after b_eff.
 #[test]
 fn benchmark_worlds_use_a_sliver_of_their_fiber_stacks() {
     let Some(machine) = by_key("t3e") else { panic!("t3e is in the catalog") };
@@ -45,15 +52,16 @@ fn benchmark_worlds_use_a_sliver_of_their_fiber_stacks() {
     let session = World::sim_partition(machine.network(), 64).session();
     let cfg = quick_beff(machine.mem_per_proc);
     session.run(move |c| run_beff(c, &cfg));
-    let depth = session.stack_high_water();
+    let depth = high_water(&session);
     assert!(depth > 0 && depth < limit, "b_eff on t3e x64 went {depth} B deep");
+    assert!(session.stacks().iter().all(FiberStack::deep_page_is_zero));
 
     let session = World::sim_partition(machine.network(), 8).session();
     let Some(pfs) = machine.sized_for(8).filesystem() else { panic!("the t3e models its I/O") };
     let io = IoWorld::sim(pfs);
     let cfg = BeffIoConfig::quick(machine.mem_per_node).with_t(1.0);
     session.run(move |c| run_beff_io(c, &io, &cfg));
-    let depth = session.stack_high_water();
+    let depth = high_water(&session);
     assert!(depth > 0 && depth < limit, "b_eff_io on t3e x8 went {depth} B deep");
 }
 
