@@ -130,10 +130,13 @@ fn newline_indent(depth: usize, out: &mut String) {
     }
 }
 
+/// Append `s` as a JSON string literal, quotes included, escaped as
+/// `serde_json` escapes it.
+///
 /// Runs without an escape are copied whole. Every escaped character is
 /// ASCII and no byte of a multi-byte UTF-8 sequence is, so the byte
 /// offsets found here are always char boundaries.
-fn write_escaped(s: &str, out: &mut String) {
+pub fn write_escaped(s: &str, out: &mut String) {
     out.push('"');
     let mut rest = s;
     while let Some(at) = rest.bytes().position(|b| b == b'"' || b == b'\\' || b < 0x20) {
@@ -154,7 +157,7 @@ fn write_escaped(s: &str, out: &mut String) {
     out.push('"');
 }
 
-/// Format an `f64` exactly as `serde_json` (via `ryu`) does.
+/// Append an `f64` formatted exactly as `serde_json` (via `ryu`) does.
 ///
 /// Rust's `{:e}` formatter already produces the shortest
 /// round-trip digit string, so this only needs ryu's *layout* rules on
@@ -162,15 +165,13 @@ fn write_escaped(s: &str, out: &mut String) {
 /// `(-5, 16]` digits of the front (`0.00001` … `1000000000000000.0`),
 /// scientific notation outside that window (`1e-6`, `1e16`), a forced
 /// `.0` on integral values, and `null` for non-finite values.
-fn write_f64(f: f64, out: &mut String) {
+pub fn write_f64(f: f64, out: &mut String) {
     if !f.is_finite() {
         out.push_str("null");
         return;
     }
     let sci = format!("{f:e}");
-    let (mantissa, exp) = sci
-        .split_once('e')
-        .expect("{:e} always contains an exponent");
+    let (mantissa, exp) = sci.split_once('e').expect("{:e} always contains an exponent");
     let exp: i32 = exp.parse().expect("{:e} exponent is an integer");
     let (sign, mantissa) = match mantissa.strip_prefix('-') {
         Some(rest) => ("-", rest),
@@ -240,9 +241,7 @@ mod tests {
 
     #[test]
     fn floats_round_trip() {
-        for &x in &[
-            0.1, 1.0 / 3.0, 2.0_f64.sqrt(), 123.456e12, 5e-324, f64::MAX, 171.0, 0.5,
-        ] {
+        for &x in &[0.1, 1.0 / 3.0, 2.0_f64.sqrt(), 123.456e12, 5e-324, f64::MAX, 171.0, 0.5] {
             let s = f(x);
             assert_eq!(s.parse::<f64>().unwrap(), x, "round-trip of {x}");
         }
@@ -266,10 +265,7 @@ mod tests {
             .field("name", "t3e")
             .raw("sizes", Json::Arr(vec![Json::UInt(1), Json::UInt(8)]))
             .raw("empty", Json::Arr(vec![]))
-            .raw(
-                "nested",
-                Json::object().field("ok", &true).build(),
-            )
+            .raw("nested", Json::object().field("ok", &true).build())
             .build();
         let mut s = String::new();
         write_pretty(&j, 0, &mut s);

@@ -32,6 +32,7 @@ mod fmt;
 mod parse;
 mod value;
 
+pub use fmt::{write_escaped, write_f64};
 pub use parse::{parse, JsonError};
 pub use value::{Json, ObjectBuilder, ToJson};
 
@@ -52,14 +53,12 @@ pub fn to_string_pretty<T: ToJson + ?Sized>(value: &T) -> String {
 
 /// Serialize in **canonical form**: compact, with every object's fields
 /// sorted by key bytes, recursively. Structurally equal values produce
-/// byte-identical text regardless of field insertion order — the
-/// property `beff-serve` relies on to use the serialized job spec as a
-/// content-addressed cache key.
+/// byte-identical text regardless of field insertion order. It is the
+/// definition of `beff-serve`'s content-addressed cache key: the key
+/// is written straight from a job spec's fields, and a property test
+/// holds it byte-equal to this form of the spec.
 pub fn to_canonical<T: ToJson + ?Sized>(value: &T) -> String {
-    // A job spec's key, computed once per query, is 80–250 bytes:
-    // start past the small growth steps. (The cache stores a clone,
-    // which is exactly as long as the key.)
-    let mut out = String::with_capacity(128);
+    let mut out = String::new();
     fmt::write_canonical(&value.to_json(), &mut out);
     out
 }

@@ -40,7 +40,7 @@ const MAX_DEPTH: usize = 128;
 /// back to [`Json::Float`] when they exceed the integer ranges;
 /// everything else is [`Json::Float`].
 pub fn parse(input: &str) -> Result<Json, JsonError> {
-    let mut p = Parser { b: input.as_bytes(), pos: 0, depth: 0 };
+    let mut p = Parser { src: input, b: input.as_bytes(), pos: 0, depth: 0 };
     p.skip_ws();
     let v = p.value()?;
     p.skip_ws();
@@ -51,6 +51,8 @@ pub fn parse(input: &str) -> Result<Json, JsonError> {
 }
 
 struct Parser<'a> {
+    src: &'a str,
+    /// `src` as bytes.
     b: &'a [u8],
     pos: usize,
     /// Containers open around `pos`.
@@ -163,27 +165,36 @@ impl Parser<'_> {
     }
 
     /// One `\uXXXX` unit (the `\u` already consumed), as a raw code
-    /// unit — surrogate pairing happens in [`string`](Self::string).
+    /// unit — surrogate pairing happens in [`escape`](Self::escape).
     fn hex4(&mut self) -> Result<u16, JsonError> {
         let mut unit: u16 = 0;
         for _ in 0..4 {
             let d = match self.peek() {
-                Some(h) if h.is_ascii_hexdigit() => (h as char)
-                    .to_digit(16)
-                    .expect("hexdigit converts") as u16,
+                Some(h @ b'0'..=b'9') => h - b'0',
+                Some(h @ b'a'..=b'f') => h - b'a' + 10,
+                Some(h @ b'A'..=b'F') => h - b'A' + 10,
                 _ => return Err(self.err("bad \\u escape")),
             };
-            unit = (unit << 4) | d;
+            unit = (unit << 4) | u16::from(d);
             self.pos += 1;
         }
         Ok(unit)
     }
 
+    /// A string's text is copied a run at a time: everything up to the
+    /// next `"`, `\` or control byte goes in with one `push_str`, then
+    /// that byte is handled. All three are ASCII and no byte of a
+    /// multi-byte UTF-8 sequence is, so every run ends on a char
+    /// boundary of the input.
     fn string(&mut self) -> Result<String, JsonError> {
         self.expect(b'"')?;
-        let start = self.pos;
         let mut out = String::new();
         loop {
+            let rest = &self.b[self.pos..];
+            let run = rest.iter().position(|&c| c == b'"' || c == b'\\' || c < 0x20);
+            let end = self.pos + run.unwrap_or(rest.len());
+            out.push_str(&self.src[self.pos..end]);
+            self.pos = end;
             match self.peek() {
                 None => return Err(self.err("unterminated string")),
                 Some(b'"') => {
@@ -192,85 +203,56 @@ impl Parser<'_> {
                 }
                 Some(b'\\') => {
                     self.pos += 1;
-                    match self.peek() {
-                        Some(c @ (b'"' | b'\\' | b'/')) => {
-                            out.push(c as char);
-                            self.pos += 1;
-                        }
-                        Some(b'b') => {
-                            out.push('\u{08}');
-                            self.pos += 1;
-                        }
-                        Some(b'f') => {
-                            out.push('\u{0c}');
-                            self.pos += 1;
-                        }
-                        Some(b'n') => {
-                            out.push('\n');
-                            self.pos += 1;
-                        }
-                        Some(b'r') => {
-                            out.push('\r');
-                            self.pos += 1;
-                        }
-                        Some(b't') => {
-                            out.push('\t');
-                            self.pos += 1;
-                        }
-                        Some(b'u') => {
-                            self.pos += 1;
-                            let unit = self.hex4()?;
-                            let c = match unit {
-                                // High surrogate: must pair with a \uXXXX
-                                // low surrogate to form one scalar value.
-                                0xD800..=0xDBFF => {
-                                    if self.peek() != Some(b'\\') {
-                                        return Err(self.err("unpaired surrogate"));
-                                    }
-                                    self.pos += 1;
-                                    if self.peek() != Some(b'u') {
-                                        return Err(self.err("unpaired surrogate"));
-                                    }
-                                    self.pos += 1;
-                                    let low = self.hex4()?;
-                                    if !(0xDC00..=0xDFFF).contains(&low) {
-                                        return Err(self.err("unpaired surrogate"));
-                                    }
-                                    let scalar = 0x10000
-                                        + ((u32::from(unit) - 0xD800) << 10)
-                                        + (u32::from(low) - 0xDC00);
-                                    char::from_u32(scalar)
-                                        .ok_or_else(|| self.err("bad surrogate pair"))?
-                                }
-                                0xDC00..=0xDFFF => return Err(self.err("unpaired surrogate")),
-                                unit => char::from_u32(u32::from(unit))
-                                    .ok_or_else(|| self.err("bad \\u escape"))?,
-                            };
-                            out.push(c);
-                        }
-                        _ => return Err(self.err("bad escape sequence")),
-                    }
+                    out.push(self.escape()?);
                 }
-                Some(c) if c < 0x20 => {
-                    return Err(self.err("unescaped control character in string"));
-                }
-                Some(c) if c < 0x80 => {
-                    out.push(c as char);
-                    self.pos += 1;
-                }
-                Some(_) => {
-                    // Multi-byte UTF-8: the input is a &str, so slicing
-                    // from here to the next ASCII boundary is valid; walk
-                    // one char via the str API.
-                    let rest = std::str::from_utf8(&self.b[self.pos..])
-                        .map_err(|_| self.err("invalid UTF-8"))?;
-                    let c = rest.chars().next().expect("non-empty by peek");
-                    out.push(c);
-                    self.pos += c.len_utf8();
-                }
+                Some(_) => return Err(self.err("unescaped control character in string")),
             }
-            debug_assert!(self.pos > start);
         }
+    }
+
+    /// The character an escape stands for (the `\` already consumed).
+    fn escape(&mut self) -> Result<char, JsonError> {
+        let c = match self.peek() {
+            Some(c @ (b'"' | b'\\' | b'/')) => char::from(c),
+            Some(b'b') => '\u{08}',
+            Some(b'f') => '\u{0c}',
+            Some(b'n') => '\n',
+            Some(b'r') => '\r',
+            Some(b't') => '\t',
+            Some(b'u') => {
+                self.pos += 1;
+                let unit = self.hex4()?;
+                return match unit {
+                    // High surrogate: must pair with a \uXXXX low
+                    // surrogate to form one scalar value.
+                    0xD800..=0xDBFF => {
+                        if self.peek() != Some(b'\\') {
+                            return Err(self.err("unpaired surrogate"));
+                        }
+                        self.pos += 1;
+                        if self.peek() != Some(b'u') {
+                            return Err(self.err("unpaired surrogate"));
+                        }
+                        self.pos += 1;
+                        let low = self.hex4()?;
+                        if !(0xDC00..=0xDFFF).contains(&low) {
+                            return Err(self.err("unpaired surrogate"));
+                        }
+                        let scalar = 0x10000
+                            + ((u32::from(unit) - 0xD800) << 10)
+                            + (u32::from(low) - 0xDC00);
+                        char::from_u32(scalar).ok_or_else(|| self.err("bad surrogate pair"))
+                    }
+                    0xDC00..=0xDFFF => Err(self.err("unpaired surrogate")),
+                    unit => {
+                        char::from_u32(u32::from(unit)).ok_or_else(|| self.err("bad \\u escape"))
+                    }
+                };
+            }
+            _ => return Err(self.err("bad escape sequence")),
+        };
+        self.pos += 1;
+        Ok(c)
     }
 
     fn number(&mut self) -> Result<Json, JsonError> {
@@ -304,8 +286,7 @@ impl Parser<'_> {
             }
             self.digits();
         }
-        let text = std::str::from_utf8(&self.b[start..self.pos])
-            .expect("number tokens are ASCII");
+        let text = std::str::from_utf8(&self.b[start..self.pos]).expect("number tokens are ASCII");
         if integral {
             if negative {
                 if let Ok(n) = text.parse::<i64>() {
@@ -392,8 +373,22 @@ mod tests {
     #[test]
     fn rejects_malformed_documents() {
         for bad in [
-            "", "{", "[1,]", "{\"a\":}", "{\"a\" 1}", "{'a':1}", "01", "1.", "1e",
-            "\"abc", "\"\\x\"", "nul", "{} {}", "\"a\nb\"", "\"\\ud800\"", "\"\\udc00 alone\"",
+            "",
+            "{",
+            "[1,]",
+            "{\"a\":}",
+            "{\"a\" 1}",
+            "{'a':1}",
+            "01",
+            "1.",
+            "1e",
+            "\"abc",
+            "\"\\x\"",
+            "nul",
+            "{} {}",
+            "\"a\nb\"",
+            "\"\\ud800\"",
+            "\"\\udc00 alone\"",
         ] {
             assert!(parse(bad).is_err(), "should reject: {bad}");
         }
@@ -408,7 +403,8 @@ mod tests {
         // one more fails at its opening byte
         for (open, close) in [("[", "]"), ("{\"k\":", "}"), ("[{\"k\":", "}]")] {
             let per_repeat = open.matches(['[', '{']).count();
-            let nest = |repeats: usize| format!("{}1{}", open.repeat(repeats), close.repeat(repeats));
+            let nest =
+                |repeats: usize| format!("{}1{}", open.repeat(repeats), close.repeat(repeats));
             assert!(parse(&nest(MAX_DEPTH / per_repeat)).is_ok(), "depth 128 of {open} parses");
             let text = nest(MAX_DEPTH / per_repeat + 1);
             let offender = text.match_indices(['[', '{']).nth(MAX_DEPTH).map(|(at, _)| at);

@@ -183,11 +183,7 @@ mod tests {
 
     #[test]
     fn builder_preserves_field_order() {
-        let j = Json::object()
-            .field("z", &1u32)
-            .field("a", &2u32)
-            .field("m", &3u32)
-            .build();
+        let j = Json::object().field("z", &1u32).field("a", &2u32).field("m", &3u32).build();
         match j {
             Json::Obj(fields) => {
                 let names: Vec<&str> = fields.iter().map(|(n, _)| n.as_str()).collect();
@@ -205,10 +201,7 @@ mod tests {
 
     #[test]
     fn tuples_become_arrays() {
-        assert_eq!(
-            (1u32, 2u32).to_json(),
-            Json::Arr(vec![Json::UInt(1), Json::UInt(2)])
-        );
+        assert_eq!((1u32, 2u32).to_json(), Json::Arr(vec![Json::UInt(1), Json::UInt(2)]));
     }
 
     #[test]

@@ -136,7 +136,8 @@ fn writers_match_the_oracle_on_the_named_edges() {
     // 20 fields, keys repeating with distinct values: the heap
     // fallback's stable sort must keep each key's values in order.
     let keys = ["k", "a", "k\n", "é"];
-    let wide = Json::Obj((0..20).map(|i| (keys[i % 4].to_string(), Json::UInt(i as u64))).collect());
+    let wide =
+        Json::Obj((0..20).map(|i| (keys[i % 4].to_string(), Json::UInt(i as u64))).collect());
     let doc = Json::object()
         .raw("zero", Json::UInt(0))
         .raw("izero", Json::Int(0))

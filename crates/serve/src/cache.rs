@@ -71,15 +71,24 @@ impl ResultCache {
         }
     }
 
-    /// Look `key` up, counting the query as a hit or a miss (a cold
-    /// entry is a hit: the result exists and will not be recomputed).
+    /// Look `key` up, counting the query once its bytes are in hand: a
+    /// warm entry is a hit and an absent one a miss. A cold entry is
+    /// counted by what settles it — [`warm`](Self::warm) (its record
+    /// read back: a hit) or [`evict`](Self::evict) (unreadable, so the
+    /// query recomputes it: a miss).
     pub fn get(&self, key: &str) -> Option<Cached> {
         let found = self.peek(key);
         match &found {
-            Some(_) => self.hits.fetch_add(1, Ordering::Relaxed),
-            None => self.misses.fetch_add(1, Ordering::Relaxed),
-        };
+            Some(Cached::Warm(_)) => self.count(true),
+            Some(Cached::Cold(_)) => {}
+            None => self.count(false),
+        }
         found
+    }
+
+    fn count(&self, hit: bool) {
+        let counter = if hit { &self.hits } else { &self.misses };
+        counter.fetch_add(1, Ordering::Relaxed);
     }
 
     /// Look `key` up without touching the counters (for audits).
@@ -133,10 +142,11 @@ impl ResultCache {
     }
 
     /// Bring a cold entry's bytes (just read back from the journal)
-    /// into memory for good, returning the shared bytes. If the entry
-    /// is already warm — a racing query got there first — that one is
-    /// kept.
+    /// into memory for good, returning the shared bytes, and count the
+    /// query that asked for them as a hit. If the entry is already
+    /// warm — a racing query got there first — that one is kept.
     pub fn warm(&self, key: &str, bytes: String) -> Arc<str> {
+        self.count(true);
         let mut entries = self.entries.lock();
         if let Some(Cached::Warm(existing)) = entries.get(key) {
             return Arc::clone(existing);
@@ -147,8 +157,10 @@ impl ResultCache {
     }
 
     /// Forget `key` (its cold bytes turned out to be unreadable), so
-    /// the next query recomputes it.
+    /// it is recomputed, and count the query that found it so as a
+    /// miss.
     pub fn evict(&self, key: &str) {
+        self.count(false);
         self.entries.lock().remove(key);
     }
 

@@ -240,9 +240,7 @@ impl Journal {
                                 truncated = Some(Truncation {
                                     offset: offset as u64,
                                     record: records.len(),
-                                    reason: Corrupt::Conflict {
-                                        digest: digest_of(key),
-                                    },
+                                    reason: Corrupt::Conflict { digest: digest_of(key) },
                                 });
                                 break;
                             }
@@ -279,12 +277,9 @@ impl Journal {
         file.set_len(good).map_err(|e| err("heal", e))?;
         file.seek(SeekFrom::End(0)).map_err(|e| err("seek", e))?;
 
-        let recovery =
-            Recovery { recovered: records.len(), bytes: good, truncated };
-        let journal = Journal {
-            path: path.to_path_buf(),
-            file: Mutex::ranked(&JOURNAL_RANK, (file, good)),
-        };
+        let recovery = Recovery { recovered: records.len(), bytes: good, truncated };
+        let journal =
+            Journal { path: path.to_path_buf(), file: Mutex::ranked(&JOURNAL_RANK, (file, good)) };
         Ok((journal, records, recovery))
     }
 
@@ -314,9 +309,8 @@ impl Journal {
         {
             let mut guard = self.file.lock();
             let (file, end) = &mut *guard;
-            let read = file
-                .seek(SeekFrom::Start(extent.at))
-                .and_then(|_| file.read_exact(&mut buf));
+            let read =
+                file.seek(SeekFrom::Start(extent.at)).and_then(|_| file.read_exact(&mut buf));
             let back = file.seek(SeekFrom::Start(*end));
             read.and(back).map_err(|e| self.io_error("read back", e.to_string()))?;
         }
@@ -544,10 +538,7 @@ mod tests {
         std::fs::write(&path, &MAGIC[..3]).expect("write partial magic");
         let (j, records, rec) = Journal::open(&path).expect("heals");
         assert!(records.is_empty());
-        assert!(matches!(
-            rec.truncated.expect("reported").reason,
-            Corrupt::TornHeader { have: 3 }
-        ));
+        assert!(matches!(rec.truncated.expect("reported").reason, Corrupt::TornHeader { have: 3 }));
         j.append("k", "v").expect("usable after heal");
         let (_, records, rec2) = Journal::open(&path).expect("reopen");
         assert_eq!((records.len(), rec2.truncated), (1, None));

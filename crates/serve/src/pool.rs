@@ -105,11 +105,8 @@ impl Partition {
         self.net.reset();
         let session = FaultSession::new(FaultPlan::instant_crash(0), self.session.size());
         let cfg = cfg.clone();
-        let mut results = self
-            .session
-            .world()
-            .with_faults(session)
-            .try_run(move |c| run_beff(c, &cfg))?;
+        let mut results =
+            self.session.world().with_faults(session).try_run(move |c| run_beff(c, &cfg))?;
         Ok(results.swap_remove(0))
     }
 }
@@ -167,12 +164,7 @@ impl SessionPool {
 
     /// Return a healthy partition for reuse.
     pub fn checkin(&self, partition: Partition) {
-        self.state
-            .lock()
-            .idle
-            .entry(partition.shape.clone())
-            .or_default()
-            .push(partition);
+        self.state.lock().idle.entry(partition.shape.clone()).or_default().push(partition);
     }
 
     /// Retire a damaged partition: it is dropped here, never

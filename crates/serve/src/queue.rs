@@ -81,8 +81,7 @@ impl<'s> Admission<'s> {
     /// returned (empty vector otherwise — the spec is just buffered).
     pub fn enqueue(&mut self, spec: JobSpec) -> Vec<Result<Outcome, SpecError>> {
         self.tick += 1;
-        let flushed =
-            if self.queue.len() == self.capacity { self.flush() } else { Vec::new() };
+        let flushed = if self.queue.len() == self.capacity { self.flush() } else { Vec::new() };
         self.queue.push_back((spec, self.tick));
         flushed
     }
@@ -184,8 +183,7 @@ mod tests {
     fn flush_preserves_admission_order() {
         let srv = Server::new(Workers::new(1));
         let mut q = Admission::new(&srv, 8);
-        let specs: Vec<JobSpec> =
-            (0..4).map(|i| JobSpec::new("t3e", 4).with_seed(i)).collect();
+        let specs: Vec<JobSpec> = (0..4).map(|i| JobSpec::new("t3e", 4).with_seed(i)).collect();
         for s in &specs {
             q.enqueue(s.clone());
         }
@@ -202,10 +200,7 @@ mod tests {
         assert!(q.offer(JobSpec::new("t3e", 4).with_seed(0)).is_ok());
         assert!(q.offer(JobSpec::new("t3e", 4).with_seed(1)).is_ok());
         let err = q.offer(JobSpec::new("t3e", 4).with_seed(2)).expect_err("full");
-        assert!(
-            matches!(err, SpecError::Overloaded { queued: 2, capacity: 2 }),
-            "{err:?}"
-        );
+        assert!(matches!(err, SpecError::Overloaded { queued: 2, capacity: 2 }), "{err:?}");
         assert_eq!(srv.shed_jobs(), 1, "the shed is counted, never silent");
         assert_eq!(q.queued(), 2, "buffered jobs are untouched by a shed");
         assert_eq!(q.flush().len(), 2);
@@ -234,9 +229,7 @@ mod tests {
         let expired: Vec<usize> = outcomes
             .iter()
             .enumerate()
-            .filter_map(|(i, o)| {
-                matches!(o, Err(SpecError::DeadlineExpired { .. })).then_some(i)
-            })
+            .filter_map(|(i, o)| matches!(o, Err(SpecError::DeadlineExpired { .. })).then_some(i))
             .collect();
         assert_eq!(expired, vec![0, 1, 2], "the stalest slots expire, in place");
         let served = outcomes.iter().filter(|o| o.is_ok()).count();

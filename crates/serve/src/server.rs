@@ -328,15 +328,17 @@ impl Server {
     /// Second query for a result kept cold: read it back from the
     /// journal and keep it in memory from now on. An unreadable record
     /// (or one for another key) forgets the entry instead, and the
-    /// query proceeds as the miss it has become — the result is a pure
-    /// function of the spec, so recomputing it is always correct.
+    /// query proceeds (and is counted) as the miss it has become — the
+    /// result is a pure function of the spec, so recomputing it is
+    /// always correct.
     fn thaw(&self, key: &str, extent: Extent) -> Option<Arc<str>> {
         // Only a journaled server ever chills an entry.
         let journal = self.journal.as_ref()?;
         match journal.read(extent) {
             Ok((stored, bytes)) if stored == key => Some(self.cache.warm(key, bytes)),
             read => {
-                let why = read.err().map_or("the record holds another key".into(), |e| e.to_string());
+                let why =
+                    read.err().map_or("the record holds another key".into(), |e| e.to_string());
                 eprintln!("serve: cold result unreadable, recomputing: {why}");
                 self.cache.evict(key);
                 None
@@ -466,11 +468,8 @@ impl Server {
                     .collect();
                 for i in 0..over {
                     bodies.push(error_body(
-                        &SpecError::Overloaded {
-                            queued: MAX_BATCH + i,
-                            capacity: MAX_BATCH,
-                        }
-                        .to_string(),
+                        &SpecError::Overloaded { queued: MAX_BATCH + i, capacity: MAX_BATCH }
+                            .to_string(),
                     ));
                 }
                 (format!("{{\"results\":[{}]}}", bodies.join(",")), false)
@@ -557,9 +556,7 @@ enum ReadFailure {
 fn classify_read_error(e: &std::io::Error) -> ReadFailure {
     match e.kind() {
         std::io::ErrorKind::InvalidData => ReadFailure::Protocol(format!("bad frame: {e}")),
-        std::io::ErrorKind::UnexpectedEof => {
-            ReadFailure::Protocol(format!("bad frame: {e}"))
-        }
+        std::io::ErrorKind::UnexpectedEof => ReadFailure::Protocol(format!("bad frame: {e}")),
         _ => ReadFailure::Transport(format!("read failed: {e}")),
     }
 }
@@ -644,7 +641,8 @@ mod tests {
         let Ok(again) = srv.submit(&spec) else { panic!("valid spec") };
         assert!(!again.cached, "the damaged record is forgotten, the job re-run");
         assert_eq!(first.bytes, again.bytes);
-        assert_eq!(srv.cache_stats().entries, 1);
+        let s = srv.cache_stats();
+        assert_eq!((s.hits, s.misses, s.entries), (0, 2, 1), "a recomputed query is a miss");
         let _ = std::fs::remove_file(&path);
     }
 
@@ -655,8 +653,7 @@ mod tests {
         let b = JobSpec::new("t3e", 4).with_seed(99);
         let outcomes = srv.submit_batch(&[a.clone(), b.clone(), a.clone()]);
         let [oa, ob, oa2] = <[_; 3]>::try_from(outcomes).expect("three outcomes");
-        let (oa, ob, oa2) =
-            (oa.expect("valid"), ob.expect("valid"), oa2.expect("valid"));
+        let (oa, ob, oa2) = (oa.expect("valid"), ob.expect("valid"), oa2.expect("valid"));
         assert_eq!(oa.key, oa2.key);
         assert_ne!(oa.key, ob.key, "seed change must miss");
         assert_eq!(oa.bytes, oa2.bytes);
@@ -695,16 +692,14 @@ mod tests {
     #[test]
     fn frames_round_trip_the_protocol() {
         let srv = server();
-        let (body, stop) =
-            srv.handle_frame(r#"{"op":"run","spec":{"machine":"t3e","procs":4}}"#);
+        let (body, stop) = srv.handle_frame(r#"{"op":"run","spec":{"machine":"t3e","procs":4}}"#);
         assert!(!stop);
         assert!(body.starts_with("{\"cached\":false,"), "{body}");
         let parsed = beff_json::parse(&body).expect("response is valid JSON");
         let Json::Obj(fields) = parsed else { panic!("object response") };
         assert!(fields.iter().any(|(n, _)| n == "result"));
 
-        let (body, _) =
-            srv.handle_frame(r#"{"op":"run","spec":{"machine":"t3e","procs":4}}"#);
+        let (body, _) = srv.handle_frame(r#"{"op":"run","spec":{"machine":"t3e","procs":4}}"#);
         assert!(body.starts_with("{\"cached\":true,"), "{body}");
 
         let (body, _) = srv.handle_frame(r#"{"op":"stats"}"#);
@@ -761,10 +756,7 @@ mod tests {
         let spec = JobSpec::new("t3e", 4).with_seed(31);
 
         // Reference: what an undamaged server answers.
-        let want = Server::new(Workers::new(1))
-            .submit(&spec)
-            .expect("valid")
-            .bytes;
+        let want = Server::new(Workers::new(1)).submit(&spec).expect("valid").bytes;
 
         srv.pool().arm_poison("t3e", 4, 1);
         let healed = srv.submit(&spec).expect("self-healed, not an error");
@@ -803,10 +795,7 @@ mod tests {
         // two must come back as typed Overloaded errors.
         srv.submit(&JobSpec::new("t3e", 4)).expect("warm the cache");
         let one = r#"{"machine":"t3e","procs":4}"#;
-        let frame = format!(
-            r#"{{"op":"batch","specs":[{}]}}"#,
-            vec![one; MAX_BATCH + 2].join(",")
-        );
+        let frame = format!(r#"{{"op":"batch","specs":[{}]}}"#, vec![one; MAX_BATCH + 2].join(","));
         let (body, _) = srv.handle_frame(&frame);
         let Json::Obj(fields) = beff_json::parse(&body).expect("valid JSON") else {
             panic!("object response")
@@ -829,7 +818,8 @@ mod tests {
         assert!(!srv.accepting());
         let err = srv.submit(&JobSpec::new("t3e", 4).with_seed(9)).expect_err("refused");
         assert!(matches!(err, SpecError::ShuttingDown));
-        let (body, _) = srv.handle_frame(r#"{"op":"run","spec":{"machine":"t3e","procs":4,"seed":9}}"#);
+        let (body, _) =
+            srv.handle_frame(r#"{"op":"run","spec":{"machine":"t3e","procs":4,"seed":9}}"#);
         assert_eq!(body, "{\"error\":\"server is shutting down; no new jobs admitted\"}");
     }
 
@@ -859,10 +849,7 @@ mod tests {
         let got: Vec<Arc<str>> =
             outcomes.into_iter().map(|o| o.expect("admitted jobs complete").bytes).collect();
         assert_eq!(got, want, "a drained batch answers byte-stable results");
-        assert!(matches!(
-            srv.submit(&specs[0]),
-            Err(SpecError::ShuttingDown)
-        ));
+        assert!(matches!(srv.submit(&specs[0]), Err(SpecError::ShuttingDown)));
     }
 
     #[test]
@@ -886,12 +873,8 @@ mod tests {
         let mut stream = MemStream::new(input);
         let close = serve_connection(&srv, &mut stream);
         let ConnClose::Protocol(report) = close else { panic!("protocol close, got {close:?}") };
-        assert_eq!(
-            report,
-            "bad frame: frame of 4294967295 bytes exceeds the 16777216-byte limit"
-        );
-        let (goodbye, _) =
-            wire::decode(&stream.output).expect("valid goodbye").expect("complete");
+        assert_eq!(report, "bad frame: frame of 4294967295 bytes exceeds the 16777216-byte limit");
+        let (goodbye, _) = wire::decode(&stream.output).expect("valid goodbye").expect("complete");
         assert_eq!(
             goodbye,
             "{\"error\":\"bad frame: frame of 4294967295 bytes exceeds the 16777216-byte limit\"}"

@@ -9,18 +9,23 @@
 //! reports — which is what lets the server answer repeat queries from
 //! a cache with exact (not approximate) hits.
 //!
-//! Canonicalization is delegated to [`beff_json::to_canonical`]: the
+//! The canonical form is [`beff_json::to_canonical`] of the spec: the
 //! compact layout with every object's keys sorted recursively. The
 //! field order a client happened to send (or a builder happened to
-//! insert) therefore never leaks into the cache key; the property
-//! tests in `tests/canonical.rs` pin this.
+//! insert) therefore never leaks into the cache key.
+//! [`JobSpec::canonical_key`] writes that text straight from the
+//! fields, in sorted order, into one buffer — every query keys its
+//! spec, so no `Json` tree is built and nothing is sorted — with
+//! `beff_json`'s own string and float writers. The property tests in
+//! `tests/canonical.rs` hold the two byte-equal and pin the field
+//! order independence.
 
 use beff_core::beff::{BeffConfig, DEFAULT_SEED};
 use beff_faults::FaultSpec;
 use beff_json::{Json, ToJson};
 use beff_machines::Machine;
 use beff_netsim::Topology;
-use std::fmt;
+use std::fmt::{self, Write as _};
 
 /// Measurement schedule selector (the two shapes of
 /// [`MeasureSchedule`](beff_core::beff::MeasureSchedule) the paper
@@ -105,10 +110,29 @@ impl JobSpec {
     }
 
     /// The content address: canonical (key-sorted, compact) JSON of the
-    /// spec. Structurally equal specs — however their fields were
-    /// ordered on the wire — get byte-identical keys.
+    /// spec, byte for byte `beff_json::to_canonical(self)`. Structurally
+    /// equal specs — however their fields were ordered on the wire — get
+    /// byte-identical keys.
     pub fn canonical_key(&self) -> String {
-        beff_json::to_canonical(self)
+        // Fields in key-byte order, into a buffer that holds the
+        // longest key of this shape (118 bytes beside the machine name,
+        // 207 more for a fault plan) unless the name needs escapes.
+        let fault_len = if self.fault.is_some() { 208 } else { 0 };
+        let mut out = String::with_capacity(128 + self.machine.len() + fault_len);
+        out.push_str("{\"extras\":");
+        out.push_str(if self.extras { "true" } else { "false" });
+        out.push_str(",\"fault\":");
+        match &self.fault {
+            None => out.push_str("null"),
+            Some(f) => write_fault_key(f, &mut out),
+        }
+        out.push_str(",\"machine\":");
+        beff_json::write_escaped(&self.machine, &mut out);
+        // Writing into a `String` cannot fail.
+        _ = write!(out, ",\"procs\":{},\"schedule\":", self.procs);
+        beff_json::write_escaped(self.schedule.as_str(), &mut out);
+        _ = write!(out, ",\"seed\":{}}}", self.seed);
+        out
     }
 
     /// Short printable digest of the canonical key (FNV-1a 64, hex).
@@ -189,9 +213,7 @@ impl JobSpec {
                     Json::Null => fault = None,
                     other => fault = Some(fault_from_json(other)?),
                 },
-                other => {
-                    return Err(SpecError::Malformed(format!("unknown spec field {other:?}")))
-                }
+                other => return Err(SpecError::Malformed(format!("unknown spec field {other:?}"))),
             }
         }
         let machine =
@@ -230,6 +252,24 @@ fn fault_json(f: &FaultSpec) -> Json {
         .build()
 }
 
+/// [`fault_json`] in canonical form, written from the fields in
+/// key-byte order.
+fn write_fault_key(f: &FaultSpec, out: &mut String) {
+    let flag = |b: bool| if b { "true" } else { "false" };
+    _ = write!(
+        out,
+        "{{\"crashes\":{},\"dead_links\":{},\"degrade\":{},\"drops\":{},\"flapping\":{},\"seed\":{},\"severity\":",
+        f.crashes,
+        f.dead_links,
+        flag(f.degrade),
+        flag(f.drops),
+        flag(f.flapping),
+        f.seed,
+    );
+    beff_json::write_f64(f.severity, out);
+    _ = write!(out, ",\"stragglers\":{}}}", f.stragglers);
+}
+
 fn fault_from_json(v: &Json) -> Result<FaultSpec, SpecError> {
     let fields = match v {
         Json::Obj(fields) => fields,
@@ -246,9 +286,7 @@ fn fault_from_json(v: &Json) -> Result<FaultSpec, SpecError> {
             "drops" => f.drops = as_bool(value, "fault.drops")?,
             "crashes" => f.crashes = as_u64(value, "fault.crashes")? as usize,
             "dead_links" => f.dead_links = as_u64(value, "fault.dead_links")? as usize,
-            other => {
-                return Err(SpecError::Malformed(format!("unknown fault field {other:?}")))
-            }
+            other => return Err(SpecError::Malformed(format!("unknown fault field {other:?}"))),
         }
     }
     Ok(f)
@@ -293,8 +331,14 @@ fn as_bool(v: &Json, what: &str) -> Result<bool, SpecError> {
 #[derive(Debug, Clone, PartialEq)]
 pub enum SpecError {
     UnknownMachine(String),
-    BadProcs { procs: usize, max: usize },
-    NotNodeGranular { procs: usize, ppn: usize },
+    BadProcs {
+        procs: usize,
+        max: usize,
+    },
+    NotNodeGranular {
+        procs: usize,
+        ppn: usize,
+    },
     BadSeverity(f64),
     /// The fault plan slows the filesystem (`io_slow`), which b_eff
     /// never touches.
@@ -302,10 +346,16 @@ pub enum SpecError {
     /// Wire-shape problems: wrong types, unknown fields, bad JSON.
     Malformed(String),
     /// Shed at admission: the bounded queue (or batch frame) was full.
-    Overloaded { queued: usize, capacity: usize },
+    Overloaded {
+        queued: usize,
+        capacity: usize,
+    },
     /// Shed at flush: the job outlived its virtual-deadline budget in
     /// the admission queue.
-    DeadlineExpired { waited: u64, budget: u64 },
+    DeadlineExpired {
+        waited: u64,
+        budget: u64,
+    },
     /// The server is draining for shutdown; no new work is admitted.
     ShuttingDown,
     /// A clean job's world raised a typed fault even on a fresh
@@ -369,7 +419,13 @@ pub fn fnv1a64(bytes: &[u8]) -> u64 {
 /// The short printable digest of a canonical key already in hand
 /// ([`JobSpec::key_digest`] without recomputing the key).
 pub fn digest_of(key: &str) -> String {
-    format!("{:016x}", fnv1a64(key.as_bytes()))
+    const HEX: &[u8; 16] = b"0123456789abcdef";
+    let h = fnv1a64(key.as_bytes());
+    let mut out = String::with_capacity(16);
+    for nibble in (0..16).rev() {
+        out.push(char::from(HEX[(h >> (4 * nibble)) as usize & 0xf]));
+    }
+    out
 }
 
 #[cfg(test)]
@@ -385,10 +441,8 @@ mod tests {
 
     #[test]
     fn wire_field_order_does_not_change_the_key() {
-        let fwd = beff_json::parse(r#"{"machine":"t3e","procs":16,"seed":7}"#)
-            .expect("valid json");
-        let rev = beff_json::parse(r#"{"seed":7,"procs":16,"machine":"t3e"}"#)
-            .expect("valid json");
+        let fwd = beff_json::parse(r#"{"machine":"t3e","procs":16,"seed":7}"#).expect("valid json");
+        let rev = beff_json::parse(r#"{"seed":7,"procs":16,"machine":"t3e"}"#).expect("valid json");
         let a = JobSpec::from_json(&fwd).expect("valid spec");
         let b = JobSpec::from_json(&rev).expect("valid spec");
         assert_eq!(a.canonical_key(), b.canonical_key());
@@ -404,26 +458,16 @@ mod tests {
 
     #[test]
     fn unknown_field_is_rejected() {
-        let j = beff_json::parse(r#"{"machine":"t3e","procs":16,"sede":7}"#)
-            .expect("valid json");
+        let j = beff_json::parse(r#"{"machine":"t3e","procs":16,"sede":7}"#).expect("valid json");
         assert!(matches!(JobSpec::from_json(&j), Err(SpecError::Malformed(_))));
     }
 
     #[test]
     fn resolve_validates_against_the_catalog() {
         assert!(JobSpec::new("t3e", 16).resolve().is_ok());
-        assert!(matches!(
-            JobSpec::new("nope", 16).resolve(),
-            Err(SpecError::UnknownMachine(_))
-        ));
-        assert!(matches!(
-            JobSpec::new("t3e", 1).resolve(),
-            Err(SpecError::BadProcs { .. })
-        ));
-        assert!(matches!(
-            JobSpec::new("t3e", 100_000).resolve(),
-            Err(SpecError::BadProcs { .. })
-        ));
+        assert!(matches!(JobSpec::new("nope", 16).resolve(), Err(SpecError::UnknownMachine(_))));
+        assert!(matches!(JobSpec::new("t3e", 1).resolve(), Err(SpecError::BadProcs { .. })));
+        assert!(matches!(JobSpec::new("t3e", 100_000).resolve(), Err(SpecError::BadProcs { .. })));
         // SR 8000 is an SMP cluster with 8 procs/node: 12 ranks is not
         // an installable partition.
         assert!(matches!(

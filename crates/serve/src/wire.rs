@@ -64,9 +64,8 @@ pub fn decode(buf: &[u8]) -> Result<Option<(String, usize)>, WireError> {
     if buf.len() < 4 + len {
         return Ok(None);
     }
-    let payload = std::str::from_utf8(&buf[4..4 + len])
-        .map_err(|_| WireError::BadUtf8)?
-        .to_string();
+    let payload =
+        std::str::from_utf8(&buf[4..4 + len]).map_err(|_| WireError::BadUtf8)?.to_string();
     Ok(Some((payload, 4 + len)))
 }
 

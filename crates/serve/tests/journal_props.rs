@@ -99,10 +99,7 @@ fn appends_after_a_torn_recovery_replay_in_order() {
         assert!(recovery2.truncated.is_none());
         assert_eq!(
             after,
-            vec![
-                ("first".to_string(), "alpha".to_string()),
-                ("third".to_string(), extra.clone()),
-            ],
+            vec![("first".to_string(), "alpha".to_string()), ("third".to_string(), extra.clone()),],
             "append lands exactly after the healed prefix"
         );
     });

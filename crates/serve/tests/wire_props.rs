@@ -99,8 +99,9 @@ fn round_trip_including_empty_payloads() {
         // Arbitrary UTF-8 (char-built), with the empty payload always
         // reachable: an empty frame is valid, not an error or EOF.
         let len = g.usize(0..=24);
-        let payload: String =
-            (0..len).map(|_| char::from_u32(g.u32(1..=0xD7FF)).expect("below surrogates")).collect();
+        let payload: String = (0..len)
+            .map(|_| char::from_u32(g.u32(1..=0xD7FF)).expect("below surrogates"))
+            .collect();
         let bytes = wire::encode(&payload);
         let mut written = Vec::new();
         assert!(wire::write_frame(&mut written, &payload).is_ok());
