@@ -157,7 +157,7 @@ pub const UNWRAP_BUDGETS: &[(&str, u32)] = &[
     ("core", 13),
     ("facade", 54),
     ("faults", 0),
-    ("json", 9),
+    ("json", 4),
     ("machines", 6),
     ("mpi", 10),
     ("mpiio", 12),
@@ -263,7 +263,6 @@ pub const STD_METHOD_NAMES: &[&str] = &[
 /// table has budget **zero**. Counts are of unwaived findings.
 pub const PANICFLOW_BUDGETS: &[(&str, u32)] = &[
     ("core", 3),
-    ("json", 7),
     ("machines", 1),
     ("mpi", 6),
     ("sim", 12),

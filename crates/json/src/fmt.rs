@@ -164,39 +164,48 @@ pub fn write_escaped(s: &str, out: &mut String) {
 /// top: plain decimal notation while the decimal point lands within
 /// `(-5, 16]` digits of the front (`0.00001` … `1000000000000000.0`),
 /// scientific notation outside that window (`1e-6`, `1e16`), a forced
-/// `.0` on integral values, and `null` for non-finite values.
+/// `.0` on integral values, and `null` for non-finite values. The
+/// `{:e}` text and its digits go through stack buffers: a float costs
+/// no allocation beyond `out`'s own growth.
 pub fn write_f64(f: f64, out: &mut String) {
     if !f.is_finite() {
         out.push_str("null");
         return;
     }
-    let sci = format!("{f:e}");
-    let (mantissa, exp) = sci.split_once('e').expect("{:e} always contains an exponent");
-    let exp: i32 = exp.parse().expect("{:e} exponent is an integer");
-    let (sign, mantissa) = match mantissa.strip_prefix('-') {
-        Some(rest) => ("-", rest),
-        None => ("", mantissa),
+    let mut sci = Ascii::default();
+    _ = write!(sci, "{f:e}");
+    let sci = sci.as_bytes();
+    let (sign, sci) = match sci.split_first() {
+        Some((b'-', rest)) => ("-", rest),
+        _ => ("", sci),
+    };
+    let e = sci.iter().position(|&c| c == b'e').unwrap_or(sci.len());
+    let (mantissa, exp_text) = (&sci[..e], sci.get(e + 1..).unwrap_or_default());
+    let exp = match exp_text.split_first() {
+        Some((b'-', magnitude)) => -decimal(magnitude),
+        _ => decimal(exp_text),
     };
     // digits = mantissa without the decimal point; value is
     // 0.digits × 10^kk with kk the decimal-point position.
-    let digits: String = mantissa.chars().filter(|c| *c != '.').collect();
+    let mut digits = Ascii::default();
+    mantissa.iter().filter(|&&c| c != b'.').for_each(|&c| digits.push(c));
+    let digits = ascii(digits.as_bytes());
     let kk = exp + 1;
 
     out.push_str(sign);
     if !(-5 < kk && kk <= 16) {
         // ryu's scientific layout matches `{:e}`: "1e16", "2.5e-7".
-        out.push_str(mantissa);
-        _ = write!(out, "e{exp}");
+        out.push_str(ascii(sci));
     } else if kk <= 0 {
         // 0.0001234
         out.push_str("0.");
         for _ in 0..-kk {
             out.push('0');
         }
-        out.push_str(&digits);
+        out.push_str(digits);
     } else if (kk as usize) >= digits.len() {
         // 1234000.0 — integral, pad zeros and force ".0"
-        out.push_str(&digits);
+        out.push_str(digits);
         for _ in 0..(kk as usize - digits.len()) {
             out.push('0');
         }
@@ -207,6 +216,45 @@ pub fn write_f64(f: f64, out: &mut String) {
         out.push('.');
         out.push_str(&digits[kk as usize..]);
     }
+}
+
+/// A stack buffer of ASCII text, long enough for any `f64`'s `{:e}`
+/// form: a sign, 17 significant digits and a point, `e`, and an
+/// exponent sign and three digits make 24 bytes.
+#[derive(Default)]
+struct Ascii {
+    bytes: [u8; 32],
+    len: usize,
+}
+
+impl Ascii {
+    fn push(&mut self, c: u8) {
+        if let Some(slot) = self.bytes.get_mut(self.len) {
+            *slot = c;
+            self.len += 1;
+        }
+    }
+
+    fn as_bytes(&self) -> &[u8] {
+        &self.bytes[..self.len]
+    }
+}
+
+impl std::fmt::Write for Ascii {
+    fn write_str(&mut self, s: &str) -> std::fmt::Result {
+        s.bytes().for_each(|c| self.push(c));
+        Ok(())
+    }
+}
+
+/// ASCII bytes as the `str` they are.
+fn ascii(bytes: &[u8]) -> &str {
+    std::str::from_utf8(bytes).unwrap_or_default()
+}
+
+/// The value of a run of decimal digits (a `{:e}` exponent's).
+fn decimal(digits: &[u8]) -> i32 {
+    digits.iter().fold(0, |n, &d| n * 10 + i32::from(d.wrapping_sub(b'0')))
 }
 
 #[cfg(test)]

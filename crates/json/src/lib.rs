@@ -7,8 +7,11 @@
 //! (field order preserved, same pretty indentation, same shortest
 //! round-trip float formatting). Report files generated before and
 //! after the registry-dependency removal therefore diff clean.
-//! [`parse`] is the one reader: it builds a [`Json`] tree or reports
-//! the first [`JsonError`] with its byte offset.
+//! [`Reader`] is the one scanner: a pull reader that meets a document
+//! one [`Token`] at a time and reports the first [`JsonError`] with its
+//! byte offset. [`parse`] builds a [`Json`] tree through it, and a
+//! decoder written against [`Pull`] reads a document's text through it
+//! or an already parsed tree through [`TreeReader`].
 //!
 //! ```
 //! use beff_json::{Json, ToJson};
@@ -30,10 +33,12 @@
 
 mod fmt;
 mod parse;
+mod pull;
 mod value;
 
 pub use fmt::{write_escaped, write_f64};
-pub use parse::{parse, JsonError};
+pub use parse::{parse, JsonError, Reader};
+pub use pull::{Pull, Token, TreeReader};
 pub use value::{Json, ObjectBuilder, ToJson};
 
 /// Serialize compactly (no whitespace) — `serde_json::to_string` shape.

@@ -1,9 +1,12 @@
-//! A parser building the [`Json`] tree — the read side of the crate:
-//! the `beff-serve` request decoder, and every writer that confirms its
-//! output is well-formed before trusting it. It walks the RFC 8259
-//! grammar and reports the first violation with its byte offset.
+//! The scanner — the read side of the crate. [`Reader`] walks the RFC
+//! 8259 grammar one value at a time and reports the first violation
+//! with its byte offset; [`parse`] builds a [`Json`] tree through it,
+//! and the `beff-serve` request decoder reads a request straight from
+//! its bytes with it, borrowing every string that holds no escape.
 
+use crate::pull::{Pull, Token};
 use crate::value::Json;
+use std::borrow::Cow;
 
 /// First well-formedness violation in a JSON document.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -22,11 +25,11 @@ impl std::fmt::Display for JsonError {
 
 impl std::error::Error for JsonError {}
 
-/// Deepest nesting of arrays and objects [`parse`] accepts: serde_json's
-/// recursion limit. The parser recurses once per container, so without
-/// a bound a request of a few hundred kB of `[` overflows the stack of
-/// the thread that parses it; the deepest document this workspace
-/// writes is a handful of levels.
+/// Deepest nesting of arrays and objects the [`Reader`] accepts:
+/// serde_json's recursion limit. Tree building and skipping recurse
+/// once per container, so without a bound a request of a few hundred
+/// kB of `[` overflows the stack of the thread that reads it; the
+/// deepest document this workspace writes is a handful of levels.
 const MAX_DEPTH: usize = 128;
 
 /// Parse exactly one JSON document (surrounded by optional whitespace)
@@ -40,26 +43,143 @@ const MAX_DEPTH: usize = 128;
 /// back to [`Json::Float`] when they exceed the integer ranges;
 /// everything else is [`Json::Float`].
 pub fn parse(input: &str) -> Result<Json, JsonError> {
-    let mut p = Parser { src: input, b: input.as_bytes(), pos: 0, depth: 0 };
-    p.skip_ws();
-    let v = p.value()?;
-    p.skip_ws();
-    if p.pos != p.b.len() {
-        return Err(p.err("trailing data after the document"));
-    }
-    Ok(v)
+    let mut r = Reader::new(input);
+    let first = r.value()?;
+    let tree = r.tree(first)?;
+    r.end()?;
+    Ok(tree)
 }
 
-struct Parser<'a> {
+/// A pull reader over one JSON document's text: [`value`](Pull::value)
+/// reads the next value's [`Token`], and a container's members follow
+/// through [`key`](Pull::key) or [`item`](Pull::item). Strings without
+/// an escape are borrowed from the text. A syntax error is reported
+/// where it is met, with the offset and message [`parse`] gives it;
+/// call [`end`](Self::end) after the last value.
+pub struct Reader<'a> {
     src: &'a str,
     /// `src` as bytes.
     b: &'a [u8],
     pos: usize,
     /// Containers open around `pos`.
     depth: usize,
+    /// The innermost open container has had no member yet.
+    fresh: bool,
 }
 
-impl Parser<'_> {
+impl<'a> Pull<'a> for Reader<'a> {
+    type Error = JsonError;
+
+    fn value(&mut self) -> Result<Token<'a>, JsonError> {
+        match self.peek() {
+            Some(open @ (b'{' | b'[')) => {
+                if self.depth == MAX_DEPTH {
+                    return Err(self.err(&format!("nesting deeper than {MAX_DEPTH} levels")));
+                }
+                self.depth += 1;
+                self.pos += 1;
+                self.fresh = true;
+                Ok(if open == b'{' { Token::Obj } else { Token::Arr })
+            }
+            Some(b'"') => self.string().map(Token::Str),
+            Some(b't') => self.literal(b"true").map(|_| Token::Bool(true)),
+            Some(b'f') => self.literal(b"false").map(|_| Token::Bool(false)),
+            Some(b'n') => self.literal(b"null").map(|_| Token::Null),
+            Some(c) if c == b'-' || c.is_ascii_digit() => self.number(),
+            Some(_) => Err(self.err("expected a JSON value")),
+            None => Err(self.err("unexpected end of input")),
+        }
+    }
+
+    fn key(&mut self) -> Result<Option<Cow<'a, str>>, JsonError> {
+        self.skip_ws();
+        let fresh = std::mem::replace(&mut self.fresh, false);
+        match self.peek() {
+            Some(b'}') => {
+                self.pos += 1;
+                self.depth -= 1;
+                return Ok(None);
+            }
+            Some(b',') if !fresh => {
+                self.pos += 1;
+                self.skip_ws();
+            }
+            _ if !fresh => return Err(self.err("expected ',' or '}' in object")),
+            _ => {}
+        }
+        let name = self.string()?;
+        self.skip_ws();
+        self.expect(b':')?;
+        self.skip_ws();
+        Ok(Some(name))
+    }
+
+    fn item(&mut self) -> Result<bool, JsonError> {
+        self.skip_ws();
+        let fresh = std::mem::replace(&mut self.fresh, false);
+        match self.peek() {
+            Some(b']') => {
+                self.pos += 1;
+                self.depth -= 1;
+                Ok(false)
+            }
+            Some(b',') if !fresh => {
+                self.pos += 1;
+                self.skip_ws();
+                Ok(true)
+            }
+            _ if !fresh => Err(self.err("expected ',' or ']' in array")),
+            _ => Ok(true),
+        }
+    }
+}
+
+impl<'a> Reader<'a> {
+    /// A reader at the start of `src`'s one document.
+    pub fn new(src: &'a str) -> Self {
+        let mut r = Self { src, b: src.as_bytes(), pos: 0, depth: 0, fresh: false };
+        r.skip_ws();
+        r
+    }
+
+    /// After the document's last value: only whitespace may follow.
+    pub fn end(&mut self) -> Result<(), JsonError> {
+        self.skip_ws();
+        if self.pos == self.b.len() {
+            Ok(())
+        } else {
+            Err(self.err("trailing data after the document"))
+        }
+    }
+
+    /// The rest of the value `token` started, as a tree.
+    fn tree(&mut self, token: Token<'a>) -> Result<Json, JsonError> {
+        Ok(match token {
+            Token::Null => Json::Null,
+            Token::Bool(b) => Json::Bool(b),
+            Token::Int(n) => Json::Int(n),
+            Token::UInt(n) => Json::UInt(n),
+            Token::Float(f) => Json::Float(f),
+            Token::Str(s) => Json::Str(s.into_owned()),
+            Token::Obj => {
+                let mut fields = Vec::new();
+                while let Some(name) = self.key()? {
+                    let value = self.value()?;
+                    fields.push((name.into_owned(), self.tree(value)?));
+                }
+                Json::Obj(fields)
+            }
+            Token::Arr => {
+                let mut items = Vec::new();
+                while self.item()? {
+                    let value = self.value()?;
+                    items.push(self.tree(value)?);
+                }
+                Json::Arr(items)
+            }
+        })
+    }
+
     fn err(&self, msg: &str) -> JsonError {
         JsonError { at: self.pos, msg: msg.to_string() }
     }
@@ -83,84 +203,12 @@ impl Parser<'_> {
         }
     }
 
-    fn value(&mut self) -> Result<Json, JsonError> {
-        match self.peek() {
-            Some(open @ (b'{' | b'[')) => {
-                if self.depth == MAX_DEPTH {
-                    return Err(self.err(&format!("nesting deeper than {MAX_DEPTH} levels")));
-                }
-                self.depth += 1;
-                let container = if open == b'{' { self.object() } else { self.array() };
-                self.depth -= 1;
-                container
-            }
-            Some(b'"') => self.string().map(Json::Str),
-            Some(b't') => self.literal(b"true").map(|_| Json::Bool(true)),
-            Some(b'f') => self.literal(b"false").map(|_| Json::Bool(false)),
-            Some(b'n') => self.literal(b"null").map(|_| Json::Null),
-            Some(c) if c == b'-' || c.is_ascii_digit() => self.number(),
-            Some(_) => Err(self.err("expected a JSON value")),
-            None => Err(self.err("unexpected end of input")),
-        }
-    }
-
     fn literal(&mut self, word: &[u8]) -> Result<(), JsonError> {
         if self.b[self.pos..].starts_with(word) {
             self.pos += word.len();
             Ok(())
         } else {
             Err(self.err("misspelled literal"))
-        }
-    }
-
-    fn object(&mut self) -> Result<Json, JsonError> {
-        self.expect(b'{')?;
-        self.skip_ws();
-        let mut fields = Vec::new();
-        if self.peek() == Some(b'}') {
-            self.pos += 1;
-            return Ok(Json::Obj(fields));
-        }
-        loop {
-            self.skip_ws();
-            let name = self.string()?;
-            self.skip_ws();
-            self.expect(b':')?;
-            self.skip_ws();
-            let value = self.value()?;
-            fields.push((name, value));
-            self.skip_ws();
-            match self.peek() {
-                Some(b',') => self.pos += 1,
-                Some(b'}') => {
-                    self.pos += 1;
-                    return Ok(Json::Obj(fields));
-                }
-                _ => return Err(self.err("expected ',' or '}' in object")),
-            }
-        }
-    }
-
-    fn array(&mut self) -> Result<Json, JsonError> {
-        self.expect(b'[')?;
-        self.skip_ws();
-        let mut items = Vec::new();
-        if self.peek() == Some(b']') {
-            self.pos += 1;
-            return Ok(Json::Arr(items));
-        }
-        loop {
-            self.skip_ws();
-            items.push(self.value()?);
-            self.skip_ws();
-            match self.peek() {
-                Some(b',') => self.pos += 1,
-                Some(b']') => {
-                    self.pos += 1;
-                    return Ok(Json::Arr(items));
-                }
-                _ => return Err(self.err("expected ',' or ']' in array")),
-            }
         }
     }
 
@@ -181,29 +229,37 @@ impl Parser<'_> {
         Ok(unit)
     }
 
-    /// A string's text is copied a run at a time: everything up to the
-    /// next `"`, `\` or control byte goes in with one `push_str`, then
-    /// that byte is handled. All three are ASCII and no byte of a
-    /// multi-byte UTF-8 sequence is, so every run ends on a char
-    /// boundary of the input.
-    fn string(&mut self) -> Result<String, JsonError> {
+    /// A string without an escape is borrowed from the text. Otherwise
+    /// its text is copied a run at a time: everything up to the next
+    /// `"`, `\` or control byte goes in with one `push_str`, then that
+    /// byte is handled. All three are ASCII and no byte of a multi-byte
+    /// UTF-8 sequence is, so every run ends on a char boundary of the
+    /// input.
+    fn string(&mut self) -> Result<Cow<'a, str>, JsonError> {
         self.expect(b'"')?;
-        let mut out = String::new();
+        let mut out: Option<String> = None;
         loop {
-            let rest = &self.b[self.pos..];
+            let (start, rest) = (self.pos, &self.b[self.pos..]);
             let run = rest.iter().position(|&c| c == b'"' || c == b'\\' || c < 0x20);
-            let end = self.pos + run.unwrap_or(rest.len());
-            out.push_str(&self.src[self.pos..end]);
-            self.pos = end;
+            self.pos += run.unwrap_or(rest.len());
+            let text: &'a str = &self.src[start..self.pos];
             match self.peek() {
                 None => return Err(self.err("unterminated string")),
                 Some(b'"') => {
                     self.pos += 1;
-                    return Ok(out);
+                    return Ok(match out {
+                        None => Cow::Borrowed(text),
+                        Some(mut owned) => {
+                            owned.push_str(text);
+                            Cow::Owned(owned)
+                        }
+                    });
                 }
                 Some(b'\\') => {
                     self.pos += 1;
-                    out.push(self.escape()?);
+                    let owned = out.get_or_insert_with(String::new);
+                    owned.push_str(text);
+                    owned.push(self.escape()?);
                 }
                 Some(_) => return Err(self.err("unescaped control character in string")),
             }
@@ -255,7 +311,7 @@ impl Parser<'_> {
         Ok(c)
     }
 
-    fn number(&mut self) -> Result<Json, JsonError> {
+    fn number(&mut self) -> Result<Token<'a>, JsonError> {
         let start = self.pos;
         let negative = self.peek() == Some(b'-');
         if negative {
@@ -286,18 +342,19 @@ impl Parser<'_> {
             }
             self.digits();
         }
-        let text = std::str::from_utf8(&self.b[start..self.pos]).expect("number tokens are ASCII");
+        // number tokens are ASCII, so these are char boundaries
+        let text = &self.src[start..self.pos];
         if integral {
             if negative {
                 if let Ok(n) = text.parse::<i64>() {
-                    return Ok(Json::Int(n));
+                    return Ok(Token::Int(n));
                 }
             } else if let Ok(n) = text.parse::<u64>() {
-                return Ok(Json::UInt(n));
+                return Ok(Token::UInt(n));
             }
         }
         match text.parse::<f64>() {
-            Ok(f) => Ok(Json::Float(f)),
+            Ok(f) => Ok(Token::Float(f)),
             Err(_) => Err(JsonError { at: start, msg: "number out of range".to_string() }),
         }
     }

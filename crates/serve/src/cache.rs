@@ -91,6 +91,13 @@ impl ResultCache {
         counter.fetch_add(1, Ordering::Relaxed);
     }
 
+    /// Hold the cache's lock until the guard drops: a query reaching
+    /// its lookup meanwhile waits there, admitted and in flight.
+    #[cfg(test)]
+    pub(crate) fn hold(&self) -> beff_sync::MutexGuard<'_, BTreeMap<String, Cached>> {
+        self.entries.lock()
+    }
+
     /// Look `key` up without touching the counters (for audits).
     pub fn peek(&self, key: &str) -> Option<Cached> {
         self.entries.lock().get(key).cloned()

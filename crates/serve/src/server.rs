@@ -40,12 +40,13 @@
 use crate::cache::{CacheStats, Cached, ResultCache};
 use crate::journal::{Extent, Journal, JournalError, Recovery};
 use crate::pool::SessionPool;
-use crate::spec::{digest_of, JobSpec, SpecError};
+use crate::spec::{digest_of, read_spec, JobSpec, SpecError};
 use crate::wire;
 use beff_bench::resilient::ResilientRunner;
-use beff_json::Json;
+use beff_json::{JsonError, Pull, Reader, Token};
 use beff_machines::Machine;
 use beff_sim::{map_ordered, BeffError, Workers};
+use std::borrow::Cow;
 use std::collections::BTreeMap;
 use std::io::{Read, Write};
 use std::path::Path;
@@ -208,7 +209,11 @@ impl Server {
         {
             let mut d = self.drain.lock();
             d.inflight -= 1;
-            if d.inflight == 0 {
+            // Only `begin_shutdown` waits here, and it clears
+            // `accepting` under this lock before it does: while
+            // admission is open nobody can be waiting, and a notify is
+            // a system call even then.
+            if d.inflight == 0 && !d.accepting {
                 self.drained.notify_all();
             }
         }
@@ -419,40 +424,30 @@ impl Server {
     /// the shutdown signal for a transport loop (raised only after the
     /// drain has completed).
     pub fn handle_frame(&self, payload: &str) -> (String, bool) {
-        let parsed = match beff_json::parse(payload) {
-            Ok(v) => v,
-            Err(e) => return (error_body(&format!("bad request JSON: {e}")), false),
+        let request = match Request::read(payload) {
+            Ok(request) => request,
+            Err(body) => return (body, false),
         };
-        let fields = match &parsed {
-            Json::Obj(fields) => fields,
-            _ => return (error_body("request must be a JSON object"), false),
+        let Some(Some(op)) = request.op else {
+            return (error_body("request is missing a string \"op\""), false);
         };
-        let field = |name: &str| fields.iter().find(|(n, _)| n == name).map(|(_, v)| v);
-        let op = match field("op") {
-            Some(Json::Str(op)) => op.as_str(),
-            _ => return (error_body("request is missing a string \"op\""), false),
-        };
-        match op {
+        match &*op {
             "run" => {
-                let Some(spec) = field("spec") else {
+                let Some(spec) = request.spec else {
                     return (error_body("\"run\" request is missing \"spec\""), false);
                 };
-                let outcome = JobSpec::from_json(spec).and_then(|s| self.submit(&s));
+                let outcome = spec.and_then(|s| self.submit(&s));
                 (outcome_body(&outcome), false)
             }
             "batch" => {
-                let Some(Json::Arr(items)) = field("specs") else {
+                let Some(Some(Batch { specs: parsed, shed })) = request.specs else {
                     return (error_body("\"batch\" request is missing a \"specs\" array"), false);
                 };
                 // Admission bound: everything past MAX_BATCH is shed
                 // with a typed per-spec rejection, in place.
-                let over = items.len().saturating_sub(MAX_BATCH);
-                if over > 0 {
-                    self.note_shed(over as u64);
+                if shed > 0 {
+                    self.note_shed(shed as u64);
                 }
-                let admitted_items = &items[..items.len().min(MAX_BATCH)];
-                let parsed: Vec<Result<JobSpec, SpecError>> =
-                    admitted_items.iter().map(JobSpec::from_json).collect();
                 let valid: Vec<JobSpec> =
                     parsed.iter().filter_map(|r| r.as_ref().ok().cloned()).collect();
                 let mut answered = self.submit_batch(&valid).into_iter();
@@ -466,7 +461,7 @@ impl Server {
                         Err(e) => error_body(&e.to_string()),
                     })
                     .collect();
-                for i in 0..over {
+                for i in 0..shed {
                     bodies.push(error_body(
                         &SpecError::Overloaded { queued: MAX_BATCH + i, capacity: MAX_BATCH }
                             .to_string(),
@@ -494,6 +489,84 @@ impl Server {
             }
             other => (error_body(&format!("unknown op {other:?}")), false),
         }
+    }
+}
+
+/// One request, read straight from its bytes: the first `op`, `spec`
+/// and `specs` members, whatever their order, each spec decoded as it
+/// is met; later duplicates and other members are only passed over.
+/// `None` is a member absent, `Some(None)` one of the wrong type.
+struct Request<'a> {
+    op: Option<Option<Cow<'a, str>>>,
+    spec: Option<Result<JobSpec, SpecError>>,
+    specs: Option<Option<Batch>>,
+}
+
+/// A `batch` request's specs: the first [`MAX_BATCH`] decoded, and how
+/// many more followed, shed unread.
+struct Batch {
+    specs: Vec<Result<JobSpec, SpecError>>,
+    shed: usize,
+}
+
+impl<'a> Request<'a> {
+    /// Read a request, or the error body that answers it. A syntax
+    /// error anywhere outranks every shape error, so the whole payload
+    /// is read before either is reported.
+    fn read(payload: &'a str) -> Result<Self, String> {
+        let mut request = Request { op: None, spec: None, specs: None };
+        let mut reader = Reader::new(payload);
+        match request.members(&mut reader).and_then(|object| reader.end().map(|()| object)) {
+            Ok(true) => Ok(request),
+            Ok(false) => Err(error_body("request must be a JSON object")),
+            Err(e) => Err(error_body(&format!("bad request JSON: {e}"))),
+        }
+    }
+
+    /// The document's members, if it is an object (`false` if not).
+    fn members(&mut self, r: &mut Reader<'a>) -> Result<bool, JsonError> {
+        let top = r.value()?;
+        if top != Token::Obj {
+            r.skip(top)?;
+            return Ok(false);
+        }
+        while let Some(name) = r.key()? {
+            let value = r.value()?;
+            match &*name {
+                "op" if self.op.is_none() => {
+                    self.op = Some(match value {
+                        Token::Str(op) => Some(op),
+                        other => {
+                            r.skip(other)?;
+                            None
+                        }
+                    });
+                }
+                "spec" if self.spec.is_none() => self.spec = Some(read_spec(r, value)?),
+                "specs" if self.specs.is_none() => self.specs = Some(Self::batch(r, value)?),
+                _ => r.skip(value)?,
+            }
+        }
+        Ok(true)
+    }
+
+    /// A `specs` member, if it is an array.
+    fn batch(r: &mut Reader<'a>, first: Token<'a>) -> Result<Option<Batch>, JsonError> {
+        if first != Token::Arr {
+            r.skip(first)?;
+            return Ok(None);
+        }
+        let mut batch = Batch { specs: Vec::new(), shed: 0 };
+        while r.item()? {
+            let item = r.value()?;
+            if batch.specs.len() < MAX_BATCH {
+                batch.specs.push(read_spec(r, item)?);
+            } else {
+                r.skip(item)?;
+                batch.shed += 1;
+            }
+        }
+        Ok(Some(batch))
     }
 }
 
@@ -584,6 +657,7 @@ pub(crate) fn error_body(message: &str) -> String {
 mod tests {
     use super::*;
     use crate::wire::MemStream;
+    use beff_json::Json;
 
     fn server() -> Server {
         Server::new(Workers::new(2))
@@ -850,6 +924,77 @@ mod tests {
             outcomes.into_iter().map(|o| o.expect("admitted jobs complete").bytes).collect();
         assert_eq!(got, want, "a drained batch answers byte-stable results");
         assert!(matches!(srv.submit(&specs[0]), Err(SpecError::ShuttingDown)));
+    }
+
+    /// Run `f` on its own thread and wait at most a minute for it:
+    /// a drain that is never woken fails the test instead of hanging it.
+    fn finishes<T: Send + 'static>(f: impl FnOnce() -> T + Send + 'static) -> T {
+        let thread = std::thread::spawn(f);
+        wait_until("the thread to finish", || thread.is_finished());
+        match thread.join() {
+            Ok(value) => value,
+            Err(panic) => std::panic::resume_unwind(panic),
+        }
+    }
+
+    fn wait_until(what: &str, ready: impl Fn() -> bool) {
+        let start = std::time::Instant::now();
+        while !ready() {
+            assert!(start.elapsed().as_secs() < 60, "gave up waiting for {what}");
+            std::thread::yield_now();
+        }
+    }
+
+    #[test]
+    fn shutdown_waiting_for_the_last_batch_is_woken_when_it_ends() {
+        let srv = Arc::new(server());
+        let spec = JobSpec::new("t3e", 4);
+        assert!(srv.submit(&spec).is_ok(), "warm the cache");
+        // The gate holds the cache lock, so the batch stops at its
+        // lookup: admitted, in flight, and unable to end until released.
+        let (held_tx, held) = std::sync::mpsc::channel();
+        let (release, gate) = std::sync::mpsc::channel::<()>();
+        let gate_srv = Arc::clone(&srv);
+        let gate_thread = std::thread::spawn(move || {
+            let _guard = gate_srv.cache.hold();
+            let _ = held_tx.send(());
+            let _ = gate.recv();
+        });
+        assert!(held.recv().is_ok(), "the gate holds the cache");
+        let batch_srv = Arc::clone(&srv);
+        let batch = std::thread::spawn(move || batch_srv.submit(&spec));
+        wait_until("the batch's admission", || srv.inflight() == 1);
+
+        let shut_srv = Arc::clone(&srv);
+        let shutdown = std::thread::spawn(move || {
+            shut_srv.begin_shutdown();
+            shut_srv.inflight()
+        });
+        // begin_shutdown clears `accepting` and starts waiting under one
+        // hold of the drain lock, so once `accepting` reads false with
+        // the batch still gated, it is waiting: only the batch's end can
+        // wake it.
+        wait_until("shutdown to stop admission", || !srv.accepting());
+        assert_eq!(srv.inflight(), 1);
+        assert!(!shutdown.is_finished(), "shutdown returned with a batch in flight");
+
+        assert!(release.send(()).is_ok() && gate_thread.join().is_ok(), "the gate opens");
+        let Ok(Ok(outcome)) = batch.join() else { panic!("an admitted hit is answered") };
+        assert!(outcome.cached);
+        let inflight_at_return = finishes(move || shutdown.join().ok());
+        assert_eq!(inflight_at_return, Some(0), "shutdown returned before the batch's reply");
+        assert!(matches!(srv.submit(&JobSpec::new("t3e", 4)), Err(SpecError::ShuttingDown)));
+    }
+
+    #[test]
+    fn shutdown_with_nothing_in_flight_returns_at_once() {
+        let srv = Arc::new(server());
+        let shut_srv = Arc::clone(&srv);
+        finishes(move || shut_srv.begin_shutdown());
+        assert!(!srv.accepting());
+        // and again: a second shutdown has nothing to wait for either
+        let shut_srv = Arc::clone(&srv);
+        finishes(move || shut_srv.begin_shutdown());
     }
 
     #[test]

@@ -22,7 +22,7 @@
 
 use beff_core::beff::{BeffConfig, DEFAULT_SEED};
 use beff_faults::FaultSpec;
-use beff_json::{Json, ToJson};
+use beff_json::{Json, Pull, ToJson, Token, TreeReader};
 use beff_machines::Machine;
 use beff_netsim::Topology;
 use std::fmt::{self, Write as _};
@@ -183,45 +183,112 @@ impl JobSpec {
 
     /// Parse a spec from its wire JSON. Field order is free; unknown
     /// fields are rejected (a typo'd field silently defaulting would
-    /// alias two *different* intents onto one cache key).
+    /// alias two *different* intents onto one cache key). The tree is
+    /// read through the decoder `Server::handle_frame` reads a request's
+    /// bytes with, so both report the same error for the same spec.
     pub fn from_json(v: &Json) -> Result<Self, SpecError> {
-        let fields = match v {
-            Json::Obj(fields) => fields,
-            _ => return Err(SpecError::Malformed("spec must be a JSON object".into())),
-        };
-        let mut machine: Option<String> = None;
-        let mut procs: Option<usize> = None;
-        let mut schedule = Schedule::Quick;
-        let mut seed = DEFAULT_SEED;
-        let mut extras = false;
-        let mut fault: Option<FaultSpec> = None;
-        for (name, value) in fields {
-            match name.as_str() {
-                "machine" => machine = Some(as_str(value, "machine")?.to_string()),
-                "procs" => procs = Some(as_u64(value, "procs")? as usize),
-                "schedule" => {
-                    let s = as_str(value, "schedule")?;
-                    schedule = Schedule::from_str(s).ok_or_else(|| {
-                        SpecError::Malformed(format!(
-                            "schedule must be \"quick\" or \"paper\", got {s:?}"
-                        ))
-                    })?;
-                }
-                "seed" => seed = as_u64(value, "seed")?,
-                "extras" => extras = as_bool(value, "extras")?,
-                "fault" => match value {
-                    Json::Null => fault = None,
-                    other => fault = Some(fault_from_json(other)?),
-                },
-                other => return Err(SpecError::Malformed(format!("unknown spec field {other:?}"))),
-            }
+        let mut tree = TreeReader::new(v);
+        let decoded = tree.value().and_then(|first| read_spec(&mut tree, first));
+        match decoded {
+            Ok(spec) => spec,
+            Err(never) => match never {},
         }
+    }
+}
+
+/// The one spec decoder: the rest of the value `first` started, read
+/// as a spec. The outer `Err` is the source's syntax error; the inner
+/// one is the first shape error in field order — a duplicate field's
+/// last value wins, and once a field is bad the rest of the spec is
+/// only passed over, so a syntax error after it still surfaces.
+pub(crate) fn read_spec<'a, P: Pull<'a>>(
+    p: &mut P,
+    first: Token<'a>,
+) -> Result<Result<JobSpec, SpecError>, P::Error> {
+    if first != Token::Obj {
+        p.skip(first)?;
+        return Ok(Err(SpecError::Malformed("spec must be a JSON object".into())));
+    }
+    let mut machine: Option<String> = None;
+    let mut procs: Option<usize> = None;
+    let mut schedule = Schedule::Quick;
+    let mut seed = DEFAULT_SEED;
+    let mut extras = false;
+    let mut fault: Option<FaultSpec> = None;
+    let fields = read_fields(p, |p, name, value| {
+        if name == "fault" && value == Token::Obj {
+            return Ok(read_fault(p)?.map(|f| fault = Some(f)));
+        }
+        let set = match name {
+            "machine" => as_str(&value, "machine").map(|s| machine = Some(s.to_string())),
+            "procs" => as_u64(&value, "procs").map(|n| procs = Some(n as usize)),
+            "schedule" => as_str(&value, "schedule").and_then(|s| {
+                schedule = Schedule::from_str(s).ok_or_else(|| {
+                    SpecError::Malformed(format!(
+                        "schedule must be \"quick\" or \"paper\", got {s:?}"
+                    ))
+                })?;
+                Ok(())
+            }),
+            "seed" => as_u64(&value, "seed").map(|n| seed = n),
+            "extras" => as_bool(&value, "extras").map(|b| extras = b),
+            "fault" if value == Token::Null => {
+                fault = None;
+                Ok(())
+            }
+            "fault" => Err(SpecError::Malformed("fault must be a JSON object or null".into())),
+            other => Err(SpecError::Malformed(format!("unknown spec field {other:?}"))),
+        };
+        p.skip(value)?;
+        Ok(set)
+    })?;
+    Ok(fields.and_then(|()| {
         let machine =
             machine.ok_or_else(|| SpecError::Malformed("spec is missing \"machine\"".into()))?;
         let procs =
             procs.ok_or_else(|| SpecError::Malformed("spec is missing \"procs\"".into()))?;
-        Ok(Self { machine, procs, schedule, seed, extras, fault })
+        Ok(JobSpec { machine, procs, schedule, seed, extras, fault })
+    }))
+}
+
+/// A fault plan's fields, its object already open.
+fn read_fault<'a, P: Pull<'a>>(p: &mut P) -> Result<Result<FaultSpec, SpecError>, P::Error> {
+    let mut f = FaultSpec::none(0);
+    let fields = read_fields(p, |p, name, value| {
+        let set = match name {
+            "seed" => as_u64(&value, "fault.seed").map(|n| f.seed = n),
+            "severity" => as_f64(&value, "fault.severity").map(|x| f.severity = x),
+            "degrade" => as_bool(&value, "fault.degrade").map(|b| f.degrade = b),
+            "flapping" => as_bool(&value, "fault.flapping").map(|b| f.flapping = b),
+            "stragglers" => as_u64(&value, "fault.stragglers").map(|n| f.stragglers = n as usize),
+            "drops" => as_bool(&value, "fault.drops").map(|b| f.drops = b),
+            "crashes" => as_u64(&value, "fault.crashes").map(|n| f.crashes = n as usize),
+            "dead_links" => as_u64(&value, "fault.dead_links").map(|n| f.dead_links = n as usize),
+            other => Err(SpecError::Malformed(format!("unknown fault field {other:?}"))),
+        };
+        p.skip(value)?;
+        Ok(set)
+    })?;
+    Ok(fields.map(|()| f))
+}
+
+/// Walk the members of an object whose `{` is read, handing each to
+/// `field`, which reads its value to the end. After the first shape
+/// error the rest are only passed over, and that error is the answer.
+fn read_fields<'a, P: Pull<'a>>(
+    p: &mut P,
+    mut field: impl FnMut(&mut P, &str, Token<'a>) -> Result<Result<(), SpecError>, P::Error>,
+) -> Result<Result<(), SpecError>, P::Error> {
+    let mut first_error = Ok(());
+    while let Some(name) = p.key()? {
+        let value = p.value()?;
+        if first_error.is_ok() {
+            first_error = field(p, &name, value)?;
+        } else {
+            p.skip(value)?;
+        }
     }
+    Ok(first_error)
 }
 
 impl ToJson for JobSpec {
@@ -270,55 +337,33 @@ fn write_fault_key(f: &FaultSpec, out: &mut String) {
     _ = write!(out, ",\"stragglers\":{}}}", f.stragglers);
 }
 
-fn fault_from_json(v: &Json) -> Result<FaultSpec, SpecError> {
-    let fields = match v {
-        Json::Obj(fields) => fields,
-        _ => return Err(SpecError::Malformed("fault must be a JSON object or null".into())),
-    };
-    let mut f = FaultSpec::none(0);
-    for (name, value) in fields {
-        match name.as_str() {
-            "seed" => f.seed = as_u64(value, "fault.seed")?,
-            "severity" => f.severity = as_f64(value, "fault.severity")?,
-            "degrade" => f.degrade = as_bool(value, "fault.degrade")?,
-            "flapping" => f.flapping = as_bool(value, "fault.flapping")?,
-            "stragglers" => f.stragglers = as_u64(value, "fault.stragglers")? as usize,
-            "drops" => f.drops = as_bool(value, "fault.drops")?,
-            "crashes" => f.crashes = as_u64(value, "fault.crashes")? as usize,
-            "dead_links" => f.dead_links = as_u64(value, "fault.dead_links")? as usize,
-            other => return Err(SpecError::Malformed(format!("unknown fault field {other:?}"))),
-        }
-    }
-    Ok(f)
-}
-
-fn as_str<'a>(v: &'a Json, what: &str) -> Result<&'a str, SpecError> {
+fn as_str<'t>(v: &'t Token<'_>, what: &str) -> Result<&'t str, SpecError> {
     match v {
-        Json::Str(s) => Ok(s),
+        Token::Str(s) => Ok(s),
         _ => Err(SpecError::Malformed(format!("{what} must be a string"))),
     }
 }
 
-fn as_u64(v: &Json, what: &str) -> Result<u64, SpecError> {
+fn as_u64(v: &Token<'_>, what: &str) -> Result<u64, SpecError> {
     match v {
-        Json::UInt(n) => Ok(*n),
-        Json::Int(n) if *n >= 0 => Ok(*n as u64),
+        Token::UInt(n) => Ok(*n),
+        Token::Int(n) if *n >= 0 => Ok(*n as u64),
         _ => Err(SpecError::Malformed(format!("{what} must be a non-negative integer"))),
     }
 }
 
-fn as_f64(v: &Json, what: &str) -> Result<f64, SpecError> {
+fn as_f64(v: &Token<'_>, what: &str) -> Result<f64, SpecError> {
     match v {
-        Json::Float(f) => Ok(*f),
-        Json::UInt(n) => Ok(*n as f64),
-        Json::Int(n) => Ok(*n as f64),
+        Token::Float(f) => Ok(*f),
+        Token::UInt(n) => Ok(*n as f64),
+        Token::Int(n) => Ok(*n as f64),
         _ => Err(SpecError::Malformed(format!("{what} must be a number"))),
     }
 }
 
-fn as_bool(v: &Json, what: &str) -> Result<bool, SpecError> {
+fn as_bool(v: &Token<'_>, what: &str) -> Result<bool, SpecError> {
     match v {
-        Json::Bool(b) => Ok(*b),
+        Token::Bool(b) => Ok(*b),
         _ => Err(SpecError::Malformed(format!("{what} must be a boolean"))),
     }
 }

@@ -1,8 +1,9 @@
 //! A warm `run` hit asks the allocator for its reply and little else:
-//! the parse tree of the request, the spec's fields, its key (written
-//! straight from the fields) and its 16-digit digest. Held here by
-//! counting what `Server::handle_frame` requests for a hit. One test
-//! per binary: the count is process-wide.
+//! the machine name (the one string read out of the request, which
+//! builds no tree), its key (written straight from the fields), its
+//! 16-digit digest and the batch of one. Held here by counting what
+//! `Server::handle_frame` requests for a hit. One test per binary: the
+//! count is process-wide.
 
 use beff_check::CountingAlloc;
 use beff_serve::{JobSpec, Server};
@@ -12,7 +13,7 @@ use beff_sim::Workers;
 static ALLOCATOR: CountingAlloc = CountingAlloc;
 
 /// Bytes a hit may request beyond its reply.
-const OVERHEAD: u64 = 1024;
+const OVERHEAD: u64 = 232;
 
 #[test]
 fn a_warm_hit_requests_little_beyond_its_reply() {
@@ -38,9 +39,9 @@ fn a_warm_hit_requests_little_beyond_its_reply() {
         .min()
         .unwrap_or(u64::MAX);
     let reply = hit.len() as u64;
-    // A hit takes 982 B beyond its reply: the request's parse tree
-    // (eleven strings and two field vectors, about 760 B), the spec, its
-    // 131-byte key buffer, its 16-byte digest and the batch of one.
+    // A hit takes 222 B beyond its reply: the 3-byte machine name, the
+    // 131-byte key buffer, the 16-byte digest and the batch of one's
+    // 72-byte outcome vector (its admission vector, reused in place).
     assert!(
         requested <= reply + OVERHEAD,
         "a warm hit requested {requested} B for a {reply} B reply (+{} B, at most +{OVERHEAD})",
