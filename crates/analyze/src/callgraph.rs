@@ -478,14 +478,18 @@ fn resolve_qualified(
         return dedup(frees.into_iter().filter(|&id| syms.fns[id].krate == krate).collect());
     }
     // A bare module qualifier (`lexer::lex(…)`): match the defining
-    // file's stem or module path against the last qualifier segment.
+    // file's stem or module path against the last qualifier segment,
+    // or against the sibling module a `use heap as os;` renames to it
+    // (cfg is not evaluated, so a backend chosen per target is one).
+    let renamed = syms.import_of(caller.file, last).filter(|u| u.path.is_empty());
+    let names = |m: &str| m == last || renamed.is_some_and(|u| u.name == m);
     let by_module: Vec<usize> = frees
         .iter()
         .copied()
         .filter(|&id| {
             let d = &syms.fns[id];
-            d.module.iter().any(|m| m == last)
-                || d.path.rsplit('/').next().is_some_and(|f| f.strip_suffix(".rs") == Some(last))
+            d.module.iter().any(|m| names(m))
+                || d.path.rsplit('/').next().and_then(|f| f.strip_suffix(".rs")).is_some_and(names)
         })
         .collect();
     if !by_module.is_empty() {
@@ -642,6 +646,16 @@ mod tests {
         ]);
         let run = id(&syms, "run");
         assert_eq!(g.callees[run], vec![id(&syms, "lex")]);
+    }
+
+    #[test]
+    fn a_module_renamed_by_use_resolves_to_both_backends() {
+        let (g, syms, _) = graph(&[(
+            "crates/a/src/lib.rs",
+            "mod os {\n pub fn map() {}\n}\nmod heap {\n pub fn map() {}\n}\n\
+             use heap as os;\nfn zeroed() { os::map(); }\n",
+        )]);
+        assert_eq!(g.callees[id(&syms, "zeroed")].len(), 2);
     }
 
     #[test]

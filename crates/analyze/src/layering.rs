@@ -4,10 +4,10 @@
 //! Three sub-rules, all reported as `layering`:
 //!
 //! 1. **Fiber containment** — the x86_64 context-switch machinery
-//!    (`naked_asm`, the `fiber_switch`/`fiber_entry` trampolines) may
-//!    exist only inside `crates/sim/`. No other crate gets to grow its
-//!    own stack-switching unsafe code. This one is a row of
-//!    [`config::BANS`], checked by [`crate::rules::check_bans`].
+//!    ([`config::FIBER_IDENTS`]: `naked_asm`, `global_asm`, the
+//!    `fiber_switch`/`init_fiber` trampolines) may exist only inside
+//!    `crates/sim/`, test code included. No other crate gets to grow
+//!    its own stack-switching unsafe code.
 //! 2. **Substrate reach-through** — `beff-mpi` must import substrate
 //!    names (clocks, resources, links, RNG, units) from `beff_sim`,
 //!    never through `beff_netsim`'s compatibility re-exports. The MPI
@@ -27,18 +27,56 @@
 //! exception — edit the allow-list in `config.rs` in a reviewed diff).
 
 use crate::config;
-use crate::lexer::TokenKind;
+use crate::lexer::{Token, TokenKind};
 use crate::rules::Violation;
 use crate::source::SourceFile;
 
-/// Source half: substrate reach-through. Returns the number of
-/// honored waivers.
+/// Source half: fiber containment in every file outside
+/// [`config::FIBER_HOME`], test code included, and substrate
+/// reach-through in `beff-mpi`. Returns the number of honored waivers.
 pub fn check_source(f: &SourceFile, out: &mut Vec<Violation>) -> usize {
-    if config::crate_of(&f.path) != "mpi" {
-        return 0;
+    let mut hits = Vec::new();
+    if !f.path.starts_with(config::FIBER_HOME) {
+        for t in &f.tokens {
+            if t.kind == TokenKind::Ident && config::FIBER_IDENTS.contains(&t.text.as_str()) {
+                let message = format!(
+                    "`{}` is context-switch machinery; only `crates/sim` may contain \
+                     fiber/stack-switching code (DESIGN.md §9)",
+                    t.text
+                );
+                hits.push((t.line, message));
+            }
+        }
+    }
+    if config::crate_of(&f.path) == "mpi" {
+        reach_through(f, &mut hits);
     }
     let mut waived = 0;
+    for (line, message) in hits {
+        if f.waived("layering", line) {
+            waived += 1;
+            continue;
+        }
+        out.push(Violation { rule: "layering", path: f.path.clone(), line, message });
+    }
+    waived
+}
+
+/// `beff_netsim::<substrate name>`, as one path or inside a grouped
+/// import, pushed to `hits` as `(line, message)`.
+fn reach_through(f: &SourceFile, hits: &mut Vec<(u32, String)>) {
     let toks = &f.tokens;
+    let mut flag = |t: &Token| {
+        if t.kind == TokenKind::Ident && config::NETSIM_INTERNAL_IDENTS.contains(&t.text.as_str()) {
+            let name = &t.text;
+            let message = format!(
+                "`beff_netsim::{name}` reaches a substrate internal through netsim's \
+                 compatibility re-exports; beff-mpi must import `{name}` from \
+                 `beff_sim` (DESIGN.md §9)"
+            );
+            hits.push((t.line, message));
+        }
+    };
     for i in 0..toks.len() {
         // `beff_netsim :: …` — either a single path segment or a
         // grouped import whose brace block we scan flat.
@@ -48,14 +86,7 @@ pub fn check_source(f: &SourceFile, out: &mut Vec<Violation>) -> usize {
         {
             continue;
         }
-        let banned = |s: &str| config::NETSIM_INTERNAL_IDENTS.contains(&s);
-        let mut hits: Vec<(u32, String)> = Vec::new();
         match toks.get(i + 3) {
-            Some(c) if c.kind == TokenKind::Ident => {
-                if banned(&c.text) {
-                    hits.push((c.line, c.text.clone()));
-                }
-            }
             Some(c) if c.is_punct('{') => {
                 let mut depth = 1;
                 let mut j = i + 4;
@@ -65,32 +96,16 @@ pub fn check_source(f: &SourceFile, out: &mut Vec<Violation>) -> usize {
                         depth += 1;
                     } else if u.is_punct('}') {
                         depth -= 1;
-                    } else if u.kind == TokenKind::Ident && banned(&u.text) {
-                        hits.push((u.line, u.text.clone()));
+                    } else {
+                        flag(u);
                     }
                     j += 1;
                 }
             }
-            _ => {}
-        }
-        for (line, name) in hits {
-            if f.waived("layering", line) {
-                waived += 1;
-                continue;
-            }
-            out.push(Violation {
-                rule: "layering",
-                path: f.path.clone(),
-                line,
-                message: format!(
-                    "`beff_netsim::{name}` reaches a substrate internal through netsim's \
-                     compatibility re-exports; beff-mpi must import `{name}` from \
-                     `beff_sim` (DESIGN.md §9)"
-                ),
-            });
+            Some(c) => flag(c),
+            None => {}
         }
     }
-    waived
 }
 
 /// Manifest half: `beff-*` dependency allow-lists for the layered
@@ -192,6 +207,23 @@ mod tests {
     fn non_mpi_crates_may_use_netsim_re_exports() {
         let v = src("crates/pfs/src/fs.rs", "use beff_netsim::{Resource, Secs};\n");
         assert!(v.is_empty(), "{v:?}");
+    }
+
+    #[test]
+    fn fiber_asm_is_fine_inside_sim() {
+        let asm = "unsafe extern \"sysv64\" fn s() { naked_asm!(\"ret\") }\n";
+        let v = src("crates/sim/src/fiber.rs", asm);
+        assert!(v.is_empty(), "{v:?}");
+    }
+
+    #[test]
+    fn fiber_asm_outside_sim_is_flagged_in_tests_too() {
+        let v = src("crates/mpi/src/runtime.rs", "fn f() { naked_asm!(\"ret\") }\n");
+        assert_eq!(v.len(), 1, "{v:?}");
+        assert_eq!(v[0].rule, "layering");
+        assert!(v[0].message.contains("context-switch"));
+        let test_src = "#[cfg(test)]\nmod t {\n fn g() { naked_asm!(\"ret\") }\n}\n";
+        assert_eq!(src("crates/mpi/src/runtime.rs", test_src).len(), 1);
     }
 
     #[test]

@@ -5,8 +5,8 @@
 //!
 //! The output is two parallel streams per file: significant [`Token`]s
 //! (identifiers, literals, punctuation) and [`Comment`]s. Comments are
-//! kept separately because several rules *read* them — `// SAFETY:`
-//! justifications and `beff-analyze` waivers are
+//! kept separately because the waiver parser *reads* them —
+//! `beff-analyze` waivers and `dynamic-call` annotations are
 //! comment-borne — while every code-facing rule must ignore them.
 //!
 //! Deliberately out of scope: macro expansion, cfg evaluation beyond

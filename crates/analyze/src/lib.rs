@@ -1,23 +1,17 @@
 //! # beff-analyze
 //!
-//! The workspace's determinism & safety lint pass. The b_eff
-//! reproduction's headline guarantee — bitwise-deterministic replay —
-//! was previously enforced only by runtime golden tests; this crate
-//! makes the contract *static*: a zero-dependency Rust lexer plus a
-//! rule engine walk every source file and manifest on each verify run
-//! and fail the build on:
+//! The workspace's own lint pass, for what no stock tool checks. The
+//! b_eff reproduction's headline guarantee — bitwise-deterministic
+//! replay — is enforced statically in two places. Clippy, with the
+//! workspace `clippy.toml`, bans host time, hash order, host thread
+//! identity, stray threads and undocumented `unsafe` by resolved path
+//! (verify.sh's clippy gate). This crate — a zero-dependency Rust lexer
+//! plus a rule engine over every source file and manifest — fails the
+//! build on the rest:
 //!
-//! * `wall-clock` — `Instant`/`SystemTime`/`sleep` in any non-test line
-//!   (the simulated clock in `netsim::clock` is the only sanctioned
-//!   time source; `beff serve_torture`'s command file is the one home);
-//! * `hash-order` — `HashMap`/`HashSet`, thread ids and addresses in
-//!   any non-test line: their order or identity depends on the host;
-//! * `threading` — thread creation outside the substrate and sync;
 //! * `unwrap` — per-crate `unwrap()`/`expect()` budgets (a ratchet:
 //!   counts may fall freely but may only rise by editing the budget
 //!   table in [`config`]);
-//! * `safety` — `unsafe` blocks/impls without a `// SAFETY:`
-//!   justification;
 //! * `lock-decl` — every ranked lock's file is declared in [`config`]
 //!   and holds exactly one `Rank::new(level, "name")` literal, which
 //!   is the lock's level for the static checker too;
@@ -31,7 +25,7 @@
 //! Known-good exceptions are waived in place, with a reason:
 //!
 //! ```text
-//! // beff-analyze: allow(hash-order): keyed lookups only, never iterated
+//! // beff-analyze: allow(unwrap): the table is built non-empty above
 //! ```
 //!
 //! On top of the per-line rules sits an **interprocedural layer**: an

@@ -1,13 +1,12 @@
 //! Per-file source model: the lexed streams plus the derived facts the
-//! rules query — which lines are test code, which lines carry an
-//! `allow(...)` waiver, and which lines are covered by a `SAFETY:`
-//! justification comment. Also home of the deterministic workspace
-//! file walk ([`discover`]).
+//! rules query — which lines are test code and which lines carry an
+//! `allow(...)` waiver. Also home of the deterministic workspace file
+//! walk ([`discover`]).
 //!
 //! ## Waiver syntax
 //!
 //! ```text
-//! // beff-analyze: allow(hash-order): keyed lookups only, never iterated
+//! // beff-analyze: allow(unwrap): the table is built non-empty above
 //! ```
 //!
 //! The rule must be one the analyzer has and the justification is
@@ -57,7 +56,6 @@ pub struct SourceFile {
     /// Workspace-relative path with forward slashes.
     pub path: String,
     pub tokens: Vec<Token>,
-    pub comments: Vec<Comment>,
     pub waivers: Vec<Waiver>,
     /// `dynamic-call` annotations marking intentionally indirect calls.
     pub dynamic_calls: Vec<DynamicCall>,
@@ -84,7 +82,6 @@ impl SourceFile {
         Self {
             path: path.replace('\\', "/"),
             tokens,
-            comments,
             waivers,
             dynamic_calls,
             bad_waivers,
@@ -109,31 +106,6 @@ impl SourceFile {
     /// Does a `dynamic-call` annotation cover `line`?
     pub fn dynamic_call_annotated(&self, line: u32) -> bool {
         self.dynamic_calls.iter().any(|d| d.line == line)
-    }
-
-    /// Does the contiguous comment block ending directly above `line`
-    /// (or a comment on `line` itself) contain `needle`
-    /// (case-insensitive)?
-    pub fn comment_context_contains(&self, line: u32, needle: &str) -> bool {
-        let needle = needle.to_ascii_lowercase();
-        // Same-line comment.
-        if self.comments.iter().any(|c| {
-            c.line <= line && c.end_line >= line && c.text.to_ascii_lowercase().contains(&needle)
-        }) {
-            return true;
-        }
-        // Walk the contiguous comment block upward: a comment whose
-        // end_line is `cursor - 1` extends the block.
-        let mut cursor = line;
-        loop {
-            let Some(c) = self.comments.iter().find(|c| c.end_line + 1 == cursor) else {
-                return false;
-            };
-            if c.text.to_ascii_lowercase().contains(&needle) {
-                return true;
-            }
-            cursor = c.line;
-        }
     }
 }
 
@@ -401,10 +373,10 @@ mod tests {
 
     #[test]
     fn trailing_waiver_applies_to_its_own_line() {
-        let src = "let m = HashMap::new(); // beff-analyze: allow(hash-order): keyed lookups only\n";
+        let src = "let m = t.get(k).unwrap(); // beff-analyze: allow(unwrap): k was inserted above\n";
         let f = SourceFile::parse("crates/x/src/lib.rs", src);
-        assert!(f.waived("hash-order", 1));
-        assert!(!f.waived("wall-clock", 1));
+        assert!(f.waived("unwrap", 1));
+        assert!(!f.waived("panicflow", 1));
     }
 
     #[test]
@@ -424,18 +396,10 @@ mod tests {
 
     #[test]
     fn multi_rule_waiver() {
-        let src = "do_it(); // beff-analyze: allow(wall-clock, unwrap): test scaffolding\n";
+        let src = "do_it(); // beff-analyze: allow(panicflow, unwrap): test scaffolding\n";
         let f = SourceFile::parse("crates/x/src/lib.rs", src);
-        assert!(f.waived("wall-clock", 1));
+        assert!(f.waived("panicflow", 1));
         assert!(f.waived("unwrap", 1));
-    }
-
-    #[test]
-    fn comment_context_walks_contiguous_block() {
-        let src = "// SAFETY: the pointer is valid\n// and stays alive\nunsafe { go() }\n";
-        let f = SourceFile::parse("crates/x/src/lib.rs", src);
-        assert!(f.comment_context_contains(3, "safety:"));
-        assert!(!f.comment_context_contains(3, "nope"));
     }
 
     #[test]

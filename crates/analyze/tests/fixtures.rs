@@ -40,13 +40,6 @@ fn panic_hot_path_fixture_is_caught_by_panicflow() {
     assert!(r.violations.iter().all(|v| v.rule == "panicflow"), "{:?}", r.violations);
 }
 
-#[test]
-fn hash_order_fixture_is_caught_at_its_source() {
-    let r = analyze_workspace(&fixture("hash_order_at_source")).expect("analyze");
-    let found: Vec<_> = r.violations.iter().map(|v| (v.rule, v.path.as_str(), v.line)).collect();
-    assert_eq!(found, [("hash-order", "crates/sync/src/tally.rs", 5)], "{:?}", r.violations);
-}
-
 /// Copy a fixture tree into a scratch dir, creating files in the given
 /// order — readdir order commonly tracks creation order, so copying in
 /// reversed order exercises walk-order independence.

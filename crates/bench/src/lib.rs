@@ -139,6 +139,10 @@ pub fn vs(measured: f64, paper: f64) -> String {
 }
 
 #[cfg(test)]
+#[expect(
+    clippy::disallowed_methods,
+    reason = "a test uses the filesystem of a failed world from a second thread"
+)]
 mod tests {
     use super::*;
     use beff_netsim::{NetParams, Topology};

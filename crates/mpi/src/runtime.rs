@@ -317,6 +317,10 @@ impl WorldSession {
 }
 
 #[cfg(test)]
+#[expect(
+    clippy::disallowed_methods,
+    reason = "a test prices on the network of a failed world from a second thread"
+)]
 mod tests {
     use super::*;
     use crate::collectives::ReduceOp;

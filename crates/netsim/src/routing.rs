@@ -93,6 +93,10 @@ impl RouteTable {
 }
 
 #[cfg(test)]
+#[expect(
+    clippy::disallowed_methods,
+    reason = "a test warms one route table from concurrent threads"
+)]
 mod tests {
     use super::*;
 

@@ -4,7 +4,7 @@
 //! ([`FsFile`]) that names it there.
 
 use crate::cache::CACHE_BLOCK;
-// beff-analyze: allow(hash-order): the block map below is keyed-lookup-only, never iterated
+#[expect(clippy::disallowed_types, reason = "the block map below is keyed-lookup-only, never iterated")]
 use std::collections::HashMap;
 
 /// Residency stamp of a block that was never cached.
@@ -18,7 +18,7 @@ pub(crate) struct FileState {
     /// A hash map is kept here (hot per-block path) because access is
     /// strictly by key: nothing ever iterates it, so hasher order
     /// cannot leak into results.
-    // beff-analyze: allow(hash-order): keyed by block index, cleared wholesale, never iterated
+    #[expect(clippy::disallowed_types, reason = "keyed by block index, cleared wholesale, never iterated")]
     blocks: HashMap<u64, Box<[u8]>>,
     /// Cache residency: LRU stamp by block index, dense from block 0 to
     /// the last block ever cached (8 bytes per 64 kB of file), [`NEVER`]

@@ -369,6 +369,10 @@ impl Pfs {
 }
 
 #[cfg(test)]
+#[expect(
+    clippy::disallowed_methods,
+    reason = "a test drives one filesystem from concurrent client threads"
+)]
 mod tests {
     use super::*;
     use std::sync::Arc;

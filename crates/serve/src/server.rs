@@ -654,6 +654,11 @@ pub(crate) fn error_body(message: &str) -> String {
 }
 
 #[cfg(test)]
+#[expect(
+    clippy::disallowed_methods,
+    clippy::disallowed_types,
+    reason = "the tests race shutdown against batches on real threads and bound each wait in host time"
+)]
 mod tests {
     use super::*;
     use crate::wire::MemStream;

@@ -360,6 +360,7 @@ mod asm {
 /// The portable backend: each fiber is an OS thread, and one baton
 /// says which of them — or the host — runs.
 #[cfg(any(test, not(target_arch = "x86_64")))]
+#[expect(clippy::disallowed_types, reason = "the portable fiber backend is made of host threads")]
 mod threads {
     use super::FiberStack;
     use beff_sync::{Condvar, Mutex, Rank};
@@ -517,6 +518,10 @@ mod threads {
 }
 
 #[cfg(test)]
+#[expect(
+    clippy::undocumented_unsafe_blocks,
+    reason = "the tests drive the backends' unsafe interface as their `# Safety` docs require"
+)]
 mod tests {
     use super::*;
     use std::collections::VecDeque;

@@ -103,7 +103,12 @@ mod os {
 }
 
 #[cfg(not(target_os = "linux"))]
-mod os {
+use heap as os;
+
+/// The allocator backend for hosts without `mmap`. Test builds compile
+/// it on Linux too, so clippy and the tests see it there.
+#[cfg(any(test, not(target_os = "linux")))]
+mod heap {
     use std::alloc::{alloc_zeroed, dealloc, handle_alloc_error, Layout};
 
     fn layout(len: usize) -> Layout {
@@ -145,5 +150,19 @@ mod tests {
     #[test]
     fn empty_region_is_an_empty_slice() {
         assert!(Pages::zeroed(0).is_empty());
+    }
+
+    #[test]
+    fn the_heap_backend_maps_zeroed_writable_memory() {
+        let len = 2 * 4096 + 8;
+        let base = heap::map(len);
+        assert_eq!(base as usize % 64, 0);
+        // SAFETY: `map` returned `len` zeroed bytes, owned here until `unmap`.
+        let region = unsafe { std::slice::from_raw_parts_mut(base, len) };
+        assert!(region.iter().all(|&b| b == 0));
+        region.fill(7);
+        assert_eq!(region[len - 1], 7);
+        // SAFETY: exactly the region `map` returned, released once.
+        unsafe { heap::unmap(base, len) };
     }
 }

@@ -14,8 +14,8 @@
 //! cores); `BEFF_WORKERS=1` takes the inline path — no threads are
 //! spawned at all, which *is* the pre-existing serial behavior, not an
 //! emulation of it. A set-but-invalid value (`0`, garbage) is a typed
-//! [`WorkersError`], never a silent fallback. The `beff-analyze`
-//! `threading` rule quarantines thread creation to this crate, so
+//! [`WorkersError`], never a silent fallback. `clippy.toml` bans thread
+//! creation elsewhere (two `#[expect]`s make this module its home), so
 //! every parallel call site in the workspace funnels through here.
 
 use beff_sync::Mutex;
@@ -81,6 +81,7 @@ impl Workers {
     /// won't say); set-but-invalid is a [`WorkersError`]. Front-end
     /// binaries should call this once at startup and report the error
     /// cleanly (the `beff-serve` bins do).
+    #[expect(clippy::disallowed_methods, reason = "the pool's default width is the host's core count")]
     pub fn try_from_env() -> Result<Self, WorkersError> {
         match std::env::var("BEFF_WORKERS") {
             Ok(v) => Self::parse(&v),
@@ -127,6 +128,7 @@ impl Default for Workers {
 /// thread — the serial path spawns nothing. A panicking job aborts the
 /// batch: the first panic (in completion order) propagates to the
 /// caller after all workers have stopped picking up new items.
+#[expect(clippy::disallowed_methods, reason = "the workspace's one worker pool spawns its threads here")]
 pub fn map_ordered<T, R, F>(workers: Workers, items: Vec<T>, f: F) -> Vec<R>
 where
     T: Send,

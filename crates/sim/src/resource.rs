@@ -133,6 +133,10 @@ impl Resource {
 }
 
 #[cfg(test)]
+#[expect(
+    clippy::disallowed_methods,
+    reason = "a test reserves one resource from concurrent threads"
+)]
 mod tests {
     use super::*;
 

@@ -340,6 +340,10 @@ impl<T: ?Sized + fmt::Debug> fmt::Debug for MutexGuard<'_, T> {
 }
 
 #[cfg(test)]
+#[expect(
+    clippy::disallowed_methods,
+    reason = "the tests contend for and poison a lock from real threads"
+)]
 mod tests {
     use super::*;
     use std::sync::Arc;

@@ -1,6 +1,7 @@
 //! `Mutex::claim`: one thread holds a mutex for a scope. Its own
 //! `lock()` takes a borrow flag instead of the lock; every other thread
 //! waits for the real lock until the claim drops.
+#![expect(clippy::disallowed_methods, reason = "a claim is judged from a second thread")]
 
 use beff_sync::{Condvar, Mutex};
 use std::panic::{catch_unwind, AssertUnwindSafe};

@@ -3,6 +3,7 @@
 //! inversions panic deterministically, and condvar waits hand the rank
 //! back correctly.
 #![cfg(feature = "lock-order")]
+#![expect(clippy::disallowed_methods, reason = "each thread has its own lockset, seen from a second thread")]
 
 use beff_sync::{Condvar, Mutex, Rank};
 use std::panic::{catch_unwind, AssertUnwindSafe};

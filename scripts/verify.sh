@@ -37,17 +37,28 @@ run_gate "build (offline)" 900 \
 BEFF=target/release/beff
 ANALYZE=target/release/analyze
 
-# beff-analyze is the determinism & safety contract (DESIGN.md §8 and
-# §13): wall-clock/hash-order bans on every non-test line, unwrap
-# budgets, SAFETY comments, the lock hierarchy read off the Rank::new
-# literals, the registry-free dependency guard, and the two
-# interprocedural passes: lockflow (lock order within functions and
+# beff-analyze checks what no stock lint does (DESIGN.md §8 and §13):
+# unwrap budgets, the lock hierarchy read off the Rank::new literals,
+# the layering contract, the registry-free dependency guard, and the
+# two interprocedural passes: lockflow (lock order within functions and
 # along call chains, every finding a violation) and panicflow
 # (ratcheting against the committed baseline in analyze's config, which
 # has no row for the analyzer itself). On failure the binary prints the
 # diagnostic-count delta against the committed results/analyze.json.
 run_gate "analyze (determinism & safety contract)" 120 \
     "$ANALYZE" --out target/analyze.verify.json
+
+# the compiler's half of the contract: clippy.toml bans host time, hash
+# order, host thread identity and stray threads by resolved path (an
+# alias or re-export is caught too), and every unsafe block needs a
+# SAFETY comment. Every target and feature is checked, tests included;
+# a home or exception is an #[expect(clippy::…, reason = "…")], and one
+# that no longer covers a hit fails here as unfulfilled. No other
+# clippy lint is on.
+run_gate "clippy (determinism bans + SAFETY comments)" 900 \
+    cargo clippy --offline --workspace --all-targets --all-features -- -A clippy::all \
+    -D clippy::disallowed_types -D clippy::disallowed_methods -D clippy::disallowed_macros \
+    -D clippy::undocumented_unsafe_blocks -D warnings
 
 # warnings are errors here: a test-only item nothing reads (or any
 # other warning the test build sees) fails the gate

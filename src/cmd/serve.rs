@@ -2,7 +2,7 @@
 //!
 //! Connections are served one at a time on the accept thread — thread
 //! creation is quarantined to the substrate's worker pool
-//! (`beff-analyze` `threading` rule), and the daemon's parallelism
+//! (`clippy.toml`), and the daemon's parallelism
 //! already lives *inside* a request: a batch frame fans its misses out
 //! over `BEFF_WORKERS` simulation workers. A characterization service
 //! is compute-bound on misses and memcpy-bound on hits; concurrent
