@@ -96,7 +96,7 @@ pub const UNWRAP_BUDGETS: &[(&str, u32)] = &[
     ("pfs", 3),
     ("report", 4),
     ("serve", 130),
-    ("sim", 13),
+    ("sim", 12),
     ("sweep", 0),
     ("sync", 3),
 ];

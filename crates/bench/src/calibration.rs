@@ -11,8 +11,8 @@
 //! The residual gate: every **averaged** metric (b_eff, b_eff/proc,
 //! ping-pong where the paper prints one, ring/proc at L_max) must lie
 //! within ±`tolerance` (default 25 %) of the paper value, and every
-//! shape claim must hold exactly. `scripts/verify.sh` enforces this via
-//! `calibrate -- --check`.
+//! shape claim must hold exactly. `beff calibrate` enforces this, and
+//! `beff goldens` replays its report.
 
 use crate::run_beff_on;
 use beff_core::beff::BeffConfig;
@@ -268,14 +268,13 @@ fn shape_claims(rows: &[(Table1Row, BeffResult)]) -> Vec<ShapeClaim> {
 /// Replay every target row on the current catalog constants and build
 /// the calibration report.
 ///
-/// Rows fan out over the `BEFF_WORKERS` pool: each measurement builds
-/// its own machine model from catalog constants and shares nothing
-/// with its siblings, so the report is byte-identical at every worker
-/// count (the `parallel-parity` gate in `scripts/verify.sh` pins this
-/// against the golden).
-pub fn check(tolerance: f64) -> CalibrationReport {
+/// Rows fan out over `workers`: each measurement builds its own machine
+/// model from catalog constants and shares nothing with its siblings,
+/// so the report is byte-identical at every worker count (`beff
+/// goldens` pins this against the golden at 1 and 4 workers).
+pub fn check(workers: beff_sim::Workers, tolerance: f64) -> CalibrationReport {
     let measured: Vec<(Table1Row, BeffResult)> =
-        beff_sim::map_ordered(beff_sim::Workers::from_env(), targets(), |_, row| {
+        beff_sim::map_ordered(workers, targets(), |_, row| {
             let r = measure(row.machine_key, row.procs, None);
             eprintln!("calibrate: measured {} x{}", row.machine_key, row.procs);
             (row, r)

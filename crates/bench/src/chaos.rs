@@ -282,20 +282,18 @@ impl ToJson for ChaosReport {
 
 /// Run the whole sweep for one seed.
 ///
-/// Scenarios fan out over the `BEFF_WORKERS` pool. Scenario
+/// Scenarios fan out over `workers`. Scenario
 /// granularity is the correctness boundary for fault injection: a
 /// [`beff_faults::FaultSession`] is stateful across runs, so each job
 /// owns its scenario end-to-end — fresh net, fresh session, both
 /// replay runs — and fault plans stay keyed by rank and virtual time,
 /// never by which worker hosted the job. The report is therefore
-/// byte-identical at every worker count (the `parallel-parity` gate in
-/// `scripts/verify.sh` pins this against the golden).
-pub fn run_chaos(seed: u64) -> ChaosReport {
+/// byte-identical at every worker count (`beff goldens` pins this
+/// against the golden at 1 and 4 workers).
+pub fn run_chaos(workers: beff_sim::Workers, seed: u64) -> ChaosReport {
     let matrix = scenarios(seed);
     let outcomes: Vec<ScenarioOutcome> =
-        beff_sim::map_ordered(beff_sim::Workers::from_env(), matrix, |_, sc| {
-            run_scenario(&sc)
-        });
+        beff_sim::map_ordered(workers, matrix, |_, sc| run_scenario(&sc));
     let baseline = outcomes
         .iter()
         .find(|o| o.name == "baseline")

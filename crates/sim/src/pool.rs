@@ -80,7 +80,7 @@ impl Workers {
     /// defaults to the host's available parallelism (`1` if the host
     /// won't say); set-but-invalid is a [`WorkersError`]. Front-end
     /// binaries should call this once at startup and report the error
-    /// cleanly (the `beff-serve` bins do).
+    /// cleanly (`beff` does), then pass the value in.
     #[expect(clippy::disallowed_methods, reason = "the pool's default width is the host's core count")]
     pub fn try_from_env() -> Result<Self, WorkersError> {
         match std::env::var("BEFF_WORKERS") {
@@ -93,16 +93,6 @@ impl Workers {
         }
     }
 
-    /// [`Workers::try_from_env`] for drivers that cannot return a
-    /// `Result` (the calibration and chaos sweeps). An invalid
-    /// `BEFF_WORKERS` panics with the typed error's message.
-    pub fn from_env() -> Self {
-        match Self::try_from_env() {
-            Ok(w) => w,
-            Err(e) => panic!("{e}"),
-        }
-    }
-
     #[inline]
     pub fn get(self) -> usize {
         self.0
@@ -112,12 +102,6 @@ impl Workers {
     #[inline]
     pub fn is_serial(self) -> bool {
         self.0 == 1
-    }
-}
-
-impl Default for Workers {
-    fn default() -> Self {
-        Self::from_env()
     }
 }
 
@@ -209,8 +193,8 @@ mod tests {
         assert!(bad.contains("lots") && bad.contains("positive integer"), "{bad}");
     }
 
-    /// The one env-mutating test: `from_env` must surface the typed
-    /// message on garbage and honor valid values. Kept as a single test
+    /// The one env-mutating test: `try_from_env` must surface the typed
+    /// error on garbage and honor valid values. Kept as a single test
     /// so the env var is never raced by a parallel test thread.
     #[test]
     fn from_env_honors_and_rejects() {
@@ -218,15 +202,11 @@ mod tests {
         // BEFF_WORKERS; set/remove pairs stay within this test.
         std::env::set_var("BEFF_WORKERS", "3");
         assert_eq!(Workers::try_from_env(), Ok(Workers::new(3)));
-        assert_eq!(Workers::from_env().get(), 3);
         std::env::set_var("BEFF_WORKERS", "zero");
         assert_eq!(
             Workers::try_from_env(),
             Err(WorkersError::Invalid("zero".into()))
         );
-        let p = std::panic::catch_unwind(Workers::from_env).expect_err("must panic");
-        let msg = p.downcast_ref::<String>().expect("panic carries the typed message");
-        assert!(msg.contains("BEFF_WORKERS"), "{msg}");
         std::env::remove_var("BEFF_WORKERS");
         assert!(Workers::try_from_env().expect("unset env is the host default").get() >= 1);
     }

@@ -83,73 +83,23 @@ run_gate "lock-order (runtime hierarchy check)" 300 \
     cargo test -q --offline -p beff-sync -p beff-sim -p beff-mpi -p beff-netsim -p beff-pfs \
     -p beff-mpiio -p beff-core --features beff-sync/lock-order
 
-# every gated Table-1 metric must sit within the tolerance of the
-# paper value on the committed machine constants; shape claims exact;
-# the report must replay byte-identically against the committed golden
-run_gate "calibration residual gate (no refit)" 600 \
-    "$BEFF" calibrate --out target/calibration.verify.json --golden results/calibration.json
-
-# the fixed fault-scenario matrix: termination, byte-identical replay,
-# monotone degradation, I/O slowdown — all checked in-process by the
-# command, which exits non-zero on any harness invariant violation; the
-# report must also match the committed golden byte-for-byte
-run_gate "chaos sweep (fault injection harness invariants)" 60 \
-    "$BEFF" chaos --out target/chaos.verify.json --golden results/chaos.json
-
-# parallel parity: the calibration and chaos sweeps fan their jobs out
-# over the BEFF_WORKERS pool; both reports must match the same
-# committed goldens byte-for-byte at 4 workers as at 1 — worker count
-# is unobservable by construction (DESIGN.md §10), and this gate pins
-# it end-to-end
-run_gate "parallel-parity (calibration golden, BEFF_WORKERS=4)" 600 \
-    env BEFF_WORKERS=4 "$BEFF" calibrate --out target/calibration.parity.json \
-    --golden results/calibration.json
-run_gate "parallel-parity (chaos golden, BEFF_WORKERS=4)" 120 \
-    env BEFF_WORKERS=4 "$BEFF" chaos --out target/chaos.parity.json --golden results/chaos.json
-
-# the substrate proof: a PFS-only workload with fault injection on
-# beff-sim actors, no beff-mpi edge anywhere in its dependency cone
-# (machine-enforced by the analyze layering rule); the command checks
-# byte-identical replay, goodput monotonicity and crash reporting, and
-# the report must match the committed golden byte-for-byte
-run_gate "storage-sweep (non-MPI substrate workload + golden)" 120 \
-    "$BEFF" storage_sweep --check --out target/storage_sweep.verify.json \
-    --golden results/storage_sweep.json
-
-# the paper's behaviour spec: every table, figure and ablation command
-# with a committed results/<name>.txt (all twelve: Table 1, Fig. 1,
-# Table 2, Figs. 3-5, the five ablations, traffic) must print it byte
-# for byte; `beff goldens` replays them in one process, side by side on
-# the BEFF_WORKERS pool
-run_gate "text goldens (beff goldens replays results/*.txt)" 600 \
+# the behaviour spec: every committed golden, replayed in one process
+# by `beff goldens` and compared byte for byte —
+#   * the twelve table, figure, ablation and traffic stdouts
+#     (results/*.txt: Table 1, Fig. 1, Table 2, Figs. 3-5, the five
+#     ablations, traffic) and the §6 Top Clusters list, once each;
+#   * the calibration residual gate (every gated Table-1 metric within
+#     tolerance of the paper, shape claims exact), the chaos sweep's
+#     harness invariants, loadgen's cache audit (DESIGN.md §11) and
+#     serve_torture's failure model (DESIGN.md §12), each at 1 and at 4
+#     workers against the same golden: worker count is unobservable
+#     (DESIGN.md §10);
+#   * the storage sweep (the non-MPI substrate workload) with its
+#     replay, monotonicity and crash-report invariants, once.
+# Each replay gets fresh servers and a fresh scratch directory; a line
+# per replay names the golden, the worker count and its wall time.
+run_gate "goldens (beff goldens replays every results/ golden)" 600 \
     "$BEFF" goldens
-
-# the serving layer (DESIGN.md §11): `beff loadgen` replays a
-# seeded query mix against an in-process server and fails itself if
-# any cached result differs byte-for-byte from a fresh recomputation
-# (the audit phase). Its report must replay byte-identically against
-# the committed golden at 1 and at 4 workers — which also pins that it
-# does not change when the worker pool does.
-run_gate "serve loadgen (cache correctness + golden, BEFF_WORKERS=1)" 600 \
-    env BEFF_WORKERS=1 "$BEFF" loadgen --out target/serve.virtual.w1.json \
-    --golden results/serve_virtual.json
-run_gate "serve parallel-parity (golden, BEFF_WORKERS=4)" 600 \
-    env BEFF_WORKERS=4 "$BEFF" loadgen --out target/serve.virtual.w4.json \
-    --golden results/serve_virtual.json
-
-# the serving-layer failure model (DESIGN.md §12): `beff serve_torture`
-# drives seeded adversarial scenarios — frame fuzz, mid-frame
-# disconnects at every byte boundary, kill-and-restart journal
-# recovery with a recomputation audit, torn-record healing, poisoned
-# world quarantine, a deadline-queue overload flood, shutdown drain —
-# and exits non-zero if any invariant breaks. Its canonical section
-# must match the committed golden byte-for-byte at 1 and 4 workers.
-run_gate "serve-torture (failure model + golden, BEFF_WORKERS=1)" 600 \
-    env BEFF_WORKERS=1 "$BEFF" serve_torture --scratch target/serve_torture.w1 \
-    --out target/serve_torture.w1.json --golden results/serve_torture.json
-run_gate "serve-torture parallel-parity (BEFF_WORKERS=4)" 600 \
-    env BEFF_WORKERS=4 "$BEFF" serve_torture --scratch target/serve_torture.w4 \
-    --out target/serve_torture.w4.json --golden results/serve_torture.json
 
 # the script's own wall time is a tracked number (ROADMAP aim 1)
 echo "verify.sh: all checks passed in ${SECONDS} s"

@@ -38,17 +38,19 @@ impl Flag {
 pub const FULL: Flag = Flag("--full", Kind::Switch);
 pub const PROCS: Flag = Flag("--procs", Kind::Int);
 pub const OUT: Flag = Flag("--out", Kind::Text("FILE"));
-pub const GOLDEN: Flag = Flag("--golden", Kind::Text("FILE"));
 pub const HERO_PROCS: Flag = Flag("--hero-procs", Kind::Int);
 
 /// The committed file a command's output must reproduce byte for byte.
 pub enum Golden {
     Unpinned,
-    /// `results/<name>.txt` holds the command's stdout at default flags;
-    /// `beff goldens` replays it.
+    /// `results/<name>.txt` holds the command's stdout at default flags.
     Stdout,
-    /// The report `--out` writes; gates pass this file as `--golden`.
+    /// The file holds the report the command hands back in
+    /// [`Args::report`] at default flags.
     Report(&'static str),
+    /// A [`Golden::Report`] of a command that runs on the worker pool:
+    /// the same bytes at every worker count `beff goldens` passes in.
+    Parity(&'static str),
 }
 
 /// A subcommand's run function: stdout goes into the buffer, which the
@@ -67,9 +69,13 @@ pub struct Command {
 }
 
 impl Command {
-    /// Where a [`Golden::Stdout`] command's output is committed.
-    pub fn stdout_golden(&self) -> String {
-        format!("results/{}.txt", self.name)
+    /// Where the command's output is committed, if it is pinned.
+    pub fn golden_path(&self) -> Option<String> {
+        match self.golden {
+            Golden::Unpinned => None,
+            Golden::Stdout => Some(format!("results/{}.txt", self.name)),
+            Golden::Report(path) | Golden::Parity(path) => Some(path.to_string()),
+        }
     }
 
     /// `name [--flag] [--flag V] [REST]`.
@@ -108,24 +114,39 @@ impl From<std::fmt::Error> for Fail {
 }
 
 /// The checked arguments of one invocation.
+#[derive(Default)]
 pub struct Args {
-    command: &'static Command,
     /// Flags given, with their values (`None` for a switch).
     values: Vec<(&'static str, Option<String>)>,
     /// Positional arguments (only for commands that declare `rest`).
     pub rest: Vec<String>,
+    /// The pool width a replay passes in; `None` reads `BEFF_WORKERS`.
+    workers: Option<Workers>,
+    /// The report a command hands back to the harness, which writes it
+    /// to `--out FILE` or, under `beff goldens`, compares it with the
+    /// committed golden.
+    pub report: std::cell::Cell<Option<String>>,
 }
 
 impl Args {
-    /// No flags: the defaults `beff goldens` replays.
-    pub fn defaults(command: &'static Command) -> Self {
-        Self { command, values: Vec::new(), rest: Vec::new() }
+    /// The arguments `beff goldens` replays a command with: no flags
+    /// but a fresh `--scratch` directory under `target/` if the command
+    /// declares one, and the given pool width.
+    pub fn replay(command: &'static Command, workers: Option<Workers>) -> Self {
+        let mut args = Self { workers, ..Self::default() };
+        if command.flags.iter().any(|f| f.0 == "--scratch") {
+            let dir =
+                format!("target/goldens/{}.w{}", command.name, workers.map_or(0, Workers::get));
+            let _ = std::fs::remove_dir_all(&dir);
+            args.values.push(("--scratch", Some(dir)));
+        }
+        args
     }
 
     /// Check `argv` (the arguments after the subcommand name) against
     /// the command's declared flags.
     pub fn parse(command: &'static Command, argv: &[String]) -> Result<Self, Fail> {
-        let mut args = Self::defaults(command);
+        let mut args = Self::default();
         let mut it = argv.iter();
         while let Some(arg) = it.next() {
             if !arg.starts_with("--") {
@@ -185,39 +206,25 @@ impl Args {
         self.has(FULL.0)
     }
 
-    /// Write `report` to `--out FILE` (creating its directory) and, with
-    /// `--golden FILE`, require it to equal that file byte for byte.
-    pub fn emit(&self, report: &str, out: &mut String) -> Result<(), Fail> {
-        if let Some(path) = self.text(OUT.0) {
-            if let Some(dir) = Path::new(path).parent().filter(|d| !d.as_os_str().is_empty()) {
-                std::fs::create_dir_all(dir)
-                    .map_err(|e| Fail::new(1, format!("cannot create {}: {e}", dir.display())))?;
-            }
-            std::fs::write(path, report)
-                .map_err(|e| Fail::new(1, format!("cannot write {path}: {e}")))?;
-        }
-        if let Some(golden) = self.text(GOLDEN.0) {
-            let want = std::fs::read_to_string(golden)
-                .map_err(|e| Fail::new(1, format!("cannot read golden {golden}: {e}")))?;
-            if want != report {
-                return Err(Fail::new(
-                    1,
-                    format!(
-                        "report is not byte-identical to golden {golden} \
-                         (an intended change regenerates it with --out)"
-                    ),
-                ));
-            }
-            writeln!(out, "{}: byte-identical to golden {golden}", self.command.name)?;
-        }
-        Ok(())
+    /// The simulation worker pool: the width a replay passed in, else
+    /// `BEFF_WORKERS`, read nowhere else; a bad value is a usage error.
+    pub fn workers(&self) -> Result<Workers, Fail> {
+        let from_env = || Workers::try_from_env().map_err(|e| Fail::new(2, e.to_string()));
+        self.workers.map_or_else(from_env, Ok)
     }
-}
 
-/// The simulation worker pool from `BEFF_WORKERS`; a bad value is a
-/// usage error.
-pub fn workers() -> Result<Workers, Fail> {
-    Workers::try_from_env().map_err(|e| Fail::new(2, e.to_string()))
+    /// Write the handed-back [`Args::report`] to `--out FILE`, creating
+    /// its directory.
+    pub fn write_out(&self) -> Result<(), Fail> {
+        let (Some(path), Some(report)) = (self.text(OUT.0), self.report.take()) else {
+            return Ok(());
+        };
+        if let Some(dir) = Path::new(path).parent().filter(|d| !d.as_os_str().is_empty()) {
+            std::fs::create_dir_all(dir)
+                .map_err(|e| Fail::new(1, format!("cannot create {}: {e}", dir.display())))?;
+        }
+        std::fs::write(path, report).map_err(|e| Fail::new(1, format!("cannot write {path}: {e}")))
+    }
 }
 
 #[cfg(test)]

@@ -56,7 +56,7 @@ fn run_check(args: &Args, out: &mut String) -> Result<(), Fail> {
         return Err(Fail::new(2, format!("fit group {group:?} without --fit")));
     }
     let tolerance = args.get::<f64>("--tolerance").unwrap_or(DEFAULT_TOLERANCE);
-    let report = check(tolerance);
+    let report = check(args.workers()?, tolerance);
 
     writeln!(
         out,
@@ -88,7 +88,7 @@ fn run_check(args: &Args, out: &mut String) -> Result<(), Fail> {
 
     let text = beff_json::to_string_pretty(&report);
     beff_json::parse(&text).expect("calibration JSON must be well-formed");
-    args.emit(&format!("{text}\n"), out)?;
+    args.report.set(Some(format!("{text}\n")));
     writeln!(
         out,
         "\ncalibration: {} ({} breaches)",

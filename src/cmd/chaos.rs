@@ -21,7 +21,7 @@ const DEFAULT_SEED: u64 = 0xC4A05;
 
 pub fn run(args: &Args, out: &mut String) -> Result<(), Fail> {
     let seed = args.get::<usize>("--seed").map_or_else(|| resolve_seed(DEFAULT_SEED), |s| s as u64);
-    let report = run_chaos(seed);
+    let report = run_chaos(args.workers()?, seed);
 
     for s in &report.scenarios {
         let st = &s.report.stability;
@@ -55,7 +55,7 @@ pub fn run(args: &Args, out: &mut String) -> Result<(), Fail> {
 
     let text = beff_json::to_string_pretty(&report);
     writeln!(out, "chaos report ({} scenarios, seed {seed:#x})", report.scenarios.len())?;
-    args.emit(&text, out)?;
+    args.report.set(Some(text));
     if !report.pass() {
         return Err(Fail::new(1, "HARNESS INVARIANT VIOLATED"));
     }

@@ -15,13 +15,13 @@
 //!
 //! The report — counts, digests, b_eff values — is a pure function of
 //! the CLI arguments and the mix seed: bit-deterministic and
-//! byte-identical at every `BEFF_WORKERS`, so `verify.sh` compares it
+//! byte-identical at every worker count, so `beff goldens` compares it
 //! against `results/serve_virtual.json` at 1 and 4 workers. How fast
 //! the daemon serves is measured by `benchmark/` (`serve_hot`,
 //! `serve_mix`), not here.
 
 use super::MixRng;
-use crate::cli::{workers, Args, Fail};
+use crate::cli::{Args, Fail};
 use beff_faults::FaultSpec;
 use beff_json::Json;
 use beff_serve::{Admission, JobSpec, Server};
@@ -37,7 +37,7 @@ const VARIANT_SEED_BASE: u64 = 0x900D_0000;
 pub fn run(args: &Args, out: &mut String) -> Result<(), Fail> {
     let queries = args.get::<usize>("--queries").unwrap_or(48);
     let hit_ratio = args.get::<f64>("--hit-ratio").unwrap_or(0.5);
-    let server = Server::new(workers()?);
+    let server = Server::new(args.workers()?);
 
     // The spec universe: pattern ladder + hero, all validated upfront.
     let ladder = ladder(args.get::<usize>("--hero-procs").unwrap_or(512));
@@ -131,9 +131,8 @@ pub fn run(args: &Args, out: &mut String) -> Result<(), Fail> {
     }
 
     // Everything in the report is a pure function of the CLI arguments
-    // and the mix seed — independent of `BEFF_WORKERS`, host speed and
-    // wall time. The golden gates byte-compare it at 1 and 4 workers and
-    // across commits.
+    // and the mix seed — independent of the worker count, host speed and
+    // wall time. `beff goldens` byte-compares it at 1 and 4 workers.
     let stats = server.cache_stats();
     let hero_beff = beff_of(&server, &hero);
     let specs: Vec<Json> = unique
@@ -176,7 +175,7 @@ pub fn run(args: &Args, out: &mut String) -> Result<(), Fail> {
         .raw("specs", Json::Arr(specs))
         .build();
 
-    args.emit(&beff_json::to_canonical(&report), out)?;
+    args.report.set(Some(beff_json::to_canonical(&report)));
     writeln!(
         out,
         "loadgen: {} queries over {} unique specs ({hits} hits / {misses} misses in the mix)",

@@ -24,13 +24,13 @@
 //! typed, protocol offenders get a `{"error":…}` goodbye frame, and
 //! only an explicit shutdown op ends the process.
 
-use crate::cli::{workers, Args, Fail};
+use crate::cli::{Args, Fail};
 use beff_serve::{serve_connection, ConnClose, Server};
 use std::net::TcpListener;
 use std::path::Path;
 
 pub fn run(args: &Args, _: &mut String) -> Result<(), Fail> {
-    let workers = workers()?;
+    let workers = args.workers()?;
     let addr = args
         .text("--addr")
         .map(str::to_string)

@@ -5,9 +5,9 @@
 //! fixed seed, transports are in-memory ([`MemStream`]), worlds are
 //! poisoned through the pool's explicit hook, and the journal lives in
 //! a scratch directory this harness owns — so the whole run distills
-//! to a canonical JSON section that `verify.sh` byte-compares against
-//! a golden and across `BEFF_WORKERS` (the checked properties must not
-//! depend on the worker count).
+//! to a canonical JSON section that `beff goldens` byte-compares
+//! against `results/serve_torture.json` at 1 and 4 workers (the checked
+//! properties must not depend on the worker count).
 //!
 //! Scenarios:
 //!
@@ -33,13 +33,9 @@
 //!   typed `Overloaded`/`DeadlineExpired` sheds in exact counts, the
 //!   freshest jobs served;
 //! * **shutdown** — post-drain submissions refused typed.
-//!
-//! [`run`] is the one non-test home of host time: its `#[expect]` of
-//! clippy's `Instant` ban admits the `--report` wall section, and
-//! nothing gated reads it.
 
 use super::MixRng;
-use crate::cli::{workers, Args, Fail};
+use crate::cli::{Args, Fail};
 use beff_faults::FaultSpec;
 use beff_json::Json;
 use beff_serve::journal::{self, Journal};
@@ -55,12 +51,9 @@ use std::path::Path;
 /// part of the gate's definition, so it is fixed, not host entropy).
 const TORTURE_SEED: u64 = 0x70B7_0001;
 
-#[expect(clippy::disallowed_types, reason = "the --report wall section reads host time; nothing gated does")]
 pub fn run(args: &Args, out: &mut String) -> Result<(), Fail> {
-    let workers = workers()?;
+    let workers = args.workers()?;
     let scratch = Path::new(args.text("--scratch").unwrap_or("target/serve_torture"));
-    let t0 = std::time::Instant::now();
-
     let hero_procs = args.get::<usize>("--hero-procs").unwrap_or(512);
     let report = Json::object()
         .field("schema", &1u32)
@@ -73,21 +66,7 @@ pub fn run(args: &Args, out: &mut String) -> Result<(), Fail> {
         .raw("overload", overload_scenario(workers))
         .raw("shutdown", shutdown_scenario(workers))
         .build();
-    if let Some(path) = args.text("--report") {
-        let full = Json::object()
-            .raw("torture", report.clone())
-            .raw(
-                "wall",
-                Json::object()
-                    .field("workers", &workers.get())
-                    .field("total_secs", &t0.elapsed().as_secs_f64())
-                    .build(),
-            )
-            .build();
-        std::fs::write(path, beff_json::to_string_pretty(&full) + "\n")
-            .map_err(|e| Fail::new(1, format!("cannot write {path}: {e}")))?;
-    }
-    args.emit(&beff_json::to_canonical(&report), out)?;
+    args.report.set(Some(beff_json::to_canonical(&report)));
 
     writeln!(out, "serve_torture: all scenario invariants held")?;
     Ok(())

@@ -1,9 +1,8 @@
 //! The storage sweep ([`beff_sweep`]): a PFS-only workload on bare
 //! `beff-sim` actors with fault injection, and no MPI anywhere.
 //!
-//! `--check` replays the sweep and fails on any harness invariant
-//! violation; `--golden FILE` pins the report against the committed
-//! `results/storage_sweep.json`.
+//! Every run replays the sweep and fails on any harness invariant
+//! violation; the report is pinned by `results/storage_sweep.json`.
 
 use crate::cli::{Args, Fail};
 use beff_faults::resolve_seed;
@@ -27,14 +26,12 @@ pub fn run(args: &Args, out: &mut String) -> Result<(), Fail> {
     let text = beff_json::to_string_pretty(&report);
     beff_json::parse(&text).expect("storage-sweep JSON must be well-formed");
     writeln!(out, "storage sweep ({} clients, seed {seed:#x})", report.clients)?;
-    args.emit(&format!("{text}\n"), out)?;
+    args.report.set(Some(format!("{text}\n")));
 
-    if args.has("--check") {
-        let bad = check_invariants(&report, &run_report(clients, seed));
-        if !bad.is_empty() {
-            return Err(Fail::new(1, format!("INVARIANT VIOLATED: {}", bad.join("; "))));
-        }
-        writeln!(out, "storage-sweep: checks pass")?;
+    let bad = check_invariants(&report, &run_report(clients, seed));
+    if !bad.is_empty() {
+        return Err(Fail::new(1, format!("INVARIANT VIOLATED: {}", bad.join("; "))));
     }
+    writeln!(out, "storage-sweep: checks pass")?;
     Ok(())
 }

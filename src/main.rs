@@ -7,19 +7,19 @@
 //! ```
 //!
 //! [`COMMANDS`] declares each subcommand; the harness in [`cli`] owns
-//! flag parsing, stdout, `--out`/`--golden` reports and the golden
-//! replay of `beff goldens`. `beff-analyze` stays a binary of its own:
+//! flag parsing, stdout and `--out` reports, and [`goldens`] replays
+//! every committed golden. `beff-analyze` stays a binary of its own:
 //! it gates the source of this stack and must build without it.
 
 mod cli;
 mod cmd;
 
-use beff::sim::map_ordered;
+use beff::sim::{map_ordered, Workers};
 use cli::Kind::{Int, Real, Switch, Text};
-use cli::{Args, Command, Fail, Flag, Golden, FULL, GOLDEN, HERO_PROCS, OUT, PROCS};
+use cli::{Args, Command, Fail, Flag, Golden, FULL, HERO_PROCS, OUT, PROCS};
 use cmd::*;
 use std::fmt::Write as _;
-use Golden::{Report, Stdout, Unpinned};
+use Golden::{Parity, Report, Stdout, Unpinned};
 
 /// A command without positional arguments.
 const fn cmd(
@@ -33,7 +33,7 @@ const fn cmd(
 }
 
 /// Every subcommand. `beff help` prints this table; `beff goldens`
-/// replays every [`Golden::Stdout`] entry.
+/// replays every pinned entry.
 static COMMANDS: &[Command] = &[
     cmd(
         "table1",
@@ -58,45 +58,45 @@ static COMMANDS: &[Command] = &[
         "§6: the catalog ranked by b_eff (+ SKaMPI dumps)",
         &[FULL, Flag("--skampi", Switch)],
         top_clusters::run,
-        Unpinned,
+        Stdout,
     ),
     Command {
         rest: Some("[GROUP ...]"),
         ..cmd(
             "calibrate",
             "gate: Table-1 residuals on the committed constants (--fit refits)",
-            &[Flag("--tolerance", Real), OUT, GOLDEN, Flag("--fit", Switch), Flag("--sweeps", Int)],
+            &[Flag("--tolerance", Real), OUT, Flag("--fit", Switch), Flag("--sweeps", Int)],
             calibrate::run,
-            Report("results/calibration.json"),
+            Parity("results/calibration.json"),
         )
     },
     cmd(
         "chaos",
         "gate: the fault-scenario matrix and its invariants",
-        &[Flag("--seed", Int), OUT, GOLDEN, Flag("--strict", Switch)],
+        &[Flag("--seed", Int), OUT, Flag("--strict", Switch)],
         chaos::run,
-        Report("results/chaos.json"),
+        Parity("results/chaos.json"),
     ),
     cmd(
         "storage_sweep",
         "gate: PFS-only workload on beff-sim actors, no MPI",
-        &[Flag("--clients", Int), OUT, GOLDEN, Flag("--check", Switch)],
+        &[Flag("--clients", Int), OUT],
         storage_sweep::run,
         Report("results/storage_sweep.json"),
     ),
     cmd(
         "loadgen",
         "gate: seeded query mix and cache audit on an in-process server",
-        &[OUT, GOLDEN, Flag("--queries", Int), Flag("--hit-ratio", Real), HERO_PROCS],
+        &[OUT, Flag("--queries", Int), Flag("--hit-ratio", Real), HERO_PROCS],
         loadgen::run,
-        Report("results/serve_virtual.json"),
+        Parity("results/serve_virtual.json"),
     ),
     cmd(
         "serve_torture",
         "gate: the serving layer's failure model",
-        &[OUT, GOLDEN, Flag("--report", Text("FILE")), Flag("--scratch", Text("DIR")), HERO_PROCS],
+        &[OUT, Flag("--scratch", Text("DIR")), HERO_PROCS],
         serve_torture::run,
-        Report("results/serve_torture.json"),
+        Parity("results/serve_torture.json"),
     ),
     cmd(
         "serve",
@@ -105,7 +105,7 @@ static COMMANDS: &[Command] = &[
         serve::run,
         Unpinned,
     ),
-    cmd("goldens", "replay every Stdout-pinned command", &[], goldens, Unpinned),
+    cmd("goldens", "replay every pinned command and compare its golden", &[], goldens, Unpinned),
     cmd("help", "print this table", &[], help, Unpinned),
 ];
 
@@ -118,46 +118,59 @@ fn table(out: &mut String) {
     out.push_str("usage: beff <command> [flags]\n\n");
     for c in COMMANDS {
         let _ = writeln!(out, "  {}\n      {}", c.usage(), c.about);
-        match c.golden {
-            Stdout => {
-                let _ =
-                    writeln!(out, "      stdout pinned by {} (beff goldens)", c.stdout_golden());
-            }
-            Report(path) => {
-                let _ = writeln!(out, "      report pinned by {path} (--golden)");
-            }
-            Unpinned => {}
+        if let Some(path) = c.golden_path() {
+            let at = if matches!(c.golden, Parity(_)) { " at 1 and 4 workers" } else { "" };
+            let _ = writeln!(out, "      pinned by {path}{at} (beff goldens)");
         }
     }
 }
 
-/// Run every text experiment at its defaults in this process and
-/// compare its stdout with the committed file byte for byte. The
-/// experiments are independent, so they run side by side on the
-/// `BEFF_WORKERS` pool; results come back in table order.
-fn goldens(_: &Args, out: &mut String) -> Result<(), Fail> {
-    let pinned: Vec<&'static Command> =
-        COMMANDS.iter().filter(|c| matches!(c.golden, Stdout)).collect();
-    let runs = map_ordered(cli::workers()?, pinned, |_, c| {
-        let mut text = String::new();
+/// Replay every pinned command at its defaults in this process and
+/// compare its stdout or report with its golden byte for byte, a
+/// [`Golden::Parity`] one at 1 and at 4 workers. Replays share nothing
+/// (own servers, own scratch directory), so they run side by side on
+/// the `BEFF_WORKERS` pool, the pool-bound ones first. This is the
+/// binary's one home of host time.
+#[expect(
+    clippy::disallowed_types,
+    reason = "prints each replay's wall time; nothing compared reads it"
+)]
+fn goldens(args: &Args, out: &mut String) -> Result<(), Fail> {
+    let pool_bound = COMMANDS.iter().filter(|c| matches!(c.golden, Parity(_)));
+    let once = COMMANDS.iter().filter(|c| matches!(c.golden, Stdout | Report(_)));
+    let replays: Vec<(&'static Command, Option<Workers>)> = pool_bound
+        .flat_map(|c| [1, 4].map(|n| (c, Some(Workers::new(n)))))
+        .chain(once.map(|c| (c, None)))
+        .collect();
+    let runs = map_ordered(args.workers()?, replays, |_, (c, workers)| {
+        let t0 = std::time::Instant::now();
+        let (replay, mut text) = (Args::replay(c, workers), String::new());
         // beff-analyze: dynamic-call: dispatch through the command table
-        let run = (c.run)(&Args::defaults(c), &mut text);
-        (c, run.map(|()| text))
+        let run = (c.run)(&replay, &mut text);
+        let got = if matches!(c.golden, Stdout) { Some(text) } else { replay.report.take() };
+        (c, workers, run.map(|()| got), t0.elapsed().as_secs_f64())
     });
     let mut diverged = Vec::new();
-    for (c, run) in runs {
-        let text = run.map_err(|f| Fail::new(f.code, format!("{}: {}", c.name, f.message)))?;
-        let path = c.stdout_golden();
-        let same = std::fs::read(&path).is_ok_and(|want| want == text.as_bytes());
-        writeln!(out, "{:<8} {path}", if same { "ok" } else { "DIVERGED" })?;
-        if !same {
-            diverged.push(path);
+    for (c, workers, run, secs) in runs {
+        let path = c.golden_path().unwrap_or_default();
+        let at = workers.map_or(String::new(), |w| format!("workers={}", w.get()));
+        let status = match &run {
+            Ok(Some(got)) if std::fs::read(&path).is_ok_and(|want| want == got.as_bytes()) => "ok",
+            Ok(_) => "DIVERGED",
+            Err(_) => "FAILED",
+        };
+        writeln!(out, "{status:<8} {path:<32} {at:<9} {secs:6.2} s")?;
+        if let Err(f) = run {
+            writeln!(out, "         {}", f.message)?;
+        }
+        if status != "ok" {
+            diverged.push(format!("{path} {at}").trim_end().to_string());
         }
     }
     if diverged.is_empty() {
         Ok(())
     } else {
-        Err(Fail::new(1, format!("stdout differs from {}", diverged.join(", "))))
+        Err(Fail::new(1, format!("golden not reproduced: {}", diverged.join(", "))))
     }
 }
 
@@ -179,10 +192,36 @@ fn main() {
     });
     let mut out = String::new();
     // beff-analyze: dynamic-call: dispatch through the command table
-    let result = (command.run)(&args, &mut out);
+    let run = (command.run)(&args, &mut out);
+    let result = run.and(args.write_out());
     print!("{out}");
     if let Err(fail) = result {
         eprintln!("beff {}: {}", command.name, fail.message);
         std::process::exit(fail.code);
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    /// `beff goldens` leaves no committed golden unreplayed: each file in
+    /// `results/` is claimed by exactly one command, and each claim
+    /// exists. `analyze.json` is no golden: the analyze gate writes its
+    /// own report and only diffs diagnostic counts against this one. A
+    /// command stays only if it regenerates a paper table or a gate, so
+    /// only the daemon and the harness's own commands go unpinned.
+    #[test]
+    fn every_committed_golden_is_replayed_once() {
+        let unpinned = super::COMMANDS.iter().filter(|c| c.golden_path().is_none());
+        assert_eq!(unpinned.map(|c| c.name).collect::<Vec<_>>(), ["serve", "goldens", "help"]);
+        let dir = std::fs::read_dir(concat!(env!("CARGO_MANIFEST_DIR"), "/results"));
+        let mut committed: Vec<String> = (dir.into_iter().flatten().flatten())
+            .map(|entry| format!("results/{}", entry.file_name().to_string_lossy()))
+            .filter(|path| path != "results/analyze.json")
+            .collect();
+        let mut claimed: Vec<String> =
+            super::COMMANDS.iter().filter_map(super::Command::golden_path).collect();
+        committed.sort();
+        claimed.sort();
+        assert_eq!(claimed, committed);
     }
 }
