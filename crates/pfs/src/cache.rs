@@ -18,6 +18,14 @@
 //!   T-dependence.
 //! * **`sync` waits for drain** — the `MPI_File_sync` at the end of
 //!   every write pattern.
+//!
+//! The LRU clock (`cum`) only ever grows, so [`Cache::resident`] is
+//! monotone: once a stamp is not resident it stays so, and an older
+//! stamp is never resident when a newer one is not. That is what lets a
+//! file drop a page of stamps whose newest one has aged out
+//! ([`crate::file`]) without changing a single answer. The filesystem
+//! reads [`Cache::clock`] to sweep for such pages at most once per half
+//! cache of traffic ([`crate::fs`]).
 
 use crate::config::PfsConfig;
 use beff_netsim::{Secs, MB};
@@ -122,6 +130,13 @@ impl Cache {
     #[inline]
     pub fn resident(&self, stamp: u64) -> bool {
         (self.cum - stamp) as f64 <= self.capacity
+    }
+
+    /// The LRU clock: unique bytes that have entered the cache so far.
+    /// Never decreases.
+    #[inline]
+    pub fn clock(&self) -> u64 {
+        self.cum
     }
 
     /// Time to move `len` bytes at cache (memory) speed.

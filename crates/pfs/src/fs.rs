@@ -34,6 +34,13 @@
 //! the one composed from a `Resource` per client, channel and server,
 //! which `tests/ledger.rs` keeps as the oracle.
 //!
+//! A file's residency stamps live in pages that the ledger drops once
+//! they have aged out of the cache ([`crate::file`]). The ledger sweeps
+//! for such pages at most once per half cache of traffic (by the
+//! cache's LRU clock), so what residency holds stays within about one
+//! and a half caches' worth of stamped pages: bounded by `cache_bytes`,
+//! not by the bytes a run wrote.
+//!
 //! Consistency note: reads return bytes another client wrote only if
 //! the read is ordered after the write by MPI synchronization (barrier,
 //! sync, collective). That is exactly the MPI-IO consistency model, and
@@ -98,9 +105,33 @@ struct Ledger {
     bytes: Vec<u64>,
     starts: Vec<u64>,
     runs: Vec<(u64, u64)>,
+    /// Cache traffic between two residency sweeps (half a cache), and
+    /// the LRU clock from which the next one is due.
+    sweep_every: u64,
+    next_sweep: u64,
 }
 
 impl Ledger {
+    /// After stamping: at most once per half cache of traffic, drop
+    /// every residency page the cache no longer holds ([`crate::file`]).
+    #[inline]
+    fn age_out(&mut self) {
+        let now = self.cache.clock();
+        if now >= self.next_sweep {
+            self.next_sweep = now + self.sweep_every;
+            self.sweep();
+        }
+    }
+
+    /// The sweep itself, off the per-call path.
+    #[cold]
+    fn sweep(&mut self) {
+        let cache = &self.cache;
+        for file in &mut self.files {
+            file.drop_aged_pages(|stamp| cache.resident(stamp));
+        }
+    }
+
     /// One scatter-gather request per involved server (servers coalesce
     /// the stripes of a single contiguous client call), all arriving at
     /// `t`; returns `finish` pushed out to the last completion.
@@ -128,6 +159,7 @@ impl Pfs {
     pub fn new(cfg: PfsConfig) -> Self {
         assert!(cfg.servers > 0 && cfg.clients > 0);
         assert!(cfg.stripe_unit > 0 && cfg.disk_block > 0);
+        let sweep_every = (cfg.cache_bytes / 2).max(1);
         let ledger = Ledger {
             clients: vec![0.0; cfg.clients],
             channel: 0.0,
@@ -140,6 +172,8 @@ impl Pfs {
             bytes: vec![0; cfg.servers],
             starts: vec![u64::MAX; cfg.servers],
             runs: Vec::new(),
+            sweep_every,
+            next_sweep: sweep_every,
         };
         Self {
             client_byte_time: 1.0 / (cfg.client_mbps * MB as f64),
@@ -284,6 +318,7 @@ impl Pfs {
             let d = led.cache.admit_write(t1, len + amplified);
             let stamp = led.cache.touch(len);
             led.files[f.slot].mark_cached(offset, len, stamp);
+            led.age_out();
             d
         } else {
             led.striped(self.cfg.stripe_unit, t1, offset, len + amplified, t1)
@@ -339,19 +374,20 @@ impl Pfs {
             finish = led.striped(self.cfg.stripe_unit, t1, roff, rlen + extra, finish);
         }
 
-        let file = &mut led.files[f.slot];
         if cached && miss > 0 {
             let stamp = led.cache.touch(miss);
+            let file = &mut led.files[f.slot];
             for &(roff, rlen) in &led.runs {
                 file.mark_cached(roff, rlen, stamp);
             }
+            led.age_out();
         }
 
         if self.cfg.store_data {
             if let Some(buf) = out {
                 let n = len as usize;
                 assert!(buf.len() >= n, "read buffer too small");
-                file.load(offset, &mut buf[..n]);
+                led.files[f.slot].load(offset, &mut buf[..n]);
             }
         }
         (len, finish)
@@ -398,6 +434,24 @@ mod tests {
             close_cost: 0.0,
             store_data: true,
         }
+    }
+
+    #[test]
+    fn sweeps_are_due_once_per_half_cache() {
+        let p = pfs(PfsConfig { cache_bytes: MB, ..base_cfg() }); // sweep every 512 kB
+        let mut led = p.ledger.lock();
+        let mut swept = |len| {
+            led.cache.touch(len);
+            let due = led.next_sweep;
+            led.age_out();
+            led.next_sweep != due
+        };
+        assert!(!swept(512 * 1024 - 1));
+        assert!(swept(1));
+        assert!(!swept(1));
+        assert!(swept(512 * 1024 - 1));
+        assert!(swept(4 * MB)); // a long stretch owes one sweep, not eight
+        assert!(!swept(1));
     }
 
     #[test]

@@ -2,11 +2,14 @@
 //! by [`Pfs`] and by a model that composes one public [`Resource`] per
 //! client link, channel and server — the per-object design the ledger
 //! replaced, kept here as the reference — must agree on every
-//! completion time bit for bit.
+//! completion time bit for bit. The oracle keeps every residency stamp
+//! it was ever given, so it also holds `Pfs`'s paged residency, which
+//! drops pages once they age out of the cache, to "dropping changes no
+//! answer".
 
 use beff_check::{check, ensure_eq, Gen};
 use beff_netsim::{Resource, Secs, MB};
-use beff_pfs::{stripe_split, DataRef, Pfs, PfsConfig, CACHE_BLOCK};
+use beff_pfs::{stripe_split, DataRef, FsFile, Pfs, PfsConfig, CACHE_BLOCK};
 use std::collections::BTreeMap;
 
 const STREAMS: usize = 16;
@@ -261,11 +264,77 @@ impl Oracle {
         (len, finish)
     }
 
+    fn truncate(&mut self, file: usize) {
+        self.files[file] = OracleFile::default();
+    }
+
     fn degrade_servers(&mut self, slowdown: f64) {
         for s in &mut self.servers {
             s.speed_factor = 1.0 / slowdown;
         }
         self.cache.drain_factor = 1.0 / slowdown;
+    }
+}
+
+/// One filesystem and its oracle driven by the same calls, every rank
+/// (client) with a clock of its own.
+struct Script {
+    pfs: Pfs,
+    files: Vec<FsFile>,
+    oracle: Oracle,
+    clock: Vec<Secs>,
+}
+
+impl Script {
+    fn new(cfg: &PfsConfig, n_files: usize) -> Self {
+        let pfs = Pfs::new(cfg.clone());
+        let files = (0..n_files).map(|i| pfs.open(&format!("f{i}"), 0.0).0).collect();
+        Self { pfs, files, oracle: Oracle::new(cfg, n_files), clock: vec![0.0; cfg.clients] }
+    }
+
+    fn write(&mut self, c: usize, f: usize, offset: u64, len: u64) {
+        let t = self.clock[c];
+        let got = self.pfs.write(c, &self.files[f], offset, DataRef::Len(len), t);
+        let want = self.oracle.write(c, f, offset, len, t);
+        ensure_eq!(got.to_bits(), want.to_bits(), "write {len} B at {offset}");
+        self.clock[c] = got;
+        self.same_size(f);
+    }
+
+    fn read(&mut self, c: usize, f: usize, offset: u64, len: u64) {
+        let t = self.clock[c];
+        let got = self.pfs.read(c, &self.files[f], offset, len, None, t);
+        let want = self.oracle.read(c, f, offset, len, t);
+        ensure_eq!(got.0, want.0, "bytes read at {offset}");
+        ensure_eq!(got.1.to_bits(), want.1.to_bits(), "read {len} B at {offset}");
+        self.clock[c] = got.1;
+        self.same_size(f);
+    }
+
+    fn sync(&mut self, c: usize) {
+        let got = self.pfs.sync(self.clock[c]);
+        ensure_eq!(got.to_bits(), self.oracle.cache.sync(self.clock[c]).to_bits(), "sync");
+        self.clock[c] = got;
+    }
+
+    fn truncate(&mut self, f: usize) {
+        self.pfs.truncate(&self.files[f]);
+        self.oracle.truncate(f);
+        self.same_size(f);
+    }
+
+    fn same_size(&self, f: usize) {
+        ensure_eq!(self.pfs.size(&self.files[f]), self.oracle.files[f].size, "size of file {f}");
+    }
+
+    fn finish(mut self) {
+        for (f, file) in self.files.iter().enumerate() {
+            ensure_eq!(self.pfs.size(file), self.oracle.files[f].size);
+        }
+        let end = self.clock.iter().fold(0.0f64, |a, &t| a.max(t));
+        self.oracle.cache.drain_to(end);
+        let dirty = self.pfs.dirty_at(end);
+        ensure_eq!(dirty.to_bits(), self.oracle.cache.dirty.to_bits(), "dirty bytes");
     }
 }
 
@@ -281,7 +350,8 @@ fn gen_config(g: &mut Gen) -> PfsConfig {
         client_mbps: g.f64(20.0, 400.0),
         // sometimes the shared channel is the bottleneck, sometimes not
         aggregate_mbps: g.f64(30.0, 2000.0),
-        // no cache, or one small enough to spill and evict in 80 calls
+        // no cache, or one small enough to spill, evict and age whole
+        // residency pages out in 80 calls
         cache_bytes: if g.bool() { 0 } else { g.u64(CACHE_BLOCK..=16 * MB) },
         cache_mbps: g.f64(100.0, 1000.0),
         ..PfsConfig::default()
@@ -293,57 +363,78 @@ fn ledger_prices_bit_identically_to_per_object_resources() {
     check("pfs ledger equals the per-object Resource oracle", |g| {
         let cfg = gen_config(g);
         let n_files = g.usize(1..=3);
-        let pfs = Pfs::new(cfg.clone());
-        let files: Vec<_> = (0..n_files).map(|i| pfs.open(&format!("f{i}"), 0.0).0).collect();
-        let mut oracle = Oracle::new(&cfg, n_files);
-        // every client is a rank with a clock of its own
-        let mut clock = vec![0.0f64; cfg.clients];
+        let mut script = Script::new(&cfg, n_files);
         for _ in 0..g.usize(1..=80) {
             let c = g.usize(0..=cfg.clients - 1);
             let f = g.usize(0..=n_files - 1);
             if g.weighted(0.2) {
-                clock[c] += g.f64(0.0, 0.05); // think time: lets the cache drain
+                script.clock[c] += g.f64(0.0, 0.05); // think time: lets the cache drain
             }
-            let t = clock[c];
-            // aligned or 8 bytes off; appending, or back inside the file
-            let size = pfs.size(&files[f]);
-            let base = if g.bool() { size } else { g.u64(0..=size) };
+            // aligned or 8 bytes off; appending, back inside the file,
+            // or far out, hundreds of MB and several residency pages on
+            let size = script.pfs.size(&script.files[f]);
+            let base = match g.usize(0..=6) {
+                0..=2 => size,
+                3..=5 => g.u64(0..=size),
+                _ => size + g.u64(0..=512 * MB),
+            };
             let offset = base / cfg.disk_block * cfg.disk_block + if g.bool() { 8 } else { 0 };
-            let len = if g.bool() { g.u64(1..=4096) } else { g.u64(1..=2 * MB) };
-            match g.usize(0..=9) {
-                0..=4 => {
-                    let got = pfs.write(c, &files[f], offset, DataRef::Len(len), t);
-                    let want = oracle.write(c, f, offset, len, t);
-                    ensure_eq!(got.to_bits(), want.to_bits(), "write {len} B at {offset}");
-                    clock[c] = got;
-                }
-                5..=7 => {
-                    let got = pfs.read(c, &files[f], offset, len, None, t);
-                    let want = oracle.read(c, f, offset, len, t);
-                    ensure_eq!(got.0, want.0, "bytes read at {offset}");
-                    ensure_eq!(got.1.to_bits(), want.1.to_bits(), "read {len} B at {offset}");
-                    clock[c] = got.1;
-                }
-                8 => {
-                    let got = pfs.sync(t);
-                    ensure_eq!(got.to_bits(), oracle.cache.sync(t).to_bits(), "sync");
-                    clock[c] = got;
-                }
-                _ if g.bool() => {
+            let len = match g.usize(0..=8) {
+                0..=3 => g.u64(1..=4096),
+                4..=7 => g.u64(1..=2 * MB),
+                _ => g.u64(1..=48 * MB), // across a page boundary or two
+            };
+            match g.usize(0..=10) {
+                0..=4 => script.write(c, f, offset, len),
+                5..=7 => script.read(c, f, offset, len),
+                8 => script.sync(c),
+                9 if g.weighted(0.3) => script.truncate(f),
+                9 | 10 if g.bool() => {
                     let slowdown = g.f64(1.0, 8.0);
-                    pfs.degrade_servers(slowdown);
-                    oracle.degrade_servers(slowdown);
+                    script.pfs.degrade_servers(slowdown);
+                    script.oracle.degrade_servers(slowdown);
                 }
                 _ => {
                     let seek = if g.bool() { 0.0 } else { 7e-3 };
-                    pfs.set_seek_overhead(seek);
-                    oracle.servers.iter_mut().for_each(|s| s.seek_overhead = seek);
+                    script.pfs.set_seek_overhead(seek);
+                    script.oracle.servers.iter_mut().for_each(|s| s.seek_overhead = seek);
                 }
             }
-            ensure_eq!(pfs.size(&files[f]), oracle.files[f].size);
         }
-        let end = clock.iter().fold(0.0f64, |a, &t| a.max(t));
-        oracle.cache.drain_to(end);
-        ensure_eq!(pfs.dirty_at(end).to_bits(), oracle.cache.dirty.to_bits(), "dirty bytes");
+        script.finish();
     });
+}
+
+/// Residency at the edge of the cache, across sweeps: a block whose
+/// stamp is exactly `cache_bytes` old is still resident and its page
+/// survives the sweep due at that moment; one byte later it is gone,
+/// and the region reads from the servers and is cached afresh. A
+/// truncated file keeps no residency.
+#[test]
+fn a_block_exactly_one_cache_old_survives_the_sweep() {
+    const CACHE: u64 = 4 * MB; // a sweep due every 2 MB of traffic
+    let cfg = PfsConfig {
+        clients: 1,
+        servers: 2,
+        server_mbps: 40.0,
+        cache_bytes: CACHE,
+        ..PfsConfig::default()
+    };
+    for far in [200 * MB, 700 * MB] {
+        let mut s = Script::new(&cfg, 2);
+        s.write(0, 1, far, MB);
+        s.write(0, 0, 0, MB); // page 0 stamped at 1 MB, then a sweep
+        s.write(0, 1, far + MB, CACHE - MB); // at 1 MB + CACHE: a sweep, page 0 kept
+        s.read(0, 0, 0, MB); // exactly one cache old: a hit
+        s.write(0, 1, far + CACHE, 1); // one byte past
+        s.read(0, 0, 0, MB); // a miss, stamped afresh
+        s.write(0, 1, far + 64 * MB, 2 * CACHE); // a sweep: every page aged out
+        s.read(0, 1, far, 2 * MB); // from the servers, and cached again
+        s.read(0, 1, far, 2 * MB);
+        s.read(0, 0, 0, MB);
+        s.truncate(0);
+        s.write(0, 0, 8 * MB, MB); // after truncate, page 0 holds only this
+        s.read(0, 0, 0, 9 * MB);
+        s.finish();
+    }
 }

@@ -51,6 +51,17 @@ use std::path::Path;
 /// part of the gate's definition, so it is fixed, not host entropy).
 const TORTURE_SEED: u64 = 0x70B7_0001;
 
+/// `return Err(Fail)` unless `$cond` holds: a broken invariant ends the
+/// scenario typed, never the process, and `beff goldens` reports it as
+/// this replay's `FAILED` line while the others go on.
+macro_rules! ensure {
+    ($cond:expr, $($message:tt)+) => {
+        if !$cond {
+            return Err(Fail::new(1, format!($($message)+)));
+        }
+    };
+}
+
 pub fn run(args: &Args, out: &mut String) -> Result<(), Fail> {
     let workers = args.workers()?;
     let scratch = Path::new(args.text("--scratch").unwrap_or("target/serve_torture"));
@@ -58,13 +69,13 @@ pub fn run(args: &Args, out: &mut String) -> Result<(), Fail> {
     let report = Json::object()
         .field("schema", &1u32)
         .field("seed", &TORTURE_SEED)
-        .raw("frame_fuzz", frame_fuzz_scenario(workers))
-        .raw("disconnects", disconnect_scenario(workers))
-        .raw("journal", journal_scenario(workers, scratch, hero_procs))
-        .raw("quarantine", quarantine_scenario(workers))
-        .raw("fault_storm", fault_storm_scenario(workers))
-        .raw("overload", overload_scenario(workers))
-        .raw("shutdown", shutdown_scenario(workers))
+        .raw("frame_fuzz", frame_fuzz_scenario(workers)?)
+        .raw("disconnects", disconnect_scenario(workers)?)
+        .raw("journal", journal_scenario(workers, scratch, hero_procs)?)
+        .raw("quarantine", quarantine_scenario(workers)?)
+        .raw("fault_storm", fault_storm_scenario(workers)?)
+        .raw("overload", overload_scenario(workers)?)
+        .raw("shutdown", shutdown_scenario(workers)?)
         .build();
     args.report.set(Some(beff_json::to_canonical(&report)));
 
@@ -76,7 +87,7 @@ pub fn run(args: &Args, out: &mut String) -> Result<(), Fail> {
 
 /// Seeded hostile byte streams into the connection loop: the server
 /// answers what is answerable, types what is not, and never dies.
-fn frame_fuzz_scenario(workers: Workers) -> Json {
+fn frame_fuzz_scenario(workers: Workers) -> Result<Json, Fail> {
     let srv = Server::new(workers);
     let mut rng = MixRng::new(TORTURE_SEED);
     let (mut cases, mut protocol_closes, mut clean_closes, mut replies) =
@@ -113,36 +124,37 @@ fn frame_fuzz_scenario(workers: Workers) -> Json {
         match serve_connection(&srv, &mut stream) {
             ConnClose::Clean => clean_closes += 1,
             ConnClose::Protocol(_) => protocol_closes += 1,
-            other => fail(&format!("fuzz case {case}: unexpected close {other:?}")),
+            other => {
+                return Err(Fail::new(1, format!("fuzz case {case}: unexpected close {other:?}")))
+            }
         }
         // Every reply the server wrote must itself be a well-formed
         // frame stream; fold the payload bytes into one digest.
         let mut used = 0;
         while let Some((payload, n)) = wire::decode(&stream.output[used..])
-            .unwrap_or_else(|e| fail(&format!("fuzz case {case}: server wrote a bad frame: {e}")))
+            .map_err(|e| Fail::new(1, format!("fuzz case {case}: server wrote a bad frame: {e}")))?
         {
             replies += 1;
             reply_bytes.push_str(&payload);
             used += n;
         }
-        assert_eq!(used, stream.output.len(), "server output ends at a frame boundary");
+        ensure!(used == stream.output.len(), "fuzz case {case}: server output ends mid-frame");
     }
     // The abused server still serves: submit must succeed afterwards.
-    srv.submit(&JobSpec::new("t3e", 4)).unwrap_or_else(|e| {
-        fail(&format!("server damaged by fuzz input: {e}"));
-    });
-    Json::object()
+    srv.submit(&JobSpec::new("t3e", 4))
+        .map_err(|e| Fail::new(1, format!("server damaged by fuzz input: {e}")))?;
+    Ok(Json::object()
         .field("cases", &cases)
         .field("protocol_closes", &protocol_closes)
         .field("clean_closes", &clean_closes)
         .field("replies", &replies)
         .field("reply_digest", &digest_of(&reply_bytes))
-        .build()
+        .build())
 }
 
 /// One valid frame, cut at every possible byte boundary: a peer can
 /// vanish anywhere mid-frame and the close is always typed.
-fn disconnect_scenario(workers: Workers) -> Json {
+fn disconnect_scenario(workers: Workers) -> Result<Json, Fail> {
     let srv = Server::new(workers);
     let full = wire::encode(r#"{"op":"run","spec":{"machine":"t3e","procs":4}}"#);
     let mut protocol_closes = 0usize;
@@ -150,16 +162,21 @@ fn disconnect_scenario(workers: Workers) -> Json {
         let mut stream = MemStream::new(full[..cut].to_vec());
         match serve_connection(&srv, &mut stream) {
             ConnClose::Protocol(report) => {
-                assert!(report.starts_with("bad frame: "), "cut {cut}: {report}");
+                ensure!(report.starts_with("bad frame: "), "cut {cut}: {report}");
                 protocol_closes += 1;
             }
-            other => fail(&format!("cut {cut}: expected a protocol close, got {other:?}")),
+            other => {
+                return Err(Fail::new(
+                    1,
+                    format!("cut {cut}: expected a protocol close, got {other:?}"),
+                ))
+            }
         }
     }
-    Json::object()
+    Ok(Json::object()
         .field("cuts", &(full.len() - 1))
         .field("protocol_closes", &protocol_closes)
-        .build()
+        .build())
 }
 
 // ------------------------------------------------------------- journal
@@ -167,9 +184,9 @@ fn disconnect_scenario(workers: Workers) -> Json {
 /// Kill-and-restart: everything computed before the kill is served
 /// from disk afterwards, byte-identical, proven by recomputation; a
 /// mid-append kill loses exactly the torn record, typed.
-fn journal_scenario(workers: Workers, scratch: &Path, hero_procs: usize) -> Json {
+fn journal_scenario(workers: Workers, scratch: &Path, hero_procs: usize) -> Result<Json, Fail> {
     std::fs::create_dir_all(scratch)
-        .unwrap_or_else(|e| fail(&format!("cannot create scratch {scratch:?}: {e}")));
+        .map_err(|e| Fail::new(1, format!("cannot create scratch {scratch:?}: {e}")))?;
     let path = scratch.join("torture.journal");
     let _ = std::fs::remove_file(&path);
 
@@ -187,11 +204,11 @@ fn journal_scenario(workers: Workers, scratch: &Path, hero_procs: usize) -> Json
     let mut first_digests = Vec::new();
     {
         let (srv, recovery) = Server::with_journal(workers, &path)
-            .unwrap_or_else(|e| fail(&format!("cannot open fresh journal: {e}")));
-        assert_eq!(recovery.recovered, 0, "a fresh journal has nothing to replay");
+            .map_err(|e| Fail::new(1, format!("cannot open fresh journal: {e}")))?;
+        ensure!(recovery.recovered == 0, "a fresh journal has nothing to replay");
         for spec in &specs {
-            let o = srv.submit(spec).unwrap_or_else(|e| fail(&format!("torture spec: {e}")));
-            assert!(!o.cached, "life 1 is all cold");
+            let o = srv.submit(spec).map_err(|e| Fail::new(1, format!("torture spec: {e}")))?;
+            ensure!(!o.cached, "life 1 is all cold");
             first_digests.push(fnv1a64(o.bytes.as_bytes()));
         }
     }
@@ -200,18 +217,18 @@ fn journal_scenario(workers: Workers, scratch: &Path, hero_procs: usize) -> Json
     // as a hit — the hero partition included, with no recomputation
     // (cached==true is the proof: the miss path is the only computer).
     let (srv, recovery) = Server::with_journal(workers, &path)
-        .unwrap_or_else(|e| fail(&format!("cannot reopen journal: {e}")));
-    assert_eq!(recovery.recovered, specs.len(), "every record replays");
-    assert!(recovery.truncated.is_none(), "a clean journal has no torn tail");
+        .map_err(|e| Fail::new(1, format!("cannot reopen journal: {e}")))?;
+    ensure!(recovery.recovered == specs.len(), "every record replays");
+    ensure!(recovery.truncated.is_none(), "a clean journal has no torn tail");
     let mut audited = 0usize;
     let mut results = String::new();
     for (spec, want) in specs.iter().zip(&first_digests) {
-        let o = srv.submit(spec).unwrap_or_else(|e| fail(&format!("replayed spec: {e}")));
-        assert!(o.cached, "life 2 must hit the journal-warmed cache");
-        assert_eq!(fnv1a64(o.bytes.as_bytes()), *want, "journal round trip must be byte-identical");
+        let o = srv.submit(spec).map_err(|e| Fail::new(1, format!("replayed spec: {e}")))?;
+        ensure!(o.cached, "life 2 must hit the journal-warmed cache");
+        ensure!(fnv1a64(o.bytes.as_bytes()) == *want, "journal round trip must be byte-identical");
         // Audit: the disk bytes equal an honest recomputation.
-        let fresh = srv.recompute(spec).unwrap_or_else(|e| fail(&format!("audit: {e}")));
-        assert_eq!(o.bytes.as_ref(), fresh.as_str(), "journal bytes audit failed");
+        let fresh = srv.recompute(spec).map_err(|e| Fail::new(1, format!("audit: {e}")))?;
+        ensure!(o.bytes.as_ref() == fresh.as_str(), "journal bytes audit failed");
         audited += 1;
         results.push_str(&o.bytes);
     }
@@ -220,9 +237,10 @@ fn journal_scenario(workers: Workers, scratch: &Path, hero_procs: usize) -> Json
     // Mid-append kill: tear the final record in half and reopen. The
     // prior records survive; the tear is reported typed and healed.
     let torn_path = scratch.join("torn.journal");
-    std::fs::copy(&path, &torn_path).unwrap_or_else(|e| fail(&format!("cannot copy journal: {e}")));
+    std::fs::copy(&path, &torn_path)
+        .map_err(|e| Fail::new(1, format!("cannot copy journal: {e}")))?;
     let clean_len = std::fs::metadata(&torn_path)
-        .unwrap_or_else(|e| fail(&format!("cannot stat journal: {e}")))
+        .map_err(|e| Fail::new(1, format!("cannot stat journal: {e}")))?
         .len();
     let extra = journal::encode_record("torn-key", "torn-result");
     {
@@ -230,24 +248,23 @@ fn journal_scenario(workers: Workers, scratch: &Path, hero_procs: usize) -> Json
         let mut f = std::fs::OpenOptions::new()
             .append(true)
             .open(&torn_path)
-            .unwrap_or_else(|e| fail(&format!("cannot append to copy: {e}")));
+            .map_err(|e| Fail::new(1, format!("cannot append to copy: {e}")))?;
         f.write_all(&extra[..extra.len() / 2])
-            .unwrap_or_else(|e| fail(&format!("cannot write torn record: {e}")));
+            .map_err(|e| Fail::new(1, format!("cannot write torn record: {e}")))?;
     }
-    let (_torn_journal, records, torn) =
-        Journal::open(&torn_path).unwrap_or_else(|e| fail(&format!("torn journal must open: {e}")));
-    assert_eq!(records.len(), specs.len(), "the tear loses exactly the torn record");
-    let t = torn.truncated.unwrap_or_else(|| {
-        fail("a torn tail must be reported, not silently accepted");
-    });
-    assert_eq!(t.offset, clean_len, "truncation points at the torn record's start");
-    assert_eq!(
-        std::fs::metadata(&torn_path).map(|m| m.len()).unwrap_or(0),
-        clean_len,
+    let (_torn_journal, records, torn) = Journal::open(&torn_path)
+        .map_err(|e| Fail::new(1, format!("torn journal must open: {e}")))?;
+    ensure!(records.len() == specs.len(), "the tear loses exactly the torn record");
+    let t = torn
+        .truncated
+        .ok_or_else(|| Fail::new(1, "a torn tail must be reported, not silently accepted"))?;
+    ensure!(t.offset == clean_len, "truncation points at the torn record's start");
+    ensure!(
+        std::fs::metadata(&torn_path).map(|m| m.len()).unwrap_or(0) == clean_len,
         "reopen heals the file back to its last intact record"
     );
 
-    Json::object()
+    Ok(Json::object()
         .field("specs", &specs.len())
         .field("recovered", &recovery.recovered)
         .field("recovered_bytes", &recovery.bytes)
@@ -257,30 +274,31 @@ fn journal_scenario(workers: Workers, scratch: &Path, hero_procs: usize) -> Json
         .field("torn_recovered", &records.len())
         .field("torn_record", &t.record)
         .field("torn_offset", &t.offset)
-        .build()
+        .build())
 }
 
 // ---------------------------------------------------------- quarantine
 
 /// The self-healing path end to end, driven by the pool's
 /// deterministic poison hook.
-fn quarantine_scenario(workers: Workers) -> Json {
+fn quarantine_scenario(workers: Workers) -> Result<Json, Fail> {
     let reference = Server::new(Workers::new(1));
     let heal_spec = JobSpec::new("t3e", 4).with_seed(41);
     let fail_spec = JobSpec::new("t3e", 4).with_seed(42);
     let want_heal =
-        reference.submit(&heal_spec).unwrap_or_else(|e| fail(&format!("reference: {e}"))).bytes;
+        reference.submit(&heal_spec).map_err(|e| Fail::new(1, format!("reference: {e}")))?.bytes;
     let want_fail =
-        reference.submit(&fail_spec).unwrap_or_else(|e| fail(&format!("reference: {e}"))).bytes;
+        reference.submit(&fail_spec).map_err(|e| Fail::new(1, format!("reference: {e}")))?.bytes;
 
     let srv = Server::new(workers);
     // One poison: the damaged world is quarantined, the job self-heals
     // on a fresh world, and the answer matches an undamaged server.
     srv.pool().arm_poison("t3e", 4, 1);
-    let healed = srv.submit(&heal_spec).unwrap_or_else(|e| fail(&format!("self-heal failed: {e}")));
+    let healed =
+        srv.submit(&heal_spec).map_err(|e| Fail::new(1, format!("self-heal failed: {e}")))?;
     let healed_identical = healed.bytes == want_heal;
-    assert!(healed_identical, "post-quarantine bytes must equal cold bytes");
-    assert_eq!(srv.pool().quarantined(), 1);
+    ensure!(healed_identical, "post-quarantine bytes must equal cold bytes");
+    ensure!(srv.pool().quarantined() == 1, "one poison quarantines one world");
 
     // Two poisons: the fresh world fails too — a typed outcome that is
     // never cached.
@@ -288,29 +306,30 @@ fn quarantine_scenario(workers: Workers) -> Json {
     srv.pool().arm_poison("t3e", 4, 2);
     let err = srv.submit(&fail_spec);
     let world_failed_typed = matches!(err, Err(SpecError::WorldFailed(_)));
-    assert!(world_failed_typed, "double poison must be typed WorldFailed: {err:?}");
+    ensure!(world_failed_typed, "double poison must be typed WorldFailed: {err:?}");
     let entries_after_failure = srv.cache_stats().entries;
-    assert_eq!(entries_after_failure, entries_before, "failures are never cached");
+    ensure!(entries_after_failure == entries_before, "failures are never cached");
 
     // Poison exhausted: the same spec now succeeds and matches cold.
-    let recovered = srv.submit(&fail_spec).unwrap_or_else(|e| fail(&format!("post-failure: {e}")));
+    let recovered =
+        srv.submit(&fail_spec).map_err(|e| Fail::new(1, format!("post-failure: {e}")))?;
     let recovered_after_failure = recovered.bytes == want_fail;
-    assert!(recovered_after_failure, "recovery after WorldFailed must match cold");
+    ensure!(recovered_after_failure, "recovery after WorldFailed must match cold");
 
-    Json::object()
+    Ok(Json::object()
         .field("healed_identical", &healed_identical)
         .field("quarantined", &srv.pool().quarantined())
         .field("world_failed_typed", &world_failed_typed)
         .field("entries_after_failure", &entries_after_failure)
         .field("recovered_after_failure", &recovered_after_failure)
-        .build()
+        .build())
 }
 
 // --------------------------------------------------------- fault storm
 
 /// A seeded burst of faulted specs, computed, recomputed, and computed
 /// again on a fresh server: three byte-identical answers each.
-fn fault_storm_scenario(workers: Workers) -> Json {
+fn fault_storm_scenario(workers: Workers) -> Result<Json, Fail> {
     let mut rng = MixRng::new(TORTURE_SEED ^ 0xF417);
     let specs: Vec<JobSpec> = (0..6)
         .map(|i| {
@@ -321,38 +340,38 @@ fn fault_storm_scenario(workers: Workers) -> Json {
         })
         .collect();
     let srv = Server::new(workers);
-    let first: Vec<_> = srv
+    let first = srv
         .submit_batch(&specs)
         .into_iter()
-        .map(|o| o.unwrap_or_else(|e| fail(&format!("storm spec: {e}"))).bytes)
-        .collect();
+        .map(|o| o.map(|o| o.bytes).map_err(|e| Fail::new(1, format!("storm spec: {e}"))))
+        .collect::<Result<Vec<_>, _>>()?;
     let fresh_srv = Server::new(workers);
-    let again: Vec<_> = fresh_srv
+    let again = fresh_srv
         .submit_batch(&specs)
         .into_iter()
-        .map(|o| o.unwrap_or_else(|e| fail(&format!("storm replay: {e}"))).bytes)
-        .collect();
+        .map(|o| o.map(|o| o.bytes).map_err(|e| Fail::new(1, format!("storm replay: {e}"))))
+        .collect::<Result<Vec<_>, _>>()?;
     let mut identical = 0usize;
     let mut bytes = String::new();
     for (spec, (a, b)) in specs.iter().zip(first.iter().zip(&again)) {
-        assert_eq!(a, b, "fault storm replay diverged for {}", spec.key_digest());
-        let fresh = srv.recompute(spec).unwrap_or_else(|e| fail(&format!("storm audit: {e}")));
-        assert_eq!(a.as_ref(), fresh.as_str(), "storm cache audit failed");
+        ensure!(a == b, "fault storm replay diverged for {}", spec.key_digest());
+        let fresh = srv.recompute(spec).map_err(|e| Fail::new(1, format!("storm audit: {e}")))?;
+        ensure!(a.as_ref() == fresh.as_str(), "storm cache audit failed");
         identical += 1;
         bytes.push_str(a);
     }
-    Json::object()
+    Ok(Json::object()
         .field("specs", &specs.len())
         .field("replay_identical", &identical)
         .field("digest", &digest_of(&bytes))
-        .build()
+        .build())
 }
 
 // ------------------------------------------------------------ overload
 
 /// The DESIGN.md §12 flood through the deadline queue: exact typed
 /// shed counts, freshest jobs served.
-fn overload_scenario(workers: Workers) -> Json {
+fn overload_scenario(workers: Workers) -> Result<Json, Fail> {
     let srv = Server::new(workers);
     let mut q = Admission::with_deadline(&srv, 8, 16);
     let offers = 20usize;
@@ -361,48 +380,51 @@ fn overload_scenario(workers: Workers) -> Json {
         match q.offer(JobSpec::new("t3e", 4).with_seed(700 + i)) {
             Ok(()) => {}
             Err(SpecError::Overloaded { .. }) => overloaded += 1,
-            Err(e) => fail(&format!("flood offer {i}: unexpected error {e:?}")),
+            Err(e) => return Err(Fail::new(1, format!("flood offer {i}: unexpected error {e:?}"))),
         }
     }
     for outcome in q.flush() {
         match outcome {
             Ok(_) => served += 1,
             Err(SpecError::DeadlineExpired { .. }) => expired += 1,
-            Err(e) => fail(&format!("flood flush: unexpected error {e:?}")),
+            Err(e) => return Err(Fail::new(1, format!("flood flush: unexpected error {e:?}"))),
         }
     }
     let shed_total = srv.shed_jobs();
-    assert_eq!((overloaded, expired, served), (12, 3, 5), "the worked example's exact counts");
-    assert_eq!(shed_total, 15, "every shed is counted, none silent");
-    Json::object()
+    ensure!(
+        (overloaded, expired, served) == (12, 3, 5),
+        "the worked example's exact counts: {overloaded} overloaded, {expired} expired, {served} served"
+    );
+    ensure!(shed_total == 15, "every shed is counted, none silent: {shed_total} of 15");
+    Ok(Json::object()
         .field("offers", &offers)
         .field("overloaded", &overloaded)
         .field("expired", &expired)
         .field("served", &served)
         .field("shed_total", &shed_total)
-        .build()
+        .build())
 }
 
 // ------------------------------------------------------------ shutdown
 
 /// Drain, then prove the door is typed-shut.
-fn shutdown_scenario(workers: Workers) -> Json {
+fn shutdown_scenario(workers: Workers) -> Result<Json, Fail> {
     let srv = Server::new(workers);
     srv.submit(&JobSpec::new("t3e", 4).with_seed(800))
-        .unwrap_or_else(|e| fail(&format!("pre-shutdown spec: {e}")));
+        .map_err(|e| Fail::new(1, format!("pre-shutdown spec: {e}")))?;
     let (body, stop) = srv.handle_frame(r#"{"op":"shutdown"}"#);
-    assert_eq!(body, "{\"ok\":true}");
-    assert!(stop, "the shutdown op signals the transport loop");
+    ensure!(body == "{\"ok\":true}", "shutdown answered {body}");
+    ensure!(stop, "the shutdown op signals the transport loop");
     let drained = srv.inflight() == 0 && !srv.accepting();
-    assert!(drained);
+    ensure!(drained, "shutdown drains the server and closes the door");
     let refusal = match srv.submit(&JobSpec::new("t3e", 4).with_seed(801)) {
         Err(e @ SpecError::ShuttingDown) => e.to_string(),
-        other => fail(&format!("post-drain submission must be refused typed: {other:?}")),
+        other => {
+            return Err(Fail::new(
+                1,
+                format!("post-drain submission must be refused typed: {other:?}"),
+            ))
+        }
     };
-    Json::object().field("drained", &drained).field("refusal", &refusal).build()
-}
-
-fn fail(message: &str) -> ! {
-    eprintln!("serve_torture: FAIL — {message}");
-    std::process::exit(1);
+    Ok(Json::object().field("drained", &drained).field("refusal", &refusal).build())
 }
